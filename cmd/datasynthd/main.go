@@ -70,7 +70,7 @@ func main() {
 	cacheMaxBytes := flag.Int64("cachemaxbytes", 0, "cache size bound in bytes; storing past it evicts least recently used entries, streamed entries only after their last reader closes (0 = unbounded)")
 	queueDepth := flag.Int("queue", 64, "job queue bound; a full queue rejects submissions with 503")
 	jobWorkers := flag.Int("jobworkers", 2, "concurrent generation jobs")
-	engineWorkers := flag.Int("workers", 0, "per-engine worker bound (0 = NumCPU); output is byte-identical at any count")
+	engineWorkers := flag.Int("workers", 0, "per-engine worker bound (0 = GOMAXPROCS, which also caps larger values); output is byte-identical at any count")
 	maxNodes := flag.Int64("maxnodes", 0, "per-job node limit (0 = unlimited)")
 	maxEdges := flag.Int64("maxedges", 0, "per-job edge limit (0 = unlimited)")
 	jobTimeout := flag.Duration("jobtimeout", 10*time.Minute, "per-job generation timeout (0 = none)")

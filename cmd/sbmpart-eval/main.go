@@ -11,7 +11,7 @@
 // one per panel, plus ASCII plots and a summary table on stdout.
 //
 // Figure panels and sweep points are independent, so they run on a
-// worker pool (-panelworkers, default NumCPU) with results streamed in
+// worker pool (-panelworkers, default GOMAXPROCS) with results streamed in
 // panel order; every emitted artifact is byte-identical to a serial
 // run. The timing experiment (-timing) ignores the pool and stays a
 // pinned single-thread, single-stream measurement.
@@ -33,10 +33,10 @@ func main() {
 	musweep := flag.Bool("musweep", false, "run the structure-sensitivity sweep (fidelity vs LFR mixing)")
 	bipartite := flag.Bool("bipartite", false, "run the bipartite SBM-Part fidelity panels")
 	passes := flag.Int("passes", 0, "re-streaming refinement passes for figure panels")
-	window := flag.Int("window", 0, "SBM-Part stream window (0 = auto, negative = serial); output is byte-identical at any setting")
+	window := flag.Int("window", 0, "SBM-Part stream window (0 = auto: serial below 3 effective workers, else 2048; negative = serial; > 1 forces windowed); output is byte-identical at any setting")
 	refineWindow := flag.Int("refinewindow", 0, "stream window of the re-streaming refinement passes (0 = inherit -window, negative = serial); output is byte-identical at any setting")
-	workers := flag.Int("workers", 0, "intra-task worker bound for LFR sharding and window scans (0 = NumCPU, 1 = serial)")
-	panelWorkers := flag.Int("panelworkers", 0, "concurrent figure panels / sweep points (0 = NumCPU, 1 = serial); panel artifacts are byte-identical at any count — the timing experiment always runs serially")
+	workers := flag.Int("workers", 0, "intra-task worker bound for LFR sharding and window scans (0 = GOMAXPROCS, 1 = serial)")
+	panelWorkers := flag.Int("panelworkers", 0, "concurrent figure panels / sweep points (0 = GOMAXPROCS, 1 = serial); panel artifacts are byte-identical at any count — the timing experiment always runs serially")
 	all := flag.Bool("all", false, "run every experiment")
 	full := flag.Bool("full", false, "use the paper's full sizes (LFR-1M, RMAT-22); slow")
 	out := flag.String("out", "results", "output directory for TSV series")

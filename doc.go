@@ -18,7 +18,10 @@
 // concurrently — the in-process analogue of the paper's shared-nothing
 // cluster. Determinism is independent of the worker count: every task
 // keys its RNG streams off (schema seed, task id), so a fixed seed
-// yields a byte-identical dataset at Workers = 1 and Workers = NumCPU.
+// yields a byte-identical dataset at Workers = 1 and Workers =
+// GOMAXPROCS. Every "0 = auto" worker knob resolves to GOMAXPROCS — the
+// parallelism the process was given, not the machine's CPU count — and
+// larger explicit values are capped there (par.EffectiveWorkers).
 // Within a property task, rows additionally fan out to workers, since
 // every value is a pure function of (id, r(id), deps).
 //
@@ -44,8 +47,11 @@
 //     neighbours placed earlier in the same window — reconstructing
 //     exactly the counts, in exactly the floating-point summation
 //     order, the serial stream would see — and places nodes in stream
-//     order. Knobs: SBMPart.Window / Options.Window (0 = auto,
-//     <= 1 = serial) and Workers; cmd flags -window / -workers.
+//     order. Knobs: SBMPart.Window / Options.Window (<= 1 = serial,
+//     > 1 = windowed; 0 = auto, which by measurement is the serial
+//     stream below three effective workers and DefaultWindow from
+//     there up — match.EffectiveWindow) and Workers (0 = GOMAXPROCS);
+//     cmd flags -window / -workers.
 //   - Windowed re-streaming refinement (internal/match): the
 //     multi-pass matcher (restreamed-LDG refinement, the schema's
 //     `passes` knob) applies the same scan/commit split to every

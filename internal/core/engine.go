@@ -20,13 +20,12 @@
 // Determinism is independent of the worker count: every task keys its
 // RNG streams off (schema seed, task id) and writes only its own
 // output slot, so the same seed yields a byte-identical dataset whether
-// the plan runs on one worker or on NumCPU.
+// the plan runs on one worker or on every core.
 package core
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -46,13 +45,15 @@ type Engine struct {
 	PGens  *pgen.Registry
 	SGens  *sgen.Registry
 	// Workers bounds the parallelism of both the task scheduler and
-	// per-property row generation; 0 means NumCPU, 1 runs the plan
-	// strictly sequentially. The output is byte-identical at any value.
+	// per-property row generation; 0 means GOMAXPROCS (which also caps
+	// any larger value), 1 runs the plan strictly sequentially. The
+	// output is byte-identical at any value.
 	Workers int
 	// MatchWindow sets the stream window of the windowed-parallel
-	// SBM-Part used by match tasks: 0 picks the matcher's default
-	// (serial when the engine is single-worker), negative forces the
-	// serial stream. Every setting yields a byte-identical dataset.
+	// SBM-Part used by match tasks: 0 lets match.EffectiveWindow choose
+	// (serial below three effective workers), negative forces the
+	// serial stream, > 1 forces the windowed path. Every setting yields
+	// a byte-identical dataset.
 	MatchWindow int
 	// RefineWindow sets the stream window of SBM-Part's re-streaming
 	// refinement passes (the schema's `passes` knob): 0 inherits the
@@ -63,7 +64,7 @@ type Engine struct {
 	// (the zero value is CSV).
 	ExportFormat table.Format
 	// ExportWorkers bounds how many tables Export writes concurrently:
-	// 0 inherits Workers (and thus NumCPU when that is 0 too), 1 writes
+	// 0 inherits Workers (and thus GOMAXPROCS when that is 0 too), 1 writes
 	// one table at a time. File bytes are identical at any value.
 	ExportWorkers int
 	// ExportFS abstracts the export's filesystem for fault-injection
@@ -253,10 +254,7 @@ func (e *Engine) runPlan(ctx context.Context, st *runState, plan *depgraph.Plan)
 	if n == 0 {
 		return nil
 	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers := par.EffectiveWorkers(e.Workers)
 	if workers > n {
 		workers = n
 	}
@@ -533,10 +531,7 @@ func (e *Engine) genNodeProperty(st *runState, plan *depgraph.Plan, typeName, pr
 // any other row error, so a hostile property fails its task rather
 // than the process.
 func (e *Engine) parallelFill(pt *table.PropertyTable, n int64, gen pgen.Generator, stream xrand.Stream, depsFor func(id int64, buf []pgen.Value) []pgen.Value, arity int) error {
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers := par.EffectiveWorkers(e.Workers)
 	const chunk = 8192
 	type job struct{ lo, hi int64 }
 	jobs := make(chan job, workers)

@@ -40,7 +40,7 @@ func (e *Engine) ExportCtx(ctx context.Context, d *table.Dataset, dir string) er
 
 // exportWorkers resolves the export worker bound: an explicit
 // ExportWorkers wins, otherwise the engine-wide Workers bound applies
-// (0 still meaning NumCPU, resolved downstream).
+// (0 still meaning GOMAXPROCS, resolved downstream).
 func (e *Engine) exportWorkers() int {
 	if e.ExportWorkers != 0 {
 		return e.ExportWorkers

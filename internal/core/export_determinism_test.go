@@ -152,6 +152,56 @@ func TestExportedRefinedDatasetGoldenDeterminism(t *testing.T) {
 	}
 }
 
+// matchNotes returns the notes of the report's match tasks.
+func matchNotes(rep *RunReport) []string {
+	var notes []string
+	for _, tt := range rep.Timings {
+		if tt.Kind == depgraph.TaskMatch {
+			notes = append(notes, tt.Note)
+		}
+	}
+	return notes
+}
+
+// TestOneProcAutoMatchesExplicitParallel: the configuration the
+// benchmark runs — every knob auto under GOMAXPROCS=1, which resolves
+// the matcher to its serial path — must export the same bytes as
+// explicitly parallel knobs (Workers = 4, MatchWindow = 2048), and each
+// run's match-task note must say which SBM-Part path it took.
+func TestOneProcAutoMatchesExplicitParallel(t *testing.T) {
+	run := func(workers, window int) (map[string]string, []string) {
+		e := New(refinedQuickstartSchema())
+		e.Workers, e.MatchWindow = workers, window
+		d, err := e.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if _, err := d.Export(dir, table.ExportOptions{Format: table.FormatCSV}); err != nil {
+			t.Fatal(err)
+		}
+		return hashDir(t, dir), matchNotes(e.Report())
+	}
+
+	procs := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(procs)
+	auto, autoNotes := run(0, 0)
+	runtime.GOMAXPROCS(procs)
+	explicit, explicitNotes := run(4, 2048)
+
+	for name, h := range explicit {
+		if auto[name] != h {
+			t.Errorf("%s: GOMAXPROCS=1 auto hash %s, Workers=4 MatchWindow=2048 hash %s", name, auto[name], h)
+		}
+	}
+	if len(autoNotes) != 1 || !strings.HasPrefix(autoNotes[0], "sbm serial ") {
+		t.Errorf("GOMAXPROCS=1 auto match notes %q, want one starting \"sbm serial \"", autoNotes)
+	}
+	if len(explicitNotes) != 1 || !strings.HasPrefix(explicitNotes[0], "sbm windowed 2048×") {
+		t.Errorf("explicit-window match notes %q, want one starting \"sbm windowed 2048×\"", explicitNotes)
+	}
+}
+
 // TestColumnarExportRoundTripsThroughEngine: the binary format must
 // reproduce an engine-generated dataset exactly — counts, structure
 // and every property value — when loaded back with OpenColumnar.

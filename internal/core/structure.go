@@ -461,14 +461,15 @@ func (e *Engine) matchMonopartite(st *runState, edge *schema.EdgeType, et *table
 }
 
 // sbmNote renders a match result's SBM-Part timing for logs and the
-// timing report: the total, plus the per-pass breakdown when
-// refinement passes ran (pass 0 is the initial stream).
+// timing report: the path that ran (serial, or windowed window×scan
+// workers), the total, plus the per-pass breakdown when refinement
+// passes ran (pass 0 is the initial stream).
 func sbmNote(res *match.Result) string {
 	if len(res.PassTimes) <= 1 {
-		return fmt.Sprintf("sbm %v", res.PartitionTime.Round(time.Microsecond))
+		return fmt.Sprintf("sbm %s %v", res.Mode, res.PartitionTime.Round(time.Microsecond))
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "sbm %v (passes", res.PartitionTime.Round(time.Microsecond))
+	fmt.Fprintf(&b, "sbm %s %v (passes", res.Mode, res.PartitionTime.Round(time.Microsecond))
 	for i, d := range res.PassTimes {
 		if i == 0 {
 			fmt.Fprintf(&b, " %v", d.Round(time.Microsecond))

@@ -71,7 +71,7 @@ type Panel struct {
 	Window int
 	// Workers bounds the panel's intra-task parallelism — LFR's
 	// sharded community wiring and SBM-Part's window scans
-	// (0 = NumCPU, 1 = serial). Byte-identical output at every count.
+	// (0 = GOMAXPROCS, 1 = serial). Byte-identical output at every count.
 	Workers int
 	// RefineWindow sets the stream window of the re-streaming
 	// refinement passes (0 = inherit the resolved Window, negative =

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"datasynth/internal/par"
@@ -21,7 +20,7 @@ import (
 
 // RunPanels executes the panels on a bounded worker pool and calls
 // emit once per panel, in submission order, from the calling
-// goroutine. workers <= 0 means NumCPU; workers == 1 reproduces the
+// goroutine. workers <= 0 means GOMAXPROCS; workers == 1 reproduces the
 // serial loop exactly, including its stop-at-first-error behavior: the
 // first panel error (in submission order) aborts the stream, and a
 // non-nil error from emit does the same. Panels after a failed one may
@@ -31,9 +30,7 @@ func RunPanels(panels []Panel, workers int, emit func(*Result) error) error {
 	if n == 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers = par.EffectiveWorkers(workers)
 	if workers > n {
 		workers = n
 	}

@@ -41,7 +41,7 @@ type MuPoint struct {
 // RunMuSweep measures matching fidelity across mixing parameters.
 // Points are independent (each derives its randomness from seed and
 // its index), so they fan out onto a bounded pool like figure panels
-// do: workers <= 0 means NumCPU, 1 runs serially; the measured
+// do: workers <= 0 means GOMAXPROCS, 1 runs serially; the measured
 // fidelity numbers are identical at every worker count.
 func RunMuSweep(n int64, k int, mus []float64, seed uint64, workers int) ([]MuPoint, error) {
 	out := make([]MuPoint, len(mus))

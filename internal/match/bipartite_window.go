@@ -3,6 +3,7 @@ package match
 import (
 	"fmt"
 
+	"datasynth/internal/par"
 	"datasynth/internal/xrand"
 )
 
@@ -147,9 +148,7 @@ func (s *bipState) runWindowed(window, workers int) error {
 			window = 2
 		}
 	}
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
+	workers = par.EffectiveWorkers(workers)
 	if workers > window {
 		workers = window
 	}

@@ -1,0 +1,120 @@
+package match
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"datasynth/internal/graph"
+	"datasynth/internal/stats"
+	"datasynth/internal/xrand"
+)
+
+// recountJointMatrix is the reference the carried matrix is checked
+// against: the k×k joint matrix of assign recomputed from nothing, each
+// non-loop edge counted once (owned by its lower endpoint), mirrored
+// off-diagonal. Until the matrix was carried from pass to pass, every
+// refinement pass started with this scan.
+func recountJointMatrix(g *graph.Graph, assign []int64, k int) []float64 {
+	kk := int64(k)
+	cur := make([]float64, k*k)
+	for v := int64(0); v < g.N(); v++ {
+		for _, u := range g.Neighbors(v) {
+			if u <= v {
+				continue
+			}
+			a, b := assign[v], assign[u]
+			cur[a*kk+b]++
+			if a != b {
+				cur[b*kk+a]++
+			}
+		}
+	}
+	return cur
+}
+
+// messyGraph is a random multigraph that exercises every edge case of
+// the matrix bookkeeping: self-loops, parallel edges, hubs, and a tail
+// of isolated nodes (the last tenth of the id range has no edges).
+func messyGraph(t testing.TB, n, m int64, seed uint64) *graph.Graph {
+	t.Helper()
+	s := xrand.NewStream(seed).DeriveStream("messy")
+	live := n - n/10
+	tail := make([]int64, 0, m+m/8)
+	head := make([]int64, 0, m+m/8)
+	for e := int64(0); e < m; e++ {
+		a, b := s.Intn(2*e, live), s.Intn(2*e+1, live)
+		if e%5 == 0 {
+			a = s.Intn(2*e, 8) // hubs
+		}
+		tail, head = append(tail, a), append(head, b)
+		switch e % 16 {
+		case 3: // parallel edge, same orientation
+			tail, head = append(tail, a), append(head, b)
+		case 7: // parallel edge, reversed
+			tail, head = append(tail, b), append(head, a)
+		case 11: // self-loop
+			tail, head = append(tail, a), append(head, a)
+		}
+	}
+	g, err := graph.FromEdges(tail, head, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestCarriedJointMatrixMatchesRecount is the differential oracle for
+// carrying the joint matrix across passes: after the first pass and
+// after every refinement pass — serial and windowed, k ∈ {2, 16, 64} —
+// the matrix PartitionMultiPass holds must equal a from-scratch recount
+// of the assignment it returns, bit for bit, on a graph with self-loops,
+// parallel edges and isolated nodes. (Passes are deterministic, so the
+// state after pass e of a longer run is the result of a run with
+// extra = e.)
+func TestCarriedJointMatrixMatchesRecount(t *testing.T) {
+	const n, m = 3000, 24000
+	g := messyGraph(t, n, m, 41)
+	modes := []struct {
+		name                 string
+		window, refineWindow int
+		workers              int
+	}{
+		{"serial", 1, 1, 1},
+		{"windowed", 128, 96, 4},
+		{"windowed-first-serial-refine", 128, -1, 2},
+	}
+	for _, k := range []int{2, 16, 64} {
+		sizes := make([]int64, k)
+		for i := range sizes {
+			sizes[i] = n / int64(k)
+		}
+		sizes[0] += n - sizes[0]*int64(k)
+		target, err := stats.HomophilyJoint(sizes, 0.7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range modes {
+			for extra := 0; extra <= 3; extra++ {
+				t.Run(fmt.Sprintf("k=%d/%s/extra=%d", k, mode.name, extra), func(t *testing.T) {
+					part, err := NewSBMPart(target, sizes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					part.Seed = 7
+					part.Window, part.RefineWindow, part.Workers = mode.window, mode.refineWindow, mode.workers
+					assign, cur, err := part.partitionMultiPass(g, RandomOrder(n, 3), extra)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := recountJointMatrix(g, assign, k)
+					for i := range want {
+						if math.Float64bits(cur[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("cell (%d,%d): carried %v, recount %v", i/k, i%k, cur[i], want[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}

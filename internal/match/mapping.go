@@ -2,10 +2,10 @@ package match
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"datasynth/internal/graph"
+	"datasynth/internal/par"
 	"datasynth/internal/stats"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
@@ -72,11 +72,14 @@ type Options struct {
 	// SBMPart.PartitionMultiPass).
 	Passes int
 	// Window sets the windowed-parallel streaming window size:
-	// 0 picks DefaultWindow, negative (or 1) forces the serial path.
-	// The partition is byte-identical at every window size.
+	// 0 lets EffectiveWindow choose between the serial stream and
+	// DefaultWindow, negative (or 1) forces the serial path, anything
+	// larger forces the windowed path. The partition is byte-identical
+	// at every window size.
 	Window int
-	// Workers bounds the scan-phase concurrency (0 = NumCPU, 1 =
-	// serial). The partition is byte-identical at every worker count.
+	// Workers bounds the scan-phase concurrency (0 = GOMAXPROCS, 1 =
+	// serial; capped at GOMAXPROCS). The partition is byte-identical at
+	// every worker count.
 	Workers int
 	// RefineWindow sets the stream window of the re-streaming
 	// refinement passes: 0 inherits the resolved Window, negative (or
@@ -85,23 +88,40 @@ type Options struct {
 	RefineWindow int
 }
 
-// DefaultWindow is the stream window used when Options.Window is 0 —
-// large enough to amortise the scan fan-out, small enough that the
-// frozen snapshot stays fresh (few pending neighbours per node).
+// DefaultWindow is the stream window an auto window (0) resolves to
+// when EffectiveWindow picks the windowed path — large enough to
+// amortise the scan fan-out, small enough that the frozen snapshot
+// stays fresh (few pending neighbours per node).
 const DefaultWindow = 2048
 
+// windowedMinWorkers is the effective parallelism (par.EffectiveWorkers)
+// from which an auto window picks the windowed scan/commit path. Below
+// it the windowed path loses to its serial twin: on RMAT scale 18 ×16,
+// k = 16, two refinement passes (bench workload cli-rmat-columnar,
+// 2-core box) SBM-Part took 0.52–0.61 s at window 2048 vs 0.30–0.36 s
+// serial at GOMAXPROCS=1, and 0.56–0.68 s vs 0.30–0.36 s at
+// GOMAXPROCS=2 (3/3 runs each; 8/8 and 5/5 alternating pairs the same
+// way round before serial refinement went in place) — the scan arenas
+// and the commit phase's patch-and-sort cost more than one extra scan
+// worker gives back. 3 and up is unmeasured on that box and stays
+// windowed.
+const windowedMinWorkers = 3
+
 // EffectiveWindow resolves the (Window, Workers) pair into a concrete
-// SBMPart.Window: an explicit window wins; auto (0) picks
-// DefaultWindow only when the scan phase has real parallelism to
-// exploit (more than one worker available), and the cheaper serial
-// stream otherwise. The partition bytes are identical either way —
-// this is purely a wall-clock policy, kept in one place so every
-// caller (engine, experiment harness, CLI) agrees.
+// SBMPart.Window. An explicit window always wins (> 1 forces the
+// windowed path at any core count, <= 1 the serial one). Auto (0)
+// follows the measured rule above: the serial stream while the
+// effective parallelism — Workers capped at GOMAXPROCS, 0 meaning
+// GOMAXPROCS — is below windowedMinWorkers, DefaultWindow from there
+// up. The partition bytes are identical either way; this is purely a
+// wall-clock policy, kept in one place so the first pass, refinement
+// (which inherits the resolved window) and MatchBipartite, and every
+// caller (engine, experiment harness, CLI), agree.
 func EffectiveWindow(window, workers int) int {
 	if window != 0 {
 		return window
 	}
-	if workers == 1 || (workers <= 0 && runtime.NumCPU() == 1) {
+	if par.EffectiveWorkers(workers) < windowedMinWorkers {
 		return 1
 	}
 	return DefaultWindow
@@ -120,6 +140,9 @@ type Result struct {
 	Assign []int64
 	// Observed is the empirical joint P'(X,Y) after matching.
 	Observed *stats.Joint
+	// Mode names the SBM-Part path that ran (SBMPart.Mode), so timing
+	// reports say which implementation a number belongs to.
+	Mode string
 	// PartitionTime is the wall time spent inside SBM-Part itself (the
 	// paper's timing claim), isolated from graph build and mapping
 	// construction — plumbed out so callers can report where a match
@@ -187,7 +210,7 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Mapping: mapping, Assign: assign, Observed: observed, PartitionTime: partitionTime, PassTimes: passTimes}, nil
+	return &Result{Mapping: mapping, Assign: assign, Observed: observed, Mode: part.Mode(opt.Passes > 0), PartitionTime: partitionTime, PassTimes: passTimes}, nil
 }
 
 // RandomMatch maps structure nodes to property rows uniformly at

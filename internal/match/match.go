@@ -58,7 +58,7 @@ type SBMPart struct {
 	// partitionWindowed. Window <= 1 keeps the fully serial path.
 	Window int
 	// Workers bounds the concurrency of the windowed scan phase;
-	// 0 means NumCPU, 1 scans serially (still byte-identical).
+	// 0 means GOMAXPROCS, 1 scans serially (still byte-identical).
 	Workers int
 	// RefineWindow sets the stream window of the re-streaming
 	// refinement passes (PartitionMultiPass): 0 inherits Window,
@@ -135,16 +135,26 @@ func NewSBMPart(target *stats.Joint, capacities []int64) (*SBMPart, error) {
 // for every t, so it is placed pseudo-randomly weighted by remaining
 // capacity.
 func (p *SBMPart) Partition(g *graph.Graph, order []int64) ([]int64, error) {
+	assign, _, err := p.partition(g, order)
+	return assign, err
+}
+
+// partition is Partition that also hands back the k×k matrix of
+// inter-group edge counts it accumulated. Once every node is placed
+// that matrix is the joint matrix of the returned assignment (each
+// non-loop edge counted once, mirrored off-diagonal), which is what
+// PartitionMultiPass carries into refinement instead of recounting.
+func (p *SBMPart) partition(g *graph.Graph, order []int64) ([]int64, []float64, error) {
 	n := g.N()
 	if int64(len(order)) != n {
-		return nil, fmt.Errorf("match: order has %d entries for %d nodes", len(order), n)
+		return nil, nil, fmt.Errorf("match: order has %d entries for %d nodes", len(order), n)
 	}
 	var totalCap int64
 	for _, q := range p.Capacities {
 		totalCap += q
 	}
 	if totalCap < n {
-		return nil, fmt.Errorf("match: total capacity %d below node count %d", totalCap, n)
+		return nil, nil, fmt.Errorf("match: total capacity %d below node count %d", totalCap, n)
 	}
 
 	if p.Window > 1 {
@@ -174,7 +184,7 @@ func (p *SBMPart) Partition(g *graph.Graph, order []int64) ([]int64, error) {
 
 	for _, v := range order {
 		if v < 0 || v >= n || seenOrder[v] {
-			return nil, fmt.Errorf("match: order is not a permutation (node %d)", v)
+			return nil, nil, fmt.Errorf("match: order is not a permutation (node %d)", v)
 		}
 		seenOrder[v] = true
 
@@ -207,7 +217,7 @@ func (p *SBMPart) Partition(g *graph.Graph, order []int64) ([]int64, error) {
 			best = p.placeByFrobenius(cur, targetP, scale, used, cnt, touched)
 		}
 		if best < 0 {
-			return nil, fmt.Errorf("match: no feasible group for node %d", v)
+			return nil, nil, fmt.Errorf("match: no feasible group for node %d", v)
 		}
 
 		// Commit: update current counts and capacity.
@@ -223,7 +233,7 @@ func (p *SBMPart) Partition(g *graph.Graph, order []int64) ([]int64, error) {
 		assign[v] = best
 		used[best]++
 	}
-	return assign, nil
+	return assign, cur, nil
 }
 
 // targetMatrix expands the target joint into a dense k×k symmetric

@@ -35,159 +35,99 @@ import (
 // summation order of the vacate/re-add joint-matrix updates; see
 // refinePassWindowed.
 func (p *SBMPart) PartitionMultiPass(g *graph.Graph, order []int64, extra int) ([]int64, error) {
+	assign, _, err := p.partitionMultiPass(g, order, extra)
+	return assign, err
+}
+
+// partitionMultiPass also returns the carried joint matrix (see below)
+// so the differential tests can compare it against a recount.
+func (p *SBMPart) partitionMultiPass(g *graph.Graph, order []int64, extra int) ([]int64, []float64, error) {
 	if extra < 0 {
-		return nil, fmt.Errorf("match: negative refinement passes")
+		return nil, nil, fmt.Errorf("match: negative refinement passes")
 	}
 	start := time.Now()
-	assign, err := p.Partition(g, order)
+	// cur is the joint matrix of assign (each non-loop edge counted once,
+	// mirrored off-diagonal) and stays so from pass to pass without ever
+	// being recounted: every entry is an integer-valued float64 far below
+	// 2^53, so a pass's vacate/re-add updates are exact, and once its
+	// last node has committed cur is bit for bit the joint matrix of the
+	// new assignment (TestCarriedJointMatrixMatchesRecount).
+	assign, cur, err := p.partition(g, order)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.PassTimes = append(p.PassTimes[:0], time.Since(start))
 	if extra == 0 {
-		return assign, nil
+		return assign, cur, nil
 	}
 	k := p.K
 	n := g.N()
-	kk := int64(k)
 
 	targetP := p.targetMatrix()
 	m := float64(g.M())
 
-	prev := make([]int64, n)
-	cur := make([]float64, k*k)
 	cnt := make([]int64, k)
 	touched := make([]int, 0, k)
-	// usedNew is the per-pass quota ledger. It is hoisted out of the
-	// pass loop (it used to be reallocated every pass) and zeroed in
-	// place; refinement only ever reads and bumps it inside the
-	// sequential commit loop, which is what keeps the quota accounting
-	// — and with it the isolated-node first-feasible fallback —
-	// independent of the worker count.
+	// usedNew is the per-pass quota ledger, zeroed in place each pass;
+	// refinement only ever reads and bumps it inside the sequential
+	// commit loop, which is what keeps the quota accounting — and with
+	// it the isolated-node first-feasible fallback — independent of the
+	// worker count.
 	usedNew := make([]int64, k)
 	refineOrder := DegreeDescOrder(g)
 
-	window := p.refineWindowSize(n)
+	// The windowed pass scans against a frozen snapshot, so it needs the
+	// previous assignment beside the one being written; the serial pass
+	// refines in place on assign alone.
 	var ws *refineWindowState
-	if window > 1 {
+	var prev []int64
+	if window := p.refineWindowSize(n); window > 1 {
 		ws = newRefineWindowState(refineOrder, n, window, p.Workers, k)
-	}
-
-	// Per-pass joint-matrix rebuild shards: resolved once, scratch
-	// allocated once and reused across passes.
-	rebuildWorkers := rebuildJointWorkers(p.Workers, n)
-	var rebuildScratch [][]float64
-	if rebuildWorkers > 1 {
-		rebuildScratch = make([][]float64, rebuildWorkers-1)
-		for i := range rebuildScratch {
-			rebuildScratch[i] = make([]float64, k*k)
-		}
+		prev = make([]int64, n)
 	}
 
 	for pass := 0; pass < extra; pass++ {
 		passStart := time.Now()
-		copy(prev, assign)
-		for i := range assign {
-			assign[i] = Unassigned
-		}
 		for t := range usedNew {
 			usedNew[t] = 0
 		}
-		// cur starts as the full joint matrix of the previous assignment
-		// (each undirected edge counted once; mirrored off-diagonal);
-		// rebuilt sharded across workers, exactly — see
-		// rebuildJointMatrix.
-		rebuildJointMatrix(g, prev, cur, kk, rebuildWorkers, rebuildScratch)
 		if ws != nil {
+			copy(prev, assign)
+			for i := range assign {
+				assign[i] = Unassigned
+			}
 			err = p.refinePassWindowed(g, ws, prev, assign, cur, usedNew, targetP, m, cnt, touched)
 		} else {
-			err = p.refinePassSerial(g, refineOrder, prev, assign, cur, usedNew, targetP, m, cnt, touched)
+			err = p.refinePassSerial(g, refineOrder, assign, cur, usedNew, targetP, m, cnt, touched)
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		p.PassTimes = append(p.PassTimes, time.Since(passStart))
 	}
-	return assign, nil
+	return assign, cur, nil
 }
 
-// rebuildMinShard is the minimum node range a joint-matrix rebuild
-// shard must own: fanning out a tiny graph costs more in k×k scratch
-// zeroing and merging than the edge scan itself.
-const rebuildMinShard = 4096
-
-// rebuildJointWorkers resolves how many shards the per-pass rebuild
-// uses: the partitioner's worker bound, capped by the shard floor.
-func rebuildJointWorkers(workers int, n int64) int {
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if max := n / rebuildMinShard; int64(workers) > max {
-		workers = int(max)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// rebuildJointMatrix recomputes into cur the k×k joint matrix of
-// assignment prev: each undirected edge counted once (owned by its
-// lower endpoint), mirrored off-diagonal. The scan shards freely over
-// node ranges because every increment is integral — float64 addition
-// of integers below 2^53 is exact and associative — so the shard-local
-// partial matrices sum to bit-identical totals under any shard
-// decomposition: the serial scan and every worker count produce the
-// same bytes (locked by TestRebuildJointMatrixSharded). Shard s owns
-// the contiguous range [n·s/W, n·(s+1)/W); shard 0 accumulates
-// directly into cur on the calling goroutine, shards 1…W-1 into the
-// caller-provided scratch matrices, merged in shard order.
-func rebuildJointMatrix(g *graph.Graph, prev []int64, cur []float64, kk int64, workers int, scratch [][]float64) {
-	for i := range cur {
-		cur[i] = 0
-	}
-	n := g.N()
-	if workers <= 1 {
-		rebuildJointRange(g, prev, cur, kk, 0, n)
-		return
-	}
-	for s := 1; s < workers; s++ {
-		local := scratch[s-1]
-		for i := range local {
-			local[i] = 0
+// Mode names the path the partitioner's knobs select: "serial" or
+// "windowed <window>×<scan workers>" for the first pass, followed —
+// when refined is set and refinement resolves differently — by the
+// refinement passes' mode.
+func (p *SBMPart) Mode(refined bool) string {
+	name := func(window int) string {
+		if window <= 1 {
+			return "serial"
 		}
+		return fmt.Sprintf("windowed %d×%d", window, par.EffectiveWorkers(p.Workers))
 	}
-	par.Workers(workers, func(s int) {
-		if s == 0 {
-			rebuildJointRange(g, prev, cur, kk, 0, n/int64(workers))
-			return
-		}
-		lo := n * int64(s) / int64(workers)
-		hi := n * int64(s+1) / int64(workers)
-		rebuildJointRange(g, prev, scratch[s-1], kk, lo, hi)
-	})
-	for _, local := range scratch[:workers-1] {
-		for i, v := range local {
-			cur[i] += v
-		}
+	refineWindow := p.RefineWindow
+	if refineWindow == 0 {
+		refineWindow = p.Window
 	}
-}
-
-// rebuildJointRange accumulates the joint-matrix contributions of the
-// edges owned by nodes in [lo, hi).
-func rebuildJointRange(g *graph.Graph, prev []int64, cur []float64, kk, lo, hi int64) {
-	for v := lo; v < hi; v++ {
-		for _, u := range g.Neighbors(v) {
-			if u <= v {
-				continue
-			}
-			a, b := prev[v], prev[u]
-			cur[a*kk+b]++
-			if a != b {
-				cur[b*kk+a]++
-			}
-		}
+	first := name(p.Window)
+	if refine := name(refineWindow); refined && refine != first {
+		return first + ", refine " + refine
 	}
+	return first
 }
 
 // refineWindowSize resolves the refinement window: an explicit
@@ -212,29 +152,24 @@ func (p *SBMPart) refineWindowSize(n int64) int {
 
 // refinePassSerial is one re-streaming pass over refineOrder: the
 // reference implementation the windowed pass must reproduce byte for
-// byte. assign arrives all-Unassigned and usedNew all-zero; cur holds
-// the joint matrix of prev.
-func (p *SBMPart) refinePassSerial(g *graph.Graph, refineOrder, prev, assign []int64, cur []float64, usedNew []int64, targetP []float64, m float64, cnt []int64, touched []int) error {
-	hybrid := func(u int64) int64 {
-		if a := assign[u]; a != Unassigned {
-			return a
-		}
-		return prev[u]
-	}
+// byte. It refines in place: assign arrives holding the previous
+// assignment and, node by node, becomes the new one, so at every step
+// it *is* the hybrid assignment and a neighbour's group is one read.
+// usedNew arrives all-zero; cur holds the joint matrix of assign.
+func (p *SBMPart) refinePassSerial(g *graph.Graph, refineOrder, assign []int64, cur []float64, usedNew []int64, targetP []float64, m float64, cnt []int64, touched []int) error {
 	for _, v := range refineOrder {
-		// Neighbour groups under the hybrid assignment.
 		touched = touched[:0]
 		for _, u := range g.Neighbors(v) {
 			if u == v {
 				continue
 			}
-			a := hybrid(u)
+			a := assign[u]
 			if cnt[a] == 0 {
 				touched = append(touched, int(a))
 			}
 			cnt[a]++
 		}
-		best, err := p.refineCommit(v, prev[v], cur, targetP, m, usedNew, cnt, touched)
+		best, err := p.refineCommit(v, assign[v], cur, targetP, m, usedNew, cnt, touched)
 		if err != nil {
 			return err
 		}
@@ -333,9 +268,7 @@ type refineWindowState struct {
 }
 
 func newRefineWindowState(order []int64, n int64, window, workers, k int) *refineWindowState {
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
+	workers = par.EffectiveWorkers(workers)
 	if workers > window {
 		workers = window
 	}

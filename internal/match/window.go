@@ -2,7 +2,6 @@ package match
 
 import (
 	"fmt"
-	"runtime"
 
 	"datasynth/internal/graph"
 	"datasynth/internal/par"
@@ -40,7 +39,7 @@ import (
 // cost of the neighbourhood scans is amortised across cores
 // (restreamed-LDG style speculation, with the commit loop as the
 // sequencer).
-func (p *SBMPart) partitionWindowed(g *graph.Graph, order []int64, window int) ([]int64, error) {
+func (p *SBMPart) partitionWindowed(g *graph.Graph, order []int64, window int) ([]int64, []float64, error) {
 	n := g.N()
 	k := p.K
 	// A window can never usefully exceed the stream; clamping keeps the
@@ -69,10 +68,7 @@ func (p *SBMPart) partitionWindowed(g *graph.Graph, order []int64, window int) (
 	seenOrder := make([]bool, n)
 	rnd := xrand.NewStream(p.Seed).DeriveStream("sbm-unconstrained")
 
-	workers := p.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
+	workers := par.EffectiveWorkers(p.Workers)
 	if workers > window {
 		workers = window
 	}
@@ -100,7 +96,7 @@ func (p *SBMPart) partitionWindowed(g *graph.Graph, order []int64, window int) (
 		// Stream-order validation, exactly as the serial loop performs it.
 		for _, v := range win {
 			if v < 0 || v >= n || seenOrder[v] {
-				return nil, fmt.Errorf("match: order is not a permutation (node %d)", v)
+				return nil, nil, fmt.Errorf("match: order is not a permutation (node %d)", v)
 			}
 			seenOrder[v] = true
 		}
@@ -199,7 +195,7 @@ func (p *SBMPart) partitionWindowed(g *graph.Graph, order []int64, window int) (
 				best = p.placeByFrobenius(cur, targetP, scale, used, cnt, touched)
 			}
 			if best < 0 {
-				return nil, fmt.Errorf("match: no feasible group for node %d", v)
+				return nil, nil, fmt.Errorf("match: no feasible group for node %d", v)
 			}
 
 			for _, j := range touched {
@@ -215,11 +211,8 @@ func (p *SBMPart) partitionWindowed(g *graph.Graph, order []int64, window int) (
 			used[best]++
 		}
 	}
-	return assign, nil
+	return assign, cur, nil
 }
-
-// defaultWorkers resolves a zero worker bound to the machine width.
-func defaultWorkers() int { return runtime.NumCPU() }
 
 // runScanChunks fans a window's scan phase across workers in static
 // contiguous chunks; every worker owns private count/position/touched

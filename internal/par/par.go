@@ -47,6 +47,23 @@ func Safe(fn func() error) (err error) {
 	return fn()
 }
 
+// EffectiveWorkers resolves a worker bound to the parallelism the
+// process can actually use: requested <= 0 ("auto") means GOMAXPROCS,
+// and an explicit request is capped at GOMAXPROCS — goroutines beyond
+// the Ps the runtime schedules on are time-sliced, not parallel, so
+// every scratch arena and fan-out sized for them is pure overhead.
+// Every "0 = auto" worker knob in the pipeline resolves through here,
+// never through the machine's CPU count, which ignores what the
+// process was given. Worker counts never change output bytes, only
+// wall-clock.
+func EffectiveWorkers(requested int) int {
+	procs := runtime.GOMAXPROCS(0)
+	if requested <= 0 || requested > procs {
+		return procs
+	}
+	return requested
+}
+
 // Workers runs fn(0) … fn(workers-1), one goroutine per worker, and
 // waits for all of them to finish. Each worker runs under Safe; after
 // the pool drains, the first recovered panic (lowest worker index) is
@@ -89,7 +106,7 @@ func Workers(workers int, fn func(w int)) {
 }
 
 // ForEach runs fn(0) … fn(n-1) on up to workers goroutines
-// (workers <= 0 means NumCPU, 1 runs the plain serial loop). Indices
+// (resolved by EffectiveWorkers; 1 runs the plain serial loop). Indices
 // are claimed in order; after the first failure no new index is
 // claimed, in-flight calls finish, and the error of the
 // lowest-indexed failure observed is returned — matching what the
@@ -114,9 +131,7 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error
 	if n <= 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers = EffectiveWorkers(workers)
 	if workers > n {
 		workers = n
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -214,5 +215,24 @@ func TestWorkersWaitsForAllBeforePanic(t *testing.T) {
 	}()
 	if got := finished.Load(); got != 7 {
 		t.Fatalf("%d workers finished before re-panic, want 7", got)
+	}
+}
+
+// TestEffectiveWorkers pins the one worker-resolution rule of the
+// pipeline against the GOMAXPROCS the process is given (not the
+// machine's CPU count): auto means GOMAXPROCS, explicit requests are
+// capped there.
+func TestEffectiveWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ procs, requested, want int }{
+		{1, 0, 1}, {1, 1, 1}, {1, 8, 1},
+		{2, 0, 2}, {2, 1, 1}, {2, 8, 2},
+		{4, 0, 4}, {4, 1, 1}, {4, 8, 4},
+		{4, -3, 4}, {4, 3, 3},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		if got := EffectiveWorkers(tc.requested); got != tc.want {
+			t.Errorf("GOMAXPROCS=%d requested=%d: got %d, want %d", tc.procs, tc.requested, got, tc.want)
+		}
 	}
 }

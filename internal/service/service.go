@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,8 +60,8 @@ type Config struct {
 	// JobWorkers bounds how many engines generate concurrently.
 	// 0 means 2.
 	JobWorkers int
-	// EngineWorkers is the per-engine worker bound (core.Engine.Workers);
-	// 0 means NumCPU.
+	// EngineWorkers is the per-engine worker bound (core.Engine.Workers,
+	// which resolves it); 0 means GOMAXPROCS.
 	EngineWorkers int
 	// MaxNodes / MaxEdges cap a job's dataset size, enforced at
 	// admission on the schema's declared counts and after generation on
@@ -114,13 +113,6 @@ func (c *Config) jobWorkers() int {
 		return 2
 	}
 	return c.JobWorkers
-}
-
-func (c *Config) engineWorkers() int {
-	if c.EngineWorkers <= 0 {
-		return runtime.NumCPU()
-	}
-	return c.EngineWorkers
 }
 
 func (c *Config) storeAttempts() int {
@@ -670,7 +662,7 @@ func (s *Service) executeJob(j *Job) error {
 		defer cancel()
 	}
 	eng := core.New(j.schema)
-	eng.Workers = s.cfg.engineWorkers()
+	eng.Workers = s.cfg.EngineWorkers // 0 = auto, resolved by the engine
 	eng.ExportFormat = j.format
 	eng.ExportFS = s.cfg.FS
 

@@ -144,11 +144,16 @@ func (d *edgeDedup) pairRound(et *table.EdgeTable, pending []int64, ok func(a, b
 }
 
 // mergeNewKeys merges the round's winner keys (already sorted: they
-// were collected in key order) into the accepted set — in place,
-// backward into the spare capacity, when it fits; via the scratch
-// buffer otherwise.
+// were collected in key order) into the accepted set: adopted whole
+// when the set is empty (a phase's first round — the buffers just swap
+// roles), else in place, backward into the spare capacity, when it
+// fits; via the scratch buffer otherwise.
 func (d *edgeDedup) mergeNewKeys() {
 	if len(d.newKeys) == 0 {
+		return
+	}
+	if len(d.accepted) == 0 {
+		d.accepted, d.newKeys = d.newKeys, d.accepted
 		return
 	}
 	na, nn := len(d.accepted), len(d.newKeys)

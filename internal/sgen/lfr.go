@@ -3,7 +3,6 @@ package sgen
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync/atomic"
 
 	"datasynth/internal/par"
@@ -31,7 +30,7 @@ type LFR struct {
 	Tau2         float64 // community size power-law exponent (default 1)
 	Seed         uint64
 	// Workers bounds the concurrency of intra-community wiring
-	// (0 = NumCPU, 1 = serial). Communities are wired on independent
+	// (0 = GOMAXPROCS, 1 = serial). Communities are wired on independent
 	// RNG streams keyed off (Seed, community id) and their edges are
 	// assembled in community order, so the edge table is byte-identical
 	// at every worker count.
@@ -40,6 +39,8 @@ type LFR struct {
 	// communities of the last Run, exposed for tests and for the
 	// experiment harness (ground-truth labels).
 	lastCommunities []int64
+	// shard telemetry of the last Run, for RunNote.
+	lastShards, lastWorkers int
 }
 
 // NewLFR returns an LFR generator with the paper's evaluation
@@ -62,6 +63,15 @@ func (l *LFR) Name() string { return "lfr" }
 
 // SetWorkers implements WorkerSettable.
 func (l *LFR) SetWorkers(w int) { l.Workers = w }
+
+// RunNote implements Noter: the intra-community shard count and the
+// resolved worker count of the last Run, for the engine's timing report.
+func (l *LFR) RunNote() string {
+	if l.lastShards == 0 {
+		return ""
+	}
+	return fmt.Sprintf("lfr %d communities, %d workers", l.lastShards, l.lastWorkers)
+}
 
 // Communities returns the ground-truth community label of every node
 // from the most recent Run. It is the basis of LFR's use in community
@@ -315,13 +325,11 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 	heads := make([]int64, bound[nComm])
 	counts := make([]int64, nComm)
 
-	workers := l.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers := par.EffectiveWorkers(l.Workers)
 	if workers > nComm {
 		workers = nComm
 	}
+	l.lastShards, l.lastWorkers = nComm, workers
 
 	// wire runs one shard with a worker's reusable scratch (dedup,
 	// stub buffer, local edge sink); only the arena range and counts

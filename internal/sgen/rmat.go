@@ -33,7 +33,7 @@ type RMAT struct {
 	// Graph500 keeps them; the paper's matching experiments are
 	// insensitive to them. Default false removes exact duplicates.
 	KeepDuplicates bool
-	// Workers bounds the concurrency of shard filling (0 = NumCPU,
+	// Workers bounds the concurrency of shard filling (0 = GOMAXPROCS,
 	// 1 = serial). Shards draw from independent RNG streams keyed off
 	// (Seed, round, shard) and fill disjoint slab ranges, so the edge
 	// table is byte-identical at every worker count.

@@ -2,7 +2,6 @@ package sgen
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"datasynth/internal/par"
@@ -184,14 +183,13 @@ func (r *RMAT) runSharded(n int64) (*table.EdgeTable, error) {
 	scale := scaleFor(n)
 	m := r.EdgeFactor * n
 	et := table.NewEdgeTable("rmat", m)
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers := par.EffectiveWorkers(r.Workers)
 	base := xrand.NewStream(r.Seed).DeriveStream("rmat.shard")
 	var dd *edgeDedup
 	if !r.KeepDuplicates {
-		dd = newEdgeDedup(m)
+		// No capacity hint: the first round's sorted winners become the
+		// accepted set (mergeNewKeys adopts them), already sized.
+		dd = newEdgeDedup(0)
 	}
 	var al *rmatAlias
 	if r.Noise == 0 {
@@ -532,7 +530,12 @@ func (d *edgeDedup) flushDeduped(et *table.EdgeTable, limit int64) {
 	keys := d.sortKeys(d.keys)
 
 	// Runs of equal keys against the accepted set (two-pointer: both
-	// sorted); the first fresh key of each run wins.
+	// sorted); the first fresh key of each run wins. Sized up front like
+	// d.keys: a first round yields millions of winners, and append
+	// doubling from a cold buffer copied them several times over.
+	if cap(d.newKeys) < len(keys) {
+		d.newKeys = make([]uint64, 0, len(keys))
+	}
 	d.newKeys = d.newKeys[:0]
 	ai := 0
 	for i := 0; i < len(keys); {

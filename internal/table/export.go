@@ -109,7 +109,7 @@ type ExportOptions struct {
 	// Format selects the encoding (default CSV).
 	Format Format
 	// Workers bounds how many tables are written concurrently:
-	// 0 = NumCPU, 1 = one table at a time. File bytes are identical at
+	// 0 = GOMAXPROCS, 1 = one table at a time. File bytes are identical at
 	// every worker count.
 	Workers int
 	// FS abstracts the filesystem for fault-injection tests; nil means
