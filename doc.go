@@ -25,6 +25,23 @@
 // Within a property task, rows additionally fan out to workers, since
 // every value is a pure function of (id, r(id), deps).
 //
+// The property path is column kernels end to end. A generator fills a
+// chunk of 8192 consecutive ids per call into typed slices
+// (pgen.Generator.Fill over a table.Chunk: []int64, []float64, uint32
+// codes into a shared value list for finite vocabularies, or a byte
+// arena plus offsets for open-ended strings) — no per-cell interface
+// call, boxed value or kind check, and no []string anywhere; the
+// matcher's labels come from the codes. The CSV and JSON-lines writers
+// then render rows out of those columns with every row-independent
+// decision taken once per column: each distinct coded value is quoted
+// or escaped once, each day of a date column's range is rendered once
+// into a lookup table (civil-from-days arithmetic, no time.Time), an
+// arena chunk is scanned once and copied as raw spans when nothing in
+// it needs quoting, integers are written digit pairs in place and the
+// id column is a decimal counter. Generator parameters are checked
+// when the generator is built, which core.ValidateSchema does for
+// every property before any row exists.
+//
 // The hot inner loops are allocation-free at steady state: SBM-Part
 // reuses per-partitioner scoring scratch, the LFR configuration model
 // deduplicates edges by sort-and-compact over packed keys (plus a
@@ -97,8 +114,8 @@
 //     pinned to one serial, single-thread panel at a time.
 //   - Concurrent atomic export (internal/table): Dataset.Export writes
 //     one file per table on a bounded pool in any of three formats —
-//     CSV via a pooled append encoder byte-identical to encoding/csv,
-//     JSON-lines via a pooled append encoder byte-identical to
+//     CSV via a pooled row writer byte-identical to encoding/csv,
+//     JSON-lines via the same writer byte-identical to
 //     encoding/json's default configuration (keys sorted, HTML
 //     escaping, stdlib float formatting — fuzz-verified against the
 //     stdlib encoders, so the byte stream is stable across releases

@@ -26,6 +26,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -100,12 +102,16 @@ func (e *Engine) Report() *RunReport {
 // accessors below; each task writes only its own output slot, which
 // keeps the state itself order-independent.
 type runState struct {
-	mu        sync.Mutex
-	counts    map[string]int64
-	nodeProps map[string]map[string]*table.PropertyTable
-	edgeProps map[string]map[string]*table.PropertyTable
-	edges     map[string]*table.EdgeTable
-	matched   map[string]bool
+	mu     sync.Mutex
+	counts map[string]int64
+	// props holds the generated tables by (node or edge type, property);
+	// type names are unique across both.
+	props   map[[2]string]*table.PropertyTable
+	edges   map[string]*table.EdgeTable
+	matched map[string]bool
+	// gens holds every property's generator, built and checked before
+	// the first task runs; read-only afterwards.
+	gens map[string]*propGen
 	// fusedProps holds property columns produced by fused operators
 	// (value indices plus the value universe); genNodeProperty
 	// materialises these instead of running a generator.
@@ -118,11 +124,11 @@ type fusedColumn struct {
 	values []string
 }
 
-func newRunState() *runState {
+func newRunState(gens map[string]*propGen) *runState {
 	return &runState{
+		gens:       gens,
 		counts:     map[string]int64{},
-		nodeProps:  map[string]map[string]*table.PropertyTable{},
-		edgeProps:  map[string]map[string]*table.PropertyTable{},
+		props:      map[[2]string]*table.PropertyTable{},
 		edges:      map[string]*table.EdgeTable{},
 		matched:    map[string]bool{},
 		fusedProps: map[string]map[string]*fusedColumn{},
@@ -142,36 +148,17 @@ func (st *runState) setCount(name string, c int64) {
 	st.counts[name] = c
 }
 
-func (st *runState) nodeProp(typeName, propName string) (*table.PropertyTable, bool) {
+func (st *runState) prop(typeName, propName string) (*table.PropertyTable, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	pt, ok := st.nodeProps[typeName][propName]
+	pt, ok := st.props[[2]string{typeName, propName}]
 	return pt, ok
 }
 
-func (st *runState) setNodeProp(typeName, propName string, pt *table.PropertyTable) {
+func (st *runState) setProp(typeName, propName string, pt *table.PropertyTable) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.nodeProps[typeName] == nil {
-		st.nodeProps[typeName] = map[string]*table.PropertyTable{}
-	}
-	st.nodeProps[typeName][propName] = pt
-}
-
-func (st *runState) edgeProp(edgeName, propName string) (*table.PropertyTable, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	pt, ok := st.edgeProps[edgeName][propName]
-	return pt, ok
-}
-
-func (st *runState) setEdgeProp(edgeName, propName string, pt *table.PropertyTable) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.edgeProps[edgeName] == nil {
-		st.edgeProps[edgeName] = map[string]*table.PropertyTable{}
-	}
-	st.edgeProps[edgeName][propName] = pt
+	st.props[[2]string{typeName, propName}] = pt
 }
 
 func (st *runState) edgeTable(name string) (*table.EdgeTable, bool) {
@@ -230,7 +217,11 @@ func (e *Engine) GenerateCtx(ctx context.Context) (*table.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := newRunState()
+	gens, err := e.buildGenerators()
+	if err != nil {
+		return nil, err
+	}
+	st := newRunState(gens)
 	if err := e.runPlan(ctx, st, plan); err != nil {
 		return nil, err
 	}
@@ -469,172 +460,232 @@ func (e *Engine) propertySeed(typeName, propName string) xrand.Stream {
 	return xrand.NewStream(e.Schema.Seed).DeriveStream("property." + typeName + "." + propName)
 }
 
-// genNodeProperty materialises one node property table in parallel.
-// Columns minted by a fused operator are materialised directly from the
-// fused labels instead of running the property generator.
+// propGen is one property's generator, with what the engine needs to
+// run it: the property, the type that owns it, its declared row count
+// (0 when only generation tells) and where its dependencies live.
+type propGen struct {
+	gen   pgen.Generator
+	prop  *schema.Property
+	owner string
+	rows  int64
+	deps  []depRef
+}
+
+// depRef locates one dependency of a property. An edge property reads
+// a sibling edge property row for row (via 0), or a node property of
+// the edge's tail (via 1) or head (via 2).
+type depRef struct {
+	owner, name string
+	via         int
+}
+
+// buildGenerators builds the generator of every node and edge property
+// through the registry and checks it against the schema — the generator
+// exists, its parameters are valid, it produces the declared kind and
+// has the dependencies it needs — so that a bad generator spec fails
+// before any row is generated. The schema must have passed
+// depgraph.Analyze. Keys are "<type>.<property>".
+func (e *Engine) buildGenerators() (map[string]*propGen, error) {
+	gens := map[string]*propGen{}
+	build := func(owner string, rows int64, edge *schema.EdgeType, props []schema.Property) error {
+		for i := range props {
+			p := &props[i]
+			gen, err := e.PGens.Build(p.Generator.Name, p.Generator.Params)
+			if err != nil {
+				return fmt.Errorf("core: property %s.%s: %w", owner, p.Name, err)
+			}
+			pg := &propGen{gen: gen, prop: p, owner: owner, rows: rows, deps: make([]depRef, len(p.DependsOn))}
+			for j, d := range p.DependsOn {
+				switch {
+				case edge != nil && len(d) > 5 && d[:5] == "tail.":
+					pg.deps[j] = depRef{edge.Tail, d[5:], 1}
+				case edge != nil && len(d) > 5 && d[:5] == "head.":
+					pg.deps[j] = depRef{edge.Head, d[5:], 2}
+				default:
+					pg.deps[j] = depRef{owner, d, 0}
+				}
+			}
+			gens[owner+"."+p.Name] = pg
+		}
+		return nil
+	}
+	for i := range e.Schema.Nodes {
+		if err := build(e.Schema.Nodes[i].Name, e.Schema.Nodes[i].Count, nil, e.Schema.Nodes[i].Properties); err != nil {
+			return nil, err
+		}
+	}
+	for i := range e.Schema.Edges {
+		// An edge's count is a target the structure generator approximates.
+		if err := build(e.Schema.Edges[i].Name, 0, &e.Schema.Edges[i], e.Schema.Edges[i].Properties); err != nil {
+			return nil, err
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(gens)) {
+		if err := checkGenerator(gens[key], gens); err != nil {
+			return nil, fmt.Errorf("core: property %s: %w", key, err)
+		}
+	}
+	return gens, nil
+}
+
+// checkGenerator checks one built generator against its property: the
+// dependency count, the kind — a generator's own, except that sequence
+// also numbers days and endpoint-copy takes the kind of what it
+// copies — and that a date property stays inside the date domain as far
+// as the schema tells (dateRange).
+func checkGenerator(pg *propGen, gens map[string]*propGen) error {
+	if len(pg.deps) < pg.gen.Arity() {
+		return fmt.Errorf("generator %s needs %d dependencies, `given` names %d", pg.gen.Name(), pg.gen.Arity(), len(pg.deps))
+	}
+	kind := pg.gen.Kind()
+	switch pg.gen.(type) {
+	case *pgen.Sequence:
+		if pg.prop.Kind == table.KindDate {
+			kind = table.KindDate
+		}
+	case *pgen.EndpointCopy:
+		kind = pg.dep(0, gens).prop.Kind
+	}
+	if kind != pg.prop.Kind {
+		return fmt.Errorf("generator %s produces %v but the property is declared %v", pg.gen.Name(), kind, pg.prop.Kind)
+	}
+	if lo, hi, ok := dateRange(pg, gens); ok && kind == table.KindDate && (lo < table.MinDate || hi > table.MaxDate) {
+		return fmt.Errorf("generator %s can produce a day outside the date domain %s … %s",
+			pg.gen.Name(), table.FormatDate(table.MinDate), table.FormatDate(table.MaxDate))
+	}
+	return nil
+}
+
+// dep returns the generator of pg's i-th dependency; schema.Validate
+// (run by depgraph.Analyze) has resolved every name.
+func (pg *propGen) dep(i int, gens map[string]*propGen) *propGen {
+	return gens[pg.deps[i].owner+"."+pg.deps[i].name]
+}
+
+// dateRange bounds the days pg's values can take from the schema alone,
+// through chains of endpoint-copy and max-endpoint-date: lo is a lower
+// bound and hi a day the column can reach. ok is false when nothing is
+// known — a generator registered from outside, say — and the encoders'
+// own check is then the only one. Both ends are clamped to one day
+// outside the domain, so that sums along a chain cannot overflow.
+func dateRange(pg *propGen, gens map[string]*propGen) (lo, hi int64, ok bool) {
+	clamp := func(d int64) int64 { return min(max(d, table.MinDate-1), table.MaxDate+1) }
+	switch g := pg.gen.(type) {
+	case *pgen.UniformDate:
+		return clamp(g.From), clamp(g.To), true
+	case *pgen.UniformInt:
+		return clamp(g.Lo), clamp(g.Hi), true
+	case *pgen.Sequence:
+		// Without a declared count only the first row's day is known.
+		lo = clamp(g.Offset)
+		return lo, clamp(lo + min(max(pg.rows, 1), table.MaxDate-table.MinDate+2) - 1), true
+	case *pgen.EndpointCopy:
+		if len(pg.deps) > 0 {
+			return dateRange(pg.dep(0, gens), gens)
+		}
+	case *pgen.MaxEndpointDate:
+		// The maximum is at least each dependency, known or not.
+		lo, hi = table.MinDate-1, table.MinDate-1
+		for i := range pg.deps {
+			if dlo, dhi, dok := dateRange(pg.dep(i, gens), gens); dok {
+				lo, hi, ok = max(lo, dlo), max(hi, dhi), true
+			}
+		}
+		return clamp(lo + 1), clamp(hi + g.MaxLagDays), ok
+	}
+	return 0, 0, false
+}
+
+// genNodeProperty materialises one node property table. Columns minted
+// by a fused operator are materialised directly from the fused labels
+// instead of running the property generator.
 func (e *Engine) genNodeProperty(st *runState, plan *depgraph.Plan, typeName, propName string) error {
-	nt := e.Schema.NodeType(typeName)
-	prop := nt.Property(propName)
 	n, err := e.nodeCount(st, plan, typeName)
 	if err != nil {
 		return err
 	}
+	pg := st.gens[typeName+"."+propName]
 	if fc := st.fusedCol(typeName, propName); fc != nil {
 		if int64(len(fc.labels)) != n {
 			return fmt.Errorf("core: fused column %s.%s has %d rows, expected %d", typeName, propName, len(fc.labels), n)
 		}
-		if prop.Kind != table.KindString {
+		if pg.prop.Kind != table.KindString {
 			return fmt.Errorf("core: fused column %s.%s must be a string property", typeName, propName)
 		}
-		pt := table.NewPropertyTable(typeName+"."+propName, table.KindString, n)
-		for id := int64(0); id < n; id++ {
-			pt.SetString(id, fc.values[fc.labels[id]])
+		pt := table.NewStringTable(typeName+"."+propName, n, fc.values)
+		codes, _ := pt.Coded()
+		for id, label := range fc.labels {
+			codes[id] = uint32(label)
 		}
-		st.setNodeProp(typeName, propName, pt)
+		st.setProp(typeName, propName, pt)
 		return nil
 	}
-	gen, err := e.PGens.Build(prop.Generator.Name, prop.Generator.Params)
+	pt, err := e.generate(st, pg, n, nil)
 	if err != nil {
 		return err
 	}
-	if err := checkKind(gen, prop); err != nil {
-		return err
-	}
-	deps := make([]*table.PropertyTable, len(prop.DependsOn))
-	for i, d := range prop.DependsOn {
-		pt, ok := st.nodeProp(typeName, d)
-		if !ok {
-			return fmt.Errorf("core: dependency %s.%s not materialised", typeName, d)
-		}
-		deps[i] = pt
-	}
-	pt := table.NewPropertyTable(typeName+"."+propName, prop.Kind, n)
-	stream := e.propertySeed(typeName, propName)
-	if err := e.parallelFill(pt, n, gen, stream, func(id int64, buf []pgen.Value) []pgen.Value {
-		for i, dp := range deps {
-			buf[i] = valueAt(dp, id)
-		}
-		return buf[:len(deps)]
-	}, len(deps)); err != nil {
-		return err
-	}
-	st.setNodeProp(typeName, propName, pt)
+	st.setProp(typeName, propName, pt)
 	return nil
 }
 
-// parallelFill fans the id range out to workers; each worker computes
-// rows independently thanks to in-place generation. A failing worker
-// closes done before exiting, so the producer never blocks on a send
-// nobody will receive — even when every worker has bailed out early.
-// A panicking generator (bad parameter combinations can reach panics
-// inside xrand) is recovered into a *par.PanicError and reported like
-// any other row error, so a hostile property fails its task rather
-// than the process.
-func (e *Engine) parallelFill(pt *table.PropertyTable, n int64, gen pgen.Generator, stream xrand.Stream, depsFor func(id int64, buf []pgen.Value) []pgen.Value, arity int) error {
-	workers := par.EffectiveWorkers(e.Workers)
-	const chunk = 8192
-	type job struct{ lo, hi int64 }
-	jobs := make(chan job, workers)
-	errs := make(chan error, workers)
-	done := make(chan struct{})
-	var closeOnce sync.Once
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// par.Safe is the recover point: a panicking generator
-			// surfaces as a *par.PanicError through the same error path
-			// as an ordinary row failure.
-			if err := par.Safe(func() error {
-				buf := make([]pgen.Value, arity)
-				for j := range jobs {
-					select {
-					case <-done:
-						return nil // another worker failed; stop early
-					default:
-					}
-					for id := j.lo; id < j.hi; id++ {
-						v, err := gen.Run(id, stream, depsFor(id, buf))
-						if err != nil {
-							return fmt.Errorf("core: row %d: %w", id, err)
-						}
-						storeValue(pt, id, v)
-					}
-				}
-				return nil
-			}); err != nil {
-				select {
-				case errs <- err:
-				default:
-				}
-				closeOnce.Do(func() { close(done) })
+// generate allocates the n-row table of pg's property and fills it: the
+// one path every generated column takes. et is the matched edge table
+// of an edge property, nil for a node property. Every value is a pure
+// function of (id, r(id), deps) — in-place generation — so the table is
+// filled a chunk of ChunkRows ids at a time, on the engine's workers,
+// in any order. A failing or panicking chunk (bad parameter
+// combinations can reach panics inside xrand) fails the task with the
+// lowest chunk's error, never the process (par.ForEach).
+func (e *Engine) generate(st *runState, pg *propGen, n int64, et *table.EdgeTable) (*table.PropertyTable, error) {
+	// A dependency is read in place when it has this column's rows
+	// (via nil), and gathered through the edge table when it is an
+	// endpoint's.
+	srcs := make([]*table.PropertyTable, len(pg.deps))
+	via := make([][]int64, len(pg.deps))
+	for i, d := range pg.deps {
+		var ok bool
+		if srcs[i], ok = st.prop(d.owner, d.name); !ok {
+			return nil, fmt.Errorf("core: dependency %s.%s not materialised", d.owner, d.name)
+		}
+		if d.via == 1 {
+			via[i] = et.Tail
+		} else if d.via == 2 {
+			via[i] = et.Head
+		}
+	}
+	name := pg.owner + "." + pg.prop.Name
+	var pt *table.PropertyTable
+	if pg.prop.Kind == table.KindString {
+		var dict []string
+		if c, ok := pg.gen.(pgen.Coded); ok {
+			dict = c.Vocabulary(srcs)
+		}
+		pt = table.NewStringTable(name, n, dict)
+	} else {
+		pt = table.NewPropertyTable(name, pg.prop.Kind, n)
+	}
+	stream := e.propertySeed(pg.owner, pg.prop.Name)
+	// Dependency chunks, and the buffers gathers fill, are reused from
+	// chunk to chunk.
+	scratch := sync.Pool{New: func() any {
+		deps := make([]table.Chunk, len(srcs))
+		return &deps
+	}}
+	return pt, par.ForEach(int((n+table.ChunkRows-1)/table.ChunkRows), e.Workers, func(c int) error {
+		lo := int64(c) * table.ChunkRows
+		hi := min(lo+table.ChunkRows, n)
+		buf := scratch.Get().(*[]table.Chunk)
+		defer scratch.Put(buf)
+		deps := *buf
+		for i, src := range srcs {
+			if via[i] == nil {
+				deps[i] = src.Chunk(lo, hi)
+			} else {
+				src.Gather(via[i][lo:hi], &deps[i])
 			}
-		}()
-	}
-produce:
-	for lo := int64(0); lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
 		}
-		select {
-		case jobs <- job{lo, hi}:
-		case <-done:
-			break produce
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return nil
-	}
-}
-
-// valueAt boxes a PT row as a pgen.Value.
-func valueAt(pt *table.PropertyTable, id int64) pgen.Value {
-	switch pt.Kind {
-	case table.KindString:
-		return pgen.StringValue(pt.String(id))
-	case table.KindFloat:
-		return pgen.FloatValue(pt.Float(id))
-	case table.KindDate:
-		return pgen.DateValue(pt.Int(id))
-	default:
-		return pgen.IntValue(pt.Int(id))
-	}
-}
-
-// storeValue writes a pgen.Value into a PT row.
-func storeValue(pt *table.PropertyTable, id int64, v pgen.Value) {
-	switch pt.Kind {
-	case table.KindString:
-		pt.SetString(id, v.Str)
-	case table.KindFloat:
-		pt.SetFloat(id, v.Float)
-	default:
-		pt.SetInt(id, v.Int)
-	}
-}
-
-// polymorphicKinds are generators whose output kind follows the
-// declared property kind rather than a fixed kind.
-var polymorphicKinds = map[string]bool{
-	"endpoint-copy": true,
-	"constant":      true,
-	"sequence":      true,
-}
-
-func checkKind(gen pgen.Generator, prop *schema.Property) error {
-	if polymorphicKinds[gen.Name()] {
-		return nil
-	}
-	if gen.Kind() != prop.Kind {
-		return fmt.Errorf("core: generator %s produces %v but property %s is declared %v",
-			gen.Name(), gen.Kind(), prop.Name, prop.Kind)
-	}
-	return nil
+		return pt.FillChunk(lo, hi, func(dst *table.Chunk) error {
+			return pg.gen.Fill(dst, lo, hi, stream, deps)
+		})
+	})
 }

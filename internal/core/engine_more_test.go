@@ -124,17 +124,14 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // failingGen errors on a specific row — failure injection for the
-// parallel fill path.
-type failingGen struct{ failAt int64 }
-
-func (f *failingGen) Name() string          { return "failing" }
-func (f *failingGen) Kind() table.ValueKind { return table.KindInt }
-func (f *failingGen) Arity() int            { return 0 }
-func (f *failingGen) Run(id int64, s xrand.Stream, deps []pgen.Value) (pgen.Value, error) {
-	if id == f.failAt {
-		return pgen.Value{}, fmt.Errorf("injected failure at %d", id)
-	}
-	return pgen.IntValue(id), nil
+// chunk fill path, five lines through pgen.PerRow.
+func failingGen(failAt int64) pgen.Generator {
+	return pgen.PerRow("failing", table.KindInt, 0, func(id int64, _ xrand.Stream, _ []pgen.Value) (pgen.Value, error) {
+		if id == failAt {
+			return pgen.Value{}, fmt.Errorf("injected failure at %d", id)
+		}
+		return pgen.Value{Int: id}, nil
+	})
 }
 
 func TestParallelFillPropagatesErrors(t *testing.T) {
@@ -147,13 +144,13 @@ func TestParallelFillPropagatesErrors(t *testing.T) {
 	}
 	e := New(s)
 	if err := e.PGens.Register("failing", func(map[string]string) (pgen.Generator, error) {
-		return &failingGen{failAt: 43210}, nil
+		return failingGen(43210), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := e.Generate()
-	if err == nil || !strings.Contains(err.Error(), "injected failure") {
-		t.Fatalf("err = %v, want injected failure", err)
+	if err == nil || !strings.Contains(err.Error(), "row 43210: injected failure") {
+		t.Fatalf("err = %v, want the injected failure and its row", err)
 	}
 }
 

@@ -40,16 +40,19 @@ import (
 const SchemaVersion = 4
 
 // ValidateSchema runs the full static checking pipeline a schema must
-// pass before generation: referential validation (schema.Validate) and
-// the dependency analysis (cycle detection, count-source resolution).
-// It is what `datasynth -validate` and the generation service run at
-// admission — a schema that passes here can only fail at generation
-// time for resource reasons, not structural ones.
+// pass before generation: referential validation (schema.Validate), the
+// dependency analysis (cycle detection, count-source resolution), and
+// every property generator built through the built-in registry and
+// checked against its property (buildGenerators, which Generate starts
+// with too). It is what `datasynth -validate` and the generation
+// service run at admission — a schema that passes here can only fail at
+// generation time for resource reasons, not structural ones.
 func ValidateSchema(s *schema.Schema) error {
 	if _, err := depgraph.Analyze(s); err != nil {
 		return err
 	}
-	return nil
+	_, err := New(s).buildGenerators()
+	return err
 }
 
 // CanonicalSchema returns the canonical DSL rendering of the schema —

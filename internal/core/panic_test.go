@@ -7,17 +7,20 @@ import (
 
 	"datasynth/internal/dsl"
 	"datasynth/internal/par"
+	"datasynth/internal/pgen"
+	"datasynth/internal/table"
+	"datasynth/internal/xrand"
 )
 
-// panicDSL is a schema any user can submit that used to crash the
-// process: uniform-int over the full int64 range makes Hi-Lo+1
-// overflow to zero, and the stream's Intn panics on a non-positive
-// bound inside the parallel fill workers.
+// panicDSL names a generator the test registers to panic in the fill
+// workers. (The schema that used to — uniform-int over the full int64
+// range, whose span overflows to zero — is rejected by validation
+// since PR 16.)
 const panicDSL = `graph boom {
   seed = 7
   node A {
     count = 64
-    property p : int = uniform-int(lo=-9223372036854775808, hi=9223372036854775807)
+    property p : int = boom()
   }
 }`
 
@@ -26,8 +29,16 @@ func TestGeneratorPanicReturnsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	boom := func(map[string]string) (pgen.Generator, error) {
+		return pgen.PerRow("boom", table.KindInt, 0, func(id int64, s xrand.Stream, _ []pgen.Value) (pgen.Value, error) {
+			return pgen.Value{Int: s.Intn(id, 0)}, nil // xrand panics on an empty range
+		}), nil
+	}
 	for _, workers := range []int{1, 4} {
 		eng := New(s)
+		if err := eng.PGens.Register("boom", boom); err != nil {
+			t.Fatal(err)
+		}
 		eng.Workers = workers
 		_, err := eng.Generate()
 		if err == nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,38 +167,40 @@ func TestSchedulerDeterminismSocialNetwork(t *testing.T) {
 	assertDatasetsIdentical(t, seq, par2)
 }
 
-// alwaysFailGen errors on every row, so every parallelFill worker
-// exits early — the scenario that used to deadlock the producer.
-type alwaysFailGen struct{}
-
-func (alwaysFailGen) Name() string          { return "always-fails" }
-func (alwaysFailGen) Kind() table.ValueKind { return table.KindInt }
-func (alwaysFailGen) Arity() int            { return 0 }
-func (alwaysFailGen) Run(id int64, s xrand.Stream, deps []pgen.Value) (pgen.Value, error) {
-	return pgen.Value{}, fmt.Errorf("boom at row %d", id)
-}
-
-// TestParallelFillErrorNoDeadlock: when every worker exits early on a
-// generator error, the chunk producer must stop rather than block
-// forever on the jobs channel. n is far larger than chunk·workers so a
-// non-cancelled producer could not finish on channel capacity alone.
+// TestParallelFillErrorNoDeadlock: a generator that errors on every
+// row fails every chunk any worker picks up; the fill must stop and
+// report the error rather than hang or run the remaining 4M rows' worth
+// of chunks to completion one failure at a time.
 func TestParallelFillErrorNoDeadlock(t *testing.T) {
-	e := New(&schema.Schema{Name: "x"})
+	e := New(&schema.Schema{Name: "x", Seed: 1, Nodes: []schema.NodeType{{
+		Name: "T", Count: 1 << 22, // 4M rows ≫ ChunkRows · workers
+		Properties: []schema.Property{{Name: "p", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "always-fails"}}},
+	}}})
 	e.Workers = 2
-	const n = 1 << 22 // 4M rows ≫ chunk(8192) · workers(2)
-	pt := table.NewPropertyTable("T.p", table.KindInt, n)
+	var rows atomic.Int64
+	if err := e.PGens.Register("always-fails", func(map[string]string) (pgen.Generator, error) {
+		return pgen.PerRow("always-fails", table.KindInt, 0, func(id int64, _ xrand.Stream, _ []pgen.Value) (pgen.Value, error) {
+			rows.Add(1)
+			return pgen.Value{}, fmt.Errorf("boom at row %d", id)
+		}), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 1)
 	go func() {
-		done <- e.parallelFill(pt, n, alwaysFailGen{}, xrand.NewStream(1),
-			func(id int64, buf []pgen.Value) []pgen.Value { return buf[:0] }, 0)
+		_, err := e.Generate()
+		done <- err
 	}()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("expected a generator error, got nil")
+		if err == nil || !strings.Contains(err.Error(), "boom at row") {
+			t.Fatalf("err = %v, want the generator's error", err)
+		}
+		if n := rows.Load(); n > 2 {
+			t.Errorf("fill went on for %d rows after the first failure, want one per worker at most", n)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("parallelFill deadlocked: producer still blocked after workers failed")
+		t.Fatal("fill hung after its workers failed")
 	}
 }
 

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"datasynth/internal/depgraph"
 	"datasynth/internal/schema"
@@ -68,11 +69,7 @@ func EstimatedSizes(s *schema.Schema) (nodes, edges int64, err error) {
 	// settles at least one more link or nothing at all. The fixpoint
 	// visits counts in sorted name order so the estimate — and any
 	// estimator state it builds — is independent of map iteration order.
-	countNames := make([]string, 0, len(plan.Counts))
-	for name := range plan.Counts {
-		countNames = append(countNames, name)
-	}
-	sort.Strings(countNames)
+	countNames := slices.Sorted(maps.Keys(plan.Counts))
 	for changed := true; changed; {
 		changed = false
 		for _, name := range countNames {

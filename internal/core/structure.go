@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -108,12 +109,7 @@ func (e *Engine) genStructure(st *runState, plan *depgraph.Plan, edgeName string
 // A non-positive MaxNode (empty table) is left uncached so nodeCount
 // reports its usual error at the first reader.
 func (e *Engine) cacheEdgeSourcedCounts(st *runState, plan *depgraph.Plan, edgeName string, et *table.EdgeTable) {
-	typeNames := make([]string, 0, len(plan.Counts))
-	for typeName := range plan.Counts {
-		typeNames = append(typeNames, typeName)
-	}
-	sort.Strings(typeNames)
-	for _, typeName := range typeNames {
+	for _, typeName := range slices.Sorted(maps.Keys(plan.Counts)) {
 		src := plan.Counts[typeName]
 		if src.Kind != depgraph.SourceEdgeHead || src.Edge != edgeName {
 			continue
@@ -134,7 +130,7 @@ func (e *Engine) cacheEdgeSourcedCounts(st *runState, plan *depgraph.Plan, edgeN
 // final instance ids, so the match task becomes a no-op.
 func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *schema.EdgeType, seed uint64) error {
 	c := edge.Correlation
-	tailPT, ok := st.nodeProp(edge.Tail, c.TailProperty)
+	tailPT, ok := st.prop(edge.Tail, c.TailProperty)
 	if !ok {
 		return fmt.Errorf("core: fused edge %s needs property %s.%s first", edge.Name, edge.Tail, c.TailProperty)
 	}
@@ -145,17 +141,13 @@ func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *sche
 	kt := len(tailValues)
 	// The head property's generator supplies the value universe and the
 	// marginal P(Y); it must be categorical for the joint to be finite.
-	headProp := e.Schema.NodeType(edge.Head).Property(c.HeadProperty)
-	gen, err := e.PGens.Build(headProp.Generator.Name, headProp.Generator.Params)
-	if err != nil {
-		return err
-	}
+	gen := st.gens[edge.Head+"."+c.HeadProperty].gen
 	cat, ok := gen.(*pgen.Categorical)
 	if !ok {
 		return fmt.Errorf("core: fused edge %s needs a categorical generator for %s.%s, got %s",
 			edge.Name, edge.Head, c.HeadProperty, gen.Name())
 	}
-	headValues := cat.Values()
+	headValues := cat.Vocabulary(nil)
 	kh := len(headValues)
 
 	// Edge count: explicit, or measured from a dry run of the declared
@@ -369,23 +361,40 @@ func (e *Engine) matchRandom(st *runState, edge *schema.EdgeType, et *table.Edge
 // labelsFor reduces a string property table to dense value indices,
 // returning (labels, values) where values[i] is the string of index i.
 // Value order follows first appearance, making the reduction
-// deterministic.
+// deterministic. A coded column is re-ranked code by code — only its
+// distinct values are ever hashed, and two codes that spell the same
+// string share a label; an arena column hashes every row.
 func labelsFor(pt *table.PropertyTable) ([]int64, []string, error) {
 	if pt.Kind != table.KindString {
 		return nil, nil, fmt.Errorf("core: correlated property %s must be a string property", pt.Name)
 	}
 	index := map[string]int64{}
 	var values []string
-	labels := make([]int64, pt.Len())
-	for id := int64(0); id < pt.Len(); id++ {
-		v := pt.String(id)
+	label := func(v string) int64 {
 		k, ok := index[v]
 		if !ok {
 			k = int64(len(values))
 			index[v] = k
 			values = append(values, v)
 		}
-		labels[id] = k
+		return k
+	}
+	labels := make([]int64, pt.Len())
+	if codes, dict := pt.Coded(); dict != nil {
+		byCode := make([]int64, len(dict))
+		for code := range byCode {
+			byCode[code] = -1
+		}
+		for id, code := range codes {
+			if byCode[code] < 0 {
+				byCode[code] = label(dict[code])
+			}
+			labels[id] = byCode[code]
+		}
+		return labels, values, nil
+	}
+	for id := range labels {
+		labels[id] = label(pt.String(int64(id)))
 	}
 	return labels, values, nil
 }
@@ -424,7 +433,7 @@ func targetJoint(c *schema.Correlation, labels []int64, k int) (*stats.Joint, er
 // returned note carries the partitioner's per-pass wall times into the
 // task timing report.
 func (e *Engine) matchMonopartite(st *runState, edge *schema.EdgeType, et *table.EdgeTable, nTail int64, seed uint64) (string, error) {
-	pt, ok := st.nodeProp(edge.Tail, edge.Correlation.Property)
+	pt, ok := st.prop(edge.Tail, edge.Correlation.Property)
 	if !ok {
 		return "", fmt.Errorf("core: correlated property %s.%s not materialised", edge.Tail, edge.Correlation.Property)
 	}
@@ -485,11 +494,11 @@ func sbmNote(res *match.Result) string {
 // correlating a tail property with a head property.
 func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *table.EdgeTable, nTail, nHead int64, seed uint64) error {
 	c := edge.Correlation
-	tailPT, ok := st.nodeProp(edge.Tail, c.TailProperty)
+	tailPT, ok := st.prop(edge.Tail, c.TailProperty)
 	if !ok {
 		return fmt.Errorf("core: property %s.%s not materialised", edge.Tail, c.TailProperty)
 	}
-	headPT, ok := st.nodeProp(edge.Head, c.HeadProperty)
+	headPT, ok := st.prop(edge.Head, c.HeadProperty)
 	if !ok {
 		return fmt.Errorf("core: property %s.%s not materialised", edge.Head, c.HeadProperty)
 	}
@@ -587,65 +596,15 @@ func bipartiteTarget(c *schema.Correlation, tailLabels, headLabels []int64, kt, 
 // may reference sibling edge properties or endpoint node properties via
 // tail./head. prefixes (resolved through the matched edge table).
 func (e *Engine) genEdgeProperty(st *runState, edgeName, propName string) error {
-	edge := e.Schema.EdgeType(edgeName)
-	prop := edge.Property(propName)
 	et, ok := st.edgeTable(edgeName)
 	if !ok || !st.isMatched(edgeName) {
 		return fmt.Errorf("core: edge property %s.%s before match", edgeName, propName)
 	}
-	gen, err := e.PGens.Build(prop.Generator.Name, prop.Generator.Params)
+	pt, err := e.generate(st, st.gens[edgeName+"."+propName], et.Len(), et)
 	if err != nil {
 		return err
 	}
-	if err := checkKind(gen, prop); err != nil {
-		return err
-	}
-	type depSource struct {
-		endpoint int // 0 = edge prop, 1 = tail, 2 = head
-		pt       *table.PropertyTable
-	}
-	deps := make([]depSource, len(prop.DependsOn))
-	for i, d := range prop.DependsOn {
-		switch {
-		case len(d) > 5 && d[:5] == "tail.":
-			pt, ok := st.nodeProp(edge.Tail, d[5:])
-			if !ok {
-				return fmt.Errorf("core: dependency %s not materialised", d)
-			}
-			deps[i] = depSource{endpoint: 1, pt: pt}
-		case len(d) > 5 && d[:5] == "head.":
-			pt, ok := st.nodeProp(edge.Head, d[5:])
-			if !ok {
-				return fmt.Errorf("core: dependency %s not materialised", d)
-			}
-			deps[i] = depSource{endpoint: 2, pt: pt}
-		default:
-			pt, ok := st.edgeProp(edgeName, d)
-			if !ok {
-				return fmt.Errorf("core: dependency %s.%s not materialised", edgeName, d)
-			}
-			deps[i] = depSource{endpoint: 0, pt: pt}
-		}
-	}
-	m := et.Len()
-	pt := table.NewPropertyTable(edgeName+"."+propName, prop.Kind, m)
-	stream := e.propertySeed(edgeName, propName)
-	if err := e.parallelFill(pt, m, gen, stream, func(id int64, buf []pgen.Value) []pgen.Value {
-		for i, d := range deps {
-			switch d.endpoint {
-			case 1:
-				buf[i] = valueAt(d.pt, et.Tail[id])
-			case 2:
-				buf[i] = valueAt(d.pt, et.Head[id])
-			default:
-				buf[i] = valueAt(d.pt, id)
-			}
-		}
-		return buf[:len(deps)]
-	}, len(deps)); err != nil {
-		return err
-	}
-	st.setEdgeProp(edgeName, propName, pt)
+	st.setProp(edgeName, propName, pt)
 	return nil
 }
 
@@ -657,14 +616,14 @@ func (e *Engine) assemble(st *runState) *table.Dataset {
 		n := &e.Schema.Nodes[i]
 		d.NodeCounts[n.Name] = st.counts[n.Name]
 		for j := range n.Properties {
-			d.NodeProps[n.Name] = append(d.NodeProps[n.Name], st.nodeProps[n.Name][n.Properties[j].Name])
+			d.NodeProps[n.Name] = append(d.NodeProps[n.Name], st.props[[2]string{n.Name, n.Properties[j].Name}])
 		}
 	}
 	for i := range e.Schema.Edges {
 		ed := &e.Schema.Edges[i]
 		d.Edges[ed.Name] = st.edges[ed.Name]
 		for j := range ed.Properties {
-			d.EdgeProps[ed.Name] = append(d.EdgeProps[ed.Name], st.edgeProps[ed.Name][ed.Properties[j].Name])
+			d.EdgeProps[ed.Name] = append(d.EdgeProps[ed.Name], st.props[[2]string{ed.Name, ed.Properties[j].Name}])
 		}
 	}
 	return d

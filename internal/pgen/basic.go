@@ -2,8 +2,8 @@ package pgen
 
 import (
 	"fmt"
+	"math"
 	"strconv"
-	"strings"
 
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
@@ -12,7 +12,8 @@ import (
 // This file implements the core value samplers: categorical (with
 // optional weights or Zipf ranks, via inverse transform sampling as the
 // paper suggests), uniform int/float/date, normal, sequence, uuid and
-// constant generators.
+// constant generators. Each Fill is the paper's run function as a loop
+// over the chunk's ids; range checks live in the factories below.
 
 // Categorical draws a string from a weighted value list.
 type Categorical struct {
@@ -58,23 +59,21 @@ func NewZipfCategorical(values []string, theta float64) (*Categorical, error) {
 	return NewCategorical(values, w)
 }
 
-// Name implements Generator.
-func (c *Categorical) Name() string { return "categorical" }
-
-// Kind implements Generator.
+func (c *Categorical) Name() string          { return "categorical" }
 func (c *Categorical) Kind() table.ValueKind { return table.KindString }
+func (c *Categorical) Arity() int            { return 0 }
 
-// Arity implements Generator.
-func (c *Categorical) Arity() int { return 0 }
-
-// Run implements Generator via inverse transform sampling.
-func (c *Categorical) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	return StringValue(c.values[c.dist.Sample(s, id)]), nil
+// Fill implements Generator via inverse transform sampling.
+func (c *Categorical) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, _ []table.Chunk) error {
+	for i := range dst.Codes {
+		dst.Codes[i] = uint32(c.dist.Sample(s, lo+int64(i)))
+	}
+	return nil
 }
 
-// Values exposes the category list (used by the engine to map values to
-// group indices for matching).
-func (c *Categorical) Values() []string { return c.values }
+// Vocabulary implements Coded: the category list, whatever the
+// dependencies (the engine's fused operator reads it with none).
+func (c *Categorical) Vocabulary([]*table.PropertyTable) []string { return c.values }
 
 // Prob returns the probability of the i-th value.
 func (c *Categorical) Prob(i int) float64 { return c.dist.Prob(i) }
@@ -82,82 +81,55 @@ func (c *Categorical) Prob(i int) float64 { return c.dist.Prob(i) }
 // UniformInt draws int64 uniform in [Lo, Hi].
 type UniformInt struct{ Lo, Hi int64 }
 
-// Name implements Generator.
-func (u *UniformInt) Name() string { return "uniform-int" }
-
-// Kind implements Generator.
+func (u *UniformInt) Name() string          { return "uniform-int" }
 func (u *UniformInt) Kind() table.ValueKind { return table.KindInt }
+func (u *UniformInt) Arity() int            { return 0 }
 
-// Arity implements Generator.
-func (u *UniformInt) Arity() int { return 0 }
-
-// Run implements Generator.
-func (u *UniformInt) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	if u.Hi < u.Lo {
-		return Value{}, fmt.Errorf("pgen: uniform-int range [%d,%d] empty", u.Lo, u.Hi)
+func (u *UniformInt) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, _ []table.Chunk) error {
+	for i := range dst.Ints {
+		dst.Ints[i] = u.Lo + s.Intn(lo+int64(i), u.Hi-u.Lo+1)
 	}
-	return IntValue(u.Lo + s.Intn(id, u.Hi-u.Lo+1)), nil
+	return nil
 }
 
 // UniformFloat draws float64 uniform in [Lo, Hi).
 type UniformFloat struct{ Lo, Hi float64 }
 
-// Name implements Generator.
-func (u *UniformFloat) Name() string { return "uniform-float" }
-
-// Kind implements Generator.
+func (u *UniformFloat) Name() string          { return "uniform-float" }
 func (u *UniformFloat) Kind() table.ValueKind { return table.KindFloat }
+func (u *UniformFloat) Arity() int            { return 0 }
 
-// Arity implements Generator.
-func (u *UniformFloat) Arity() int { return 0 }
-
-// Run implements Generator.
-func (u *UniformFloat) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	if u.Hi <= u.Lo {
-		return Value{}, fmt.Errorf("pgen: uniform-float range [%v,%v) empty", u.Lo, u.Hi)
+func (u *UniformFloat) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, _ []table.Chunk) error {
+	for i := range dst.Floats {
+		dst.Floats[i] = s.Float64Range(lo+int64(i), u.Lo, u.Hi)
 	}
-	return FloatValue(s.Float64Range(id, u.Lo, u.Hi)), nil
+	return nil
 }
 
 // UniformDate draws a date uniform in [From, To] (days since epoch).
 type UniformDate struct{ From, To int64 }
 
-// Name implements Generator.
-func (u *UniformDate) Name() string { return "uniform-date" }
-
-// Kind implements Generator.
+func (u *UniformDate) Name() string          { return "uniform-date" }
 func (u *UniformDate) Kind() table.ValueKind { return table.KindDate }
+func (u *UniformDate) Arity() int            { return 0 }
 
-// Arity implements Generator.
-func (u *UniformDate) Arity() int { return 0 }
-
-// Run implements Generator.
-func (u *UniformDate) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	if u.To < u.From {
-		return Value{}, fmt.Errorf("pgen: uniform-date range empty")
-	}
-	return DateValue(u.From + s.Intn(id, u.To-u.From+1)), nil
+func (u *UniformDate) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, _ []table.Chunk) error {
+	return (&UniformInt{Lo: u.From, Hi: u.To}).Fill(dst, lo, hi, s, nil)
 }
 
 // Normal draws a normal float with the given mean and standard
 // deviation.
 type Normal struct{ Mean, Std float64 }
 
-// Name implements Generator.
-func (n *Normal) Name() string { return "normal" }
-
-// Kind implements Generator.
+func (n *Normal) Name() string          { return "normal" }
 func (n *Normal) Kind() table.ValueKind { return table.KindFloat }
+func (n *Normal) Arity() int            { return 0 }
 
-// Arity implements Generator.
-func (n *Normal) Arity() int { return 0 }
-
-// Run implements Generator.
-func (n *Normal) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	if n.Std < 0 {
-		return Value{}, fmt.Errorf("pgen: normal needs std >= 0")
+func (n *Normal) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, _ []table.Chunk) error {
+	for i := range dst.Floats {
+		dst.Floats[i] = n.Mean + n.Std*s.NormFloat64(lo+int64(i))
 	}
-	return FloatValue(n.Mean + n.Std*s.NormFloat64(id)), nil
+	return nil
 }
 
 // Sequence returns the instance id itself (plus an offset) — the
@@ -165,85 +137,82 @@ func (n *Normal) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
 // properties such as the time".
 type Sequence struct{ Offset int64 }
 
-// Name implements Generator.
-func (q *Sequence) Name() string { return "sequence" }
-
-// Kind implements Generator.
+func (q *Sequence) Name() string          { return "sequence" }
 func (q *Sequence) Kind() table.ValueKind { return table.KindInt }
+func (q *Sequence) Arity() int            { return 0 }
 
-// Arity implements Generator.
-func (q *Sequence) Arity() int { return 0 }
-
-// Run implements Generator.
-func (q *Sequence) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	return IntValue(q.Offset + id), nil
+func (q *Sequence) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, _ []table.Chunk) error {
+	for i := range dst.Ints {
+		dst.Ints[i] = q.Offset + lo + int64(i)
+	}
+	return nil
 }
 
 // UUID produces a deterministic 32-hex-digit identifier from the
 // instance id and stream.
 type UUID struct{}
 
-// Name implements Generator.
-func (UUID) Name() string { return "uuid" }
-
-// Kind implements Generator.
+func (UUID) Name() string          { return "uuid" }
 func (UUID) Kind() table.ValueKind { return table.KindString }
+func (UUID) Arity() int            { return 0 }
 
-// Arity implements Generator.
-func (UUID) Arity() int { return 0 }
-
-// Run implements Generator.
-func (UUID) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	a := s.U64(2 * id)
-	b := s.U64(2*id + 1)
-	return StringValue(fmt.Sprintf("%016x%016x", a, b)), nil
+func (UUID) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, _ []table.Chunk) error {
+	const hex = "0123456789abcdef"
+	dst.Grow(int(hi-lo), int(hi-lo)*32)
+	for id := lo; id < hi; id++ {
+		for _, u := range [2]uint64{s.U64(2 * id), s.U64(2*id + 1)} {
+			for shift := 60; shift >= 0; shift -= 4 {
+				dst.Data = append(dst.Data, hex[u>>shift&15])
+			}
+		}
+		dst.EndCell()
+	}
+	return nil
 }
 
-// Constant returns a fixed value.
-type Constant struct{ V Value }
+// Constant returns a fixed string.
+type Constant struct{ Value string }
 
-// Name implements Generator.
-func (c *Constant) Name() string { return "constant" }
+func (c *Constant) Name() string          { return "constant" }
+func (c *Constant) Kind() table.ValueKind { return table.KindString }
+func (c *Constant) Arity() int            { return 0 }
 
-// Kind implements Generator.
-func (c *Constant) Kind() table.ValueKind { return c.V.Kind }
+// Fill has nothing to write: code 0 of a one-value list is the zero
+// value of the column.
+func (c *Constant) Fill(*table.Chunk, int64, int64, xrand.Stream, []table.Chunk) error { return nil }
 
-// Arity implements Generator.
-func (c *Constant) Arity() int { return 0 }
+// Vocabulary implements Coded.
+func (c *Constant) Vocabulary([]*table.PropertyTable) []string { return []string{c.Value} }
 
-// Run implements Generator.
-func (c *Constant) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	return c.V, nil
-}
+// maxTextWords keeps a chunk of the longest sentences inside the 4 GiB
+// an arena chunk's offsets can address.
+const maxTextWords = 1 << 15
 
 // Text produces pseudo-random sentences of Words words drawn from the
 // embedded lexicon — the running example's Message.text.
 type Text struct{ MinWords, MaxWords int }
 
-// Name implements Generator.
-func (t *Text) Name() string { return "text" }
-
-// Kind implements Generator.
+func (t *Text) Name() string          { return "text" }
 func (t *Text) Kind() table.ValueKind { return table.KindString }
+func (t *Text) Arity() int            { return 0 }
 
-// Arity implements Generator.
-func (t *Text) Arity() int { return 0 }
-
-// Run implements Generator.
-func (t *Text) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	if t.MinWords < 1 || t.MaxWords < t.MinWords {
-		return Value{}, fmt.Errorf("pgen: text word bounds [%d,%d] invalid", t.MinWords, t.MaxWords)
-	}
-	n := t.MinWords + int(s.Intn(id*2+1, int64(t.MaxWords-t.MinWords+1)))
+func (t *Text) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, _ []table.Chunk) error {
+	// Room for the expected bytes plus a margin — a lexicon word and its
+	// space average under six bytes; append grows the arena if a chunk
+	// runs long.
+	dst.Grow(int(hi-lo), int(hi-lo)*(t.MinWords+t.MaxWords)*3)
 	sub := s.DeriveStream("words")
-	var sb strings.Builder
-	for w := 0; w < n; w++ {
-		if w > 0 {
-			sb.WriteByte(' ')
+	for id := lo; id < hi; id++ {
+		n := t.MinWords + int(s.Intn(id*2+1, int64(t.MaxWords-t.MinWords+1)))
+		for w := 0; w < n; w++ {
+			if w > 0 {
+				dst.Data = append(dst.Data, ' ')
+			}
+			dst.Data = append(dst.Data, lexicon[sub.Intn(id*97+int64(w), int64(len(lexicon)))]...)
 		}
-		sb.WriteString(lexicon[sub.Intn(id*97+int64(w), int64(len(lexicon)))])
+		dst.EndCell()
 	}
-	return StringValue(sb.String()), nil
+	return nil
 }
 
 // registerBuiltins wires every built-in factory into a registry. A
@@ -251,162 +220,95 @@ func (t *Text) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
 // surfaced from Build, so it fails the schema that needs the registry
 // rather than whatever process happened to construct one.
 func registerBuiltins(r *Registry) {
-	must := func(err error) {
+	register := func(name string, f func(p *params) (Generator, error)) {
+		err := r.Register(name, func(m map[string]string) (Generator, error) {
+			p := &params{m: m}
+			return p.build(f(p))
+		})
 		if err != nil && r.err == nil {
 			r.err = err
 		}
 	}
-	must(r.Register("categorical", func(p map[string]string) (Generator, error) {
-		values := paramList(p, "values")
-		if dict := p["dict"]; dict != "" {
-			dv, dw, err := Dictionary(dict)
-			if err != nil {
-				return nil, err
-			}
-			return NewCategorical(dv, dw)
+	register("categorical", func(p *params) (Generator, error) {
+		if values, weights := p.dict(); values != nil {
+			return NewCategorical(values, weights)
 		}
 		var weights []float64
-		if ws := paramList(p, "weights"); ws != nil {
-			weights = make([]float64, len(ws))
-			for i, w := range ws {
-				f, err := strconv.ParseFloat(w, 64)
-				if err != nil {
-					return nil, fmt.Errorf("pgen: weight %q: %w", w, err)
-				}
-				weights[i] = f
-			}
+		for _, w := range p.list("weights") {
+			f, err := strconv.ParseFloat(w, 64)
+			p.check(err == nil, "weight %q: %v", w, err)
+			weights = append(weights, f)
 		}
-		return NewCategorical(values, weights)
-	}))
-	must(r.Register("zipf", func(p map[string]string) (Generator, error) {
-		values := paramList(p, "values")
-		if dict := p["dict"]; dict != "" {
-			dv, _, err := Dictionary(dict)
-			if err != nil {
-				return nil, err
-			}
-			values = dv
+		return NewCategorical(p.list("values"), weights)
+	})
+	register("zipf", func(p *params) (Generator, error) {
+		values, _ := p.dict()
+		if values == nil {
+			values = p.list("values")
 		}
-		theta, err := paramFloat(p, "theta", 1.0)
-		if err != nil {
-			return nil, err
-		}
-		return NewZipfCategorical(values, theta)
-	}))
-	must(r.Register("uniform-int", func(p map[string]string) (Generator, error) {
-		lo, err := paramInt(p, "lo", 0)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := paramInt(p, "hi", 100)
-		if err != nil {
-			return nil, err
-		}
+		return NewZipfCategorical(values, p.float("theta", 1.0))
+	})
+	register("uniform-int", func(p *params) (Generator, error) {
+		lo, hi := p.int("lo", 0), p.int("hi", 100)
+		p.check(lo <= hi, "uniform-int range [%d,%d] empty", lo, hi)
+		p.check(hi-lo+1 > 0, "uniform-int range [%d,%d] holds more than %d values", lo, hi, int64(math.MaxInt64))
 		return &UniformInt{Lo: lo, Hi: hi}, nil
-	}))
-	must(r.Register("uniform-float", func(p map[string]string) (Generator, error) {
-		lo, err := paramFloat(p, "lo", 0)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := paramFloat(p, "hi", 1)
-		if err != nil {
-			return nil, err
-		}
+	})
+	register("uniform-float", func(p *params) (Generator, error) {
+		lo, hi := p.float("lo", 0), p.float("hi", 1)
+		p.check(lo < hi, "uniform-float range [%v,%v) empty", lo, hi)
 		return &UniformFloat{Lo: lo, Hi: hi}, nil
-	}))
-	must(r.Register("uniform-date", func(p map[string]string) (Generator, error) {
-		from, err := paramDate(p, "from", "2010-01-01")
-		if err != nil {
-			return nil, err
-		}
-		to, err := paramDate(p, "to", "2020-01-01")
-		if err != nil {
-			return nil, err
-		}
+	})
+	register("uniform-date", func(p *params) (Generator, error) {
+		from, to := p.date("from", "2010-01-01"), p.date("to", "2020-01-01")
+		p.check(from <= to, "uniform-date range [%s,%s] empty", table.FormatDate(from), table.FormatDate(to))
 		return &UniformDate{From: from, To: to}, nil
-	}))
-	must(r.Register("normal", func(p map[string]string) (Generator, error) {
-		mean, err := paramFloat(p, "mean", 0)
-		if err != nil {
-			return nil, err
-		}
-		std, err := paramFloat(p, "std", 1)
-		if err != nil {
-			return nil, err
-		}
+	})
+	register("normal", func(p *params) (Generator, error) {
+		mean, std := p.float("mean", 0), p.float("std", 1)
+		p.check(std >= 0, "normal needs std >= 0, got %v", std)
 		return &Normal{Mean: mean, Std: std}, nil
-	}))
-	must(r.Register("sequence", func(p map[string]string) (Generator, error) {
-		off, err := paramInt(p, "offset", 0)
-		if err != nil {
-			return nil, err
-		}
-		return &Sequence{Offset: off}, nil
-	}))
-	must(r.Register("uuid", func(p map[string]string) (Generator, error) {
+	})
+	register("sequence", func(p *params) (Generator, error) {
+		return &Sequence{Offset: p.int("offset", 0)}, nil
+	})
+	register("uuid", func(p *params) (Generator, error) {
 		return UUID{}, nil
-	}))
-	must(r.Register("constant", func(p map[string]string) (Generator, error) {
-		v, ok := p["value"]
-		if !ok {
-			return nil, fmt.Errorf("pgen: constant needs value=")
-		}
-		return &Constant{V: StringValue(v)}, nil
-	}))
-	must(r.Register("text", func(p map[string]string) (Generator, error) {
-		lo, err := paramInt(p, "min", 3)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := paramInt(p, "max", 12)
-		if err != nil {
-			return nil, err
-		}
+	})
+	register("constant", func(p *params) (Generator, error) {
+		v, ok := p.m["value"]
+		p.check(ok, "constant needs value=")
+		return &Constant{Value: v}, nil
+	})
+	register("text", func(p *params) (Generator, error) {
+		lo, hi := p.int("min", 3), p.int("max", 12)
+		p.check(1 <= lo && lo <= hi && hi <= maxTextWords, "text word bounds [%d,%d] invalid (want 1 <= min <= max <= %d)", lo, hi, maxTextWords)
 		return &Text{MinWords: int(lo), MaxWords: int(hi)}, nil
-	}))
-	must(r.Register("multi-categorical", func(p map[string]string) (Generator, error) {
-		values := paramList(p, "values")
-		var weights []float64
-		if dict := p["dict"]; dict != "" {
-			dv, dw, err := Dictionary(dict)
-			if err != nil {
-				return nil, err
-			}
-			values, weights = dv, dw
+	})
+	register("multi-categorical", func(p *params) (Generator, error) {
+		values, weights := p.dict()
+		if values == nil {
+			values = p.list("values")
 		}
-		lo, err := paramInt(p, "min", 1)
-		if err != nil {
-			return nil, err
+		return NewMultiCategorical(values, weights, int(p.int("min", 1)), int(p.int("max", 3)), p.m["sep"])
+	})
+	register("dictionary", func(p *params) (Generator, error) {
+		return NewConditionalName(p.m["dict"])
+	})
+	register("max-endpoint-date", func(p *params) (Generator, error) {
+		maxDays := p.int("maxDays", 365)
+		if maxDays <= 0 {
+			maxDays = 365
 		}
-		hi, err := paramInt(p, "max", 3)
-		if err != nil {
-			return nil, err
-		}
-		return NewMultiCategorical(values, weights, int(lo), int(hi), p["sep"])
-	}))
-	must(r.Register("dictionary", func(p map[string]string) (Generator, error) {
-		return NewConditionalName(p["dict"])
-	}))
-	must(r.Register("max-endpoint-date", func(p map[string]string) (Generator, error) {
-		maxDays, err := paramInt(p, "maxDays", 365)
-		if err != nil {
-			return nil, err
-		}
+		p.check(maxDays <= table.MaxDate-table.MinDate, "max-endpoint-date maxDays=%d is longer than the date domain (%d days)", maxDays, table.MaxDate-table.MinDate)
 		return &MaxEndpointDate{MaxLagDays: maxDays}, nil
-	}))
-	must(r.Register("endpoint-copy", func(p map[string]string) (Generator, error) {
+	})
+	register("endpoint-copy", func(p *params) (Generator, error) {
 		return &EndpointCopy{}, nil
-	}))
-	must(r.Register("rating", func(p map[string]string) (Generator, error) {
-		lo, err := paramInt(p, "lo", 1)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := paramInt(p, "hi", 5)
-		if err != nil {
-			return nil, err
-		}
+	})
+	register("rating", func(p *params) (Generator, error) {
+		lo, hi := p.int("lo", 1), p.int("hi", 5)
+		p.check(lo < hi, "rating range [%d,%d] invalid", lo, hi)
 		return &Rating{Lo: lo, Hi: hi}, nil
-	}))
+	})
 }

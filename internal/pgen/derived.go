@@ -1,8 +1,6 @@
 package pgen
 
 import (
-	"fmt"
-
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
 )
@@ -18,56 +16,59 @@ import (
 // days, guaranteeing the edge date strictly exceeds both endpoint
 // dates.
 type MaxEndpointDate struct {
-	// MaxLagDays bounds the added lag (default 365).
+	// MaxLagDays bounds the added lag; at least 1.
 	MaxLagDays int64
 }
 
-// Name implements Generator.
-func (m *MaxEndpointDate) Name() string { return "max-endpoint-date" }
-
-// Kind implements Generator.
+func (m *MaxEndpointDate) Name() string          { return "max-endpoint-date" }
 func (m *MaxEndpointDate) Kind() table.ValueKind { return table.KindDate }
 
-// Arity implements Generator: (tail date, head date).
-func (m *MaxEndpointDate) Arity() int { return 2 }
+// Arity implements Generator: one endpoint date or more, usually (tail
+// date, head date).
+func (m *MaxEndpointDate) Arity() int { return 1 }
 
-// Run implements Generator.
-func (m *MaxEndpointDate) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	if len(deps) < 1 {
-		return Value{}, fmt.Errorf("pgen: max-endpoint-date needs endpoint dates")
-	}
-	lag := m.MaxLagDays
-	if lag <= 0 {
-		lag = 365
-	}
-	maxD := deps[0].Int
+func (m *MaxEndpointDate) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, deps []table.Chunk) error {
+	copy(dst.Ints, deps[0].Ints)
 	for _, d := range deps[1:] {
-		if d.Int > maxD {
-			maxD = d.Int
+		for i, v := range d.Ints {
+			dst.Ints[i] = max(dst.Ints[i], v)
 		}
 	}
-	return DateValue(maxD + 1 + s.Intn(id, lag)), nil
+	for i := range dst.Ints {
+		dst.Ints[i] += 1 + s.Intn(lo+int64(i), m.MaxLagDays)
+	}
+	return nil
 }
 
-// EndpointCopy copies its single dependency value through — e.g. an
-// edge property mirroring a node property for denormalised exports.
+// EndpointCopy copies its single dependency column through — e.g. an
+// edge property mirroring a node property for denormalised exports. Its
+// kind and string layout are the dependency's.
 type EndpointCopy struct{}
 
-// Name implements Generator.
-func (EndpointCopy) Name() string { return "endpoint-copy" }
-
-// Kind implements Generator.
+func (EndpointCopy) Name() string          { return "endpoint-copy" }
 func (EndpointCopy) Kind() table.ValueKind { return table.KindString }
+func (EndpointCopy) Arity() int            { return 1 }
 
-// Arity implements Generator.
-func (EndpointCopy) Arity() int { return 1 }
+// Vocabulary implements Coded: the dependency's value list, if it has
+// one.
+func (EndpointCopy) Vocabulary(deps []*table.PropertyTable) []string {
+	_, dict := deps[0].Coded()
+	return dict
+}
 
-// Run implements Generator.
-func (EndpointCopy) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	if len(deps) != 1 {
-		return Value{}, fmt.Errorf("pgen: endpoint-copy expects one dependency")
+func (EndpointCopy) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, deps []table.Chunk) error {
+	src := &deps[0]
+	copy(dst.Ints, src.Ints)
+	copy(dst.Floats, src.Floats)
+	copy(dst.Codes, src.Codes)
+	if src.Offs != nil {
+		dst.Offs = append(dst.Offs, src.Offs...)
+		dst.Data = append(dst.Data, src.Data[src.Offs[0]:src.Offs[len(src.Offs)-1]]...)
+		for i := range dst.Offs {
+			dst.Offs[i] -= src.Offs[0]
+		}
 	}
-	return deps[0], nil
+	return nil
 }
 
 // Rating produces an integer rating in [Lo, Hi] with a J-shaped
@@ -75,32 +76,23 @@ func (EndpointCopy) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
 // review datasets).
 type Rating struct{ Lo, Hi int64 }
 
-// Name implements Generator.
-func (r *Rating) Name() string { return "rating" }
-
-// Kind implements Generator.
+func (r *Rating) Name() string          { return "rating" }
 func (r *Rating) Kind() table.ValueKind { return table.KindInt }
+func (r *Rating) Arity() int            { return 0 }
 
-// Arity implements Generator.
-func (r *Rating) Arity() int { return 0 }
-
-// Run implements Generator.
-func (r *Rating) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	if r.Hi <= r.Lo {
-		return Value{}, fmt.Errorf("pgen: rating range [%d,%d] invalid", r.Lo, r.Hi)
-	}
+func (r *Rating) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, _ []table.Chunk) error {
 	span := r.Hi - r.Lo
-	u := s.Float64(id)
-	// J-shape: 50% top rating, 20% bottom, rest uniform in between.
-	switch {
-	case u < 0.5:
-		return IntValue(r.Hi), nil
-	case u < 0.7:
-		return IntValue(r.Lo), nil
-	default:
-		if span < 2 {
-			return IntValue(r.Lo), nil
+	for i := range dst.Ints {
+		id := lo + int64(i)
+		// J-shape: 50% top rating, 20% bottom, rest uniform in between.
+		switch u := s.Float64(id); {
+		case u < 0.5:
+			dst.Ints[i] = r.Hi
+		case u < 0.7 || span < 2:
+			dst.Ints[i] = r.Lo
+		default:
+			dst.Ints[i] = r.Lo + 1 + s.Intn(id+1<<40, span-1)
 		}
-		return IntValue(r.Lo + 1 + s.Intn(id+1<<40, span-1)), nil
 	}
+	return nil
 }

@@ -2,7 +2,9 @@ package pgen
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
@@ -107,12 +109,15 @@ func Dictionary(name string) ([]string, []float64, error) {
 }
 
 // ConditionalName implements the paper's flagship conditional PG:
-// P(name | country, sex). Its Run expects two dependency values,
+// P(name | country, sex). Its Fill expects two dependency columns,
 // country then sex, and samples from the (region, sex) name list by
 // inverse transform with a Zipf-ish weighting (common names are more
 // common).
 type ConditionalName struct {
-	dists map[string]*Categorical
+	names []string          // every name list, in sorted "region/sex" order
+	group map[[2]string]int // (region, sex) -> index into first and dist
+	first []uint32          // the group's first code in names
+	dist  []*xrand.Discrete
 }
 
 // NewConditionalName builds the generator; the dict parameter is
@@ -121,46 +126,65 @@ func NewConditionalName(dict string) (*ConditionalName, error) {
 	if dict != "" && dict != "names" {
 		return nil, fmt.Errorf("pgen: unknown name dictionary %q", dict)
 	}
-	keys := make([]string, 0, len(namesByRegionSex))
-	for key := range namesByRegionSex {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	dists := make(map[string]*Categorical, len(namesByRegionSex))
-	for _, key := range keys {
-		c, err := NewZipfCategorical(namesByRegionSex[key], 0.8)
+	keys := slices.Sorted(maps.Keys(namesByRegionSex))
+	c := &ConditionalName{group: map[[2]string]int{}}
+	for g, key := range keys {
+		z, err := NewZipfCategorical(namesByRegionSex[key], 0.8)
 		if err != nil {
 			return nil, err
 		}
-		dists[key] = c
+		region, sex, _ := strings.Cut(key, "/")
+		c.group[[2]string{region, sex}] = g
+		c.first = append(c.first, uint32(len(c.names)))
+		c.names = append(c.names, z.values...)
+		c.dist = append(c.dist, z.dist)
 	}
-	return &ConditionalName{dists: dists}, nil
+	return c, nil
 }
 
-// Name implements Generator.
-func (c *ConditionalName) Name() string { return "dictionary" }
-
-// Kind implements Generator.
+func (c *ConditionalName) Name() string          { return "dictionary" }
 func (c *ConditionalName) Kind() table.ValueKind { return table.KindString }
 
 // Arity implements Generator: (country, sex).
 func (c *ConditionalName) Arity() int { return 2 }
 
-// Run implements Generator.
-func (c *ConditionalName) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	if len(deps) != 2 {
-		return Value{}, fmt.Errorf("pgen: dictionary expects (country, sex), got %d deps", len(deps))
-	}
-	region, ok := regionOf[deps[0].Str]
+// Vocabulary implements Coded.
+func (c *ConditionalName) Vocabulary([]*table.PropertyTable) []string { return c.names }
+
+// groupOf resolves a (country, sex) pair to its name list; unknown
+// countries read as western, unknown sexes as M.
+func (c *ConditionalName) groupOf(country, sex string) int {
+	region, ok := regionOf[country]
 	if !ok {
 		region = "western"
 	}
-	sex := deps[1].Str
-	if sex != "M" && sex != "F" {
+	if sex != "F" {
 		sex = "M"
 	}
-	d := c.dists[region+"/"+sex]
-	return d.Run(id, s, nil)
+	return c.group[[2]string{region, sex}]
+}
+
+func (c *ConditionalName) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, deps []table.Chunk) error {
+	country, sex := &deps[0], &deps[1]
+	// Coded dependencies resolve their group once per value pair.
+	var byCode []int
+	if country.Dict != nil && sex.Dict != nil {
+		for _, cv := range country.Dict {
+			for _, sv := range sex.Dict {
+				byCode = append(byCode, c.groupOf(cv, sv))
+			}
+		}
+	}
+	for i := range dst.Codes {
+		var g int
+		if byCode != nil {
+			g = byCode[int(country.Codes[i])*len(sex.Dict)+int(sex.Codes[i])]
+		} else {
+			g = c.groupOf(country.Str(i), sex.Str(i))
+		}
+		dst.Codes[i] = c.first[g] + uint32(c.dist[g].Sample(s, lo+int64(i)))
+	}
+	return nil
 }
 
 // NamesFor exposes the name list of a (country, sex) pair for tests.

@@ -2,6 +2,7 @@ package pgen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"datasynth/internal/table"
@@ -20,6 +21,7 @@ type MultiCategorical struct {
 	inner     *Categorical
 	Min, Max  int
 	Separator string
+	width     int // mean bytes a value and its separator take
 }
 
 // NewMultiCategorical builds the generator. min >= 1, max >= min, and
@@ -38,51 +40,51 @@ func NewMultiCategorical(values []string, weights []float64, min, max int, sep s
 	if sep == "" {
 		sep = ";"
 	}
-	return &MultiCategorical{inner: c, Min: min, Max: max, Separator: sep}, nil
+	total := 0
+	for _, v := range values {
+		total += len(v)
+	}
+	return &MultiCategorical{inner: c, Min: min, Max: max, Separator: sep, width: total/len(values) + len(sep) + 1}, nil
 }
 
-// Name implements Generator.
-func (m *MultiCategorical) Name() string { return "multi-categorical" }
-
-// Kind implements Generator.
+func (m *MultiCategorical) Name() string          { return "multi-categorical" }
 func (m *MultiCategorical) Kind() table.ValueKind { return table.KindString }
+func (m *MultiCategorical) Arity() int            { return 0 }
 
-// Arity implements Generator.
-func (m *MultiCategorical) Arity() int { return 0 }
-
-// Run implements Generator: a weighted draw for the primary value, then
+// Fill implements Generator: a weighted draw for the primary value, then
 // distinct extra values by rejection.
-func (m *MultiCategorical) Run(id int64, s xrand.Stream, deps []Value) (Value, error) {
-	size := m.Min
-	if m.Max > m.Min {
-		size += int(s.Intn(id*3+1, int64(m.Max-m.Min+1)))
-	}
-	chosen := make([]int, 0, size)
-	seen := make(map[int]struct{}, size)
+func (m *MultiCategorical) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, _ []table.Chunk) error {
+	dst.Grow(int(hi-lo), int(hi-lo)*(m.Min+m.Max+1)/2*m.width)
 	sub := s.DeriveStream("multi")
-	for draw := int64(0); len(chosen) < size; draw++ {
-		k := m.inner.dist.SampleU(sub.Float64(id*64 + draw))
-		if _, dup := seen[k]; dup {
-			if draw > int64(64*size) {
-				break // weights may make distinct draws improbable
-			}
-			continue
+	chosen := make([]int, 0, m.Max)
+	for id := lo; id < hi; id++ {
+		size := m.Min
+		if m.Max > m.Min {
+			size += int(s.Intn(id*3+1, int64(m.Max-m.Min+1)))
 		}
-		seen[k] = struct{}{}
-		chosen = append(chosen, k)
+		chosen = chosen[:0]
+		for draw := int64(0); len(chosen) < size; draw++ {
+			k := m.inner.dist.SampleU(sub.Float64(id*64 + draw))
+			if slices.Contains(chosen, k) {
+				if draw > int64(64*size) {
+					break // weights may make distinct draws improbable
+				}
+				continue
+			}
+			if len(chosen) > 0 {
+				dst.Data = append(dst.Data, m.Separator...)
+			}
+			chosen = append(chosen, k)
+			dst.Data = append(dst.Data, m.inner.values[k]...)
+		}
+		dst.EndCell()
 	}
-	parts := make([]string, len(chosen))
-	for i, k := range chosen {
-		parts[i] = m.inner.values[k]
-	}
-	return StringValue(strings.Join(parts, m.Separator)), nil
+	return nil
 }
 
 // Primary extracts the primary (first) value of a rendered set; used
 // when a multi-valued property participates in correlation matching.
 func (m *MultiCategorical) Primary(rendered string) string {
-	if i := strings.Index(rendered, m.Separator); i >= 0 {
-		return rendered[:i]
-	}
-	return rendered
+	first, _, _ := strings.Cut(rendered, m.Separator)
+	return first
 }

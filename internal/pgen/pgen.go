@@ -9,52 +9,38 @@
 // depends only on (id, r(id), deps), any row can be regenerated
 // in-place on any worker — the Myriad technique the paper adopts — and
 // rows can be generated in parallel in any order.
+//
+// # Writing a generator
+//
+// The engine never calls run one row at a time: Generator.Fill gets a
+// run of consecutive ids and the typed slices to write them into (a
+// table.Chunk), so a built-in generator is one tight loop per column
+// with no per-cell call, boxing or check. Fill must be a pure function
+// of (id, stream, deps): however [0, n) is cut into chunks, and in
+// whatever order they are filled, every id gets the same value.
+//
+//   - A generator that is naturally row-at-a-time is five lines through
+//     PerRow, which wraps a run function in the chunk loop.
+//   - A kernel writes dst.Ints or dst.Floats in place; a string kernel
+//     appends cells to the chunk's byte arena (Chunk.Grow, AppendStr) or,
+//     when every value comes from a finite list, implements Coded and
+//     writes dst.Codes — which is what lets the matcher and the encoders
+//     work per distinct value instead of per row.
+//   - Parameters are checked once, in the Factory: core.ValidateSchema
+//     builds every generator of a schema before any row is generated,
+//     and Fill returns an error only for what depends on the data.
 package pgen
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
 )
-
-// Value is one property value, tagged by kind. Dates use the Int field
-// (days since epoch).
-type Value struct {
-	Kind  table.ValueKind
-	Str   string
-	Int   int64
-	Float float64
-}
-
-// StringValue wraps a string.
-func StringValue(s string) Value { return Value{Kind: table.KindString, Str: s} }
-
-// IntValue wraps an int64.
-func IntValue(i int64) Value { return Value{Kind: table.KindInt, Int: i} }
-
-// FloatValue wraps a float64.
-func FloatValue(f float64) Value { return Value{Kind: table.KindFloat, Float: f} }
-
-// DateValue wraps a date (days since epoch).
-func DateValue(days int64) Value { return Value{Kind: table.KindDate, Int: days} }
-
-// Format renders the value as its CSV/DSL string form.
-func (v Value) Format() string {
-	switch v.Kind {
-	case table.KindString:
-		return v.Str
-	case table.KindFloat:
-		return strconv.FormatFloat(v.Float, 'g', -1, 64)
-	case table.KindDate:
-		return table.FormatDate(v.Int)
-	default:
-		return strconv.FormatInt(v.Int, 10)
-	}
-}
 
 // Generator is the PG interface. Implementations must be pure: the
 // result may depend only on the inputs.
@@ -63,12 +49,82 @@ type Generator interface {
 	Name() string
 	// Kind is the value kind produced.
 	Kind() table.ValueKind
-	// Arity is the number of dependency values Run expects.
+	// Arity is the number of dependency columns Fill needs; the engine
+	// rejects a property that declares fewer.
 	Arity() int
-	// Run produces the value of instance id. s is the property's
-	// dedicated stream (one per PT, as the paper requires); deps carries
-	// the values of depended-on properties for the same instance.
-	Run(id int64, s xrand.Stream, deps []Value) (Value, error)
+	// Fill writes the values of instances [lo, hi) into dst, whose
+	// slices hold hi-lo cells (an arena string chunk arrives empty). s
+	// is the property's dedicated stream (one per PT, as the paper
+	// requires); deps carries the same rows of the depended-on
+	// properties, in declaration order.
+	Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, deps []table.Chunk) error
+}
+
+// Coded is implemented by string generators whose values all come from
+// a finite list. Vocabulary returns that list given the dependency
+// columns, and Fill then writes dst.Codes, indices into it; a nil
+// Vocabulary means the values are open-ended after all and Fill gets
+// an arena chunk.
+type Coded interface {
+	Vocabulary(deps []*table.PropertyTable) []string
+}
+
+// Value is one cell boxed for PerRow's run functions; the field that
+// matches the column's kind is the one that counts (dates use Int, as
+// days since the epoch).
+type Value struct {
+	Str   string
+	Int   int64
+	Float float64
+}
+
+// PerRow builds a Generator from the paper's row-at-a-time run
+// function. The engine pays a call and a boxed Value per cell for it,
+// so it suits custom and test generators, not hot built-ins. A string
+// generator built this way fills arena chunks.
+func PerRow(name string, kind table.ValueKind, arity int, run func(id int64, s xrand.Stream, deps []Value) (Value, error)) Generator {
+	return &perRow{name, kind, arity, run}
+}
+
+type perRow struct {
+	name  string
+	kind  table.ValueKind
+	arity int
+	run   func(id int64, s xrand.Stream, deps []Value) (Value, error)
+}
+
+func (p *perRow) Name() string          { return p.name }
+func (p *perRow) Kind() table.ValueKind { return p.kind }
+func (p *perRow) Arity() int            { return p.arity }
+
+func (p *perRow) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, deps []table.Chunk) error {
+	if dst.Ints == nil && dst.Floats == nil {
+		dst.Grow(int(hi-lo), 0)
+	}
+	vals := make([]Value, len(deps))
+	for i := 0; i < int(hi-lo); i++ {
+		for k := range deps {
+			d := &deps[k]
+			vals[k] = Value{Str: d.Str(i)}
+			if d.Ints != nil {
+				vals[k].Int = d.Ints[i]
+			} else if d.Floats != nil {
+				vals[k].Float = d.Floats[i]
+			}
+		}
+		v, err := p.run(lo+int64(i), s, vals)
+		switch {
+		case err != nil:
+			return fmt.Errorf("row %d: %w", lo+int64(i), err)
+		case dst.Ints != nil:
+			dst.Ints[i] = v.Int
+		case dst.Floats != nil:
+			dst.Floats[i] = v.Float
+		default:
+			dst.AppendStr(v.Str)
+		}
+	}
+	return nil
 }
 
 // Factory builds a Generator from DSL parameters.
@@ -114,61 +170,83 @@ func (r *Registry) Build(name string, params map[string]string) (Generator, erro
 }
 
 // Names lists registered generators, sorted.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.factories))
-	for n := range r.factories {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+func (r *Registry) Names() []string { return slices.Sorted(maps.Keys(r.factories)) }
+
+// params reads one factory's DSL parameters. The first malformed
+// parameter or failed check sticks in err, so a factory reads and checks
+// everything in straight-line code and ends with build.
+type params struct {
+	m   map[string]string
+	err error
 }
 
-// --- parameter helpers used by factories ---
-
-func paramInt(params map[string]string, key string, def int64) (int64, error) {
-	v, ok := params[key]
-	if !ok || v == "" {
-		return def, nil
+// fail records err unless an earlier error already stuck (or err is nil).
+func (p *params) fail(err error) {
+	if p.err == nil {
+		p.err = err
 	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("pgen: parameter %s=%q is not an integer", key, v)
-	}
-	return n, nil
 }
 
-func paramFloat(params map[string]string, key string, def float64) (float64, error) {
-	v, ok := params[key]
-	if !ok || v == "" {
-		return def, nil
+// check records a failed parameter check.
+func (p *params) check(ok bool, format string, args ...any) {
+	if !ok {
+		p.fail(fmt.Errorf("pgen: "+format, args...))
 	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("pgen: parameter %s=%q is not a number", key, v)
-	}
-	return f, nil
 }
 
-func paramDate(params map[string]string, key, def string) (int64, error) {
-	v, ok := params[key]
-	if !ok || v == "" {
-		v = def
+func (p *params) int(key string, def int64) int64 {
+	if p.m[key] == "" {
+		return def
 	}
-	return table.ParseDate(v)
+	n, err := strconv.ParseInt(p.m[key], 10, 64)
+	p.check(err == nil, "parameter %s=%q is not an integer", key, p.m[key])
+	return n
 }
 
-// paramList splits a "|"-separated list parameter.
-func paramList(params map[string]string, key string) []string {
-	v, ok := params[key]
-	if !ok || v == "" {
-		return nil
+func (p *params) float(key string, def float64) float64 {
+	if p.m[key] == "" {
+		return def
 	}
-	parts := strings.Split(v, "|")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if t := strings.TrimSpace(p); t != "" {
+	f, err := strconv.ParseFloat(p.m[key], 64)
+	p.check(err == nil, "parameter %s=%q is not a number", key, p.m[key])
+	return f
+}
+
+func (p *params) date(key, def string) int64 {
+	if p.m[key] != "" {
+		def = p.m[key]
+	}
+	d, err := table.ParseDate(def)
+	p.fail(err)
+	return d
+}
+
+// list splits a "|"-separated list parameter.
+func (p *params) list(key string) []string {
+	var out []string
+	for _, part := range strings.Split(p.m[key], "|") {
+		if t := strings.TrimSpace(part); t != "" {
 			out = append(out, t)
 		}
 	}
 	return out
+}
+
+// dict is the embedded dictionary a dict= parameter names, if any.
+func (p *params) dict() (values []string, weights []float64) {
+	if name := p.m["dict"]; name != "" {
+		var err error
+		values, weights, err = Dictionary(name)
+		p.fail(err)
+	}
+	return values, weights
+}
+
+// build returns the generator a factory constructed, unless a parameter
+// was bad.
+func (p *params) build(g Generator, err error) (Generator, error) {
+	if p.fail(err); p.err != nil {
+		return nil, p.err
+	}
+	return g, nil
 }

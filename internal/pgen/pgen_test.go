@@ -1,6 +1,7 @@
 package pgen
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -11,19 +12,78 @@ import (
 
 func s(seed uint64) xrand.Stream { return xrand.NewStream(seed) }
 
-func TestValueFormat(t *testing.T) {
-	if StringValue("x").Format() != "x" {
-		t.Error("string format")
+// newChunk returns an empty chunk of rows cells, of the shape the engine
+// hands g for a property of the given kind.
+func newChunk(g Generator, kind table.ValueKind, rows int64, deps []*table.PropertyTable) table.Chunk {
+	var dst table.Chunk
+	switch {
+	case kind == table.KindFloat:
+		dst.Floats = make([]float64, rows)
+	case kind != table.KindString:
+		dst.Ints = make([]int64, rows)
+	default:
+		if c, ok := g.(Coded); ok {
+			if dst.Dict = c.Vocabulary(deps); dst.Dict != nil {
+				dst.Codes = make([]uint32, rows)
+			}
+		}
 	}
-	if IntValue(42).Format() != "42" {
-		t.Error("int format")
+	return dst
+}
+
+// fillRange fills ids [lo, hi) of g into a fresh chunk, reading deps
+// (whole columns) through Gather so any range of any layout works.
+func fillRange(t testing.TB, g Generator, kind table.ValueKind, lo, hi int64, stream xrand.Stream, deps ...*table.PropertyTable) table.Chunk {
+	t.Helper()
+	dst := newChunk(g, kind, hi-lo, deps)
+	idx := make([]int64, hi-lo)
+	for i := range idx {
+		idx[i] = lo + int64(i)
 	}
-	if FloatValue(0.5).Format() != "0.5" {
-		t.Error("float format")
+	chunks := make([]table.Chunk, len(deps))
+	for i, d := range deps {
+		d.Gather(idx, &chunks[i])
 	}
-	if DateValue(table.MustParseDate("2017-04-03")).Format() != "2017-04-03" {
-		t.Error("date format")
+	if err := g.Fill(&dst, lo, hi, stream, chunks); err != nil {
+		t.Fatal(err)
 	}
+	return dst
+}
+
+// fill generates a whole n-row column of the generator's kind the way
+// the engine does: one table, filled ChunkRows ids at a time.
+func fill(t testing.TB, g Generator, n int64, stream xrand.Stream, deps ...*table.PropertyTable) *table.PropertyTable {
+	t.Helper()
+	return fillKind(t, g, g.Kind(), n, stream, deps...)
+}
+
+func fillKind(t testing.TB, g Generator, kind table.ValueKind, n int64, stream xrand.Stream, deps ...*table.PropertyTable) *table.PropertyTable {
+	t.Helper()
+	pt := table.NewPropertyTable("T."+g.Name(), kind, n)
+	if kind == table.KindString {
+		pt = table.NewStringTable("T."+g.Name(), n, newChunk(g, kind, 0, deps).Dict)
+	}
+	for lo := int64(0); lo < n; lo += table.ChunkRows {
+		hi := min(lo+table.ChunkRows, n)
+		chunks := make([]table.Chunk, len(deps))
+		for i, d := range deps {
+			chunks[i] = d.Chunk(lo, hi)
+		}
+		if err := pt.FillChunk(lo, hi, func(dst *table.Chunk) error { return g.Fill(dst, lo, hi, stream, chunks) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pt
+}
+
+// build resolves a generator through a fresh registry.
+func build(t testing.TB, name string, params map[string]string) Generator {
+	t.Helper()
+	g, err := NewRegistry().Build(name, params)
+	if err != nil {
+		t.Fatalf("Build(%s): %v", name, err)
+	}
+	return g
 }
 
 func TestCategoricalBasics(t *testing.T) {
@@ -32,12 +92,8 @@ func TestCategoricalBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
-	for i := int64(0); i < 20000; i++ {
-		v, err := c.Run(i, s(1), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[v.Str]++
+	for _, v := range fill(t, c, 20000, s(1)).Strings() {
+		counts[v]++
 	}
 	fa := float64(counts["a"]) / 20000
 	if math.Abs(fa-0.75) > 0.02 {
@@ -80,66 +136,43 @@ func TestZipfCategoricalShape(t *testing.T) {
 }
 
 func TestUniformIntBoundsInclusive(t *testing.T) {
-	u := &UniformInt{Lo: -2, Hi: 2}
 	seenLo, seenHi := false, false
-	for i := int64(0); i < 5000; i++ {
-		v, err := u.Run(i, s(2), nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, v := range fill(t, &UniformInt{Lo: -2, Hi: 2}, 5000, s(2)).Ints() {
+		if v < -2 || v > 2 {
+			t.Fatalf("value %d out of range", v)
 		}
-		if v.Int < -2 || v.Int > 2 {
-			t.Fatalf("value %d out of range", v.Int)
-		}
-		if v.Int == -2 {
-			seenLo = true
-		}
-		if v.Int == 2 {
-			seenHi = true
-		}
+		seenLo = seenLo || v == -2
+		seenHi = seenHi || v == 2
 	}
 	if !seenLo || !seenHi {
 		t.Error("bounds never sampled")
 	}
-	bad := &UniformInt{Lo: 5, Hi: 1}
-	if _, err := bad.Run(0, s(1), nil); err == nil {
-		t.Error("empty range should fail")
-	}
 }
 
 func TestUniformFloat(t *testing.T) {
-	u := &UniformFloat{Lo: 10, Hi: 20}
-	for i := int64(0); i < 1000; i++ {
-		v, _ := u.Run(i, s(3), nil)
-		if v.Float < 10 || v.Float >= 20 {
-			t.Fatalf("value %v out of [10,20)", v.Float)
+	for _, v := range fill(t, &UniformFloat{Lo: 10, Hi: 20}, 1000, s(3)).Floats() {
+		if v < 10 || v >= 20 {
+			t.Fatalf("value %v out of [10,20)", v)
 		}
-	}
-	bad := &UniformFloat{Lo: 1, Hi: 1}
-	if _, err := bad.Run(0, s(1), nil); err == nil {
-		t.Error("empty range should fail")
 	}
 }
 
 func TestUniformDate(t *testing.T) {
 	from := table.MustParseDate("2015-01-01")
 	to := table.MustParseDate("2015-12-31")
-	u := &UniformDate{From: from, To: to}
-	for i := int64(0); i < 1000; i++ {
-		v, _ := u.Run(i, s(4), nil)
-		if v.Int < from || v.Int > to {
-			t.Fatalf("date %s outside 2015", v.Format())
+	for _, v := range fill(t, &UniformDate{From: from, To: to}, 1000, s(4)).Ints() {
+		if v < from || v > to {
+			t.Fatalf("date %s outside 2015", table.FormatDate(v))
 		}
 	}
 }
 
 func TestNormalMoments(t *testing.T) {
-	n := &Normal{Mean: 5, Std: 2}
 	var sum, sumSq float64
 	N := int64(100000)
-	for i := int64(0); i < N; i++ {
-		v, _ := n.Run(i, s(5), nil)
-		sum += v.Float
-		sumSq += v.Float * v.Float
+	for _, v := range fill(t, &Normal{Mean: 5, Std: 2}, N, s(5)).Floats() {
+		sum += v
+		sumSq += v * v
 	}
 	mean := sum / float64(N)
 	std := math.Sqrt(sumSq/float64(N) - mean*mean)
@@ -149,39 +182,30 @@ func TestNormalMoments(t *testing.T) {
 }
 
 func TestSequenceAndUUID(t *testing.T) {
-	q := &Sequence{Offset: 100}
-	v, _ := q.Run(5, s(1), nil)
-	if v.Int != 105 {
-		t.Errorf("sequence = %d", v.Int)
+	if v := fill(t, &Sequence{Offset: 100}, 10, s(1)).Int(5); v != 105 {
+		t.Errorf("sequence = %d", v)
 	}
-	u := UUID{}
-	a, _ := u.Run(1, s(1), nil)
-	b, _ := u.Run(2, s(1), nil)
-	if len(a.Str) != 32 || a.Str == b.Str {
-		t.Errorf("uuid broken: %q %q", a.Str, b.Str)
+	ids := fill(t, UUID{}, 3, s(1))
+	a, b := ids.String(1), ids.String(2)
+	if len(a) != 32 || a == b || strings.Trim(a, "0123456789abcdef") != "" {
+		t.Errorf("uuid broken: %q %q", a, b)
 	}
-	a2, _ := u.Run(1, s(1), nil)
-	if a.Str != a2.Str {
+	if a2 := fillRange(t, UUID{}, table.KindString, 1, 2, s(1)); a2.Str(0) != a {
 		t.Error("uuid not deterministic")
 	}
 }
 
 func TestTextGenerator(t *testing.T) {
-	g := &Text{MinWords: 2, MaxWords: 5}
-	for i := int64(0); i < 200; i++ {
-		v, err := g.Run(i, s(7), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		words := strings.Fields(v.Str)
-		if len(words) < 2 || len(words) > 5 {
-			t.Fatalf("text %q has %d words", v.Str, len(words))
+	for _, v := range fill(t, &Text{MinWords: 2, MaxWords: 5}, 200, s(7)).Strings() {
+		if words := strings.Fields(v); len(words) < 2 || len(words) > 5 {
+			t.Fatalf("text %q has %d words", v, len(words))
 		}
 	}
-	bad := &Text{MinWords: 5, MaxWords: 2}
-	if _, err := bad.Run(0, s(1), nil); err == nil {
-		t.Error("bad bounds should fail")
-	}
+}
+
+// constCol is a one-value string column to condition on.
+func constCol(t testing.TB, v string, n int64) *table.PropertyTable {
+	return fill(t, &Constant{Value: v}, n, s(0))
 }
 
 func TestConditionalNameCorrelation(t *testing.T) {
@@ -193,38 +217,47 @@ func TestConditionalNameCorrelation(t *testing.T) {
 		t.Errorf("arity = %d", c.Arity())
 	}
 	// Names must come from the (region, sex) list.
-	deps := []Value{StringValue("Japan"), StringValue("F")}
 	allowed := map[string]bool{}
 	for _, n := range NamesFor("Japan", "F") {
 		allowed[n] = true
 	}
-	for i := int64(0); i < 500; i++ {
-		v, err := c.Run(i, s(8), deps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !allowed[v.Str] {
-			t.Fatalf("name %q not in east-asia/F list", v.Str)
+	for _, v := range fill(t, c, 500, s(8), constCol(t, "Japan", 500), constCol(t, "F", 500)).Strings() {
+		if !allowed[v] {
+			t.Fatalf("name %q not in east-asia/F list", v)
 		}
 	}
 	// Different (country, sex) must change the name pool.
-	depsM := []Value{StringValue("Brazil"), StringValue("M")}
-	vm, _ := c.Run(0, s(8), depsM)
-	if allowed[vm.Str] {
-		t.Errorf("Brazil/M name %q drawn from Japan/F pool", vm.Str)
+	if vm := fill(t, c, 1, s(8), constCol(t, "Brazil", 1), constCol(t, "M", 1)).String(0); allowed[vm] {
+		t.Errorf("Brazil/M name %q drawn from Japan/F pool", vm)
 	}
-	if _, err := c.Run(0, s(8), nil); err == nil {
-		t.Error("missing deps should fail")
+}
+
+// TestConditionalNameLayouts: the name depends on the country and sex
+// strings, not on how their columns store them — coded dependencies
+// (resolved once per value pair) and arena ones (resolved per row) draw
+// the same names.
+func TestConditionalNameLayouts(t *testing.T) {
+	const n = 3000
+	c, _ := NewConditionalName("")
+	country := fill(t, build(t, "categorical", map[string]string{"dict": "countries"}), n, s(1))
+	sex := fill(t, build(t, "categorical", map[string]string{"values": "M|F|x"}), n, s(2))
+	arena := func(pt *table.PropertyTable) *table.PropertyTable {
+		return fill(t, PerRow("copy", table.KindString, 1, func(_ int64, _ xrand.Stream, deps []Value) (Value, error) {
+			return deps[0], nil
+		}), n, s(0), pt)
+	}
+	want := fill(t, c, n, s(3), country, sex).Strings()
+	got := fill(t, c, n, s(3), arena(country), arena(sex)).Strings()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: %q over arena dependencies, %q over coded ones", i, got[i], want[i])
+		}
 	}
 }
 
 func TestConditionalNameUnknownCountryFallsBack(t *testing.T) {
 	c, _ := NewConditionalName("")
-	v, err := c.Run(0, s(9), []Value{StringValue("Atlantis"), StringValue("M")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Str == "" {
+	if v := fill(t, c, 1, s(9), constCol(t, "Atlantis", 1), constCol(t, "M", 1)).String(0); v == "" {
 		t.Error("fallback produced empty name")
 	}
 }
@@ -246,54 +279,45 @@ func TestDictionaryLookup(t *testing.T) {
 }
 
 func TestMaxEndpointDate(t *testing.T) {
-	m := &MaxEndpointDate{MaxLagDays: 30}
-	d1 := DateValue(1000)
-	d2 := DateValue(1500)
-	for i := int64(0); i < 500; i++ {
-		v, err := m.Run(i, s(10), []Value{d1, d2})
-		if err != nil {
-			t.Fatal(err)
+	d1 := fillKind(t, &Sequence{Offset: 1000}, table.KindDate, 500, s(0))
+	d2 := fillKind(t, &Sequence{Offset: 1500}, table.KindDate, 500, s(0))
+	for i, v := range fill(t, &MaxEndpointDate{MaxLagDays: 30}, 500, s(10), d1, d2).Ints() {
+		if base := 1500 + int64(i); v <= base || v > base+30 {
+			t.Fatalf("edge date %d not in (%d, %d]", v, base, base+30)
 		}
-		if v.Int <= 1500 || v.Int > 1500+30 {
-			t.Fatalf("edge date %d not in (1500, 1530]", v.Int)
-		}
-	}
-	if _, err := m.Run(0, s(1), nil); err == nil {
-		t.Error("no deps should fail")
 	}
 }
 
 func TestEndpointCopy(t *testing.T) {
-	e := EndpointCopy{}
-	v, err := e.Run(0, s(1), []Value{StringValue("hello")})
-	if err != nil || v.Str != "hello" {
-		t.Errorf("copy = %v, %v", v, err)
-	}
-	if _, err := e.Run(0, s(1), nil); err == nil {
-		t.Error("arity violation should fail")
+	const n = table.ChunkRows + 100
+	for name, src := range map[string]*table.PropertyTable{
+		"coded": fill(t, build(t, "categorical", map[string]string{"dict": "topics"}), n, s(1)),
+		"arena": fill(t, &Text{MinWords: 1, MaxWords: 3}, n, s(1)),
+		"int":   fill(t, &UniformInt{Lo: 0, Hi: 9}, n, s(1)),
+		"float": fill(t, &Normal{Std: 1}, n, s(1)),
+	} {
+		got := fillKind(t, EndpointCopy{}, src.Kind, n, s(2), src)
+		for i := int64(0); i < n; i++ {
+			if got.Value(i) != src.Value(i) {
+				t.Fatalf("%s row %d: copy %v, source %v", name, i, got.Value(i), src.Value(i))
+			}
+		}
+		if _, dict := got.Coded(); (dict != nil) != (name == "coded") {
+			t.Errorf("%s: the copy's string layout is not its source's", name)
+		}
 	}
 }
 
 func TestRatingJShape(t *testing.T) {
-	r := &Rating{Lo: 1, Hi: 5}
 	counts := map[int64]int{}
-	N := 20000
-	for i := int64(0); i < int64(N); i++ {
-		v, err := r.Run(i, s(11), nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, v := range fill(t, &Rating{Lo: 1, Hi: 5}, 20000, s(11)).Ints() {
+		if v < 1 || v > 5 {
+			t.Fatalf("rating %d out of range", v)
 		}
-		if v.Int < 1 || v.Int > 5 {
-			t.Fatalf("rating %d out of range", v.Int)
-		}
-		counts[v.Int]++
+		counts[v]++
 	}
 	if counts[5] < counts[3] || counts[1] < counts[3] {
 		t.Errorf("not J-shaped: %v", counts)
-	}
-	bad := &Rating{Lo: 5, Hi: 5}
-	if _, err := bad.Run(0, s(1), nil); err == nil {
-		t.Error("empty range should fail")
 	}
 }
 
@@ -364,24 +388,49 @@ func TestRegistryErrors(t *testing.T) {
 	}
 }
 
+// TestFactoriesRejectBadRanges: range and bounds checks happen when the
+// generator is built — where core.ValidateSchema sees them — not at the
+// first row.
+func TestFactoriesRejectBadRanges(t *testing.T) {
+	r := NewRegistry()
+	for _, c := range []struct {
+		name   string
+		params map[string]string
+	}{
+		{"uniform-int", map[string]string{"lo": "5", "hi": "1"}},
+		{"uniform-int", map[string]string{"lo": "-9223372036854775808", "hi": "9223372036854775807"}},
+		{"uniform-int", map[string]string{"lo": "-1", "hi": "9223372036854775807"}},
+		{"uniform-float", map[string]string{"lo": "1", "hi": "1"}},
+		{"uniform-float", map[string]string{"lo": "NaN"}},
+		{"uniform-date", map[string]string{"from": "2020-01-02", "to": "2020-01-01"}},
+		{"uniform-date", map[string]string{"from": "0000-06-01"}},
+		{"normal", map[string]string{"std": "-1"}},
+		{"text", map[string]string{"min": "0", "max": "3"}},
+		{"text", map[string]string{"min": "5", "max": "2"}},
+		{"text", map[string]string{"max": "1000000"}},
+		{"rating", map[string]string{"lo": "5", "hi": "5"}},
+		{"max-endpoint-date", map[string]string{"maxDays": "4000000"}},
+		{"multi-categorical", map[string]string{"values": "a|b", "min": "0"}},
+	} {
+		if g, err := r.Build(c.name, c.params); err == nil {
+			t.Errorf("Build(%s, %v) = %T, want an error", c.name, c.params, g)
+		}
+	}
+	// A non-positive lag still means the default.
+	if g := build(t, "max-endpoint-date", map[string]string{"maxDays": "0"}); g.(*MaxEndpointDate).MaxLagDays != 365 {
+		t.Errorf("maxDays=0 built %+v, want the 365-day default", g)
+	}
+}
+
 func TestInPlaceRegeneration(t *testing.T) {
 	// The Myriad invariant: regenerating any single id yields the same
 	// value as generating the whole table.
-	r := NewRegistry()
-	g, err := r.Build("categorical", map[string]string{"dict": "countries"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := build(t, "categorical", map[string]string{"dict": "countries"})
 	stream := xrand.NewStream(99).DeriveStream("Person.country")
-	full := make([]string, 1000)
-	for i := int64(0); i < 1000; i++ {
-		v, _ := g.Run(i, stream, nil)
-		full[i] = v.Str
-	}
+	full := fill(t, g, 1000, stream)
 	// Regenerate ids out of order, as a different worker would.
 	for _, i := range []int64{999, 0, 500, 123, 77} {
-		v, _ := g.Run(i, stream, nil)
-		if v.Str != full[i] {
+		if v := fillRange(t, g, table.KindString, i, i+1, stream); v.Str(0) != full.String(i) {
 			t.Fatalf("in-place regeneration of id %d mismatches", i)
 		}
 	}
@@ -392,19 +441,15 @@ func TestMultiCategorical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 500; i++ {
-		v, err := m.Run(i, s(5), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts := strings.Split(v.Str, ";")
+	for _, v := range fill(t, m, 500, s(5)).Strings() {
+		parts := strings.Split(v, ";")
 		if len(parts) < 2 || len(parts) > 3 {
-			t.Fatalf("set %q has %d values", v.Str, len(parts))
+			t.Fatalf("set %q has %d values", v, len(parts))
 		}
 		seen := map[string]bool{}
 		for _, p := range parts {
 			if seen[p] {
-				t.Fatalf("set %q repeats %q", v.Str, p)
+				t.Fatalf("set %q repeats %q", v, p)
 			}
 			seen[p] = true
 		}
@@ -426,29 +471,39 @@ func TestMultiCategoricalValidation(t *testing.T) {
 	}
 }
 
-func TestMultiCategoricalDeterministic(t *testing.T) {
-	m, _ := NewMultiCategorical([]string{"a", "b", "c"}, []float64{5, 3, 1}, 1, 3, ",")
-	for i := int64(0); i < 100; i++ {
-		v1, _ := m.Run(i, s(9), nil)
-		v2, _ := m.Run(i, s(9), nil)
-		if v1.Str != v2.Str {
-			t.Fatal("multi-categorical not deterministic")
-		}
+func TestMultiCategoricalViaRegistry(t *testing.T) {
+	g := build(t, "multi-categorical", map[string]string{"dict": "topics", "min": "1", "max": "4"})
+	if v := fill(t, g, 1, s(1)).String(0); v == "" {
+		t.Errorf("registry multi-categorical drew %q", v)
+	}
+	if _, err := NewRegistry().Build("multi-categorical", map[string]string{"values": "a|b", "max": "9"}); err == nil {
+		t.Error("oversized set should fail")
 	}
 }
 
-func TestMultiCategoricalViaRegistry(t *testing.T) {
-	r := NewRegistry()
-	g, err := r.Build("multi-categorical", map[string]string{"dict": "topics", "min": "1", "max": "4"})
-	if err != nil {
-		t.Fatal(err)
+// TestPerRow: a row-at-a-time function becomes a Generator that sees
+// its dependencies boxed, whatever their layout, and reports the row an
+// error came from.
+func TestPerRow(t *testing.T) {
+	const n = 100
+	topic := fill(t, build(t, "categorical", map[string]string{"dict": "topics"}), n, s(1))
+	score := fill(t, &Normal{Std: 1}, n, s(2))
+	g := PerRow("tag", table.KindString, 2, func(id int64, _ xrand.Stream, deps []Value) (Value, error) {
+		if id == 70 {
+			return Value{}, errors.ErrUnsupported
+		}
+		return Value{Str: deps[0].Str + "!"}, nil
+	})
+	got := fillRange(t, g, table.KindString, 0, 70, s(3), topic, score)
+	for i := 0; i < 70; i++ {
+		if want := topic.String(int64(i)) + "!"; got.Str(i) != want {
+			t.Fatalf("row %d: %q, want %q", i, got.Str(i), want)
+		}
 	}
-	v, err := g.Run(0, s(1), nil)
-	if err != nil || v.Str == "" {
-		t.Errorf("registry multi-categorical: %v %q", err, v.Str)
-	}
-	if _, err := r.Build("multi-categorical", map[string]string{"values": "a|b", "max": "9"}); err == nil {
-		t.Error("oversized set should fail")
+	dst := newChunk(g, table.KindString, 1, nil)
+	err := g.Fill(&dst, 70, 71, s(3), []table.Chunk{topic.Chunk(70, 71), score.Chunk(70, 71)})
+	if err == nil || !strings.Contains(err.Error(), "row 70") {
+		t.Errorf("err = %v, want row 70 named", err)
 	}
 }
 

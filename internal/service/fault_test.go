@@ -22,17 +22,18 @@ import (
 // and sustained random fault pressure — is driven here through
 // faultfs.InjectFS and asserted on, under -race in CI.
 
-// panicDSL is a schema any client can submit that used to kill the
-// whole daemon: uniform-int over the full int64 range overflows
-// Hi-Lo+1 to zero and the stream's Intn panics inside the parallel
-// fill workers.
-const panicDSL = `graph boom {
-  seed = 11
-  node A {
-    count = 64
-    property p : int = uniform-int(lo=-9223372036854775808, hi=9223372036854775807)
-  }
-}`
+// panicFS panics in the first Create — a job's first export file. (No
+// schema is known to panic a worker any more: the one that did,
+// uniform-int over the full int64 range, fails validation since PR 16.)
+type panicFS struct {
+	faultfs.OSFS
+	once sync.Once
+}
+
+func (f *panicFS) Create(name string) (faultfs.File, error) {
+	f.once.Do(func() { panic("injected panic creating " + name) })
+	return f.OSFS.Create(name)
+}
 
 func waitTerminal(t testing.TB, j *Job) JobView {
 	t.Helper()
@@ -58,17 +59,17 @@ func httpGet(t testing.TB, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// TestPanicIsolationFailsOnlyJob: a panicking generation fails its own
+// TestPanicIsolationFailsOnlyJob: a panicking worker fails its own
 // job — error carrying "panic" — while the daemon keeps accepting and
 // completing other work, and the panic is counted.
 func TestPanicIsolationFailsOnlyJob(t *testing.T) {
-	svc := newTestService(t, Config{})
+	svc := newTestService(t, Config{FS: &panicFS{}})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	res, err := svc.Submit(panicDSL, table.FormatCSV)
+	res, err := svc.Submit(testSchema(11), table.FormatCSV)
 	if err != nil {
-		t.Fatalf("the panic schema parses and validates; Submit = %v", err)
+		t.Fatal(err)
 	}
 	v := waitTerminal(t, res.Job)
 	if v.Status != StatusFailed {

@@ -730,3 +730,33 @@ func TestJSONSubmitBody(t *testing.T) {
 	}
 	waitDone(t, j)
 }
+
+// TestSubmitRejectsBadGeneratorSpecs: admission builds every property
+// generator, so an unknown generator, a kind mismatch or an empty range
+// is a 400 at POST /v1/jobs — naming type.property — and costs no
+// engine run, instead of an admitted job that fails at its first row.
+func TestSubmitRejectsBadGeneratorSpecs(t *testing.T) {
+	svc := newTestService(t, Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	for _, decl := range []string{
+		`property y : int = nosuchgen()`,
+		`property y : int = uniform-int(lo=5, hi=1)`,
+		`property y : string = text(min=0, max=3)`,
+		`property y : int = categorical(values="a|b")`,
+	} {
+		src := "graph g {\n  seed = 1\n  node A {\n    count = 10\n    " + decl + "\n  }\n}"
+		resp, err := http.Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "A.y") {
+			t.Errorf("%s: %d %s, want 400 naming A.y", decl, resp.StatusCode, body)
+		}
+	}
+	if n := svc.Generations(); n != 0 {
+		t.Errorf("%d engine runs started for schemas that must not be admitted", n)
+	}
+}

@@ -299,11 +299,12 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 }
 
 // wireIntraShards wires every community's internal configuration model.
-// Shard c draws from the stream (Seed, "lfr.intra", c), emits into the
-// arena range [bound[c], bound[c+1]) — disjoint per shard — and the
-// ranges are concatenated in community order afterwards, so the result
-// is a pure function of the schema seed regardless of how many workers
-// process the shard queue or in which order they finish.
+// Shard c draws from the stream (Seed, "lfr.intra", c) and its edges
+// land in community order, so the result is a pure function of the
+// schema seed regardless of how many workers process the shard queue
+// or in which order they finish. One worker appends each community
+// straight to et; several workers emit into disjoint ranges of a shared
+// arena — [bound[c], bound[c+1]) per shard — concatenated afterwards.
 func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf, memberOffs []int64) error {
 	nComm := len(sizes)
 	if nComm == 0 {
@@ -311,30 +312,15 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 	}
 	intraBase := xrand.NewStream(l.Seed).DeriveStream("lfr.intra")
 
-	// Per-community edge-count upper bound (half its stub count) sizes
-	// the shared output arena; counts records the actual emissions.
-	bound := make([]int64, nComm+1)
-	for c := 0; c < nComm; c++ {
-		var stubCount int64
-		for _, v := range memberBuf[memberOffs[c]:memberOffs[c+1]] {
-			stubCount += int64(intra[v])
-		}
-		bound[c+1] = bound[c] + stubCount/2
-	}
-	tails := make([]int64, bound[nComm])
-	heads := make([]int64, bound[nComm])
-	counts := make([]int64, nComm)
-
 	workers := par.EffectiveWorkers(l.Workers)
 	if workers > nComm {
 		workers = nComm
 	}
 	l.lastShards, l.lastWorkers = nComm, workers
 
-	// wire runs one shard with a worker's reusable scratch (dedup,
-	// stub buffer, local edge sink); only the arena range and counts
-	// slot of community c are written, so shards never contend.
-	wire := func(c int, dd *edgeDedup, local *table.EdgeTable, stubs []int64) []int64 {
+	// wire appends one shard's edges to sink using a worker's reusable
+	// scratch (dedup, stub buffer).
+	wire := func(c int, dd *edgeDedup, sink *table.EdgeTable, stubs []int64) []int64 {
 		members := memberBuf[memberOffs[c]:memberOffs[c+1]]
 		size := int64(len(members))
 		// Intra edges of community c can only collide with each other
@@ -360,43 +346,56 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 			stubs = stubs[:len(stubs)-1]
 		}
 		qc := newSeqFromStream(intraBase.DeriveN(uint64(c)))
-		local.Tail = local.Tail[:0]
-		local.Head = local.Head[:0]
 		if direct {
-			pairStubsDirect(qc, dd, local, stubs, members, 8)
+			pairStubsDirect(qc, dd, sink, stubs, members, 8)
 		} else {
 			dd.reset()
-			pairStubsFiltered(qc, dd, local, stubs, 8, nil)
+			pairStubsFiltered(qc, dd, sink, stubs, 8, nil)
 		}
-		counts[c] = int64(len(local.Tail))
-		copy(tails[bound[c]:], local.Tail)
-		copy(heads[bound[c]:], local.Head)
 		return stubs
 	}
 
 	if workers == 1 {
 		dd := newEdgeDedup(0)
-		local := &table.EdgeTable{}
 		var stubs []int64
 		for c := 0; c < nComm; c++ {
-			stubs = wire(c, dd, local, stubs)
+			stubs = wire(c, dd, et, stubs)
 		}
-	} else {
-		var next atomic.Int64
-		par.Workers(workers, func(int) {
-			dd := newEdgeDedup(0)
-			local := &table.EdgeTable{}
-			var stubs []int64
-			for {
-				c := int(next.Add(1) - 1)
-				if c >= nComm {
-					return
-				}
-				stubs = wire(c, dd, local, stubs)
-			}
-		})
+		return nil
 	}
 
+	// Per-community edge-count upper bound (half its stub count) sizes
+	// the shared output arena; counts records the actual emissions.
+	bound := make([]int64, nComm+1)
+	for c := 0; c < nComm; c++ {
+		var stubCount int64
+		for _, v := range memberBuf[memberOffs[c]:memberOffs[c+1]] {
+			stubCount += int64(intra[v])
+		}
+		bound[c+1] = bound[c] + stubCount/2
+	}
+	tails := make([]int64, bound[nComm])
+	heads := make([]int64, bound[nComm])
+	counts := make([]int64, nComm)
+	var next atomic.Int64
+	par.Workers(workers, func(int) {
+		dd := newEdgeDedup(0)
+		local := &table.EdgeTable{}
+		var stubs []int64
+		for {
+			c := int(next.Add(1) - 1)
+			if c >= nComm {
+				return
+			}
+			local.Tail, local.Head = local.Tail[:0], local.Head[:0]
+			stubs = wire(c, dd, local, stubs)
+			// Only the arena range and counts slot of community c are
+			// written, so shards never contend.
+			counts[c] = int64(len(local.Tail))
+			copy(tails[bound[c]:], local.Tail)
+			copy(heads[bound[c]:], local.Head)
+		}
+	})
 	for c := 0; c < nComm; c++ {
 		et.Tail = append(et.Tail, tails[bound[c]:bound[c]+counts[c]]...)
 		et.Head = append(et.Head, heads[bound[c]:bound[c]+counts[c]]...)

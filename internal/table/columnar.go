@@ -50,119 +50,115 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // columnar block encoding ----------------------------------------------------
 
-// blockWriter streams one block: payload length first, then payload
-// bytes through a running CRC, then the CRC trailer.
+// blockWriter streams one block: payload length first, then the payload
+// through a pooled buffer and a running CRC, then the CRC trailer. The
+// first write error sticks; close returns it.
 type blockWriter struct {
 	w   io.Writer
 	crc uint32
+	bp  *[]byte
+	buf []byte
+	err error
 }
 
-func newBlock(w io.Writer, payloadLen uint64) (*blockWriter, error) {
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], payloadLen)
-	if _, err := w.Write(scratch[:n]); err != nil {
-		return nil, err
+func newBlock(w io.Writer, payloadLen uint64) *blockWriter {
+	b := &blockWriter{w: w, bp: getEncBuf()}
+	_, b.err = w.Write(binary.AppendUvarint((*b.bp)[:0], payloadLen))
+	b.buf = (*b.bp)[:0]
+	return b
+}
+
+// raw writes what is buffered, then p itself.
+func (b *blockWriter) raw(p []byte) {
+	for _, part := range [2][]byte{b.buf, p} {
+		if b.err == nil && len(part) > 0 {
+			b.crc = crc32.Update(b.crc, castagnoli, part)
+			_, b.err = b.w.Write(part)
+		}
 	}
-	return &blockWriter{w: w}, nil
+	b.buf = b.buf[:0]
 }
 
-func (b *blockWriter) Write(p []byte) (int, error) {
-	b.crc = crc32.Update(b.crc, castagnoli, p)
-	return b.w.Write(p)
+func (b *blockWriter) u64(v uint64) {
+	if b.buf = binary.LittleEndian.AppendUint64(b.buf, v); len(b.buf) >= encFlushAt {
+		b.raw(nil)
+	}
+}
+
+func (b *blockWriter) str(s string) {
+	if b.buf = append(b.buf, s...); len(b.buf) >= encFlushAt {
+		b.raw(nil)
+	}
 }
 
 func (b *blockWriter) close() error {
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], b.crc)
-	_, err := b.w.Write(tail[:])
-	return err
+	if b.raw(nil); b.err == nil {
+		_, b.err = b.w.Write(binary.LittleEndian.AppendUint32(b.buf, b.crc))
+	}
+	*b.bp = b.buf
+	putEncBuf(b.bp)
+	return b.err
 }
 
-// writeIntBlock emits vals as a raw little-endian int64 block.
+// writeIntBlock emits vals as a raw little-endian int64 block. The
+// buffer stays in a local across a slab of values: this loop and its
+// float twin carry most of a columnar file.
 func writeIntBlock(w io.Writer, vals []int64) error {
-	b, err := newBlock(w, uint64(8*len(vals)))
-	if err != nil {
-		return err
-	}
-	bp := getEncBuf()
-	defer putEncBuf(bp)
-	buf := (*bp)[:0]
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		if len(buf) >= csvFlushAt {
-			if _, err := b.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
+	b := newBlock(w, uint64(8*len(vals)))
+	for ; len(vals) > 0; vals = vals[min(len(vals), encFlushAt/8):] {
+		buf := b.buf
+		for _, v := range vals[:min(len(vals), encFlushAt/8)] {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 		}
-	}
-	if _, err := b.Write(buf); err != nil {
-		return err
+		b.buf = buf
+		b.raw(nil)
 	}
 	return b.close()
 }
 
 // writeFloatBlock emits vals as raw IEEE-754 bit patterns.
 func writeFloatBlock(w io.Writer, vals []float64) error {
-	b, err := newBlock(w, uint64(8*len(vals)))
-	if err != nil {
-		return err
-	}
-	bp := getEncBuf()
-	defer putEncBuf(bp)
-	buf := (*bp)[:0]
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		if len(buf) >= csvFlushAt {
-			if _, err := b.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
+	b := newBlock(w, uint64(8*len(vals)))
+	for ; len(vals) > 0; vals = vals[min(len(vals), encFlushAt/8):] {
+		buf := b.buf
+		for _, v := range vals[:min(len(vals), encFlushAt/8)] {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
-	}
-	if _, err := b.Write(buf); err != nil {
-		return err
+		b.buf = buf
+		b.raw(nil)
 	}
 	return b.close()
 }
 
 // writeStringBlock emits the offsets array followed by the
-// concatenated bytes.
-func writeStringBlock(w io.Writer, vals []string) error {
+// concatenated bytes, from either string layout; an arena chunk's bytes
+// are already the file's.
+func writeStringBlock(w io.Writer, pt *PropertyTable) error {
 	var total uint64
-	for _, s := range vals {
-		total += uint64(len(s))
+	for _, code := range pt.codes {
+		total += uint64(len(pt.dict[code]))
 	}
-	b, err := newBlock(w, uint64(8*(len(vals)+1))+total)
-	if err != nil {
-		return err
+	for c := range pt.arenas {
+		total += uint64(len(pt.arenas[c].Data))
 	}
-	bp := getEncBuf()
-	defer putEncBuf(bp)
-	buf := (*bp)[:0]
+	b := newBlock(w, uint64(8*(pt.n+1))+total)
 	var off uint64
-	buf = binary.LittleEndian.AppendUint64(buf, 0)
-	for _, s := range vals {
-		off += uint64(len(s))
-		buf = binary.LittleEndian.AppendUint64(buf, off)
-		if len(buf) >= csvFlushAt {
-			if _, err := b.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
+	b.u64(0)
+	for _, code := range pt.codes {
+		off += uint64(len(pt.dict[code]))
+		b.u64(off)
 	}
-	for _, s := range vals {
-		buf = append(buf, s...)
-		if len(buf) >= csvFlushAt {
-			if _, err := b.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
+	for c := range pt.arenas {
+		for _, end := range pt.arenas[c].Offs[1:] {
+			b.u64(off + uint64(end))
 		}
+		off += uint64(len(pt.arenas[c].Data))
 	}
-	if _, err := b.Write(buf); err != nil {
-		return err
+	for _, code := range pt.codes {
+		b.str(pt.dict[code])
+	}
+	for c := range pt.arenas {
+		b.raw(pt.arenas[c].Data)
 	}
 	return b.close()
 }
@@ -176,7 +172,7 @@ func writeColumn(w io.Writer, pt *PropertyTable) error {
 	}
 	switch pt.Kind {
 	case KindString:
-		return writeStringBlock(w, pt.strs)
+		return writeStringBlock(w, pt)
 	case KindFloat:
 		return writeFloatBlock(w, pt.floats)
 	default:
@@ -356,7 +352,9 @@ func readFloatBlock(r *bufio.Reader, rows int64, what string) ([]float64, error)
 	return vals, nil
 }
 
-func readStringBlock(r *bufio.Reader, rows int64, what string) ([]string, error) {
+// readStringBlock decodes a string block into arena chunks that alias
+// the payload's bytes.
+func readStringBlock(r *bufio.Reader, rows int64, what string) ([]Chunk, error) {
 	payload, err := readBlock(r, 0, what)
 	if err != nil {
 		return nil, err
@@ -366,20 +364,26 @@ func readStringBlock(r *bufio.Reader, rows int64, what string) ([]string, error)
 		return nil, fmt.Errorf("table: columnar %s block too short for %d offsets", what, rows+1)
 	}
 	data := payload[offBytes:]
-	vals := make([]string, rows)
-	prev := binary.LittleEndian.Uint64(payload)
-	if prev != 0 {
+	if binary.LittleEndian.Uint64(payload) != 0 {
 		return nil, fmt.Errorf("table: columnar %s block has non-zero base offset", what)
 	}
+	arenas := make([]Chunk, (rows+ChunkRows-1)/ChunkRows)
+	var base, prev uint64
 	for i := int64(0); i < rows; i++ {
+		a := &arenas[i/ChunkRows]
+		if i%ChunkRows == 0 {
+			base = prev
+			a.Offs = append(make([]uint32, 0, min(ChunkRows, rows-i)+1), 0)
+		}
 		next := binary.LittleEndian.Uint64(payload[8*(i+1):])
-		if next < prev || next > uint64(len(data)) {
+		if next < prev || next > uint64(len(data)) || next-base > math.MaxUint32 {
 			return nil, fmt.Errorf("table: columnar %s block has invalid offset %d at row %d", what, next, i)
 		}
-		vals[i] = string(data[prev:next])
+		a.Offs = append(a.Offs, uint32(next-base))
+		a.Data = data[base:next]
 		prev = next
 	}
-	return vals, nil
+	return arenas, nil
 }
 
 // ReadColumnarTable decodes one columnar file from r.
@@ -439,10 +443,10 @@ func ReadColumnarTable(r io.Reader) (*ColumnarTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		pt := &PropertyTable{Name: name, Kind: ValueKind(kb)}
+		pt := &PropertyTable{Name: name, Kind: ValueKind(kb), n: rows}
 		switch pt.Kind {
 		case KindString:
-			if pt.strs, err = readStringBlock(br, rows, name); err != nil {
+			if pt.arenas, err = readStringBlock(br, rows, name); err != nil {
 				return nil, err
 			}
 		case KindFloat:

@@ -1,32 +1,14 @@
 package table
 
 import (
-	"strconv"
 	"strings"
-	"sync"
-	"time"
 	"unicode"
 	"unicode/utf8"
 )
 
-// Pooled append-based CSV encoding. The original writers rendered every
-// cell through fmt.Sprintf and encoding/csv, which allocates one string
-// per cell; at export scale (millions of rows) the formatting dominated
-// export wall time. This encoder appends cells directly into a pooled
-// byte buffer with strconv's append family instead, producing output
-// byte-identical to encoding/csv (UseCRLF = false): the quoting rules
-// below mirror csv.Writer.fieldNeedsQuotes, so any parser that accepted
-// the old files accepts the new ones, bit for bit.
-
-// encBufPool recycles row/flush buffers across exported tables; a
-// concurrent Export borrows one buffer per worker.
-var encBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 64<<10)
-	return &b
-}}
-
-func getEncBuf() *[]byte  { return encBufPool.Get().(*[]byte) }
-func putEncBuf(b *[]byte) { *b = (*b)[:0]; encBufPool.Put(b) }
+// CSV string cells. The quoting rules mirror encoding/csv
+// (UseCRLF = false), so any parser that accepts its files accepts
+// these, bit for bit.
 
 // csvFieldNeedsQuotes replicates encoding/csv's quoting decision for a
 // separator rune: quote when the field contains the separator, a quote
@@ -74,25 +56,4 @@ func appendCSVField(dst []byte, field string, comma rune) []byte {
 		}
 	}
 	return append(dst, '"')
-}
-
-// appendDate appends the ISO rendering of a days-since-epoch value,
-// matching FormatDate.
-func appendDate(dst []byte, days int64) []byte {
-	return time.Unix(days*86400, 0).UTC().AppendFormat(dst, dateLayout)
-}
-
-// appendCSV appends row id's CSV rendering. Numeric and date cells
-// never need quoting; string cells go through the csv quoting rules.
-func (pt *PropertyTable) appendCSV(dst []byte, id int64, comma rune) []byte {
-	switch pt.Kind {
-	case KindString:
-		return appendCSVField(dst, pt.strs[id], comma)
-	case KindFloat:
-		return strconv.AppendFloat(dst, pt.floats[id], 'g', -1, 64)
-	case KindDate:
-		return appendDate(dst, pt.ints[id])
-	default:
-		return strconv.AppendInt(dst, pt.ints[id], 10)
-	}
 }

@@ -11,7 +11,7 @@ import (
 
 // Fuzz harnesses holding the pooled append encoders against the stdlib
 // encoders they claim byte-identity with. The CSV side cross-checks
-// PropertyTable.appendCSV / appendCSVField against encoding/csv over
+// WriteNodeCSV / appendCSVField against encoding/csv over
 // the legacy fmt-rendered cells; the JSON side cross-checks
 // appendJSONFloat / appendJSONString against encoding/json — including
 // its error behaviour on NaN and ±Inf, which have no JSON encoding.
@@ -40,7 +40,11 @@ func FuzzFloatEncoding(f *testing.F) {
 
 		// CSV: the append encoder vs encoding/csv over the legacy
 		// fmt-based rendering (PropertyTable.Format).
-		got := string(pt.appendCSV(nil, 0, ','))
+		var enc bytes.Buffer
+		if err := WriteNodeCSV(&enc, "T", []*PropertyTable{pt}, NodeCSVOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		got := strings.TrimSuffix(strings.TrimPrefix(enc.String(), "id,x\n0,"), "\n")
 		var ref bytes.Buffer
 		w := csv.NewWriter(&ref)
 		if err := w.Write([]string{pt.Format(0)}); err != nil {

@@ -4,9 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"datasynth/internal/faultfs"
@@ -138,16 +139,8 @@ type exportJob struct {
 // exportJobs enumerates the dataset's files in deterministic order:
 // node types sorted by name, then edge types sorted by name.
 func (d *Dataset) exportJobs(f Format) []exportJob {
-	nodeTypes := make([]string, 0, len(d.NodeCounts))
-	for t := range d.NodeCounts {
-		nodeTypes = append(nodeTypes, t)
-	}
-	sort.Strings(nodeTypes)
-	edgeTypes := make([]string, 0, len(d.Edges))
-	for t := range d.Edges {
-		edgeTypes = append(edgeTypes, t)
-	}
-	sort.Strings(edgeTypes)
+	nodeTypes := slices.Sorted(maps.Keys(d.NodeCounts))
+	edgeTypes := slices.Sorted(maps.Keys(d.Edges))
 
 	jobs := make([]exportJob, 0, len(nodeTypes)+len(edgeTypes))
 	for _, t := range nodeTypes {

@@ -7,6 +7,7 @@ import (
 	"encoding/csv"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // raggedDataset returns a dataset whose edge property row count does
@@ -389,20 +391,19 @@ func TestCSVNumericAppendMatchesFormat(t *testing.T) {
 	for i, f := range floats {
 		pt.SetFloat(int64(i), f)
 	}
-	for i := range floats {
-		got := string(pt.appendCSV(nil, int64(i), ','))
-		if want := pt.Format(int64(i)); got != want {
-			t.Errorf("float row %d: append %q, Format %q", i, got, want)
-		}
+	dates := NewPropertyTable("T.d", KindDate, int64(len(floats)))
+	for i, d := range []int64{0, MustParseDate("2017-04-03"), -400, MinDate, MaxDate, 11016, 19782} {
+		dates.SetInt(int64(i), d)
 	}
-	dates := NewPropertyTable("T.d", KindDate, 3)
-	dates.SetInt(0, 0)
-	dates.SetInt(1, MustParseDate("2017-04-03"))
-	dates.SetInt(2, -400)
-	for i := int64(0); i < 3; i++ {
-		got := string(dates.appendCSV(nil, i, ','))
-		if want := dates.Format(i); got != want {
-			t.Errorf("date row %d: append %q, Format %q", i, got, want)
-		}
+	var got bytes.Buffer
+	if err := WriteNodeCSV(&got, "T", []*PropertyTable{pt, dates}, NodeCSVOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	want := "id,f,d\n"
+	for i := range floats {
+		want += fmt.Sprintf("%d,%s,%s\n", i, pt.Format(int64(i)), time.Unix(dates.Int(int64(i))*86400, 0).UTC().Format("2006-01-02"))
+	}
+	if got.String() != want {
+		t.Errorf("encoder wrote %q, fmt/time render %q", got.String(), want)
 	}
 }

@@ -1,10 +1,10 @@
 package table
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"strconv"
+	"sort"
+	"strings"
 	"unicode/utf8"
 )
 
@@ -12,13 +12,8 @@ import (
 // "others" requirement (Section 2): integration with downstream tooling
 // via portable formats. We write one CSV file per node type and per edge
 // type, the layout used by most property-graph bulk loaders
-// (Neo4j-style node/relationship files). Rows are rendered by the
-// pooled append encoder in csvenc.go — no per-cell allocation — and the
-// bytes match encoding/csv output exactly.
-
-// csvFlushAt is the buffered-row threshold at which the encoder hands
-// its batch to the underlying writer.
-const csvFlushAt = 48 << 10
+// (Neo4j-style node/relationship files). Rows are rendered by the row
+// writer in rows.go and the bytes match encoding/csv output exactly.
 
 // NodeCSVOptions configures WriteNodeCSV.
 type NodeCSVOptions struct {
@@ -29,118 +24,72 @@ type NodeCSVOptions struct {
 // joining the given PTs on the implicit id column. All PTs must have
 // the same length. Property columns are emitted in the order given.
 func WriteNodeCSV(w io.Writer, typeName string, props []*PropertyTable, opt NodeCSVOptions) error {
-	var n int64 = -1
-	for _, pt := range props {
-		if n == -1 {
-			n = pt.Len()
-		} else if pt.Len() != n {
-			return fmt.Errorf("table: property %s has %d rows, expected %d", pt.Name, pt.Len(), n)
-		}
-	}
-	if n == -1 {
-		n = 0
-	}
-	if err := checkColumnCollisions([]string{"id"}, props); err != nil {
-		return err
-	}
-	comma := opt.Comma
-	if comma == 0 {
-		comma = ','
-	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	bp := getEncBuf()
-	defer putEncBuf(bp)
-	buf := (*bp)[:0]
-	buf = appendCSVField(buf, "id", comma)
-	for _, pt := range props {
-		buf = utf8.AppendRune(buf, comma)
-		buf = appendCSVField(buf, shortName(pt.Name), comma)
-	}
-	buf = append(buf, '\n')
-	for id := int64(0); id < n; id++ {
-		buf = strconv.AppendInt(buf, id, 10)
-		for _, pt := range props {
-			buf = utf8.AppendRune(buf, comma)
-			buf = pt.appendCSV(buf, id, comma)
-		}
-		buf = append(buf, '\n')
-		if len(buf) >= csvFlushAt {
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
-	*bp = buf
-	return bw.Flush()
+	return writeTable(w, newCellFormat(false, opt.Comma), typeName, nil, props)
 }
 
 // WriteEdgeCSV writes an edge-type file with header
 // "id,tail,head,prop1,…". Edge PTs must have one row per edge.
 func WriteEdgeCSV(w io.Writer, et *EdgeTable, props []*PropertyTable, opt NodeCSVOptions) error {
-	for _, pt := range props {
-		if pt.Len() != et.Len() {
-			return fmt.Errorf("table: edge property %s has %d rows, edge table has %d", pt.Name, pt.Len(), et.Len())
-		}
+	return writeTable(w, newCellFormat(false, opt.Comma), et.Name, et, props)
+}
+
+// writeTable plans the fields of a node (et nil) or edge table in the
+// row format f — the id, for JSON the label, an edge's endpoints, then
+// the properties — and writes its rows.
+func writeTable(w io.Writer, f *cellFormat, label string, et *EdgeTable, props []*PropertyTable) error {
+	fields := []rowField{{name: "id", kind: fieldSeq}}
+	if f.json {
+		fields = append(fields, rowField{name: "label", kind: fieldConst, pre: appendJSONString(nil, label)})
 	}
-	if err := checkColumnCollisions([]string{"id", "tail", "head"}, props); err != nil {
+	n := int64(-1)
+	if et != nil {
+		n = et.Len()
+		fields = append(fields, rowField{name: "tail", kind: fieldInt, ints: et.Tail}, rowField{name: "head", kind: fieldInt, ints: et.Head})
+	}
+	names := make([]string, len(fields))
+	for i := range fields {
+		names[i] = fields[i].name
+	}
+	if err := checkColumnCollisions(names, props); err != nil {
 		return err
 	}
-	comma := opt.Comma
-	if comma == 0 {
-		comma = ','
-	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	bp := getEncBuf()
-	defer putEncBuf(bp)
-	buf := (*bp)[:0]
-	buf = appendCSVField(buf, "id", comma)
-	buf = utf8.AppendRune(buf, comma)
-	buf = appendCSVField(buf, "tail", comma)
-	buf = utf8.AppendRune(buf, comma)
-	buf = appendCSVField(buf, "head", comma)
 	for _, pt := range props {
-		buf = utf8.AppendRune(buf, comma)
-		buf = appendCSVField(buf, shortName(pt.Name), comma)
-	}
-	buf = append(buf, '\n')
-	for id := int64(0); id < et.Len(); id++ {
-		buf = strconv.AppendInt(buf, id, 10)
-		buf = utf8.AppendRune(buf, comma)
-		buf = strconv.AppendInt(buf, et.Tail[id], 10)
-		buf = utf8.AppendRune(buf, comma)
-		buf = strconv.AppendInt(buf, et.Head[id], 10)
-		for _, pt := range props {
-			buf = utf8.AppendRune(buf, comma)
-			buf = pt.appendCSV(buf, id, comma)
+		if n < 0 {
+			n = pt.Len()
+		} else if pt.Len() != n {
+			return fmt.Errorf("table: property %s has %d rows, expected %d", pt.Name, pt.Len(), n)
 		}
-		buf = append(buf, '\n')
-		if len(buf) >= csvFlushAt {
-			if _, err := bw.Write(buf); err != nil {
-				return err
+		rf, err := f.field(pt)
+		if err != nil {
+			return err
+		}
+		fields = append(fields, rf)
+	}
+	n = max(n, 0)
+	if f.json {
+		// encoding/json orders map keys lexicographically on the raw key.
+		sort.Slice(fields, func(i, j int) bool { return fields[i].name < fields[j].name })
+		for i := range fields {
+			open := byte(',')
+			if i == 0 {
+				open = '{'
 			}
-			buf = buf[:0]
+			fields[i].pre = append(append(appendJSONString([]byte{open}, fields[i].name), ':'), fields[i].pre...)
 		}
+		return writeRows(w, f, nil, fields, n, "}\n")
 	}
-	if _, err := bw.Write(buf); err != nil {
-		return err
+	var head []byte
+	for i := range fields {
+		if i > 0 {
+			fields[i].pre = utf8.AppendRune(nil, f.comma)
+		}
+		head = appendCSVField(append(head, fields[i].pre...), fields[i].name, f.comma)
 	}
-	*bp = buf
-	return bw.Flush()
+	return writeRows(w, f, append(head, '\n'), fields, n, "\n")
 }
 
 // shortName strips the "Type." prefix from a PT name for CSV headers.
-func shortName(name string) string {
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == '.' {
-			return name[i+1:]
-		}
-	}
-	return name
-}
+func shortName(name string) string { return name[strings.LastIndexByte(name, '.')+1:] }
 
 // checkColumnCollisions rejects property short names that would
 // collide with a structural column of the emitted file or with one

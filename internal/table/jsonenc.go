@@ -7,16 +7,10 @@ import (
 	"unicode/utf8"
 )
 
-// Pooled append-based JSON encoding primitives. The original JSONL
-// writers boxed every row into a map[string]any and ran encoding/json
-// over it — one map churn plus reflection-driven encoding per row,
-// ~20x slower than the CSV path. These helpers append values directly
-// into the shared encoder buffers, producing output byte-identical to
-// encoding/json's default configuration (HTML escaping on, map keys
-// sorted): the escape tables and float formatting below mirror the
-// stdlib encoder exactly, so any consumer that accepted the old files
-// accepts the new ones, bit for bit. The fuzz tests in
-// enc_fuzz_test.go hold both encoders side by side.
+// JSON string and float cells, byte-identical to encoding/json's default
+// configuration (HTML escaping on): the escape tables and float
+// formatting below mirror the stdlib encoder exactly, and the fuzz tests
+// in enc_fuzz_test.go hold both side by side.
 
 const jsonHexDigits = "0123456789abcdef"
 
@@ -114,26 +108,4 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 		}
 	}
 	return dst, nil
-}
-
-// appendJSON appends row id's JSON rendering, matching encoding/json:
-// strings escaped, dates as ISO string literals, floats through the
-// stdlib float formatting.
-func (pt *PropertyTable) appendJSON(dst []byte, id int64) ([]byte, error) {
-	switch pt.Kind {
-	case KindString:
-		return appendJSONString(dst, pt.strs[id]), nil
-	case KindFloat:
-		out, err := appendJSONFloat(dst, pt.floats[id])
-		if err != nil {
-			return out, fmt.Errorf("table: property %s row %d: %w", pt.Name, id, err)
-		}
-		return out, nil
-	case KindDate:
-		dst = append(dst, '"')
-		dst = appendDate(dst, pt.ints[id])
-		return append(dst, '"'), nil
-	default:
-		return strconv.AppendInt(dst, pt.ints[id], 10), nil
-	}
 }

@@ -1,91 +1,23 @@
 package table
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-)
+import "io"
 
 // JSON-lines connectors: one JSON object per node/edge, the streaming
 // format document stores and data pipelines ingest directly. Together
 // with the CSV writers this covers the paper's "integrability"
 // requirement (connectors for production-level technologies).
 //
-// Rows are rendered by the pooled append encoder in jsonenc.go —
-// byte-identical to the previous per-row map[string]any +
-// encoding/json path (keys sorted lexicographically, HTML-escaped
-// strings, stdlib float formatting) at CSV-class throughput. A
-// property whose short name would collide with a structural key
-// ("id", "label", "tail", "head") or with another property used to
-// silently overwrite that field in the emitted object; it is now a
-// hard error.
-
-// jsonlField kinds: the structural columns every row carries, plus
-// property columns.
-const (
-	jsonlFieldID = iota
-	jsonlFieldLabel
-	jsonlFieldTail
-	jsonlFieldHead
-	jsonlFieldProp
-)
-
-// jsonlField is one key of the emitted row object.
-type jsonlField struct {
-	name string // unescaped key; ordering follows encoding/json's map-key sort
-	key  []byte // pre-rendered `"name":`
-	kind int
-	pt   *PropertyTable
-}
-
-// jsonlPlan orders the row's fields exactly as encoding/json orders
-// map keys (lexicographic on the raw key) and rejects property short
-// names that would overwrite a structural field or one another
-// (checkColumnCollisions, shared with the CSV writers).
-func jsonlPlan(structural []jsonlField, props []*PropertyTable) ([]jsonlField, error) {
-	names := make([]string, len(structural))
-	for i, f := range structural {
-		names[i] = f.name
-	}
-	if err := checkColumnCollisions(names, props); err != nil {
-		return nil, err
-	}
-	fields := append([]jsonlField(nil), structural...)
-	for _, pt := range props {
-		fields = append(fields, jsonlField{name: shortName(pt.Name), kind: jsonlFieldProp, pt: pt})
-	}
-	sort.Slice(fields, func(i, j int) bool { return fields[i].name < fields[j].name })
-	for i := range fields {
-		fields[i].key = append(appendJSONString(nil, fields[i].name), ':')
-	}
-	return fields, nil
-}
+// Rows are rendered by the row writer in rows.go — byte-identical to a
+// per-row map[string]any through encoding/json (keys sorted
+// lexicographically, HTML-escaped strings, stdlib float formatting). A
+// property whose short name collides with a structural key ("id",
+// "label", "tail", "head") or with another property is a hard error.
 
 // WriteNodeJSONL writes one object per node: {"id":…, "label":…,
 // "<prop>":…} with keys in sorted order. A property short name equal
 // to "id" or "label" (or duplicated across properties) is an error.
 func WriteNodeJSONL(w io.Writer, typeName string, props []*PropertyTable) error {
-	var n int64 = -1
-	for _, pt := range props {
-		if n == -1 {
-			n = pt.Len()
-		} else if pt.Len() != n {
-			return fmt.Errorf("table: property %s has %d rows, expected %d", pt.Name, pt.Len(), n)
-		}
-	}
-	if n == -1 {
-		n = 0
-	}
-	fields, err := jsonlPlan([]jsonlField{
-		{name: "id", kind: jsonlFieldID},
-		{name: "label", kind: jsonlFieldLabel},
-	}, props)
-	if err != nil {
-		return err
-	}
-	return writeJSONLRows(w, fields, n, appendJSONString(nil, typeName), nil)
+	return writeTable(w, newCellFormat(true, 0), typeName, nil, props)
 }
 
 // WriteEdgeJSONL writes one object per edge: {"head":…, "id":…,
@@ -93,68 +25,7 @@ func WriteNodeJSONL(w io.Writer, typeName string, props []*PropertyTable) error 
 // property short name equal to a structural key ("id", "label",
 // "tail", "head") or duplicated across properties is an error.
 func WriteEdgeJSONL(w io.Writer, et *EdgeTable, props []*PropertyTable) error {
-	for _, pt := range props {
-		if pt.Len() != et.Len() {
-			return fmt.Errorf("table: edge property %s has %d rows, edge table has %d", pt.Name, pt.Len(), et.Len())
-		}
-	}
-	fields, err := jsonlPlan([]jsonlField{
-		{name: "id", kind: jsonlFieldID},
-		{name: "label", kind: jsonlFieldLabel},
-		{name: "tail", kind: jsonlFieldTail},
-		{name: "head", kind: jsonlFieldHead},
-	}, props)
-	if err != nil {
-		return err
-	}
-	return writeJSONLRows(w, fields, et.Len(), appendJSONString(nil, et.Name), et)
-}
-
-// writeJSONLRows renders n row objects through the pooled append
-// encoder. label is the pre-escaped label literal; et supplies the
-// structural tail/head columns for edge rows (nil for node rows).
-func writeJSONLRows(w io.Writer, fields []jsonlField, n int64, label []byte, et *EdgeTable) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	bp := getEncBuf()
-	defer putEncBuf(bp)
-	buf := (*bp)[:0]
-	var err error
-	for id := int64(0); id < n; id++ {
-		buf = append(buf, '{')
-		for i := range fields {
-			f := &fields[i]
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, f.key...)
-			switch f.kind {
-			case jsonlFieldID:
-				buf = strconv.AppendInt(buf, id, 10)
-			case jsonlFieldLabel:
-				buf = append(buf, label...)
-			case jsonlFieldTail:
-				buf = strconv.AppendInt(buf, et.Tail[id], 10)
-			case jsonlFieldHead:
-				buf = strconv.AppendInt(buf, et.Head[id], 10)
-			default:
-				if buf, err = f.pt.appendJSON(buf, id); err != nil {
-					return err
-				}
-			}
-		}
-		buf = append(buf, '}', '\n')
-		if len(buf) >= csvFlushAt {
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
-	*bp = buf
-	return bw.Flush()
+	return writeTable(w, newCellFormat(true, 0), et.Name, et, props)
 }
 
 // WriteDirJSONL exports the dataset as nodes_<Type>.jsonl and

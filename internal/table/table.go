@@ -7,9 +7,23 @@
 // head:int64] holding the structure of one edge type; edge ids are dense
 // in [0, m) and endpoint ids are dense per endpoint type.
 //
-// Tables are append-oriented and chunked so generation can proceed in
-// parallel: each worker fills its own id range and the chunks are then
+// Tables are chunked so generation can proceed in parallel: each worker
+// fills its own id range (PropertyTable.FillChunk) and the chunks are
 // stitched without copying.
+//
+// # String columns
+//
+// A string column is stored in one of two layouts, never as a []string.
+// Coded: one uint32 code per row into a value list the whole column
+// shares — what a finite-vocabulary generator (categorical, zipf,
+// dictionary, constant, a fused column, an endpoint-copy of one) fills,
+// at 4 bytes a row, and what lets the matcher's labels and the encoders'
+// rendered cells be worked out per distinct value. Arena: per chunk of
+// ChunkRows rows, the cells' bytes back to back plus their offsets — the
+// layout a columnar file stores — for open-ended values (text, uuid,
+// multi-categorical, a loaded .dsc file). String(id) reads either;
+// Strings() materialises a fresh []string, one header per row, and is
+// for callers that really want every row as a Go string.
 //
 // # Export
 //
@@ -26,7 +40,10 @@
 // every worker count.
 package table
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ValueKind enumerates the value types a Property Table can hold.
 type ValueKind int
@@ -73,48 +90,66 @@ func ParseValueKind(s string) (ValueKind, error) {
 
 // PropertyTable is a dense [id, value] table for one <type, property>
 // pair. Row i holds the value of instance id i, so the id column is
-// implicit. Exactly one of the value slices is non-nil, matching Kind.
+// implicit. Int, date and float columns are one typed slice; string
+// columns use one of the two layouts in the package doc.
 type PropertyTable struct {
 	Name string // "<TypeName>.<property>"
 	Kind ValueKind
 
-	strs   []string
+	n      int64
 	ints   []int64
 	floats []float64
+	codes  []uint32          // coded strings: row i is dict[codes[i]]
+	dict   []string          // non-nil marks the coded layout
+	index  map[string]uint32 // dict's inverse, on tables SetString may write
+	arenas []Chunk           // arena strings: arenas[c] holds rows [c*ChunkRows, (c+1)*ChunkRows)
 }
 
-// NewPropertyTable allocates a PT with capacity for n rows.
+// NewPropertyTable allocates a PT of n zero-valued rows. A string table
+// built this way is coded over a private value list that SetString
+// extends, so it can be written cell by cell.
 func NewPropertyTable(name string, kind ValueKind, n int64) *PropertyTable {
-	pt := &PropertyTable{Name: name, Kind: kind}
-	switch kind {
-	case KindString:
-		pt.strs = make([]string, n)
-	case KindFloat:
+	pt := &PropertyTable{Name: name, Kind: kind, n: n}
+	if kind == KindString {
+		pt = NewStringTable(name, n, []string{""})
+		pt.index = map[string]uint32{"": 0}
+	} else if kind == KindFloat {
 		pt.floats = make([]float64, n)
-	default:
+	} else {
 		pt.ints = make([]int64, n)
 	}
 	return pt
 }
 
-// Len returns the number of rows.
-func (pt *PropertyTable) Len() int64 {
-	switch pt.Kind {
-	case KindString:
-		return int64(len(pt.strs))
-	case KindFloat:
-		return int64(len(pt.floats))
-	default:
-		return int64(len(pt.ints))
+// NewStringTable allocates a string PT to be filled chunk by chunk
+// (FillChunk): coded over the shared value list dict, or — dict nil —
+// in the arena layout.
+func NewStringTable(name string, n int64, dict []string) *PropertyTable {
+	pt := &PropertyTable{Name: name, Kind: KindString, n: n, dict: dict}
+	if dict != nil {
+		pt.codes = make([]uint32, n)
+	} else {
+		pt.arenas = make([]Chunk, (n+ChunkRows-1)/ChunkRows)
 	}
+	return pt
 }
 
-// SetString sets row id. Panics if the kind is not string.
+// Len returns the number of rows.
+func (pt *PropertyTable) Len() int64 { return pt.n }
+
+// SetString sets row id of a string table from NewPropertyTable, adding
+// v to the value list if it is new. Panics on any other table.
 func (pt *PropertyTable) SetString(id int64, v string) {
-	if pt.Kind != KindString {
-		panic(fmt.Sprintf("table: %s is %v, not string", pt.Name, pt.Kind))
+	if pt.index == nil {
+		panic(fmt.Sprintf("table: %s was not built by NewPropertyTable as a string table", pt.Name))
 	}
-	pt.strs[id] = v
+	code, ok := pt.index[v]
+	if !ok {
+		code = uint32(len(pt.dict))
+		pt.dict = append(pt.dict, v)
+		pt.index[v] = code
+	}
+	pt.codes[id] = code
 }
 
 // SetInt sets row id for int and date tables.
@@ -133,8 +168,14 @@ func (pt *PropertyTable) SetFloat(id int64, v float64) {
 	pt.floats[id] = v
 }
 
-// String returns the string value of row id.
-func (pt *PropertyTable) String(id int64) string { return pt.strs[id] }
+// String returns the string value of row id. On an arena column the
+// result is a fresh copy of the cell's bytes.
+func (pt *PropertyTable) String(id int64) string {
+	if pt.dict != nil {
+		return pt.dict[pt.codes[id]]
+	}
+	return pt.arenas[id/ChunkRows].Str(int(id % ChunkRows))
+}
 
 // Int returns the int/date value of row id.
 func (pt *PropertyTable) Int(id int64) int64 { return pt.ints[id] }
@@ -146,7 +187,7 @@ func (pt *PropertyTable) Float(id int64) float64 { return pt.floats[id] }
 func (pt *PropertyTable) Value(id int64) any {
 	switch pt.Kind {
 	case KindString:
-		return pt.strs[id]
+		return pt.String(id)
 	case KindFloat:
 		return pt.floats[id]
 	default:
@@ -156,27 +197,43 @@ func (pt *PropertyTable) Value(id int64) any {
 
 // Format renders row id as its CSV representation.
 func (pt *PropertyTable) Format(id int64) string {
-	switch pt.Kind {
-	case KindString:
-		return pt.strs[id]
-	case KindFloat:
-		return fmt.Sprintf("%g", pt.floats[id])
-	case KindDate:
+	if pt.Kind == KindDate {
 		return FormatDate(pt.ints[id])
-	default:
-		return fmt.Sprintf("%d", pt.ints[id])
 	}
+	return fmt.Sprint(pt.Value(id))
 }
 
 // Ints exposes the raw int column (int and date kinds). Callers must
 // not resize it.
 func (pt *PropertyTable) Ints() []int64 { return pt.ints }
 
-// Strings exposes the raw string column.
-func (pt *PropertyTable) Strings() []string { return pt.strs }
-
 // Floats exposes the raw float column.
 func (pt *PropertyTable) Floats() []float64 { return pt.floats }
+
+// Strings materialises the string column as a new []string — n string
+// headers, plus one copy of each arena chunk's bytes. Per-row readers
+// should prefer String, per-value ones Coded.
+func (pt *PropertyTable) Strings() []string {
+	if pt.Kind != KindString {
+		return nil
+	}
+	out := make([]string, pt.n)
+	for i, code := range pt.codes {
+		out[i] = pt.dict[code]
+	}
+	for c := range pt.arenas {
+		a := &pt.arenas[c]
+		data := string(a.Data)
+		for i := 0; i+1 < len(a.Offs); i++ {
+			out[c*ChunkRows+i] = data[a.Offs[i]:a.Offs[i+1]]
+		}
+	}
+	return out
+}
+
+// Coded returns the codes and value list of a coded string column, or
+// nils for any other column.
+func (pt *PropertyTable) Coded() ([]uint32, []string) { return pt.codes, pt.dict }
 
 // EdgeTable is the dense [id, tail, head] table of one edge type. Edge
 // id i connects Tail[i] -> Head[i]; ids are implicit row numbers.
@@ -188,11 +245,7 @@ type EdgeTable struct {
 
 // NewEdgeTable allocates an ET with capacity hint m.
 func NewEdgeTable(name string, m int64) *EdgeTable {
-	return &EdgeTable{
-		Name: name,
-		Tail: make([]int64, 0, m),
-		Head: make([]int64, 0, m),
-	}
+	return &EdgeTable{Name: name, Tail: make([]int64, 0, m), Head: make([]int64, 0, m)}
 }
 
 // Len returns the number of edges.
@@ -208,16 +261,11 @@ func (et *EdgeTable) Add(tail, head int64) int64 {
 // MaxNode returns the largest endpoint id plus one (i.e. the implied
 // node-domain size), or 0 for an empty table.
 func (et *EdgeTable) MaxNode() int64 {
-	var max int64 = -1
+	top := int64(-1)
 	for i := range et.Tail {
-		if et.Tail[i] > max {
-			max = et.Tail[i]
-		}
-		if et.Head[i] > max {
-			max = et.Head[i]
-		}
+		top = max(top, et.Tail[i], et.Head[i])
 	}
-	return max + 1
+	return top + 1
 }
 
 // Validate checks structural invariants: endpoints within [0, nTail)
@@ -261,12 +309,5 @@ func (et *EdgeTable) Remap(f []int64) {
 
 // Clone returns a deep copy of the table.
 func (et *EdgeTable) Clone() *EdgeTable {
-	c := &EdgeTable{
-		Name: et.Name,
-		Tail: make([]int64, len(et.Tail)),
-		Head: make([]int64, len(et.Head)),
-	}
-	copy(c.Tail, et.Tail)
-	copy(c.Head, et.Head)
-	return c
+	return &EdgeTable{Name: et.Name, Tail: slices.Clone(et.Tail), Head: slices.Clone(et.Head)}
 }

@@ -62,9 +62,19 @@ func (d *Discrete) Sample(s Stream, i int64) int {
 	return d.SampleU(s.Float64(i))
 }
 
-// SampleU inverts the CDF at u in [0,1).
+// SampleU inverts the CDF at u in [0,1): the first category whose
+// cumulative probability reaches u. It is sort.SearchFloat64s without
+// the call per probe — this sits under every categorical draw.
 func (d *Discrete) SampleU(u float64) int {
-	return sort.SearchFloat64s(d.cum, u)
+	lo, hi := 0, len(d.cum)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); d.cum[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Prob returns the probability of category k.
