@@ -72,9 +72,7 @@ func main() {
 	scenarioName := flag.String("name", "", "scenario name to check against the registry's naming rule (with -scenario)")
 	example := flag.Bool("example", false, "print an example schema and exit")
 	verbose := flag.Bool("v", false, "log task progress")
-	workers := flag.Int("workers", 0, "scheduler and intra-task worker bound (0 = GOMAXPROCS, which also caps larger values; 1 = sequential); output is byte-identical at any count")
-	window := flag.Int("window", 0, "SBM-Part stream window (0 = auto: serial below 3 effective workers, else 2048; negative = serial; > 1 forces windowed); output is byte-identical at any setting")
-	refineWindow := flag.Int("refinewindow", 0, "stream window of SBM-Part's re-streaming refinement passes (0 = inherit -window, negative = serial); output is byte-identical at any setting")
+	workers := flag.Int("workers", 0, "scheduler and intra-task worker bound (0 = GOMAXPROCS, which also caps larger values; 1 = sequential; SBM-Part scans windowed from 3 effective workers up); output is byte-identical at any count")
 	exportWorkers := flag.Int("exportworkers", 0, "concurrent table writers during export (0 = inherit -workers, 1 = one table at a time); file bytes are identical at any count")
 	timings := flag.Bool("timings", false, "print the per-task timing report and end-to-end critical path (generation + export)")
 	flag.Parse()
@@ -164,8 +162,6 @@ func main() {
 	}
 	eng := core.New(s)
 	eng.Workers = *workers
-	eng.MatchWindow = *window
-	eng.RefineWindow = *refineWindow
 	eng.ExportFormat = exportFormat
 	eng.ExportWorkers = *exportWorkers
 	if *verbose {

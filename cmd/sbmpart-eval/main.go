@@ -33,9 +33,7 @@ func main() {
 	musweep := flag.Bool("musweep", false, "run the structure-sensitivity sweep (fidelity vs LFR mixing)")
 	bipartite := flag.Bool("bipartite", false, "run the bipartite SBM-Part fidelity panels")
 	passes := flag.Int("passes", 0, "re-streaming refinement passes for figure panels")
-	window := flag.Int("window", 0, "SBM-Part stream window (0 = auto: serial below 3 effective workers, else 2048; negative = serial; > 1 forces windowed); output is byte-identical at any setting")
-	refineWindow := flag.Int("refinewindow", 0, "stream window of the re-streaming refinement passes (0 = inherit -window, negative = serial); output is byte-identical at any setting")
-	workers := flag.Int("workers", 0, "intra-task worker bound for LFR sharding and window scans (0 = GOMAXPROCS, 1 = serial)")
+	workers := flag.Int("workers", 0, "intra-task worker bound for LFR sharding and SBM-Part scans (0 = GOMAXPROCS, 1 = serial; SBM-Part scans windowed from 3 effective workers up)")
 	panelWorkers := flag.Int("panelworkers", 0, "concurrent figure panels / sweep points (0 = GOMAXPROCS, 1 = serial); panel artifacts are byte-identical at any count — the timing experiment always runs serially")
 	all := flag.Bool("all", false, "run every experiment")
 	full := flag.Bool("full", false, "use the paper's full sizes (LFR-1M, RMAT-22); slow")
@@ -46,8 +44,6 @@ func main() {
 	tune := func(panels []exp.Panel) []exp.Panel {
 		panels = withPasses(panels, *passes)
 		for i := range panels {
-			panels[i].Window = *window
-			panels[i].RefineWindow = *refineWindow
 			panels[i].Workers = *workers
 		}
 		return panels
@@ -74,7 +70,7 @@ func main() {
 	}
 	if *all || *bipartite {
 		ran = true
-		if err := runBipartite(*out, *window, *workers); err != nil {
+		if err := runBipartite(*out, *workers); err != nil {
 			fatal(err)
 		}
 	}
@@ -129,14 +125,14 @@ func runMuSweep(out string, workers int) error {
 }
 
 // runBipartite measures the bipartite SBM-Part variation at a few
-// sizes; -window and -workers flow through (output is byte-identical
-// at every setting, only match_ms moves).
-func runBipartite(out string, window, workers int) error {
+// sizes; -workers flows through (output is byte-identical at every
+// setting, only match_ms moves).
+func runBipartite(out string, workers int) error {
 	fmt.Println("== Bipartite SBM-Part: fidelity of the two-domain matching ==")
 	panels := []exp.Panel{
-		{Size: 10000, K: 8, Seed: 51, Window: window, Workers: workers},
-		{Size: 20000, K: 16, Seed: 52, Window: window, Workers: workers},
-		{Size: 40000, K: 16, Seed: 53, Window: window, Workers: workers},
+		{Size: 10000, K: 8, Seed: 51, Workers: workers},
+		{Size: 20000, K: 16, Seed: 52, Workers: workers},
+		{Size: 40000, K: 16, Seed: 53, Workers: workers},
 	}
 	rs := make([]*exp.BipartiteResult, 0, len(panels))
 	for _, p := range panels {

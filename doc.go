@@ -53,38 +53,29 @@
 //
 // Beyond task-level scheduling, the two largest tasks shard
 // internally, under one invariant: the dataset is a pure function of
-// the schema seed — byte-identical at every worker count and window
-// size, verified end to end by hashing exported CSV/JSONL files
-// (internal/core TestExportedDatasetGoldenDeterminism).
+// the schema seed — byte-identical at every worker count, verified
+// end to end by hashing exported CSV/JSONL files (internal/core
+// TestExportedDatasetGoldenDeterminism).
 //
-//   - Windowed SBM-Part (internal/match): the node stream is processed
-//     in fixed-size windows. A parallel scan phase classifies every
-//     window node's neighbourhood against a frozen snapshot of the
-//     partial assignment; a sequential commit phase patches in the
-//     neighbours placed earlier in the same window — reconstructing
-//     exactly the counts, in exactly the floating-point summation
-//     order, the serial stream would see — and places nodes in stream
-//     order. Knobs: SBMPart.Window / Options.Window (<= 1 = serial,
-//     > 1 = windowed; 0 = auto, which by measurement is the serial
-//     stream below three effective workers and DefaultWindow from
-//     there up — match.EffectiveWindow) and Workers (0 = GOMAXPROCS);
-//     cmd flags -window / -workers.
-//   - Windowed re-streaming refinement (internal/match): the
-//     multi-pass matcher (restreamed-LDG refinement, the schema's
-//     `passes` knob) applies the same scan/commit split to every
-//     refinement pass. Scans classify each neighbour under the frozen
-//     *hybrid* assignment — new group if already re-placed, previous-
-//     pass group if it cannot move within the window — and only
-//     same-window neighbours stay pending for the commit to patch.
-//     The per-pass quota ledger and the isolated-node fallback run
-//     exclusively in the sequential commit, so the refined partition
-//     is a pure function of the seed: byte-identical at every
-//     refinement window size and worker count, including the FP
-//     summation order of the vacate/re-add joint-matrix updates.
-//     Knobs: SBMPart.RefineWindow / Options.RefineWindow /
-//     Engine.RefineWindow (0 = inherit the first-pass window,
-//     negative = serial); cmd flag -refinewindow. Per-pass wall times
-//     surface in the -timings report as match-task notes.
+//   - SBM-Part's stream kernel (internal/match): the first pass, the
+//     re-streaming refinement passes (the schema's `passes` knob), the
+//     bipartite matcher — the same partitioner over a block target
+//     matrix — and the LDG baseline share one loop. Below three
+//     effective workers it runs serially; from there up the node
+//     stream is processed in windows of 2048: a parallel scan counts
+//     every window node's neighbour groups against the assignment,
+//     which is frozen until the scans are done, leaving only
+//     same-window neighbours pending; a sequential commit patches
+//     those in — reconstructing exactly the counts, in exactly the
+//     floating-point summation order, the serial stream would see —
+//     and places nodes in stream order. The quota ledger, the
+//     isolated-node fallback and the vacate/re-add joint-matrix
+//     updates of refinement run only in the commit, so the partition
+//     is a pure function of the seed at every worker count. The one
+//     knob is Workers (SBMPart.Workers / Options.Workers /
+//     Engine.Workers, 0 = GOMAXPROCS; cmd flag -workers); the window
+//     is derived, not set. The driver that ran and the per-pass wall
+//     times surface in the -timings report as match-task notes.
 //   - Sharded LFR wiring (internal/sgen): once community sizes and
 //     memberships are fixed, each community's internal configuration
 //     model is an independent shard. Shard c draws from its own RNG
@@ -128,8 +119,8 @@
 //     Files stage as temp files and rename into place only after
 //     every table succeeded, so a failed export never leaves a
 //     partial directory. The exported bytes are hash-verified
-//     identical across scheduler workers, match windows, refinement
-//     windows and export workers (internal/core
+//     identical across scheduler workers — hence both SBM-Part
+//     stream drivers — and export workers (internal/core
 //     TestExportedDatasetGoldenDeterminism and its refined variant).
 //
 // # Serving generation: datasynthd
@@ -165,5 +156,6 @@
 //
 //	go test -bench=. -benchmem .
 //
-// or ./bench.sh to record a machine-readable snapshot.
+// while working on one function; performance claims are made with the
+// repository's benchmark, go run -C bench . (see bench/README.md).
 package datasynth

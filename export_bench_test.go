@@ -3,8 +3,9 @@ package datasynth
 // Export-throughput benchmarks on the Figure3_LFR100k dataset: the
 // panel's 100k nodes / ~1M edges materialised as a property graph
 // (int + string + float node columns plus the edge table) and written
-// in every connector format. These are the numbers behind the PR-over-
-// PR export trajectory in BENCH_pr<N>.json:
+// in every connector format — micro-benchmarks for work on the
+// encoders; the end-to-end export numbers are the benchmark's
+// (go run -C bench .):
 //
 //   - CSVSerial is the old one-table-at-a-time baseline shape
 //     (Workers=1) on the new append encoder;

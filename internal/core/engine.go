@@ -46,22 +46,13 @@ type Engine struct {
 	Schema *schema.Schema
 	PGens  *pgen.Registry
 	SGens  *sgen.Registry
-	// Workers bounds the parallelism of both the task scheduler and
-	// per-property row generation; 0 means GOMAXPROCS (which also caps
-	// any larger value), 1 runs the plan strictly sequentially. The
-	// output is byte-identical at any value.
+	// Workers bounds the parallelism of the task scheduler, per-property
+	// row generation and SBM-Part's neighbourhood scans (which run
+	// windowed from three effective workers up, serially below); 0
+	// means GOMAXPROCS (which also caps any larger value), 1 runs the
+	// plan strictly sequentially. The output is byte-identical at any
+	// value.
 	Workers int
-	// MatchWindow sets the stream window of the windowed-parallel
-	// SBM-Part used by match tasks: 0 lets match.EffectiveWindow choose
-	// (serial below three effective workers), negative forces the
-	// serial stream, > 1 forces the windowed path. Every setting yields
-	// a byte-identical dataset.
-	MatchWindow int
-	// RefineWindow sets the stream window of SBM-Part's re-streaming
-	// refinement passes (the schema's `passes` knob): 0 inherits the
-	// resolved MatchWindow, negative forces serial refinement. Every
-	// setting yields a byte-identical dataset.
-	RefineWindow int
 	// ExportFormat selects the on-disk encoding used by Export
 	// (the zero value is CSV).
 	ExportFormat table.Format

@@ -46,25 +46,26 @@ func hashDir(t *testing.T, dir string) map[string]string {
 	return hashes
 }
 
-// exportHashes generates the schema at the given worker count, match
-// window and refinement window, exports it in every format at the
-// given export worker count, and returns the per-file SHA-256 set.
-func exportHashes(t *testing.T, s *schema.Schema, workers, window, refineWindow, exportWorkers int) map[string]string {
+// exportHashes generates the schema at the given worker count, exports
+// it in every format at the given export worker count, and returns the
+// per-file SHA-256 set. It runs under GOMAXPROCS=4 so that the worker
+// count alone picks SBM-Part's stream driver whatever the box has:
+// serial at 1 and 2 workers, windowed at 3 and up (and at 0 = auto).
+func exportHashes(t *testing.T, s *schema.Schema, workers, exportWorkers int) map[string]string {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	e := New(s)
 	e.Workers = workers
-	e.MatchWindow = window
-	e.RefineWindow = refineWindow
 	d, err := e.Generate()
 	if err != nil {
-		t.Fatalf("workers=%d window=%d: %v", workers, window, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	dir := t.TempDir()
 	hashes := map[string]string{}
 	for _, format := range []table.Format{table.FormatCSV, table.FormatJSONL, table.FormatColumnar} {
 		sub := filepath.Join(dir, format.String())
 		if _, err := d.Export(sub, table.ExportOptions{Format: format, Workers: exportWorkers}); err != nil {
-			t.Fatalf("workers=%d window=%d %v: %v", workers, window, format, err)
+			t.Fatalf("workers=%d %v: %v", workers, format, err)
 		}
 		for name, h := range hashDir(t, sub) {
 			hashes[format.String()+"/"+name] = h
@@ -73,38 +74,48 @@ func exportHashes(t *testing.T, s *schema.Schema, workers, window, refineWindow,
 	return hashes
 }
 
+// exportConfigs is the (scheduler workers, export workers) matrix both
+// determinism tests walk after their sequential, serial-stream,
+// serial-export baseline at {1, 1}.
+var exportConfigs = []struct{ workers, exportWorkers int }{
+	{1, 4},
+	{2, 2}, // parallel plan, still the serial stream
+	{3, 1}, // windowed stream
+	{4, 8},
+	{0, 0}, // everything auto
+}
+
+// checkExportDeterminism compares s's exported hashes at every
+// exportConfigs entry against the {1, 1} baseline, which it returns.
+func checkExportDeterminism(t *testing.T, s func() *schema.Schema) map[string]string {
+	t.Helper()
+	ref := exportHashes(t, s(), 1, 1)
+	if len(ref) != 6 {
+		t.Fatalf("expected 6 exported files (csv+jsonl+columnar × nodes+edges), got %d", len(ref))
+	}
+	for _, cfg := range exportConfigs {
+		got := exportHashes(t, s(), cfg.workers, cfg.exportWorkers)
+		if len(got) != len(ref) {
+			t.Fatalf("workers=%d: %d files, want %d", cfg.workers, len(got), len(ref))
+		}
+		for name, h := range ref {
+			if got[name] != h {
+				t.Errorf("workers=%d exportWorkers=%d: %s hash %s, want %s", cfg.workers, cfg.exportWorkers, name, got[name], h)
+			}
+		}
+	}
+	return ref
+}
+
 // TestExportedDatasetGoldenDeterminism is the end-to-end determinism
 // contract: a Figure-3-style schema (LFR structure + SBM-Part match +
 // parallel property fill) must export byte-identical node, edge and
 // property files — hash-verified on disk, not just in memory — at
-// every scheduler worker count, every SBM-Part window size, every
-// export worker count and in every export format ("per-seed,
-// worker-invariant, format-stable").
+// every scheduler worker count (and so under both SBM-Part stream
+// drivers), every export worker count and in every export format
+// ("per-seed, worker-invariant, format-stable").
 func TestExportedDatasetGoldenDeterminism(t *testing.T) {
-	ref := exportHashes(t, quickstartSchema(), 1, -1, -1, 1) // sequential plan, serial stream, serial export
-	if len(ref) != 6 {
-		t.Fatalf("expected 6 exported files (csv+jsonl+columnar × nodes+edges), got %d", len(ref))
-	}
-	configs := []struct{ workers, window, exportWorkers int }{
-		{1, 64, 1},
-		{1, 1 << 20, 4}, // whole stream in one window
-		{runtime.NumCPU(), -1, runtime.NumCPU()},
-		{runtime.NumCPU(), 0, 0}, // auto window, auto export workers
-		{runtime.NumCPU(), 64, 8},
-		{4, 512, 2},
-	}
-	for _, cfg := range configs {
-		got := exportHashes(t, quickstartSchema(), cfg.workers, cfg.window, 0, cfg.exportWorkers)
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d window=%d: %d files, want %d", cfg.workers, cfg.window, len(got), len(ref))
-		}
-		for name, h := range ref {
-			if got[name] != h {
-				t.Errorf("workers=%d window=%d exportWorkers=%d: %s hash %s, want %s",
-					cfg.workers, cfg.window, cfg.exportWorkers, name, got[name], h)
-			}
-		}
-	}
+	checkExportDeterminism(t, quickstartSchema)
 }
 
 // refinedQuickstartSchema is the quickstart schema with re-streaming
@@ -118,37 +129,15 @@ func refinedQuickstartSchema() *schema.Schema {
 
 // TestExportedRefinedDatasetGoldenDeterminism extends the contract to
 // the multi-pass matcher: with refinement passes in the schema, the
-// exported files must hash identically at every combination of
-// scheduler workers, first-pass window and refinement window —
-// including windowed-refinement-under-serial-first-pass and vice
-// versa.
+// exported files must hash identically whether the first pass and the
+// refinement passes stream serially or windowed.
 func TestExportedRefinedDatasetGoldenDeterminism(t *testing.T) {
-	ref := exportHashes(t, refinedQuickstartSchema(), 1, -1, -1, 1) // fully serial baseline
-	if len(ref) != 6 {
-		t.Fatalf("expected 6 exported files, got %d", len(ref))
-	}
+	ref := checkExportDeterminism(t, refinedQuickstartSchema)
 	// The refined dataset must actually differ from the single-pass one
 	// (otherwise this test would silently duplicate the one above).
-	plain := exportHashes(t, quickstartSchema(), 1, -1, -1, 1)
+	plain := exportHashes(t, quickstartSchema(), 1, 1)
 	if plain["csv/edges_follows.csv"] == ref["csv/edges_follows.csv"] {
 		t.Fatal("refinement passes did not change the matched edge table")
-	}
-	configs := []struct{ workers, window, refineWindow, exportWorkers int }{
-		{1, -1, 64, 1},                               // serial first pass, windowed refinement
-		{runtime.NumCPU(), 64, -1, 0},                // windowed first pass, serial refinement
-		{runtime.NumCPU(), 64, 0, 0},                 // refinement inherits the first-pass window
-		{runtime.NumCPU(), 0, 512, 4},                // auto window, explicit refinement window
-		{4, 1 << 20, 1 << 20, 2},                     // whole stream in one window, both passes
-		{runtime.NumCPU(), 128, 7, runtime.NumCPU()}, // deliberately ragged window
-	}
-	for _, cfg := range configs {
-		got := exportHashes(t, refinedQuickstartSchema(), cfg.workers, cfg.window, cfg.refineWindow, cfg.exportWorkers)
-		for name, h := range ref {
-			if got[name] != h {
-				t.Errorf("workers=%d window=%d refine=%d exportWorkers=%d: %s hash %s, want %s",
-					cfg.workers, cfg.window, cfg.refineWindow, cfg.exportWorkers, name, got[name], h)
-			}
-		}
 	}
 }
 
@@ -165,13 +154,14 @@ func matchNotes(rep *RunReport) []string {
 
 // TestOneProcAutoMatchesExplicitParallel: the configuration the
 // benchmark runs — every knob auto under GOMAXPROCS=1, which resolves
-// the matcher to its serial path — must export the same bytes as
-// explicitly parallel knobs (Workers = 4, MatchWindow = 2048), and each
-// run's match-task note must say which SBM-Part path it took.
+// the matcher to its serial stream — must export the same bytes as four
+// workers on four Ps, which resolves it to the windowed one, and each
+// run's match-task note must say which driver it took.
 func TestOneProcAutoMatchesExplicitParallel(t *testing.T) {
-	run := func(workers, window int) (map[string]string, []string) {
+	run := func(procs, workers int) (map[string]string, []string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		e := New(refinedQuickstartSchema())
-		e.Workers, e.MatchWindow = workers, window
+		e.Workers = workers
 		d, err := e.Generate()
 		if err != nil {
 			t.Fatal(err)
@@ -182,23 +172,19 @@ func TestOneProcAutoMatchesExplicitParallel(t *testing.T) {
 		}
 		return hashDir(t, dir), matchNotes(e.Report())
 	}
+	auto, autoNotes := run(1, 0)
+	parallel, parallelNotes := run(4, 4)
 
-	procs := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(procs)
-	auto, autoNotes := run(0, 0)
-	runtime.GOMAXPROCS(procs)
-	explicit, explicitNotes := run(4, 2048)
-
-	for name, h := range explicit {
+	for name, h := range parallel {
 		if auto[name] != h {
-			t.Errorf("%s: GOMAXPROCS=1 auto hash %s, Workers=4 MatchWindow=2048 hash %s", name, auto[name], h)
+			t.Errorf("%s: GOMAXPROCS=1 auto hash %s, GOMAXPROCS=4 Workers=4 hash %s", name, auto[name], h)
 		}
 	}
 	if len(autoNotes) != 1 || !strings.HasPrefix(autoNotes[0], "sbm serial ") {
 		t.Errorf("GOMAXPROCS=1 auto match notes %q, want one starting \"sbm serial \"", autoNotes)
 	}
-	if len(explicitNotes) != 1 || !strings.HasPrefix(explicitNotes[0], "sbm windowed 2048×") {
-		t.Errorf("explicit-window match notes %q, want one starting \"sbm windowed 2048×\"", explicitNotes)
+	if len(parallelNotes) != 1 || !strings.HasPrefix(parallelNotes[0], "sbm windowed 2048×4 ") {
+		t.Errorf("four-worker match notes %q, want one starting \"sbm windowed 2048×4 \"", parallelNotes)
 	}
 }
 

@@ -274,7 +274,7 @@ func (e *Engine) matchEdge(st *runState, plan *depgraph.Plan, edgeName string) (
 	if edge.Correlation.Property != "" {
 		return e.matchMonopartite(st, edge, et, nTail, seed)
 	}
-	return "", e.matchBipartiteEdge(st, edge, et, nTail, nHead, seed)
+	return e.matchBipartiteEdge(st, edge, et, nTail, nHead, seed)
 }
 
 // matchRandom applies the paper's uncorrelated rule: "In those cases
@@ -455,31 +455,29 @@ func (e *Engine) matchMonopartite(st *runState, edge *schema.EdgeType, et *table
 	opt := match.DefaultOptions(seed)
 	opt.Passes = edge.Correlation.Passes
 	opt.Workers = e.Workers
-	opt.Window = e.MatchWindow
-	opt.RefineWindow = e.RefineWindow
 	res, err := match.MatchProperty(et, nTail, labels, target, opt)
 	if err != nil {
 		return "", err
 	}
 	et.Remap(res.Mapping)
 	l1, _ := stats.L1(target, res.Observed)
-	note := sbmNote(res)
+	note := sbmNote(res.Mode, res.PartitionTime, res.PassTimes)
 	e.logf("match %s: k=%d L1=%.4f %s", edge.Name, k, l1, note)
 	st.setMatched(edge.Name)
 	return note, nil
 }
 
-// sbmNote renders a match result's SBM-Part timing for logs and the
-// timing report: the path that ran (serial, or windowed window×scan
-// workers), the total, plus the per-pass breakdown when refinement
-// passes ran (pass 0 is the initial stream).
-func sbmNote(res *match.Result) string {
-	if len(res.PassTimes) <= 1 {
-		return fmt.Sprintf("sbm %s %v", res.Mode, res.PartitionTime.Round(time.Microsecond))
+// sbmNote renders a match task's SBM-Part timing for logs and the
+// timing report: the stream driver that ran (serial, or windowed
+// window×scan workers), the total, plus the per-pass breakdown when
+// refinement passes ran (pass 0 is the initial stream).
+func sbmNote(mode string, total time.Duration, passTimes []time.Duration) string {
+	if len(passTimes) <= 1 {
+		return fmt.Sprintf("sbm %s %v", mode, total.Round(time.Microsecond))
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "sbm %s %v (passes", res.Mode, res.PartitionTime.Round(time.Microsecond))
-	for i, d := range res.PassTimes {
+	fmt.Fprintf(&b, "sbm %s %v (passes", mode, total.Round(time.Microsecond))
+	for i, d := range passTimes {
 		if i == 0 {
 			fmt.Fprintf(&b, " %v", d.Round(time.Microsecond))
 		} else {
@@ -491,44 +489,41 @@ func sbmNote(res *match.Result) string {
 }
 
 // matchBipartiteEdge runs the bipartite SBM-Part variation for an edge
-// correlating a tail property with a head property.
-func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *table.EdgeTable, nTail, nHead int64, seed uint64) error {
+// correlating a tail property with a head property, returning the same
+// timing note as matchMonopartite.
+func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *table.EdgeTable, nTail, nHead int64, seed uint64) (string, error) {
 	c := edge.Correlation
 	tailPT, ok := st.prop(edge.Tail, c.TailProperty)
 	if !ok {
-		return fmt.Errorf("core: property %s.%s not materialised", edge.Tail, c.TailProperty)
+		return "", fmt.Errorf("core: property %s.%s not materialised", edge.Tail, c.TailProperty)
 	}
 	headPT, ok := st.prop(edge.Head, c.HeadProperty)
 	if !ok {
-		return fmt.Errorf("core: property %s.%s not materialised", edge.Head, c.HeadProperty)
+		return "", fmt.Errorf("core: property %s.%s not materialised", edge.Head, c.HeadProperty)
 	}
 	tailLabels, tailValues, err := labelsFor(tailPT)
 	if err != nil {
-		return err
+		return "", err
 	}
 	headLabels, headValues, err := labelsFor(headPT)
 	if err != nil {
-		return err
+		return "", err
 	}
 	kt, kh := len(tailValues), len(headValues)
 	target, err := bipartiteTarget(c, tailLabels, headLabels, kt, kh)
 	if err != nil {
-		return err
+		return "", err
 	}
 	opt := match.DefaultOptions(seed)
-	// Same windowed-parallel knobs as the monopartite matcher: the
-	// matching is byte-identical at any {window, workers} setting, so
-	// these only move wall-clock.
 	opt.Workers = e.Workers
-	opt.Window = e.MatchWindow
 	res, err := match.MatchBipartite(et, nTail, nHead, tailLabels, headLabels, target, opt)
 	if err != nil {
-		return err
+		return "", err
 	}
 	et.RemapTails(res.TailMapping)
 	et.RemapHeads(res.HeadMapping)
 	st.setMatched(edge.Name)
-	return nil
+	return sbmNote(res.Mode, res.PartitionTime, nil), nil
 }
 
 // bipartiteTarget derives the kt×kh target: explicit matrix or the

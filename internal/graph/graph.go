@@ -62,10 +62,9 @@ func FromEdges(tail, head []int64, n int64) (*Graph, error) {
 // must not be used from multiple goroutines concurrently; pool builders
 // (sync.Pool) for concurrent use.
 type Builder struct {
-	deg  []int64
+	deg  []int64 // degree counts, then the fill cursor
 	offs []int64
 	adj  []int64
-	cur  []int64
 }
 
 // FromEdgeTable is FromEdgeTable over the builder's reused buffers.
@@ -78,19 +77,34 @@ func (b *Builder) FromEdgeTable(et *table.EdgeTable, n int64) (*Graph, error) {
 
 // FromEdges is FromEdges over the builder's reused buffers.
 func (b *Builder) FromEdges(tail, head []int64, n int64) (*Graph, error) {
+	return b.build(tail, head, n, n, 0)
+}
+
+// FromBipartiteEdges builds the undirected graph of a bipartite edge
+// list over nTail+nHead nodes: tail t keeps its id, head h becomes node
+// nTail+h. As in every graph built here, a node's neighbours are in
+// edge-list order.
+func (b *Builder) FromBipartiteEdges(tail, head []int64, nTail, nHead int64) (*Graph, error) {
+	return b.build(tail, head, nTail, nHead, nTail)
+}
+
+// build lays out the CSR for tails in [0, nTail) and heads in
+// [0, nHead), heads shifted by headShift in the node id space.
+func (b *Builder) build(tail, head []int64, nTail, nHead, headShift int64) (*Graph, error) {
 	if len(tail) != len(head) {
 		return nil, fmt.Errorf("graph: ragged edge list (%d tails, %d heads)", len(tail), len(head))
 	}
+	n := max(nTail, headShift+nHead)
 	b.deg = growInt64(b.deg, n)
 	deg := b.deg
 	clear(deg)
 	for i := range tail {
 		t, h := tail[i], head[i]
-		if t < 0 || t >= n || h < 0 || h >= n {
-			return nil, fmt.Errorf("graph: edge %d (%d,%d) outside [0,%d)", i, t, h, n)
+		if t < 0 || t >= nTail || h < 0 || h >= nHead {
+			return nil, fmt.Errorf("graph: edge %d (%d,%d) outside [0,%d)×[0,%d)", i, t, h, nTail, nHead)
 		}
 		deg[t]++
-		if h != t {
+		if h += headShift; h != t {
 			deg[h]++
 		}
 	}
@@ -102,11 +116,11 @@ func (b *Builder) FromEdges(tail, head []int64, n int64) (*Graph, error) {
 	}
 	b.adj = growInt64(b.adj, offs[n])
 	adj := b.adj
-	b.cur = growInt64(b.cur, n)
-	cur := b.cur
+	// The degree counts are spent; their buffer becomes the fill cursor.
+	cur := deg
 	copy(cur, offs[:n])
 	for i := range tail {
-		t, h := tail[i], head[i]
+		t, h := tail[i], head[i]+headShift
 		adj[cur[t]] = h
 		cur[t]++
 		if h != t {

@@ -3,7 +3,9 @@ package match
 import (
 	"fmt"
 	"math"
+	"time"
 
+	"datasynth/internal/graph"
 	"datasynth/internal/stats"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
@@ -13,9 +15,9 @@ import (
 // SBM-Part can also be applied to bi-partite graphs, since the SBM can
 // model this type of graphs as well. If the bi-partite graph is between
 // two different node types, the input would contain two PTs instead of
-// one." This file implements that variation for edge types such as
-// Person—creates—Message where both endpoint types carry a correlated
-// property.
+// one." This file holds that variation's inputs and outputs, for edge
+// types such as Person—creates—Message where both endpoint types carry
+// a correlated property; the partitioner itself is SBMPart's.
 
 // BipartiteTarget is a joint distribution P(X,Y) where X is the tail
 // property value (kT categories) and Y the head value (kH categories):
@@ -94,13 +96,24 @@ type BipartiteResult struct {
 	TailAssign, HeadAssign   []int64
 	TailMapping, HeadMapping []int64
 	Observed                 *BipartiteTarget
+	// Mode and PartitionTime are what Result's fields of the same name
+	// are: the stream driver that ran and the wall time inside it.
+	Mode          string
+	PartitionTime time.Duration
 }
 
 // MatchBipartite partitions both endpoint domains of a bipartite edge
 // table so that the observed P'(X,Y) approaches the target.
 // tailRowLabels/headRowLabels are the two PTs reduced to value indices;
-// their frequencies set the group capacities.
+// their frequencies set the group capacities. opt.Order, when set,
+// streams the combined id space: tails as they are, heads offset by
+// nTail. opt.Passes is ignored: the bipartite stream has no refinement.
 func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, headRowLabels []int64, target *BipartiteTarget, opt Options) (*BipartiteResult, error) {
+	return matchBipartite(et, nTail, nHead, tailRowLabels, headRowLabels, target, opt, autoWindow(opt.Workers))
+}
+
+// matchBipartite is MatchBipartite at an explicit stream window.
+func matchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, headRowLabels []int64, target *BipartiteTarget, opt Options, window int) (*BipartiteResult, error) {
 	if err := et.Validate(nTail, nHead); err != nil {
 		return nil, err
 	}
@@ -123,56 +136,38 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 		return nil, fmt.Errorf("match: %d head rows for %d head nodes", len(headRowLabels), nHead)
 	}
 
-	// Adjacency: tail -> heads and head -> tails (CSR over the ET).
-	tailAdj := buildAdj(et.Tail, et.Head, nTail)
-	headAdj := buildAdj(et.Head, et.Tail, nHead)
-
-	// Target probabilities; scaled to the running placed-edge count at
-	// each placement (see SBMPart for the proportional-target rationale).
-	tw := make([]float64, kt*kh)
-	copy(tw, target.P)
-	cur := make([]float64, kt*kh)
-	var placedEdges float64
-
-	assignT := make([]int64, nTail)
-	assignH := make([]int64, nHead)
-	for i := range assignT {
-		assignT[i] = Unassigned
+	// The bipartite SBM as a monopartite one (see the package comment):
+	// nodes are tails then heads, groups tail values then head values,
+	// and the target has mass only between the two. Each node's
+	// neighbour list keeps the edge table's order.
+	g, err := new(graph.Builder).FromBipartiteEdges(et.Tail, et.Head, nTail, nHead)
+	if err != nil {
+		return nil, err
 	}
-	for i := range assignH {
-		assignH[i] = Unassigned
+	block := stats.NewJoint(kt + kh)
+	for a := 0; a < kt; a++ {
+		for b := 0; b < kh; b++ {
+			block.Set(a, kt+b, target.At(a, b))
+		}
 	}
-	usedT := make([]int64, kt)
-	usedH := make([]int64, kh)
-
+	part := &SBMPart{
+		K: kt + kh, Target: block, Capacities: append(capT, capH...),
+		Balance: opt.Balance, Seed: opt.Seed, Workers: opt.Workers,
+		tails: nTail, tailGroups: kt,
+	}
 	order := opt.Order
 	if order == nil {
 		order = RandomOrder(nTail+nHead, opt.Seed)
 	}
-	if int64(len(order)) != nTail+nHead {
-		return nil, fmt.Errorf("match: order has %d entries for %d nodes", len(order), nTail+nHead)
-	}
-
-	st := &bipState{
-		nTail: nTail, kt: kt, kh: kh,
-		tailAdj: tailAdj, headAdj: headAdj,
-		tw: tw, cur: cur, placedEdges: placedEdges,
-		assignT: assignT, assignH: assignH,
-		usedT: usedT, usedH: usedH,
-		capT: capT, capH: capH,
-		order: order, balance: opt.Balance,
-		rnd: xrand.NewStream(opt.Seed).DeriveStream("bip-unconstrained"),
-	}
-	// The windowed path is byte-identical to the serial stream at every
-	// {window, workers} configuration (see bipartite_window.go); only
-	// the scan wall-clock changes.
-	if window := EffectiveWindow(opt.Window, opt.Workers); window > 1 {
-		err = st.runWindowed(window, opt.Workers)
-	} else {
-		err = st.runSerial()
-	}
+	start := time.Now()
+	r, err := part.partition(g, order, 0, window, window)
 	if err != nil {
 		return nil, err
+	}
+	partitionTime := time.Since(start)
+	assignT, assignH := r.assign[:nTail:nTail], r.assign[nTail:]
+	for i := range assignH {
+		assignH[i] -= int64(kt)
 	}
 
 	seedT := xrand.NewStream(opt.Seed).DeriveStream("bip-tail").Seed()
@@ -193,110 +188,6 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 		TailAssign: assignT, HeadAssign: assignH,
 		TailMapping: mapT, HeadMapping: mapH,
 		Observed: obs,
+		Mode:     part.Mode(), PartitionTime: partitionTime,
 	}, nil
 }
-
-// pickGroup applies SBM-Part's placement rule over one side's groups.
-// Neighbour-less nodes are placed pseudo-randomly weighted by remaining
-// capacity (see SBMPart.placeUnconstrained for the rationale). scratch
-// must hold at least k entries; it is caller-owned so the per-placement
-// score buffer is reused across the whole stream.
-func pickGroup(k int, used, caps []int64, delta func(t int) float64, hasNeighbors, balance bool, rnd xrand.Stream, node int64, scratch []float64) int64 {
-	if !hasNeighbors {
-		var totalRem int64
-		for t := 0; t < k; t++ {
-			if r := caps[t] - used[t]; r > 0 {
-				totalRem += r
-			}
-		}
-		if totalRem <= 0 {
-			return -1
-		}
-		pick := rnd.Intn(node, totalRem)
-		for t := 0; t < k; t++ {
-			if r := caps[t] - used[t]; r > 0 {
-				if pick < r {
-					return int64(t)
-				}
-				pick -= r
-			}
-		}
-		return -1
-	}
-	deltas := scratch[:k]
-	maxDelta := math.Inf(-1)
-	feasible := false
-	for t := 0; t < k; t++ {
-		if used[t] >= caps[t] {
-			deltas[t] = math.NaN()
-			continue
-		}
-		feasible = true
-		deltas[t] = delta(t)
-		if deltas[t] > maxDelta {
-			maxDelta = deltas[t]
-		}
-	}
-	if !feasible {
-		return -1
-	}
-	best := int64(-1)
-	if balance {
-		bestScore := math.Inf(-1)
-		var bestRem float64
-		for t := 0; t < k; t++ {
-			if math.IsNaN(deltas[t]) {
-				continue
-			}
-			rem := 1 - float64(used[t])/float64(caps[t])
-			score := (maxDelta - deltas[t]) * rem
-			if score > bestScore || (score == bestScore && rem > bestRem) {
-				bestScore = score
-				bestRem = rem
-				best = int64(t)
-			}
-		}
-	} else {
-		bestDelta := math.Inf(1)
-		var bestRem float64
-		for t := 0; t < k; t++ {
-			if math.IsNaN(deltas[t]) {
-				continue
-			}
-			rem := 1 - float64(used[t])/float64(caps[t])
-			if deltas[t] < bestDelta || (deltas[t] == bestDelta && rem > bestRem) {
-				bestDelta = deltas[t]
-				bestRem = rem
-				best = int64(t)
-			}
-		}
-	}
-	return best
-}
-
-// adj is a minimal CSR over one direction of a bipartite edge table.
-type adj struct {
-	offs []int64
-	dst  []int64
-}
-
-func buildAdj(src, dst []int64, n int64) *adj {
-	deg := make([]int64, n)
-	for _, s := range src {
-		deg[s]++
-	}
-	offs := make([]int64, n+1)
-	for v := int64(0); v < n; v++ {
-		offs[v+1] = offs[v] + deg[v]
-	}
-	out := make([]int64, offs[n])
-	cur := make([]int64, n)
-	copy(cur, offs[:n])
-	for i, s := range src {
-		out[cur[s]] = dst[i]
-		cur[s]++
-	}
-	return &adj{offs: offs, dst: out}
-}
-
-func (a *adj) neighbors(v int64) []int64 { return a.dst[a.offs[v]:a.offs[v+1]] }

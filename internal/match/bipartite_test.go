@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -180,15 +181,41 @@ func TestMatchBipartiteDeterministic(t *testing.T) {
 	}
 }
 
-func TestBuildAdj(t *testing.T) {
-	a := buildAdj([]int64{0, 0, 2}, []int64{5, 6, 7}, 3)
-	if n := a.neighbors(0); len(n) != 2 || n[0] != 5 || n[1] != 6 {
-		t.Errorf("neighbors(0) = %v", n)
+// TestMatchBipartiteBadOrder: a stream order over the combined id space
+// that is not a permutation is an error naming the offending id, for
+// both domains — not an index out of range or a node placed twice.
+func TestMatchBipartiteBadOrder(t *testing.T) {
+	et, nT, nH := separableBipartite(t)
+	tailRows := make([]int64, nT)
+	headRows := make([]int64, nH)
+	for i := int64(10); i < nT; i++ {
+		tailRows[i] = 1
 	}
-	if n := a.neighbors(1); len(n) != 0 {
-		t.Errorf("neighbors(1) = %v", n)
+	for i := int64(20); i < nH; i++ {
+		headRows[i] = 1
 	}
-	if n := a.neighbors(2); len(n) != 1 || n[0] != 7 {
-		t.Errorf("neighbors(2) = %v", n)
+	for _, tc := range []struct {
+		name string
+		at   int64
+		v    int64
+	}{
+		{"duplicate tail", 1, 0}, {"duplicate head", nT + 1, nT},
+		{"id past both domains", 3, nT + nH}, {"negative id", nT + nH - 1, -1},
+	} {
+		opt := DefaultOptions(1)
+		opt.Order = make([]int64, nT+nH)
+		for i := range opt.Order {
+			opt.Order[i] = int64(i)
+		}
+		opt.Order[tc.at] = tc.v
+		want := fmt.Sprintf("match: order is not a permutation (node %d)", tc.v)
+		if _, err := MatchBipartite(et, nT, nH, tailRows, headRows, diagBipTarget(), opt); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
+		}
+	}
+	opt := DefaultOptions(1)
+	opt.Order = make([]int64, nT)
+	if _, err := MatchBipartite(et, nT, nH, tailRows, headRows, diagBipTarget(), opt); err == nil {
+		t.Error("short order should fail")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"datasynth/internal/graph"
-	"datasynth/internal/stats"
 	"datasynth/internal/xrand"
 )
 
@@ -67,7 +66,7 @@ func messyGraph(t testing.TB, n, m int64, seed uint64) *graph.Graph {
 // TestCarriedJointMatrixMatchesRecount is the differential oracle for
 // carrying the joint matrix across passes: after the first pass and
 // after every refinement pass — serial and windowed, k ∈ {2, 16, 64} —
-// the matrix PartitionMultiPass holds must equal a from-scratch recount
+// the matrix the run holds must equal a from-scratch recount
 // of the assignment it returns, bit for bit, on a graph with self-loops,
 // parallel edges and isolated nodes. (Passes are deterministic, so the
 // state after pass e of a longer run is the result of a run with
@@ -75,6 +74,7 @@ func messyGraph(t testing.TB, n, m int64, seed uint64) *graph.Graph {
 func TestCarriedJointMatrixMatchesRecount(t *testing.T) {
 	const n, m = 3000, 24000
 	g := messyGraph(t, n, m, 41)
+	setProcs(t, 4)
 	modes := []struct {
 		name                 string
 		window, refineWindow int
@@ -82,18 +82,11 @@ func TestCarriedJointMatrixMatchesRecount(t *testing.T) {
 	}{
 		{"serial", 1, 1, 1},
 		{"windowed", 128, 96, 4},
-		{"windowed-first-serial-refine", 128, -1, 2},
+		{"windowed-first-serial-refine", 128, 1, 2},
 	}
 	for _, k := range []int{2, 16, 64} {
-		sizes := make([]int64, k)
-		for i := range sizes {
-			sizes[i] = n / int64(k)
-		}
-		sizes[0] += n - sizes[0]*int64(k)
-		target, err := stats.HomophilyJoint(sizes, 0.7)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sizes := equalSizes(n, k)
+		target := homophilyTarget(t, sizes, 0.7)
 		for _, mode := range modes {
 			for extra := 0; extra <= 3; extra++ {
 				t.Run(fmt.Sprintf("k=%d/%s/extra=%d", k, mode.name, extra), func(t *testing.T) {
@@ -102,11 +95,12 @@ func TestCarriedJointMatrixMatchesRecount(t *testing.T) {
 						t.Fatal(err)
 					}
 					part.Seed = 7
-					part.Window, part.RefineWindow, part.Workers = mode.window, mode.refineWindow, mode.workers
-					assign, cur, err := part.partitionMultiPass(g, RandomOrder(n, 3), extra)
+					part.Workers = mode.workers
+					r, err := part.partition(g, RandomOrder(n, 3), extra, mode.window, mode.refineWindow)
 					if err != nil {
 						t.Fatal(err)
 					}
+					assign, cur := r.assign, r.cur
 					want := recountJointMatrix(g, assign, k)
 					for i := range want {
 						if math.Float64bits(cur[i]) != math.Float64bits(want[i]) {

@@ -36,44 +36,13 @@ func NewLDG(capacities []int64) (*LDG, error) {
 // Partition streams the nodes of g in the given order and returns each
 // node's partition. Total capacity must cover g.N().
 func (l *LDG) Partition(g *graph.Graph, order []int64) ([]int64, error) {
-	n := g.N()
-	if int64(len(order)) != n {
-		return nil, fmt.Errorf("match: order has %d entries for %d nodes", len(order), n)
-	}
-	var total int64
-	for _, c := range l.Capacities {
-		total += c
-	}
-	if total < n {
-		return nil, fmt.Errorf("match: total capacity %d below node count %d", total, n)
+	if err := checkStream(order, g.N(), l.Capacities); err != nil {
+		return nil, err
 	}
 	k := len(l.Capacities)
-	assign := make([]int64, n)
-	for i := range assign {
-		assign[i] = Unassigned
-	}
+	s := newStream(g, k)
 	used := make([]int64, k)
-	neigh := make([]int64, k)
-	touched := make([]int, 0, k)
-	seen := make([]bool, n)
-
-	for _, v := range order {
-		if v < 0 || v >= n || seen[v] {
-			return nil, fmt.Errorf("match: order is not a permutation (node %d)", v)
-		}
-		seen[v] = true
-		touched = touched[:0]
-		for _, u := range g.Neighbors(v) {
-			if u == v {
-				continue
-			}
-			if a := assign[u]; a != Unassigned {
-				if neigh[a] == 0 {
-					touched = append(touched, int(a))
-				}
-				neigh[a]++
-			}
-		}
+	err := s.run(order, 1, 1, func(v int64) error {
 		best := int64(-1)
 		bestScore := math.Inf(-1)
 		var bestRem float64
@@ -82,7 +51,7 @@ func (l *LDG) Partition(g *graph.Graph, order []int64) ([]int64, error) {
 				continue
 			}
 			rem := 1 - float64(used[t])/float64(l.Capacities[t])
-			score := float64(neigh[t]) * rem
+			score := float64(s.cnt[t]) * rem
 			if score > bestScore || (score == bestScore && rem > bestRem) {
 				bestScore = score
 				bestRem = rem
@@ -90,13 +59,17 @@ func (l *LDG) Partition(g *graph.Graph, order []int64) ([]int64, error) {
 			}
 		}
 		if best < 0 {
-			return nil, fmt.Errorf("match: no feasible partition for node %d", v)
+			return fmt.Errorf("match: no feasible partition for node %d", v)
 		}
-		assign[v] = best
+		s.assign[v] = best
 		used[best]++
-		for _, j := range touched {
-			neigh[j] = 0
+		for _, j := range s.touched {
+			s.cnt[j] = 0
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return assign, nil
+	return s.assign, nil
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"datasynth/internal/graph"
-	"datasynth/internal/par"
 	"datasynth/internal/stats"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
@@ -71,60 +70,10 @@ type Options struct {
 	// Passes adds re-streaming refinement passes (see
 	// SBMPart.PartitionMultiPass).
 	Passes int
-	// Window sets the windowed-parallel streaming window size:
-	// 0 lets EffectiveWindow choose between the serial stream and
-	// DefaultWindow, negative (or 1) forces the serial path, anything
-	// larger forces the windowed path. The partition is byte-identical
-	// at every window size.
-	Window int
-	// Workers bounds the scan-phase concurrency (0 = GOMAXPROCS, 1 =
-	// serial; capped at GOMAXPROCS). The partition is byte-identical at
-	// every worker count.
+	// Workers bounds the scan concurrency (0 = GOMAXPROCS, which also
+	// caps it) and picks the stream driver; see SBMPart.Workers. The
+	// partition is byte-identical at every worker count.
 	Workers int
-	// RefineWindow sets the stream window of the re-streaming
-	// refinement passes: 0 inherits the resolved Window, negative (or
-	// 1) keeps refinement serial. The refined partition is
-	// byte-identical at every setting.
-	RefineWindow int
-}
-
-// DefaultWindow is the stream window an auto window (0) resolves to
-// when EffectiveWindow picks the windowed path — large enough to
-// amortise the scan fan-out, small enough that the frozen snapshot
-// stays fresh (few pending neighbours per node).
-const DefaultWindow = 2048
-
-// windowedMinWorkers is the effective parallelism (par.EffectiveWorkers)
-// from which an auto window picks the windowed scan/commit path. Below
-// it the windowed path loses to its serial twin: on RMAT scale 18 ×16,
-// k = 16, two refinement passes (bench workload cli-rmat-columnar,
-// 2-core box) SBM-Part took 0.52–0.61 s at window 2048 vs 0.30–0.36 s
-// serial at GOMAXPROCS=1, and 0.56–0.68 s vs 0.30–0.36 s at
-// GOMAXPROCS=2 (3/3 runs each; 8/8 and 5/5 alternating pairs the same
-// way round before serial refinement went in place) — the scan arenas
-// and the commit phase's patch-and-sort cost more than one extra scan
-// worker gives back. 3 and up is unmeasured on that box and stays
-// windowed.
-const windowedMinWorkers = 3
-
-// EffectiveWindow resolves the (Window, Workers) pair into a concrete
-// SBMPart.Window. An explicit window always wins (> 1 forces the
-// windowed path at any core count, <= 1 the serial one). Auto (0)
-// follows the measured rule above: the serial stream while the
-// effective parallelism — Workers capped at GOMAXPROCS, 0 meaning
-// GOMAXPROCS — is below windowedMinWorkers, DefaultWindow from there
-// up. The partition bytes are identical either way; this is purely a
-// wall-clock policy, kept in one place so the first pass, refinement
-// (which inherits the resolved window) and MatchBipartite, and every
-// caller (engine, experiment harness, CLI), agree.
-func EffectiveWindow(window, workers int) int {
-	if window != 0 {
-		return window
-	}
-	if par.EffectiveWorkers(workers) < windowedMinWorkers {
-		return 1
-	}
-	return DefaultWindow
 }
 
 // DefaultOptions returns the paper's configuration.
@@ -140,7 +89,7 @@ type Result struct {
 	Assign []int64
 	// Observed is the empirical joint P'(X,Y) after matching.
 	Observed *stats.Joint
-	// Mode names the SBM-Part path that ran (SBMPart.Mode), so timing
+	// Mode names the stream driver that ran (SBMPart.Mode), so timing
 	// reports say which implementation a number belongs to.
 	Mode string
 	// PartitionTime is the wall time spent inside SBM-Part itself (the
@@ -179,29 +128,17 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 	}
 	part.Balance = opt.Balance
 	part.Seed = opt.Seed
-	part.Window = EffectiveWindow(opt.Window, opt.Workers)
 	part.Workers = opt.Workers
-	part.RefineWindow = opt.RefineWindow
 	order := opt.Order
 	if order == nil {
 		order = RandomOrder(n, opt.Seed)
 	}
 	start := time.Now()
-	var assign []int64
-	passTimes := []time.Duration(nil)
-	if opt.Passes > 0 {
-		assign, err = part.PartitionMultiPass(g, order, opt.Passes)
-		passTimes = append(passTimes, part.PassTimes...)
-	} else {
-		assign, err = part.Partition(g, order)
-	}
-	partitionTime := time.Since(start)
-	if opt.Passes <= 0 {
-		passTimes = append(passTimes, partitionTime)
-	}
+	assign, err := part.PartitionMultiPass(g, order, max(opt.Passes, 0))
 	if err != nil {
 		return nil, err
 	}
+	partitionTime := time.Since(start)
 	mapping, err := BuildMapping(assign, rowLabels, target.K, opt.Seed)
 	if err != nil {
 		return nil, err
@@ -210,7 +147,7 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Mapping: mapping, Assign: assign, Observed: observed, Mode: part.Mode(opt.Passes > 0), PartitionTime: partitionTime, PassTimes: passTimes}, nil
+	return &Result{Mapping: mapping, Assign: assign, Observed: observed, Mode: part.Mode(), PartitionTime: partitionTime, PassTimes: part.PassTimes}, nil
 }
 
 // RandomMatch maps structure nodes to property rows uniformly at

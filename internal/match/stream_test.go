@@ -1,0 +1,530 @@
+package match
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"datasynth/internal/graph"
+	"datasynth/internal/sgen"
+	"datasynth/internal/stats"
+	"datasynth/internal/table"
+	"datasynth/internal/xrand"
+)
+
+// sha256Int64 fingerprints assignment and mapping vectors, in order.
+func sha256Int64(vecs ...[]int64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, vec := range vecs {
+		for _, v := range vec {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// equalSizes splits n rows into k groups, the remainder going to group 0.
+func equalSizes(n int64, k int) []int64 {
+	sizes := make([]int64, k)
+	for i := range sizes {
+		sizes[i] = n / int64(k)
+	}
+	sizes[0] += n - sizes[0]*int64(k)
+	return sizes
+}
+
+func homophilyTarget(t testing.TB, sizes []int64, h float64) *stats.Joint {
+	t.Helper()
+	target, err := stats.HomophilyJoint(sizes, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return target
+}
+
+func graphOf(t testing.TB, et *table.EdgeTable, err error, n int64) *graph.Graph {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.FromEdgeTable(et, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// lfrFixture builds an LFR graph plus a homophilous target/capacity
+// pair — the workload the windowed driver is for.
+func lfrFixture(t testing.TB, n int64, k int) (*graph.Graph, *stats.Joint, []int64) {
+	t.Helper()
+	et, err := sgen.NewLFR(17).Run(n)
+	sizes := equalSizes(n, k)
+	return graphOf(t, et, err, n), homophilyTarget(t, sizes, 0.8), sizes
+}
+
+// rmatFixture is the skewed counterpart: a few hubs whose neighbour
+// lists span many windows.
+func rmatFixture(t testing.TB, scale uint, k int) (*graph.Graph, *stats.Joint, []int64) {
+	t.Helper()
+	et, err := sgen.NewRMAT(29).RunScale(scale)
+	n := int64(1) << scale
+	sizes := equalSizes(n, k)
+	return graphOf(t, et, err, n), homophilyTarget(t, sizes, 0.7), sizes
+}
+
+// isolatedFixture builds a graph whose second half is isolated nodes,
+// with total capacity exactly n — so late isolated placements exhaust
+// group quotas and exercise refinement's first-feasible fallback.
+func isolatedFixture(t testing.TB, n int64, k int) (*graph.Graph, *stats.Joint, []int64) {
+	t.Helper()
+	et := table.NewEdgeTable("iso", n)
+	for v := int64(1); v < n/2; v++ {
+		et.Add(v-1, v) // a path through the first half
+		et.Add(v%7, v) // plus some chords for group structure
+	}
+	// Tight, skewed capacities summing exactly to n.
+	sizes := make([]int64, k)
+	rem := n
+	for i := 0; i < k-1; i++ {
+		sizes[i] = rem / 3
+		rem -= sizes[i]
+	}
+	sizes[k-1] = rem
+	return graphOf(t, et, nil, n), homophilyTarget(t, sizes, 0.7), sizes
+}
+
+// bipFixture is a bipartite edge table with row labellings for both
+// domains and the joint they induce as the matching target.
+type bipFixture struct {
+	et                     *table.EdgeTable
+	nTail, nHead           int64
+	tailLabels, headLabels []int64
+	target                 *BipartiteTarget
+}
+
+func newBipFixture(t testing.TB, et *table.EdgeTable, nTail, nHead int64, kt, kh int) *bipFixture {
+	t.Helper()
+	f := &bipFixture{et: et, nTail: nTail, nHead: nHead, tailLabels: make([]int64, nTail), headLabels: make([]int64, nHead)}
+	for i := range f.tailLabels {
+		f.tailLabels[i] = int64(i % kt)
+	}
+	for i := range f.headLabels {
+		f.headLabels[i] = int64(i % kh)
+	}
+	var err error
+	if f.target, err = EmpiricalBipartite(et, f.tailLabels, f.headLabels, kt, kh); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// zipfFixture is a *→* edge table from Zipf attachment: skewed
+// out-degrees and head popularity.
+func zipfFixture(t testing.TB, nTail, nHead int64, kt, kh int) *bipFixture {
+	t.Helper()
+	et, err := sgen.NewZipfAttachment(1, 12, 2.2, 1.1, 41).RunBipartite(nTail, nHead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newBipFixture(t, et, nTail, nHead, kt, kh)
+}
+
+// messyBipartite is a small random bipartite multigraph with hub heads,
+// parallel edges and a tenth of each domain isolated.
+func messyBipartite(t testing.TB, nTail, nHead, m int64, kt, kh int) *bipFixture {
+	t.Helper()
+	s := xrand.NewStream(77).DeriveStream("messy-bip")
+	liveT, liveH := nTail-nTail/10, nHead-nHead/10
+	et := table.NewEdgeTable("messy-bip", m+m/8)
+	for e := int64(0); e < m; e++ {
+		a, b := s.Intn(2*e, liveT), s.Intn(2*e+1, liveH)
+		if e%5 == 0 {
+			b = s.Intn(2*e+1, 4) // hub heads
+		}
+		et.Add(a, b)
+		if e%16 == 3 {
+			et.Add(a, b) // parallel edge
+		}
+	}
+	return newBipFixture(t, et, nTail, nHead, kt, kh)
+}
+
+func (f *bipFixture) match(t testing.TB, balance bool, window, workers int) *BipartiteResult {
+	t.Helper()
+	opt := DefaultOptions(63)
+	opt.Balance, opt.Workers = balance, workers
+	res, err := matchBipartite(f.et, f.nTail, f.nHead, f.tailLabels, f.headLabels, f.target, opt, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// partitionAt runs SBM-Part with extra refinement passes at explicit
+// stream windows on a fresh partitioner.
+func partitionAt(t testing.TB, g *graph.Graph, target *stats.Joint, sizes []int64, balance bool, extra, window, refineWindow, workers int) []int64 {
+	t.Helper()
+	part, err := NewSBMPart(target, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part.Seed, part.Balance, part.Workers = 99, balance, workers
+	r, err := part.partition(g, RandomOrder(g.N(), 5), extra, window, refineWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.assign
+}
+
+// streamCase is one row of the differential table: a variant of the
+// stream kernel on one fixture. run returns the SHA-256 of everything
+// the run assigned; parent holds that hash as the commit before the
+// kernel existed produced it (its serial first pass, serial refinement
+// and serial MatchBipartite — three separate loops then), for Balance
+// true and false, so the kernel is held to the old code and not only
+// to itself.
+type streamCase struct {
+	name   string // "<variant>/<fixture>"
+	n      int    // stream length, the whole-stream window
+	run    func(t testing.TB, balance bool, window, workers int) string
+	parent [2]string
+}
+
+func streamCases(t testing.TB) []streamCase {
+	t.Helper()
+	var cases []streamCase
+	mono := func(name string, g *graph.Graph, target *stats.Joint, sizes []int64, first, refined [2]string) {
+		for _, v := range []struct {
+			variant string
+			extra   int
+			parent  [2]string
+		}{{"first", 0, first}, {"refine2", 2, refined}} {
+			cases = append(cases, streamCase{v.variant + "/" + name, int(g.N()), func(t testing.TB, balance bool, window, workers int) string {
+				return sha256Int64(partitionAt(t, g, target, sizes, balance, v.extra, window, window, workers))
+			}, v.parent})
+		}
+	}
+	g, target, sizes := lfrFixture(t, 4000, 16)
+	mono("lfr", g, target, sizes,
+		[2]string{"6d56234eb45e03f6996b58563662222ce96951b98894b3e8afcb90ba57697314", "810eb503b7f39a6033caa47c5a255f036169e024d4aafd1df11734aa148379d4"},
+		[2]string{"a89d9a7cdc7c1393e746871159a6fd298a2e6d53ec5d5a0388b6ef2d17b221bd", "e8c365903d0aa5c8b19b4b973f2b491f4c0a6a13b59c0abbb8e8d9b97990a0b5"})
+	g, target, sizes = rmatFixture(t, 11, 8)
+	mono("rmat", g, target, sizes,
+		[2]string{"43dbdd5ab989583a4b19169253fac600a5a046069412e32208312607304999d7", "cb880ccbe1e866aa6a8e33a8b35f54900e76790780fcc544d2255649a9887e89"},
+		[2]string{"43128389e7036baafd3ea90fd3bafd1fcd4794d66274dc048518830e8d9f3fa0", "1b29d346a469cf62d1cda95d784ee82318e41bd20ee2d50561be9e1f55a620bf"})
+	// Self-loops, parallel edges, hubs and isolated nodes.
+	g, sizes = messyGraph(t, 3000, 24000, 41), equalSizes(3000, 16)
+	mono("messy", g, homophilyTarget(t, sizes, 0.7), sizes,
+		[2]string{"d82cf8291f32edbc7662cc6745b711c67cff2164176eddcff7bee09f26ce791a", "6ab8c593aa9a7debf975ed01297084cc22fdf460fea1b220a07baa30655241a5"},
+		[2]string{"11b647fcf19fe2fe46851b0100a6a6247712b118ff1bc823a29ee3d449ae0a0c", "a08d4807659c7078707bbacc0813c8e157eda71d96870a1f402a47527166ae42"})
+	g, target, sizes = isolatedFixture(t, 1200, 6)
+	mono("isolated", g, target, sizes,
+		[2]string{"048733c9ae0c8d765d17fce05cb2fa0e0372d87001f46f857c2e5d8fd7c96eca", "7f2cc2e93ee27ee9cbeb7a50170e775703178ce7d4128a32a33e35bce06e6bbd"},
+		[2]string{"cbf5808c16e22f6ee1bc8717c37eb63ca93a757d0d9a900e296c10b53905b1d5", "7a0b2a7c2b034084aef453e4c37ea7bac5c211403b1e21019fd11e2f65645565"})
+
+	bip := func(name string, f *bipFixture, parent [2]string) {
+		cases = append(cases, streamCase{"bipartite/" + name, int(f.nTail + f.nHead), func(t testing.TB, balance bool, window, workers int) string {
+			res := f.match(t, balance, window, workers)
+			return sha256Int64(res.TailAssign, res.HeadAssign, res.TailMapping, res.HeadMapping)
+		}, parent})
+	}
+	bip("zipf", zipfFixture(t, 6000, 3000, 12, 6),
+		[2]string{"aab8a38b8a4f27e925b9f39483b6cffeaa22dce5a8bd4b7f5c463803e1daf5f4", "3588dca9230d18e73482b75accb8b22f3632873b52183fa06ad89daea934edd1"})
+	bip("messy", messyBipartite(t, 500, 300, 4000, 5, 3),
+		[2]string{"8690ae81b071ba7a1076fbd670b30e8d66a87afd9fafa21d35114a5fc8ba360e", "33156e212039d5ec22862a56c34e2e013c86db6ef089d98bd20ef2aa54b4bef6"})
+	return cases
+}
+
+// setProcs raises GOMAXPROCS for one test, so worker counts above the
+// box's core count still chunk the scan differently instead of being
+// capped to the same value.
+func setProcs(t testing.TB, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// streamDifferential checks every case of one variant: the serial run
+// must reproduce the parent commit's hash, and the windowed driver must
+// reproduce it at windows 2, 64, streamWindow and whole-stream × 1, 2,
+// 4 and 8 scan workers, for Balance true and false. A changed hash
+// means existing seeds produce different matchings — a break of the
+// per-seed reproducibility contract, which needs a core.SchemaVersion
+// bump, not a new pin.
+func streamDifferential(t *testing.T, variant string) {
+	setProcs(t, 8)
+	for _, c := range streamCases(t) {
+		if !strings.HasPrefix(c.name, variant+"/") {
+			continue
+		}
+		for b, balance := range []bool{true, false} {
+			if got := c.run(t, balance, 1, 1); got != c.parent[b] {
+				t.Errorf("%s balance=%v: serial run %s, parent commit %s", c.name, balance, got, c.parent[b])
+				continue
+			}
+			for _, window := range []int{2, 64, streamWindow, c.n} {
+				for _, workers := range []int{1, 2, 4, 8} {
+					if got := c.run(t, balance, window, workers); got != c.parent[b] {
+						t.Errorf("%s balance=%v window=%d workers=%d: %s, serial %s", c.name, balance, window, workers, got, c.parent[b])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestWindowedPartitionByteIdentical(t *testing.T)      { streamDifferential(t, "first") }
+func TestMultiPassWindowedByteIdentical(t *testing.T)      { streamDifferential(t, "refine2") }
+func TestMatchBipartiteWindowedByteIdentical(t *testing.T) { streamDifferential(t, "bipartite") }
+
+// streamStress exercises the scan/commit loop under the race detector:
+// several goroutines run independent windowed streams of one variant
+// concurrently (each internally parallel too) at staggered windows, all
+// of which must agree with the pinned hash.
+func streamStress(t *testing.T, variant string) {
+	setProcs(t, 4)
+	for _, c := range streamCases(t) {
+		if !strings.HasPrefix(c.name, variant+"/") {
+			continue
+		}
+		var wg sync.WaitGroup
+		for r := 0; r < 8; r++ {
+			wg.Add(1)
+			go func(window int) {
+				defer wg.Done()
+				if got := c.run(t, true, window, 0); got != c.parent[0] {
+					t.Errorf("%s window=%d: %s, serial %s", c.name, window, got, c.parent[0])
+				}
+			}(2 + r*37)
+		}
+		wg.Wait()
+		return // the variant's first fixture is enough
+	}
+}
+
+func TestWindowedPartitionStress(t *testing.T)      { streamStress(t, "first") }
+func TestMultiPassWindowedStress(t *testing.T)      { streamStress(t, "refine2") }
+func TestMatchBipartiteWindowedStress(t *testing.T) { streamStress(t, "bipartite") }
+
+// TestWindowedPartitionOrderValidation: both drivers reject a stream
+// order that is not a permutation, naming the first offending node.
+func TestWindowedPartitionOrderValidation(t *testing.T) {
+	g, target, sizes := lfrFixture(t, 500, 4)
+	for _, tc := range []struct {
+		name string
+		at   int
+		v    int64
+	}{{"duplicate", 101, 0}, {"out of range", 0, 500}, {"negative", 7, -1}} {
+		bad := RandomOrder(500, 5)
+		if tc.name == "duplicate" {
+			tc.v = bad[100]
+		}
+		bad[tc.at] = tc.v
+		want := fmt.Sprintf("match: order is not a permutation (node %d)", tc.v)
+		for _, window := range []int{1, 64} {
+			part, err := NewSBMPart(target, sizes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := part.partition(g, bad, 1, window, window); err == nil || err.Error() != want {
+				t.Errorf("%s, window %d: err = %v, want %q", tc.name, window, err, want)
+			}
+		}
+	}
+}
+
+// TestMultiPassIsolatedQuotaDeterminism: with tight quotas and many
+// isolated nodes, refinement's fallback (keep the previous group, else
+// the first feasible one) must respect every capacity and resolve
+// identically at every window and worker count — it runs in the
+// sequential commit, so scan workers can never reorder it.
+func TestMultiPassIsolatedQuotaDeterminism(t *testing.T) {
+	setProcs(t, 4)
+	const n, k = 1200, 6
+	g, target, sizes := isolatedFixture(t, n, k)
+	ref := partitionAt(t, g, target, sizes, true, 3, 1, 1, 1)
+	counts := make([]int64, k)
+	for _, a := range ref {
+		counts[a]++
+	}
+	for i := range sizes {
+		if counts[i] > sizes[i] {
+			t.Fatalf("group %d over capacity: %d > %d", i, counts[i], sizes[i])
+		}
+	}
+	for _, rw := range []int{7, 64, n} {
+		for _, workers := range []int{1, 0} {
+			got := partitionAt(t, g, target, sizes, true, 3, 64, rw, workers)
+			for v := range ref {
+				if got[v] != ref[v] {
+					t.Fatalf("refine window=%d workers=%d: node %d assigned %d, serial %d", rw, workers, v, got[v], ref[v])
+				}
+			}
+		}
+	}
+}
+
+// TestMultiPassPassTimes: a partition call records one wall-time entry
+// per streaming pass (initial + each refinement), resetting between
+// calls.
+func TestMultiPassPassTimes(t *testing.T) {
+	g, target, sizes := lfrFixture(t, 1000, 4)
+	part, err := NewSBMPart(target, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part.Seed = 7
+	for _, extra := range []int{2, 0} {
+		if _, err := part.PartitionMultiPass(g, RandomOrder(g.N(), 3), extra); err != nil {
+			t.Fatal(err)
+		}
+		if len(part.PassTimes) != 1+extra {
+			t.Fatalf("PassTimes has %d entries after 1+%d passes", len(part.PassTimes), extra)
+		}
+	}
+}
+
+// matchPropertyAcrossWorkers: the end-to-end operator hands out the
+// same mapping whichever driver the worker bound selects, says which
+// one ran, and reports one timing per pass.
+func matchPropertyAcrossWorkers(t *testing.T, passes int) {
+	setProcs(t, 4)
+	const n, k = 2000, 4
+	et, err := sgen.NewLFR(23).Run(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := equalSizes(n, k)
+	target := homophilyTarget(t, sizes, 0.7)
+	rowLabels := make([]int64, 0, n)
+	for v, sz := range sizes {
+		for c := int64(0); c < sz; c++ {
+			rowLabels = append(rowLabels, int64(v))
+		}
+	}
+	run := func(workers int, wantMode string) *Result {
+		opt := DefaultOptions(77)
+		opt.Passes, opt.Workers = passes, workers
+		res, err := MatchProperty(et, n, rowLabels, target, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Mode != wantMode || len(res.PassTimes) != 1+passes {
+			t.Fatalf("workers=%d: mode %q with %d pass times, want %q with %d", workers, res.Mode, len(res.PassTimes), wantMode, 1+passes)
+		}
+		return res
+	}
+	ref := run(1, "serial")
+	for _, got := range []*Result{run(2, "serial"), run(3, "windowed 2048×3"), run(0, "windowed 2048×4")} {
+		for v := range ref.Mapping {
+			if got.Mapping[v] != ref.Mapping[v] {
+				t.Fatalf("%s: mapping[%d] = %d, serial %d", got.Mode, v, got.Mapping[v], ref.Mapping[v])
+			}
+		}
+	}
+}
+
+func TestMatchPropertyWindowedIdentical(t *testing.T)        { matchPropertyAcrossWorkers(t, 0) }
+func TestMatchPropertyRefinedWindowedIdentical(t *testing.T) { matchPropertyAcrossWorkers(t, 2) }
+
+// TestStreamAutoWindow pins the driver rule over the (GOMAXPROCS,
+// workers) grid: serial while the effective parallelism — workers
+// capped at GOMAXPROCS, 0 meaning GOMAXPROCS — is at most 2,
+// streamWindow from 3 up.
+func TestStreamAutoWindow(t *testing.T) {
+	for _, tc := range []struct{ procs, workers, want int }{
+		{1, 0, 1}, {1, 1, 1}, {1, 8, 1},
+		{2, 0, 1}, {2, 2, 1}, {2, 8, 1}, // workers 8 under GOMAXPROCS=2 counts as 2
+		{8, 1, 1}, {8, 2, 1},
+		{3, 0, streamWindow}, {4, 0, streamWindow}, {4, 3, streamWindow},
+		{4, 8, streamWindow}, {8, 4, streamWindow},
+	} {
+		setProcs(t, tc.procs)
+		if got := autoWindow(tc.workers); got != tc.want {
+			t.Errorf("GOMAXPROCS=%d workers=%d: got %d, want %d", tc.procs, tc.workers, got, tc.want)
+		}
+	}
+}
+
+// TestSBMPartMode: the mode string names what the worker bound
+// resolves to.
+func TestSBMPartMode(t *testing.T) {
+	setProcs(t, 4)
+	for workers, want := range map[int]string{
+		0: "windowed 2048×4", 1: "serial", 2: "serial", 3: "windowed 2048×3", 8: "windowed 2048×4",
+	} {
+		if got := (&SBMPart{Workers: workers}).Mode(); got != want {
+			t.Errorf("workers=%d: got %q, want %q", workers, got, want)
+		}
+	}
+}
+
+// BenchmarkStreamScaling is the measurement windowedMinWorkers waits
+// for: serial against windowed at 1, 2, 4 and 8 scan workers, on the
+// first pass plus two refinement passes of RMAT scale 18 × 16 and of
+// LFR-300k, with the windowed driver's time split into its parallel
+// scan and its sequential commit. Worker counts above the box's cores
+// are skipped — time-sliced scan workers say nothing. On a box with
+// four or more cores:
+//
+//	go test -run '^$' -bench StreamScaling -benchtime 3x ./internal/match
+func BenchmarkStreamScaling(b *testing.B) {
+	for _, f := range []struct {
+		name string
+		make func(testing.TB) (*graph.Graph, *stats.Joint, []int64)
+	}{
+		{"rmat18x16", func(t testing.TB) (*graph.Graph, *stats.Joint, []int64) { return rmatFixture(t, 18, 16) }},
+		{"lfr300k", func(t testing.TB) (*graph.Graph, *stats.Joint, []int64) { return lfrFixture(t, 300000, 16) }},
+	} {
+		var g *graph.Graph
+		var target *stats.Joint
+		var sizes []int64
+		var order []int64
+		for _, workers := range []int{0, 1, 2, 4, 8} {
+			name := fmt.Sprintf("%s/windowed-%d", f.name, workers)
+			if workers == 0 {
+				name = f.name + "/serial"
+			}
+			b.Run(name, func(b *testing.B) {
+				if workers > runtime.NumCPU() {
+					b.Skipf("%d scan workers on %d CPUs", workers, runtime.NumCPU())
+				}
+				if g == nil {
+					g, target, sizes = f.make(b)
+					order = RandomOrder(g.N(), 5)
+				}
+				setProcs(b, max(workers, 1))
+				window := streamWindow
+				if workers == 0 {
+					window = 1
+				}
+				part, err := NewSBMPart(target, sizes)
+				if err != nil {
+					b.Fatal(err)
+				}
+				part.Seed, part.Workers = 99, workers
+				var scan, commit float64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r, err := part.partition(g, order, 2, window, window)
+					if err != nil {
+						b.Fatal(err)
+					}
+					scan += r.win.scanTime.Seconds()
+					commit += r.win.commitTime.Seconds()
+				}
+				if workers > 0 {
+					b.ReportMetric(1e3*scan/float64(b.N), "scan-ms")
+					b.ReportMetric(1e3*commit/float64(b.N), "commit-ms")
+				}
+			})
+		}
+	}
+}

@@ -103,7 +103,7 @@ type Correlation struct {
 	// (0 = the paper's single-pass algorithm). Each extra pass replays
 	// the stream hubs-first with full-neighbourhood information,
 	// typically shrinking the joint-distribution error severalfold at
-	// linear extra cost.
+	// linear extra cost. Monopartite (Property) correlations only.
 	Passes int
 	// Fused requests the specialised fused operator (paper Section 5
 	// future work): structure and the correlated head property are
@@ -262,6 +262,11 @@ func (s *Schema) Validate() error {
 			}
 			if c.Passes < 0 {
 				return fmt.Errorf("schema: edge %q has negative matching passes", e.Name)
+			}
+			if c.Passes > 0 && c.Property == "" {
+				// Refinement exists for the monopartite matcher only; a
+				// bipartite or fused match would silently run none.
+				return fmt.Errorf("schema: edge %q asks for %d refinement passes, which a tail/head correlation does not support", e.Name, c.Passes)
 			}
 			if c.Fused {
 				if e.Cardinality != OneToMany {

@@ -12,7 +12,8 @@ import (
 	"time"
 )
 
-// Service-path benchmarks, recorded by bench.sh into BENCH_pr<N>.json:
+// Service-path micro-benchmarks (the end-to-end service numbers are the
+// svc-* workloads of go run -C bench .):
 //
 //   - ColdSubmit:       full submit→generate→export→commit per op
 //   - WarmCacheHit:     submit of an already cached schema + one table

@@ -760,3 +760,48 @@ func TestSubmitRejectsBadGeneratorSpecs(t *testing.T) {
 		t.Errorf("%d engine runs started for schemas that must not be admitted", n)
 	}
 }
+
+// TestSubmitRejectsPassesOnTailHead: `passes` on a tail/head correlation
+// used to be admitted and run with no refinement at all; admission now
+// answers 400 naming the edge, with no engine run.
+func TestSubmitRejectsPassesOnTailHead(t *testing.T) {
+	svc := newTestService(t, Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	src := `graph g {
+  seed = 1
+  node U {
+    count = 40
+    property seg : string = categorical(values="a|b")
+  }
+  node P {
+    count = 20
+    property cat : string = categorical(values="x|y")
+  }
+  edge rates : U *-* P {
+    structure = zipf-attachment(min=1, max=4, gamma=2.0, theta=1.1)
+    correlate tail.seg with head.cat homophily 0.7 passes 2
+  }
+}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `edge \"rates\"`) {
+		t.Errorf("%d %s, want 400 naming edge \"rates\"", resp.StatusCode, body)
+	}
+	if n := svc.Generations(); n != 0 {
+		t.Errorf("%d engine runs started for a schema that must not be admitted", n)
+	}
+	// Without the passes clause the same schema is admitted.
+	resp, err = http.Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(strings.Replace(src, " passes 2", "", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		t.Errorf("schema without passes: status %d", resp.StatusCode)
+	}
+}
