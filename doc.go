@@ -40,7 +40,21 @@
 // it needs quoting, integers are written digit pairs in place and the
 // id column is a decimal counter. Generator parameters are checked
 // when the generator is built, which core.ValidateSchema does for
-// every property before any row exists.
+// every property — and for every edge type's structure generator,
+// whose Validate refuses out-of-range values in O(parameters) and
+// whose factory refuses parameters it does not have — before any row
+// exists.
+//
+// Every discrete draw — categorical and zipf columns, power-law
+// degrees, zipf-attachment's popularity ranks — is an inversion of a
+// cumulative table (xrand.Discrete). A guide table built with the CDF
+// bounds the binary search to the one or two entries that can hold the
+// answer; its bucket count is a power of two, which makes the bucket
+// arithmetic exact and the result provably the full search's.
+// zipf-attachment maps a rank to a head id through a Feistel
+// permutation once per rank, not once per edge, and RMAT's dedup
+// resolves a round of candidate keys in two buffers: filtered in place,
+// radix-sorted on the bits where the keys differ, compacted in place.
 //
 // The hot inner loops are allocation-free at steady state: SBM-Part
 // reuses per-partitioner scoring scratch, the LFR configuration model

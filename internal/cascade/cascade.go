@@ -53,17 +53,28 @@ func NewGenerator(seed uint64) *Generator {
 	return &Generator{TreeSizeMin: 1, TreeSizeMax: 100, Gamma: 2.0, PreferRecent: 0.3, Seed: seed}
 }
 
+// Validate checks the parameters, whatever n Run is given.
+func (g *Generator) Validate() error {
+	if g.TreeSizeMin < 1 || g.TreeSizeMax < g.TreeSizeMin {
+		return fmt.Errorf("cascade: tree size bounds [%d,%d] invalid", g.TreeSizeMin, g.TreeSizeMax)
+	}
+	if !(g.Gamma > 0) {
+		return fmt.Errorf("cascade: gamma must be positive, got %v", g.Gamma)
+	}
+	if !(g.PreferRecent >= 0 && g.PreferRecent <= 1) {
+		return fmt.Errorf("cascade: PreferRecent %v outside [0,1]", g.PreferRecent)
+	}
+	return nil
+}
+
 // Run grows cascades until they cover at least n nodes (the last tree
 // is truncated to exactly n) and returns the forest.
 func (g *Generator) Run(n int64) (*Forest, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cascade: need n > 0, got %d", n)
 	}
-	if g.TreeSizeMin < 1 || g.TreeSizeMax < g.TreeSizeMin {
-		return nil, fmt.Errorf("cascade: tree size bounds [%d,%d] invalid", g.TreeSizeMin, g.TreeSizeMax)
-	}
-	if g.PreferRecent < 0 || g.PreferRecent > 1 {
-		return nil, fmt.Errorf("cascade: PreferRecent %v outside [0,1]", g.PreferRecent)
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
 	sizeDist, err := xrand.NewPowerLawInt(g.TreeSizeMin, g.TreeSizeMax, g.Gamma)
 	if err != nil {

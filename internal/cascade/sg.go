@@ -22,6 +22,9 @@ type SG struct {
 // Name implements sgen.Generator.
 func (s *SG) Name() string { return "cascade" }
 
+// Validate implements sgen.Generator.
+func (s *SG) Validate() error { return s.Gen.Validate() }
+
 // Run implements sgen.Generator.
 func (s *SG) Run(n int64) (*table.EdgeTable, error) {
 	f, err := s.Gen.Run(n)

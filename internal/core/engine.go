@@ -212,6 +212,9 @@ func (e *Engine) GenerateCtx(ctx context.Context) (*table.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := e.checkStructures(); err != nil {
+		return nil, err
+	}
 	st := newRunState(gens)
 	if err := e.runPlan(ctx, st, plan); err != nil {
 		return nil, err
@@ -428,19 +431,46 @@ func (e *Engine) nodeCount(st *runState, plan *depgraph.Plan, typeName string) (
 // tailCountFromEdgeCount applies the paper's getNumNodes path: size the
 // tail domain so the generator produces ~edge.Count edges.
 func (e *Engine) tailCountFromEdgeCount(edge *schema.EdgeType) (int64, error) {
-	seed := e.structureSeed(edge.Name)
-	if edge.Tail == edge.Head && e.SGens.HasMono(edge.Structure.Name) {
-		g, err := e.SGens.BuildMono(edge.Structure.Name, edge.Structure.Params, seed)
-		if err != nil {
-			return 0, err
-		}
-		return g.NumNodesForEdges(edge.Count)
-	}
-	g, err := e.SGens.BuildBipartite(edge.Structure.Name, edge.Structure.Params, seed)
+	mono, bip, err := e.structureGen(edge)
 	if err != nil {
 		return 0, err
 	}
-	return g.NumTailsForEdges(edge.Count)
+	if mono != nil {
+		return mono.NumNodesForEdges(edge.Count)
+	}
+	return bip.NumTailsForEdges(edge.Count)
+}
+
+// structureGen builds the edge type's structure generator through the
+// registry: the monopartite one of that name when the edge stays inside
+// one node type (and is not fused — the fused operator sizes itself from
+// a bipartite out-degree model), else the bipartite one. Exactly one of
+// mono and bip is set. The registry checks the spec — the generator
+// exists, has every parameter named and accepts their values — so a bad
+// one fails here, in O(parameters), naming the edge.
+func (e *Engine) structureGen(edge *schema.EdgeType) (mono sgen.Generator, bip sgen.BipartiteGenerator, err error) {
+	spec, seed := edge.Structure, e.structureSeed(edge.Name)
+	fused := edge.Correlation != nil && edge.Correlation.Fused
+	if edge.Tail == edge.Head && !fused && e.SGens.HasMono(spec.Name) {
+		mono, err = e.SGens.BuildMono(spec.Name, spec.Params, seed)
+	} else {
+		bip, err = e.SGens.BuildBipartite(spec.Name, spec.Params, seed)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: edge %s: %w", edge.Name, err)
+	}
+	return mono, bip, nil
+}
+
+// checkStructures builds every edge type's structure generator, so
+// that a bad structure spec fails before any task runs.
+func (e *Engine) checkStructures() error {
+	for i := range e.Schema.Edges {
+		if _, _, err := e.structureGen(&e.Schema.Edges[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (e *Engine) structureSeed(edgeName string) uint64 {

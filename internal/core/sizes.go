@@ -40,22 +40,16 @@ func EstimatedSizes(s *schema.Schema) (nodes, edges int64, err error) {
 		if !ok {
 			return 0, false
 		}
-		seed := e.structureSeed(edge.Name)
-		var est sgen.EdgeCountEstimator
-		if edge.Tail == edge.Head && e.SGens.HasMono(edge.Structure.Name) {
-			g, err := e.SGens.BuildMono(edge.Structure.Name, edge.Structure.Params, seed)
-			if err != nil {
-				return 0, false
-			}
-			est, _ = g.(sgen.EdgeCountEstimator)
-		} else {
-			g, err := e.SGens.BuildBipartite(edge.Structure.Name, edge.Structure.Params, seed)
-			if err != nil {
-				return 0, false
-			}
-			est, _ = g.(sgen.EdgeCountEstimator)
+		mono, bip, err := e.structureGen(edge)
+		if err != nil {
+			return 0, false
 		}
-		if est == nil {
+		var g any = bip
+		if mono != nil {
+			g = mono
+		}
+		est, ok := g.(sgen.EdgeCountEstimator)
+		if !ok {
 			return 0, false
 		}
 		if m := est.EstimatedEdges(nTail); m > 0 {

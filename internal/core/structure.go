@@ -25,19 +25,17 @@ import (
 // with their SBM-Part per-pass breakdown.
 func (e *Engine) genStructure(st *runState, plan *depgraph.Plan, edgeName string) (string, error) {
 	edge := e.Schema.EdgeType(edgeName)
-	seed := e.structureSeed(edgeName)
 	if c := edge.Correlation; c != nil && c.Fused {
-		return "", e.genFusedStructure(st, plan, edge, seed)
+		return "", e.genFusedStructure(st, plan, edge)
 	}
-	monopartite := edge.Tail == edge.Head && e.SGens.HasMono(edge.Structure.Name)
+	mono, bip, err := e.structureGen(edge)
+	if err != nil {
+		return "", err
+	}
 
 	var et *table.EdgeTable
 	var note string
-	if monopartite {
-		g, err := e.SGens.BuildMono(edge.Structure.Name, edge.Structure.Params, seed)
-		if err != nil {
-			return "", err
-		}
+	if g := mono; g != nil {
 		// Shard-capable generators (e.g. LFR's intra-community wiring,
 		// RMAT's slab rounds) inherit the engine's worker budget; their
 		// output is byte-identical at every worker count.
@@ -62,10 +60,7 @@ func (e *Engine) genStructure(st *runState, plan *depgraph.Plan, edgeName string
 			note = nt.RunNote()
 		}
 	} else {
-		g, err := e.SGens.BuildBipartite(edge.Structure.Name, edge.Structure.Params, seed)
-		if err != nil {
-			return "", err
-		}
+		g := bip
 		var nTail int64
 		if edge.Count > 0 {
 			if nTail, err = g.NumTailsForEdges(edge.Count); err != nil {
@@ -87,6 +82,9 @@ func (e *Engine) genStructure(st *runState, plan *depgraph.Plan, edgeName string
 		}
 		if et, err = g.RunBipartite(nTail, nHead); err != nil {
 			return "", err
+		}
+		if nt, ok := g.(sgen.Noter); ok {
+			note = nt.RunNote()
 		}
 	}
 	et.Name = edgeName
@@ -128,7 +126,7 @@ func (e *Engine) cacheEdgeSourcedCounts(st *runState, plan *depgraph.Plan, edgeN
 // are produced together by match.FusedOneToMany, realising the joint
 // exactly up to integer rounding. Tail ids in the resulting table are
 // final instance ids, so the match task becomes a no-op.
-func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *schema.EdgeType, seed uint64) error {
+func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *schema.EdgeType) error {
 	c := edge.Correlation
 	tailPT, ok := st.prop(edge.Tail, c.TailProperty)
 	if !ok {
@@ -158,7 +156,7 @@ func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *sche
 		if err != nil {
 			return err
 		}
-		g, err := e.SGens.BuildBipartite(edge.Structure.Name, edge.Structure.Params, seed)
+		_, g, err := e.structureGen(edge)
 		if err != nil {
 			return err
 		}
@@ -173,7 +171,7 @@ func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *sche
 	if err != nil {
 		return err
 	}
-	et, headLabels, err := match.FusedOneToMany(tailLabels, kt, kh, m, target, seed)
+	et, headLabels, err := match.FusedOneToMany(tailLabels, kt, kh, m, target, e.structureSeed(edge.Name))
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -121,7 +123,7 @@ func TestValidateSchemaAcceptsKindFollowers(t *testing.T) {
     property score : float = normal()
   }
   edge e : A *-* A {
-    structure = erdos-renyi(p=0.1)
+    structure = erdos-renyi(edgesPerNode=8)
     property tag : string = endpoint-copy() given (tail.tag)
     property day : date = endpoint-copy() given (head.day)
     property score : float = endpoint-copy() given (tail.score)
@@ -164,7 +166,7 @@ func TestDatesStayInDomain(t *testing.T) {
     property born : date = ` + born + `
   }
   edge e : A *-* A {
-    structure = erdos-renyi(p=0.1)
+    structure = erdos-renyi(edgesPerNode=8)
     ` + props + `
   }
 }`
@@ -229,6 +231,159 @@ func TestLabelsForLayouts(t *testing.T) {
 		}
 		if !slices.Equal(labels, wantLabels) || !slices.Equal(values, wantValues) {
 			t.Errorf("%s: labels %v over %v, want %v over %v", name, labels, values, wantLabels, wantValues)
+		}
+	}
+}
+
+// badStructureSpecs are structure specs that parse but cannot run: one
+// row per generator and kind of failure. Each used to validate and be
+// admitted, and then fail at its structure task — or, for a misspelt
+// parameter, generate with the default under a hash of its own.
+var badStructureSpecs = []struct{ name, card, spec, want string }{
+	{"unknown generator", "*-*", `nosuchgen(a=1)`, `"nosuchgen"`},
+	{"unknown bipartite generator", "*-* B", `nosuchgen()`, `"nosuchgen"`},
+	{"monopartite generator between two types", "*-* B", `rmat()`, `unknown bipartite structure generator "rmat"`},
+	{"rmat probabilities", "*-*", `rmat(a=0.9)`, "probabilities sum to"},
+	{"rmat negative probability", "*-*", `rmat(a=1.2, d=-0.58)`, "non-negative"},
+	{"rmat NaN probability", "*-*", `rmat(a=NaN)`, "probabilities sum to"},
+	{"rmat edge factor", "*-*", `rmat(edgeFactor=0)`, "edge factor"},
+	{"rmat noise", "*-*", `rmat(noise=1.5)`, "noise 1.5 outside [0,1]"},
+	{"rmat unknown parameter", "*-*", `rmat(edgefactor=8)`, "rmat has no parameter edgefactor"},
+	{"rmat malformed parameter", "*-*", `rmat(keepDuplicates=maybe)`, "not a boolean"},
+	{"lfr mu", "*-*", `lfr(mu=1.5)`, "mixing parameter 1.5 outside [0,1]"},
+	{"lfr NaN mu", "*-*", `lfr(mu=NaN)`, "mixing parameter"},
+	{"lfr average degree", "*-*", `lfr(avgDegree=1)`, "average degree must exceed 1"},
+	{"lfr max degree", "*-*", `lfr(avgDegree=20, maxDegree=10)`, "max degree 10 below average"},
+	{"lfr communities", "*-*", `lfr(minCommunity=50, maxCommunity=10)`, "community bounds [50,10]"},
+	{"lfr exponents", "*-*", `lfr(tau1=1)`, "exponents"},
+	{"lfr unknown parameter", "*-*", `lfr(avgdegree=4)`, "lfr has no parameter avgdegree"},
+	{"bter degree bounds", "*-*", `bter(dmin=9, dmax=3)`, "degree bounds [9,3]"},
+	{"bter gamma", "*-*", `bter(gamma=0)`, "gamma > 0"},
+	{"bter unknown parameter", "*-*", `bter(spread=0.5)`, "bter has no parameter spread"},
+	{"darwini spread", "*-*", `darwini(spread=2)`, "CCSpread 2 outside [0,1]"},
+	{"darwini degree bounds", "*-*", `darwini(dmin=0)`, "degree bounds [0,50]"},
+	{"cascade sizes", "1-*", `cascade(minSize=9, maxSize=3)`, "tree size bounds [9,3]"},
+	{"cascade gamma", "1-*", `cascade(gamma=-2)`, "gamma must be positive"},
+	{"cascade recency", "1-*", `cascade(preferRecent=1.1)`, "PreferRecent 1.1 outside [0,1]"},
+	{"erdos-renyi density", "*-*", `erdos-renyi(edgesPerNode=0)`, "positive edges per node"},
+	{"erdos-renyi unknown parameter", "*-*", `erdos-renyi(p=0.1)`, "erdos-renyi has no parameter p (it has: edgesPerNode)"},
+	{"barabasi-albert m", "*-*", `barabasi-albert(m=0)`, "M >= 1"},
+	{"watts-strogatz k", "*-*", `watts-strogatz(k=0)`, "K >= 1"},
+	{"watts-strogatz beta", "*-*", `watts-strogatz(beta=-0.1)`, "beta -0.1 outside [0,1]"},
+	{"powerlaw-out bounds", "1-* B", `powerlaw-out(min=5, max=2)`, "min <= max, got [5,2]"},
+	{"powerlaw-out gamma", "1-* B", `powerlaw-out(gamma=0)`, "gamma > 0"},
+	{"powerlaw-out unknown parameter", "1-* B", `powerlaw-out(theta=1)`, "powerlaw-out has no parameter theta"},
+	{"zipf-attachment theta", "*-* B", `zipf-attachment(theta=-1)`, "theta > 0, got -1"},
+	{"zipf-attachment bounds", "*-* B", `zipf-attachment(min=9, max=3)`, "min <= max, got [9,3]"},
+	{"zipf-attachment gamma", "*-* B", `zipf-attachment(gamma=NaN)`, "gamma > 0"},
+	{"zipf-attachment unknown parameter", "*-* B", `zipf-attachment(bogus=3, min=1, max=4)`, "zipf-attachment has no parameter bogus (it has: gamma, max, min, theta)"},
+	{"zipf-attachment malformed parameter", "*-* B", `zipf-attachment(max=many)`, "not an integer"},
+	{"one-to-one takes no parameter", "1-1 B", `one-to-one(shuffle=true)`, "one-to-one has no parameter shuffle"},
+	{"uniform-bipartite density", "*-* B", `uniform-bipartite(avgOut=0)`, "positive average out-degree"},
+	{"fused edge sizes itself from a bipartite generator", "1-* B fused", `lfr()`, `unknown bipartite structure generator "lfr"`},
+}
+
+// structureSchema declares edge e from A — to A itself, or to B when
+// card ends in " B" — with the given cardinality and structure spec.
+func structureSchema(card, spec string) string {
+	card, fused := strings.CutSuffix(card, " fused")
+	card, toB := strings.CutSuffix(card, " B")
+	head, correlate := "A", ""
+	if toB {
+		head = "B"
+	}
+	if fused {
+		correlate = "\n    correlate tail.x with head.y homophily 0.5 fused"
+	}
+	return `graph g {
+  seed = 1
+  node A {
+    count = 100
+    property x : string = categorical(values="p|q")
+  }
+  node B {
+    count = 100
+    property y : string = categorical(values="r|s")
+  }
+  edge e : A ` + card + ` ` + head + ` {
+    structure = ` + spec + correlate + `
+  }
+}`
+}
+
+// TestValidateSchemaRejectsBadStructure: validation-first for structure
+// specs — every bad one is rejected by ValidateSchema with an error
+// naming the edge and the generator, and Generate refuses it before
+// running a task.
+func TestValidateSchemaRejectsBadStructure(t *testing.T) {
+	for _, c := range badStructureSpecs {
+		s, err := dsl.Parse(structureSchema(c.card, c.spec))
+		if err != nil {
+			t.Fatalf("%s: the schema must parse: %v", c.name, err)
+		}
+		err = ValidateSchema(s)
+		if err == nil || !strings.Contains(err.Error(), "edge e") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ValidateSchema = %v, want an error naming edge e and %q", c.name, err, c.want)
+		}
+		e := New(s)
+		tasks := 0
+		e.Logf = func(format string, _ ...any) {
+			if strings.HasPrefix(format, "task ") {
+				tasks++
+			}
+		}
+		if _, err := e.Generate(); err == nil || !strings.Contains(err.Error(), "edge e") {
+			t.Errorf("%s: Generate = %v, want the validation error", c.name, err)
+		}
+		if tasks != 0 {
+			t.Errorf("%s: %d tasks ran before the bad structure was noticed", c.name, tasks)
+		}
+	}
+	// Every generator's defaults, and a spelt-out spec of each, validate.
+	for _, c := range []struct{ card, spec string }{
+		{"*-*", `rmat()`}, {"*-*", `rmat(a=0.45, b=0.15, c=0.15, d=0.25, edgeFactor=8, noise=0.1, keepDuplicates=true)`},
+		{"*-*", `lfr()`}, {"*-*", `lfr(avgDegree=20, maxDegree=50, minCommunity=10, maxCommunity=50, mu=0.1, tau1=2, tau2=1)`},
+		{"*-*", `bter()`}, {"*-*", `bter(dmin=2, dmax=30, gamma=1.5)`},
+		{"*-*", `darwini()`}, {"*-*", `darwini(dmin=2, dmax=30, gamma=1.5, spread=0.2)`},
+		{"1-*", `cascade()`}, {"1-*", `cascade(minSize=1, maxSize=40, gamma=2.0, preferRecent=0.4)`},
+		{"*-*", `erdos-renyi()`}, {"*-*", `erdos-renyi(edgesPerNode=3)`},
+		{"*-*", `barabasi-albert()`}, {"*-*", `barabasi-albert(m=2)`},
+		{"*-*", `watts-strogatz()`}, {"*-*", `watts-strogatz(k=2, beta=0)`},
+		{"1-* B", `powerlaw-out()`}, {"1-* B", `powerlaw-out(min=0, max=4, gamma=2.0)`},
+		{"*-* B", `zipf-attachment()`}, {"*-* B", `zipf-attachment(min=1, max=30, gamma=1.8, theta=1.1)`},
+		{"1-1 B", `one-to-one()`},
+		{"*-* B", `uniform-bipartite()`}, {"*-* B", `uniform-bipartite(avgOut=1.5)`},
+		{"1-* B fused", `powerlaw-out(min=2, max=6, gamma=2.0)`},
+	} {
+		s, err := dsl.Parse(structureSchema(c.card, c.spec))
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		if err := ValidateSchema(s); err != nil {
+			t.Errorf("%s %s: ValidateSchema = %v, want none", c.card, c.spec, err)
+		}
+	}
+}
+
+// TestBenchSchemasValidate: the benchmark's three schemas (read, never
+// written, from bench/schemas) pass the stricter validation.
+func TestBenchSchemasValidate(t *testing.T) {
+	paths, err := filepath.Glob("../../bench/schemas/*.dsl.tmpl")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no bench schemas found: %v", err)
+	}
+	sizes := strings.NewReplacer("$SEED", "7", "$USERS", "3000", "$PRODUCTS", "300", "$PERSONS", "3000", "$PAGES", "4096")
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := dsl.Parse(sizes.Replace(string(raw)))
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if err := ValidateSchema(s); err != nil {
+			t.Errorf("%s: %v", p, err)
 		}
 	}
 }

@@ -761,6 +761,79 @@ func TestSubmitRejectsBadGeneratorSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsBadStructure: admission builds every structure
+// generator too, so an unknown one, a parameter it refuses or one it
+// does not have is a 400 at POST /v1/jobs — naming the edge and the
+// generator — and a 422 at PUT /v1/scenarios, with no engine run and
+// nothing queued or registered. The first three used to be admitted and
+// fail at task S:rates; the misspelt parameter used to generate with
+// the default, cached under a hash of its own.
+func TestSubmitRejectsBadStructure(t *testing.T) {
+	svc := newTestService(t, Config{ScenarioDir: t.TempDir()})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	const good = `zipf-attachment(min=1, max=4, gamma=2.0, theta=1.1)`
+	src := func(structure string) string {
+		return `graph g {
+  seed = 1
+  node U {
+    count = 40
+    property seg : string = categorical(values="a|b")
+  }
+  node P {
+    count = 20
+    property cat : string = categorical(values="x|y")
+  }
+  edge rates : U *-* P {
+    structure = ` + structure + `
+  }
+}`
+	}
+	for _, c := range []struct{ structure, want string }{
+		{`nosuchgen(min=1)`, "nosuchgen"},
+		{`zipf-attachment(theta=-1)`, "zipf-attachment needs theta"},
+		{`zipf-attachment(min=9, max=3)`, "max, got [9,3]"},
+		{`zipf-attachment(bogus=3, min=1, max=4)`, "zipf-attachment has no parameter bogus"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(src(c.structure)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "edge rates") || !strings.Contains(string(body), c.want) {
+			t.Errorf("POST %s: %d %s, want 400 naming edge rates and %q", c.structure, resp.StatusCode, body, c.want)
+		}
+		resp, body = doReq(t, http.MethodPut, ts.URL+"/v1/scenarios/bad", "text/plain", src(c.structure))
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), c.want) {
+			t.Errorf("PUT %s: %d %s, want 422 naming %q", c.structure, resp.StatusCode, body, c.want)
+		}
+	}
+	st := svc.Stats()
+	if n := svc.Generations(); n != 0 || st.Jobs.Queued+st.Jobs.Running+st.Jobs.Done+st.Jobs.Failed != 0 || st.QueueDepth != 0 {
+		t.Errorf("%d engine runs, jobs %+v, queue depth %d for schemas that must not be admitted", n, st.Jobs, st.QueueDepth)
+	}
+	if st.Scenarios.Puts != 0 {
+		t.Errorf("%d scenario versions registered from schemas that must not validate", st.Scenarios.Puts)
+	}
+	if _, err := os.Stat(filepath.Join(svc.cfg.ScenarioDir, "bad")); !os.IsNotExist(err) {
+		t.Errorf("rejected PUT left a trace: %v", err)
+	}
+	// The well-formed spec is admitted and registered.
+	resp, err := http.Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(src(good)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+		t.Errorf("POST %s: %d %s, want it admitted", good, resp.StatusCode, body)
+	}
+	if resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/scenarios/good", "text/plain", src(good)); resp.StatusCode != http.StatusCreated {
+		t.Errorf("PUT %s: %d %s, want 201", good, resp.StatusCode, body)
+	}
+}
+
 // TestSubmitRejectsPassesOnTailHead: `passes` on a tail/head correlation
 // used to be admitted and run with no refinement at all; admission now
 // answers 400 naming the edge, with no engine run.

@@ -35,11 +35,19 @@ func NewPowerLawOut(minOut, maxOut int, gamma float64, seed uint64) *PowerLawOut
 // Name implements BipartiteGenerator.
 func (g *PowerLawOut) Name() string { return "powerlaw-out" }
 
+// Validate implements BipartiteGenerator.
+func (g *PowerLawOut) Validate() error {
+	return validOutDegrees("powerlaw-out", g.MinOut, g.MaxOut, g.Gamma)
+}
+
 // RunBipartite implements BipartiteGenerator. nHead is ignored (the
 // generator mints one head per edge).
 func (g *PowerLawOut) RunBipartite(nTail, nHead int64) (*table.EdgeTable, error) {
 	if nTail <= 0 {
 		return nil, fmt.Errorf("sgen: powerlaw-out needs nTail > 0, got %d", nTail)
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
 	dist, err := xrand.NewPowerLawInt(max(1, g.MinOut), g.MaxOut, g.Gamma)
 	if err != nil {
@@ -107,6 +115,14 @@ type ZipfAttachment struct {
 	GammaOut       float64 // tail out-degree exponent
 	ThetaIn        float64 // head popularity Zipf exponent
 	Seed           uint64
+
+	// stats of the last RunBipartite, for RunNote.
+	lastStats zipfStats
+}
+
+// zipfStats is one RunBipartite's telemetry, surfaced via RunNote.
+type zipfStats struct {
+	draws, dups, ranks int64
 }
 
 // NewZipfAttachment returns a *→* generator.
@@ -117,45 +133,88 @@ func NewZipfAttachment(minOut, maxOut int, gammaOut, thetaIn float64, seed uint6
 // Name implements BipartiteGenerator.
 func (g *ZipfAttachment) Name() string { return "zipf-attachment" }
 
+// Validate implements BipartiteGenerator.
+func (g *ZipfAttachment) Validate() error {
+	if err := validOutDegrees("zipf-attachment", g.MinOut, g.MaxOut, g.GammaOut); err != nil {
+		return err
+	}
+	if !(g.ThetaIn > 0) {
+		return fmt.Errorf("sgen: zipf-attachment needs theta > 0, got %v", g.ThetaIn)
+	}
+	return nil
+}
+
+// RunNote implements Noter: how many head draws the last run made, how
+// many of them repeated a head the tail already had, and how many
+// popularity ranks were looked up in the permutation at all.
+func (g *ZipfAttachment) RunNote() string {
+	st := g.lastStats
+	if st.draws == 0 {
+		return ""
+	}
+	return fmt.Sprintf("zipf-attachment %d draws, %d duplicate, %d ranks memoised", st.draws, st.dups, st.ranks)
+}
+
+// zipfMaxSupport caps the popularity distribution's support to keep its
+// CDF, and the rank memo beside it, cheap: 2^20 ranks are 8 MB each.
+const zipfMaxSupport = 1 << 20
+
 // RunBipartite implements BipartiteGenerator. nHead must be positive.
+//
+// Draw d of the run (counted over all tails) takes its popularity rank
+// from stream "head" at index d and maps it to a head id through the
+// "perm" stream's fixed permutation, so rank 0 isn't always head 0. The
+// permutation is a four-round Feistel walk and the Zipf head sends
+// almost every draw to the same few thousand ranks, so each rank is
+// walked once and remembered. A tail holds at most MaxOut heads, all of
+// them at the end of the table: a repeated head is found by scanning
+// those, not by a set per tail.
 func (g *ZipfAttachment) RunBipartite(nTail, nHead int64) (*table.EdgeTable, error) {
 	if nTail <= 0 || nHead <= 0 {
 		return nil, fmt.Errorf("sgen: zipf-attachment needs positive domains, got %d/%d", nTail, nHead)
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
 	outDist, err := xrand.NewPowerLawInt(max(1, g.MinOut), g.MaxOut, g.GammaOut)
 	if err != nil {
 		return nil, err
 	}
-	// Zipf over head popularity; cap the support to keep init cheap.
-	support := nHead
-	if support > 1<<20 {
-		support = 1 << 20
-	}
-	zipf, err := xrand.NewZipf(int(support), g.ThetaIn)
+	zipf, err := xrand.NewZipf(int(min(nHead, zipfMaxSupport)), g.ThetaIn)
 	if err != nil {
 		return nil, err
 	}
 	sOut := xrand.NewStream(g.Seed).DeriveStream("out")
 	sHead := xrand.NewStream(g.Seed).DeriveStream("head")
 	sPerm := xrand.NewStream(g.Seed).DeriveStream("perm")
-	et := table.NewEdgeTable("zipf-attachment", nTail*int64(outDist.Mean()))
-	var idx int64
+	// headOf[rank] is the rank's head id plus one; 0 marks a rank not
+	// walked yet. int64: head ids pass 2^32 when nHead does.
+	headOf := make([]int64, zipf.N())
+	et := table.NewEdgeTable("zipf-attachment", g.EstimatedEdges(nTail))
+	var st zipfStats
 	for t := int64(0); t < nTail; t++ {
 		d := outDist.Sample(sOut, t)
-		seen := make(map[int64]struct{}, d)
+		mine := len(et.Head)
+	draws:
 		for j := 0; j < d; j++ {
-			// Popularity rank -> head id through a fixed pseudo-random
-			// permutation so rank-0 isn't always head 0.
-			rank := int64(zipf.Sample(sHead, idx))
-			idx++
-			h := sPerm.Perm(rank%nHead, nHead)
-			if _, dup := seen[h]; dup {
-				continue
+			rank := zipf.Sample(sHead, st.draws)
+			st.draws++
+			h := headOf[rank] - 1
+			if h < 0 {
+				h = sPerm.Perm(int64(rank), nHead)
+				headOf[rank] = h + 1
+				st.ranks++
 			}
-			seen[h] = struct{}{}
+			for _, have := range et.Head[mine:] {
+				if have == h {
+					st.dups++
+					continue draws
+				}
+			}
 			et.Add(t, h)
 		}
 	}
+	g.lastStats = st
 	return et, nil
 }
 
@@ -188,6 +247,9 @@ type OneToOne struct {
 
 // Name implements BipartiteGenerator.
 func (g *OneToOne) Name() string { return "one-to-one" }
+
+// Validate implements BipartiteGenerator: there is nothing to set.
+func (g *OneToOne) Validate() error { return nil }
 
 // RunBipartite implements BipartiteGenerator; nHead < 0 means
 // nHead = nTail.
@@ -235,13 +297,21 @@ type UniformBipartite struct {
 // Name implements BipartiteGenerator.
 func (g *UniformBipartite) Name() string { return "uniform-bipartite" }
 
+// Validate implements BipartiteGenerator.
+func (g *UniformBipartite) Validate() error {
+	if !(g.AvgOut > 0) {
+		return fmt.Errorf("sgen: uniform-bipartite needs positive average out-degree, got %v", g.AvgOut)
+	}
+	return nil
+}
+
 // RunBipartite implements BipartiteGenerator.
 func (g *UniformBipartite) RunBipartite(nTail, nHead int64) (*table.EdgeTable, error) {
 	if nTail <= 0 || nHead <= 0 {
 		return nil, fmt.Errorf("sgen: uniform-bipartite needs positive domains")
 	}
-	if g.AvgOut <= 0 {
-		return nil, fmt.Errorf("sgen: uniform-bipartite needs positive average out-degree")
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
 	m := int64(math.Round(float64(nTail) * g.AvgOut))
 	s := xrand.NewStream(g.Seed)
@@ -275,4 +345,16 @@ func max(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// validOutDegrees checks the truncated power-law out-degree parameters
+// PowerLawOut and ZipfAttachment share (a MinOut below 1 samples from 1).
+func validOutDegrees(gen string, minOut, maxOut int, gamma float64) error {
+	if lo := max(1, minOut); maxOut < lo {
+		return fmt.Errorf("sgen: %s needs min <= max, got [%d,%d]", gen, lo, maxOut)
+	}
+	if !(gamma > 0) {
+		return fmt.Errorf("sgen: %s needs gamma > 0, got %v", gen, gamma)
+	}
+	return nil
 }

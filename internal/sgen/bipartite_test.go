@@ -1,6 +1,7 @@
 package sgen
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -221,4 +222,82 @@ func TestSearchNodesForEdgesMonotone(t *testing.T) {
 	if _, err := searchNodesForEdges(0, func(n int64) float64 { return float64(n) }); err == nil {
 		t.Error("numEdges=0 should fail")
 	}
+}
+
+// TestZipfAttachmentRunNote: the kernel's telemetry reaches the
+// engine's timing report via the Noter interface, and its counts add
+// up: every draw is an edge or a duplicate, and no more ranks were
+// walked than drawn or than exist.
+func TestZipfAttachmentRunNote(t *testing.T) {
+	g := NewZipfAttachment(1, 10, 2.0, 1.0, 5)
+	var _ Noter = g
+	if g.RunNote() != "" {
+		t.Errorf("RunNote before any run = %q, want none", g.RunNote())
+	}
+	et, err := g.RunBipartite(400, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var draws, dups, ranks int64
+	if _, err := fmt.Sscanf(g.RunNote(), "zipf-attachment %d draws, %d duplicate, %d ranks memoised", &draws, &dups, &ranks); err != nil {
+		t.Fatalf("RunNote = %q: %v", g.RunNote(), err)
+	}
+	if draws-dups != et.Len() || dups == 0 || ranks < 1 || ranks > 100 || ranks > draws {
+		t.Errorf("%q with %d edges over 100 heads: counts do not add up", g.RunNote(), et.Len())
+	}
+}
+
+// TestZipfAttachmentGolden pins the edge table of zipf-attachment to
+// the bytes of the loop it replaced (a map per tail, a Feistel walk and
+// a full binary search per draw): the hashes were taken from that code
+// before the memoised kernel was written. The rows cover the shapes the
+// kernel branches on — a single head, fewer heads than MaxOut (every
+// tail saturates, the duplicate scan dominates), the bench workload's
+// 300k/30k, and head domains past the 2^20 support cap whose ids do
+// not fit 32 bits.
+func TestZipfAttachmentGolden(t *testing.T) {
+	cases := []struct {
+		seed         uint64
+		nTail, nHead int64
+		min, max     int
+		gamma, theta float64
+		edges        int64
+		want         string
+	}{
+		{1, 500, 1, 1, 20, 2, 1, 500, "d12f5b32d5343a84ab496ee47ec1f18b9bdd1c135bb56b484184c167c622da5e"},
+		{2, 400, 5, 1, 20, 1.2, 1, 926, "acba1b6ac41ec88c801ff2b09773ffe8caba7e7a07485a1bf403296ab74c9d11"},
+		{3, 300, 7, 8, 30, 0.5, 0.3, 1843, "71d81f770978c7f26cae7e2a4e83b284d27d85d0a5a6272a59266cd7c8cc2d0f"},
+		{4, 300000, 30000, 1, 20, 2, 1, 658683, "714e9b4de1bda7fc79cc736166d07c45936cefd8be8c777ea22d1993285dfa88"},
+		{5, 20000, 30000, 1, 20, 2, 1, 44000, "d2e6155d1a0fca6db671881b2caa83b3dfe85c342524bf950759a1ba22d368d3"},
+		{6, 5000, 1000, 0, 12, 1.5, 2.5, 7358, "e48459281dc44981a2a52fae858bfd3255ef5ecf6e26f98cc4469389ae2da24d"},
+		{7, 3000, 1<<20 + 12345, 2, 40, 1.1, 0.6, 33680, "a643ab8571bbe09be73038ce4edd289745b632cd640e5bf44e0f05fd57ee03fe"},
+		{8, 2000, 1<<33 + 7, 1, 20, 2, 0.2, 4711, "5efd50ea4e262a98f4e576aa818d91f2bee9cd2b033978508081423fe6051166"},
+	}
+	for _, c := range cases {
+		et, err := NewZipfAttachment(c.min, c.max, c.gamma, c.theta, c.seed).RunBipartite(c.nTail, c.nHead)
+		if err != nil {
+			t.Fatalf("seed %d: %v", c.seed, err)
+		}
+		if got := edgeTableSHA256(et); et.Len() != c.edges || got != c.want {
+			t.Errorf("seed %d (%d tails, %d heads): %d edges hash %s, want %d edges hash %s",
+				c.seed, c.nTail, c.nHead, et.Len(), got, c.edges, c.want)
+		}
+	}
+}
+
+// BenchmarkZipfAttachment times the kernel at the shape of the bench
+// recommender workload (svc-cold-jsonl): 300k tails, 30k heads,
+// defaults. Run with -benchmem: the edge table is two allocations and
+// the rank memo, CDFs and guide tables a handful more.
+func BenchmarkZipfAttachment(b *testing.B) {
+	b.ReportAllocs()
+	var edges int64
+	for i := 0; i < b.N; i++ {
+		et, err := NewZipfAttachment(1, 20, 2.0, 1.0, uint64(i)).RunBipartite(300000, 30000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		edges = et.Len()
+	}
+	b.ReportMetric(float64(edges)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }

@@ -45,6 +45,9 @@ func NewBTERPowerLaw(n int64, dmin, dmax int, gamma float64, seed uint64) (*BTER
 	if n < int64(dmax) {
 		return nil, fmt.Errorf("sgen: BTER needs n >= dmax")
 	}
+	if !(gamma > 0) || math.IsInf(gamma, 1) {
+		return nil, fmt.Errorf("sgen: BTER needs a finite gamma > 0, got %v", gamma)
+	}
 	weights := make([]float64, dmax+1)
 	total := 0.0
 	for d := dmin; d <= dmax; d++ {
@@ -63,6 +66,16 @@ func NewBTERPowerLaw(n int64, dmin, dmax int, gamma float64, seed uint64) (*BTER
 
 // Name implements Generator.
 func (b *BTER) Name() string { return "bter" }
+
+// Validate implements Generator. The degree bounds and exponent of a
+// power-law target are checked where the histogram is built
+// (NewBTERPowerLaw).
+func (b *BTER) Validate() error {
+	if len(b.DegreeCounts) == 0 {
+		return fmt.Errorf("sgen: BTER needs a degree distribution")
+	}
+	return nil
+}
 
 // ccFor returns the clustering target for degree d.
 func (b *BTER) ccFor(d int) float64 {
@@ -86,8 +99,8 @@ func (b *BTER) Run(n int64) (*table.EdgeTable, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sgen: BTER needs n > 0, got %d", n)
 	}
-	if len(b.DegreeCounts) == 0 {
-		return nil, fmt.Errorf("sgen: BTER needs a degree distribution")
+	if err := b.Validate(); err != nil {
+		return nil, err
 	}
 	counts, err := b.rescaledCounts(n)
 	if err != nil {

@@ -31,13 +31,21 @@ func NewErdosRenyi(edgesPerNode float64, seed uint64) *ErdosRenyi {
 // Name implements Generator.
 func (g *ErdosRenyi) Name() string { return "erdos-renyi" }
 
+// Validate implements Generator.
+func (g *ErdosRenyi) Validate() error {
+	if !(g.EdgesPerNode > 0) {
+		return fmt.Errorf("sgen: Erdős–Rényi needs positive edges per node, got %v", g.EdgesPerNode)
+	}
+	return nil
+}
+
 // Run implements Generator.
 func (g *ErdosRenyi) Run(n int64) (*table.EdgeTable, error) {
 	if n <= 1 {
 		return nil, fmt.Errorf("sgen: Erdős–Rényi needs n > 1, got %d", n)
 	}
-	if g.EdgesPerNode <= 0 {
-		return nil, fmt.Errorf("sgen: Erdős–Rényi needs positive edges per node")
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
 	m := int64(float64(n) * g.EdgesPerNode)
 	maxM := n * (n - 1) / 2
@@ -107,10 +115,18 @@ func NewBarabasiAlbert(m int, seed uint64) *BarabasiAlbert {
 // Name implements Generator.
 func (g *BarabasiAlbert) Name() string { return "barabasi-albert" }
 
+// Validate implements Generator.
+func (g *BarabasiAlbert) Validate() error {
+	if g.M < 1 {
+		return fmt.Errorf("sgen: Barabási–Albert needs M >= 1, got %d", g.M)
+	}
+	return nil
+}
+
 // Run implements Generator.
 func (g *BarabasiAlbert) Run(n int64) (*table.EdgeTable, error) {
-	if g.M < 1 {
-		return nil, fmt.Errorf("sgen: Barabási–Albert needs M >= 1, got %d", g.M)
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
 	if n <= int64(g.M) {
 		return nil, fmt.Errorf("sgen: Barabási–Albert needs n > M, got n=%d M=%d", n, g.M)
@@ -194,13 +210,21 @@ func NewWattsStrogatz(k int, beta float64, seed uint64) *WattsStrogatz {
 // Name implements Generator.
 func (g *WattsStrogatz) Name() string { return "watts-strogatz" }
 
+// Validate implements Generator.
+func (g *WattsStrogatz) Validate() error {
+	if g.K < 1 {
+		return fmt.Errorf("sgen: Watts–Strogatz needs K >= 1, got %d", g.K)
+	}
+	if !(g.Beta >= 0 && g.Beta <= 1) {
+		return fmt.Errorf("sgen: Watts–Strogatz beta %v outside [0,1]", g.Beta)
+	}
+	return nil
+}
+
 // Run implements Generator.
 func (g *WattsStrogatz) Run(n int64) (*table.EdgeTable, error) {
-	if g.K < 1 {
-		return nil, fmt.Errorf("sgen: Watts–Strogatz needs K >= 1, got %d", g.K)
-	}
-	if g.Beta < 0 || g.Beta > 1 {
-		return nil, fmt.Errorf("sgen: Watts–Strogatz beta %v outside [0,1]", g.Beta)
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
 	if n < int64(2*g.K+1) {
 		return nil, fmt.Errorf("sgen: Watts–Strogatz needs n >= 2K+1, got %d", n)

@@ -59,6 +59,17 @@ func NewDarwiniPowerLaw(n int64, dmin, dmax int, gamma float64, seed uint64) (*D
 // Name implements Generator.
 func (d *Darwini) Name() string { return "darwini" }
 
+// Validate implements Generator.
+func (d *Darwini) Validate() error {
+	if len(d.DegreeCounts) == 0 {
+		return fmt.Errorf("sgen: Darwini needs a degree distribution")
+	}
+	if !(d.CCSpread >= 0 && d.CCSpread <= 1) {
+		return fmt.Errorf("sgen: Darwini CCSpread %v outside [0,1]", d.CCSpread)
+	}
+	return nil
+}
+
 func (d *Darwini) ccFor(deg int) float64 {
 	if deg < len(d.CCMean) && d.CCMean[deg] > 0 && !math.IsNaN(d.CCMean[deg]) {
 		return d.CCMean[deg]
@@ -79,11 +90,8 @@ func (d *Darwini) Run(n int64) (*table.EdgeTable, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sgen: Darwini needs n > 0, got %d", n)
 	}
-	if len(d.DegreeCounts) == 0 {
-		return nil, fmt.Errorf("sgen: Darwini needs a degree distribution")
-	}
-	if d.CCSpread < 0 || d.CCSpread > 1 {
-		return nil, fmt.Errorf("sgen: Darwini CCSpread %v outside [0,1]", d.CCSpread)
+	if err := d.Validate(); err != nil {
+		return nil, err
 	}
 	bter := &BTER{DegreeCounts: d.DegreeCounts, CCMax: d.CCMax, Decay: d.Decay}
 	counts, err := bter.rescaledCounts(n)

@@ -1,6 +1,8 @@
 package sgen
 
 import (
+	"math/bits"
+
 	"datasynth/internal/table"
 )
 
@@ -24,8 +26,8 @@ type edgeDedup struct {
 	tmpI     []int32  // scratch: radix ping-pong
 	count    []int32  // scratch: radix digit counts (1<<16)
 	win      []bool   // scratch: per-pair winner flag
-	newKeys  []uint64 // scratch: winner keys of the round (sorted)
-	merged   []uint64 // scratch: merge target for accepted ∪ newKeys
+	newKeys  []uint64 // scratch: winner keys of a pairing round (sorted)
+	merged   []uint64 // scratch: merge target for accepted ∪ winners
 
 	// Direct-addressed dedup for phases with a small key universe
 	// (intra-community wiring: at most size² local pair keys). A
@@ -139,34 +141,34 @@ func (d *edgeDedup) pairRound(et *table.EdgeTable, pending []int64, ok func(a, b
 		w += 2
 	}
 
-	d.mergeNewKeys()
+	if len(d.accepted) == 0 {
+		// A phase's first round: the buffers just swap roles.
+		d.accepted, d.newKeys = d.newKeys, d.accepted
+	} else {
+		d.mergeKeys(d.newKeys)
+	}
 	return pending[:w]
 }
 
-// mergeNewKeys merges the round's winner keys (already sorted: they
-// were collected in key order) into the accepted set: adopted whole
-// when the set is empty (a phase's first round — the buffers just swap
-// roles), else in place, backward into the spare capacity, when it
-// fits; via the scratch buffer otherwise.
-func (d *edgeDedup) mergeNewKeys() {
-	if len(d.newKeys) == 0 {
+// mergeKeys merges a round's winner keys (sorted: they were collected
+// in key order) into the non-empty accepted set: in place, backward
+// into the spare capacity, when it fits; via the scratch buffer
+// otherwise. newKeys is only read.
+func (d *edgeDedup) mergeKeys(newKeys []uint64) {
+	if len(newKeys) == 0 {
 		return
 	}
-	if len(d.accepted) == 0 {
-		d.accepted, d.newKeys = d.newKeys, d.accepted
-		return
-	}
-	na, nn := len(d.accepted), len(d.newKeys)
+	na, nn := len(d.accepted), len(newKeys)
 	need := na + nn
 	if cap(d.accepted) >= need {
 		d.accepted = d.accepted[:need]
 		i, w := na-1, need-1
 		for j := nn - 1; j >= 0; {
-			if i >= 0 && d.accepted[i] > d.newKeys[j] {
+			if i >= 0 && d.accepted[i] > newKeys[j] {
 				d.accepted[w] = d.accepted[i]
 				i--
 			} else {
-				d.accepted[w] = d.newKeys[j]
+				d.accepted[w] = newKeys[j]
 				j--
 			}
 			w--
@@ -178,78 +180,103 @@ func (d *edgeDedup) mergeNewKeys() {
 	}
 	m := d.merged[:0]
 	i, j := 0, 0
-	for i < len(d.accepted) && j < len(d.newKeys) {
-		if d.accepted[i] < d.newKeys[j] {
+	for i < len(d.accepted) && j < len(newKeys) {
+		if d.accepted[i] < newKeys[j] {
 			m = append(m, d.accepted[i])
 			i++
 		} else {
-			m = append(m, d.newKeys[j])
+			m = append(m, newKeys[j])
 			j++
 		}
 	}
 	m = append(m, d.accepted[i:]...)
-	m = append(m, d.newKeys[j:]...)
+	m = append(m, newKeys[j:]...)
 	d.accepted, d.merged = m, d.accepted
 }
 
-// sortKeys sorts a bare key slice with the same adaptive LSD radix as
-// sortByKey, minus the index payload — the fast path for rounds whose
-// consumers don't need stream positions (sharded RMAT emits winners in
-// key order). Returns whichever of keys / the scratch buffer holds the
-// result.
-func (d *edgeDedup) sortKeys(keys []uint64) []uint64 {
+// sortKeys sorts a bare key slice by LSD radix passes between keys and
+// the scratch buffer — the path for rounds whose consumers don't need
+// stream positions (sharded RMAT emits winners in key order). It
+// returns the buffer holding the result and the other one, both
+// len(keys) long.
+//
+// Only the bits on which the keys differ (orAll^andAll) are sorted, and
+// a pass's digit is gathered from up to two windows of them, so the
+// dead bits between a packed key's two ids cost nothing: scale-18
+// (min<<32|max) keys have 36 live bits in two runs of 18 and sort in
+// three 12-bit passes — bits 0–11, 12–17 with 32–37, 38–49 — where
+// fixed 16-bit digits took four, two of them for 2 live bits each.
+// Windows are taken low to high and a digit keeps their order, so the
+// passes sort by the live bits in significance order, which is the
+// order of the keys.
+func (d *edgeDedup) sortKeys(keys []uint64) (sorted, other []uint64) {
 	n := len(keys)
-	if n < 2 {
-		return keys
-	}
 	if cap(d.tmpK) < n {
 		d.tmpK = make([]uint64, n)
 	}
-	if d.count == nil {
-		d.count = make([]int32, 1<<16)
+	src, dst := keys, d.tmpK[:n]
+	if n < 2 {
+		return src, dst
 	}
-	var digitBits uint = 8
-	if n >= 1<<12 {
-		digitBits = 16
-	}
-	radix := uint64(1)<<digitBits - 1
-	// orAll/andAll spot digit positions where every key agrees — e.g.
-	// packed (min<<32|max) keys at scale ≤ 16 have 16 constant-zero
-	// middle bits, a whole pass of nothing.
-	var maxKey uint64
 	orAll, andAll := uint64(0), ^uint64(0)
 	for _, k := range keys {
 		orAll |= k
 		andAll &= k
 	}
-	maxKey = orAll
-	src, dst := keys, d.tmpK[:n]
-	for shift := uint(0); ; shift += digitBits {
-		if (orAll>>shift)&radix != (andAll>>shift)&radix {
-			count := d.count[:radix+1]
-			clear(count)
-			for _, k := range src {
-				count[(k>>shift)&radix]++
-			}
-			var sum int32
-			for i := range count {
-				c := count[i]
-				count[i] = sum
-				sum += c
-			}
-			for _, k := range src {
-				digit := (k >> shift) & radix
-				p := count[digit]
-				count[digit] = p + 1
-				dst[p] = k
-			}
-			src, dst = dst, src
-		}
-		if shift+digitBits >= 64 || maxKey>>(shift+digitBits) == 0 {
-			break
-		}
+	live := orAll ^ andAll
+	if live == 0 {
+		return src, dst // n copies of one key
 	}
-	return src
+	if d.count == nil {
+		d.count = make([]int32, 1<<16)
+	}
+	// Digit width adapts to the round size so tiny rounds don't pay for
+	// clearing a 64k count table; the live bits are then split evenly
+	// over the passes that width needs.
+	maxBits := 8
+	if n >= 1<<12 {
+		maxBits = 16
+	}
+	nLive := bits.OnesCount64(live)
+	passes := (nLive + maxBits - 1) / maxBits
+	// window takes the next window of at most w bit positions off live:
+	// it starts at the lowest live bit and ends at a live bit.
+	window := func(w int) (shift, take int) {
+		shift = bits.TrailingZeros64(live)
+		take = bits.Len64(live >> shift & (1<<w - 1))
+		live &^= (1<<take - 1) << shift
+		return shift, take
+	}
+	for width := (nLive + passes - 1) / passes; live != 0; {
+		shLo, takeLo := window(width)
+		maskLo := uint64(1)<<takeLo - 1
+		// The second window's bits sit above the first's in the digit.
+		var shHi, takeHi int
+		if takeLo < width && live != 0 {
+			shHi, takeHi = window(width - takeLo)
+			shHi -= takeLo
+		}
+		maskHi := (uint64(1)<<takeHi - 1) << takeLo
+
+		count := d.count[:1<<(takeLo+takeHi)]
+		clear(count)
+		for _, k := range src {
+			count[k>>shLo&maskLo|k>>shHi&maskHi]++
+		}
+		var sum int32
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
+		for _, k := range src {
+			digit := k>>shLo&maskLo | k>>shHi&maskHi
+			p := count[digit]
+			count[digit] = p + 1
+			dst[p] = k
+		}
+		src, dst = dst, src
+	}
+	return src, dst
 }
 
 // sortByKey stable-sorts (keys, idx) by key with an LSD radix sort,

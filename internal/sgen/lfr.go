@@ -78,17 +78,19 @@ func (l *LFR) RunNote() string {
 // detection benchmarking (communities are "known beforehand").
 func (l *LFR) Communities() []int64 { return l.lastCommunities }
 
-func (l *LFR) validate() error {
+// Validate implements Generator. The comparisons are written so that a
+// NaN parameter fails them.
+func (l *LFR) Validate() error {
 	switch {
-	case l.AvgDegree <= 1:
+	case !(l.AvgDegree > 1):
 		return fmt.Errorf("sgen: LFR average degree must exceed 1, got %v", l.AvgDegree)
-	case l.MaxDegree < int(l.AvgDegree):
+	case !(float64(l.MaxDegree) >= math.Floor(l.AvgDegree)):
 		return fmt.Errorf("sgen: LFR max degree %d below average %v", l.MaxDegree, l.AvgDegree)
 	case l.MinCommunity < 2 || l.MaxCommunity < l.MinCommunity:
 		return fmt.Errorf("sgen: LFR community bounds [%d,%d] invalid", l.MinCommunity, l.MaxCommunity)
-	case l.Mu < 0 || l.Mu > 1:
+	case !(l.Mu >= 0 && l.Mu <= 1):
 		return fmt.Errorf("sgen: LFR mixing parameter %v outside [0,1]", l.Mu)
-	case l.Tau1 <= 1 || l.Tau2 <= 0:
+	case !(l.Tau1 > 1 && l.Tau2 > 0):
 		return fmt.Errorf("sgen: LFR exponents tau1=%v tau2=%v invalid", l.Tau1, l.Tau2)
 	}
 	return nil
@@ -120,7 +122,7 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 	if n < int64(l.MinCommunity) {
 		return nil, fmt.Errorf("sgen: LFR needs n >= min community size %d, got %d", l.MinCommunity, n)
 	}
-	if err := l.validate(); err != nil {
+	if err := l.Validate(); err != nil {
 		return nil, err
 	}
 	q := newSeq(l.Seed)

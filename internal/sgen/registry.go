@@ -2,8 +2,11 @@ package sgen
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"datasynth/internal/cascade"
 )
@@ -60,7 +63,8 @@ func (r *Registry) HasMono(name string) bool { _, ok := r.mono[name]; return ok 
 // HasBipartite reports whether name is a bipartite generator.
 func (r *Registry) HasBipartite(name string) bool { _, ok := r.bip[name]; return ok }
 
-// BuildMono resolves a monopartite generator spec.
+// BuildMono resolves a monopartite generator spec. The generator it
+// returns has passed Validate.
 func (r *Registry) BuildMono(name string, params map[string]string, seed uint64) (Generator, error) {
 	if r.err != nil {
 		return nil, r.err
@@ -69,10 +73,18 @@ func (r *Registry) BuildMono(name string, params map[string]string, seed uint64)
 	if !ok {
 		return nil, fmt.Errorf("sgen: unknown structure generator %q (have: %v)", name, r.MonoNames())
 	}
-	return f(params, seed)
+	g, err := f(params, seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
-// BuildBipartite resolves a bipartite generator spec.
+// BuildBipartite resolves a bipartite generator spec. The generator it
+// returns has passed Validate.
 func (r *Registry) BuildBipartite(name string, params map[string]string, seed uint64) (BipartiteGenerator, error) {
 	if r.err != nil {
 		return nil, r.err
@@ -81,7 +93,14 @@ func (r *Registry) BuildBipartite(name string, params map[string]string, seed ui
 	if !ok {
 		return nil, fmt.Errorf("sgen: unknown bipartite structure generator %q (have: %v)", name, r.BipartiteNames())
 	}
-	return f(params, seed)
+	g, err := f(params, seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // MonoNames lists monopartite generators, sorted.
@@ -104,40 +123,88 @@ func (r *Registry) BipartiteNames() []string {
 	return out
 }
 
-func sgParamFloat(p map[string]string, key string, def float64) (float64, error) {
-	v, ok := p[key]
-	if !ok || v == "" {
-		return def, nil
+// sgParams reads one spec's parameters for a factory. It keeps the
+// first malformed value and the names read, so that finish can refuse
+// a spec naming a parameter the generator does not have: a misspelt
+// name must not generate silently with the default (and cache under a
+// hash of its own).
+type sgParams struct {
+	gen  string // generator name, for messages
+	vals map[string]string
+	read []string
+	err  error
+}
+
+// lookup returns the value of key, ok false when the spec leaves it
+// unset (or empty) and the default applies.
+func (p *sgParams) lookup(key string) (string, bool) {
+	p.read = append(p.read, key)
+	v, ok := p.vals[key]
+	return v, ok && v != ""
+}
+
+func (p *sgParams) fail(key, v, want string) {
+	if p.err == nil {
+		p.err = fmt.Errorf("sgen: %s parameter %s=%q is not %s", p.gen, key, v, want)
+	}
+}
+
+func (p *sgParams) float(key string, def float64) float64 {
+	v, ok := p.lookup(key)
+	if !ok {
+		return def
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		return 0, fmt.Errorf("sgen: parameter %s=%q is not a number", key, v)
+		p.fail(key, v, "a number")
+		return def
 	}
-	return f, nil
+	return f
 }
 
-func sgParamBool(p map[string]string, key string, def bool) (bool, error) {
-	v, ok := p[key]
-	if !ok || v == "" {
-		return def, nil
+func (p *sgParams) bool(key string, def bool) bool {
+	v, ok := p.lookup(key)
+	if !ok {
+		return def
 	}
 	b, err := strconv.ParseBool(v)
 	if err != nil {
-		return false, fmt.Errorf("sgen: parameter %s=%q is not a boolean", key, v)
+		p.fail(key, v, "a boolean")
+		return def
 	}
-	return b, nil
+	return b
 }
 
-func sgParamInt(p map[string]string, key string, def int64) (int64, error) {
-	v, ok := p[key]
-	if !ok || v == "" {
-		return def, nil
+func (p *sgParams) int(key string, def int) int {
+	v, ok := p.lookup(key)
+	if !ok {
+		return def
 	}
-	n, err := strconv.ParseInt(v, 10, 64)
+	n, err := strconv.Atoi(v)
 	if err != nil {
-		return 0, fmt.Errorf("sgen: parameter %s=%q is not an integer", key, v)
+		p.fail(key, v, "an integer")
+		return def
 	}
-	return n, nil
+	return n
+}
+
+// finish reports the first malformed value, else the parameters the
+// spec names that the factory never read.
+func (p *sgParams) finish() error {
+	if p.err != nil {
+		return p.err
+	}
+	var unknown []string
+	for _, k := range slices.Sorted(maps.Keys(p.vals)) {
+		if !slices.Contains(p.read, k) {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	sort.Strings(p.read)
+	return fmt.Errorf("sgen: %s has no parameter %s (it has: %s)", p.gen, strings.Join(unknown, ", "), strings.Join(p.read, ", "))
 }
 
 func registerBuiltinSGs(r *Registry) {
@@ -146,191 +213,92 @@ func registerBuiltinSGs(r *Registry) {
 			r.err = err
 		}
 	}
-	must(r.RegisterMono("rmat", func(p map[string]string, seed uint64) (Generator, error) {
+	// mono and bip register a factory that reads its parameters through
+	// an sgParams and is refused the ones it did not read.
+	mono := func(name string, build func(p *sgParams, seed uint64) (Generator, error)) {
+		must(r.RegisterMono(name, func(params map[string]string, seed uint64) (Generator, error) {
+			p := &sgParams{gen: name, vals: params}
+			g, err := build(p, seed)
+			if perr := p.finish(); perr != nil {
+				return nil, perr
+			}
+			return g, err
+		}))
+	}
+	bip := func(name string, build func(p *sgParams, seed uint64) BipartiteGenerator) {
+		must(r.RegisterBipartite(name, func(params map[string]string, seed uint64) (BipartiteGenerator, error) {
+			p := &sgParams{gen: name, vals: params}
+			g := build(p, seed)
+			if err := p.finish(); err != nil {
+				return nil, err
+			}
+			return g, nil
+		}))
+	}
+	mono("rmat", func(p *sgParams, seed uint64) (Generator, error) {
 		g := NewRMAT(seed)
-		var err error
-		if g.A, err = sgParamFloat(p, "a", g.A); err != nil {
-			return nil, err
-		}
-		if g.B, err = sgParamFloat(p, "b", g.B); err != nil {
-			return nil, err
-		}
-		if g.C, err = sgParamFloat(p, "c", g.C); err != nil {
-			return nil, err
-		}
-		if g.D, err = sgParamFloat(p, "d", g.D); err != nil {
-			return nil, err
-		}
-		if g.EdgeFactor, err = sgParamInt(p, "edgeFactor", g.EdgeFactor); err != nil {
-			return nil, err
-		}
-		if g.Noise, err = sgParamFloat(p, "noise", g.Noise); err != nil {
-			return nil, err
-		}
-		if g.KeepDuplicates, err = sgParamBool(p, "keepDuplicates", g.KeepDuplicates); err != nil {
-			return nil, err
-		}
+		g.A = p.float("a", g.A)
+		g.B = p.float("b", g.B)
+		g.C = p.float("c", g.C)
+		g.D = p.float("d", g.D)
+		g.EdgeFactor = int64(p.int("edgeFactor", int(g.EdgeFactor)))
+		g.Noise = p.float("noise", g.Noise)
+		g.KeepDuplicates = p.bool("keepDuplicates", g.KeepDuplicates)
 		return g, nil
-	}))
-	must(r.RegisterMono("lfr", func(p map[string]string, seed uint64) (Generator, error) {
+	})
+	mono("lfr", func(p *sgParams, seed uint64) (Generator, error) {
 		g := NewLFR(seed)
-		var err error
-		if g.AvgDegree, err = sgParamFloat(p, "avgDegree", g.AvgDegree); err != nil {
-			return nil, err
-		}
-		var iv int64
-		if iv, err = sgParamInt(p, "maxDegree", int64(g.MaxDegree)); err != nil {
-			return nil, err
-		}
-		g.MaxDegree = int(iv)
-		if iv, err = sgParamInt(p, "minCommunity", int64(g.MinCommunity)); err != nil {
-			return nil, err
-		}
-		g.MinCommunity = int(iv)
-		if iv, err = sgParamInt(p, "maxCommunity", int64(g.MaxCommunity)); err != nil {
-			return nil, err
-		}
-		g.MaxCommunity = int(iv)
-		if g.Mu, err = sgParamFloat(p, "mu", g.Mu); err != nil {
-			return nil, err
-		}
-		if g.Tau1, err = sgParamFloat(p, "tau1", g.Tau1); err != nil {
-			return nil, err
-		}
-		if g.Tau2, err = sgParamFloat(p, "tau2", g.Tau2); err != nil {
-			return nil, err
-		}
+		g.AvgDegree = p.float("avgDegree", g.AvgDegree)
+		g.MaxDegree = p.int("maxDegree", g.MaxDegree)
+		g.MinCommunity = p.int("minCommunity", g.MinCommunity)
+		g.MaxCommunity = p.int("maxCommunity", g.MaxCommunity)
+		g.Mu = p.float("mu", g.Mu)
+		g.Tau1 = p.float("tau1", g.Tau1)
+		g.Tau2 = p.float("tau2", g.Tau2)
 		return g, nil
-	}))
-	must(r.RegisterMono("bter", func(p map[string]string, seed uint64) (Generator, error) {
-		dmin, err := sgParamInt(p, "dmin", 2)
-		if err != nil {
-			return nil, err
-		}
-		dmax, err := sgParamInt(p, "dmax", 50)
-		if err != nil {
-			return nil, err
-		}
-		gamma, err := sgParamFloat(p, "gamma", 2.0)
-		if err != nil {
-			return nil, err
-		}
-		// The degree histogram is rescaled to the Run(n) size, so the
-		// reference population just needs to be large enough for
-		// resolution.
-		return NewBTERPowerLaw(1<<20, int(dmin), int(dmax), gamma, seed)
-	}))
-	must(r.RegisterMono("darwini", func(p map[string]string, seed uint64) (Generator, error) {
-		dmin, err := sgParamInt(p, "dmin", 2)
-		if err != nil {
-			return nil, err
-		}
-		dmax, err := sgParamInt(p, "dmax", 50)
-		if err != nil {
-			return nil, err
-		}
-		gamma, err := sgParamFloat(p, "gamma", 2.0)
-		if err != nil {
-			return nil, err
-		}
-		spread, err := sgParamFloat(p, "spread", 0.5)
-		if err != nil {
-			return nil, err
-		}
-		g, err := NewDarwiniPowerLaw(1<<20, int(dmin), int(dmax), gamma, seed)
+	})
+	// BTER and Darwini rescale their degree histogram to the Run(n)
+	// size, so the reference population just needs to be large enough
+	// for resolution.
+	mono("bter", func(p *sgParams, seed uint64) (Generator, error) {
+		return NewBTERPowerLaw(1<<20, p.int("dmin", 2), p.int("dmax", 50), p.float("gamma", 2.0), seed)
+	})
+	mono("darwini", func(p *sgParams, seed uint64) (Generator, error) {
+		spread := p.float("spread", 0.5)
+		g, err := NewDarwiniPowerLaw(1<<20, p.int("dmin", 2), p.int("dmax", 50), p.float("gamma", 2.0), seed)
 		if err != nil {
 			return nil, err
 		}
 		g.CCSpread = spread
 		return g, nil
-	}))
-	must(r.RegisterMono("cascade", func(p map[string]string, seed uint64) (Generator, error) {
+	})
+	mono("cascade", func(p *sgParams, seed uint64) (Generator, error) {
 		g := cascade.NewGenerator(seed)
-		var err error
-		var iv int64
-		if iv, err = sgParamInt(p, "minSize", int64(g.TreeSizeMin)); err != nil {
-			return nil, err
-		}
-		g.TreeSizeMin = int(iv)
-		if iv, err = sgParamInt(p, "maxSize", int64(g.TreeSizeMax)); err != nil {
-			return nil, err
-		}
-		g.TreeSizeMax = int(iv)
-		if g.Gamma, err = sgParamFloat(p, "gamma", g.Gamma); err != nil {
-			return nil, err
-		}
-		if g.PreferRecent, err = sgParamFloat(p, "preferRecent", g.PreferRecent); err != nil {
-			return nil, err
-		}
+		g.TreeSizeMin = p.int("minSize", g.TreeSizeMin)
+		g.TreeSizeMax = p.int("maxSize", g.TreeSizeMax)
+		g.Gamma = p.float("gamma", g.Gamma)
+		g.PreferRecent = p.float("preferRecent", g.PreferRecent)
 		return &cascade.SG{Gen: g}, nil
-	}))
-	must(r.RegisterMono("erdos-renyi", func(p map[string]string, seed uint64) (Generator, error) {
-		epn, err := sgParamFloat(p, "edgesPerNode", 8)
-		if err != nil {
-			return nil, err
-		}
-		return NewErdosRenyi(epn, seed), nil
-	}))
-	must(r.RegisterMono("barabasi-albert", func(p map[string]string, seed uint64) (Generator, error) {
-		m, err := sgParamInt(p, "m", 4)
-		if err != nil {
-			return nil, err
-		}
-		return NewBarabasiAlbert(int(m), seed), nil
-	}))
-	must(r.RegisterMono("watts-strogatz", func(p map[string]string, seed uint64) (Generator, error) {
-		k, err := sgParamInt(p, "k", 4)
-		if err != nil {
-			return nil, err
-		}
-		beta, err := sgParamFloat(p, "beta", 0.1)
-		if err != nil {
-			return nil, err
-		}
-		return NewWattsStrogatz(int(k), beta, seed), nil
-	}))
-	must(r.RegisterBipartite("powerlaw-out", func(p map[string]string, seed uint64) (BipartiteGenerator, error) {
-		lo, err := sgParamInt(p, "min", 1)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := sgParamInt(p, "max", 20)
-		if err != nil {
-			return nil, err
-		}
-		gamma, err := sgParamFloat(p, "gamma", 2.0)
-		if err != nil {
-			return nil, err
-		}
-		return NewPowerLawOut(int(lo), int(hi), gamma, seed), nil
-	}))
-	must(r.RegisterBipartite("zipf-attachment", func(p map[string]string, seed uint64) (BipartiteGenerator, error) {
-		lo, err := sgParamInt(p, "min", 1)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := sgParamInt(p, "max", 20)
-		if err != nil {
-			return nil, err
-		}
-		gamma, err := sgParamFloat(p, "gamma", 2.0)
-		if err != nil {
-			return nil, err
-		}
-		theta, err := sgParamFloat(p, "theta", 1.0)
-		if err != nil {
-			return nil, err
-		}
-		return NewZipfAttachment(int(lo), int(hi), gamma, theta, seed), nil
-	}))
-	must(r.RegisterBipartite("one-to-one", func(p map[string]string, seed uint64) (BipartiteGenerator, error) {
-		return &OneToOne{Seed: seed}, nil
-	}))
-	must(r.RegisterBipartite("uniform-bipartite", func(p map[string]string, seed uint64) (BipartiteGenerator, error) {
-		avg, err := sgParamFloat(p, "avgOut", 3)
-		if err != nil {
-			return nil, err
-		}
-		return &UniformBipartite{AvgOut: avg, Seed: seed}, nil
-	}))
+	})
+	mono("erdos-renyi", func(p *sgParams, seed uint64) (Generator, error) {
+		return NewErdosRenyi(p.float("edgesPerNode", 8), seed), nil
+	})
+	mono("barabasi-albert", func(p *sgParams, seed uint64) (Generator, error) {
+		return NewBarabasiAlbert(p.int("m", 4), seed), nil
+	})
+	mono("watts-strogatz", func(p *sgParams, seed uint64) (Generator, error) {
+		return NewWattsStrogatz(p.int("k", 4), p.float("beta", 0.1), seed), nil
+	})
+	bip("powerlaw-out", func(p *sgParams, seed uint64) BipartiteGenerator {
+		return NewPowerLawOut(p.int("min", 1), p.int("max", 20), p.float("gamma", 2.0), seed)
+	})
+	bip("zipf-attachment", func(p *sgParams, seed uint64) BipartiteGenerator {
+		return NewZipfAttachment(p.int("min", 1), p.int("max", 20), p.float("gamma", 2.0), p.float("theta", 1.0), seed)
+	})
+	bip("one-to-one", func(p *sgParams, seed uint64) BipartiteGenerator {
+		return &OneToOne{Seed: seed}
+	})
+	bip("uniform-bipartite", func(p *sgParams, seed uint64) BipartiteGenerator {
+		return &UniformBipartite{AvgOut: p.float("avgOut", 3), Seed: seed}
+	})
 }

@@ -212,3 +212,32 @@ func TestRegistrationErrorSurfacesNotPanics(t *testing.T) {
 		t.Fatal("BuildBipartite on a broken registry must return the registration error")
 	}
 }
+
+// TestRegistryRejectsUnreadParameters: every built-in factory refuses a
+// parameter name it does not read — a misspelt name must not run with
+// the default — names it in the error, and still builds from no
+// parameters at all.
+func TestRegistryRejectsUnreadParameters(t *testing.T) {
+	r := NewRegistry()
+	stray := map[string]string{"noSuchParameter": "1"}
+	for _, name := range r.MonoNames() {
+		if _, err := r.BuildMono(name, nil, 1); err != nil {
+			t.Errorf("%s with its defaults: %v", name, err)
+		}
+		if _, err := r.BuildMono(name, stray, 1); err == nil || !strings.Contains(err.Error(), name+" has no parameter noSuchParameter") {
+			t.Errorf("%s(noSuchParameter=1) = %v, want the parameter refused by name", name, err)
+		}
+	}
+	for _, name := range r.BipartiteNames() {
+		if _, err := r.BuildBipartite(name, nil, 1); err != nil {
+			t.Errorf("%s with its defaults: %v", name, err)
+		}
+		if _, err := r.BuildBipartite(name, stray, 1); err == nil || !strings.Contains(err.Error(), name+" has no parameter noSuchParameter") {
+			t.Errorf("%s(noSuchParameter=1) = %v, want the parameter refused by name", name, err)
+		}
+	}
+	// A generator that fails its own Validate never leaves the registry.
+	if _, err := r.BuildBipartite("zipf-attachment", map[string]string{"theta": "0"}, 1); err == nil || !strings.Contains(err.Error(), "theta > 0") {
+		t.Errorf("zipf-attachment(theta=0) = %v, want Validate's error", err)
+	}
+}

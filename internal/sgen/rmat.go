@@ -54,10 +54,11 @@ func (r *RMAT) Name() string { return "rmat" }
 // SetWorkers implements WorkerSettable.
 func (r *RMAT) SetWorkers(w int) { r.Workers = w }
 
-// validate checks the quadrant probabilities.
-func (r *RMAT) validate() error {
-	sum := r.A + r.B + r.C + r.D
-	if sum < 0.999 || sum > 1.001 {
+// Validate implements Generator: the quadrant probabilities, the edge
+// factor and the noise amplitude (past 1 a perturbed probability could
+// turn negative).
+func (r *RMAT) Validate() error {
+	if sum := r.A + r.B + r.C + r.D; !(sum >= 0.999 && sum <= 1.001) {
 		return fmt.Errorf("sgen: RMAT probabilities sum to %v, want 1", sum)
 	}
 	for _, p := range []float64{r.A, r.B, r.C, r.D} {
@@ -67,6 +68,9 @@ func (r *RMAT) validate() error {
 	}
 	if r.EdgeFactor <= 0 {
 		return fmt.Errorf("sgen: RMAT edge factor must be positive, got %d", r.EdgeFactor)
+	}
+	if !(r.Noise >= 0 && r.Noise <= 1) {
+		return fmt.Errorf("sgen: RMAT noise %v outside [0,1]", r.Noise)
 	}
 	return nil
 }
@@ -88,7 +92,7 @@ func (r *RMAT) Run(n int64) (*table.EdgeTable, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sgen: RMAT needs n > 0, got %d", n)
 	}
-	if err := r.validate(); err != nil {
+	if err := r.Validate(); err != nil {
 		return nil, err
 	}
 	if scaleFor(n) > 31 {

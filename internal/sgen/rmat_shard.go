@@ -188,7 +188,7 @@ func (r *RMAT) runSharded(n int64) (*table.EdgeTable, error) {
 	var dd *edgeDedup
 	if !r.KeepDuplicates {
 		// No capacity hint: the first round's sorted winners become the
-		// accepted set (mergeNewKeys adopts them), already sized.
+		// accepted set (resolveRound adopts them), already sized.
 		dd = newEdgeDedup(0)
 	}
 	var al *rmatAlias
@@ -217,7 +217,7 @@ func (r *RMAT) runSharded(n int64) (*table.EdgeTable, error) {
 			}
 			slab = slab[:draws]
 			r.fillSlabPacked(base, round, slab, al, workers)
-			dd.appendDedupedPacked(et, slab, n, need)
+			slab = dd.appendDedupedPacked(et, slab, n, need)
 		} else {
 			if cap(slabT) < int(draws) {
 				slabT = make([]int64, draws)
@@ -478,14 +478,7 @@ func rmatAppendInRange(et *table.EdgeTable, tails, heads []int64, n, limit int64
 
 // appendDeduped resolves one deduped round: candidates
 // (tails[i], heads[i]) with self-loops and endpoints outside [0, n)
-// dropped are canonicalised to (min, max), and the distinct keys not
-// yet in the accepted set — duplicates within the round or against any
-// earlier round lose — append to et in sorted key order, at most limit
-// of them. Sorted-order emission is what makes the round cheap: the
-// radix pass needs no index payload and no per-candidate winner flags,
-// and any fixed deterministic order is as good as slab order for the
-// worker-count-invariance contract. Winner keys merge into the
-// accepted set so later rounds reject them.
+// dropped are canonicalised to (min, max) and handed to resolveRound.
 func (d *edgeDedup) appendDeduped(et *table.EdgeTable, tails, heads []int64, n, limit int64) {
 	nCand := len(tails)
 	// Sized up front: RMAT rounds are millions of candidates, and
@@ -494,54 +487,61 @@ func (d *edgeDedup) appendDeduped(et *table.EdgeTable, tails, heads []int64, n, 
 	if cap(d.keys) < nCand {
 		d.keys = make([]uint64, 0, nCand)
 	}
-	d.keys = d.keys[:0]
+	keys := d.keys[:0]
 	for i := 0; i < nCand; i++ {
 		t, h := tails[i], heads[i]
 		if t == h || t >= n || h >= n {
 			continue
 		}
-		d.keys = append(d.keys, packEdgeKey(t, h))
+		keys = append(keys, packEdgeKey(t, h))
 	}
-	d.flushDeduped(et, limit)
+	d.keys = d.resolveRound(et, keys, limit)
 }
 
 // appendDedupedPacked is appendDeduped over an already packed
-// candidate slab (drawShardAliasPacked's output): filter self-loops
-// (min == max) and out-of-range keys, then resolve as usual.
-func (d *edgeDedup) appendDedupedPacked(et *table.EdgeTable, slab []uint64, n, limit int64) {
-	if cap(d.keys) < len(slab) {
-		d.keys = make([]uint64, 0, len(slab))
-	}
-	d.keys = d.keys[:0]
+// candidate slab (drawShardAliasPacked's output): self-loops
+// (min == max) and out-of-range keys are filtered out in place and the
+// rest resolved as usual. The slab is consumed, like resolveRound's
+// keys; the buffer returned is the one to fill next round.
+func (d *edgeDedup) appendDedupedPacked(et *table.EdgeTable, slab []uint64, n, limit int64) []uint64 {
+	w := 0
 	for _, k := range slab {
 		max := k & 0xffffffff
 		if k>>32 == max || int64(max) >= n {
 			continue
 		}
-		d.keys = append(d.keys, k)
+		slab[w] = k
+		w++
 	}
-	d.flushDeduped(et, limit)
+	return d.resolveRound(et, slab[:w], limit)
 }
 
-// flushDeduped resolves the candidate keys collected in d.keys: sort,
-// drop duplicates within the round and against the accepted set, and
-// append at most limit winners to et in sorted key order.
-func (d *edgeDedup) flushDeduped(et *table.EdgeTable, limit int64) {
-	keys := d.sortKeys(d.keys)
+// resolveRound resolves one round's candidate keys: the distinct keys
+// not yet in the accepted set — duplicates within the round or against
+// any earlier round lose — append to et in sorted key order, at most
+// limit of them, and merge into the accepted set so later rounds reject
+// them. Sorted-order emission is what makes the round cheap: the radix
+// pass needs no index payload and no per-candidate winner flags, and
+// any fixed deterministic order is as good as slab order for the
+// worker-count-invariance contract.
+//
+// A round works in two buffers, keys and the sort scratch: the sort
+// ping-pongs between them and the winners are compacted in place in
+// whichever holds the sorted keys. keys is consumed. The first round's
+// winners — millions of them — become the accepted set where they lie
+// and the other buffer is returned for the caller's next candidates;
+// later rounds merge their (few) winners into that set and hand keys
+// back. Either way nothing the caller gets aliases the accepted set.
+func (d *edgeDedup) resolveRound(et *table.EdgeTable, keys []uint64, limit int64) []uint64 {
+	sorted, other := d.sortKeys(keys)
 
 	// Runs of equal keys against the accepted set (two-pointer: both
-	// sorted); the first fresh key of each run wins. Sized up front like
-	// d.keys: a first round yields millions of winners, and append
-	// doubling from a cold buffer copied them several times over.
-	if cap(d.newKeys) < len(keys) {
-		d.newKeys = make([]uint64, 0, len(keys))
-	}
-	d.newKeys = d.newKeys[:0]
-	ai := 0
-	for i := 0; i < len(keys); {
-		key := keys[i]
+	// sorted); the first fresh key of each run wins.
+	ai, w := 0, 0
+	for i := 0; i < len(sorted); {
+		key := sorted[i]
 		j := i + 1
-		for j < len(keys) && keys[j] == key {
+		for j < len(sorted) && sorted[j] == key {
 			j++
 		}
 		i = j
@@ -555,10 +555,18 @@ func (d *edgeDedup) flushDeduped(et *table.EdgeTable, limit int64) {
 			et.Add(int64(key>>32), int64(key&0xffffffff))
 			limit--
 		}
-		// Merging every winner key (even ones dropped by the limit) is
+		// Keeping every winner key (even ones dropped by the limit) is
 		// sound: the limit only truncates the final round, after which
 		// no further round consults the accepted set.
-		d.newKeys = append(d.newKeys, key)
+		sorted[w] = key
+		w++
 	}
-	d.mergeNewKeys()
+	if len(d.accepted) == 0 && w > 0 {
+		// One of keys and the scratch is now the accepted set and the
+		// other goes to the caller: the next sort needs a new scratch.
+		d.accepted, d.tmpK = sorted[:w], nil
+		return other
+	}
+	d.mergeKeys(sorted[:w])
+	return keys
 }

@@ -383,3 +383,81 @@ func TestRMATDedupAgainstReference(t *testing.T) {
 		checkRMATDedupAgainstReference(t, data, span, n, limits)
 	}
 }
+
+// TestRMATDedupBuffers pins the dedup round's memory shape: two big
+// buffers — the slab, filtered and sorted in place against one scratch
+// — where the round used to hold four (slab, filtered copy, radix
+// scratch, winner list).
+func TestRMATDedupBuffers(t *testing.T) {
+	// A scale-16 run allocates, outside its edge table, under three
+	// 8-byte words per drawn key (it was 3.86).
+	g := NewRMAT(3)
+	g.Workers = 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	et, err := g.Run(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	scratch := float64(after.TotalAlloc-before.TotalAlloc) - 16*float64(cap(et.Tail))
+	perKey := scratch / 8 / float64(g.lastStats.draws)
+	t.Logf("%.2f words per drawn key outside the edge table", perKey)
+	if perKey >= 3 {
+		t.Errorf("scale-16 run allocated %.2f words per drawn key outside the edge table, want < 3", perKey)
+	}
+
+	// Rounds reuse the buffer resolveRound hands back, as runSharded
+	// does. Nothing handed back, and no scratch kept, may share memory
+	// with the accepted set: the next round's fill or sort would corrupt
+	// it and a duplicate would slip through. Tight ids force duplicates
+	// within and across rounds; the map reference decides.
+	base := func(s []uint64) *uint64 {
+		if cap(s) == 0 {
+			return nil
+		}
+		return &s[:1][0]
+	}
+	const n = 24
+	q := newSeq(5)
+	dd := newEdgeDedup(0)
+	fast := table.NewEdgeTable("fast", 0)
+	naive := table.NewEdgeTable("naive", 0)
+	accepted := map[uint64]struct{}{}
+	var slab []uint64
+	for round, draws := range []int{300, 64, 5000, 40, 2} {
+		if cap(slab) < draws {
+			slab = make([]uint64, draws)
+		}
+		slab = slab[:draws]
+		tails, heads := make([]int64, draws), make([]int64, draws)
+		for i := range slab {
+			tails[i], heads[i] = q.Intn(n+2), q.Intn(n+2) // some out of range
+			slab[i] = packEdgeKey(tails[i], heads[i])
+		}
+		limit := int64(20 + 10*round)
+		slab = dd.appendDedupedPacked(fast, slab, n, limit)
+		naiveDedupRound(accepted, naive, tails, heads, n, limit)
+		for name, buf := range map[string][]uint64{"returned slab": slab, "sort scratch": dd.tmpK, "merge scratch": dd.merged} {
+			if p := base(buf); p != nil && p == base(dd.accepted) {
+				t.Fatalf("round %d: %s aliases the accepted set", round, name)
+			}
+		}
+	}
+	assertSameEdges(t, "slab reuse", naive, fast)
+}
+
+// BenchmarkRMATScale18 is the bench workload's structure task
+// (cli-rmat-columnar: scale 18, edge factor 16, one worker). B/op is
+// the number to watch: the edge table is 64 MB of it, the rest is
+// dedup scratch.
+func BenchmarkRMATScale18(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := NewRMAT(uint64(i))
+		g.Workers = 1
+		if _, err := g.RunScale(18); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -30,6 +30,50 @@
 // setting; golden-hash tests pin the exact bytes. Changing a
 // generator's drawing scheme changes the bytes for a given seed and
 // must bump core.SchemaVersion.
+//
+// # Writing a structure generator
+//
+// A generator is a struct of parameters and a seed implementing
+// Generator (one node type) or BipartiteGenerator (two), registered
+// under its DSL name with Registry.RegisterMono/RegisterBipartite.
+// Four rules make it safe to put behind the engine and the daemon:
+//
+//   - Validate is the whole parameter check. It refuses everything Run
+//     would refuse whatever n is — empty ranges (min > max), exponents
+//     that are not positive, probabilities and mixing parameters
+//     outside [0,1], NaN anywhere (write the comparison so that NaN
+//     fails it: !(x > 0), not x <= 0) — and it costs O(parameters): no
+//     CDF, alias or guide table, nothing sized by n (bter and darwini
+//     keep their parameters as a degree histogram of dmax entries,
+//     which their factories fill). The registry
+//     calls it on every generator it builds, and core.ValidateSchema
+//     builds every edge type's generator, so `datasynth -validate`,
+//     daemon admission (on cache hits too) and scenario registration
+//     all stop a bad spec before any task runs. Run calls Validate
+//     itself, for callers that fill the struct by hand, and adds only
+//     the checks that need n (a domain too small, a density out of
+//     reach).
+//   - Unknown parameters are errors. A built-in factory reads its
+//     parameters through sgParams, which refuses a spec naming one the
+//     factory never read: zipf-attachment(tetha=2) must not generate
+//     with theta's default and be cached under a hash of its own.
+//   - The edge table is a pure function of (seed, parameters, n) at
+//     every worker count. Draw from xrand streams derived from the seed
+//     by label or index, never from shared state; if the work is
+//     sharded, a unit's content depends only on (seed, unit index) and
+//     units are resolved in a fixed order. Emission order is part of
+//     the bytes: pin it with a golden hash (TestRMATGoldenHash,
+//     TestZipfAttachmentGolden) before optimising.
+//   - Scratch is budgeted per generated edge. The table itself is 16
+//     bytes an edge; a generator should stay within a small multiple of
+//     that beside it and say how much: RMAT's dedup round holds two
+//     8-byte buffers per drawn key (TestRMATDedupBuffers), LFR's wiring
+//     reuses one edgeDedup per shard, zipf-attachment keeps 8 bytes per
+//     popularity rank and finds a tail's repeated head by scanning the
+//     at most MaxOut heads it already has, not in a set per tail.
+//
+// A generator with something worth a line in the timing report —
+// rounds, redraws, duplicates — implements Noter.
 package sgen
 
 import (
@@ -43,6 +87,10 @@ import (
 type Generator interface {
 	// Name identifies the generator in the DSL and in diagnostics.
 	Name() string
+	// Validate checks the generator's parameters — everything Run would
+	// refuse whatever n is — in O(parameters): no CDF or table is built.
+	// Schema validation calls it at admission; Run calls it too.
+	Validate() error
 	// Run generates the edges of a graph over n nodes. Endpoint ids are
 	// in [0, n); edge ids are the dense row numbers of the returned
 	// table.
@@ -87,6 +135,8 @@ type EdgeCountEstimator interface {
 // Message). Tail ids are in [0, nTail), head ids in [0, nHead).
 type BipartiteGenerator interface {
 	Name() string
+	// Validate is Generator.Validate for bipartite generators.
+	Validate() error
 	// RunBipartite generates edges from nTail tail nodes. If nHead < 0
 	// the generator chooses the head count itself (e.g. exactly one
 	// Message per `creates` edge) and the implied head count is the

@@ -3,6 +3,7 @@ package xrand
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -15,9 +16,42 @@ import (
 // transform over the cumulative weights. It is the workhorse behind
 // categorical property generators and the paper's
 // "Inverse Transform Sampling" remark in Section 4.1.
+//
+// # Guide table
+//
+// SampleU(u) is defined as the first index i with cum[i] >= u. A
+// binary search finds it in log2(n) dependent, unpredictable probes —
+// fifteen over zipf-attachment's 30 000-entry CDF, on every edge.
+// NewDiscrete therefore also builds a guide table (Chen & Asau's
+// indexed search): the unit interval is cut into G equal buckets and
+// guide[b] holds that same first index for the bucket edge b/G. A draw
+// u in bucket b = ⌊u·G⌋ satisfies b/G <= u < (b+1)/G, and the defining
+// index is monotone in u, so the answer lies in [guide[b], guide[b+1]]
+// and the binary search runs over that range alone. With G >= 4n at
+// least three draws in four land in a bucket no cum[i] falls into and
+// need no probe at all, which is what makes the guide pay even at two
+// categories (4 ns against 7.5 for the full search; 6.7 against 59 at
+// 30 000 — BenchmarkDiscreteSampleU).
+//
+// The result cannot differ from the full search's. G is a power of two,
+// so u·G and b/G are exact in floating point (a scaling of the
+// exponent): the bucket is the one u really lies in, and guide[b] was
+// computed against the exact edge. Inside the range the same comparison
+// cum[i] < u decides. FuzzDiscreteGuide holds the two searches together
+// at every cum[i], every bucket edge and their floating-point
+// neighbours.
 type Discrete struct {
 	cum []float64 // cumulative probabilities, cum[len-1] == 1
+	// guide[b], b in [0, G], is the first index with cum[i] >= b/G.
+	guide   []uint32
+	buckets float64 // G, as the factor that turns u into a bucket
 }
+
+// guideMaxBuckets bounds the guide table at 512 KB however large the
+// support: past it a bucket holds several entries and the search inside
+// it takes a probe or two more, which is still log2(G) fewer than
+// without.
+const guideMaxBuckets = 1 << 17
 
 // NewDiscrete builds a discrete distribution from non-negative weights.
 // Weights need not be normalised. At least one weight must be positive.
@@ -42,7 +76,27 @@ func NewDiscrete(weights []float64) (*Discrete, error) {
 		cum[i] = acc
 	}
 	cum[len(cum)-1] = 1
-	return &Discrete{cum: cum}, nil
+	d := &Discrete{cum: cum}
+	if uint64(len(cum)) <= math.MaxUint32 { // guide entries are uint32
+		d.buildGuide()
+	}
+	return d, nil
+}
+
+// buildGuide fills the guide table in one sweep over cum: the first
+// index reaching b/G only moves right as b grows.
+func (d *Discrete) buildGuide() {
+	g := min(1<<bits.Len(uint(4*len(d.cum)-1)), guideMaxBuckets) // power of two >= 4n
+	d.guide = make([]uint32, g+1)
+	d.buckets = float64(g)
+	i := 0
+	for b := range d.guide {
+		// cum's last entry is 1 >= b/G, so i stays in range.
+		for edge := float64(b) / d.buckets; d.cum[i] < edge; {
+			i++
+		}
+		d.guide[b] = uint32(i)
+	}
 }
 
 // MustDiscrete is NewDiscrete that panics on error; for literals.
@@ -63,10 +117,17 @@ func (d *Discrete) Sample(s Stream, i int64) int {
 }
 
 // SampleU inverts the CDF at u in [0,1): the first category whose
-// cumulative probability reaches u. It is sort.SearchFloat64s without
-// the call per probe — this sits under every categorical draw.
+// cumulative probability reaches u. The search is sort.SearchFloat64s
+// without the call per probe, over the range the guide table leaves
+// (see Discrete) — this sits under every categorical draw. A u outside
+// [0,1) has no bucket and gets the full search, as does a support too
+// large for a guide.
 func (d *Discrete) SampleU(u float64) int {
 	lo, hi := 0, len(d.cum)
+	if d.guide != nil && u >= 0 && u < 1 {
+		b := int(u * d.buckets)
+		lo, hi = int(d.guide[b]), int(d.guide[b+1])
+	}
 	for lo < hi {
 		if mid := int(uint(lo+hi) >> 1); d.cum[mid] < u {
 			lo = mid + 1
@@ -262,3 +323,5 @@ func GroupSizes(n int64, k int, p float64) ([]int64, error) {
 	}
 	return sizes, nil
 }
+
+var guideMul = 4
