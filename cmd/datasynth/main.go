@@ -11,7 +11,7 @@
 // type. -format selects the encoding: csv (default, the layout bulk
 // loaders of property-graph databases expect), jsonl (one JSON object
 // per row), or columnar (binary typed column blocks for fast bulk
-// loads). Tables are written concurrently (-exportworkers) and the
+// loads). Tables are written concurrently (under -workers) and the
 // directory commits atomically — a failed export leaves no partial
 // files. With -timings the report covers generation AND export, so the
 // printed critical path is the true end-to-end pipeline floor.
@@ -73,7 +73,6 @@ func main() {
 	example := flag.Bool("example", false, "print an example schema and exit")
 	verbose := flag.Bool("v", false, "log task progress")
 	workers := flag.Int("workers", 0, "scheduler and intra-task worker bound (0 = GOMAXPROCS, which also caps larger values; 1 = sequential; SBM-Part scans windowed from 3 effective workers up); output is byte-identical at any count")
-	exportWorkers := flag.Int("exportworkers", 0, "concurrent table writers during export (0 = inherit -workers, 1 = one table at a time); file bytes are identical at any count")
 	timings := flag.Bool("timings", false, "print the per-task timing report and end-to-end critical path (generation + export)")
 	flag.Parse()
 
@@ -163,7 +162,6 @@ func main() {
 	eng := core.New(s)
 	eng.Workers = *workers
 	eng.ExportFormat = exportFormat
-	eng.ExportWorkers = *exportWorkers
 	if *verbose {
 		eng.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "datasynth: "+format+"\n", args...)

@@ -122,10 +122,14 @@ func TestValidateExitCodes(t *testing.T) {
 		}
 	}
 
-	// -window went with the windowed-matcher knobs; a removed flag is a
-	// usage error, not something silently accepted.
-	if code, _, stderr := run(t, "-window", "64", "-validate", "-schema", writeSchema(t, example)); code != 2 || !strings.Contains(stderr, "-window") {
-		t.Errorf("-window 64: exit %d, stderr %q; want 2 naming the flag", code, stderr)
+	// -window went with the windowed-matcher knobs and -exportworkers
+	// with Engine.ExportWorkers; a removed flag is a usage error, not
+	// something silently accepted.
+	for _, removed := range [][2]string{{"-window", "64"}, {"-exportworkers", "2"}} {
+		code, _, stderr := run(t, removed[0], removed[1], "-validate", "-schema", writeSchema(t, example))
+		if code != 2 || !strings.Contains(stderr, removed[0]) {
+			t.Errorf("%s %s: exit %d, stderr %q; want 2 naming the flag", removed[0], removed[1], code, stderr)
+		}
 	}
 }
 

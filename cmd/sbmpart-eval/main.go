@@ -11,10 +11,10 @@
 // one per panel, plus ASCII plots and a summary table on stdout.
 //
 // Figure panels and sweep points are independent, so they run on a
-// worker pool (-panelworkers, default GOMAXPROCS) with results streamed in
-// panel order; every emitted artifact is byte-identical to a serial
-// run. The timing experiment (-timing) ignores the pool and stays a
-// pinned single-thread, single-stream measurement.
+// GOMAXPROCS-wide worker pool with results streamed in panel order;
+// every emitted artifact is byte-identical to a serial run. The timing
+// experiment (-timing) ignores the pool and stays a pinned
+// single-thread, single-stream measurement.
 package main
 
 import (
@@ -34,7 +34,6 @@ func main() {
 	bipartite := flag.Bool("bipartite", false, "run the bipartite SBM-Part fidelity panels")
 	passes := flag.Int("passes", 0, "re-streaming refinement passes for figure panels")
 	workers := flag.Int("workers", 0, "intra-task worker bound for LFR sharding and SBM-Part scans (0 = GOMAXPROCS, 1 = serial; SBM-Part scans windowed from 3 effective workers up)")
-	panelWorkers := flag.Int("panelworkers", 0, "concurrent figure panels / sweep points (0 = GOMAXPROCS, 1 = serial); panel artifacts are byte-identical at any count — the timing experiment always runs serially")
 	all := flag.Bool("all", false, "run every experiment")
 	full := flag.Bool("full", false, "use the paper's full sizes (LFR-1M, RMAT-22); slow")
 	out := flag.String("out", "results", "output directory for TSV series")
@@ -52,19 +51,19 @@ func main() {
 	ran := false
 	if *all || *figure == 3 {
 		ran = true
-		if err := runFigure(3, tune(exp.Figure3Panels(*full)), *out, *panelWorkers); err != nil {
+		if err := runFigure(3, tune(exp.Figure3Panels(*full)), *out); err != nil {
 			fatal(err)
 		}
 	}
 	if *all || *figure == 4 {
 		ran = true
-		if err := runFigure(4, tune(exp.Figure4Panels(*full)), *out, *panelWorkers); err != nil {
+		if err := runFigure(4, tune(exp.Figure4Panels(*full)), *out); err != nil {
 			fatal(err)
 		}
 	}
 	if *all || *musweep {
 		ran = true
-		if err := runMuSweep(*out, *panelWorkers); err != nil {
+		if err := runMuSweep(*out); err != nil {
 			fatal(err)
 		}
 	}
@@ -103,10 +102,10 @@ func withPasses(panels []exp.Panel, passes int) []exp.Panel {
 	return panels
 }
 
-func runMuSweep(out string, workers int) error {
+func runMuSweep(out string) error {
 	fmt.Println("== Structure sensitivity: fidelity vs LFR mixing parameter ==")
 	mus := []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5}
-	pts, err := exp.RunMuSweep(20000, 16, mus, 7, workers)
+	pts, err := exp.RunMuSweep(20000, 16, mus, 7, 0)
 	if err != nil {
 		return err
 	}
@@ -167,10 +166,10 @@ func fatal(err error) {
 // emitted artifacts are byte-identical at every worker count; only the
 // wall-clock timing columns reflect pool contention (the pinned timing
 // experiment never goes through this path).
-func runFigure(num int, panels []exp.Panel, out string, panelWorkers int) error {
+func runFigure(num int, panels []exp.Panel, out string) error {
 	fmt.Printf("== Figure %d ==\n%s\n", num, exp.SummaryHeader)
 	dir := filepath.Join(out, fmt.Sprintf("figure%d", num))
-	return exp.RunPanels(panels, panelWorkers, func(r *exp.Result) error {
+	return exp.RunPanels(panels, 0, func(r *exp.Result) error {
 		if err := exp.WriteSummaryRow(os.Stdout, r); err != nil {
 			return err
 		}

@@ -115,7 +115,7 @@
 //     are independent (each owns its seed), so exp.RunPanels runs them
 //     on a bounded pool and streams results back in submission order,
 //     byte-identical to the serial loop at every worker count
-//     (cmd/sbmpart-eval -panelworkers). The timing experiment stays
+//     (cmd/sbmpart-eval uses GOMAXPROCS). The timing experiment stays
 //     pinned to one serial, single-thread panel at a time.
 //   - Concurrent atomic export (internal/table): Dataset.Export writes
 //     one file per table on a bounded pool in any of three formats —
@@ -160,8 +160,8 @@
 //
 // The library lives under internal/ (see README.md for the map);
 // cmd/datasynth generates datasets from DSL schemas (-format
-// csv|jsonl|columnar, -exportworkers; -validate prints the canonical
-// schema hash without generating), cmd/datasynthd serves generation
+// csv|jsonl|columnar; -validate prints the canonical schema hash
+// without generating), cmd/datasynthd serves generation
 // over HTTP, cmd/sbmpart-eval regenerates
 // the paper's evaluation and cmd/graphstats validates exported
 // datasets in either connector format. The benchmarks in bench_test.go

@@ -56,10 +56,6 @@ type Engine struct {
 	// ExportFormat selects the on-disk encoding used by Export
 	// (the zero value is CSV).
 	ExportFormat table.Format
-	// ExportWorkers bounds how many tables Export writes concurrently:
-	// 0 inherits Workers (and thus GOMAXPROCS when that is 0 too), 1 writes
-	// one table at a time. File bytes are identical at any value.
-	ExportWorkers int
 	// ExportFS abstracts the export's filesystem for fault-injection
 	// tests; nil means the real one.
 	ExportFS faultfs.FS

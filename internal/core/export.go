@@ -8,7 +8,7 @@ import (
 )
 
 // Export writes the generated dataset to dir using the engine's
-// ExportFormat and ExportWorkers knobs, and folds the export wall time
+// ExportFormat and Workers bound, and folds the export wall time
 // into the run report — so after Generate+Export the reported critical
 // path covers the whole generate→structure→match→export pipeline, not
 // just the in-memory half. The write is concurrent (one worker per
@@ -24,7 +24,7 @@ func (e *Engine) Export(d *table.Dataset, dir string) error {
 // to put its per-job deadline over the export leg, not just generation.
 func (e *Engine) ExportCtx(ctx context.Context, d *table.Dataset, dir string) error {
 	start := time.Now()
-	files, err := d.ExportCtx(ctx, dir, table.ExportOptions{Format: e.ExportFormat, Workers: e.exportWorkers(), FS: e.ExportFS})
+	files, err := d.ExportCtx(ctx, dir, table.ExportOptions{Format: e.ExportFormat, Workers: e.Workers, FS: e.ExportFS})
 	if err != nil {
 		return err
 	}
@@ -36,14 +36,4 @@ func (e *Engine) ExportCtx(ctx context.Context, d *table.Dataset, dir string) er
 	e.reportMu.Unlock()
 	e.logf("export: %d %s files in %v -> %s", len(files), e.ExportFormat, wall, dir)
 	return nil
-}
-
-// exportWorkers resolves the export worker bound: an explicit
-// ExportWorkers wins, otherwise the engine-wide Workers bound applies
-// (0 still meaning GOMAXPROCS, resolved downstream).
-func (e *Engine) exportWorkers() int {
-	if e.ExportWorkers != 0 {
-		return e.ExportWorkers
-	}
-	return e.Workers
 }

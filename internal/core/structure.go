@@ -167,7 +167,17 @@ func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *sche
 		m = dry.Len()
 	}
 
-	target, err := fusedTarget(c, tailLabels, kt, cat, kh)
+	// The joint comes from the tail label frequencies and the head
+	// generator's marginal probabilities.
+	tailW, err := labelWeights(tailLabels, kt)
+	if err != nil {
+		return err
+	}
+	headW := make([]float64, kh)
+	for b := range headW {
+		headW[b] = cat.Prob(b)
+	}
+	target, err := alignedTarget(c, "fused", tailW, headW)
 	if err != nil {
 		return err
 	}
@@ -182,62 +192,6 @@ func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *sche
 	st.setFusedCol(edge.Head, c.HeadProperty, &fusedColumn{labels: headLabels, values: headValues})
 	e.logf("fused structure %s: %d edges, joint exact up to rounding", edge.Name, et.Len())
 	return nil
-}
-
-// fusedTarget builds the kt×kh joint for a fused edge from the tail
-// label frequencies and the head generator's marginal probabilities.
-func fusedTarget(c *schema.Correlation, tailLabels []int64, kt int, cat *pgen.Categorical, kh int) (*match.BipartiteTarget, error) {
-	t := match.NewBipartiteTarget(kt, kh)
-	if c.Matrix != nil {
-		if len(c.Matrix) != kt {
-			return nil, fmt.Errorf("core: fused matrix has %d rows, want %d", len(c.Matrix), kt)
-		}
-		for a := range c.Matrix {
-			if len(c.Matrix[a]) != kh {
-				return nil, fmt.Errorf("core: fused matrix row %d has %d entries, want %d", a, len(c.Matrix[a]), kh)
-			}
-			for b := range c.Matrix[a] {
-				t.Set(a, b, c.Matrix[a][b])
-			}
-		}
-		t.Normalize()
-		return t, t.Validate()
-	}
-	tailFreq, err := stats.Frequencies(tailLabels, kt)
-	if err != nil {
-		return nil, err
-	}
-	minK := kt
-	if kh < minK {
-		minK = kh
-	}
-	var diagW, offW float64
-	cellW := func(a, b int) float64 {
-		return float64(tailFreq[a]) * cat.Prob(b)
-	}
-	for a := 0; a < kt; a++ {
-		for b := 0; b < kh; b++ {
-			if a%minK == b%minK {
-				diagW += cellW(a, b)
-			} else {
-				offW += cellW(a, b)
-			}
-		}
-	}
-	for a := 0; a < kt; a++ {
-		for b := 0; b < kh; b++ {
-			w := cellW(a, b)
-			if a%minK == b%minK {
-				if diagW > 0 {
-					t.Set(a, b, c.Homophily*w/diagW)
-				}
-			} else if offW > 0 {
-				t.Set(a, b, (1-c.Homophily)*w/offW)
-			}
-		}
-	}
-	t.Normalize()
-	return t, t.Validate()
 }
 
 // matchEdge performs the paper's graph-matching task: it rewrites the
@@ -507,8 +461,15 @@ func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *tab
 	if err != nil {
 		return "", err
 	}
-	kt, kh := len(tailValues), len(headValues)
-	target, err := bipartiteTarget(c, tailLabels, headLabels, kt, kh)
+	tailW, err := labelWeights(tailLabels, len(tailValues))
+	if err != nil {
+		return "", err
+	}
+	headW, err := labelWeights(headLabels, len(headValues))
+	if err != nil {
+		return "", err
+	}
+	target, err := alignedTarget(c, "bipartite", tailW, headW)
 	if err != nil {
 		return "", err
 	}
@@ -524,18 +485,35 @@ func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *tab
 	return sbmNote(res.Mode, res.PartitionTime, nil), nil
 }
 
-// bipartiteTarget derives the kt×kh target: explicit matrix or the
-// homophily model generalised to two label sets (mass on index-aligned
-// pairs).
-func bipartiteTarget(c *schema.Correlation, tailLabels, headLabels []int64, kt, kh int) (*match.BipartiteTarget, error) {
+// labelWeights returns the frequency of each of k labels as a weight
+// vector for alignedTarget.
+func labelWeights(labels []int64, k int) ([]float64, error) {
+	freq, err := stats.Frequencies(labels, k)
+	if err != nil {
+		return nil, err
+	}
+	w := make([]float64, k)
+	for i, f := range freq {
+		w[i] = float64(f)
+	}
+	return w, nil
+}
+
+// alignedTarget derives the len(tailW)×len(headW) target of a
+// two-domain correlation: the explicit matrix, or the homophily model
+// generalised to two label sets — mass h on pairs with equal index
+// modulo min(kt,kh), the rest spread proportionally to the product of
+// the pair's weights. kind names the edge flavour in shape errors.
+func alignedTarget(c *schema.Correlation, kind string, tailW, headW []float64) (*match.BipartiteTarget, error) {
+	kt, kh := len(tailW), len(headW)
 	t := match.NewBipartiteTarget(kt, kh)
 	if c.Matrix != nil {
 		if len(c.Matrix) != kt {
-			return nil, fmt.Errorf("core: bipartite matrix is %d×·, want %d rows", len(c.Matrix), kt)
+			return nil, fmt.Errorf("core: %s matrix has %d rows, want %d", kind, len(c.Matrix), kt)
 		}
 		for a := range c.Matrix {
 			if len(c.Matrix[a]) != kh {
-				return nil, fmt.Errorf("core: bipartite matrix row %d has %d entries, want %d", a, len(c.Matrix[a]), kh)
+				return nil, fmt.Errorf("core: %s matrix row %d has %d entries, want %d", kind, a, len(c.Matrix[a]), kh)
 			}
 			for b := range c.Matrix[a] {
 				t.Set(a, b, c.Matrix[a][b])
@@ -544,24 +522,11 @@ func bipartiteTarget(c *schema.Correlation, tailLabels, headLabels []int64, kt, 
 		t.Normalize()
 		return t, t.Validate()
 	}
-	tailFreq, err := stats.Frequencies(tailLabels, kt)
-	if err != nil {
-		return nil, err
-	}
-	headFreq, err := stats.Frequencies(headLabels, kh)
-	if err != nil {
-		return nil, err
-	}
-	// Homophily h concentrates mass on pairs with equal index modulo
-	// min(kt,kh); the rest spreads proportionally to frequency products.
-	minK := kt
-	if kh < minK {
-		minK = kh
-	}
+	minK := min(kt, kh)
 	var diagW, offW float64
 	for a := 0; a < kt; a++ {
 		for b := 0; b < kh; b++ {
-			w := float64(tailFreq[a]) * float64(headFreq[b])
+			w := tailW[a] * headW[b]
 			if a%minK == b%minK {
 				diagW += w
 			} else {
@@ -571,7 +536,7 @@ func bipartiteTarget(c *schema.Correlation, tailLabels, headLabels []int64, kt, 
 	}
 	for a := 0; a < kt; a++ {
 		for b := 0; b < kh; b++ {
-			w := float64(tailFreq[a]) * float64(headFreq[b])
+			w := tailW[a] * headW[b]
 			if a%minK == b%minK {
 				if diagW > 0 {
 					t.Set(a, b, c.Homophily*w/diagW)

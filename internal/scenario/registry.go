@@ -20,32 +20,31 @@
 //   - Versions are immutable. Put appends; it never rewrites. Putting
 //     text whose canonical form equals the latest version returns that
 //     version instead of minting a duplicate.
-//   - Commits are two-phase through faultfs (temp file + rename), the
-//     same discipline as the dataset cache, so a crash never leaves a
-//     half-written version under a valid name.
-//   - Startup rebuilds the registry from disk and quarantines torn
-//     entries (unparseable JSON, non-canonical or invalid DSL, stray
-//     temp files) into <dir>/.quarantine/ instead of serving or
-//     deleting them.
+//   - Commits and startup recovery are internal/store's protocol, the
+//     one the dataset cache runs on: a crash never leaves a
+//     half-written version under a valid name, and startup quarantines
+//     what no longer validates (unparseable JSON, non-canonical or
+//     invalid DSL, stray temp files) into <dir>/.quarantine/ instead
+//     of serving or deleting it.
 package scenario
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"datasynth/internal/core"
 	"datasynth/internal/dsl"
 	"datasynth/internal/faultfs"
 	"datasynth/internal/schema"
+	"datasynth/internal/store"
 )
 
 // ErrNotFound reports an unknown scenario name or version.
@@ -128,15 +127,6 @@ type Info struct {
 	Created   time.Time `json:"created"` // latest version's creation time
 }
 
-// tempPrefix marks in-progress version files; a crash leaves at worst
-// a temp file the startup sweep quarantines.
-const tempPrefix = ".tmp-"
-
-// quarantineDirName collects torn entries found by the startup sweep;
-// the previous run's quarantine is cleared on the next startup, the
-// same post-mortem window the dataset cache gives its debris.
-const quarantineDirName = ".quarantine"
-
 // versionFileRE matches committed version file names. Versions start
 // at 1 and leading zeros are rejected, so every loadable file name
 // maps to a distinct version number — a tampered "v01.json" is
@@ -144,14 +134,11 @@ const quarantineDirName = ".quarantine"
 // v1.json's version 1.
 var versionFileRE = regexp.MustCompile(`^v([1-9][0-9]*)\.json$`)
 
-// Registry is the disk-backed scenario store.
+// Registry is the disk-backed scenario store: a store.Dir holding
+// <name>/vN.json, plus the naming, versioning and validation policy.
 type Registry struct {
-	dir  string
-	fsys faultfs.FS
+	dir  *store.Dir
 	logf func(format string, args ...any)
-
-	quarantined  atomic.Int64 // torn entries moved aside by the startup sweep
-	cleanupFails atomic.Int64 // removals that failed (logged, not fatal)
 
 	mu     sync.Mutex
 	byName map[string][]*Version // versions sorted ascending
@@ -166,85 +153,61 @@ func NewRegistry(dir string, fsys faultfs.FS, logf func(format string, args ...a
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	r := &Registry{
-		dir:    dir,
-		fsys:   faultfs.OrOS(fsys),
-		logf:   logf,
-		byName: map[string][]*Version{},
-	}
-	if err := r.fsys.MkdirAll(dir, 0o755); err != nil {
+	d, err := store.Open(dir, fsys, logf)
+	if err != nil {
 		return nil, err
 	}
+	r := &Registry{dir: d, logf: logf, byName: map[string][]*Version{}}
 	if err := r.load(); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// load is the startup recovery sweep: intact versions seed the
-// in-memory index, torn ones are quarantined, and the previous run's
-// quarantine is cleared.
+// load is the startup recovery sweep, two levels of store.Recover with
+// re-validation as the predicate. At the root, anything but a
+// directory the naming rules could have created is debris; inside a
+// scenario, anything but a version file that still validates is, and
+// goes individually so one bad version never takes down its siblings.
 func (r *Registry) load() error {
-	des, err := r.fsys.ReadDir(r.dir)
+	var names []string
+	err := r.dir.Recover("", func(de fs.DirEntry) bool {
+		ok := de.IsDir() && ValidateName(de.Name()) == nil
+		if ok {
+			names = append(names, de.Name())
+		}
+		return ok
+	})
 	if err != nil {
 		return err
 	}
-	for _, de := range des {
-		name := de.Name()
-		if name == quarantineDirName {
-			r.removePath(filepath.Join(r.dir, name))
-			continue
-		}
-		if !de.IsDir() || ValidateName(name) != nil {
-			// A stray file, or a directory the naming rules would never
-			// have created: debris.
-			r.quarantine(name)
-			continue
-		}
-		if err := r.loadScenario(name); err != nil {
+	for _, name := range names {
+		var versions []*Version
+		err := r.dir.Recover(name, func(de fs.DirEntry) bool {
+			if de.IsDir() || !versionFileRE.MatchString(de.Name()) {
+				return false
+			}
+			v, err := r.readVersion(name, de.Name())
+			if err != nil {
+				r.logf("scenario: %s/%s torn (%v); quarantining", name, de.Name(), err)
+				return false
+			}
+			versions = append(versions, v)
+			return true
+		})
+		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// loadScenario loads one scenario directory, quarantining torn version
-// files individually so one bad version never takes down its siblings.
-func (r *Registry) loadScenario(name string) error {
-	sdir := filepath.Join(r.dir, name)
-	des, err := r.fsys.ReadDir(sdir)
-	if err != nil {
-		return err
-	}
-	var versions []*Version
-	for _, de := range des {
-		fname := de.Name()
-		m := versionFileRE.FindStringSubmatch(fname)
-		if de.IsDir() || m == nil {
-			// Temp files from a crashed Put, or anything else the
-			// registry never writes.
-			r.quarantine(filepath.Join(name, fname))
+		if len(versions) == 0 {
+			// Every version was debris; drop the husk so the name lists as
+			// unregistered (removal failure is non-fatal — an empty dir is
+			// invisible to the API either way).
+			r.dir.Remove(r.dir.Path(name))
 			continue
 		}
-		v, err := r.readVersion(name, fname)
-		if err != nil {
-			r.logf("scenario: %s/%s torn (%v); quarantining", name, fname, err)
-			r.quarantine(filepath.Join(name, fname))
-			continue
-		}
-		versions = append(versions, v)
+		sort.Slice(versions, func(a, b int) bool { return versions[a].Version < versions[b].Version })
+		r.byName[name] = versions
 	}
-	if len(versions) == 0 {
-		// Every version was debris; drop the husk so the name lists as
-		// unregistered (removal failure is non-fatal — an empty dir is
-		// invisible to the API either way).
-		r.removePath(sdir)
-		return nil
-	}
-	sort.Slice(versions, func(a, b int) bool { return versions[a].Version < versions[b].Version })
-	r.mu.Lock()
-	r.byName[name] = versions
-	r.mu.Unlock()
 	return nil
 }
 
@@ -256,7 +219,7 @@ func (r *Registry) loadScenario(name string) error {
 // every canonical hash, and the registry must always report the hash a
 // submission would actually be keyed on today.
 func (r *Registry) readVersion(name, fname string) (*Version, error) {
-	raw, err := r.fsys.ReadFile(filepath.Join(r.dir, name, fname))
+	raw, err := r.dir.FS().ReadFile(r.dir.Path(filepath.Join(name, fname)))
 	if err != nil {
 		return nil, err
 	}
@@ -313,38 +276,16 @@ func (r *Registry) Put(name, src, description string, labels map[string]string) 
 		Description:  description,
 		Labels:       labels,
 	}
-	if err := r.commit(rec); err != nil {
+	raw, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return nil, false, err
+	}
+	if err := r.dir.WriteFile(filepath.Join(name, fmt.Sprintf("v%d.json", next)), raw); err != nil {
 		return nil, false, err
 	}
 	r.byName[name] = append(versions, rec)
 	r.logf("scenario: registered %s@v%d (%s)", name, next, rec.CanonicalSHA[:12])
 	return rec, true, nil
-}
-
-// commit writes one version file two-phase: marshal, write to a temp
-// name, rename into place. A failure at any step leaves the committed
-// state untouched (the temp is swept best-effort now and quarantined
-// at next startup regardless).
-func (r *Registry) commit(v *Version) error {
-	raw, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	sdir := filepath.Join(r.dir, v.Name)
-	if err := r.fsys.MkdirAll(sdir, 0o755); err != nil {
-		return err
-	}
-	final := filepath.Join(sdir, fmt.Sprintf("v%d.json", v.Version))
-	tmp := filepath.Join(sdir, fmt.Sprintf("%sv%d.json", tempPrefix, v.Version))
-	if err := r.fsys.WriteFile(tmp, raw, 0o644); err != nil {
-		r.removePath(tmp)
-		return err
-	}
-	if err := r.fsys.Rename(tmp, final); err != nil {
-		r.removePath(tmp)
-		return err
-	}
-	return nil
 }
 
 // Get returns one version of a scenario; version <= 0 means latest.
@@ -415,8 +356,7 @@ func (r *Registry) Delete(name string) (versions int, err error) {
 	if len(existing) == 0 {
 		return 0, fmt.Errorf("scenario %q: %w", name, ErrNotFound)
 	}
-	if err := r.fsys.RemoveAll(filepath.Join(r.dir, name)); err != nil {
-		r.cleanupFails.Add(1)
+	if err := r.dir.Remove(r.dir.Path(name)); err != nil {
 		return 0, err
 	}
 	delete(r.byName, name)
@@ -436,42 +376,4 @@ func (r *Registry) Counts() (scenarios, versions int) {
 
 // Quarantined reports how many torn entries the startup sweep moved
 // aside.
-func (r *Registry) Quarantined() int64 { return r.quarantined.Load() }
-
-// quarantine moves dir-relative path rel into the quarantine directory
-// under a unique flat name, falling back to removal if the rename
-// fails (the same policy as the dataset cache: renames work even when
-// deletes don't, and debris is evidence).
-func (r *Registry) quarantine(rel string) {
-	src := filepath.Join(r.dir, rel)
-	qdir := filepath.Join(r.dir, quarantineDirName)
-	if err := r.fsys.MkdirAll(qdir, 0o755); err != nil {
-		r.logf("scenario: quarantine dir: %v; removing %s instead", err, rel)
-		r.removePath(src)
-		return
-	}
-	flat := strings.ReplaceAll(rel, string(filepath.Separator), "__")
-	dst := filepath.Join(qdir, flat)
-	for i := 1; ; i++ {
-		if _, err := r.fsys.Stat(dst); err != nil {
-			break
-		}
-		dst = filepath.Join(qdir, fmt.Sprintf("%s-%d", flat, i))
-	}
-	if err := r.fsys.Rename(src, dst); err != nil {
-		r.logf("scenario: quarantining %s failed: %v; removing instead", rel, err)
-		r.removePath(src)
-		return
-	}
-	r.quarantined.Add(1)
-	r.logf("scenario: quarantined %s -> %s", rel, dst)
-}
-
-// removePath deletes a path, logging and counting failure instead of
-// dropping it silently.
-func (r *Registry) removePath(path string) {
-	if err := r.fsys.RemoveAll(path); err != nil {
-		r.cleanupFails.Add(1)
-		r.logf("scenario: removing %s failed: %v", path, err)
-	}
-}
+func (r *Registry) Quarantined() int64 { return r.dir.Quarantined() }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"datasynth/internal/faultfs"
+	"datasynth/internal/store"
 )
 
 // regDSL is a tiny valid schema; the seed is substituted per test so
@@ -158,7 +159,7 @@ func TestRestartQuarantinesTornEntries(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(sdir, "v2.json"), []byte(`{"name":"panel","ver`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(sdir, tempPrefix+"v3.json"), []byte("partial"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(sdir, store.TempPrefix+"v3.json"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "stray.txt"), []byte("junk"), 0o644); err != nil {
@@ -174,7 +175,7 @@ func TestRestartQuarantinesTornEntries(t *testing.T) {
 	if err != nil || v.Version != 1 {
 		t.Fatalf("after quarantine: %+v err=%v", v, err)
 	}
-	qdes, err := os.ReadDir(filepath.Join(dir, quarantineDirName))
+	qdes, err := os.ReadDir(filepath.Join(dir, store.QuarantineDir))
 	if err != nil || len(qdes) != 3 {
 		t.Fatalf("quarantine dir: %v err=%v", qdes, err)
 	}
@@ -183,7 +184,7 @@ func TestRestartQuarantinesTornEntries(t *testing.T) {
 	if r3.Quarantined() != 0 {
 		t.Fatalf("second restart re-quarantined %d", r3.Quarantined())
 	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDirName)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, store.QuarantineDir)); !os.IsNotExist(err) {
 		t.Fatalf("old quarantine not cleared: %v", err)
 	}
 }
@@ -263,6 +264,33 @@ func TestENOSPCPutLeavesRegistryUnchanged(t *testing.T) {
 				t.Fatalf("Put after recovery: created=%v err=%v", created, err)
 			}
 		})
+	}
+}
+
+// TestPutLostAckCommits: the publishing rename happens but reports
+// failure. The version is on disk and will load at the next restart,
+// so Put must return it as created, not an error for a version that
+// then reappears.
+func TestPutLostAckCommits(t *testing.T) {
+	dir := t.TempDir()
+	rule := &faultfs.Rule{Ops: faultfs.OpRename, Path: filepath.Join(dir, "panel", "v1.json"), After: true}
+	r := newTestRegistry(t, dir, faultfs.NewInject(1, rule))
+	v, created, err := r.Put("panel", regSchema(1), "", nil)
+	if err != nil || !created || v.Version != 1 {
+		t.Fatalf("Put with a lost-ack rename: %+v created=%v err=%v", v, created, err)
+	}
+	if rule.Fired() != 1 {
+		t.Fatalf("lost-ack rule fired %d times, want 1", rule.Fired())
+	}
+	if got, err := r.Get("panel", 0); err != nil || got.Version != 1 {
+		t.Fatalf("after lost-ack Put: %+v err=%v", got, err)
+	}
+	r2 := newTestRegistry(t, dir, nil)
+	if sc, ver := r2.Counts(); sc != 1 || ver != 1 || r2.Quarantined() != 0 {
+		t.Fatalf("restart: %d scenarios, %d versions, %d quarantined", sc, ver, r2.Quarantined())
+	}
+	if v2, created, err := r2.Put("panel", regSchema(2), "", nil); err != nil || !created || v2.Version != 2 {
+		t.Fatalf("next Put: %+v created=%v err=%v", v2, created, err)
 	}
 }
 

@@ -7,15 +7,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"datasynth/internal/faultfs"
+	"datasynth/internal/store"
 )
 
 // Content-addressable dataset cache. An entry is a directory
@@ -48,23 +49,14 @@ import (
 // determinism contract makes all of this invisible to clients: an
 // evicted entry regenerates to the same bytes, so a resubmit is merely
 // slower, never different.
+//
+// How an entry becomes visible — stage, commit, the startup sweep and
+// its quarantine — is internal/store's protocol, not the cache's: the
+// cache is a store.Dir plus the policy above.
 
 // manifestName is the per-entry metadata file; it is never served as a
 // table.
 const manifestName = "manifest.json"
-
-// cacheTempPrefix marks in-progress entry directories; a crash leaves
-// at worst a temp directory that startup or a fresh store of the same
-// key sweeps away.
-const cacheTempPrefix = ".tmp-"
-
-// quarantineDirName is where the startup sweep moves crash debris —
-// orphaned temp directories and torn entries — instead of deleting it
-// outright. Quarantining is a rename (cheap, atomic, works even when
-// deletion is what's failing) and preserves the evidence for
-// post-mortem inspection; anything already in quarantine from a
-// previous run is removed first.
-const quarantineDirName = ".quarantine"
 
 // ManifestFile describes one exported table file of a cache entry.
 type ManifestFile struct {
@@ -123,13 +115,8 @@ type cacheEntry struct {
 
 // diskCache is the on-disk entry store.
 type diskCache struct {
-	root     string
+	dir      *store.Dir // all disk I/O goes through dir.FS() (OS in production)
 	maxBytes int64      // 0 or negative = unbounded
-	fsys     faultfs.FS // all disk I/O goes through this (OS in production)
-	logf     func(format string, args ...any)
-
-	quarantined  atomic.Int64 // debris dirs quarantined by the startup sweep
-	cleanupFails atomic.Int64 // directory removals that failed (logged, not fatal)
 
 	mu        sync.Mutex
 	validated map[string]*Manifest     // keys hash-verified this process
@@ -143,18 +130,13 @@ type diskCache struct {
 }
 
 func newDiskCache(root string, maxBytes int64, fsys faultfs.FS, logf func(format string, args ...any)) (*diskCache, error) {
-	fsys = faultfs.OrOS(fsys)
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if err := fsys.MkdirAll(root, 0o755); err != nil {
+	dir, err := store.Open(root, fsys, logf)
+	if err != nil {
 		return nil, err
 	}
 	c := &diskCache{
-		root:      root,
+		dir:       dir,
 		maxBytes:  maxBytes,
-		fsys:      fsys,
-		logf:      logf,
 		validated: map[string]*Manifest{},
 		inflight:  map[string]chan struct{}{},
 		index:     map[string]*cacheEntry{},
@@ -166,119 +148,59 @@ func newDiskCache(root string, maxBytes int64, fsys faultfs.FS, logf func(format
 	return c, nil
 }
 
-// removeDir deletes a directory tree, logging and counting a failure
-// instead of dropping it on the floor (eviction and discard used to
-// ignore RemoveAll errors silently, so a cache on a sick disk leaked
-// space with no trace). Callers that must not proceed on failure —
-// evicting a provably corrupt entry — still check errors themselves.
-func (c *diskCache) removeDir(dir string) {
-	if err := c.fsys.RemoveAll(dir); err != nil {
-		c.cleanupFails.Add(1)
-		c.logf("cache: removing %s failed: %v", dir, err)
-	}
-}
-
-// quarantine moves root/name into the quarantine directory under a
-// unique name, falling back to outright removal if the rename fails.
-func (c *diskCache) quarantine(name string) {
-	src := filepath.Join(c.root, name)
-	qdir := filepath.Join(c.root, quarantineDirName)
-	if err := c.fsys.MkdirAll(qdir, 0o755); err != nil {
-		c.logf("cache: quarantine dir: %v; removing %s instead", err, name)
-		c.removeDir(src)
-		return
-	}
-	dst := filepath.Join(qdir, name)
-	for i := 1; ; i++ {
-		if _, err := c.fsys.Stat(dst); err != nil {
-			break
-		}
-		dst = filepath.Join(qdir, fmt.Sprintf("%s-%d", name, i))
-	}
-	if err := c.fsys.Rename(src, dst); err != nil {
-		c.logf("cache: quarantining %s failed: %v; removing instead", name, err)
-		c.removeDir(src)
-		return
-	}
-	c.quarantined.Add(1)
-	c.logf("cache: quarantined %s -> %s", name, dst)
-}
-
-// rebuildIndex is the crash-recovery sweep, run once at startup. It
-// scans the cache root and sorts every directory into one of three
-// fates: crash debris — orphaned temp directories from a store that
-// died between export and commit, and torn entries whose manifest is
-// missing, truncated, or names the wrong key — is *quarantined* (moved
-// aside, counted, kept for inspection) rather than deleted; leftovers
-// from the previous run's quarantine are removed; and intact entries
-// seed the LRU index ordered by manifest creation time — with no
-// access history to go on, oldest-created is the best stand-in for
-// coldest. (The full hash check still happens lazily on first
-// lookup.) If the directory already exceeds the bound (say, the
-// daemon restarted with a smaller -cachemaxbytes), the excess is
-// evicted immediately. Because a quarantined key is simply a cache
-// miss, the next lookup regenerates it — the determinism contract
-// guarantees byte-identical bytes, so recovery is invisible to
-// clients beyond latency.
+// rebuildIndex is the crash-recovery sweep, run once at startup: the
+// store quarantines orphaned temp directories (a store that died
+// between export and commit) and every entry this predicate rejects —
+// manifest missing, truncated, or naming the wrong key — and the
+// intact entries seed the LRU index ordered by manifest creation time:
+// with no access history to go on, oldest-created is the best stand-in
+// for coldest. (The full hash check still happens lazily on first
+// lookup.) If the directory already exceeds the bound (say, the daemon
+// restarted with a smaller -cachemaxbytes), the excess is evicted
+// immediately. Because a quarantined key is simply a cache miss, the
+// next lookup regenerates it — the determinism contract guarantees
+// byte-identical bytes, so recovery is invisible to clients beyond
+// latency.
 func (c *diskCache) rebuildIndex() error {
-	des, err := c.fsys.ReadDir(c.root)
+	var seeds []*Manifest
+	err := c.dir.Recover("", func(de fs.DirEntry) bool {
+		if !de.IsDir() {
+			return true // the cache writes only directories; a stray file is not its debris
+		}
+		raw, err := c.dir.FS().ReadFile(c.dir.Path(filepath.Join(de.Name(), manifestName)))
+		if err != nil {
+			return false
+		}
+		m := new(Manifest)
+		if err := json.Unmarshal(raw, m); err != nil || m.Key != de.Name() {
+			return false
+		}
+		seeds = append(seeds, m)
+		return true
+	})
 	if err != nil {
 		return err
 	}
-	type seedEntry struct {
-		key     string
-		bytes   int64
-		created time.Time
-	}
-	var seeds []seedEntry
-	for _, de := range des {
-		if !de.IsDir() {
-			continue
-		}
-		name := de.Name()
-		if name == quarantineDirName {
-			// Previous run's quarantine: its post-mortem window is over.
-			c.removeDir(filepath.Join(c.root, name))
-			continue
-		}
-		if strings.HasPrefix(name, cacheTempPrefix) {
-			c.quarantine(name)
-			continue
-		}
-		raw, err := c.fsys.ReadFile(filepath.Join(c.root, name, manifestName))
-		if err != nil {
-			c.quarantine(name)
-			continue
-		}
-		var m Manifest
-		if err := json.Unmarshal(raw, &m); err != nil || m.Key != name {
-			c.quarantine(name)
-			continue
-		}
-		seeds = append(seeds, seedEntry{key: name, bytes: m.totalBytes(), created: m.Created})
-	}
 	sort.Slice(seeds, func(a, b int) bool {
-		if !seeds[a].created.Equal(seeds[b].created) {
-			return seeds[a].created.Before(seeds[b].created)
+		if !seeds[a].Created.Equal(seeds[b].Created) {
+			return seeds[a].Created.Before(seeds[b].Created)
 		}
-		return seeds[a].key < seeds[b].key
+		return seeds[a].Key < seeds[b].Key
 	})
 	c.mu.Lock()
-	for _, s := range seeds {
-		e := &cacheEntry{key: s.key, bytes: s.bytes}
-		c.index[s.key] = e
+	for _, m := range seeds {
+		e := &cacheEntry{key: m.Key, bytes: m.totalBytes()}
+		c.index[e.key] = e
 		c.pushFrontLocked(e)
-		c.total += s.bytes
+		c.total += e.bytes
 	}
 	victims := c.evictToFitLocked("")
 	c.mu.Unlock()
 	for _, dir := range victims {
-		c.removeDir(dir)
+		c.dir.Remove(dir)
 	}
 	return nil
 }
-
-func (c *diskCache) entryDir(key string) string { return filepath.Join(c.root, key) }
 
 // LRU list plumbing; all callers hold c.mu.
 
@@ -350,7 +272,7 @@ func (c *diskCache) evictToFitLocked(exclude string) []string {
 		if e.refs > 0 {
 			c.dying[e.key] = e
 		} else {
-			victims = append(victims, c.entryDir(e.key))
+			victims = append(victims, c.dir.Path(e.key))
 		}
 	}
 	return victims
@@ -423,8 +345,8 @@ func (c *diskCache) lookup(key string) (*Manifest, bool, error) {
 
 // verifyEntry reads and integrity-checks one entry off disk.
 func (c *diskCache) verifyEntry(key string) (m *Manifest, evicted bool, err error) {
-	dir := c.entryDir(key)
-	raw, err := c.fsys.ReadFile(filepath.Join(dir, manifestName))
+	dir := c.dir.Path(key)
+	raw, err := c.dir.FS().ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
 		return nil, false, nil
 	}
@@ -436,8 +358,7 @@ func (c *diskCache) verifyEntry(key string) (m *Manifest, evicted bool, err erro
 		// Corrupted entry: evict so the caller regenerates. The removal
 		// itself failing is fatal — we must never serve from a directory
 		// we know is bad.
-		if rerr := c.fsys.RemoveAll(dir); rerr != nil {
-			c.cleanupFails.Add(1)
+		if rerr := c.dir.Remove(dir); rerr != nil {
 			return nil, false, fmt.Errorf("service: evicting corrupt cache entry %s: %w (cause: %v)", key, rerr, verr)
 		}
 		return nil, true, nil
@@ -457,7 +378,7 @@ func (c *diskCache) verify(dir string, raw []byte, m *Manifest, key string) erro
 		return fmt.Errorf("manifest lists no files")
 	}
 	for _, f := range m.Files {
-		sum, n, err := hashFile(c.fsys, filepath.Join(dir, f.Name))
+		sum, n, err := hashFile(c.dir.FS(), filepath.Join(dir, f.Name))
 		if err != nil {
 			return fmt.Errorf("file %s: %w", f.Name, err)
 		}
@@ -472,18 +393,20 @@ func (c *diskCache) verify(dir string, raw []byte, m *Manifest, key string) erro
 }
 
 // store commits a freshly exported entry: the caller has already
-// exported the table files into a temp directory (stageDir, obtained
-// from stage); store hashes them, writes the manifest, and renames the
-// directory to its final key — the same two-phase commit discipline as
-// table.Export, so a crash or failure never leaves a half-entry under
-// the key. The hash pass honours ctx between files, so a job deadline
-// covers manifest hashing too; once the hashes are in, the commit
-// itself (write + rename) runs to completion — aborting between those
-// two steps buys nothing and risks more cleanup states. After the
-// commit the entry is indexed most-recently-used and cold entries are
-// evicted until the cache fits its bound again.
+// exported the table files into a staging directory (from dir.Stage);
+// store hashes them, writes the manifest beside them and publishes the
+// directory under its key with dir.Commit, so a crash or failure never
+// leaves a half-entry under the key. The key cannot be stored
+// concurrently (singleflight), but a stale or previously evicted
+// directory may linger under it; Commit replaces it. The hash pass
+// honours ctx between files, so a job deadline covers manifest hashing
+// too; once the hashes are in, the commit itself (write + rename) runs
+// to completion — aborting between those two steps buys nothing and
+// risks more cleanup states. After the commit the entry is indexed
+// most-recently-used and cold entries are evicted until the cache fits
+// its bound again.
 func (c *diskCache) store(ctx context.Context, key string, stageDir string, m *Manifest) (*Manifest, error) {
-	files, err := manifestFiles(ctx, c.fsys, stageDir)
+	files, err := manifestFiles(ctx, c.dir.FS(), stageDir)
 	if err != nil {
 		return nil, err
 	}
@@ -495,17 +418,10 @@ func (c *diskCache) store(ctx context.Context, key string, stageDir string, m *M
 	if err != nil {
 		return nil, err
 	}
-	if err := c.fsys.WriteFile(filepath.Join(stageDir, manifestName), raw, 0o644); err != nil {
+	if err := c.dir.FS().WriteFile(filepath.Join(stageDir, manifestName), raw, 0o644); err != nil {
 		return nil, err
 	}
-	final := c.entryDir(key)
-	// The key cannot be concurrently stored (singleflight), but a stale
-	// or previously evicted directory may linger; sweep it before the
-	// rename.
-	if err := c.fsys.RemoveAll(final); err != nil {
-		return nil, err
-	}
-	if err := c.fsys.Rename(stageDir, final); err != nil {
+	if err := c.dir.Commit(stageDir, key); err != nil {
 		return nil, err
 	}
 	bytes := m.totalBytes()
@@ -528,23 +444,10 @@ func (c *diskCache) store(ctx context.Context, key string, stageDir string, m *M
 	victims := c.evictToFitLocked(key)
 	c.mu.Unlock()
 	for _, dir := range victims {
-		c.removeDir(dir)
+		c.dir.Remove(dir)
 	}
 	return m, nil
 }
-
-// stage returns the staging directory for a key, guaranteed empty.
-func (c *diskCache) stage(key string) (string, error) {
-	dir := filepath.Join(c.root, cacheTempPrefix+key)
-	if err := c.fsys.RemoveAll(dir); err != nil {
-		return "", err
-	}
-	return dir, nil
-}
-
-// discard removes a staging directory after a failed store; a removal
-// failure is logged and counted, not swallowed.
-func (c *diskCache) discard(stageDir string) { c.removeDir(stageDir) }
 
 // open opens a committed entry file for streaming and pins the entry
 // against eviction: release (always non-nil, idempotent) drops the pin
@@ -558,7 +461,7 @@ func (c *diskCache) open(key, name string) (faultfs.File, func(), error) {
 		c.touchLocked(e)
 	}
 	c.mu.Unlock()
-	f, err := c.fsys.Open(filepath.Join(c.entryDir(key), name))
+	f, err := c.dir.FS().Open(c.dir.Path(filepath.Join(key, name)))
 	if err != nil {
 		if e != nil {
 			c.release(e)
@@ -583,11 +486,11 @@ func (c *diskCache) release(e *cacheEntry) {
 	var dir string
 	if e.refs == 0 && e.dead && c.dying[e.key] == e {
 		delete(c.dying, e.key)
-		dir = c.entryDir(e.key)
+		dir = c.dir.Path(e.key)
 	}
 	c.mu.Unlock()
 	if dir != "" {
-		c.removeDir(dir)
+		c.dir.Remove(dir)
 	}
 }
 
@@ -622,12 +525,6 @@ func (c *diskCache) lruEvictions() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lruEvicts
-}
-
-// recoveryStats reports the startup sweep's quarantine count and the
-// running total of failed directory cleanups.
-func (c *diskCache) recoveryStats() (quarantined, cleanupFailures int64) {
-	return c.quarantined.Load(), c.cleanupFails.Load()
 }
 
 // manifestFiles hashes every exported table file under dir into

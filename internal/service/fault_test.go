@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"datasynth/internal/dsl"
 	"datasynth/internal/faultfs"
+	"datasynth/internal/store"
 	"datasynth/internal/table"
 )
 
@@ -125,6 +127,45 @@ func TestStoreRetryRecoversTransientFault(t *testing.T) {
 	}
 }
 
+// TestStoreLostAckCommits: the publishing rename happens but reports
+// failure (the acknowledgement is lost). The entry is fully on disk, so
+// the job must complete from it — indexed, not degraded, no bypass —
+// instead of burning its retries on a stage directory that no longer
+// exists and failing.
+func TestStoreLostAckCommits(t *testing.T) {
+	cacheDir := t.TempDir()
+	src := testSchema(81)
+	sch, err := dsl.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CacheKey(sch, table.FormatCSV)
+	// Only the commit names the final entry path; the export's own
+	// renames all live under the staging directory.
+	rule := &faultfs.Rule{Ops: faultfs.OpRename, Path: filepath.Join(cacheDir, key), After: true}
+	svc := newTestService(t, Config{CacheDir: cacheDir, FS: faultfs.NewInject(1, rule), StoreRetryBase: time.Millisecond})
+	res, err := svc.Submit(src, table.FormatCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := waitDone(t, res.Job)
+	if rule.Fired() == 0 {
+		t.Fatal("the lost-ack rule never fired; the test proved nothing")
+	}
+	if v.Degraded {
+		t.Fatal("a committed entry must not complete degraded")
+	}
+	if st := svc.Stats(); st.Degraded || st.Cache.Bypasses != 0 || st.Cache.Entries != 1 {
+		t.Fatalf("degraded=%v bypasses=%d entries=%d after a lost-ack commit", st.Degraded, st.Cache.Bypasses, st.Cache.Entries)
+	}
+	if !svc.cache.has(key) {
+		t.Fatal("the committed entry must be indexed")
+	}
+	if res2, err := svc.Submit(src, table.FormatCSV); err != nil || !res2.CacheHit {
+		t.Fatalf("resubmit after a lost-ack commit: hit=%v err=%v", res2.CacheHit, err)
+	}
+}
+
 // TestENOSPCDegradedBypass is the disk-pressure acceptance test: with
 // the cache store persistently failing ENOSPC, a job still completes —
 // degraded, serving byte-identical files cache-bypass — readyz flips
@@ -230,7 +271,7 @@ func TestCrashRecoveryQuarantineAndRegenerate(t *testing.T) {
 	}
 	waitDone(t, res.Job) // degraded: commit never happened
 	key := res.Job.ID()
-	stage := filepath.Join(cacheDir, cacheTempPrefix+key)
+	stage := filepath.Join(cacheDir, store.TempPrefix+key)
 	if _, err := os.Stat(stage); err != nil {
 		t.Fatalf("stage dir must survive the crashed commit: %v", err)
 	}
@@ -252,7 +293,7 @@ func TestCrashRecoveryQuarantineAndRegenerate(t *testing.T) {
 	if _, err := os.Stat(stage); !os.IsNotExist(err) {
 		t.Fatalf("stage debris must be moved out of the cache root: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(cacheDir, quarantineDirName, cacheTempPrefix+key)); err != nil {
+	if _, err := os.Stat(filepath.Join(cacheDir, store.QuarantineDir, store.TempPrefix+key)); err != nil {
 		t.Fatalf("quarantine must preserve the debris: %v", err)
 	}
 
@@ -344,10 +385,10 @@ func TestTornEntryQuarantinedOnRestart(t *testing.T) {
 func TestCleanupFailureCounted(t *testing.T) {
 	fsys := faultfs.NewInject(1,
 		// First export file Create fails -> the job discards its stage.
-		&faultfs.Rule{Ops: faultfs.OpCreate, Path: cacheTempPrefix, Nth: 1},
+		&faultfs.Rule{Ops: faultfs.OpCreate, Path: store.TempPrefix, Nth: 1},
 		// Match 1 is stage()'s pre-clean RemoveAll; match 2 is the
 		// discard after the failed export — that one fails.
-		&faultfs.Rule{Ops: faultfs.OpRemoveAll, Path: cacheTempPrefix, Nth: 2},
+		&faultfs.Rule{Ops: faultfs.OpRemoveAll, Path: store.TempPrefix, Nth: 2},
 	)
 	svc := newTestService(t, Config{FS: fsys})
 	res, err := svc.Submit(testSchema(71), table.FormatCSV)

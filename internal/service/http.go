@@ -252,7 +252,7 @@ func (s *Service) handleTable(w http.ResponseWriter, r *http.Request) {
 	// is needed — the directory lives exactly as long as the job record,
 	// and an open fd survives the eventual removal mid-stream.
 	if dir := j.BypassDir(); dir != "" {
-		f, err := s.cache.fsys.Open(filepath.Join(dir, mf.Name))
+		f, err := s.cache.dir.FS().Open(filepath.Join(dir, mf.Name))
 		if err != nil {
 			s.writeErr(w, http.StatusNotFound, fmt.Errorf("degraded dataset no longer available (%v); resubmit the schema to regenerate it", err))
 			return

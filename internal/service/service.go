@@ -582,7 +582,7 @@ func (s *Service) pruneJobsLocked() {
 		// evicting the job record is the moment to reclaim the disk.
 		if j := s.jobs[key]; j != nil {
 			if dir := j.BypassDir(); dir != "" {
-				s.cache.removeDir(dir)
+				s.cache.dir.Remove(dir)
 			}
 		}
 		delete(s.jobs, key)
@@ -676,7 +676,7 @@ func (s *Service) executeJob(j *Job) error {
 	if err := s.checkDatasetLimits(d); err != nil {
 		return err
 	}
-	stageDir, err := s.cache.stage(j.id)
+	stageDir, err := s.cache.dir.Stage(j.id)
 	if err != nil {
 		return err
 	}
@@ -687,7 +687,7 @@ func (s *Service) executeJob(j *Job) error {
 	// it.
 	expStart := time.Now()
 	if err := eng.ExportCtx(ctx, d, stageDir); err != nil {
-		s.cache.discard(stageDir)
+		s.cache.dir.Remove(stageDir)
 		return err
 	}
 	s.phases.observe(phaseExport, time.Since(expStart))
@@ -705,7 +705,7 @@ func (s *Service) executeJob(j *Job) error {
 	s.phases.observe(phaseMatch, matchWall)
 	reportJSON, err := json.Marshal(report)
 	if err != nil {
-		s.cache.discard(stageDir)
+		s.cache.dir.Remove(stageDir)
 		return err
 	}
 	var nodes, edges int64
@@ -747,11 +747,11 @@ func (s *Service) executeJob(j *Job) error {
 	// lost. The daemon flips its readiness to degraded so orchestrators
 	// notice; a canceled/timed-out job still fails outright.
 	if ctxErr := ctx.Err(); ctxErr != nil {
-		s.cache.discard(stageDir)
+		s.cache.dir.Remove(stageDir)
 		return err
 	}
 	if bErr := s.completeBypass(ctx, j, stageDir, m, err); bErr != nil {
-		s.cache.discard(stageDir)
+		s.cache.dir.Remove(stageDir)
 		return bErr
 	}
 	return nil
@@ -785,7 +785,7 @@ func (s *Service) storeWithRetry(ctx context.Context, key, stageDir string, m *M
 // metadata as a cached entry) and the job completes serving from the
 // stage directory.
 func (s *Service) completeBypass(ctx context.Context, j *Job, stageDir string, m *Manifest, storeErr error) error {
-	files, err := manifestFiles(ctx, s.cache.fsys, stageDir)
+	files, err := manifestFiles(ctx, s.cache.dir.FS(), stageDir)
 	if err != nil {
 		return fmt.Errorf("service: cache store failed (%v) and staged export is unusable: %w", storeErr, err)
 	}
@@ -1030,7 +1030,7 @@ func (s *Service) Stats() Stats {
 	st.Jobs.Evicted = s.jobEvictions.Load()
 	st.Jobs.Panics = s.panics.Load()
 	st.Cache.Evictions = s.evictions.Load()
-	st.Cache.Quarantined, st.Cache.CleanupFailures = s.cache.recoveryStats()
+	st.Cache.Quarantined, st.Cache.CleanupFailures = s.cache.dir.Quarantined(), s.cache.dir.CleanupFailures()
 	st.Cache.StoreRetries = s.storeRetries.Load()
 	st.Cache.Bypasses = s.bypasses.Load()
 	st.Degraded = s.degraded.Load()

@@ -6,20 +6,20 @@ import (
 	"io"
 	"maps"
 	"os"
-	"path/filepath"
 	"slices"
 	"time"
 
 	"datasynth/internal/faultfs"
 	"datasynth/internal/par"
+	"datasynth/internal/store"
 )
 
 // Concurrent, atomic dataset export. Tables are independent once
 // generated, so the export fan-out writes one file per table on a
-// bounded worker pool. Every file is staged as a hidden temp file and
-// the whole directory commits with a rename pass only after every
-// table succeeded — a failed export never leaves a partial directory,
-// and the bytes of every file are identical at any worker count (each
+// bounded worker pool. Every file is staged under its store.Dir temp
+// name and the set commits, file by file, only after every table
+// succeeded — a failed export never leaves a partial directory, and
+// the bytes of every file are identical at any worker count (each
 // worker owns its file end to end; no output interleaves).
 
 // Format selects the on-disk dataset encoding.
@@ -180,10 +180,6 @@ func (d *Dataset) exportJobs(f Format) []exportJob {
 	return jobs
 }
 
-// exportTempName is the staging name of a file during export; the dot
-// prefix keeps half-written files visibly temporary.
-func exportTempName(file string) string { return "." + file + ".tmp" }
-
 // Export writes the dataset into dir in the requested format, one
 // worker per table up to opt.Workers. The export is all-or-nothing:
 // every file is staged as a temp file first and the set renames into
@@ -212,20 +208,27 @@ func (d *Dataset) ExportCtx(ctx context.Context, dir string, opt ExportOptions) 
 	}
 	_, statErr := fsys.Stat(dir)
 	createdDir := os.IsNotExist(statErr)
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	out, err := store.Open(dir, fsys, nil)
+	if err != nil {
 		return nil, err
 	}
-	cleanupDir := func() {
+	// abort drops the temps of jobs[from:] and, if this export created
+	// the directory, the directory — best effort: Remove fails
+	// (harmlessly) on a missing temp or a non-empty directory.
+	abort := func(from int) {
+		for _, j := range jobs[from:] {
+			fsys.Remove(out.Temp(j.file))
+		}
 		if createdDir {
-			fsys.Remove(dir) // best effort; fails (harmlessly) if non-empty
+			fsys.Remove(dir)
 		}
 	}
 
 	stats := make([]FileStat, len(jobs))
-	err := par.ForEachCtx(ctx, len(jobs), opt.Workers, func(i int) error {
+	err = par.ForEachCtx(ctx, len(jobs), opt.Workers, func(i int) error {
 		j := jobs[i]
 		start := time.Now()
-		tmp := filepath.Join(dir, exportTempName(j.file))
+		tmp := out.Temp(j.file)
 		f, err := fsys.Create(tmp)
 		if err != nil {
 			return err
@@ -251,24 +254,18 @@ func (d *Dataset) ExportCtx(ctx context.Context, dir string, opt ExportOptions) 
 		err = ctx.Err()
 	}
 	if err != nil {
-		for _, j := range jobs {
-			fsys.Remove(filepath.Join(dir, exportTempName(j.file)))
-		}
-		cleanupDir()
+		abort(0)
 		return nil, err
 	}
-	// Commit phase: every table encoded cleanly; rename the staged set
-	// into place. Should a rename itself fail (exotic: the target name
-	// is occupied by a directory, the dir entry cannot be written),
+	// Commit phase: every table encoded cleanly; publish the staged set.
+	// Should a commit itself fail (exotic: the target name is occupied
+	// by a directory, the dir entry cannot be written),
 	// already-committed files stay — they may be the only remaining
 	// copy of their table when re-exporting over an existing dataset —
-	// and only the unrenamed temps are dropped.
+	// and only the unpublished temps are dropped.
 	for i, j := range jobs {
-		if err := fsys.Rename(filepath.Join(dir, exportTempName(j.file)), filepath.Join(dir, j.file)); err != nil {
-			for k := i; k < len(jobs); k++ {
-				fsys.Remove(filepath.Join(dir, exportTempName(jobs[k].file)))
-			}
-			cleanupDir()
+		if err := out.Commit(out.Temp(j.file), j.file); err != nil {
+			abort(i)
 			return nil, fmt.Errorf("table: committing %s: %w", j.file, err)
 		}
 	}

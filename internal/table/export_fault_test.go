@@ -4,9 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"datasynth/internal/faultfs"
+	"datasynth/internal/store"
 )
 
 // exportDirEntries lists what an export left behind ("" if the
@@ -74,7 +76,7 @@ func TestExportCommitRenameFault(t *testing.T) {
 	}
 	committed := 0
 	for _, name := range exportDirEntries(t, dir) {
-		if filepath.Ext(name) == ".tmp" {
+		if strings.HasPrefix(name, store.TempPrefix) {
 			t.Errorf("commit fault left temp file %s", name)
 			continue
 		}

@@ -16,6 +16,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"datasynth/internal/store"
 )
 
 // raggedDataset returns a dataset whose edge property row count does
@@ -297,7 +299,7 @@ func TestExportCommitFailureKeepsCommittedFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ent := range entries {
-		if strings.HasSuffix(ent.Name(), ".tmp") {
+		if strings.HasPrefix(ent.Name(), store.TempPrefix) {
 			t.Errorf("temp file %s left behind", ent.Name())
 		}
 	}

@@ -7,6 +7,11 @@
 // direct os.Rename is invisible to the harness — it works until the
 // first real disk failure, exactly the class of bug the harness
 // exists to keep dead.
+//
+// It also keeps publishing in one place: a name becomes visible by the
+// rename in internal/store's Commit (and debris leaves by the one in
+// its Quarantine), so a faultfs Rename anywhere else in the scope is a
+// second, private commit protocol — the duplication PR 19 removed.
 package fsdiscipline
 
 import (
@@ -21,8 +26,15 @@ import (
 var scope = map[string]bool{
 	"datasynth/internal/scenario": true,
 	"datasynth/internal/service":  true,
+	"datasynth/internal/store":    true,
 	"datasynth/internal/table":    true,
 }
+
+// faultfsPath declares the FS whose Rename only storePath may call.
+const (
+	faultfsPath = "datasynth/internal/faultfs"
+	storePath   = "datasynth/internal/store"
+)
 
 // verbs are the os functions mirrored by faultfs.FS; using any of them
 // directly bypasses fault injection.
@@ -42,8 +54,9 @@ var verbs = map[string]bool{
 // Analyzer is the fsdiscipline check.
 var Analyzer = &analysis.Analyzer{
 	Name: "fsdiscipline",
-	Doc: "flags direct os.Create/Open/Rename/... calls in internal/service " +
-		"and internal/table; filesystem access there must go through faultfs.FS",
+	Doc: "flags direct os.Create/Open/Rename/... calls in the cache, registry, " +
+		"store and export packages (filesystem access there must go through " +
+		"faultfs.FS) and faultfs Rename calls outside internal/store",
 	Run: run,
 }
 
@@ -58,10 +71,15 @@ func run(pass *analysis.Pass) (any, error) {
 				return true
 			}
 			f, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok || f.Pkg() == nil || f.Pkg().Path() != "os" || !verbs[f.Name()] {
+			if !ok || f.Pkg() == nil {
 				return true
 			}
-			pass.Reportf(sel.Pos(), "direct os.%s bypasses faultfs.FS; route it through the package's FS so fault injection covers this path", f.Name())
+			switch {
+			case f.Pkg().Path() == "os" && verbs[f.Name()]:
+				pass.Reportf(sel.Pos(), "direct os.%s bypasses faultfs.FS; route it through the package's FS so fault injection covers this path", f.Name())
+			case f.Pkg().Path() == faultfsPath && f.Name() == "Rename" && pass.Pkg.Path() != storePath:
+				pass.Reportf(sel.Pos(), "faultfs Rename outside internal/store is a private commit protocol; publish through store.Dir.Commit")
+			}
 			return true
 		})
 	}

@@ -10,6 +10,8 @@ import (
 func TestFsDiscipline(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), fsdiscipline.Analyzer,
 		"datasynth/internal/scenario",
+		"datasynth/internal/service",
+		"datasynth/internal/store",
 		"datasynth/internal/table",
 		"datasynth/internal/unrelated",
 	)
