@@ -59,6 +59,10 @@ type Engine struct {
 	// ExportFS abstracts the export's filesystem for fault-injection
 	// tests; nil means the real one.
 	ExportFS faultfs.FS
+	// ExportDigest makes Export hash every file as it is encoded; the
+	// digests come back in Report().ExportFiles. The generation service
+	// builds its manifests from them.
+	ExportDigest bool
 	// Logf, if non-nil, receives progress lines. It may be called from
 	// multiple scheduler workers concurrently.
 	Logf func(format string, args ...any)

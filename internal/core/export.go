@@ -19,12 +19,12 @@ func (e *Engine) Export(d *table.Dataset, dir string) error {
 }
 
 // ExportCtx is Export under a context: cancellation aborts the write
-// between files (and before the commit) with all temp files cleaned
-// up, via table.(*Dataset).ExportCtx. The generation service uses this
+// within one encoder flush (and before the commit) with all temp files
+// cleaned up, via table.(*Dataset).ExportCtx. The generation service uses this
 // to put its per-job deadline over the export leg, not just generation.
 func (e *Engine) ExportCtx(ctx context.Context, d *table.Dataset, dir string) error {
 	start := time.Now()
-	files, err := d.ExportCtx(ctx, dir, table.ExportOptions{Format: e.ExportFormat, Workers: e.Workers, FS: e.ExportFS})
+	files, err := d.ExportCtx(ctx, dir, table.ExportOptions{Format: e.ExportFormat, Workers: e.Workers, FS: e.ExportFS, Digest: e.ExportDigest})
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -17,6 +16,7 @@ import (
 
 	"datasynth/internal/faultfs"
 	"datasynth/internal/store"
+	"datasynth/internal/table"
 )
 
 // Content-addressable dataset cache. An entry is a directory
@@ -393,27 +393,20 @@ func (c *diskCache) verify(dir string, raw []byte, m *Manifest, key string) erro
 }
 
 // store commits a freshly exported entry: the caller has already
-// exported the table files into a staging directory (from dir.Stage);
-// store hashes them, writes the manifest beside them and publishes the
-// directory under its key with dir.Commit, so a crash or failure never
-// leaves a half-entry under the key. The key cannot be stored
-// concurrently (singleflight), but a stale or previously evicted
-// directory may linger under it; Commit replaces it. The hash pass
-// honours ctx between files, so a job deadline covers manifest hashing
-// too; once the hashes are in, the commit itself (write + rename) runs
-// to completion — aborting between those two steps buys nothing and
-// risks more cleanup states. After the commit the entry is indexed
-// most-recently-used and cold entries are evicted until the cache fits
-// its bound again.
-func (c *diskCache) store(ctx context.Context, key string, stageDir string, m *Manifest) (*Manifest, error) {
-	files, err := manifestFiles(ctx, c.dir.FS(), stageDir)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("service: staged entry %s has no files", key)
-	}
-	m.Files = files
+// exported the table files into a staging directory (from dir.Stage)
+// and listed them in m.Files with the digests the encoder took while
+// writing them; store writes the manifest beside them and publishes
+// the directory under its key with dir.Commit, so a crash or failure
+// never leaves a half-entry under the key. It opens no table file: the
+// manifest records what was produced, not what a read of the staged
+// bytes returns, so damage between the encoder and the commit fails the
+// entry's verification instead of being blessed by it, and a retry
+// costs a manifest write, not a pass over the dataset. The key cannot
+// be stored concurrently (singleflight), but a stale or previously
+// evicted directory may linger under it; Commit replaces it. After the
+// commit the entry is indexed most-recently-used and cold entries are
+// evicted until the cache fits its bound again.
+func (c *diskCache) store(key string, stageDir string, m *Manifest) (*Manifest, error) {
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return nil, err
@@ -527,48 +520,19 @@ func (c *diskCache) lruEvictions() int64 {
 	return c.lruEvicts
 }
 
-// manifestFiles hashes every exported table file under dir into
-// manifest entries, honouring ctx between files. Both the commit path
-// (store) and the degraded cache-bypass path use it, so a bypassed
-// job's manifest carries the same integrity metadata as a cached one.
-func manifestFiles(ctx context.Context, fsys faultfs.FS, dir string) ([]ManifestFile, error) {
-	names, err := exportedFiles(fsys, dir)
-	if err != nil {
-		return nil, err
+// manifestEntries lists an export's files in name order, with the
+// sizes and digests its encoders reported.
+func manifestEntries(stats []table.FileStat) []ManifestFile {
+	files := make([]ManifestFile, len(stats))
+	for i, st := range stats {
+		files[i] = ManifestFile{Name: st.Name, Bytes: st.Bytes, SHA256: st.SHA256}
 	}
-	files := make([]ManifestFile, len(names))
-	for i, name := range names {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sum, n, err := hashFile(fsys, filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		files[i] = ManifestFile{Name: name, Bytes: n, SHA256: sum}
-	}
-	return files, nil
+	sort.Slice(files, func(a, b int) bool { return files[a].Name < files[b].Name })
+	return files
 }
 
-// exportedFiles lists the table files of a staged export directory in
-// sorted order (ReadDir sorts), excluding the manifest and any temp
-// debris.
-func exportedFiles(fsys faultfs.FS, dir string) ([]string, error) {
-	des, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, de := range des {
-		if de.IsDir() || de.Name() == manifestName || strings.HasPrefix(de.Name(), ".") {
-			continue
-		}
-		names = append(names, de.Name())
-	}
-	return names, nil
-}
-
-// hashFile returns the hex SHA-256 and length of a file.
+// hashFile returns the hex SHA-256 and length of a file; verify
+// re-reads an entry through it.
 func hashFile(fsys faultfs.FS, path string) (string, int64, error) {
 	f, err := fsys.Open(path)
 	if err != nil {

@@ -28,8 +28,8 @@ type phase int
 const (
 	phaseGenerate phase = iota // engine GenerateCtx wall time
 	phaseMatch                 // summed match-task durations from the RunReport
-	phaseExport                // engine ExportCtx wall time
-	phaseHash                  // cache store (hash + manifest + commit) wall time
+	phaseExport                // engine ExportCtx wall time, the files' SHA-256 included
+	phaseHash                  // cache store wall time: manifest write, commit, eviction (no hashing: the export took the digests)
 	numPhases
 )
 

@@ -665,6 +665,7 @@ func (s *Service) executeJob(j *Job) error {
 	eng.Workers = s.cfg.EngineWorkers // 0 = auto, resolved by the engine
 	eng.ExportFormat = j.format
 	eng.ExportFS = s.cfg.FS
+	eng.ExportDigest = true // the manifest's per-file SHA-256
 
 	s.generations.Add(1)
 	genStart := time.Now()
@@ -681,10 +682,10 @@ func (s *Service) executeJob(j *Job) error {
 		return err
 	}
 	// The job deadline covers the whole pipeline: the export below is
-	// ctx-bounded (cancellation aborts between files with the staging
-	// temps cleaned up) and so is the store's hash pass, so a job cannot
-	// run long past JobTimeout just because generation squeaked in under
-	// it.
+	// ctx-bounded (cancellation aborts within one encoder flush with the
+	// staging temps cleaned up) and takes the manifest's digests as it
+	// writes, so a job cannot run long past JobTimeout just because
+	// generation squeaked in under it.
 	expStart := time.Now()
 	if err := eng.ExportCtx(ctx, d, stageDir); err != nil {
 		s.cache.dir.Remove(stageDir)
@@ -692,6 +693,10 @@ func (s *Service) executeJob(j *Job) error {
 	}
 	s.phases.observe(phaseExport, time.Since(expStart))
 	report := eng.Report()
+	if len(report.ExportFiles) == 0 {
+		s.cache.dir.Remove(stageDir)
+		return fmt.Errorf("service: export of %s wrote no files", shortKey(j.id))
+	}
 	// The match phase is carved out of the generate wall from the
 	// timings the engine already records: the summed duration of the
 	// run's match tasks — the paper pipeline's dominant stage, and the
@@ -726,12 +731,13 @@ func (s *Service) executeJob(j *Job) error {
 		Created:       time.Now().UTC(),
 		Nodes:         nodes,
 		Edges:         edges,
+		Files:         manifestEntries(report.ExportFiles),
 		Report:        reportJSON,
 	}
-	hashStart := time.Now()
+	storeStart := time.Now()
 	stored, err := s.storeWithRetry(ctx, j.id, stageDir, m)
 	if err == nil {
-		s.phases.observe(phaseHash, time.Since(hashStart))
+		s.phases.observe(phaseHash, time.Since(storeStart))
 		// A successful commit is proof the disk recovered; clear the
 		// degraded latch.
 		s.setDegraded(false)
@@ -750,10 +756,7 @@ func (s *Service) executeJob(j *Job) error {
 		s.cache.dir.Remove(stageDir)
 		return err
 	}
-	if bErr := s.completeBypass(ctx, j, stageDir, m, err); bErr != nil {
-		s.cache.dir.Remove(stageDir)
-		return bErr
-	}
+	s.completeBypass(j, stageDir, m, err)
 	return nil
 }
 
@@ -774,30 +777,21 @@ func (s *Service) storeWithRetry(ctx context.Context, key, stageDir string, m *M
 			s.logf("job %s: retrying cache store (attempt %d/%d)", shortKey(key), attempt+1, p.Attempts)
 		}
 		var serr error
-		out, serr = s.cache.store(ctx, key, stageDir, m)
+		out, serr = s.cache.store(key, stageDir, m)
 		return serr
 	})
 	return out, err
 }
 
-// completeBypass finishes a job whose cache store failed for good:
-// the staged files are hashed into the manifest (same integrity
-// metadata as a cached entry) and the job completes serving from the
-// stage directory.
-func (s *Service) completeBypass(ctx context.Context, j *Job, stageDir string, m *Manifest, storeErr error) error {
-	files, err := manifestFiles(ctx, s.cache.dir.FS(), stageDir)
-	if err != nil {
-		return fmt.Errorf("service: cache store failed (%v) and staged export is unusable: %w", storeErr, err)
-	}
-	if len(files) == 0 {
-		return fmt.Errorf("service: cache store failed (%v) and staged export is empty", storeErr)
-	}
-	m.Files = files
-	j.completeBypass(m, stageDir)
+// completeBypass finishes a job whose cache store failed for good: its
+// manifest already carries the encoder's digests (the same integrity
+// metadata as a cached entry, with no further read of the failing
+// disk) and the job completes serving from the stage directory.
+func (s *Service) completeBypass(j *Job, stageDir string, m *Manifest, storeErr error) {
 	s.bypasses.Add(1)
 	s.setDegraded(true)
+	j.completeBypass(m, stageDir)
 	s.logf("job %s done DEGRADED: cache store failed (%v); serving cache-bypass from stage", shortKey(j.id), storeErr)
-	return nil
 }
 
 // setDegraded flips the degraded latch, logging only transitions.

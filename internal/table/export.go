@@ -2,7 +2,10 @@ package table
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"maps"
 	"os"
@@ -118,16 +121,56 @@ type ExportOptions struct {
 	// stat, rename, cleanup) goes through it, so tests can crash the
 	// two-phase commit at any step.
 	FS faultfs.FS
+	// Digest asks for the SHA-256 of every file, taken from the
+	// encoder's buffers as they are written (FileStat.SHA256). The
+	// generation service sets it for its manifests; hashing costs about
+	// a second per gigabyte, so nothing else does.
+	Digest bool
 }
 
 // FileStat reports one exported file.
 type FileStat struct {
 	// Name is the file name within the export directory.
 	Name string
-	// Bytes is the final file size.
+	// Bytes is the number of bytes the encoder wrote to the file.
 	Bytes int64
 	// Duration is the wall time spent encoding and writing the file.
 	Duration time.Duration
+	// SHA256 is the hex digest of those bytes when ExportOptions.Digest
+	// asked for it, else empty. It is what the encoder produced, not
+	// what a later read of the file returns.
+	SHA256 string
+}
+
+// sink is the one writer under every exported file. It counts the bytes
+// the encoder hands it, stops the table at the first flush after ctx is
+// done, and, when a digest was asked for, hashes each buffer while it
+// is still hot from being encoded.
+type sink struct {
+	ctx   context.Context
+	w     io.Writer
+	bytes int64
+	sum   hash.Hash // nil unless ExportOptions.Digest
+}
+
+func (s *sink) Write(p []byte) (int, error) {
+	if err := s.ctx.Err(); err != nil {
+		return 0, err
+	}
+	n, err := s.w.Write(p)
+	s.bytes += int64(n)
+	if s.sum != nil {
+		s.sum.Write(p[:n])
+	}
+	return n, err
+}
+
+// digest returns the hex SHA-256 of what was written, "" if not asked.
+func (s *sink) digest() string {
+	if s.sum == nil {
+		return ""
+	}
+	return hex.EncodeToString(s.sum.Sum(nil))
 }
 
 // exportJob is one file of an export: a name plus a writer closure.
@@ -192,11 +235,12 @@ func (d *Dataset) Export(dir string, opt ExportOptions) ([]FileStat, error) {
 }
 
 // ExportCtx is Export with cooperative cancellation: ctx is checked
-// before the directory is touched, before each file job starts, and
-// before the commit phase — a canceled or expired context aborts with
-// every temp file removed and (if ExportCtx created it) the directory
-// gone, exactly like any other export failure. The all-or-nothing
-// guarantee is unchanged: cancellation never commits a partial set.
+// before the directory is touched, before each file job starts, on
+// every flush of a table's encoder (about 48 KiB), and before the
+// commit phase — a canceled or expired context aborts with every temp
+// file removed and (if ExportCtx created it) the directory gone,
+// exactly like any other export failure. The all-or-nothing guarantee
+// is unchanged: cancellation never commits a partial set.
 func (d *Dataset) ExportCtx(ctx context.Context, dir string, opt ExportOptions) ([]FileStat, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -233,18 +277,18 @@ func (d *Dataset) ExportCtx(ctx context.Context, dir string, opt ExportOptions) 
 		if err != nil {
 			return err
 		}
-		err = j.write(f)
+		dst := sink{ctx: ctx, w: f}
+		if opt.Digest {
+			dst.sum = sha256.New()
+		}
+		err = j.write(&dst)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
 			return fmt.Errorf("table: writing %s: %w", j.file, err)
 		}
-		fi, err := fsys.Stat(tmp)
-		if err != nil {
-			return err
-		}
-		stats[i] = FileStat{Name: j.file, Bytes: fi.Size(), Duration: time.Since(start)}
+		stats[i] = FileStat{Name: j.file, Bytes: dst.bytes, Duration: time.Since(start), SHA256: dst.digest()}
 		return nil
 	})
 	if err == nil {

@@ -14,9 +14,11 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"datasynth/internal/faultfs"
 	"datasynth/internal/store"
 )
 
@@ -94,6 +96,17 @@ func (c *cancelAfterCtx) Err() error {
 	return context.Canceled
 }
 
+// countingCtx counts the Err() checks of a clean run.
+type countingCtx struct {
+	context.Context
+	checks atomic.Int64
+}
+
+func (c *countingCtx) Err() error {
+	c.checks.Add(1)
+	return nil
+}
+
 // TestExportCtxCancelMidRun: cancellation while file jobs are running —
 // or after the last file but before the commit — rolls the staged
 // export back like any other failure: no directory, no temps, and
@@ -103,23 +116,95 @@ func TestExportCtxCancelMidRun(t *testing.T) {
 	if k < 2 {
 		t.Fatalf("fixture exports %d files, need at least 2", k)
 	}
-	// The serial check sequence is: 1 entry check, k per-job checks, 1
-	// commit barrier. left=2 cancels between job 0 and job 1 (job 0's
-	// temp already on disk); left=1+k cancels at the commit barrier with
-	// every temp written.
-	for _, left := range []int{2, 1 + k} {
+	// The serial check sequence is: 1 entry check, then per job 1 check
+	// before it starts and 1 per flush, then 1 commit barrier. A clean
+	// run counts the checks and the writes, so the last check is the
+	// barrier whatever the tables' flush counts are.
+	clean := &countingCtx{Context: context.Background()}
+	cleanFS := &cancelingFS{}
+	if _, err := roundTripDataset().ExportCtx(clean, filepath.Join(t.TempDir(), "out"), ExportOptions{Workers: 1, FS: cleanFS}); err != nil {
+		t.Fatal(err)
+	}
+	checks, writes := int(clean.checks.Load()), cleanFS.writes.Load()
+	if checks < 2+k {
+		t.Fatalf("clean export made %d ctx checks, want at least %d", checks, 2+k)
+	}
+	// left=2 cancels job 0 at its first flush (its temp already created);
+	// left=checks-1 cancels at the commit barrier with every temp written.
+	for _, left := range []int{2, checks - 1} {
 		ctx := &cancelAfterCtx{Context: context.Background(), left: left}
 		d := roundTripDataset()
+		fsys := &cancelingFS{}
 		dir := filepath.Join(t.TempDir(), "out")
-		_, err := d.ExportCtx(ctx, dir, ExportOptions{Workers: 1})
+		_, err := d.ExportCtx(ctx, dir, ExportOptions{Workers: 1, FS: fsys})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("left=%d: err = %v, want context.Canceled", left, err)
+		}
+		if left == checks-1 && fsys.writes.Load() != writes {
+			t.Errorf("left=%d: %d writes before the cancel, want all %d (cancel at the commit barrier)", left, fsys.writes.Load(), writes)
 		}
 		if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
 			entries, _ := os.ReadDir(dir)
 			for _, ent := range entries {
 				t.Errorf("left=%d: canceled export left %s", left, ent.Name())
 			}
+		}
+	}
+}
+
+// cancelingFS cancels a context during the at-th Write to the files it
+// creates and counts every Write; the zero value only counts.
+type cancelingFS struct {
+	faultfs.OSFS
+	cancel context.CancelFunc
+	at     int64
+	writes atomic.Int64
+}
+
+type cancelingFile struct {
+	faultfs.File
+	fs *cancelingFS
+}
+
+func (f *cancelingFS) Create(name string) (faultfs.File, error) {
+	file, err := f.OSFS.Create(name)
+	return &cancelingFile{File: file, fs: f}, err
+}
+
+func (f *cancelingFile) Write(p []byte) (int, error) {
+	if f.fs.writes.Add(1) == f.fs.at {
+		f.fs.cancel()
+	}
+	return f.File.Write(p)
+}
+
+// TestExportCancelsMidTable: a deadline that expires while a table is
+// being written stops that table at its next flush — not after the rest
+// of its megabytes have been encoded and written — and the export rolls
+// back like any other failure.
+func TestExportCancelsMidTable(t *testing.T) {
+	for _, format := range []Format{FormatCSV, FormatJSONL, FormatColumnar} {
+		const edges = 400_000 // several megabytes in every format
+		d := NewDataset()
+		et := NewEdgeTable("big", edges)
+		for i := int64(0); i < edges; i++ {
+			et.Add(i, edges-i)
+		}
+		d.Edges["big"] = et
+		ctx, cancel := context.WithCancel(context.Background())
+		fsys := &cancelingFS{cancel: cancel, at: 3}
+		dir := filepath.Join(t.TempDir(), "out")
+		_, err := d.ExportCtx(ctx, dir, ExportOptions{Format: format, Workers: 1, FS: fsys})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: err = %v, want context.Canceled", format, err)
+		}
+		if n := fsys.writes.Load(); n != fsys.at {
+			t.Errorf("%v: %d writes reached the file, want none after write %d canceled the context", format, n, fsys.at)
+		}
+		if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
+			entries, _ := os.ReadDir(dir)
+			t.Errorf("%v: canceled export left %s holding %d entries", format, dir, len(entries))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -48,23 +49,27 @@ func codedTable(name string, vals []string) *PropertyTable {
 	return pt
 }
 
-// FuzzNumberRender: the in-place digit writer must agree with
-// strconv.AppendInt on every int64, the row counter with counting, and
-// the civil-date arithmetic — direct and through a column's lookup
+// FuzzNumberRender: the digit writer — which also numbers the rows —
+// must agree with strconv.AppendInt on every int64, and the civil-date
+// arithmetic — direct and through a column's lookup
 // table, at its edges — with time.Format over the whole date domain.
 func FuzzNumberRender(f *testing.F) {
 	for _, v := range []int64{0, 7, -7, 10, 99, 100, 12345, -987654321, math.MaxInt64, math.MinInt64,
-		MinDate, MaxDate, -1, 11016, 59, 60, -719162 + 365, maxDateTable} {
+		MinDate, MaxDate, -1, 11016, 59, 60, -719162 + 365, maxDateTable,
+		// The digit writer's groups of eight and the ends of each.
+		9, 9999, 10000, 1e8 - 1, 1e8, 1e8 + 1, -1e8, 1e16 - 1, 1e16, 1e16 + 1, 1e18, -1e18, math.MaxInt64 - 1} {
 		f.Add(v, uint16(0))
 		f.Add(v, uint16(maxDateTable-1))
 	}
 	f.Fuzz(func(t *testing.T, v int64, span uint16) {
-		if got, want := appendInt([]byte("x"), v), strconv.AppendInt([]byte("x"), v, 10); !bytes.Equal(got, want) {
-			t.Fatalf("appendInt(%d) = %q, strconv %q", v, got, want)
+		var buf [1 + intWidth + 8]byte
+		buf[0] = 'x'
+		if got, want := buf[:putInt(buf[:], 1, v)], strconv.AppendInt([]byte("x"), v, 10); !bytes.Equal(got, want) {
+			t.Fatalf("putInt(%d) = %q, strconv %q", v, got, want)
 		}
-		if v >= 0 && v < math.MaxInt64 {
-			if got, want := incDecimal(strconv.AppendInt(nil, v, 10)), strconv.AppendInt(nil, v+1, 10); !bytes.Equal(got, want) {
-				t.Fatalf("incDecimal(%d) = %q, want %q", v, got, want)
+		if u := uint64(v); u < 1e8 {
+			if got := digits8(u) | ascii0; string(binary.LittleEndian.AppendUint64(nil, got)) != fmt.Sprintf("%08d", u) {
+				t.Fatalf("digits8(%d) = %x", u, got)
 			}
 		}
 		// Fold v into the date domain; lo … lo+span is one column.
@@ -117,6 +122,16 @@ func FuzzStringCells(f *testing.F) {
 	f.Add("ünïcødé ✓", " nbsp first", uint8(4))
 	f.Add("<script>&amp;</script>", "ctrl \x00\x1f", uint8(5))
 	f.Add("invalid \xff\xfe utf8", "line seps    ", uint8(0))
+	// The padded stores' widths (a cell of 14, 16 and 17 bytes rendered)
+	// and the word scan's lanes and tail: an excluded byte, a control
+	// byte and a non-ASCII one at the end of a word, past it, in the tail.
+	f.Add("fourteen bytes", "sixteen bytes ok", uint8(0))
+	f.Add("seventeen bytes ok", "", uint8(1))
+	f.Add("seven b\"", "sevenby\\eight", uint8(0))
+	f.Add("1234567,", "12345678;", uint8(1))
+	f.Add("1234567\x1f", "123456789012345\x7f", uint8(0))
+	f.Add("1234567\x80", "12345678<>&", uint8(3))
+	f.Add(strings.Repeat("wide cell ", 7000), " ", uint8(2))
 	f.Fuzz(func(t *testing.T, a, b string, commaSel uint8) {
 		commas := []rune{',', ';', '\t', '|', ' ', 'é'}
 		comma := commas[int(commaSel)%len(commas)]
@@ -345,18 +360,73 @@ type countWriter struct{ n *int }
 
 func (w countWriter) Write(p []byte) (int, error) { *w.n += len(p); return len(p), nil }
 
-// BenchmarkEncodeCSV times the row writer over every column kind.
-func BenchmarkEncodeCSV(b *testing.B) {
-	const rows = 1 << 20
-	et, props := encodeFixture(b, rows)
+// edgeShape is the knows table of the paper's running example — id,
+// tail, head and one date — at n rows over n/10 nodes.
+func edgeShape(n int) (*EdgeTable, []*PropertyTable) {
+	et := NewEdgeTable("knows", int64(n))
+	date := NewPropertyTable("knows.creationDate", KindDate, int64(n))
+	for i := 0; i < n; i++ {
+		et.Add(int64(i*31%(n/10)), int64(i*17%(n/10)))
+		date.SetInt(int64(i), 14610+int64(i*7%4018))
+	}
+	return et, []*PropertyTable{date}
+}
+
+// textNodeShape is its Message table: id, a coded topic, an arena text
+// of three to twelve words.
+func textNodeShape(t testing.TB, n int) []*PropertyTable {
+	topic := NewPropertyTable("Message.topic", KindString, int64(n))
+	text := make([]string, n)
+	for i := range text {
+		topic.SetString(int64(i), []string{"music", "sports", "politics", "travel", "food"}[i%5])
+		text[i] = strings.Repeat("lorem ipsum ", 1+i%4) + "dolor sit amet " + strconv.Itoa(i%1000)
+	}
+	return []*PropertyTable{topic, arenaTable(t, "Message.text", text)}
+}
+
+// benchEncode times one table write and reports ns/row and MB/s.
+func benchEncode(b *testing.B, rows int, write func(io.Writer) error) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		encodeSink = 0
-		if err := WriteEdgeCSV(countWriter{&encodeSink}, et, props, NodeCSVOptions{}); err != nil {
+		if err := write(countWriter{&encodeSink}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.SetBytes(int64(encodeSink))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+}
+
+// BenchmarkEncodeCSV times the row writer over every column kind, over
+// an edge table (integers and a date: the stores) and over a text node
+// table (the arena scan and copy).
+func BenchmarkEncodeCSV(b *testing.B) {
+	const rows = 1 << 20
+	b.Run("all-kinds", func(b *testing.B) {
+		et, props := encodeFixture(b, rows)
+		benchEncode(b, rows, func(w io.Writer) error { return WriteEdgeCSV(w, et, props, NodeCSVOptions{}) })
+	})
+	b.Run("edge", func(b *testing.B) {
+		et, props := edgeShape(1_000_000)
+		benchEncode(b, 1_000_000, func(w io.Writer) error { return WriteEdgeCSV(w, et, props, NodeCSVOptions{}) })
+	})
+	b.Run("text-node", func(b *testing.B) {
+		props := textNodeShape(b, rows)
+		benchEncode(b, rows, func(w io.Writer) error { return WriteNodeCSV(w, "Message", props, NodeCSVOptions{}) })
+	})
+}
+
+// BenchmarkEncodeJSONL times the row writer on the recommender's rates
+// table: head, id, label, tail, a one-digit rating and a date.
+func BenchmarkEncodeJSONL(b *testing.B) {
+	const rows = 1_000_000
+	et, props := edgeShape(rows)
+	et.Name, props[0].Name = "rates", "rates.date"
+	rating := NewPropertyTable("rates.rating", KindInt, rows)
+	for i := 0; i < rows; i++ {
+		rating.SetInt(int64(i), int64(1+i%5))
+	}
+	props = append([]*PropertyTable{rating}, props...)
+	benchEncode(b, rows, func(w io.Writer) error { return WriteEdgeJSONL(w, et, props) })
 }

@@ -28,11 +28,19 @@
 // # Export
 //
 // A generated Dataset exports through one pipeline, Dataset.Export,
-// in three formats: CSV (bulk-loader layout, rows rendered by a pooled
-// append encoder byte-identical to encoding/csv), JSON-lines, and a
+// in three formats: CSV (bulk-loader layout, byte-identical to
+// encoding/csv), JSON-lines (byte-identical to encoding/json), and a
 // binary columnar format (.dsc, see columnar.go) whose typed column
 // blocks round-trip every value bit for bit and load back with
-// OpenColumnar. Tables are independent, so Export writes one file per
+// OpenColumnar. CSV and JSON-lines rows come from one kernel (rows.go)
+// that writes each byte once, by index into a pooled buffer: room for
+// a row's worst case is reserved once per row, short constants land as
+// fixed 16-byte stores that the write index passes by their true
+// length, and only the bytes below the write index are ever flushed.
+// Every file goes to disk through one sink that counts its bytes,
+// stops the table at the next flush once the context is done, and on
+// request (ExportOptions.Digest) takes the file's SHA-256 from the
+// same buffers. Tables are independent, so Export writes one file per
 // table on a bounded worker pool (ExportOptions.Workers) and commits
 // the directory atomically — every file stages as a temp file and the
 // set renames into place only after all tables encoded, so a failed
