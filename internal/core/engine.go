@@ -21,12 +21,42 @@
 // RNG streams off (schema seed, task id) and writes only its own
 // output slot, so the same seed yields a byte-identical dataset whether
 // the plan runs on one worker or on every core.
+//
+// # Memory
+//
+// The process's peak is meant to be the plan's live set — the edge
+// tables, the columns some task reads, one task's scratch — not
+// everything it ever allocated. Two rules get there, both decided by
+// the plan alone, with no setting:
+//
+//   - A property or edge-property task no other task depends on (a sink
+//     of depgraph.Plan.Deps: not a dependency, not correlated, not
+//     endpoint-copied) is deferred. Its task records the column's fill
+//     closure and returns; the export's encoders run the closure chunk
+//     by chunk as they write the file (table.PropertyTable.ReadChunk),
+//     so the column is never stored. A reader that wants random access
+//     to it (Int, String, …) materialises it then. The timing report
+//     shows such a task as "deferred → export:<file>" and the fill's
+//     time in that file's FileStat.Fill. A generator failure in a
+//     deferred column is the export's failure: it names the column and
+//     the rows, a panic arrives as a *par.PanicError, and the export
+//     commits nothing.
+//   - A structure task and a match task end with one forced garbage
+//     collection (runTask). They are the tasks that build and drop tens of
+//     megabytes of pointer-free scratch, and a job runs so few collector
+//     cycles (six, on the 300k-Person social schema) that the pacer
+//     would otherwise leave that scratch mapped under the next phase.
+//     Measured on that schema: 216 MB of peak RSS before either rule,
+//     162 MB with deferral alone, 127 MB with both, for four
+//     collections of 0.15–0.25 ms each in a one-second job. GOGC and the
+//     memory limit stay the operator's.
 package core
 
 import (
 	"context"
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -101,7 +131,8 @@ type runState struct {
 	edges   map[string]*table.EdgeTable
 	matched map[string]bool
 	// gens holds every property's generator, built and checked before
-	// the first task runs; read-only afterwards.
+	// the first task runs. A property's own task sets its rows; nothing
+	// else is written afterwards.
 	gens map[string]*propGen
 	// fusedProps holds property columns produced by fused operators
 	// (value indices plus the value universe); genNodeProperty
@@ -214,6 +245,12 @@ func (e *Engine) GenerateCtx(ctx context.Context) (*table.Dataset, error) {
 	}
 	if err := e.checkStructures(); err != nil {
 		return nil, err
+	}
+	// A property nothing in the plan reads is left to the export.
+	for i, sink := range plan.Sinks() {
+		if t := plan.Tasks[i]; t.Kind == depgraph.TaskProperty || t.Kind == depgraph.TaskEdgeProperty {
+			gens[t.Type+"."+t.Prop].deferred = sink
+		}
 	}
 	st := newRunState(gens)
 	if err := e.runPlan(ctx, st, plan); err != nil {
@@ -363,23 +400,34 @@ func (e *Engine) runPlan(ctx context.Context, st *runState, plan *depgraph.Plan)
 // bad task fails the plan like any other task error instead of
 // killing the process — the isolation contract the generation service
 // relies on to survive hostile schemas.
+//
+// A structure or match task ends with one garbage collection, inside
+// its timed duration. Those two kinds build and drop tens of megabytes
+// of pointer-free scratch (LFR's dedup buffers, RMAT's key buffers, the
+// matcher's CSR) and a whole job runs only a handful of collector
+// cycles, so without it the pacer leaves that dead scratch mapped under
+// whatever the next task allocates, and the process's peak is its
+// allocation history rather than its live set. The heap is a few large
+// pointer-free slices, so a cycle costs well under a millisecond.
 func (e *Engine) runTask(st *runState, plan *depgraph.Plan, t depgraph.Task) (note string, err error) {
 	err = par.Safe(func() error {
 		switch t.Kind {
 		case depgraph.TaskProperty:
-			return e.genNodeProperty(st, plan, t.Type, t.Prop)
+			note, err = e.genNodeProperty(st, plan, t.Type, t.Prop)
 		case depgraph.TaskStructure:
 			note, err = e.genStructure(st, plan, t.Type)
-			return err
 		case depgraph.TaskMatch:
 			note, err = e.matchEdge(st, plan, t.Type)
-			return err
 		case depgraph.TaskEdgeProperty:
-			return e.genEdgeProperty(st, t.Type, t.Prop)
+			note, err = e.genEdgeProperty(st, t.Type, t.Prop)
 		default:
-			return fmt.Errorf("core: unknown task kind %v", t.Kind)
+			err = fmt.Errorf("core: unknown task kind %v", t.Kind)
 		}
+		return err
 	})
+	if err == nil && (t.Kind == depgraph.TaskStructure || t.Kind == depgraph.TaskMatch) {
+		runtime.GC()
+	}
 	return note, err
 }
 
@@ -482,14 +530,17 @@ func (e *Engine) propertySeed(typeName, propName string) xrand.Stream {
 }
 
 // propGen is one property's generator, with what the engine needs to
-// run it: the property, the type that owns it, its declared row count
-// (0 when only generation tells) and where its dependencies live.
+// run it: the property, the type that owns it, its row count (the
+// declared one; 0 when only generation tells, until the property's task
+// has run), where its dependencies live and whether the column is
+// deferred — no task reads it, so the export fills it.
 type propGen struct {
-	gen   pgen.Generator
-	prop  *schema.Property
-	owner string
-	rows  int64
-	deps  []depRef
+	gen      pgen.Generator
+	prop     *schema.Property
+	owner    string
+	rows     int64
+	deps     []depRef
+	deferred bool
 }
 
 // depRef locates one dependency of a property. An edge property reads
@@ -617,21 +668,22 @@ func dateRange(pg *propGen, gens map[string]*propGen) (lo, hi int64, ok bool) {
 	return 0, 0, false
 }
 
-// genNodeProperty materialises one node property table. Columns minted
-// by a fused operator are materialised directly from the fused labels
-// instead of running the property generator.
-func (e *Engine) genNodeProperty(st *runState, plan *depgraph.Plan, typeName, propName string) error {
+// genNodeProperty produces one node property table. Columns minted by a
+// fused operator are materialised directly from the fused labels
+// instead of running the property generator. The note says where a
+// deferred column's fill will run.
+func (e *Engine) genNodeProperty(st *runState, plan *depgraph.Plan, typeName, propName string) (string, error) {
 	n, err := e.nodeCount(st, plan, typeName)
 	if err != nil {
-		return err
+		return "", err
 	}
 	pg := st.gens[typeName+"."+propName]
 	if fc := st.fusedCol(typeName, propName); fc != nil {
 		if int64(len(fc.labels)) != n {
-			return fmt.Errorf("core: fused column %s.%s has %d rows, expected %d", typeName, propName, len(fc.labels), n)
+			return "", fmt.Errorf("core: fused column %s.%s has %d rows, expected %d", typeName, propName, len(fc.labels), n)
 		}
 		if pg.prop.Kind != table.KindString {
-			return fmt.Errorf("core: fused column %s.%s must be a string property", typeName, propName)
+			return "", fmt.Errorf("core: fused column %s.%s must be a string property", typeName, propName)
 		}
 		pt := table.NewStringTable(typeName+"."+propName, n, fc.values)
 		codes, _ := pt.Coded()
@@ -639,24 +691,39 @@ func (e *Engine) genNodeProperty(st *runState, plan *depgraph.Plan, typeName, pr
 			codes[id] = uint32(label)
 		}
 		st.setProp(typeName, propName, pt)
-		return nil
+		return "", nil
 	}
 	pt, err := e.generate(st, pg, n, nil)
 	if err != nil {
-		return err
+		return "", err
 	}
 	st.setProp(typeName, propName, pt)
-	return nil
+	return deferredNote(pt, table.NodeFileName(typeName, e.ExportFormat)), nil
 }
 
-// generate allocates the n-row table of pg's property and fills it: the
-// one path every generated column takes. et is the matched edge table
-// of an edge property, nil for a node property. Every value is a pure
-// function of (id, r(id), deps) — in-place generation — so the table is
-// filled a chunk of ChunkRows ids at a time, on the engine's workers,
-// in any order. A failing or panicking chunk (bad parameter
-// combinations can reach panics inside xrand) fails the task with the
-// lowest chunk's error, never the process (par.ForEach).
+// deferredNote is the timing-report note of a property task whose
+// column was left to the export of file.
+func deferredNote(pt *table.PropertyTable, file string) string {
+	if !pt.Deferred() {
+		return ""
+	}
+	return "deferred → export:" + file
+}
+
+// generate builds the n-row column of pg's property: the one path every
+// generated column takes. et is the matched edge table of an edge
+// property, nil for a node property. Every value is a pure function of
+// (id, r(id), deps) — in-place generation — so the column is its fill
+// closure: the generator, its stream, its dependency columns and the
+// endpoint slices they are gathered through, run over a chunk of
+// ChunkRows ids at a time, on any goroutine, in any order. A column some
+// task reads is filled into storage here, on the engine's workers; a
+// deferred one is returned as the closure alone, and the export's
+// encoders run it chunk by chunk into their scratch
+// (table.PropertyTable.ReadChunk), so the column is never held. A
+// failing or panicking chunk (bad parameter combinations can reach
+// panics inside xrand) fails the fill — this task, or the export —
+// naming the column and the rows, never the process.
 func (e *Engine) generate(st *runState, pg *propGen, n int64, et *table.EdgeTable) (*table.PropertyTable, error) {
 	// A dependency is read in place when it has this column's rows
 	// (via nil), and gathered through the edge table when it is an
@@ -675,26 +742,18 @@ func (e *Engine) generate(st *runState, pg *propGen, n int64, et *table.EdgeTabl
 		}
 	}
 	name := pg.owner + "." + pg.prop.Name
-	var pt *table.PropertyTable
-	if pg.prop.Kind == table.KindString {
-		var dict []string
-		if c, ok := pg.gen.(pgen.Coded); ok {
-			dict = c.Vocabulary(srcs)
-		}
-		pt = table.NewStringTable(name, n, dict)
-	} else {
-		pt = table.NewPropertyTable(name, pg.prop.Kind, n)
+	var dict []string
+	if c, ok := pg.gen.(pgen.Coded); ok && pg.prop.Kind == table.KindString {
+		dict = c.Vocabulary(srcs)
 	}
 	stream := e.propertySeed(pg.owner, pg.prop.Name)
 	// Dependency chunks, and the buffers gathers fill, are reused from
 	// chunk to chunk.
-	scratch := sync.Pool{New: func() any {
+	scratch := &sync.Pool{New: func() any {
 		deps := make([]table.Chunk, len(srcs))
 		return &deps
 	}}
-	return pt, par.ForEach(int((n+table.ChunkRows-1)/table.ChunkRows), e.Workers, func(c int) error {
-		lo := int64(c) * table.ChunkRows
-		hi := min(lo+table.ChunkRows, n)
+	pt := table.NewDeferredTable(name, pg.prop.Kind, n, dict, func(dst *table.Chunk, lo, hi int64) error {
 		buf := scratch.Get().(*[]table.Chunk)
 		defer scratch.Put(buf)
 		deps := *buf
@@ -705,8 +764,19 @@ func (e *Engine) generate(st *runState, pg *propGen, n int64, et *table.EdgeTabl
 				src.Gather(via[i][lo:hi], &deps[i])
 			}
 		}
-		return pt.FillChunk(lo, hi, func(dst *table.Chunk) error {
-			return pg.gen.Fill(dst, lo, hi, stream, deps)
-		})
+		if err := par.Safe(func() error { return pg.gen.Fill(dst, lo, hi, stream, deps) }); err != nil {
+			return fmt.Errorf("core: property %s rows [%d,%d): %w", name, lo, hi, err)
+		}
+		return nil
 	})
+	// The rows are known now, which is what bounds a sequence of days
+	// (dateRange) on a type whose count the schema does not declare.
+	pg.rows = n
+	if lo, hi, ok := dateRange(pg, st.gens); ok && pg.prop.Kind == table.KindDate {
+		pt.SetDateBounds(lo, hi)
+	}
+	if pg.deferred {
+		return pt, nil
+	}
+	return pt, pt.Materialize(e.Workers)
 }

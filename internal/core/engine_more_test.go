@@ -139,7 +139,13 @@ func TestParallelFillPropagatesErrors(t *testing.T) {
 		Name: "f", Seed: 1,
 		Nodes: []schema.NodeType{{
 			Name: "N", Count: 50000,
-			Properties: []schema.Property{{Name: "p", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "failing"}}},
+			// q reads p, so p is filled by its task, on the engine's
+			// workers; a column nothing reads is left to the export
+			// (TestDeferredFillFailureFailsExport).
+			Properties: []schema.Property{
+				{Name: "p", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "failing"}},
+				{Name: "q", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "sequence"}, DependsOn: []string{"p"}},
+			},
 		}},
 	}
 	e := New(s)

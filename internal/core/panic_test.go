@@ -15,12 +15,13 @@ import (
 // panicDSL names a generator the test registers to panic in the fill
 // workers. (The schema that used to — uniform-int over the full int64
 // range, whose span overflows to zero — is rejected by validation
-// since PR 16.)
+// since PR 16.) q reads p, so p is filled by its own task.
 const panicDSL = `graph boom {
   seed = 7
   node A {
     count = 64
     property p : int = boom()
+    property q : int = sequence() given (p)
   }
 }`
 

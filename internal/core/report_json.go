@@ -27,6 +27,7 @@ type fileStatJSON struct {
 	Name       string `json:"name"`
 	Bytes      int64  `json:"bytes"`
 	DurationNS int64  `json:"duration_ns"`
+	FillNS     int64  `json:"fill_ns,omitempty"`
 }
 
 // MarshalJSON renders the report with explicit-unit duration fields.
@@ -45,7 +46,7 @@ func (r *RunReport) MarshalJSON() ([]byte, error) {
 	}
 	files := make([]fileStatJSON, len(r.ExportFiles))
 	for i, f := range r.ExportFiles {
-		files[i] = fileStatJSON{Name: f.Name, Bytes: f.Bytes, DurationNS: int64(f.Duration)}
+		files[i] = fileStatJSON{Name: f.Name, Bytes: f.Bytes, DurationNS: int64(f.Duration), FillNS: int64(f.Fill)}
 	}
 	out := struct {
 		TotalNS        int64            `json:"total_ns"`

@@ -174,7 +174,11 @@ func TestSchedulerDeterminismSocialNetwork(t *testing.T) {
 func TestParallelFillErrorNoDeadlock(t *testing.T) {
 	e := New(&schema.Schema{Name: "x", Seed: 1, Nodes: []schema.NodeType{{
 		Name: "T", Count: 1 << 22, // 4M rows ≫ ChunkRows · workers
-		Properties: []schema.Property{{Name: "p", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "always-fails"}}},
+		// q reads p, which keeps p's fill in its task and on the workers.
+		Properties: []schema.Property{
+			{Name: "p", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "always-fails"}},
+			{Name: "q", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "sequence"}, DependsOn: []string{"p"}},
+		},
 	}}})
 	e.Workers = 2
 	var rows atomic.Int64

@@ -550,20 +550,20 @@ func alignedTarget(c *schema.Correlation, kind string, tailW, headW []float64) (
 	return t, t.Validate()
 }
 
-// genEdgeProperty materialises one edge property table; dependencies
-// may reference sibling edge properties or endpoint node properties via
+// genEdgeProperty produces one edge property table; dependencies may
+// reference sibling edge properties or endpoint node properties via
 // tail./head. prefixes (resolved through the matched edge table).
-func (e *Engine) genEdgeProperty(st *runState, edgeName, propName string) error {
+func (e *Engine) genEdgeProperty(st *runState, edgeName, propName string) (string, error) {
 	et, ok := st.edgeTable(edgeName)
 	if !ok || !st.isMatched(edgeName) {
-		return fmt.Errorf("core: edge property %s.%s before match", edgeName, propName)
+		return "", fmt.Errorf("core: edge property %s.%s before match", edgeName, propName)
 	}
 	pt, err := e.generate(st, st.gens[edgeName+"."+propName], et.Len(), et)
 	if err != nil {
-		return err
+		return "", err
 	}
 	st.setProp(edgeName, propName, pt)
-	return nil
+	return deferredNote(pt, table.EdgeFileName(edgeName, e.ExportFormat)), nil
 }
 
 // assemble packages the run state as a dataset, preserving schema

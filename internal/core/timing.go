@@ -32,7 +32,9 @@ type TaskTiming struct {
 	Critical bool
 	// Note is a free-form per-task annotation (match tasks report their
 	// SBM-Part per-pass breakdown here, so a refined match shows where
-	// its critical-path time goes).
+	// its critical-path time goes; a property task whose column was
+	// deferred names the export file whose FileStat.Fill carries its
+	// time: "deferred → export:nodes_Message.csv").
 	Note string
 }
 
@@ -155,8 +157,12 @@ func (r *RunReport) String() string {
 			t.Duration.Round(time.Microsecond), t.Start.Round(time.Microsecond), detail)
 	}
 	for _, f := range r.ExportFiles {
-		fmt.Fprintf(&b, "  %-40s %12v  (%d bytes)\n", "export:"+f.Name,
-			f.Duration.Round(time.Microsecond), f.Bytes)
+		fill := ""
+		if f.Fill > 0 {
+			fill = fmt.Sprintf(" (fill %v)", f.Fill.Round(time.Microsecond))
+		}
+		fmt.Fprintf(&b, "  %-40s %12v%s  (%d bytes)\n", "export:"+f.Name,
+			f.Duration.Round(time.Microsecond), fill, f.Bytes)
 	}
 	return b.String()
 }

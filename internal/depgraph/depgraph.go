@@ -109,6 +109,23 @@ type Plan struct {
 	Counts map[string]CountSource
 }
 
+// Sinks reports, task by task, whether no other task depends on it.
+// Nothing in the plan reads what a sink produces — only whoever consumes
+// the generated dataset does — which is what lets the engine leave a
+// sink property column unfilled until the export asks for its rows.
+func (p *Plan) Sinks() []bool {
+	sinks := make([]bool, len(p.Tasks))
+	for i := range sinks {
+		sinks[i] = true
+	}
+	for _, deps := range p.Deps {
+		for _, d := range deps {
+			sinks[d] = false
+		}
+	}
+	return sinks
+}
+
 // Analyze builds the dependency graph for a validated schema, resolves
 // count sources, and returns tasks in a dependency-respecting order.
 // It fails on dependency cycles and on node types whose count cannot be

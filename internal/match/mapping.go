@@ -112,9 +112,10 @@ type Result struct {
 // The EdgeTable is not modified; apply Result.Mapping with et.Remap to
 // materialise the match.
 func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stats.Joint, opt Options) (*Result, error) {
-	gb := graph.GetBuilder()
-	defer graph.PutBuilder(gb)
-	g, err := gb.FromEdgeTable(et, n)
+	// A builder of its own, not a pooled one: the CSR is this job's
+	// largest scratch, and the pool would carry it past the collection
+	// the engine runs when the match task ends.
+	g, err := new(graph.Builder).FromEdgeTable(et, n)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,15 @@
 // table.Chunk), so a built-in generator is one tight loop per column
 // with no per-cell call, boxing or check. Fill must be a pure function
 // of (id, stream, deps): however [0, n) is cut into chunks, and in
-// whatever order they are filled, every id gets the same value.
+// whatever order they are filled, every id gets the same value. That
+// purity is also what lets the engine not run Fill at all during
+// generation: a column no other property, correlation or edge reads is
+// filled chunk by chunk inside the export, by the encoder writing its
+// file, into a scratch chunk that the next chunk overwrites. So Fill may
+// run during the export, on any goroutine, several times for the same
+// rows (once per exported format, and again if a reader asks for the
+// column), and concurrently with itself — keep no state between calls,
+// and do not hold on to dst or deps after returning.
 //
 //   - A generator that is naturally row-at-a-time is five lines through
 //     PerRow, which wraps a run function in the chunk loop.

@@ -341,6 +341,9 @@ type Service struct {
 	cache *diskCache
 	scen  *scenario.Registry // nil when Config.ScenarioDir is empty
 	start time.Time
+	// newEngine builds a job's engine: core.New, unless a test planted a
+	// generator that fails.
+	newEngine func(*schema.Schema) *core.Engine
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -402,14 +405,15 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	s := &Service{
-		cfg:     cfg,
-		cache:   cache,
-		scen:    scen,
-		start:   time.Now(),
-		jobs:    map[string]*Job{},
-		sweeps:  map[string]*Sweep{},
-		drainCh: make(chan struct{}),
-		queue:   make(chan *Job, cfg.queueDepth()),
+		cfg:       cfg,
+		cache:     cache,
+		scen:      scen,
+		start:     time.Now(),
+		newEngine: core.New,
+		jobs:      map[string]*Job{},
+		sweeps:    map[string]*Sweep{},
+		drainCh:   make(chan struct{}),
+		queue:     make(chan *Job, cfg.queueDepth()),
 	}
 	for w := 0; w < cfg.jobWorkers(); w++ {
 		s.wg.Add(1)
@@ -661,7 +665,7 @@ func (s *Service) executeJob(j *Job) error {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
 		defer cancel()
 	}
-	eng := core.New(j.schema)
+	eng := s.newEngine(j.schema)
 	eng.Workers = s.cfg.EngineWorkers // 0 = auto, resolved by the engine
 	eng.ExportFormat = j.format
 	eng.ExportFS = s.cfg.FS

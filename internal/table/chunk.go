@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math"
+	"time"
 )
 
 // ChunkRows is the number of rows the engine hands a property generator
@@ -37,11 +38,18 @@ func (c *Chunk) Str(i int) string {
 	return ""
 }
 
-// Grow gives an empty arena chunk room for rows cells of about size
-// bytes in total, so that filling it allocates twice, not once per cell.
+// Grow empties an arena chunk and gives it room for rows cells of about
+// size bytes in total, so that filling it allocates twice, not once per
+// cell — and not at all when the chunk is a reader's scratch that has
+// held as much before (ReadChunk).
 func (c *Chunk) Grow(rows, size int) {
-	c.Offs = append(make([]uint32, 0, rows+1), 0)
-	c.Data = make([]byte, 0, size)
+	if cap(c.Offs) <= rows {
+		c.Offs = make([]uint32, 0, rows+1)
+	}
+	if cap(c.Data) < size {
+		c.Data = make([]byte, 0, size)
+	}
+	c.Offs, c.Data = append(c.Offs[:0], 0), c.Data[:0]
 }
 
 // EndCell closes the arena cell whose bytes were appended to Data.
@@ -61,6 +69,7 @@ func (c *Chunk) AppendStr(s string) {
 // Chunk returns rows [lo, hi) as a view sharing the table's storage. On
 // an arena column the range must lie within one ChunkRows-aligned chunk.
 func (pt *PropertyTable) Chunk(lo, hi int64) Chunk {
+	pt.need()
 	switch {
 	case pt.Kind == KindFloat:
 		return Chunk{Floats: pt.floats[lo:hi]}
@@ -88,17 +97,83 @@ func (pt *PropertyTable) FillChunk(lo, hi int64, fill func(dst *Chunk) error) er
 	if err := fill(&dst); err != nil {
 		return err
 	}
-	if int64(len(dst.Offs)) != hi-lo+1 || len(dst.Data) > math.MaxUint32 {
-		return fmt.Errorf("table: %s rows [%d,%d) were filled with %d cells in %d bytes", pt.Name, lo, hi, len(dst.Offs)-1, len(dst.Data))
+	if err := pt.checkArena(&dst, lo, hi); err != nil {
+		return err
 	}
 	pt.arenas[lo/ChunkRows] = dst
 	return nil
+}
+
+// checkArena checks a filled arena chunk: one cell per row, in bytes
+// its 32-bit offsets can address.
+func (pt *PropertyTable) checkArena(dst *Chunk, lo, hi int64) error {
+	if int64(len(dst.Offs)) != hi-lo+1 || len(dst.Data) > math.MaxUint32 {
+		return fmt.Errorf("table: %s rows [%d,%d) were filled with %d cells in %d bytes", pt.Name, lo, hi, len(dst.Offs)-1, len(dst.Data))
+	}
+	return nil
+}
+
+// ReadChunk returns rows [lo, hi) of the column — the one read every
+// encoder makes. A stored column gives a view of its storage, as Chunk
+// does; a deferred one is filled into scratch, whose slices are reused
+// from call to call, and the result holds until the next call with that
+// scratch. lo must be a multiple of ChunkRows and hi at most
+// lo+ChunkRows. It never materialises the column.
+func (pt *PropertyTable) ReadChunk(lo, hi int64, scratch *Chunk) (Chunk, error) {
+	if !pt.Deferred() {
+		return pt.Chunk(lo, hi), nil
+	}
+	rows := int(hi - lo)
+	switch {
+	case pt.Kind == KindFloat:
+		scratch.Floats = zeroed(scratch.Floats, rows)
+	case pt.Kind != KindString:
+		scratch.Ints = zeroed(scratch.Ints, rows)
+	case pt.dict != nil:
+		scratch.Codes, scratch.Dict = zeroed(scratch.Codes, rows), pt.dict
+	default:
+		scratch.Offs, scratch.Data = scratch.Offs[:0], scratch.Data[:0]
+	}
+	if err := pt.def.fill(scratch, lo, hi); err != nil {
+		return Chunk{}, err
+	}
+	if pt.Kind == KindString && pt.dict == nil {
+		if err := pt.checkArena(scratch, lo, hi); err != nil {
+			return Chunk{}, err
+		}
+	}
+	return *scratch, nil
+}
+
+// read is ReadChunk with the time a deferred column's fill took added
+// to *fill: two clock reads a chunk, none for a stored column.
+func (pt *PropertyTable) read(lo, hi int64, scratch *Chunk, fill *time.Duration) (Chunk, error) {
+	if !pt.Deferred() {
+		return pt.Chunk(lo, hi), nil
+	}
+	start := time.Now()
+	c, err := pt.ReadChunk(lo, hi, scratch)
+	*fill += time.Since(start)
+	return c, err
+}
+
+// zeroed returns s resized to n zero cells — what a fresh column holds
+// before its fill, which a generator may rely on (constant writes
+// nothing: code 0 is its value).
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Gather copies the rows idx names, in that order, into the chunk
 // `into`, whose slices it reuses. It is how an edge property reads an
 // endpoint's node property.
 func (pt *PropertyTable) Gather(idx []int64, into *Chunk) {
+	pt.need()
 	switch {
 	case pt.Kind == KindFloat:
 		into.Floats = gather(into.Floats, pt.floats, idx)

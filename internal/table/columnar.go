@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"datasynth/internal/faultfs"
 )
@@ -100,39 +101,46 @@ func (b *blockWriter) close() error {
 	return b.err
 }
 
-// writeIntBlock emits vals as a raw little-endian int64 block. The
-// buffer stays in a local across a slab of values: this loop and its
-// float twin carry most of a columnar file.
-func writeIntBlock(w io.Writer, vals []int64) error {
-	b := newBlock(w, uint64(8*len(vals)))
-	for ; len(vals) > 0; vals = vals[min(len(vals), encFlushAt/8):] {
+// ints appends vals as raw little-endian int64s, flushing each time the
+// buffer reaches encFlushAt. The buffer stays in a local across a slab
+// of values: this loop and its float twin carry most of a columnar file.
+func (b *blockWriter) ints(vals []int64) {
+	for len(vals) > 0 {
+		k := min(len(vals), (encFlushAt-len(b.buf)+7)/8)
 		buf := b.buf
-		for _, v := range vals[:min(len(vals), encFlushAt/8)] {
+		for _, v := range vals[:k] {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 		}
-		b.buf = buf
-		b.raw(nil)
+		if b.buf, vals = buf, vals[k:]; len(buf) >= encFlushAt {
+			b.raw(nil)
+		}
 	}
-	return b.close()
 }
 
-// writeFloatBlock emits vals as raw IEEE-754 bit patterns.
-func writeFloatBlock(w io.Writer, vals []float64) error {
-	b := newBlock(w, uint64(8*len(vals)))
-	for ; len(vals) > 0; vals = vals[min(len(vals), encFlushAt/8):] {
+// floats appends vals as raw IEEE-754 bit patterns.
+func (b *blockWriter) floats(vals []float64) {
+	for len(vals) > 0 {
+		k := min(len(vals), (encFlushAt-len(b.buf)+7)/8)
 		buf := b.buf
-		for _, v := range vals[:min(len(vals), encFlushAt/8)] {
+		for _, v := range vals[:k] {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
-		b.buf = buf
-		b.raw(nil)
+		if b.buf, vals = buf, vals[k:]; len(buf) >= encFlushAt {
+			b.raw(nil)
+		}
 	}
+}
+
+// writeIntBlock emits vals as one int64 block.
+func writeIntBlock(w io.Writer, vals []int64) error {
+	b := newBlock(w, uint64(8*len(vals)))
+	b.ints(vals)
 	return b.close()
 }
 
 // writeStringBlock emits the offsets array followed by the
-// concatenated bytes, from either string layout; an arena chunk's bytes
-// are already the file's.
+// concatenated bytes, from either string layout of a stored column; an
+// arena chunk's bytes are already the file's.
 func writeStringBlock(w io.Writer, pt *PropertyTable) error {
 	var total uint64
 	for _, code := range pt.codes {
@@ -163,21 +171,42 @@ func writeStringBlock(w io.Writer, pt *PropertyTable) error {
 	return b.close()
 }
 
-func writeColumn(w io.Writer, pt *PropertyTable) error {
+// writeColumn emits one property column. A fixed-width block's length
+// is known from the row count, so its values stream through chunk by
+// chunk (ReadChunk) and a deferred column is never held. A string block
+// opens with its total byte length: a deferred string column is filled
+// into a temporary stored copy that lives for the length of its block.
+// fill gains the time spent in deferred fills.
+func writeColumn(w io.Writer, pt *PropertyTable, fill *time.Duration) error {
 	if err := writeName(w, pt.Name); err != nil {
 		return err
 	}
 	if _, err := w.Write([]byte{byte(pt.Kind)}); err != nil {
 		return err
 	}
-	switch pt.Kind {
-	case KindString:
+	if pt.Kind == KindString {
+		if pt.Deferred() {
+			start := time.Now()
+			tmp, err := pt.filled(1)
+			if *fill += time.Since(start); err != nil {
+				return err
+			}
+			pt = tmp
+		}
 		return writeStringBlock(w, pt)
-	case KindFloat:
-		return writeFloatBlock(w, pt.floats)
-	default:
-		return writeIntBlock(w, pt.ints)
 	}
+	b := newBlock(w, uint64(8*pt.n))
+	var scratch Chunk
+	for lo := int64(0); lo < pt.n; lo += ChunkRows {
+		c, err := pt.read(lo, min(lo+ChunkRows, pt.n), &scratch, fill)
+		if err != nil {
+			b.close() // hands the block's buffer back; the file is abandoned
+			return err
+		}
+		b.ints(c.Ints)
+		b.floats(c.Floats)
+	}
+	return b.close()
 }
 
 func writeName(w io.Writer, name string) error {
@@ -219,8 +248,16 @@ func WriteNodeColumnar(w io.Writer, typeName string, count int64, props []*Prope
 	if err := writeHeader(bw, 'N', typeName, count, len(props)); err != nil {
 		return err
 	}
+	return writeColumns(w, bw, props)
+}
+
+// writeColumns emits the property columns of a columnar file through bw
+// and flushes it; w, the file's own writer, is told the fill time.
+func writeColumns(w io.Writer, bw *bufio.Writer, props []*PropertyTable) error {
+	var fill time.Duration
+	defer func() { noteFill(w, fill) }()
 	for _, pt := range props {
-		if err := writeColumn(bw, pt); err != nil {
+		if err := writeColumn(bw, pt, &fill); err != nil {
 			return err
 		}
 	}
@@ -245,12 +282,7 @@ func WriteEdgeColumnar(w io.Writer, et *EdgeTable, props []*PropertyTable) error
 	if err := writeIntBlock(bw, et.Head); err != nil {
 		return err
 	}
-	for _, pt := range props {
-		if err := writeColumn(bw, pt); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeColumns(w, bw, props)
 }
 
 // WriteDirColumnar exports the dataset as nodes_<Type>.dsc and

@@ -136,6 +136,10 @@ type FileStat struct {
 	Bytes int64
 	// Duration is the wall time spent encoding and writing the file.
 	Duration time.Duration
+	// Fill is the part of Duration spent filling the file's deferred
+	// columns (see "Deferred columns" in the package doc) — generation
+	// that runs inside the export; zero when every column was stored.
+	Fill time.Duration
 	// SHA256 is the hex digest of those bytes when ExportOptions.Digest
 	// asked for it, else empty. It is what the encoder produced, not
 	// what a later read of the file returns.
@@ -145,12 +149,22 @@ type FileStat struct {
 // sink is the one writer under every exported file. It counts the bytes
 // the encoder hands it, stops the table at the first flush after ctx is
 // done, and, when a digest was asked for, hashes each buffer while it
-// is still hot from being encoded.
+// is still hot from being encoded. The table writers also leave it the
+// time they spent filling deferred columns (noteFill).
 type sink struct {
 	ctx   context.Context
 	w     io.Writer
 	bytes int64
 	sum   hash.Hash // nil unless ExportOptions.Digest
+	fill  time.Duration
+}
+
+// noteFill reports the time a table writer spent in deferred fills to
+// the export's sink; any other writer has nowhere to put it.
+func noteFill(w io.Writer, d time.Duration) {
+	if s, ok := w.(*sink); ok {
+		s.fill += d
+	}
 }
 
 func (s *sink) Write(p []byte) (int, error) {
@@ -288,7 +302,7 @@ func (d *Dataset) ExportCtx(ctx context.Context, dir string, opt ExportOptions) 
 		if err != nil {
 			return fmt.Errorf("table: writing %s: %w", j.file, err)
 		}
-		stats[i] = FileStat{Name: j.file, Bytes: dst.bytes, Duration: time.Since(start), SHA256: dst.digest()}
+		stats[i] = FileStat{Name: j.file, Bytes: dst.bytes, Duration: time.Since(start), Fill: dst.fill, SHA256: dst.digest()}
 		return nil
 	})
 	if err == nil {

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"strconv"
 	"sync"
+	"time"
 	"unicode/utf8"
 )
 
@@ -40,6 +41,11 @@ import (
 //   - Flush only b[:p]. Bytes past the write index are scratch and never
 //     reach the writer. A flush is one Write of whole rows, made when a
 //     row ends at or past encFlushAt.
+//   - One chunk at a time. Every ChunkRows rows the kernel reads each
+//     column's next chunk (PropertyTable.ReadChunk) and indexes that: a
+//     view of a stored column, or a deferred column's rows filled on the
+//     spot into the field's scratch, which the next chunk overwrites — a
+//     column nobody read before the export never exists in full.
 
 // encBufPool recycles row/flush buffers across exported tables; a
 // concurrent Export borrows one buffer per worker.
@@ -177,24 +183,30 @@ type rowField struct {
 	pre  []byte // what precedes the cell: the separator, or `,"key":`
 	kind int
 	pt   *PropertyTable
+	ints []int64 // fieldInt without pt: an edge's endpoints
 
 	pre16 [padW]byte // pre, zero-padded, when it fits
-	ints  []int64    // fieldInt, fieldDate
-	// fieldDate: the rendered days [tabLo, …], width bytes each, then
-	// padW bytes of padding. fieldCoded with no cell over padW bytes:
-	// the rendered cell of each code, zero-padded to padW.
-	tab    []byte
-	tabLo  int64
-	width  int      // fieldDate: every cell; fieldCoded: the widest
-	lens   []uint8  // fieldCoded with tab: the true length of each cell
-	cells  [][]byte // fieldCoded without: the rendered cell of each code
-	cur    *Chunk   // fieldArena: the chunk holding the current row
-	curRaw bool
+	// fieldDate: the rendered days [tabLo, tabLo+tabDays), width bytes
+	// each, then padW bytes of padding; any other day is rendered by
+	// arithmetic. fieldCoded with no cell over padW bytes: the rendered
+	// cell of each code, zero-padded to padW.
+	tab     []byte
+	tabLo   int64
+	tabDays uint64
+	width   int      // fieldDate: every cell; fieldCoded: the widest
+	lens    []uint8  // fieldCoded with tab: the true length of each cell
+	cells   [][]byte // fieldCoded without: the rendered cell of each code
+
+	// cur holds the rows the kernel is on (load) — for a deferred column,
+	// filled into scratch.
+	cur, scratch Chunk
+	curRaw       bool // fieldArena: cur's cells are written as raw spans
+	unchecked    bool // fieldDate: days are checked against the domain chunk by chunk
 }
 
 // field plans the cells of the column pt.
 func (f *cellFormat) field(pt *PropertyTable) (rowField, error) {
-	rf := rowField{name: shortName(pt.Name), pt: pt, ints: pt.ints}
+	rf := rowField{name: shortName(pt.Name), pt: pt}
 	switch {
 	case pt.Kind == KindInt:
 		rf.kind = fieldInt
@@ -202,16 +214,24 @@ func (f *cellFormat) field(pt *PropertyTable) (rowField, error) {
 		rf.kind = fieldFloat
 	case pt.Kind == KindDate:
 		rf.kind, rf.width = fieldDate, len(f.appendDate(nil, 0))
-		lo, hi := MaxDate, MinDate
-		for id, d := range pt.ints {
-			if d < MinDate || d > MaxDate {
-				return rf, fmt.Errorf("table: property %s row %d: day %d is outside the date domain %s … %s",
-					pt.Name, id, d, FormatDate(MinDate), FormatDate(MaxDate))
+		// The table spans the days a stored column holds; a deferred one
+		// has no rows to scan, so it spans what the schema told
+		// (SetDateBounds) and the days are checked as they are filled.
+		lo, hi, known := MaxDate, MinDate, pt.n > 0
+		if d := pt.def; pt.Deferred() {
+			rf.unchecked = true
+			lo, hi, known = max(d.dateLo, MinDate), min(d.dateHi, MaxDate), d.dateKnown
+		} else {
+			for id, d := range pt.ints {
+				if d < MinDate || d > MaxDate {
+					return rf, dateDomainError(pt, int64(id), d)
+				}
+				lo, hi = min(lo, d), max(hi, d)
 			}
-			lo, hi = min(lo, d), max(hi, d)
 		}
-		if len(pt.ints) > 0 && hi-lo < maxDateTable {
-			rf.tabLo, rf.tab = lo, make([]byte, 0, int(hi-lo+1)*rf.width+padW)
+		if known && lo <= hi && hi-lo < maxDateTable {
+			rf.tabLo, rf.tabDays = lo, uint64(hi-lo+1)
+			rf.tab = make([]byte, 0, int(rf.tabDays)*rf.width+padW)
 			for d := lo; d <= hi; d++ {
 				rf.tab = f.appendDate(rf.tab, d)
 			}
@@ -238,6 +258,36 @@ func (f *cellFormat) field(pt *PropertyTable) (rowField, error) {
 		rf.kind = fieldArena
 	}
 	return rf, nil
+}
+
+func dateDomainError(pt *PropertyTable, id, day int64) error {
+	return fmt.Errorf("table: property %s row %d: day %d is outside the date domain %s … %s",
+		pt.Name, id, day, FormatDate(MinDate), FormatDate(MaxDate))
+}
+
+// load points the field at rows [lo, hi) of its column; fill gains the
+// time a deferred column's fill took.
+func (rf *rowField) load(f *cellFormat, lo, hi int64, fill *time.Duration) (err error) {
+	if rf.pt == nil {
+		if rf.ints != nil {
+			rf.cur.Ints = rf.ints[lo:hi]
+		}
+		return nil
+	}
+	if rf.cur, err = rf.pt.read(lo, hi, &rf.scratch, fill); err != nil {
+		return err
+	}
+	switch {
+	case rf.kind == fieldArena:
+		rf.curRaw = f.raw(&rf.cur)
+	case rf.unchecked:
+		for i, d := range rf.cur.Ints {
+			if d < MinDate || d > MaxDate {
+				return dateDomainError(rf.pt, lo+int64(i), d)
+			}
+		}
+	}
+	return nil
 }
 
 func (f *cellFormat) appendDate(dst []byte, days int64) []byte {
@@ -278,14 +328,16 @@ func writeRows(w io.Writer, f *cellFormat, head []byte, fields []rowField, n int
 	}
 	p := copy(b, head)
 	var err error
+	var fill time.Duration
+	defer func() { noteFill(w, fill) }()
 	for lo := int64(0); lo < n; lo += ChunkRows {
+		rows := int(min(ChunkRows, n-lo))
 		for i := range fields {
-			if rf := &fields[i]; rf.kind == fieldArena {
-				rf.cur = &rf.pt.arenas[lo/ChunkRows]
-				rf.curRaw = f.raw(rf.cur)
+			if err := fields[i].load(f, lo, lo+int64(rows), &fill); err != nil {
+				return err
 			}
 		}
-		for id := lo; id < min(lo+ChunkRows, n); id++ {
+		for r := 0; r < rows; r++ {
 			if len(b)-p < reserve {
 				b = growRow(b, p, reserve)
 			}
@@ -299,9 +351,9 @@ func writeRows(w io.Writer, f *cellFormat, head []byte, fields []rowField, n int
 				}
 				switch rf.kind {
 				case fieldSeq, fieldInt:
-					v := id
+					v := lo + int64(r)
 					if rf.kind == fieldInt {
-						v = rf.ints[id]
+						v = rf.cur.Ints[r]
 					}
 					// putInt's one-store case by hand: putInt is past the
 					// inliner's budget with or without it (cost 167 of 80
@@ -319,20 +371,20 @@ func writeRows(w io.Writer, f *cellFormat, head []byte, fields []rowField, n int
 					// left floatWidth bytes there.
 					var cell []byte
 					if !f.json {
-						cell = strconv.AppendFloat(b[p:p], rf.pt.floats[id], 'g', -1, 64)
-					} else if cell, err = appendJSONFloat(b[p:p], rf.pt.floats[id]); err != nil {
-						return fmt.Errorf("table: property %s row %d: %w", rf.pt.Name, id, err)
+						cell = strconv.AppendFloat(b[p:p], rf.cur.Floats[r], 'g', -1, 64)
+					} else if cell, err = appendJSONFloat(b[p:p], rf.cur.Floats[r]); err != nil {
+						return fmt.Errorf("table: property %s row %d: %w", rf.pt.Name, lo+int64(r), err)
 					}
 					p += len(cell)
 				case fieldDate:
-					if rf.tab == nil {
-						p += len(f.appendDate(b[p:p], rf.ints[id]))
-					} else {
-						store16(b, p, rf.tab[int(rf.ints[id]-rf.tabLo)*rf.width:])
+					if day := uint64(rf.cur.Ints[r] - rf.tabLo); day < rf.tabDays {
+						store16(b, p, rf.tab[int(day)*rf.width:])
 						p += rf.width
+					} else {
+						p += len(f.appendDate(b[p:p], rf.cur.Ints[r]))
 					}
 				case fieldCoded:
-					code := rf.pt.codes[id]
+					code := rf.cur.Codes[r]
 					if rf.tab == nil {
 						p += copy(b[p:], rf.cells[code])
 					} else {
@@ -340,7 +392,7 @@ func writeRows(w io.Writer, f *cellFormat, head []byte, fields []rowField, n int
 						p += int(rf.lens[code])
 					}
 				case fieldArena:
-					cell := rf.cur.Data[rf.cur.Offs[id-lo]:rf.cur.Offs[id-lo+1]]
+					cell := rf.cur.Data[rf.cur.Offs[r]:rf.cur.Offs[r+1]]
 					if !rf.curRaw {
 						// Only the encoder knows what escaping adds: append
 						// to b[:p], adopt the buffer that comes back and

@@ -25,6 +25,36 @@
 // Strings() materialises a fresh []string, one header per row, and is
 // for callers that really want every row as a Go string.
 //
+// # Deferred columns
+//
+// A column is a pure function of its row ids, so one that nothing reads
+// before the files are written does not have to exist in memory. The
+// engine builds such a column with NewDeferredTable: the same
+// PropertyTable type, holding a fill closure (FillFunc) instead of
+// storage. Readers come in two kinds.
+//
+//   - The encoders read every column through one chunk read,
+//     ReadChunk(lo, hi, scratch): a view for a stored column, a fill of
+//     rows [lo, hi) into the caller's reused scratch for a deferred one.
+//     An export therefore never stores a deferred column — its peak is
+//     one chunk per column being written — and leaves it deferred. The
+//     columnar writer needs a string block's byte length before its first
+//     byte, so it alone fills a deferred string column into a temporary
+//     copy, dropped after the block.
+//   - Random-access readers (Int, Float, String, Value, Format, Ints,
+//     Floats, Strings, Coded, Chunk, Gather, and the setters) have no
+//     chunk to be handed: the first one on a deferred column materialises
+//     it, once, under a sync.Once, and every reader after that sees a
+//     stored column. They have no error to return either; a fill that
+//     fails panics the reader with the fill's error (Materialize returns
+//     it instead).
+//
+// Both give the same values, and the same bytes on disk
+// (TestDeferredEqualsStored). A fill runs on whichever goroutine reads,
+// so a FillFunc must be safe to call concurrently. A deferred fill that
+// fails during an export fails that export like any write error: temp
+// files removed, nothing committed.
+//
 // # Export
 //
 // A generated Dataset exports through one pipeline, Dataset.Export,
@@ -36,7 +66,8 @@
 // that writes each byte once, by index into a pooled buffer: room for
 // a row's worst case is reserved once per row, short constants land as
 // fixed 16-byte stores that the write index passes by their true
-// length, and only the bytes below the write index are ever flushed.
+// length, and only the bytes below the write index are ever flushed;
+// it takes its columns ChunkRows rows at a time (ReadChunk).
 // Every file goes to disk through one sink that counts its bytes,
 // stops the table at the next flush once the context is done, and on
 // request (ExportOptions.Digest) takes the file's SHA-256 from the
@@ -51,6 +82,10 @@ package table
 import (
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
+
+	"datasynth/internal/par"
 )
 
 // ValueKind enumerates the value types a Property Table can hold.
@@ -99,7 +134,9 @@ func ParseValueKind(s string) (ValueKind, error) {
 // PropertyTable is a dense [id, value] table for one <type, property>
 // pair. Row i holds the value of instance id i, so the id column is
 // implicit. Int, date and float columns are one typed slice; string
-// columns use one of the two layouts in the package doc.
+// columns use one of the two layouts in the package doc. A deferred
+// column (package doc) has a fill closure in place of the slices until
+// a random-access reader materialises it.
 type PropertyTable struct {
 	Name string // "<TypeName>.<property>"
 	Kind ValueKind
@@ -111,6 +148,30 @@ type PropertyTable struct {
 	dict   []string          // non-nil marks the coded layout
 	index  map[string]uint32 // dict's inverse, on tables SetString may write
 	arenas []Chunk           // arena strings: arenas[c] holds rows [c*ChunkRows, (c+1)*ChunkRows)
+
+	def *deferral // set on a column built by NewDeferredTable
+}
+
+// FillFunc writes rows [lo, hi) of a column into dst, whose slices hold
+// hi-lo cells (an arena string chunk arrives empty). It must be a pure
+// function of the range — the engine's closure over a property
+// generator, its stream and its dependency columns — and safe to call
+// from any goroutine: a deferred column is filled by whoever reads it.
+type FillFunc func(dst *Chunk, lo, hi int64) error
+
+// deferral is what a deferred column has in place of storage.
+type deferral struct {
+	fill FillFunc
+	// once guards Materialize; stored is set after the storage slices
+	// were published, err when filling them failed.
+	once   sync.Once
+	stored atomic.Bool
+	err    error
+	// The days a date column is expected to take, when the schema tells
+	// (SetDateBounds): what sizes the encoders' lookup table in place of
+	// the scan a stored column gets.
+	dateLo, dateHi int64
+	dateKnown      bool
 }
 
 // NewPropertyTable allocates a PT of n zero-valued rows. A string table
@@ -119,13 +180,9 @@ type PropertyTable struct {
 func NewPropertyTable(name string, kind ValueKind, n int64) *PropertyTable {
 	pt := &PropertyTable{Name: name, Kind: kind, n: n}
 	if kind == KindString {
-		pt = NewStringTable(name, n, []string{""})
-		pt.index = map[string]uint32{"": 0}
-	} else if kind == KindFloat {
-		pt.floats = make([]float64, n)
-	} else {
-		pt.ints = make([]int64, n)
+		pt.dict, pt.index = []string{""}, map[string]uint32{"": 0}
 	}
+	pt.alloc()
 	return pt
 }
 
@@ -134,12 +191,83 @@ func NewPropertyTable(name string, kind ValueKind, n int64) *PropertyTable {
 // in the arena layout.
 func NewStringTable(name string, n int64, dict []string) *PropertyTable {
 	pt := &PropertyTable{Name: name, Kind: KindString, n: n, dict: dict}
-	if dict != nil {
-		pt.codes = make([]uint32, n)
-	} else {
-		pt.arenas = make([]Chunk, (n+ChunkRows-1)/ChunkRows)
-	}
+	pt.alloc()
 	return pt
+}
+
+// alloc gives the column its n zero-valued rows of storage.
+func (pt *PropertyTable) alloc() {
+	switch {
+	case pt.Kind == KindFloat:
+		pt.floats = make([]float64, pt.n)
+	case pt.Kind != KindString:
+		pt.ints = make([]int64, pt.n)
+	case pt.dict != nil:
+		pt.codes = make([]uint32, pt.n)
+	default:
+		pt.arenas = make([]Chunk, (pt.n+ChunkRows-1)/ChunkRows)
+	}
+}
+
+// NewDeferredTable returns an n-row column with no storage: fill is
+// what produces its rows. A string column is coded over dict, or — dict
+// nil — in the arena layout. See "Deferred columns" in the package doc.
+func NewDeferredTable(name string, kind ValueKind, n int64, dict []string, fill FillFunc) *PropertyTable {
+	return &PropertyTable{Name: name, Kind: kind, n: n, dict: dict, def: &deferral{fill: fill}}
+}
+
+// Deferred reports whether the column still has no storage: it was
+// built by NewDeferredTable and nothing has materialised it.
+func (pt *PropertyTable) Deferred() bool { return pt.def != nil && !pt.def.stored.Load() }
+
+// SetDateBounds tells the encoders which days a date column from
+// NewDeferredTable is expected to take, lo ≤ hi: they render that range
+// once into a lookup table, and any other day by arithmetic.
+func (pt *PropertyTable) SetDateBounds(lo, hi int64) {
+	pt.def.dateLo, pt.def.dateHi, pt.def.dateKnown = lo, hi, true
+}
+
+// Materialize fills a deferred column into storage, on up to workers
+// goroutines (0 = GOMAXPROCS), once: later calls, and calls on a column
+// that was never deferred, do nothing. A fill error leaves the column
+// deferred and is returned by every call.
+func (pt *PropertyTable) Materialize(workers int) error {
+	d := pt.def
+	if d == nil {
+		return nil
+	}
+	d.once.Do(func() {
+		var s *PropertyTable
+		if s, d.err = pt.filled(workers); d.err == nil {
+			pt.ints, pt.floats, pt.codes, pt.arenas = s.ints, s.floats, s.codes, s.arenas
+			d.stored.Store(true)
+		}
+	})
+	return d.err
+}
+
+// filled returns a stored copy of the deferred column pt: the one loop
+// that runs a FillFunc over a whole column, a chunk at a time, in any
+// order. A failing or panicking chunk fails the fill with the lowest
+// chunk's error (par.ForEach).
+func (pt *PropertyTable) filled(workers int) (*PropertyTable, error) {
+	s := &PropertyTable{Name: pt.Name, Kind: pt.Kind, n: pt.n, dict: pt.dict}
+	s.alloc()
+	return s, par.ForEach(int((pt.n+ChunkRows-1)/ChunkRows), workers, func(c int) error {
+		lo := int64(c) * ChunkRows
+		hi := min(lo+ChunkRows, pt.n)
+		return s.FillChunk(lo, hi, func(dst *Chunk) error { return pt.def.fill(dst, lo, hi) })
+	})
+}
+
+// need materialises a deferred column for a random-access reader. Those
+// have no error to return, so a fill that fails panics with its error.
+func (pt *PropertyTable) need() {
+	if pt.Deferred() {
+		if err := pt.Materialize(0); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // Len returns the number of rows.
@@ -165,6 +293,7 @@ func (pt *PropertyTable) SetInt(id int64, v int64) {
 	if pt.Kind != KindInt && pt.Kind != KindDate {
 		panic(fmt.Sprintf("table: %s is %v, not int/date", pt.Name, pt.Kind))
 	}
+	pt.need()
 	pt.ints[id] = v
 }
 
@@ -173,12 +302,14 @@ func (pt *PropertyTable) SetFloat(id int64, v float64) {
 	if pt.Kind != KindFloat {
 		panic(fmt.Sprintf("table: %s is %v, not float", pt.Name, pt.Kind))
 	}
+	pt.need()
 	pt.floats[id] = v
 }
 
 // String returns the string value of row id. On an arena column the
 // result is a fresh copy of the cell's bytes.
 func (pt *PropertyTable) String(id int64) string {
+	pt.need()
 	if pt.dict != nil {
 		return pt.dict[pt.codes[id]]
 	}
@@ -186,10 +317,16 @@ func (pt *PropertyTable) String(id int64) string {
 }
 
 // Int returns the int/date value of row id.
-func (pt *PropertyTable) Int(id int64) int64 { return pt.ints[id] }
+func (pt *PropertyTable) Int(id int64) int64 {
+	pt.need()
+	return pt.ints[id]
+}
 
 // Float returns the float value of row id.
-func (pt *PropertyTable) Float(id int64) float64 { return pt.floats[id] }
+func (pt *PropertyTable) Float(id int64) float64 {
+	pt.need()
+	return pt.floats[id]
+}
 
 // Value returns row id boxed as any, independent of kind.
 func (pt *PropertyTable) Value(id int64) any {
@@ -197,26 +334,32 @@ func (pt *PropertyTable) Value(id int64) any {
 	case KindString:
 		return pt.String(id)
 	case KindFloat:
-		return pt.floats[id]
+		return pt.Float(id)
 	default:
-		return pt.ints[id]
+		return pt.Int(id)
 	}
 }
 
 // Format renders row id as its CSV representation.
 func (pt *PropertyTable) Format(id int64) string {
 	if pt.Kind == KindDate {
-		return FormatDate(pt.ints[id])
+		return FormatDate(pt.Int(id))
 	}
 	return fmt.Sprint(pt.Value(id))
 }
 
 // Ints exposes the raw int column (int and date kinds). Callers must
 // not resize it.
-func (pt *PropertyTable) Ints() []int64 { return pt.ints }
+func (pt *PropertyTable) Ints() []int64 {
+	pt.need()
+	return pt.ints
+}
 
 // Floats exposes the raw float column.
-func (pt *PropertyTable) Floats() []float64 { return pt.floats }
+func (pt *PropertyTable) Floats() []float64 {
+	pt.need()
+	return pt.floats
+}
 
 // Strings materialises the string column as a new []string — n string
 // headers, plus one copy of each arena chunk's bytes. Per-row readers
@@ -225,6 +368,7 @@ func (pt *PropertyTable) Strings() []string {
 	if pt.Kind != KindString {
 		return nil
 	}
+	pt.need()
 	out := make([]string, pt.n)
 	for i, code := range pt.codes {
 		out[i] = pt.dict[code]
@@ -241,7 +385,12 @@ func (pt *PropertyTable) Strings() []string {
 
 // Coded returns the codes and value list of a coded string column, or
 // nils for any other column.
-func (pt *PropertyTable) Coded() ([]uint32, []string) { return pt.codes, pt.dict }
+func (pt *PropertyTable) Coded() ([]uint32, []string) {
+	if pt.dict != nil {
+		pt.need()
+	}
+	return pt.codes, pt.dict
+}
 
 // EdgeTable is the dense [id, tail, head] table of one edge type. Edge
 // id i connects Tail[i] -> Head[i]; ids are implicit row numbers.
