@@ -11,10 +11,11 @@
 // type. -format selects the encoding: csv (default, the layout bulk
 // loaders of property-graph databases expect), jsonl (one JSON object
 // per row), or columnar (binary typed column blocks for fast bulk
-// loads). Tables are written concurrently (under -workers) and the
-// directory commits atomically — a failed export leaves no partial
-// files. With -timings the report covers generation AND export, so the
-// printed critical path is the true end-to-end pipeline floor.
+// loads). Tables are written concurrently (GOMAXPROCS is the only
+// parallelism setting, and it never changes a byte) and the directory
+// commits atomically — a failed export leaves no partial files. With
+// -timings the report covers generation AND export, so the printed
+// critical path is the true end-to-end pipeline floor.
 package main
 
 import (
@@ -72,7 +73,6 @@ func main() {
 	scenarioName := flag.String("name", "", "scenario name to check against the registry's naming rule (with -scenario)")
 	example := flag.Bool("example", false, "print an example schema and exit")
 	verbose := flag.Bool("v", false, "log task progress")
-	workers := flag.Int("workers", 0, "scheduler and intra-task worker bound (0 = GOMAXPROCS, which also caps larger values; 1 = sequential; SBM-Part scans windowed from 3 effective workers up); output is byte-identical at any count")
 	timings := flag.Bool("timings", false, "print the per-task timing report and end-to-end critical path (generation + export)")
 	flag.Parse()
 
@@ -160,7 +160,6 @@ func main() {
 		fatal(err)
 	}
 	eng := core.New(s)
-	eng.Workers = *workers
 	eng.ExportFormat = exportFormat
 	if *verbose {
 		eng.Logf = func(format string, args ...any) {

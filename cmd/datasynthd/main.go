@@ -16,8 +16,8 @@
 // in any surface spelling — streams the committed bytes back without
 // regenerating, and concurrent identical submissions collapse onto a
 // single generation (singleflight). Both are sound because the engine
-// guarantees byte-identical output for a fixed schema at any worker
-// count; see docs/service.md.
+// guarantees byte-identical output for a fixed schema at any
+// GOMAXPROCS; see docs/service.md.
 //
 // -cachemaxbytes bounds the cache with LRU eviction (entries under an
 // open download stream are removed only after the last reader closes;
@@ -69,8 +69,7 @@ func main() {
 	cacheDir := flag.String("cache", "datasynthd-cache", "content-addressable dataset cache directory")
 	cacheMaxBytes := flag.Int64("cachemaxbytes", 0, "cache size bound in bytes; storing past it evicts least recently used entries, streamed entries only after their last reader closes (0 = unbounded)")
 	queueDepth := flag.Int("queue", 64, "job queue bound; a full queue rejects submissions with 503")
-	jobWorkers := flag.Int("jobworkers", 2, "concurrent generation jobs")
-	engineWorkers := flag.Int("workers", 0, "per-engine worker bound (0 = GOMAXPROCS, which also caps larger values); output is byte-identical at any count")
+	jobWorkers := flag.Int("jobworkers", 2, "concurrent generation jobs; they share GOMAXPROCS, the daemon's only parallelism bound")
 	maxNodes := flag.Int64("maxnodes", 0, "per-job node limit (0 = unlimited)")
 	maxEdges := flag.Int64("maxedges", 0, "per-job edge limit (0 = unlimited)")
 	jobTimeout := flag.Duration("jobtimeout", 10*time.Minute, "per-job generation timeout (0 = none)")
@@ -89,7 +88,6 @@ func main() {
 		CacheMaxBytes:  *cacheMaxBytes,
 		QueueDepth:     *queueDepth,
 		JobWorkers:     *jobWorkers,
-		EngineWorkers:  *engineWorkers,
 		MaxNodes:       *maxNodes,
 		MaxEdges:       *maxEdges,
 		JobTimeout:     *jobTimeout,

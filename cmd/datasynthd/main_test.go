@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -314,5 +315,16 @@ func TestKillRestartRecovers(t *testing.T) {
 	}
 	if !strings.Contains(d2.stderr.String(), "drained cleanly") {
 		t.Fatalf("SIGTERM did not drain cleanly:\n%s", d2.stderr)
+	}
+}
+
+// TestRemovedWorkersFlag: -workers went with the last worker bound —
+// the daemon's parallelism is GOMAXPROCS — and a removed flag is a
+// usage error, not something silently accepted.
+func TestRemovedWorkersFlag(t *testing.T) {
+	out, err := exec.Command(datasynthdBin, "-workers", "2").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-workers") {
+		t.Errorf("datasynthd -workers 2: %v, output %q; want exit 2 naming the flag", err, out)
 	}
 }

@@ -3,12 +3,19 @@
 // components, diameter, assortativity) for an edge file produced by
 // datasynth — the validation side of the generate-then-verify loop.
 // Both the CSV and the binary columnar (.dsc) connector formats load
-// directly, selected by file extension:
+// directly, selected by file extension (any other extension, JSONL
+// included, is refused):
 //
 //	graphstats -edges dataset/edges_knows.csv
 //	graphstats -edges dataset/edges_knows.dsc
 //	graphstats -edges dataset/edges_knows.csv -labels dataset/nodes_Person.csv -labelcol country
 //	graphstats -edges dataset/edges_knows.dsc -labels dataset/nodes_Person.dsc -labelcol country
+//
+// It reads same-type (monopartite) edge files: tail and head ids are
+// taken from one id space. On an edge type between two node types
+// (edges_creates: Person → Message) the two id spaces are merged and
+// every number printed, the node count first, describes a graph the
+// dataset does not contain.
 package main
 
 import (
@@ -17,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -26,12 +34,17 @@ import (
 )
 
 func main() {
-	edgesPath := flag.String("edges", "", "edge CSV (id,tail,head,…)")
-	labelsPath := flag.String("labels", "", "optional node CSV for label-based metrics")
+	edgesPath := flag.String("edges", "", "edge file of a same-type edge (.csv with id,tail,head,… or .dsc)")
+	labelsPath := flag.String("labels", "", "optional node file (.csv or .dsc) for label-based metrics; needs -labelcol")
 	labelCol := flag.String("labelcol", "", "column of -labels holding the categorical label")
 	sample := flag.Int64("sample", 5000, "node sample for clustering estimation (0 = exact)")
 	flag.Parse()
 	if *edgesPath == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if (*labelsPath == "") != (*labelCol == "") {
+		fmt.Fprintln(os.Stderr, "graphstats: -labels and -labelcol go together")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -57,7 +70,7 @@ func main() {
 	fmt.Printf("approx diameter:       %d\n", g.ApproxDiameter(4, 1))
 	fmt.Printf("degree assortativity:  %.3f\n", g.DegreeAssortativity())
 
-	if *labelsPath != "" && *labelCol != "" {
+	if *labelsPath != "" {
 		labels, k, err := readLabels(*labelsPath, *labelCol, n)
 		if err != nil {
 			fatal(err)
@@ -82,10 +95,26 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// isColumnar dispatches on the file extension: true for .dsc, false for
+// .csv, and an error naming the two for anything else.
+func isColumnar(path string) (bool, error) {
+	switch filepath.Ext(path) {
+	case table.ColumnarExt:
+		return true, nil
+	case ".csv":
+		return false, nil
+	}
+	return false, fmt.Errorf("%s: unsupported file type, graphstats reads .csv and %s", path, table.ColumnarExt)
+}
+
 // readEdges loads an edge file — columnar when the path ends in .dsc,
-// CSV with header id,tail,head[,…] otherwise.
+// CSV with header id,tail,head[,…] when it ends in .csv.
 func readEdges(path string) (*table.EdgeTable, int64, error) {
-	if strings.HasSuffix(path, table.ColumnarExt) {
+	columnar, err := isColumnar(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	if columnar {
 		ct, err := table.ReadColumnarFile(path)
 		if err != nil {
 			return nil, 0, err
@@ -148,7 +177,11 @@ func readEdges(path string) (*table.EdgeTable, int64, error) {
 // column to dense label indices over n nodes (missing ids default to a
 // fresh "" label).
 func readLabels(path, col string, n int64) ([]int64, int, error) {
-	if strings.HasSuffix(path, table.ColumnarExt) {
+	columnar, err := isColumnar(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	if columnar {
 		return readLabelsColumnar(path, col, n)
 	}
 	f, err := os.Open(path)

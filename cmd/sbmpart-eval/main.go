@@ -13,8 +13,8 @@
 // Figure panels and sweep points are independent, so they run on a
 // GOMAXPROCS-wide worker pool with results streamed in panel order;
 // every emitted artifact is byte-identical to a serial run. The timing
-// experiment (-timing) ignores the pool and stays a pinned
-// single-thread, single-stream measurement.
+// experiment (-timing) ignores the pool and stays a single-thread,
+// single-stream measurement.
 package main
 
 import (
@@ -33,31 +33,22 @@ func main() {
 	musweep := flag.Bool("musweep", false, "run the structure-sensitivity sweep (fidelity vs LFR mixing)")
 	bipartite := flag.Bool("bipartite", false, "run the bipartite SBM-Part fidelity panels")
 	passes := flag.Int("passes", 0, "re-streaming refinement passes for figure panels")
-	workers := flag.Int("workers", 0, "intra-task worker bound for LFR sharding and SBM-Part scans (0 = GOMAXPROCS, 1 = serial; SBM-Part scans windowed from 3 effective workers up)")
 	all := flag.Bool("all", false, "run every experiment")
 	full := flag.Bool("full", false, "use the paper's full sizes (LFR-1M, RMAT-22); slow")
 	out := flag.String("out", "results", "output directory for TSV series")
 	capN := flag.Int64("capn", 20000, "graph size for the capability measurements")
 	flag.Parse()
 
-	tune := func(panels []exp.Panel) []exp.Panel {
-		panels = withPasses(panels, *passes)
-		for i := range panels {
-			panels[i].Workers = *workers
-		}
-		return panels
-	}
-
 	ran := false
 	if *all || *figure == 3 {
 		ran = true
-		if err := runFigure(3, tune(exp.Figure3Panels(*full)), *out); err != nil {
+		if err := runFigure(3, withPasses(exp.Figure3Panels(*full), *passes), *out); err != nil {
 			fatal(err)
 		}
 	}
 	if *all || *figure == 4 {
 		ran = true
-		if err := runFigure(4, tune(exp.Figure4Panels(*full)), *out); err != nil {
+		if err := runFigure(4, withPasses(exp.Figure4Panels(*full), *passes), *out); err != nil {
 			fatal(err)
 		}
 	}
@@ -69,7 +60,7 @@ func main() {
 	}
 	if *all || *bipartite {
 		ran = true
-		if err := runBipartite(*out, *workers); err != nil {
+		if err := runBipartite(*out); err != nil {
 			fatal(err)
 		}
 	}
@@ -105,7 +96,7 @@ func withPasses(panels []exp.Panel, passes int) []exp.Panel {
 func runMuSweep(out string) error {
 	fmt.Println("== Structure sensitivity: fidelity vs LFR mixing parameter ==")
 	mus := []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5}
-	pts, err := exp.RunMuSweep(20000, 16, mus, 7, 0)
+	pts, err := exp.RunMuSweep(20000, 16, mus, 7)
 	if err != nil {
 		return err
 	}
@@ -124,14 +115,13 @@ func runMuSweep(out string) error {
 }
 
 // runBipartite measures the bipartite SBM-Part variation at a few
-// sizes; -workers flows through (output is byte-identical at every
-// setting, only match_ms moves).
-func runBipartite(out string, workers int) error {
+// sizes.
+func runBipartite(out string) error {
 	fmt.Println("== Bipartite SBM-Part: fidelity of the two-domain matching ==")
 	panels := []exp.Panel{
-		{Size: 10000, K: 8, Seed: 51, Workers: workers},
-		{Size: 20000, K: 16, Seed: 52, Workers: workers},
-		{Size: 40000, K: 16, Seed: 53, Workers: workers},
+		{Size: 10000, K: 8, Seed: 51},
+		{Size: 20000, K: 16, Seed: 52},
+		{Size: 40000, K: 16, Seed: 53},
 	}
 	rs := make([]*exp.BipartiteResult, 0, len(panels))
 	for _, p := range panels {
@@ -163,13 +153,13 @@ func fatal(err error) {
 // runFigure fans the figure's panels out onto a worker pool and
 // streams each result's artifacts — summary row, CDF series file,
 // terminal plot — in panel order as soon as the prefix completes. The
-// emitted artifacts are byte-identical at every worker count; only the
-// wall-clock timing columns reflect pool contention (the pinned timing
+// emitted artifacts are byte-identical at any GOMAXPROCS; only the
+// wall-clock timing columns reflect pool contention (the timing
 // experiment never goes through this path).
 func runFigure(num int, panels []exp.Panel, out string) error {
 	fmt.Printf("== Figure %d ==\n%s\n", num, exp.SummaryHeader)
 	dir := filepath.Join(out, fmt.Sprintf("figure%d", num))
-	return exp.RunPanels(panels, 0, func(r *exp.Result) error {
+	return exp.RunPanels(panels, func(r *exp.Result) error {
 		if err := exp.WriteSummaryRow(os.Stdout, r); err != nil {
 			return err
 		}

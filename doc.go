@@ -13,17 +13,16 @@
 // of four kinds — generate node property, generate structure, match
 // properties to structure, generate edge property — and exposes the
 // per-task dependency edges (Plan.Deps), not just a topological order.
-// A bounded worker pool dispatches every task the moment its
+// A pool of GOMAXPROCS goroutines dispatches every task the moment its
 // dependencies are satisfied, so independent schema elements generate
 // concurrently — the in-process analogue of the paper's shared-nothing
-// cluster. Determinism is independent of the worker count: every task
-// keys its RNG streams off (schema seed, task id), so a fixed seed
-// yields a byte-identical dataset at Workers = 1 and Workers =
-// GOMAXPROCS. Every "0 = auto" worker knob resolves to GOMAXPROCS — the
-// parallelism the process was given, not the machine's CPU count — and
-// larger explicit values are capped there (par.EffectiveWorkers).
-// Within a property task, rows additionally fan out to workers, since
-// every value is a pure function of (id, r(id), deps).
+// cluster. Within a property task, chunks of rows additionally fan out,
+// since every value is a pure function of (id, r(id), deps). There is
+// no parallelism setting: every fan-out sizes itself from GOMAXPROCS
+// (par.Procs) — the parallelism the process was given, not the
+// machine's CPU count — and determinism is independent of it: every
+// task keys its RNG streams off (schema seed, task id), so a fixed seed
+// yields a byte-identical dataset on one P and on every core.
 //
 // The property path is column kernels end to end. A generator fills a
 // chunk of 8192 consecutive ids per call into typed slices
@@ -65,64 +64,57 @@
 //
 // # Intra-task parallelism and the determinism contract
 //
-// Beyond task-level scheduling, the two largest tasks shard
-// internally, under one invariant: the dataset is a pure function of
-// the schema seed — byte-identical at every worker count, verified
-// end to end by hashing exported CSV/JSONL files (internal/core
-// TestExportedDatasetGoldenDeterminism).
+// Beyond task-level scheduling, one large task shards internally,
+// under one invariant: the dataset is a pure function of the schema
+// seed — byte-identical at any GOMAXPROCS, verified end to end by
+// hashing exported files in all three formats (internal/core
+// TestExportedDatasetGoldenDeterminism). A parallel path stays only
+// where one worker → two measures as a repeatable win (CHANGES.md,
+// PR 24, has the table).
 //
-//   - SBM-Part's stream kernel (internal/match): the first pass, the
-//     re-streaming refinement passes (the schema's `passes` knob), the
-//     bipartite matcher — the same partitioner over a block target
-//     matrix — and the LDG baseline share one loop. Below three
-//     effective workers it runs serially; from there up the node
-//     stream is processed in windows of 2048: a parallel scan counts
-//     every window node's neighbour groups against the assignment,
-//     which is frozen until the scans are done, leaving only
-//     same-window neighbours pending; a sequential commit patches
-//     those in — reconstructing exactly the counts, in exactly the
-//     floating-point summation order, the serial stream would see —
-//     and places nodes in stream order. The quota ledger, the
-//     isolated-node fallback and the vacate/re-add joint-matrix
-//     updates of refinement run only in the commit, so the partition
-//     is a pure function of the seed at every worker count. The one
-//     knob is Workers (SBMPart.Workers / Options.Workers /
-//     Engine.Workers, 0 = GOMAXPROCS; cmd flag -workers); the window
-//     is derived, not set. The driver that ran and the per-pass wall
-//     times surface in the -timings report as match-task notes.
+//   - SBM-Part's stream kernel (internal/match) does not: the first
+//     pass, the re-streaming refinement passes (the schema's `passes`
+//     knob), the bipartite matcher — the same partitioner over a block
+//     target matrix — and the LDG baseline share one serial loop
+//     (gather a node's neighbour groups, commit it, next node): a
+//     streaming partitioner is sequential by definition, each placement
+//     reads what the previous one wrote. The per-pass wall times
+//     surface in the -timings report as match-task notes
+//     ("sbm 340ms (passes …)").
 //   - Sharded LFR wiring (internal/sgen): once community sizes and
 //     memberships are fixed, each community's internal configuration
 //     model is an independent shard. Shard c draws from its own RNG
 //     stream keyed off (seed, "lfr.intra", c) via xrand's DeriveN,
 //     emits into a disjoint arena range, and the ranges concatenate in
-//     community order — so any number of workers, finishing in any
-//     order, produce the same edge table.
+//     community order — so any number of goroutines, finishing in any
+//     order, produce the same edge table. (RMAT keeps its per-shard
+//     RNG streams — they are the bytes — and fills them in a plain
+//     loop.)
 //
 // Every Generate also records per-task wall times and derives the
 // plan's critical path (Engine.Report, datasynth -timings): the
-// dependency chain that bounds wall time at infinite workers, i.e.
-// where further intra-task sharding pays off. After Engine.Export the
-// report covers the whole generate→match→export pipeline: per-file
-// export stats, end-to-end wall, and a final export hop on the
-// critical path.
+// dependency chain that bounds wall time on infinitely many cores,
+// i.e. where further intra-task sharding could pay off. After
+// Engine.Export the report covers the whole generate→match→export
+// pipeline: per-file export stats, end-to-end wall, and a final export
+// hop on the critical path.
 //
 // # Evaluation fan-out and the export pipeline
 //
 // The two outermost layers parallelise under the same determinism
-// contract — per-seed, worker-invariant, format-stable:
+// contract — per-seed, parallelism-invariant, format-stable:
 //
 //   - Parallel panels (internal/exp): figure panels and sweep points
 //     are independent (each owns its seed), so exp.RunPanels runs them
-//     on a bounded pool and streams results back in submission order,
-//     byte-identical to the serial loop at every worker count
-//     (cmd/sbmpart-eval uses GOMAXPROCS). The timing experiment stays
-//     pinned to one serial, single-thread panel at a time.
+//     on up to GOMAXPROCS goroutines and streams results back in
+//     submission order, byte-identical to the serial loop. The timing
+//     experiment runs one single-thread panel at a time.
 //   - Concurrent atomic export (internal/table): Dataset.Export writes
-//     one file per table on a bounded pool in any of three formats —
-//     CSV via a store-by-index row kernel (room for a row reserved
-//     once, short constants as fixed 16-byte stores, only the bytes
-//     below the write index flushed; 3.0 M edge rows in 0.13 s on one
-//     core) byte-identical to encoding/csv,
+//     one file per table, up to GOMAXPROCS at a time, in any of three
+//     formats — CSV via a store-by-index row kernel (room for a row
+//     reserved once, short constants as fixed 16-byte stores, only the
+//     bytes below the write index flushed; 3.0 M edge rows in 0.13 s on
+//     one core) byte-identical to encoding/csv,
 //     JSON-lines via the same kernel byte-identical to
 //     encoding/json's default configuration (keys sorted, HTML
 //     escaping, stdlib float formatting — fuzz-verified against the
@@ -145,8 +137,7 @@
 //     Files stage as temp files and rename into place only after
 //     every table succeeded, so a failed export never leaves a
 //     partial directory. The exported bytes are hash-verified
-//     identical across scheduler workers — hence both SBM-Part
-//     stream drivers — and export workers (internal/core
+//     identical at GOMAXPROCS 1, 2, 4 and 8 (internal/core
 //     TestExportedDatasetGoldenDeterminism and its refined variant).
 //
 // # Serving generation: datasynthd

@@ -8,8 +8,9 @@ package datasynth
 // (go run -C bench .):
 //
 //   - CSVSerial is the old one-table-at-a-time baseline shape
-//     (Workers=1) on the new append encoder;
-//   - CSV/JSONL/Columnar run the concurrent exporter (Workers=NumCPU);
+//     (GOMAXPROCS=1) on the new append encoder;
+//   - CSV/JSONL/Columnar run the concurrent exporter (GOMAXPROCS as
+//     given, e.g. by -cpu);
 //   - Columnar is the binary bulk-load format — no text formatting at
 //     all, so it bounds what the disk path can do.
 //
@@ -24,6 +25,7 @@ import (
 	"datasynth/internal/core"
 	"datasynth/internal/dsl"
 	"datasynth/internal/exp"
+	"datasynth/internal/par/partest"
 	"datasynth/internal/table"
 )
 
@@ -50,14 +52,14 @@ func exportBenchDataset(b *testing.B) *table.Dataset {
 	return exportBench.d
 }
 
-func benchExport(b *testing.B, format table.Format, workers int) {
+func benchExport(b *testing.B, format table.Format) {
 	b.Helper()
 	d := exportBenchDataset(b)
 	dir := b.TempDir() // reused: rename-over replaces the files in place
 	var total int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		files, err := d.Export(dir, table.ExportOptions{Format: format, Workers: workers})
+		files, err := d.Export(dir, table.ExportOptions{Format: format})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,19 +73,20 @@ func benchExport(b *testing.B, format table.Format, workers int) {
 }
 
 func BenchmarkExportCSVSerial_LFR100k(b *testing.B) {
-	benchExport(b, table.FormatCSV, 1)
+	partest.SetProcs(b, 1)
+	benchExport(b, table.FormatCSV)
 }
 
 func BenchmarkExportCSV_LFR100k(b *testing.B) {
-	benchExport(b, table.FormatCSV, 0)
+	benchExport(b, table.FormatCSV)
 }
 
 func BenchmarkExportJSONL_LFR100k(b *testing.B) {
-	benchExport(b, table.FormatJSONL, 0)
+	benchExport(b, table.FormatJSONL)
 }
 
 func BenchmarkExportColumnar_LFR100k(b *testing.B) {
-	benchExport(b, table.FormatColumnar, 0)
+	benchExport(b, table.FormatColumnar)
 }
 
 // BenchmarkOpenColumnar_LFR100k measures the read side of the bulk
@@ -114,8 +117,9 @@ func BenchmarkOpenColumnar_LFR100k(b *testing.B) {
 // before columns could be deferred) and then encodes them, "deferred"
 // lets the row kernel fill each chunk as it encodes it. Generation is
 // outside the timer; ns/row and B/op are the fill and the encode
-// together.
+// together, on one P.
 func benchDeferred(b *testing.B, src, file string) {
+	partest.SetProcs(b, 1)
 	s, err := dsl.Parse(src)
 	if err != nil {
 		b.Fatal(err)
@@ -127,9 +131,7 @@ func benchDeferred(b *testing.B, src, file string) {
 			var rows int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				e := core.New(s)
-				e.Workers = 1
-				d, err := e.Generate()
+				d, err := core.New(s).Generate()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -138,14 +140,14 @@ func benchDeferred(b *testing.B, src, file string) {
 					for _, pts := range props {
 						for _, pt := range pts {
 							if rows = max(rows, pt.Len()); mode == "stored" {
-								if err := pt.Materialize(1); err != nil {
+								if err := pt.Materialize(); err != nil {
 									b.Fatal(err)
 								}
 							}
 						}
 					}
 				}
-				files, err := d.Export(dir, table.ExportOptions{Workers: 1})
+				files, err := d.Export(dir, table.ExportOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

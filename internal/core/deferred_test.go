@@ -12,6 +12,7 @@ import (
 
 	"datasynth/internal/dsl"
 	"datasynth/internal/par"
+	"datasynth/internal/par/partest"
 	"datasynth/internal/pgen"
 	"datasynth/internal/schema"
 	"datasynth/internal/table"
@@ -111,9 +112,10 @@ func TestUnconsumedColumnIsNeverStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	partest.SetProcs(t, 1)
 	for _, format := range []table.Format{table.FormatCSV, table.FormatJSONL} {
 		e := New(s)
-		e.Workers, e.ExportFormat = 1, format
+		e.ExportFormat = format
 		dir := filepath.Join(t.TempDir(), "out")
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -153,8 +155,8 @@ func TestScratchCollectedAtTaskBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	partest.SetProcs(t, 1)
 	e := New(s)
-	e.Workers = 1
 	heap := func() int64 {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)

@@ -10,17 +10,18 @@
 //
 //   - Task level: depgraph exposes the plan as a DAG (Plan.Deps), and
 //     the engine dispatches every task whose dependencies are satisfied
-//     onto a bounded worker pool, so independent schema elements —
-//     property generation, structure generation, and SBM-Part matching
-//     of unrelated types — run concurrently.
+//     onto a pool of GOMAXPROCS goroutines, so independent schema
+//     elements — property generation, structure generation, and
+//     SBM-Part matching of unrelated types — run concurrently.
 //   - Row level: property generation is embarrassingly parallel (every
 //     value is a pure function of (id, r(id), deps)), so each property
-//     task additionally fans row ranges out to workers.
+//     task additionally fans chunks of rows out (table.Materialize).
 //
-// Determinism is independent of the worker count: every task keys its
-// RNG streams off (schema seed, task id) and writes only its own
-// output slot, so the same seed yields a byte-identical dataset whether
-// the plan runs on one worker or on every core.
+// Every fan-out sizes itself from GOMAXPROCS (par.Procs); there is no
+// other parallelism setting. Determinism is independent of it: every
+// task keys its RNG streams off (schema seed, task id) and writes only
+// its own output slot, so the same seed yields a byte-identical dataset
+// whether the process runs on one P or on every core.
 //
 // # Memory
 //
@@ -76,13 +77,6 @@ type Engine struct {
 	Schema *schema.Schema
 	PGens  *pgen.Registry
 	SGens  *sgen.Registry
-	// Workers bounds the parallelism of the task scheduler, per-property
-	// row generation and SBM-Part's neighbourhood scans (which run
-	// windowed from three effective workers up, serially below); 0
-	// means GOMAXPROCS (which also caps any larger value), 1 runs the
-	// plan strictly sequentially. The output is byte-identical at any
-	// value.
-	Workers int
 	// ExportFormat selects the on-disk encoding used by Export
 	// (the zero value is CSV).
 	ExportFormat table.Format
@@ -110,8 +104,8 @@ func New(s *schema.Schema) *Engine {
 // Report returns the per-task timing report of the most recent
 // Generate call (nil before the first successful run). The report
 // marks the plan's critical path — the dependency chain that bounds
-// wall time at any worker count — which is the place to spend further
-// intra-task parallelism.
+// wall time on any number of cores — which is the place to spend
+// further intra-task parallelism.
 func (e *Engine) Report() *RunReport {
 	e.reportMu.Lock()
 	defer e.reportMu.Unlock()
@@ -276,10 +270,7 @@ func (e *Engine) runPlan(ctx context.Context, st *runState, plan *depgraph.Plan)
 	if n == 0 {
 		return nil
 	}
-	workers := par.EffectiveWorkers(e.Workers)
-	if workers > n {
-		workers = n
-	}
+	workers := min(par.Procs(), n)
 
 	dependents := make([][]int, n)
 	indeg := make([]int, n)
@@ -778,5 +769,5 @@ func (e *Engine) generate(st *runState, pg *propGen, n int64, et *table.EdgeTabl
 	if pg.deferred {
 		return pt, nil
 	}
-	return pt, pt.Materialize(e.Workers)
+	return pt, pt.Materialize()
 }

@@ -7,6 +7,7 @@ import (
 
 	"datasynth/internal/dsl"
 	"datasynth/internal/graph"
+	"datasynth/internal/par/partest"
 	"datasynth/internal/pgen"
 	"datasynth/internal/schema"
 	"datasynth/internal/table"
@@ -99,10 +100,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := func(workers int) *table.Dataset {
-		e := New(s)
-		e.Workers = workers
-		d, err := e.Generate()
+	gen := func(procs int) *table.Dataset {
+		partest.SetProcs(t, procs)
+		d, err := New(s).Generate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,13 +112,13 @@ func TestWorkerCountInvariance(t *testing.T) {
 	na, nb := a.NodeProps["Person"][2], b.NodeProps["Person"][2]
 	for i := int64(0); i < na.Len(); i++ {
 		if na.String(i) != nb.String(i) {
-			t.Fatalf("Person.name row %d differs across worker counts", i)
+			t.Fatalf("Person.name row %d differs across GOMAXPROCS", i)
 		}
 	}
 	ka, kb := a.EdgeProps["knows"][0], b.EdgeProps["knows"][0]
 	for i := int64(0); i < ka.Len(); i++ {
 		if ka.Int(i) != kb.Int(i) {
-			t.Fatalf("knows.creationDate row %d differs across worker counts", i)
+			t.Fatalf("knows.creationDate row %d differs across GOMAXPROCS", i)
 		}
 	}
 }

@@ -7,12 +7,12 @@ import (
 	"datasynth/internal/table"
 )
 
-// Export writes the generated dataset to dir using the engine's
-// ExportFormat and Workers bound, and folds the export wall time
-// into the run report — so after Generate+Export the reported critical
-// path covers the whole generate→structure→match→export pipeline, not
-// just the in-memory half. The write is concurrent (one worker per
-// table) and atomic (temp files + rename; a failure leaves no partial
+// Export writes the generated dataset to dir in the engine's
+// ExportFormat and folds the export wall time into the run report — so
+// after Generate+Export the reported critical path covers the whole
+// generate→structure→match→export pipeline, not just the in-memory
+// half. The write is concurrent (table by table, up to GOMAXPROCS at
+// once) and atomic (temp files + rename; a failure leaves no partial
 // directory); see table.(*Dataset).Export.
 func (e *Engine) Export(d *table.Dataset, dir string) error {
 	return e.ExportCtx(context.Background(), d, dir)
@@ -24,7 +24,7 @@ func (e *Engine) Export(d *table.Dataset, dir string) error {
 // to put its per-job deadline over the export leg, not just generation.
 func (e *Engine) ExportCtx(ctx context.Context, d *table.Dataset, dir string) error {
 	start := time.Now()
-	files, err := d.ExportCtx(ctx, dir, table.ExportOptions{Format: e.ExportFormat, Workers: e.Workers, FS: e.ExportFS, Digest: e.ExportDigest})
+	files, err := d.ExportCtx(ctx, dir, table.ExportOptions{Format: e.ExportFormat, FS: e.ExportFS, Digest: e.ExportDigest})
 	if err != nil {
 		return err
 	}

@@ -6,11 +6,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
+	"regexp"
 	"strings"
 	"testing"
 
 	"datasynth/internal/depgraph"
+	"datasynth/internal/par/partest"
 	"datasynth/internal/schema"
 	"datasynth/internal/table"
 )
@@ -46,26 +47,23 @@ func hashDir(t *testing.T, dir string) map[string]string {
 	return hashes
 }
 
-// exportHashes generates the schema at the given worker count, exports
-// it in every format at the given export worker count, and returns the
-// per-file SHA-256 set. It runs under GOMAXPROCS=4 so that the worker
-// count alone picks SBM-Part's stream driver whatever the box has:
-// serial at 1 and 2 workers, windowed at 3 and up (and at 0 = auto).
-func exportHashes(t *testing.T, s *schema.Schema, workers, exportWorkers int) map[string]string {
+// exportHashes generates the schema and exports it in every format at
+// GOMAXPROCS procs — the one thing that sizes the plan's executor, the
+// row fill, LFR's shards and the per-file export — and returns the
+// per-file SHA-256 set.
+func exportHashes(t *testing.T, s *schema.Schema, procs int) map[string]string {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	e := New(s)
-	e.Workers = workers
-	d, err := e.Generate()
+	partest.SetProcs(t, procs)
+	d, err := New(s).Generate()
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 	}
 	dir := t.TempDir()
 	hashes := map[string]string{}
 	for _, format := range []table.Format{table.FormatCSV, table.FormatJSONL, table.FormatColumnar} {
 		sub := filepath.Join(dir, format.String())
-		if _, err := d.Export(sub, table.ExportOptions{Format: format, Workers: exportWorkers}); err != nil {
-			t.Fatalf("workers=%d %v: %v", workers, format, err)
+		if _, err := d.Export(sub, table.ExportOptions{Format: format}); err != nil {
+			t.Fatalf("GOMAXPROCS=%d %v: %v", procs, format, err)
 		}
 		for name, h := range hashDir(t, sub) {
 			hashes[format.String()+"/"+name] = h
@@ -74,33 +72,24 @@ func exportHashes(t *testing.T, s *schema.Schema, workers, exportWorkers int) ma
 	return hashes
 }
 
-// exportConfigs is the (scheduler workers, export workers) matrix both
-// determinism tests walk after their sequential, serial-stream,
-// serial-export baseline at {1, 1}.
-var exportConfigs = []struct{ workers, exportWorkers int }{
-	{1, 4},
-	{2, 2}, // parallel plan, still the serial stream
-	{3, 1}, // windowed stream
-	{4, 8},
-	{0, 0}, // everything auto
-}
-
-// checkExportDeterminism compares s's exported hashes at every
-// exportConfigs entry against the {1, 1} baseline, which it returns.
-func checkExportDeterminism(t *testing.T, s func() *schema.Schema) map[string]string {
+// checkExportDeterminism is the determinism table: s's exported hashes
+// in csv, jsonl and columnar at GOMAXPROCS 2, 4 and 8 against the
+// GOMAXPROCS=1 baseline (the benchmark's configuration), which it
+// returns. files is how many files the three formats hold together.
+func checkExportDeterminism(t *testing.T, s func() *schema.Schema, files int) map[string]string {
 	t.Helper()
-	ref := exportHashes(t, s(), 1, 1)
-	if len(ref) != 6 {
-		t.Fatalf("expected 6 exported files (csv+jsonl+columnar × nodes+edges), got %d", len(ref))
+	ref := exportHashes(t, s(), 1)
+	if len(ref) != files {
+		t.Fatalf("expected %d exported files over csv+jsonl+columnar, got %d", files, len(ref))
 	}
-	for _, cfg := range exportConfigs {
-		got := exportHashes(t, s(), cfg.workers, cfg.exportWorkers)
+	for _, procs := range []int{2, 4, 8} {
+		got := exportHashes(t, s(), procs)
 		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d files, want %d", cfg.workers, len(got), len(ref))
+			t.Fatalf("GOMAXPROCS=%d: %d files, want %d", procs, len(got), len(ref))
 		}
 		for name, h := range ref {
 			if got[name] != h {
-				t.Errorf("workers=%d exportWorkers=%d: %s hash %s, want %s", cfg.workers, cfg.exportWorkers, name, got[name], h)
+				t.Errorf("GOMAXPROCS=%d: %s hash %s, want %s", procs, name, got[name], h)
 			}
 		}
 	}
@@ -111,11 +100,10 @@ func checkExportDeterminism(t *testing.T, s func() *schema.Schema) map[string]st
 // contract: a Figure-3-style schema (LFR structure + SBM-Part match +
 // parallel property fill) must export byte-identical node, edge and
 // property files — hash-verified on disk, not just in memory — at
-// every scheduler worker count (and so under both SBM-Part stream
-// drivers), every export worker count and in every export format
-// ("per-seed, worker-invariant, format-stable").
+// any GOMAXPROCS and in every export format ("per-seed,
+// parallelism-invariant, format-stable").
 func TestExportedDatasetGoldenDeterminism(t *testing.T) {
-	checkExportDeterminism(t, quickstartSchema)
+	checkExportDeterminism(t, quickstartSchema, 6)
 }
 
 // refinedQuickstartSchema is the quickstart schema with re-streaming
@@ -129,13 +117,12 @@ func refinedQuickstartSchema() *schema.Schema {
 
 // TestExportedRefinedDatasetGoldenDeterminism extends the contract to
 // the multi-pass matcher: with refinement passes in the schema, the
-// exported files must hash identically whether the first pass and the
-// refinement passes stream serially or windowed.
+// exported files must hash identically too.
 func TestExportedRefinedDatasetGoldenDeterminism(t *testing.T) {
-	ref := checkExportDeterminism(t, refinedQuickstartSchema)
+	ref := checkExportDeterminism(t, refinedQuickstartSchema, 6)
 	// The refined dataset must actually differ from the single-pass one
 	// (otherwise this test would silently duplicate the one above).
-	plain := exportHashes(t, quickstartSchema(), 1, 1)
+	plain := exportHashes(t, quickstartSchema(), 1)
 	if plain["csv/edges_follows.csv"] == ref["csv/edges_follows.csv"] {
 		t.Fatal("refinement passes did not change the matched edge table")
 	}
@@ -153,15 +140,13 @@ func matchNotes(rep *RunReport) []string {
 }
 
 // TestOneProcAutoMatchesExplicitParallel: the configuration the
-// benchmark runs — every knob auto under GOMAXPROCS=1, which resolves
-// the matcher to its serial stream — must export the same bytes as four
-// workers on four Ps, which resolves it to the windowed one, and each
-// run's match-task note must say which driver it took.
+// benchmark runs — GOMAXPROCS=1 — must export the same bytes as four
+// Ps, and either run's match task notes its SBM-Part time per pass and
+// nothing about a driver: there is one.
 func TestOneProcAutoMatchesExplicitParallel(t *testing.T) {
-	run := func(procs, workers int) (map[string]string, []string) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	run := func(procs int) (map[string]string, []string) {
+		partest.SetProcs(t, procs)
 		e := New(refinedQuickstartSchema())
-		e.Workers = workers
 		d, err := e.Generate()
 		if err != nil {
 			t.Fatal(err)
@@ -172,19 +157,19 @@ func TestOneProcAutoMatchesExplicitParallel(t *testing.T) {
 		}
 		return hashDir(t, dir), matchNotes(e.Report())
 	}
-	auto, autoNotes := run(1, 0)
-	parallel, parallelNotes := run(4, 4)
+	one, oneNotes := run(1)
+	four, fourNotes := run(4)
 
-	for name, h := range parallel {
-		if auto[name] != h {
-			t.Errorf("%s: GOMAXPROCS=1 auto hash %s, GOMAXPROCS=4 Workers=4 hash %s", name, auto[name], h)
+	for name, h := range four {
+		if one[name] != h {
+			t.Errorf("%s: GOMAXPROCS=1 hash %s, GOMAXPROCS=4 hash %s", name, one[name], h)
 		}
 	}
-	if len(autoNotes) != 1 || !strings.HasPrefix(autoNotes[0], "sbm serial ") {
-		t.Errorf("GOMAXPROCS=1 auto match notes %q, want one starting \"sbm serial \"", autoNotes)
-	}
-	if len(parallelNotes) != 1 || !strings.HasPrefix(parallelNotes[0], "sbm windowed 2048×4 ") {
-		t.Errorf("four-worker match notes %q, want one starting \"sbm windowed 2048×4 \"", parallelNotes)
+	note := regexp.MustCompile(`^sbm [0-9.]+[µm]?s \(passes [^ ]+\+[^ ]+\+[^ ]+\)$`)
+	for _, notes := range [][]string{oneNotes, fourNotes} {
+		if len(notes) != 1 || !note.MatchString(notes[0]) {
+			t.Errorf("match notes %q, want one like \"sbm 340ms (passes 120ms+110ms+110ms)\"", notes)
+		}
 	}
 }
 
@@ -282,8 +267,8 @@ func TestEngineExportReport(t *testing.T) {
 // task and a critical path that respects the dependency structure
 // (property → structure → match chains for the quickstart schema).
 func TestRunReportCriticalPath(t *testing.T) {
+	partest.SetProcs(t, 2)
 	e := New(quickstartSchema())
-	e.Workers = 2
 	if e.Report() != nil {
 		t.Fatal("report non-nil before first Generate")
 	}

@@ -13,7 +13,7 @@ import (
 // Canonical schema identity. The generation service caches exported
 // datasets content-addressably, which is sound only because the engine
 // guarantees a dataset is a pure function of (schema, seed) at any
-// worker count, window size, or scheduling order. The cache key
+// GOMAXPROCS and scheduling order. The cache key
 // therefore needs exactly two ingredients beyond the export format:
 //
 //   - A canonical rendering of the schema. dsl.Print is the canonical

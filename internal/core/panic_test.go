@@ -7,6 +7,7 @@ import (
 
 	"datasynth/internal/dsl"
 	"datasynth/internal/par"
+	"datasynth/internal/par/partest"
 	"datasynth/internal/pgen"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
@@ -35,25 +36,25 @@ func TestGeneratorPanicReturnsError(t *testing.T) {
 			return pgen.Value{Int: s.Intn(id, 0)}, nil // xrand panics on an empty range
 		}), nil
 	}
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
+		partest.SetProcs(t, procs)
 		eng := New(s)
 		if err := eng.PGens.Register("boom", boom); err != nil {
 			t.Fatal(err)
 		}
-		eng.Workers = workers
 		_, err := eng.Generate()
 		if err == nil {
-			t.Fatalf("workers=%d: Generate must fail, not crash or succeed", workers)
+			t.Fatalf("GOMAXPROCS=%d: Generate must fail, not crash or succeed", procs)
 		}
 		var pe *par.PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %T %v, want *par.PanicError", workers, err, err)
+			t.Fatalf("GOMAXPROCS=%d: err = %T %v, want *par.PanicError", procs, err, err)
 		}
 		if !strings.Contains(err.Error(), "panic") {
-			t.Fatalf("workers=%d: error should say panic: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: error should say panic: %v", procs, err)
 		}
 		if len(pe.Stack) == 0 {
-			t.Fatalf("workers=%d: recovered panic must carry the stack", workers)
+			t.Fatalf("GOMAXPROCS=%d: recovered panic must carry the stack", procs)
 		}
 	}
 }

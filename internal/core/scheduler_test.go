@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"datasynth/internal/dsl"
+	"datasynth/internal/par/partest"
 	"datasynth/internal/pgen"
 	"datasynth/internal/schema"
 	"datasynth/internal/table"
@@ -82,89 +82,21 @@ graph social {
 }
 `
 
-// assertDatasetsIdentical compares every property table and edge table
-// of two datasets cell by cell.
-func assertDatasetsIdentical(t *testing.T, want, got *table.Dataset) {
-	t.Helper()
-	if len(want.NodeCounts) != len(got.NodeCounts) {
-		t.Fatalf("node type count differs: %d vs %d", len(want.NodeCounts), len(got.NodeCounts))
-	}
-	for name, c := range want.NodeCounts {
-		if got.NodeCounts[name] != c {
-			t.Fatalf("count of %s: %d vs %d", name, c, got.NodeCounts[name])
-		}
-	}
-	comparePTs := func(kind string, w, g []*table.PropertyTable) {
-		if len(w) != len(g) {
-			t.Fatalf("%s: %d vs %d property tables", kind, len(w), len(g))
-		}
-		for i := range w {
-			if w[i].Name != g[i].Name || w[i].Kind != g[i].Kind || w[i].Len() != g[i].Len() {
-				t.Fatalf("%s table %s shape differs from %s", kind, w[i].Name, g[i].Name)
-			}
-			for id := int64(0); id < w[i].Len(); id++ {
-				if w[i].Value(id) != g[i].Value(id) {
-					t.Fatalf("%s %s row %d: %v vs %v", kind, w[i].Name, id, w[i].Value(id), g[i].Value(id))
-				}
-			}
-		}
-	}
-	for name, pts := range want.NodeProps {
-		comparePTs("node "+name, pts, got.NodeProps[name])
-	}
-	for name, pts := range want.EdgeProps {
-		comparePTs("edge "+name, pts, got.EdgeProps[name])
-	}
-	if len(want.Edges) != len(got.Edges) {
-		t.Fatalf("edge type count differs")
-	}
-	for name, w := range want.Edges {
-		g := got.Edges[name]
-		if g == nil || w.Len() != g.Len() {
-			t.Fatalf("edge table %s length differs", name)
-		}
-		for i := range w.Tail {
-			if w.Tail[i] != g.Tail[i] || w.Head[i] != g.Head[i] {
-				t.Fatalf("edge table %s row %d: (%d,%d) vs (%d,%d)",
-					name, i, w.Tail[i], w.Head[i], g.Tail[i], g.Head[i])
-			}
-		}
-	}
-}
-
-// generateWithWorkers runs a schema at the given worker count.
-func generateWithWorkers(t *testing.T, s *schema.Schema, workers int) *table.Dataset {
-	t.Helper()
-	e := New(s)
-	e.Workers = workers
-	d, err := e.Generate()
-	if err != nil {
-		t.Fatalf("Workers=%d: %v", workers, err)
-	}
-	return d
-}
-
 // TestSchedulerDeterminismQuickstart: the DAG scheduler must produce a
-// byte-identical dataset at any worker count.
+// byte-identical dataset at any GOMAXPROCS (the determinism table of
+// export_determinism_test.go).
 func TestSchedulerDeterminismQuickstart(t *testing.T) {
-	s := quickstartSchema()
-	seq := generateWithWorkers(t, s, 1)
-	par := generateWithWorkers(t, s, runtime.NumCPU())
-	assertDatasetsIdentical(t, seq, par)
+	checkExportDeterminism(t, quickstartSchema, 6)
 }
 
 func TestSchedulerDeterminismSocialNetwork(t *testing.T) {
-	s, err := dsl.Parse(socialDSL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := generateWithWorkers(t, s, 1)
-	par := generateWithWorkers(t, s, runtime.NumCPU())
-	assertDatasetsIdentical(t, seq, par)
-	// And once more in parallel: concurrent runs of the same schema must
-	// agree with each other too.
-	par2 := generateWithWorkers(t, s, runtime.NumCPU())
-	assertDatasetsIdentical(t, seq, par2)
+	checkExportDeterminism(t, func() *schema.Schema {
+		s, err := dsl.Parse(socialDSL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}, 12)
 }
 
 // TestParallelFillErrorNoDeadlock: a generator that errors on every
@@ -180,7 +112,7 @@ func TestParallelFillErrorNoDeadlock(t *testing.T) {
 			{Name: "q", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "sequence"}, DependsOn: []string{"p"}},
 		},
 	}}})
-	e.Workers = 2
+	partest.SetProcs(t, 2)
 	var rows atomic.Int64
 	if err := e.PGens.Register("always-fails", func(map[string]string) (pgen.Generator, error) {
 		return pgen.PerRow("always-fails", table.KindInt, 0, func(id int64, _ xrand.Stream, _ []pgen.Value) (pgen.Value, error) {

@@ -36,12 +36,6 @@ func (e *Engine) genStructure(st *runState, plan *depgraph.Plan, edgeName string
 	var et *table.EdgeTable
 	var note string
 	if g := mono; g != nil {
-		// Shard-capable generators (e.g. LFR's intra-community wiring,
-		// RMAT's slab rounds) inherit the engine's worker budget; their
-		// output is byte-identical at every worker count.
-		if ws, ok := g.(sgen.WorkerSettable); ok {
-			ws.SetWorkers(e.Workers)
-		}
 		var n int64
 		if edge.Count > 0 {
 			if n, err = g.NumNodesForEdges(edge.Count); err != nil {
@@ -406,29 +400,27 @@ func (e *Engine) matchMonopartite(st *runState, edge *schema.EdgeType, et *table
 	// capacities come from all rows, so the mapping stays injective.
 	opt := match.DefaultOptions(seed)
 	opt.Passes = edge.Correlation.Passes
-	opt.Workers = e.Workers
 	res, err := match.MatchProperty(et, nTail, labels, target, opt)
 	if err != nil {
 		return "", err
 	}
 	et.Remap(res.Mapping)
 	l1, _ := stats.L1(target, res.Observed)
-	note := sbmNote(res.Mode, res.PartitionTime, res.PassTimes)
+	note := sbmNote(res.PartitionTime, res.PassTimes)
 	e.logf("match %s: k=%d L1=%.4f %s", edge.Name, k, l1, note)
 	st.setMatched(edge.Name)
 	return note, nil
 }
 
 // sbmNote renders a match task's SBM-Part timing for logs and the
-// timing report: the stream driver that ran (serial, or windowed
-// window×scan workers), the total, plus the per-pass breakdown when
-// refinement passes ran (pass 0 is the initial stream).
-func sbmNote(mode string, total time.Duration, passTimes []time.Duration) string {
+// timing report: the total, plus the per-pass breakdown when refinement
+// passes ran (pass 0 is the initial stream).
+func sbmNote(total time.Duration, passTimes []time.Duration) string {
 	if len(passTimes) <= 1 {
-		return fmt.Sprintf("sbm %s %v", mode, total.Round(time.Microsecond))
+		return fmt.Sprintf("sbm %v", total.Round(time.Microsecond))
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "sbm %s %v (passes", mode, total.Round(time.Microsecond))
+	fmt.Fprintf(&b, "sbm %v (passes", total.Round(time.Microsecond))
 	for i, d := range passTimes {
 		if i == 0 {
 			fmt.Fprintf(&b, " %v", d.Round(time.Microsecond))
@@ -473,16 +465,14 @@ func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *tab
 	if err != nil {
 		return "", err
 	}
-	opt := match.DefaultOptions(seed)
-	opt.Workers = e.Workers
-	res, err := match.MatchBipartite(et, nTail, nHead, tailLabels, headLabels, target, opt)
+	res, err := match.MatchBipartite(et, nTail, nHead, tailLabels, headLabels, target, match.DefaultOptions(seed))
 	if err != nil {
 		return "", err
 	}
 	et.RemapTails(res.TailMapping)
 	et.RemapHeads(res.HeadMapping)
 	st.setMatched(edge.Name)
-	return sbmNote(res.Mode, res.PartitionTime, nil), nil
+	return sbmNote(res.PartitionTime, nil), nil
 }
 
 // labelWeights returns the frequency of each of k labels as a weight

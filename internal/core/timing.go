@@ -13,10 +13,10 @@ import (
 // Scheduler observability: every Generate records per-task wall time
 // and derives the critical path of the schema — the dependency chain
 // whose cumulative duration bounds how fast the plan can possibly run
-// at infinite worker count. The report is what drives sharding
+// on infinitely many cores. The report is what drives sharding
 // decisions: a task sitting on the critical path is worth
-// parallelising internally (windowed SBM-Part, sharded LFR); a task
-// off it only costs idle-worker time.
+// parallelising internally (sharded LFR) when that measures as a win;
+// a task off it only costs idle time.
 
 // TaskTiming is one task's measurement within a run.
 type TaskTiming struct {

@@ -23,10 +23,6 @@ import (
 //  3. Stream both domains through MatchBipartite with property tables
 //     of the same value frequencies.
 //  4. Compare the observed joint against the target (L1).
-//
-// The Panel's Workers bound flows straight into match.Options, so from
-// three effective workers up this is also the harness that exercises
-// the windowed bipartite stream end to end.
 
 // BipartiteResult holds one bipartite panel's measurements.
 type BipartiteResult struct {
@@ -81,7 +77,6 @@ func RunBipartitePanel(p Panel) (*BipartiteResult, error) {
 
 	opt := match.DefaultOptions(p.Seed ^ 0x3)
 	opt.Balance = !p.NoBalance
-	opt.Workers = p.Workers
 	t1 := time.Now()
 	res, err := match.MatchBipartite(et, nTail, nHead, truthT, truthH, target, opt)
 	if err != nil {

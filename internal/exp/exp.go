@@ -15,14 +15,15 @@
 //
 // Panels are independent — each derives every RNG stream from its own
 // seed — so the harness fans them out: RunPanels executes a panel list
-// on a bounded worker pool and streams results back in submission
-// order, byte-identical to the serial loop at every worker count
+// on up to GOMAXPROCS goroutines and streams results back in submission
+// order, byte-identical to the serial loop at any GOMAXPROCS
 // (TestRunPanelsMatchesSerial pins this). RunMuSweep pools its sweep
 // points the same way. The one deliberate exception is RunTiming,
-// which pins Workers=1 and runs panels one at a time so its wall-clock
-// numbers remain the paper's single-thread measurement. A panel result
-// carries the full assignment and edge table (Result.Assign/.Table),
-// so Result.Dataset can materialise it as an exportable property graph.
+// which runs panels one at a time so its wall-clock numbers remain the
+// paper's single-thread measurement (the matcher it times is serial by
+// construction). A panel result carries the full assignment and edge
+// table (Result.Assign/.Table), so Result.Dataset can materialise it as
+// an exportable property graph.
 package exp
 
 import (
@@ -65,10 +66,6 @@ type Panel struct {
 	// Passes adds re-streaming refinement passes after the first
 	// streaming pass (0 = the paper's single-pass algorithm).
 	Passes int
-	// Workers bounds the panel's intra-task parallelism — LFR's
-	// sharded community wiring and SBM-Part's neighbourhood scans
-	// (0 = GOMAXPROCS, 1 = serial). Byte-identical output at every count.
-	Workers int
 }
 
 // Label renders the paper's panel naming, e.g. "LFR(10k,16)".
@@ -125,12 +122,10 @@ func RunPanel(p Panel) (*Result, error) {
 	switch p.Generator {
 	case LFR:
 		g := sgen.NewLFR(p.Seed)
-		g.Workers = p.Workers
 		n = p.Size
 		et, err = g.Run(n)
 	case RMAT:
 		g := sgen.NewRMAT(p.Seed)
-		g.Workers = p.Workers
 		n = int64(1) << uint(p.Size)
 		et, err = g.Run(n)
 	default:
@@ -187,7 +182,6 @@ func RunPanel(p Panel) (*Result, error) {
 	}
 	part.Balance = !p.NoBalance
 	part.Seed = p.Seed ^ 0x3
-	part.Workers = p.Workers
 	var order []int64
 	switch p.Order {
 	case "", "random":

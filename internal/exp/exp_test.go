@@ -288,7 +288,7 @@ func TestMuSweepShape(t *testing.T) {
 	// The structure-sensitivity finding (see sweep.go): high mixing
 	// makes the LDG-derived target nearly independent and therefore
 	// *easier* to match, so L1 at µ=0.45 sits below L1 at µ=0.05.
-	pts, err := RunMuSweep(3000, 8, []float64{0.05, 0.45}, 7, 2)
+	pts, err := RunMuSweep(3000, 8, []float64{0.05, 0.45}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

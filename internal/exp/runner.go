@@ -11,29 +11,26 @@ import (
 // — each owns its seed and every RNG stream derives from it — so they
 // can run concurrently without touching the per-panel determinism
 // contract: RunPanels produces results byte-identical to the serial
-// RunPanel loop at every worker count, and delivers them to the caller
-// in submission order as soon as each prefix of the panel list has
+// RunPanel loop at any GOMAXPROCS, and delivers them to the caller in
+// submission order as soon as each prefix of the panel list has
 // finished (streaming, not batch). The timing experiment (RunTiming)
-// deliberately does NOT go through this pool: its panels pin Workers=1
-// and run one at a time so the measured wall times stay the paper's
-// single-thread, single-stream numbers.
+// deliberately does NOT go through this pool: its panels run one at a
+// time so the measured wall times stay the paper's single-thread,
+// single-stream numbers — the matcher is serial by construction.
 
-// RunPanels executes the panels on a bounded worker pool and calls
-// emit once per panel, in submission order, from the calling
-// goroutine. workers <= 0 means GOMAXPROCS; workers == 1 reproduces the
-// serial loop exactly, including its stop-at-first-error behavior: the
-// first panel error (in submission order) aborts the stream, and a
-// non-nil error from emit does the same. Panels after a failed one may
-// have started speculatively; their results are discarded.
-func RunPanels(panels []Panel, workers int, emit func(*Result) error) error {
+// RunPanels executes the panels on up to GOMAXPROCS goroutines
+// (par.Procs) and calls emit once per panel, in submission order, from
+// the calling goroutine. One goroutine reproduces the serial loop
+// exactly, including its stop-at-first-error behavior: the first panel
+// error (in submission order) aborts the stream, and a non-nil error
+// from emit does the same. Panels after a failed one may have started
+// speculatively; their results are discarded.
+func RunPanels(panels []Panel, emit func(*Result) error) error {
 	n := len(panels)
 	if n == 0 {
 		return nil
 	}
-	workers = par.EffectiveWorkers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers := min(par.Procs(), n)
 
 	type outcome struct {
 		r   *Result
@@ -111,12 +108,12 @@ func RunPanels(panels []Panel, workers int, emit func(*Result) error) error {
 	return firstErr
 }
 
-// CollectPanels runs the panels on a bounded pool and returns all
-// results in submission order — RunPanels for callers that want the
-// batch rather than the stream.
-func CollectPanels(panels []Panel, workers int) ([]*Result, error) {
+// CollectPanels runs the panels and returns all results in submission
+// order — RunPanels for callers that want the batch rather than the
+// stream.
+func CollectPanels(panels []Panel) ([]*Result, error) {
 	out := make([]*Result, 0, len(panels))
-	err := RunPanels(panels, workers, func(r *Result) error {
+	err := RunPanels(panels, func(r *Result) error {
 		out = append(out, r)
 		return nil
 	})

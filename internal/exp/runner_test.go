@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"datasynth/internal/par/partest"
 	"datasynth/internal/table"
 )
 
@@ -30,8 +31,8 @@ var runnerPanels = []Panel{
 
 // TestRunPanelsMatchesSerial is the panel-level determinism contract:
 // the pooled runner must stream results identical to the serial
-// RunPanel loop — same artifacts, same submission order — at every
-// worker count.
+// RunPanel loop — same artifacts, same submission order — at any
+// GOMAXPROCS.
 func TestRunPanelsMatchesSerial(t *testing.T) {
 	want := make([]string, len(runnerPanels))
 	for i, p := range runnerPanels {
@@ -41,22 +42,23 @@ func TestRunPanelsMatchesSerial(t *testing.T) {
 		}
 		want[i] = cdfBytes(t, r)
 	}
-	for _, workers := range []int{0, 1, 2, 4, 16} {
+	for _, procs := range []int{1, 2, 4, 16} {
+		partest.SetProcs(t, procs)
 		var got []string
-		err := RunPanels(runnerPanels, workers, func(r *Result) error {
+		err := RunPanels(runnerPanels, func(r *Result) error {
 			got = append(got, cdfBytes(t, r))
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
+			t.Fatalf("GOMAXPROCS=%d: %d results, want %d", procs, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("workers=%d: panel %d (%s) artifact differs from serial run",
-					workers, i, runnerPanels[i].Label())
+				t.Errorf("GOMAXPROCS=%d: panel %d (%s) artifact differs from serial run",
+					procs, i, runnerPanels[i].Label())
 			}
 		}
 	}
@@ -71,8 +73,9 @@ func TestRunPanelsError(t *testing.T) {
 		{Generator: LFR, Size: 1000, K: 0, Seed: 2}, // invalid: K < 1
 		{Generator: LFR, Size: 1000, K: 4, Seed: 3},
 	}
+	partest.SetProcs(t, 4)
 	var emitted int
-	err := RunPanels(panels, 4, func(r *Result) error {
+	err := RunPanels(panels, func(r *Result) error {
 		emitted++
 		return nil
 	})
@@ -89,8 +92,9 @@ func TestRunPanelsError(t *testing.T) {
 
 // TestRunPanelsEmitError: the consumer can abort the stream.
 func TestRunPanelsEmitError(t *testing.T) {
+	partest.SetProcs(t, 2)
 	var emitted int
-	err := RunPanels(runnerPanels[:3], 2, func(r *Result) error {
+	err := RunPanels(runnerPanels[:3], func(r *Result) error {
 		emitted++
 		if emitted == 2 {
 			return errStop
@@ -112,7 +116,8 @@ type stopError struct{}
 func (*stopError) Error() string { return "stop" }
 
 func TestCollectPanels(t *testing.T) {
-	rs, err := CollectPanels(runnerPanels[:2], 2)
+	partest.SetProcs(t, 2)
+	rs, err := CollectPanels(runnerPanels[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +129,7 @@ func TestCollectPanels(t *testing.T) {
 			t.Errorf("result %d out of order (seed %d)", i, r.Panel.Seed)
 		}
 	}
-	if _, err := CollectPanels(nil, 3); err != nil {
+	if _, err := CollectPanels(nil); err != nil {
 		t.Errorf("empty panel list: %v", err)
 	}
 }

@@ -40,12 +40,11 @@ type MuPoint struct {
 
 // RunMuSweep measures matching fidelity across mixing parameters.
 // Points are independent (each derives its randomness from seed and
-// its index), so they fan out onto a bounded pool like figure panels
-// do: workers <= 0 means GOMAXPROCS, 1 runs serially; the measured
-// fidelity numbers are identical at every worker count.
-func RunMuSweep(n int64, k int, mus []float64, seed uint64, workers int) ([]MuPoint, error) {
+// its index), so they fan out like figure panels do (par.ForEach); the
+// measured fidelity numbers are identical at any GOMAXPROCS.
+func RunMuSweep(n int64, k int, mus []float64, seed uint64) ([]MuPoint, error) {
 	out := make([]MuPoint, len(mus))
-	err := par.ForEach(len(mus), workers, func(i int) error {
+	err := par.ForEach(len(mus), func(i int) error {
 		pt, err := runMuPoint(n, k, mus[i], seed, i)
 		if err != nil {
 			return err

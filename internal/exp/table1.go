@@ -188,14 +188,14 @@ type TimingPoint struct {
 }
 
 // RunTiming measures SBM-Part wall time across RMAT scales with k=64
-// values (the paper's hardest configuration shape). Workers is pinned
-// to 1 so the panels really are the single-stream, single-thread runs
-// the paper's ~1100 s reference describes, whatever the host's CPU
-// count.
+// values (the paper's hardest configuration shape), one panel at a
+// time: the matcher is serial by construction, so these are the
+// single-stream, single-thread runs the paper's ~1100 s reference
+// describes, whatever the host's CPU count.
 func RunTiming(scales []int64, k int, seed uint64) ([]TimingPoint, error) {
 	var out []TimingPoint
 	for _, s := range scales {
-		r, err := RunPanel(Panel{Generator: RMAT, Size: s, K: k, Seed: seed + uint64(s), Workers: 1})
+		r, err := RunPanel(Panel{Generator: RMAT, Size: s, K: k, Seed: seed + uint64(s)})
 		if err != nil {
 			return nil, err
 		}

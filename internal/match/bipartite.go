@@ -96,9 +96,8 @@ type BipartiteResult struct {
 	TailAssign, HeadAssign   []int64
 	TailMapping, HeadMapping []int64
 	Observed                 *BipartiteTarget
-	// Mode and PartitionTime are what Result's fields of the same name
-	// are: the stream driver that ran and the wall time inside it.
-	Mode          string
+	// PartitionTime is what Result's field of the same name is: the
+	// wall time inside SBM-Part itself.
 	PartitionTime time.Duration
 }
 
@@ -109,11 +108,6 @@ type BipartiteResult struct {
 // streams the combined id space: tails as they are, heads offset by
 // nTail. opt.Passes is ignored: the bipartite stream has no refinement.
 func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, headRowLabels []int64, target *BipartiteTarget, opt Options) (*BipartiteResult, error) {
-	return matchBipartite(et, nTail, nHead, tailRowLabels, headRowLabels, target, opt, autoWindow(opt.Workers))
-}
-
-// matchBipartite is MatchBipartite at an explicit stream window.
-func matchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, headRowLabels []int64, target *BipartiteTarget, opt Options, window int) (*BipartiteResult, error) {
 	if err := et.Validate(nTail, nHead); err != nil {
 		return nil, err
 	}
@@ -152,7 +146,7 @@ func matchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 	}
 	part := &SBMPart{
 		K: kt + kh, Target: block, Capacities: append(capT, capH...),
-		Balance: opt.Balance, Seed: opt.Seed, Workers: opt.Workers,
+		Balance: opt.Balance, Seed: opt.Seed,
 		tails: nTail, tailGroups: kt,
 	}
 	order := opt.Order
@@ -160,7 +154,7 @@ func matchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 		order = RandomOrder(nTail+nHead, opt.Seed)
 	}
 	start := time.Now()
-	r, err := part.partition(g, order, 0, window, window)
+	r, err := part.partition(g, order, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +181,6 @@ func matchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 	return &BipartiteResult{
 		TailAssign: assignT, HeadAssign: assignH,
 		TailMapping: mapT, HeadMapping: mapH,
-		Observed: obs,
-		Mode:     part.Mode(), PartitionTime: partitionTime,
+		Observed: obs, PartitionTime: partitionTime,
 	}, nil
 }

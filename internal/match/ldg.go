@@ -42,7 +42,7 @@ func (l *LDG) Partition(g *graph.Graph, order []int64) ([]int64, error) {
 	k := len(l.Capacities)
 	s := newStream(g, k)
 	used := make([]int64, k)
-	err := s.run(order, 1, 1, func(v int64) error {
+	err := s.run(order, func(v int64) error {
 		best := int64(-1)
 		bestScore := math.Inf(-1)
 		var bestRem float64

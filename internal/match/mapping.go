@@ -70,10 +70,6 @@ type Options struct {
 	// Passes adds re-streaming refinement passes (see
 	// SBMPart.PartitionMultiPass).
 	Passes int
-	// Workers bounds the scan concurrency (0 = GOMAXPROCS, which also
-	// caps it) and picks the stream driver; see SBMPart.Workers. The
-	// partition is byte-identical at every worker count.
-	Workers int
 }
 
 // DefaultOptions returns the paper's configuration.
@@ -89,9 +85,6 @@ type Result struct {
 	Assign []int64
 	// Observed is the empirical joint P'(X,Y) after matching.
 	Observed *stats.Joint
-	// Mode names the stream driver that ran (SBMPart.Mode), so timing
-	// reports say which implementation a number belongs to.
-	Mode string
 	// PartitionTime is the wall time spent inside SBM-Part itself (the
 	// paper's timing claim), isolated from graph build and mapping
 	// construction — plumbed out so callers can report where a match
@@ -129,7 +122,6 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 	}
 	part.Balance = opt.Balance
 	part.Seed = opt.Seed
-	part.Workers = opt.Workers
 	order := opt.Order
 	if order == nil {
 		order = RandomOrder(n, opt.Seed)
@@ -148,7 +140,7 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Mapping: mapping, Assign: assign, Observed: observed, Mode: part.Mode(), PartitionTime: partitionTime, PassTimes: part.PassTimes}, nil
+	return &Result{Mapping: mapping, Assign: assign, Observed: observed, PartitionTime: partitionTime, PassTimes: part.PassTimes}, nil
 }
 
 // RandomMatch maps structure nodes to property rows uniformly at

@@ -23,10 +23,9 @@
 // re-streaming refinement passes, the bipartite matcher and the LDG
 // baseline — is the same loop: for each node of the stream, count its
 // placed neighbours per group, then decide. stream (stream.go) owns
-// that loop once. gather is the one serial neighbour count; runWindowed
-// is the one parallel-scan / sequential-commit driver, taken from
-// windowedMinWorkers effective workers up (autoWindow — Workers is the
-// only knob, and it never changes an assignment). A variant supplies
+// that loop once: gather is the neighbour count, run the one driver
+// (gather, commit, next node — the stream is sequential by definition,
+// each placement reads what the previous one wrote). A variant supplies
 // only the commit callback, which reads the counts, picks a group and
 // updates its own ledgers: sbmRun.placeFirst (proportional or final
 // target scale, placeByFrobenius, placeUnconstrained for neighbour-less
@@ -34,13 +33,9 @@
 // joint matrix), or LDG's neighbour-majority rule.
 //
 // Placement scores are floating-point sums over a node's touched
-// groups, so the order of that list is part of the result. The serial
-// gather lists groups as the neighbour list first reaches them; the
-// windowed commit merges counts scanned up front with neighbours placed
-// since, which arrive out of that order, so it re-sorts the groups by
-// the neighbour-list position of their first member. That is what makes
-// the windowed driver assignment-for-assignment identical to the serial
-// one rather than merely close.
+// groups, so the order of that list — groups as the neighbour list
+// first reaches them — is part of the result; stream_test.go pins the
+// assignments of every variant by hash.
 //
 // # Bipartite is a block matrix
 //
@@ -86,11 +81,6 @@ type SBMPart struct {
 	// placed neighbours: they are assigned pseudo-randomly, weighted by
 	// remaining capacity, so no group soaks up all early-stream nodes.
 	Seed uint64
-	// Workers bounds the scan concurrency (0 means GOMAXPROCS, which
-	// also caps it) and, through autoWindow, picks between the serial
-	// and the windowed stream driver. The partition is the same at
-	// every value.
-	Workers int
 	// FinalTarget scores placements against the *final* absolute target
 	// matrix W = m·P instead of the default proportional target
 	// W(s) = m_placed·P. The final-target variant reads the paper most
@@ -137,10 +127,6 @@ func NewSBMPart(target *stats.Joint, capacities []int64) (*SBMPart, error) {
 	return &SBMPart{K: target.K, Target: target, Capacities: capacities, Balance: true}, nil
 }
 
-// Mode names the stream driver Workers selects: "serial" or
-// "windowed <window>×<scan workers>".
-func (p *SBMPart) Mode() string { return streamMode(p.Workers) }
-
 // Partition streams the nodes of g in the given order and returns the
 // group assignment of every node. The order must be a permutation of
 // [0, g.N()); the total capacity must be at least g.N().
@@ -183,19 +169,16 @@ func (p *SBMPart) Partition(g *graph.Graph, order []int64) ([]int64, error) {
 // degree-ordered on LFR(5k,16)). Per-pass complexity stays
 // O(Σ deg(v) + n·k).
 func (p *SBMPart) PartitionMultiPass(g *graph.Graph, order []int64, extra int) ([]int64, error) {
-	window := autoWindow(p.Workers)
-	r, err := p.partition(g, order, extra, window, window)
+	r, err := p.partition(g, order, extra)
 	if err != nil {
 		return nil, err
 	}
 	return r.assign, nil
 }
 
-// partition runs the first pass at firstWindow and extra refinement
-// passes at refineWindow (see stream.run; the public entry points pass
-// autoWindow for both, tests pin them) and returns the finished run,
-// whose cur is the joint matrix of its assign.
-func (p *SBMPart) partition(g *graph.Graph, order []int64, extra, firstWindow, refineWindow int) (*sbmRun, error) {
+// partition runs the first pass and extra refinement passes and returns
+// the finished run, whose cur is the joint matrix of its assign.
+func (p *SBMPart) partition(g *graph.Graph, order []int64, extra int) (*sbmRun, error) {
 	if extra < 0 {
 		return nil, fmt.Errorf("match: negative refinement passes")
 	}
@@ -224,7 +207,7 @@ func (p *SBMPart) partition(g *graph.Graph, order []int64, extra, firstWindow, r
 	r.rnd = xrand.NewStream(p.Seed).DeriveStream(label)
 
 	start := time.Now()
-	if err := r.run(order, firstWindow, p.Workers, r.placeFirst); err != nil {
+	if err := r.run(order, r.placeFirst); err != nil {
 		return nil, err
 	}
 	p.PassTimes = append(p.PassTimes[:0], time.Since(start))
@@ -235,7 +218,7 @@ func (p *SBMPart) partition(g *graph.Graph, order []int64, extra, firstWindow, r
 	for pass := 0; pass < extra; pass++ {
 		start = time.Now()
 		clear(r.used)
-		if err := r.run(refineOrder, refineWindow, p.Workers, r.refine); err != nil {
+		if err := r.run(refineOrder, r.refine); err != nil {
 			return nil, err
 		}
 		p.PassTimes = append(p.PassTimes, time.Since(start))
@@ -258,10 +241,7 @@ type sbmRun struct {
 	// float64 far below 2^53, so a refinement's vacate/re-add updates are
 	// exact (TestCarriedJointMatrixMatchesRecount).
 	targetP, cur []float64
-	// used is the quota ledger s_t of the current pass. Only commits
-	// touch it, and commits are sequential in every driver, which is
-	// what keeps quota accounting — and with it refine's first-feasible
-	// fallback — independent of the worker count.
+	// used is the quota ledger s_t of the current pass.
 	used   []int64
 	placed float64 // edges the first pass has counted into cur so far
 	edges  float64 // m, the scale of the final target

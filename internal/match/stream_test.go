@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -62,7 +61,7 @@ func graphOf(t testing.TB, et *table.EdgeTable, err error, n int64) *graph.Graph
 }
 
 // lfrFixture builds an LFR graph plus a homophilous target/capacity
-// pair — the workload the windowed driver is for.
+// pair.
 func lfrFixture(t testing.TB, n int64, k int) (*graph.Graph, *stats.Joint, []int64) {
 	t.Helper()
 	et, err := sgen.NewLFR(17).Run(n)
@@ -70,8 +69,8 @@ func lfrFixture(t testing.TB, n int64, k int) (*graph.Graph, *stats.Joint, []int
 	return graphOf(t, et, err, n), homophilyTarget(t, sizes, 0.8), sizes
 }
 
-// rmatFixture is the skewed counterpart: a few hubs whose neighbour
-// lists span many windows.
+// rmatFixture is the skewed counterpart: a few hubs with very long
+// neighbour lists.
 func rmatFixture(t testing.TB, scale uint, k int) (*graph.Graph, *stats.Joint, []int64) {
 	t.Helper()
 	et, err := sgen.NewRMAT(29).RunScale(scale)
@@ -157,31 +156,31 @@ func messyBipartite(t testing.TB, nTail, nHead, m int64, kt, kh int) *bipFixture
 	return newBipFixture(t, et, nTail, nHead, kt, kh)
 }
 
-func (f *bipFixture) match(t testing.TB, balance bool, window, workers int) *BipartiteResult {
+func (f *bipFixture) match(t testing.TB, balance bool) *BipartiteResult {
 	t.Helper()
 	opt := DefaultOptions(63)
-	opt.Balance, opt.Workers = balance, workers
-	res, err := matchBipartite(f.et, f.nTail, f.nHead, f.tailLabels, f.headLabels, f.target, opt, window)
+	opt.Balance = balance
+	res, err := MatchBipartite(f.et, f.nTail, f.nHead, f.tailLabels, f.headLabels, f.target, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// partitionAt runs SBM-Part with extra refinement passes at explicit
-// stream windows on a fresh partitioner.
-func partitionAt(t testing.TB, g *graph.Graph, target *stats.Joint, sizes []int64, balance bool, extra, window, refineWindow, workers int) []int64 {
+// partitionAt runs SBM-Part with extra refinement passes on a fresh
+// partitioner.
+func partitionAt(t testing.TB, g *graph.Graph, target *stats.Joint, sizes []int64, balance bool, extra int) []int64 {
 	t.Helper()
 	part, err := NewSBMPart(target, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part.Seed, part.Balance, part.Workers = 99, balance, workers
-	r, err := part.partition(g, RandomOrder(g.N(), 5), extra, window, refineWindow)
+	part.Seed, part.Balance = 99, balance
+	assign, err := part.PartitionMultiPass(g, RandomOrder(g.N(), 5), extra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.assign
+	return assign
 }
 
 // streamCase is one row of the differential table: a variant of the
@@ -193,8 +192,7 @@ func partitionAt(t testing.TB, g *graph.Graph, target *stats.Joint, sizes []int6
 // to itself.
 type streamCase struct {
 	name   string // "<variant>/<fixture>"
-	n      int    // stream length, the whole-stream window
-	run    func(t testing.TB, balance bool, window, workers int) string
+	run    func(t testing.TB, balance bool) string
 	parent [2]string
 }
 
@@ -207,8 +205,8 @@ func streamCases(t testing.TB) []streamCase {
 			extra   int
 			parent  [2]string
 		}{{"first", 0, first}, {"refine2", 2, refined}} {
-			cases = append(cases, streamCase{v.variant + "/" + name, int(g.N()), func(t testing.TB, balance bool, window, workers int) string {
-				return sha256Int64(partitionAt(t, g, target, sizes, balance, v.extra, window, window, workers))
+			cases = append(cases, streamCase{v.variant + "/" + name, func(t testing.TB, balance bool) string {
+				return sha256Int64(partitionAt(t, g, target, sizes, balance, v.extra))
 			}, v.parent})
 		}
 	}
@@ -231,8 +229,8 @@ func streamCases(t testing.TB) []streamCase {
 		[2]string{"cbf5808c16e22f6ee1bc8717c37eb63ca93a757d0d9a900e296c10b53905b1d5", "7a0b2a7c2b034084aef453e4c37ea7bac5c211403b1e21019fd11e2f65645565"})
 
 	bip := func(name string, f *bipFixture, parent [2]string) {
-		cases = append(cases, streamCase{"bipartite/" + name, int(f.nTail + f.nHead), func(t testing.TB, balance bool, window, workers int) string {
-			res := f.match(t, balance, window, workers)
+		cases = append(cases, streamCase{"bipartite/" + name, func(t testing.TB, balance bool) string {
+			res := f.match(t, balance)
 			return sha256Int64(res.TailAssign, res.HeadAssign, res.TailMapping, res.HeadMapping)
 		}, parent})
 	}
@@ -243,38 +241,21 @@ func streamCases(t testing.TB) []streamCase {
 	return cases
 }
 
-// setProcs raises GOMAXPROCS for one test, so worker counts above the
-// box's core count still chunk the scan differently instead of being
-// capped to the same value.
-func setProcs(t testing.TB, procs int) {
-	prev := runtime.GOMAXPROCS(procs)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
-// streamDifferential checks every case of one variant: the serial run
-// must reproduce the parent commit's hash, and the windowed driver must
-// reproduce it at windows 2, 64, streamWindow and whole-stream × 1, 2,
-// 4 and 8 scan workers, for Balance true and false. A changed hash
+// streamDifferential checks every case of one variant against the
+// parent commit's hash, for Balance true and false. A changed hash
 // means existing seeds produce different matchings — a break of the
 // per-seed reproducibility contract, which needs a core.SchemaVersion
-// bump, not a new pin.
+// bump, not a new pin. (These pins outlived a windowed parallel-scan
+// driver that had to reproduce them at every window × worker cell; the
+// tests keep the names they had then.)
 func streamDifferential(t *testing.T, variant string) {
-	setProcs(t, 8)
 	for _, c := range streamCases(t) {
 		if !strings.HasPrefix(c.name, variant+"/") {
 			continue
 		}
 		for b, balance := range []bool{true, false} {
-			if got := c.run(t, balance, 1, 1); got != c.parent[b] {
-				t.Errorf("%s balance=%v: serial run %s, parent commit %s", c.name, balance, got, c.parent[b])
-				continue
-			}
-			for _, window := range []int{2, 64, streamWindow, c.n} {
-				for _, workers := range []int{1, 2, 4, 8} {
-					if got := c.run(t, balance, window, workers); got != c.parent[b] {
-						t.Errorf("%s balance=%v window=%d workers=%d: %s, serial %s", c.name, balance, window, workers, got, c.parent[b])
-					}
-				}
+			if got := c.run(t, balance); got != c.parent[b] {
+				t.Errorf("%s balance=%v: %s, parent commit %s", c.name, balance, got, c.parent[b])
 			}
 		}
 	}
@@ -284,12 +265,10 @@ func TestWindowedPartitionByteIdentical(t *testing.T)      { streamDifferential(
 func TestMultiPassWindowedByteIdentical(t *testing.T)      { streamDifferential(t, "refine2") }
 func TestMatchBipartiteWindowedByteIdentical(t *testing.T) { streamDifferential(t, "bipartite") }
 
-// streamStress exercises the scan/commit loop under the race detector:
-// several goroutines run independent windowed streams of one variant
-// concurrently (each internally parallel too) at staggered windows, all
-// of which must agree with the pinned hash.
+// streamStress runs one variant's first fixture on eight goroutines at
+// once under the race detector: runs share the graph and the target and
+// nothing else, so all must reproduce the pinned hash.
 func streamStress(t *testing.T, variant string) {
-	setProcs(t, 4)
 	for _, c := range streamCases(t) {
 		if !strings.HasPrefix(c.name, variant+"/") {
 			continue
@@ -297,12 +276,12 @@ func streamStress(t *testing.T, variant string) {
 		var wg sync.WaitGroup
 		for r := 0; r < 8; r++ {
 			wg.Add(1)
-			go func(window int) {
+			go func() {
 				defer wg.Done()
-				if got := c.run(t, true, window, 0); got != c.parent[0] {
-					t.Errorf("%s window=%d: %s, serial %s", c.name, window, got, c.parent[0])
+				if got := c.run(t, true); got != c.parent[0] {
+					t.Errorf("%s run %d: %s, parent commit %s", c.name, r, got, c.parent[0])
 				}
-			}(2 + r*37)
+			}()
 		}
 		wg.Wait()
 		return // the variant's first fixture is enough
@@ -313,8 +292,8 @@ func TestWindowedPartitionStress(t *testing.T)      { streamStress(t, "first") }
 func TestMultiPassWindowedStress(t *testing.T)      { streamStress(t, "refine2") }
 func TestMatchBipartiteWindowedStress(t *testing.T) { streamStress(t, "bipartite") }
 
-// TestWindowedPartitionOrderValidation: both drivers reject a stream
-// order that is not a permutation, naming the first offending node.
+// TestWindowedPartitionOrderValidation: a stream order that is not a
+// permutation is rejected, naming the first offending node.
 func TestWindowedPartitionOrderValidation(t *testing.T) {
 	g, target, sizes := lfrFixture(t, 500, 4)
 	for _, tc := range []struct {
@@ -328,28 +307,24 @@ func TestWindowedPartitionOrderValidation(t *testing.T) {
 		}
 		bad[tc.at] = tc.v
 		want := fmt.Sprintf("match: order is not a permutation (node %d)", tc.v)
-		for _, window := range []int{1, 64} {
-			part, err := NewSBMPart(target, sizes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := part.partition(g, bad, 1, window, window); err == nil || err.Error() != want {
-				t.Errorf("%s, window %d: err = %v, want %q", tc.name, window, err, want)
-			}
+		part, err := NewSBMPart(target, sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := part.PartitionMultiPass(g, bad, 1); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
 		}
 	}
 }
 
 // TestMultiPassIsolatedQuotaDeterminism: with tight quotas and many
 // isolated nodes, refinement's fallback (keep the previous group, else
-// the first feasible one) must respect every capacity and resolve
-// identically at every window and worker count — it runs in the
-// sequential commit, so scan workers can never reorder it.
+// the first feasible one) must respect every capacity and resolve the
+// same way on every run.
 func TestMultiPassIsolatedQuotaDeterminism(t *testing.T) {
-	setProcs(t, 4)
 	const n, k = 1200, 6
 	g, target, sizes := isolatedFixture(t, n, k)
-	ref := partitionAt(t, g, target, sizes, true, 3, 1, 1, 1)
+	ref := partitionAt(t, g, target, sizes, true, 3)
 	counts := make([]int64, k)
 	for _, a := range ref {
 		counts[a]++
@@ -359,14 +334,10 @@ func TestMultiPassIsolatedQuotaDeterminism(t *testing.T) {
 			t.Fatalf("group %d over capacity: %d > %d", i, counts[i], sizes[i])
 		}
 	}
-	for _, rw := range []int{7, 64, n} {
-		for _, workers := range []int{1, 0} {
-			got := partitionAt(t, g, target, sizes, true, 3, 64, rw, workers)
-			for v := range ref {
-				if got[v] != ref[v] {
-					t.Fatalf("refine window=%d workers=%d: node %d assigned %d, serial %d", rw, workers, v, got[v], ref[v])
-				}
-			}
+	got := partitionAt(t, g, target, sizes, true, 3)
+	for v := range ref {
+		if got[v] != ref[v] {
+			t.Fatalf("second run: node %d assigned %d, first run %d", v, got[v], ref[v])
 		}
 	}
 }
@@ -391,11 +362,9 @@ func TestMultiPassPassTimes(t *testing.T) {
 	}
 }
 
-// matchPropertyAcrossWorkers: the end-to-end operator hands out the
-// same mapping whichever driver the worker bound selects, says which
-// one ran, and reports one timing per pass.
-func matchPropertyAcrossWorkers(t *testing.T, passes int) {
-	setProcs(t, 4)
+// matchPropertyRepeatable: the end-to-end operator hands out the same
+// mapping on every run and reports one timing per pass.
+func matchPropertyRepeatable(t *testing.T, passes int) {
 	const n, k = 2000, 4
 	et, err := sgen.NewLFR(23).Run(n)
 	if err != nil {
@@ -409,122 +378,25 @@ func matchPropertyAcrossWorkers(t *testing.T, passes int) {
 			rowLabels = append(rowLabels, int64(v))
 		}
 	}
-	run := func(workers int, wantMode string) *Result {
+	run := func() *Result {
 		opt := DefaultOptions(77)
-		opt.Passes, opt.Workers = passes, workers
+		opt.Passes = passes
 		res, err := MatchProperty(et, n, rowLabels, target, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Mode != wantMode || len(res.PassTimes) != 1+passes {
-			t.Fatalf("workers=%d: mode %q with %d pass times, want %q with %d", workers, res.Mode, len(res.PassTimes), wantMode, 1+passes)
+		if len(res.PassTimes) != 1+passes {
+			t.Fatalf("%d pass times, want %d", len(res.PassTimes), 1+passes)
 		}
 		return res
 	}
-	ref := run(1, "serial")
-	for _, got := range []*Result{run(2, "serial"), run(3, "windowed 2048×3"), run(0, "windowed 2048×4")} {
-		for v := range ref.Mapping {
-			if got.Mapping[v] != ref.Mapping[v] {
-				t.Fatalf("%s: mapping[%d] = %d, serial %d", got.Mode, v, got.Mapping[v], ref.Mapping[v])
-			}
+	ref, got := run(), run()
+	for v := range ref.Mapping {
+		if got.Mapping[v] != ref.Mapping[v] {
+			t.Fatalf("mapping[%d] = %d, first run %d", v, got.Mapping[v], ref.Mapping[v])
 		}
 	}
 }
 
-func TestMatchPropertyWindowedIdentical(t *testing.T)        { matchPropertyAcrossWorkers(t, 0) }
-func TestMatchPropertyRefinedWindowedIdentical(t *testing.T) { matchPropertyAcrossWorkers(t, 2) }
-
-// TestStreamAutoWindow pins the driver rule over the (GOMAXPROCS,
-// workers) grid: serial while the effective parallelism — workers
-// capped at GOMAXPROCS, 0 meaning GOMAXPROCS — is at most 2,
-// streamWindow from 3 up.
-func TestStreamAutoWindow(t *testing.T) {
-	for _, tc := range []struct{ procs, workers, want int }{
-		{1, 0, 1}, {1, 1, 1}, {1, 8, 1},
-		{2, 0, 1}, {2, 2, 1}, {2, 8, 1}, // workers 8 under GOMAXPROCS=2 counts as 2
-		{8, 1, 1}, {8, 2, 1},
-		{3, 0, streamWindow}, {4, 0, streamWindow}, {4, 3, streamWindow},
-		{4, 8, streamWindow}, {8, 4, streamWindow},
-	} {
-		setProcs(t, tc.procs)
-		if got := autoWindow(tc.workers); got != tc.want {
-			t.Errorf("GOMAXPROCS=%d workers=%d: got %d, want %d", tc.procs, tc.workers, got, tc.want)
-		}
-	}
-}
-
-// TestSBMPartMode: the mode string names what the worker bound
-// resolves to.
-func TestSBMPartMode(t *testing.T) {
-	setProcs(t, 4)
-	for workers, want := range map[int]string{
-		0: "windowed 2048×4", 1: "serial", 2: "serial", 3: "windowed 2048×3", 8: "windowed 2048×4",
-	} {
-		if got := (&SBMPart{Workers: workers}).Mode(); got != want {
-			t.Errorf("workers=%d: got %q, want %q", workers, got, want)
-		}
-	}
-}
-
-// BenchmarkStreamScaling is the measurement windowedMinWorkers waits
-// for: serial against windowed at 1, 2, 4 and 8 scan workers, on the
-// first pass plus two refinement passes of RMAT scale 18 × 16 and of
-// LFR-300k, with the windowed driver's time split into its parallel
-// scan and its sequential commit. Worker counts above the box's cores
-// are skipped — time-sliced scan workers say nothing. On a box with
-// four or more cores:
-//
-//	go test -run '^$' -bench StreamScaling -benchtime 3x ./internal/match
-func BenchmarkStreamScaling(b *testing.B) {
-	for _, f := range []struct {
-		name string
-		make func(testing.TB) (*graph.Graph, *stats.Joint, []int64)
-	}{
-		{"rmat18x16", func(t testing.TB) (*graph.Graph, *stats.Joint, []int64) { return rmatFixture(t, 18, 16) }},
-		{"lfr300k", func(t testing.TB) (*graph.Graph, *stats.Joint, []int64) { return lfrFixture(t, 300000, 16) }},
-	} {
-		var g *graph.Graph
-		var target *stats.Joint
-		var sizes []int64
-		var order []int64
-		for _, workers := range []int{0, 1, 2, 4, 8} {
-			name := fmt.Sprintf("%s/windowed-%d", f.name, workers)
-			if workers == 0 {
-				name = f.name + "/serial"
-			}
-			b.Run(name, func(b *testing.B) {
-				if workers > runtime.NumCPU() {
-					b.Skipf("%d scan workers on %d CPUs", workers, runtime.NumCPU())
-				}
-				if g == nil {
-					g, target, sizes = f.make(b)
-					order = RandomOrder(g.N(), 5)
-				}
-				setProcs(b, max(workers, 1))
-				window := streamWindow
-				if workers == 0 {
-					window = 1
-				}
-				part, err := NewSBMPart(target, sizes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				part.Seed, part.Workers = 99, workers
-				var scan, commit float64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r, err := part.partition(g, order, 2, window, window)
-					if err != nil {
-						b.Fatal(err)
-					}
-					scan += r.win.scanTime.Seconds()
-					commit += r.win.commitTime.Seconds()
-				}
-				if workers > 0 {
-					b.ReportMetric(1e3*scan/float64(b.N), "scan-ms")
-					b.ReportMetric(1e3*commit/float64(b.N), "commit-ms")
-				}
-			})
-		}
-	}
-}
+func TestMatchPropertyWindowedIdentical(t *testing.T)        { matchPropertyRepeatable(t, 0) }
+func TestMatchPropertyRefinedWindowedIdentical(t *testing.T) { matchPropertyRepeatable(t, 2) }

@@ -1,9 +1,9 @@
 // Package par provides the one concurrency primitive the outer
 // pipeline layers share: a bounded-worker fan-out over an index range.
 // The export pipeline (table) and the evaluation sweeps (exp) each
-// need "run fn over [0,n) on up to W workers, stop on error" — keeping
-// a single implementation pins the worker-resolution and
-// error-propagation semantics in one place.
+// need "run fn over [0,n) in parallel, stop on error" — keeping a single
+// implementation pins the sizing rule (Procs) and the error-propagation
+// semantics in one place.
 package par
 
 import (
@@ -47,22 +47,14 @@ func Safe(fn func() error) (err error) {
 	return fn()
 }
 
-// EffectiveWorkers resolves a worker bound to the parallelism the
-// process can actually use: requested <= 0 ("auto") means GOMAXPROCS,
-// and an explicit request is capped at GOMAXPROCS — goroutines beyond
-// the Ps the runtime schedules on are time-sliced, not parallel, so
-// every scratch arena and fan-out sized for them is pure overhead.
-// Every "0 = auto" worker knob in the pipeline resolves through here,
-// never through the machine's CPU count, which ignores what the
-// process was given. Worker counts never change output bytes, only
-// wall-clock.
-func EffectiveWorkers(requested int) int {
-	procs := runtime.GOMAXPROCS(0)
-	if requested <= 0 || requested > procs {
-		return procs
-	}
-	return requested
-}
+// Procs is the parallelism every fan-out in the pipeline sizes itself
+// from: GOMAXPROCS, what the process was given — not the machine's CPU
+// count, which ignores that. Goroutines beyond the Ps the runtime
+// schedules on are time-sliced, not parallel, so nothing fans out
+// wider, and no caller passes a bound of its own: how parallel a run is
+// never changes an output byte, only wall-clock, and the GOMAXPROCS
+// environment variable already says it.
+func Procs() int { return runtime.GOMAXPROCS(0) }
 
 // Workers runs fn(0) … fn(workers-1), one goroutine per worker, and
 // waits for all of them to finish. Each worker runs under Safe; after
@@ -105,19 +97,18 @@ func Workers(workers int, fn func(w int)) {
 	}
 }
 
-// ForEach runs fn(0) … fn(n-1) on up to workers goroutines
-// (resolved by EffectiveWorkers; 1 runs the plain serial loop). Indices
-// are claimed in order; after the first failure no new index is
-// claimed, in-flight calls finish, and the error of the
-// lowest-indexed failure observed is returned — matching what the
-// serial loop would have surfaced. A panicking fn is isolated: the
+// ForEach runs fn(0) … fn(n-1) on up to Procs goroutines (one runs the
+// plain serial loop). Indices are claimed in order; after the first
+// failure no new index is claimed, in-flight calls finish, and the error
+// of the lowest-indexed failure observed is returned — matching what
+// the serial loop would have surfaced. A panicking fn is isolated: the
 // panic is recovered into a *PanicError carrying the stack and
 // reported with the same lowest-index discipline, so one bad index
 // fails the fan-out instead of crashing the process. fn must treat
 // its index as the only shared state it may write (e.g. one output
 // slot per index).
-func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), n, workers, fn)
+func ForEach(n int, fn func(i int) error) error {
+	return ForEachCtx(context.Background(), n, fn)
 }
 
 // ForEachCtx is ForEach with cooperative cancellation: ctx is checked
@@ -127,14 +118,11 @@ func ForEach(n, workers int, fn func(i int) error) error {
 // ctx.Err() is reported with the same lowest-index discipline as fn
 // errors. A context that cancels after the last fn returned does not
 // retroactively fail the call.
-func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
+func ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers = EffectiveWorkers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers := min(Procs(), n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {

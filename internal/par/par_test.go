@@ -4,51 +4,54 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"datasynth/internal/par/partest"
 )
 
 func TestForEachCoversEveryIndex(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 100} {
+	for _, procs := range []int{1, 2, 7, 100} {
+		partest.SetProcs(t, procs)
 		const n = 53
 		var hits [n]atomic.Int32
-		if err := ForEach(n, workers, func(i int) error {
+		if err := ForEach(n, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
+				t.Fatalf("GOMAXPROCS=%d: index %d ran %d times", procs, i, got)
 			}
 		}
 	}
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := ForEach(0, func(int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestForEachCtxPreCanceled: an already-canceled context runs nothing
-// and surfaces ctx.Err(), at every worker count.
+// and surfaces ctx.Err(), at every GOMAXPROCS.
 func TestForEachCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
+		partest.SetProcs(t, procs)
 		var ran atomic.Int32
-		err := ForEachCtx(ctx, 20, workers, func(int) error {
+		err := ForEachCtx(ctx, 20, func(int) error {
 			ran.Add(1)
 			return nil
 		})
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want context.Canceled", procs, err)
 		}
 		if n := ran.Load(); n != 0 {
-			t.Errorf("workers=%d: pre-canceled context still ran %d calls", workers, n)
+			t.Errorf("GOMAXPROCS=%d: pre-canceled context still ran %d calls", procs, n)
 		}
 	}
 }
@@ -56,10 +59,11 @@ func TestForEachCtxPreCanceled(t *testing.T) {
 // TestForEachCtxCancelMidRun: cancellation between indices stops the
 // fan-out from claiming new work and is reported as the error.
 func TestForEachCtxCancelMidRun(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
+		partest.SetProcs(t, procs)
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		err := ForEachCtx(ctx, 1000, workers, func(i int) error {
+		err := ForEachCtx(ctx, 1000, func(i int) error {
 			ran.Add(1)
 			if i == 3 {
 				cancel()
@@ -68,13 +72,13 @@ func TestForEachCtxCancelMidRun(t *testing.T) {
 		})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want context.Canceled", procs, err)
 		}
 		// Serial sees exactly indices 0..3; parallel may have a few
 		// in-flight claims past the cancel, but nothing like the full
 		// range.
-		if n := int(ran.Load()); n >= 1000 || (workers == 1 && n != 4) {
-			t.Errorf("workers=%d: %d calls ran after mid-run cancel", workers, n)
+		if n := int(ran.Load()); n >= 1000 || (procs == 1 && n != 4) {
+			t.Errorf("GOMAXPROCS=%d: %d calls ran after mid-run cancel", procs, n)
 		}
 	}
 }
@@ -82,10 +86,11 @@ func TestForEachCtxCancelMidRun(t *testing.T) {
 func TestForEachReturnsLowestError(t *testing.T) {
 	// Indices 10 and 30 fail; whichever order workers hit them, the
 	// reported error must be the lowest-indexed one observed — and with
-	// workers=1 exactly the serial loop's first error.
-	for _, workers := range []int{1, 4} {
+	// GOMAXPROCS=1 exactly the serial loop's first error.
+	for _, procs := range []int{1, 4} {
+		partest.SetProcs(t, procs)
 		var ran atomic.Int32
-		err := ForEach(50, workers, func(i int) error {
+		err := ForEach(50, func(i int) error {
 			ran.Add(1)
 			if i == 10 || i == 30 {
 				return fmt.Errorf("fail at %d", i)
@@ -93,42 +98,43 @@ func TestForEachReturnsLowestError(t *testing.T) {
 			return nil
 		})
 		if err == nil {
-			t.Fatalf("workers=%d: no error", workers)
+			t.Fatalf("GOMAXPROCS=%d: no error", procs)
 		}
-		if err.Error() != "fail at 10" && workers == 1 {
+		if err.Error() != "fail at 10" && procs == 1 {
 			t.Fatalf("serial error = %v", err)
 		}
-		if err.Error() == "fail at 30" && workers > 1 {
+		if err.Error() == "fail at 30" && procs > 1 {
 			// 30 can only win if 10 was never attempted — impossible:
 			// indices are claimed in order, so 10 is claimed before 30.
-			t.Fatalf("workers=%d: higher-index error won: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: higher-index error won: %v", procs, err)
 		}
 		if int(ran.Load()) >= 50 {
-			t.Errorf("workers=%d: no early stop (%d calls)", workers, ran.Load())
+			t.Errorf("GOMAXPROCS=%d: no early stop (%d calls)", procs, ran.Load())
 		}
 	}
 }
 
 func TestForEachPanicBecomesError(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		err := ForEach(8, workers, func(i int) error {
+	for _, procs := range []int{1, 4} {
+		partest.SetProcs(t, procs)
+		err := ForEach(8, func(i int) error {
 			if i == 3 {
 				panic("kaboom")
 			}
 			return nil
 		})
 		if err == nil {
-			t.Fatalf("workers=%d: panic must surface as an error", workers)
+			t.Fatalf("GOMAXPROCS=%d: panic must surface as an error", procs)
 		}
 		var pe *PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %T %v, want *PanicError", workers, err, err)
+			t.Fatalf("GOMAXPROCS=%d: err = %T %v, want *PanicError", procs, err, err)
 		}
 		if pe.Value != "kaboom" {
-			t.Fatalf("workers=%d: PanicError.Value = %v", workers, pe.Value)
+			t.Fatalf("GOMAXPROCS=%d: PanicError.Value = %v", procs, pe.Value)
 		}
 		if len(pe.Stack) == 0 {
-			t.Fatalf("workers=%d: PanicError must carry the stack", workers)
+			t.Fatalf("GOMAXPROCS=%d: PanicError must carry the stack", procs)
 		}
 	}
 }
@@ -215,24 +221,5 @@ func TestWorkersWaitsForAllBeforePanic(t *testing.T) {
 	}()
 	if got := finished.Load(); got != 7 {
 		t.Fatalf("%d workers finished before re-panic, want 7", got)
-	}
-}
-
-// TestEffectiveWorkers pins the one worker-resolution rule of the
-// pipeline against the GOMAXPROCS the process is given (not the
-// machine's CPU count): auto means GOMAXPROCS, explicit requests are
-// capped there.
-func TestEffectiveWorkers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, tc := range []struct{ procs, requested, want int }{
-		{1, 0, 1}, {1, 1, 1}, {1, 8, 1},
-		{2, 0, 2}, {2, 1, 1}, {2, 8, 2},
-		{4, 0, 4}, {4, 1, 1}, {4, 8, 4},
-		{4, -3, 4}, {4, 3, 3},
-	} {
-		runtime.GOMAXPROCS(tc.procs)
-		if got := EffectiveWorkers(tc.requested); got != tc.want {
-			t.Errorf("GOMAXPROCS=%d requested=%d: got %d, want %d", tc.procs, tc.requested, got, tc.want)
-		}
 	}
 }

@@ -28,7 +28,7 @@ const benchStormWidth = 16
 
 func newBenchService(b *testing.B) (*Service, *httptest.Server) {
 	b.Helper()
-	svc, err := New(Config{CacheDir: b.TempDir(), JobWorkers: 4, EngineWorkers: 2})
+	svc, err := New(Config{CacheDir: b.TempDir(), JobWorkers: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func BenchmarkServiceWarmHitUnderEviction(b *testing.B) {
 	_, entryBytes := probe.cache.stats()
 
 	svc, err := New(Config{
-		CacheDir: b.TempDir(), JobWorkers: 4, EngineWorkers: 2,
+		CacheDir: b.TempDir(), JobWorkers: 4,
 		CacheMaxBytes: 2*entryBytes + entryBytes/2,
 	})
 	if err != nil {

@@ -57,12 +57,10 @@ type Config struct {
 	// QueueDepth bounds how many jobs may wait for a worker; a full
 	// queue rejects submissions (ErrQueueFull). 0 means 64.
 	QueueDepth int
-	// JobWorkers bounds how many engines generate concurrently.
-	// 0 means 2.
+	// JobWorkers bounds how many engines generate concurrently; they
+	// share the process's GOMAXPROCS, which is the only bound on what
+	// each fans out to. 0 means 2.
 	JobWorkers int
-	// EngineWorkers is the per-engine worker bound (core.Engine.Workers,
-	// which resolves it); 0 means GOMAXPROCS.
-	EngineWorkers int
 	// MaxNodes / MaxEdges cap a job's dataset size, enforced at
 	// admission on the schema's declared counts and after generation on
 	// the actual dataset. 0 means unlimited.
@@ -666,7 +664,6 @@ func (s *Service) executeJob(j *Job) error {
 		defer cancel()
 	}
 	eng := s.newEngine(j.schema)
-	eng.Workers = s.cfg.EngineWorkers // 0 = auto, resolved by the engine
 	eng.ExportFormat = j.format
 	eng.ExportFS = s.cfg.FS
 	eng.ExportDigest = true // the manifest's per-file SHA-256
@@ -703,8 +700,7 @@ func (s *Service) executeJob(j *Job) error {
 	}
 	// The match phase is carved out of the generate wall from the
 	// timings the engine already records: the summed duration of the
-	// run's match tasks — the paper pipeline's dominant stage, and the
-	// one the windowed matchers parallelise.
+	// run's match tasks — the paper pipeline's dominant stage.
 	var matchWall time.Duration
 	for i := range report.Timings {
 		if report.Timings[i].Kind == depgraph.TaskMatch {

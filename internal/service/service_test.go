@@ -54,9 +54,6 @@ func newTestService(t testing.TB, cfg Config) *Service {
 	if cfg.CacheDir == "" {
 		cfg.CacheDir = t.TempDir()
 	}
-	if cfg.EngineWorkers == 0 {
-		cfg.EngineWorkers = 2
-	}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

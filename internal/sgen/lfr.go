@@ -29,18 +29,12 @@ type LFR struct {
 	Tau1         float64 // degree power-law exponent (default 2)
 	Tau2         float64 // community size power-law exponent (default 1)
 	Seed         uint64
-	// Workers bounds the concurrency of intra-community wiring
-	// (0 = GOMAXPROCS, 1 = serial). Communities are wired on independent
-	// RNG streams keyed off (Seed, community id) and their edges are
-	// assembled in community order, so the edge table is byte-identical
-	// at every worker count.
-	Workers int
 
 	// communities of the last Run, exposed for tests and for the
 	// experiment harness (ground-truth labels).
 	lastCommunities []int64
-	// shard telemetry of the last Run, for RunNote.
-	lastShards, lastWorkers int
+	// shard count of the last Run, for RunNote.
+	lastShards int
 }
 
 // NewLFR returns an LFR generator with the paper's evaluation
@@ -61,16 +55,13 @@ func NewLFR(seed uint64) *LFR {
 // Name implements Generator.
 func (l *LFR) Name() string { return "lfr" }
 
-// SetWorkers implements WorkerSettable.
-func (l *LFR) SetWorkers(w int) { l.Workers = w }
-
-// RunNote implements Noter: the intra-community shard count and the
-// resolved worker count of the last Run, for the engine's timing report.
+// RunNote implements Noter: the intra-community shard count of the last
+// Run, for the engine's timing report.
 func (l *LFR) RunNote() string {
 	if l.lastShards == 0 {
 		return ""
 	}
-	return fmt.Sprintf("lfr %d communities, %d workers", l.lastShards, l.lastWorkers)
+	return fmt.Sprintf("lfr %d communities", l.lastShards)
 }
 
 // Communities returns the ground-truth community label of every node
@@ -303,10 +294,11 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 // wireIntraShards wires every community's internal configuration model.
 // Shard c draws from the stream (Seed, "lfr.intra", c) and its edges
 // land in community order, so the result is a pure function of the
-// schema seed regardless of how many workers process the shard queue
-// or in which order they finish. One worker appends each community
-// straight to et; several workers emit into disjoint ranges of a shared
-// arena — [bound[c], bound[c+1]) per shard — concatenated afterwards.
+// schema seed regardless of how many goroutines (up to GOMAXPROCS)
+// process the shard queue or in which order they finish. One appends
+// each community straight to et; several emit into disjoint ranges of a
+// shared arena — [bound[c], bound[c+1]) per shard — concatenated
+// afterwards.
 func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf, memberOffs []int64) error {
 	nComm := len(sizes)
 	if nComm == 0 {
@@ -314,11 +306,8 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 	}
 	intraBase := xrand.NewStream(l.Seed).DeriveStream("lfr.intra")
 
-	workers := par.EffectiveWorkers(l.Workers)
-	if workers > nComm {
-		workers = nComm
-	}
-	l.lastShards, l.lastWorkers = nComm, workers
+	workers := min(par.Procs(), nComm)
+	l.lastShards = nComm
 
 	// wire appends one shard's edges to sink using a worker's reusable
 	// scratch (dedup, stub buffer).

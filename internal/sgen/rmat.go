@@ -21,7 +21,7 @@ import (
 // in rounds of fixed-size shards, each shard on its own derived RNG
 // stream, and duplicates are rejected by a batched radix
 // sort-and-compact pass. The edge table is a pure function of the seed
-// and the parameters — byte-identical at every worker count.
+// and the parameters.
 type RMAT struct {
 	A, B, C, D float64
 	EdgeFactor int64
@@ -33,11 +33,6 @@ type RMAT struct {
 	// Graph500 keeps them; the paper's matching experiments are
 	// insensitive to them. Default false removes exact duplicates.
 	KeepDuplicates bool
-	// Workers bounds the concurrency of shard filling (0 = GOMAXPROCS,
-	// 1 = serial). Shards draw from independent RNG streams keyed off
-	// (Seed, round, shard) and fill disjoint slab ranges, so the edge
-	// table is byte-identical at every worker count.
-	Workers int
 
 	// stats of the last Run, for RunNote.
 	lastStats rmatStats
@@ -50,9 +45,6 @@ func NewRMAT(seed uint64) *RMAT {
 
 // Name implements Generator.
 func (r *RMAT) Name() string { return "rmat" }
-
-// SetWorkers implements WorkerSettable.
-func (r *RMAT) SetWorkers(w int) { r.Workers = w }
 
 // Validate implements Generator: the quadrant probabilities, the edge
 // factor and the noise amplitude (past 1 a perturbed probability could

@@ -2,9 +2,7 @@ package sgen
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"datasynth/internal/par"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
 )
@@ -20,8 +18,7 @@ import (
 //     slab range [s·shardSize, (s+1)·shardSize) with quadrant-recursion
 //     draws from its own RNG stream, derived as
 //     NewStream(seed).DeriveStream("rmat.shard").DeriveN(r<<20|s).
-//     Shards can run on any number of workers in any order — the slab
-//     content is a pure function of (seed, round, shard).
+//     The slab content is a pure function of (seed, round, shard).
 //   - After the slab is full, one sequential pass resolves it in slab
 //     order: out-of-range endpoints (cycle-walk for non-power-of-two n)
 //     and — unless KeepDuplicates — self-loops and duplicate edges are
@@ -29,8 +26,7 @@ import (
 //     the survivors append to the edge table in slab order.
 //   - Rounds refill deterministically: the next round's draw budget is
 //     a function of how many edges are still missing, which is itself
-//     deterministic, so the final edge table is byte-identical at
-//     every worker count.
+//     deterministic.
 //
 // Randomness per draw is one sequential splitmix64 value per recursion
 // level (xrand.Seq: one mix64 per draw), versus two mix rounds plus
@@ -38,8 +34,8 @@ import (
 // resolved once per shard instead of once per level.
 
 const (
-	// rmatShardSize is the draw count of one shard — small enough to
-	// load-balance a round across workers, large enough that the
+	// rmatShardSize is the draw count of one shard, the unit that owns
+	// an RNG stream — part of the byte contract. Large enough that the
 	// per-shard stream derivation is noise.
 	rmatShardSize = 1 << 16
 	// rmatMaxRoundDraws caps one round's slab so dedup scratch and slab
@@ -161,10 +157,9 @@ func buildRMATAlias(p [4]float64, levels uint) (thresh []uint64, alias []uint16,
 
 // rmatStats is one Run's sharding telemetry, surfaced via RunNote.
 type rmatStats struct {
-	rounds  int
-	draws   int64
-	edges   int64
-	workers int
+	rounds int
+	draws  int64
+	edges  int64
 }
 
 // RunNote implements Noter: a one-line telemetry note about the last
@@ -174,8 +169,7 @@ func (r *RMAT) RunNote() string {
 	if st.edges == 0 {
 		return ""
 	}
-	return fmt.Sprintf("rmat %d rounds, %.2f draws/edge, %d workers",
-		st.rounds, float64(st.draws)/float64(st.edges), st.workers)
+	return fmt.Sprintf("rmat %d rounds, %.2f draws/edge", st.rounds, float64(st.draws)/float64(st.edges))
 }
 
 // runSharded generates m = EdgeFactor·n edges in sharded rounds.
@@ -183,7 +177,6 @@ func (r *RMAT) runSharded(n int64) (*table.EdgeTable, error) {
 	scale := scaleFor(n)
 	m := r.EdgeFactor * n
 	et := table.NewEdgeTable("rmat", m)
-	workers := par.EffectiveWorkers(r.Workers)
 	base := xrand.NewStream(r.Seed).DeriveStream("rmat.shard")
 	var dd *edgeDedup
 	if !r.KeepDuplicates {
@@ -203,7 +196,7 @@ func (r *RMAT) runSharded(n int64) (*table.EdgeTable, error) {
 	var slab []uint64
 	var slabT, slabH []int64
 	dry := 0
-	r.lastStats = rmatStats{workers: workers}
+	r.lastStats = rmatStats{}
 	for round := 0; et.Len() < m; round++ {
 		if round >= rmatMaxRounds {
 			return nil, fmt.Errorf("sgen: RMAT stalled after %d rounds (%d/%d edges); the requested density is unreachable", round, et.Len(), m)
@@ -216,7 +209,7 @@ func (r *RMAT) runSharded(n int64) (*table.EdgeTable, error) {
 				slab = make([]uint64, draws)
 			}
 			slab = slab[:draws]
-			r.fillSlabPacked(base, round, slab, al, workers)
+			r.fillSlabPacked(base, round, slab, al)
 			slab = dd.appendDedupedPacked(et, slab, n, need)
 		} else {
 			if cap(slabT) < int(draws) {
@@ -224,7 +217,7 @@ func (r *RMAT) runSharded(n int64) (*table.EdgeTable, error) {
 				slabH = make([]int64, draws)
 			}
 			slabT, slabH = slabT[:draws], slabH[:draws]
-			r.fillSlab(base, round, slabT, slabH, scale, al, workers)
+			r.fillSlab(base, round, slabT, slabH, scale, al)
 			if r.KeepDuplicates {
 				rmatAppendInRange(et, slabT, slabH, n, need)
 			} else {
@@ -250,9 +243,7 @@ func (r *RMAT) runSharded(n int64) (*table.EdgeTable, error) {
 // at Graph500 defaults), refill rounds double the missing count
 // (failures concentrate on hub collisions and cycle-walked ids, so the
 // per-candidate failure odds are higher the second time around). The
-// budget is a pure function of (round, need), which keeps the round
-// sequence — and therefore the output — independent of the worker
-// count.
+// budget is a pure function of (round, need).
 func rmatRoundDraws(round int, need int64) int64 {
 	var draws int64
 	if round == 0 {
@@ -273,45 +264,18 @@ func shardStream(base xrand.Stream, round, s int) xrand.Seq {
 	return *xrand.NewSeq(base.DeriveN(uint64(round)<<20 | uint64(s)).Seed())
 }
 
-// shardLoop runs fill(s) for every shard of a draws-sized round on up
-// to `workers` goroutines. Shard s owns the slab range
-// [s·shardSize, (s+1)·shardSize), so shards never contend and
-// completion order is irrelevant.
-func shardLoop(draws int64, workers int, fill func(s int, lo, hi int64)) {
-	nShards := int((draws + rmatShardSize - 1) / rmatShardSize)
-	run := func(s int) {
-		lo := int64(s) * rmatShardSize
-		hi := lo + rmatShardSize
-		if hi > draws {
-			hi = draws
-		}
-		fill(s, lo, hi)
+// shardLoop runs fill(s) for every shard of a draws-sized round. Shard
+// s owns the slab range [s·shardSize, (s+1)·shardSize).
+func shardLoop(draws int64, fill func(s int, lo, hi int64)) {
+	for s, lo := 0, int64(0); lo < draws; s, lo = s+1, lo+rmatShardSize {
+		fill(s, lo, min(lo+rmatShardSize, draws))
 	}
-	if workers > nShards {
-		workers = nShards
-	}
-	if workers <= 1 {
-		for s := 0; s < nShards; s++ {
-			run(s)
-		}
-		return
-	}
-	var next atomic.Int64
-	par.Workers(workers, func(int) {
-		for {
-			s := int(next.Add(1) - 1)
-			if s >= nShards {
-				return
-			}
-			run(s)
-		}
-	})
 }
 
 // fillSlab fills one round's two-array slab (Noise or KeepDuplicates
 // configurations).
-func (r *RMAT) fillSlab(base xrand.Stream, round int, slabT, slabH []int64, scale uint, al *rmatAlias, workers int) {
-	shardLoop(int64(len(slabT)), workers, func(s int, lo, hi int64) {
+func (r *RMAT) fillSlab(base xrand.Stream, round int, slabT, slabH []int64, scale uint, al *rmatAlias) {
+	shardLoop(int64(len(slabT)), func(s int, lo, hi int64) {
 		q := shardStream(base, round, s)
 		if al != nil {
 			drawShardAlias(&q, slabT[lo:hi], slabH[lo:hi], al)
@@ -323,8 +287,8 @@ func (r *RMAT) fillSlab(base xrand.Stream, round int, slabT, slabH []int64, scal
 
 // fillSlabPacked fills one round's packed-key slab (the noiseless
 // dedup fast path).
-func (r *RMAT) fillSlabPacked(base xrand.Stream, round int, slab []uint64, al *rmatAlias, workers int) {
-	shardLoop(int64(len(slab)), workers, func(s int, lo, hi int64) {
+func (r *RMAT) fillSlabPacked(base xrand.Stream, round int, slab []uint64, al *rmatAlias) {
+	shardLoop(int64(len(slab)), func(s int, lo, hi int64) {
 		q := shardStream(base, round, s)
 		drawShardAliasPacked(&q, slab[lo:hi], al)
 	})
@@ -523,7 +487,7 @@ func (d *edgeDedup) appendDedupedPacked(et *table.EdgeTable, slab []uint64, n, l
 // them. Sorted-order emission is what makes the round cheap: the radix
 // pass needs no index payload and no per-candidate winner flags, and
 // any fixed deterministic order is as good as slab order for the
-// worker-count-invariance contract.
+// determinism contract.
 //
 // A round works in two buffers, keys and the sort scratch: the sort
 // ping-pongs between them and the winners are compacted in place in

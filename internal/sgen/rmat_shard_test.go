@@ -12,10 +12,9 @@ import (
 	"datasynth/internal/xrand"
 )
 
-// rmatConfigs are the generator shapes whose worker-count invariance
-// the sharding contract promises: the alias fast path, the per-level
-// Noise path, the KeepDuplicates path and the cycle-walking
-// non-power-of-two path.
+// rmatConfigs are the generator's draw and resolve paths: the alias
+// fast path, the per-level Noise path, the KeepDuplicates path and the
+// cycle-walking non-power-of-two path.
 func rmatConfigs() map[string]func() *RMAT {
 	return map[string]func() *RMAT{
 		"default": func() *RMAT { return NewRMAT(21) },
@@ -38,43 +37,6 @@ func rmatConfigs() map[string]func() *RMAT {
 	}
 }
 
-// TestRMATWorkerCountByteIdentical: the sharded generator must produce
-// the same edge table no matter how many workers fill the slab —
-// per-(round, shard) RNG streams over disjoint slab ranges plus a
-// deterministic round budget make the output a pure function of the
-// seed and parameters.
-func TestRMATWorkerCountByteIdentical(t *testing.T) {
-	for name, mk := range rmatConfigs() {
-		for _, n := range []int64{1 << 12, 3000} {
-			run := func(workers int) *table.EdgeTable {
-				g := mk()
-				g.Workers = workers
-				et, err := g.Run(n)
-				if err != nil {
-					t.Fatalf("%s n=%d workers=%d: %v", name, n, workers, err)
-				}
-				return et
-			}
-			ref := run(1)
-			if ref.Len() == 0 {
-				t.Fatalf("%s n=%d: no edges", name, n)
-			}
-			for _, w := range []int{2, 3, runtime.NumCPU()} {
-				got := run(w)
-				if got.Len() != ref.Len() {
-					t.Fatalf("%s n=%d workers=%d: %d edges, serial %d", name, n, w, got.Len(), ref.Len())
-				}
-				for i := range ref.Tail {
-					if ref.Tail[i] != got.Tail[i] || ref.Head[i] != got.Head[i] {
-						t.Fatalf("%s n=%d workers=%d: edge %d is (%d,%d), serial (%d,%d)",
-							name, n, w, i, got.Tail[i], got.Head[i], ref.Tail[i], ref.Head[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 func edgeTableSHA256(et *table.EdgeTable) string {
 	h := sha256.New()
 	var buf [16]byte
@@ -93,16 +55,12 @@ func edgeTableSHA256(et *table.EdgeTable) string {
 // (as the sharded rewrite itself was).
 func TestRMATGoldenHash(t *testing.T) {
 	const want = "204a64c5f795d880a44a524b64524ddc664762552019e9a9bfd24d941af77b24"
-	for _, w := range []int{1, runtime.NumCPU()} {
-		g := NewRMAT(7)
-		g.Workers = w
-		et, err := g.Run(1 << 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := edgeTableSHA256(et); got != want {
-			t.Fatalf("workers=%d: edge table hash %s, want %s", w, got, want)
-		}
+	et, err := NewRMAT(7).Run(1 << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := edgeTableSHA256(et); got != want {
+		t.Fatalf("edge table hash %s, want %s", got, want)
 	}
 }
 
@@ -136,9 +94,6 @@ func TestRMATQuadrantSkewShardedAndReference(t *testing.T) {
 	noisy := NewRMAT(31)
 	noisy.Noise = 0.05
 	check("per-level", noisy)
-	parallel := NewRMAT(31)
-	parallel.Workers = 4
-	check("alias-4workers", parallel)
 }
 
 // TestRMATEdgeFactorAndSimpleGraph: every configuration must hit the
@@ -242,7 +197,6 @@ func TestRMATAliasOutcomeDistribution(t *testing.T) {
 // report via the Noter interface.
 func TestRMATRunNote(t *testing.T) {
 	g := NewRMAT(12)
-	g.Workers = 2
 	if _, err := g.Run(1 << 10); err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +346,6 @@ func TestRMATDedupBuffers(t *testing.T) {
 	// A scale-16 run allocates, outside its edge table, under three
 	// 8-byte words per drawn key (it was 3.86).
 	g := NewRMAT(3)
-	g.Workers = 1
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	et, err := g.Run(1 << 16)
@@ -448,15 +401,13 @@ func TestRMATDedupBuffers(t *testing.T) {
 }
 
 // BenchmarkRMATScale18 is the bench workload's structure task
-// (cli-rmat-columnar: scale 18, edge factor 16, one worker). B/op is
+// (cli-rmat-columnar: scale 18, edge factor 16). B/op is
 // the number to watch: the edge table is 64 MB of it, the rest is
 // dedup scratch.
 func BenchmarkRMATScale18(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g := NewRMAT(uint64(i))
-		g.Workers = 1
-		if _, err := g.RunScale(18); err != nil {
+		if _, err := NewRMAT(uint64(i)).RunScale(18); err != nil {
 			b.Fatal(err)
 		}
 	}

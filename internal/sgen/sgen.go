@@ -18,16 +18,18 @@
 // # Determinism and sharding
 //
 // Every generator is a pure function of its seed and parameters. The
-// two hot generators, LFR and RMAT, additionally shard their work
-// across workers without breaking that contract: work is split into
-// units whose content is a pure function of (seed, unit index) — LFR
-// derives one RNG stream per community, RMAT one per (round, shard)
-// via NewStream(seed).DeriveStream("rmat.shard").DeriveN(r<<20|s) —
-// and units fill disjoint output ranges that a sequential pass then
+// two hot generators, LFR and RMAT, split their work into units whose
+// content is a pure function of (seed, unit index) — LFR derives one
+// RNG stream per community, RMAT one per (round, shard) via
+// NewStream(seed).DeriveStream("rmat.shard").DeriveN(r<<20|s) — and
+// units fill disjoint output ranges that a sequential pass then
 // resolves in a fixed order (RMAT's radix sort-and-compact dedup runs
-// there). Worker count only decides who computes a unit, never what it
-// contains, so the edge table is byte-identical at every Workers
-// setting; golden-hash tests pin the exact bytes. Changing a
+// there). LFR wires its communities on up to GOMAXPROCS goroutines
+// (par.Procs); who computes a unit never decides what it contains, so
+// the edge table is byte-identical at any parallelism; golden-hash
+// tests pin the exact bytes. RMAT fills its shards in a plain loop: the
+// fill is a quarter of a run whose dedup is sequential, and a second
+// fill worker measured no repeatable win. Changing a
 // generator's drawing scheme changes the bytes for a given seed and
 // must bump core.SchemaVersion.
 //
@@ -58,7 +60,7 @@
 //     factory never read: zipf-attachment(tetha=2) must not generate
 //     with theta's default and be cached under a hash of its own.
 //   - The edge table is a pure function of (seed, parameters, n) at
-//     every worker count. Draw from xrand streams derived from the seed
+//     any GOMAXPROCS. Draw from xrand streams derived from the seed
 //     by label or index, never from shared state; if the work is
 //     sharded, a unit's content depends only on (seed, unit index) and
 //     units are resolved in a fixed order. Emission order is part of
@@ -99,15 +101,6 @@ type Generator interface {
 	// approximately numEdges edges — the paper's getNumNodes, used when
 	// the user scales the graph by edge count.
 	NumNodesForEdges(numEdges int64) (int64, error)
-}
-
-// WorkerSettable is implemented by generators that can shard their
-// work across a bounded worker pool (e.g. LFR's intra-community
-// wiring). Implementations must stay byte-deterministic at every
-// worker count; the engine propagates its own Workers setting through
-// this interface.
-type WorkerSettable interface {
-	SetWorkers(workers int)
 }
 
 // Noter is implemented by generators that report a one-line telemetry

@@ -187,7 +187,7 @@ func writeColumn(w io.Writer, pt *PropertyTable, fill *time.Duration) error {
 	if pt.Kind == KindString {
 		if pt.Deferred() {
 			start := time.Now()
-			tmp, err := pt.filled(1)
+			tmp, err := pt.filled()
 			if *fill += time.Since(start); err != nil {
 				return err
 			}

@@ -120,7 +120,7 @@ func TestReadChunk(t *testing.T) {
 		return nil
 	})
 	_, derr := short.ReadChunk(0, 10, &scratch)
-	_, serr := short.filled(1)
+	_, serr := short.filled()
 	if derr == nil || serr == nil || derr.Error() != serr.Error() || !strings.Contains(derr.Error(), "rows [0,10) were filled with 1 cells") {
 		t.Errorf("a short arena chunk: ReadChunk = %v, stored fill = %v; want the same refusal", derr, serr)
 	}
@@ -218,7 +218,7 @@ func TestMaterializeOnce(t *testing.T) {
 	}
 
 	bad := NewDeferredTable("T.bad", KindInt, 10, nil, func(*Chunk, int64, int64) error { return fmt.Errorf("no rows today") })
-	if err := bad.Materialize(1); err == nil || !bad.Deferred() {
+	if err := bad.Materialize(); err == nil || !bad.Deferred() {
 		t.Errorf("Materialize = %v, deferred = %v; want the fill's error and the column left deferred", err, bad.Deferred())
 	}
 	defer func() {

@@ -18,12 +18,12 @@ import (
 )
 
 // Concurrent, atomic dataset export. Tables are independent once
-// generated, so the export fan-out writes one file per table on a
-// bounded worker pool. Every file is staged under its store.Dir temp
+// generated, so the export fan-out writes one file per table, up to
+// GOMAXPROCS at a time. Every file is staged under its store.Dir temp
 // name and the set commits, file by file, only after every table
 // succeeded — a failed export never leaves a partial directory, and
-// the bytes of every file are identical at any worker count (each
-// worker owns its file end to end; no output interleaves).
+// the bytes of every file are identical at any GOMAXPROCS (each
+// goroutine owns its file end to end; no output interleaves).
 
 // Format selects the on-disk dataset encoding.
 type Format int
@@ -112,10 +112,6 @@ func ParseFormat(s string) (Format, error) {
 type ExportOptions struct {
 	// Format selects the encoding (default CSV).
 	Format Format
-	// Workers bounds how many tables are written concurrently:
-	// 0 = GOMAXPROCS, 1 = one table at a time. File bytes are identical at
-	// every worker count.
-	Workers int
 	// FS abstracts the filesystem for fault-injection tests; nil means
 	// the real one. Every disk touch of the export (create, write,
 	// stat, rename, cleanup) goes through it, so tests can crash the
@@ -237,8 +233,8 @@ func (d *Dataset) exportJobs(f Format) []exportJob {
 	return jobs
 }
 
-// Export writes the dataset into dir in the requested format, one
-// worker per table up to opt.Workers. The export is all-or-nothing:
+// Export writes the dataset into dir in the requested format, up to
+// GOMAXPROCS tables at a time. The export is all-or-nothing:
 // every file is staged as a temp file first and the set renames into
 // place only after all tables encoded successfully, so an encoding or
 // write error — ragged property columns, a full disk — leaves no
@@ -283,7 +279,7 @@ func (d *Dataset) ExportCtx(ctx context.Context, dir string, opt ExportOptions) 
 	}
 
 	stats := make([]FileStat, len(jobs))
-	err = par.ForEachCtx(ctx, len(jobs), opt.Workers, func(i int) error {
+	err = par.ForEachCtx(ctx, len(jobs), func(i int) error {
 		j := jobs[i]
 		start := time.Now()
 		tmp := out.Temp(j.file)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"datasynth/internal/faultfs"
+	"datasynth/internal/par/partest"
 	"datasynth/internal/store"
 )
 
@@ -33,16 +34,17 @@ func exportDirEntries(t *testing.T, dir string) []string {
 // aborts the whole set and rolls the directory back, same as an
 // encoding error.
 func TestExportCreateFaultLeavesNoPartialDir(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
+		partest.SetProcs(t, procs)
 		d := roundTripDataset()
 		dir := filepath.Join(t.TempDir(), "out")
 		fsys := faultfs.NewInject(1, &faultfs.Rule{Ops: faultfs.OpCreate, Nth: 2})
-		_, err := d.ExportCtx(t.Context(), dir, ExportOptions{Workers: workers, FS: fsys})
+		_, err := d.ExportCtx(t.Context(), dir, ExportOptions{FS: fsys})
 		if !errors.Is(err, faultfs.ErrInjected) {
-			t.Fatalf("workers=%d: export = %v, want injected fault", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: export = %v, want injected fault", procs, err)
 		}
 		if left := exportDirEntries(t, dir); len(left) != 0 {
-			t.Errorf("workers=%d: failed export left %v behind", workers, left)
+			t.Errorf("GOMAXPROCS=%d: failed export left %v behind", procs, left)
 		}
 	}
 }
@@ -50,10 +52,11 @@ func TestExportCreateFaultLeavesNoPartialDir(t *testing.T) {
 // TestExportTornWriteFails: a write torn mid-file (half the buffer
 // reaches disk) must fail the export, not commit a truncated table.
 func TestExportTornWriteFails(t *testing.T) {
+	partest.SetProcs(t, 1) // one file at a time: the first Write is a known one
 	d := roundTripDataset()
 	dir := filepath.Join(t.TempDir(), "out")
 	fsys := faultfs.NewInject(1, &faultfs.Rule{Ops: faultfs.OpWrite, Nth: 1, Short: true})
-	_, err := d.ExportCtx(t.Context(), dir, ExportOptions{Workers: 1, FS: fsys})
+	_, err := d.ExportCtx(t.Context(), dir, ExportOptions{FS: fsys})
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("export = %v, want injected fault", err)
 	}
@@ -67,10 +70,11 @@ func TestExportTornWriteFails(t *testing.T) {
 // renamed before the fault stay — they may be the only copy when
 // re-exporting over an existing dataset.
 func TestExportCommitRenameFault(t *testing.T) {
+	partest.SetProcs(t, 1)
 	d := roundTripDataset()
 	dir := filepath.Join(t.TempDir(), "out")
 	fsys := faultfs.NewInject(1, &faultfs.Rule{Ops: faultfs.OpRename, Nth: 2})
-	_, err := d.ExportCtx(t.Context(), dir, ExportOptions{Workers: 1, FS: fsys})
+	_, err := d.ExportCtx(t.Context(), dir, ExportOptions{FS: fsys})
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("export = %v, want injected fault", err)
 	}
@@ -94,10 +98,11 @@ func TestExportCleanSameBytesThroughInjector(t *testing.T) {
 	d := roundTripDataset()
 	plainDir := filepath.Join(t.TempDir(), "plain")
 	injDir := filepath.Join(t.TempDir(), "inj")
-	if _, err := d.Export(plainDir, ExportOptions{Workers: 2}); err != nil {
+	partest.SetProcs(t, 2)
+	if _, err := d.Export(plainDir, ExportOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Export(injDir, ExportOptions{Workers: 2, FS: faultfs.NewInject(9)}); err != nil {
+	if _, err := d.Export(injDir, ExportOptions{FS: faultfs.NewInject(9)}); err != nil {
 		t.Fatal(err)
 	}
 	plain := exportDirEntries(t, plainDir)

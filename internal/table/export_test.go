@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"datasynth/internal/faultfs"
+	"datasynth/internal/par/partest"
 	"datasynth/internal/store"
 )
 
@@ -38,15 +39,16 @@ func raggedDataset() *Dataset {
 // leave the directory without a single file — temp or final — on error.
 func TestExportAtomicityPartialWrite(t *testing.T) {
 	for _, format := range []Format{FormatCSV, FormatJSONL, FormatColumnar} {
-		for _, workers := range []int{1, 4} {
+		for _, procs := range []int{1, 4} {
+			partest.SetProcs(t, procs)
 			d := raggedDataset()
 			dir := filepath.Join(t.TempDir(), "out")
-			_, err := d.Export(dir, ExportOptions{Format: format, Workers: workers})
+			_, err := d.Export(dir, ExportOptions{Format: format})
 			if err == nil {
-				t.Fatalf("%v workers=%d: ragged dataset exported without error", format, workers)
+				t.Fatalf("%v GOMAXPROCS=%d: ragged dataset exported without error", format, procs)
 			}
 			if !strings.Contains(err.Error(), "bogus") {
-				t.Errorf("%v workers=%d: error %v does not name the bad column", format, workers, err)
+				t.Errorf("%v GOMAXPROCS=%d: error %v does not name the bad column", format, procs, err)
 			}
 			entries, dirErr := os.ReadDir(dir)
 			if os.IsNotExist(dirErr) {
@@ -56,7 +58,7 @@ func TestExportAtomicityPartialWrite(t *testing.T) {
 				t.Fatal(dirErr)
 			}
 			for _, ent := range entries {
-				t.Errorf("%v workers=%d: partial export left %s behind", format, workers, ent.Name())
+				t.Errorf("%v GOMAXPROCS=%d: partial export left %s behind", format, procs, ent.Name())
 			}
 		}
 	}
@@ -116,13 +118,14 @@ func TestExportCtxCancelMidRun(t *testing.T) {
 	if k < 2 {
 		t.Fatalf("fixture exports %d files, need at least 2", k)
 	}
+	partest.SetProcs(t, 1)
 	// The serial check sequence is: 1 entry check, then per job 1 check
 	// before it starts and 1 per flush, then 1 commit barrier. A clean
 	// run counts the checks and the writes, so the last check is the
 	// barrier whatever the tables' flush counts are.
 	clean := &countingCtx{Context: context.Background()}
 	cleanFS := &cancelingFS{}
-	if _, err := roundTripDataset().ExportCtx(clean, filepath.Join(t.TempDir(), "out"), ExportOptions{Workers: 1, FS: cleanFS}); err != nil {
+	if _, err := roundTripDataset().ExportCtx(clean, filepath.Join(t.TempDir(), "out"), ExportOptions{FS: cleanFS}); err != nil {
 		t.Fatal(err)
 	}
 	checks, writes := int(clean.checks.Load()), cleanFS.writes.Load()
@@ -136,7 +139,7 @@ func TestExportCtxCancelMidRun(t *testing.T) {
 		d := roundTripDataset()
 		fsys := &cancelingFS{}
 		dir := filepath.Join(t.TempDir(), "out")
-		_, err := d.ExportCtx(ctx, dir, ExportOptions{Workers: 1, FS: fsys})
+		_, err := d.ExportCtx(ctx, dir, ExportOptions{FS: fsys})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("left=%d: err = %v, want context.Canceled", left, err)
 		}
@@ -194,7 +197,7 @@ func TestExportCancelsMidTable(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		fsys := &cancelingFS{cancel: cancel, at: 3}
 		dir := filepath.Join(t.TempDir(), "out")
-		_, err := d.ExportCtx(ctx, dir, ExportOptions{Format: format, Workers: 1, FS: fsys})
+		_, err := d.ExportCtx(ctx, dir, ExportOptions{Format: format, FS: fsys})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: err = %v, want context.Canceled", format, err)
@@ -232,13 +235,14 @@ func TestExportFailureKeepsForeignFiles(t *testing.T) {
 	}
 }
 
-// hashExportDir hashes every file of one export configuration.
-func hashExportDir(t *testing.T, d *Dataset, format Format, workers int) map[string]string {
+// hashExportDir hashes every file of one export at GOMAXPROCS procs.
+func hashExportDir(t *testing.T, d *Dataset, format Format, procs int) map[string]string {
 	t.Helper()
+	partest.SetProcs(t, procs)
 	dir := t.TempDir()
-	stats, err := d.Export(dir, ExportOptions{Format: format, Workers: workers})
+	stats, err := d.Export(dir, ExportOptions{Format: format})
 	if err != nil {
-		t.Fatalf("%v workers=%d: %v", format, workers, err)
+		t.Fatalf("%v GOMAXPROCS=%d: %v", format, procs, err)
 	}
 	hashes := map[string]string{}
 	for _, st := range stats {
@@ -257,13 +261,13 @@ func hashExportDir(t *testing.T, d *Dataset, format Format, workers int) map[str
 		t.Fatal(err)
 	}
 	if len(entries) != len(stats) {
-		t.Fatalf("%v workers=%d: %d files on disk, %d reported", format, workers, len(entries), len(stats))
+		t.Fatalf("%v GOMAXPROCS=%d: %d files on disk, %d reported", format, procs, len(entries), len(stats))
 	}
 	return hashes
 }
 
-// TestExportConcurrentDeterminism: file bytes are identical at every
-// export worker count, for every format.
+// TestExportConcurrentDeterminism: file bytes are identical however
+// many files are written at once, for every format.
 func TestExportConcurrentDeterminism(t *testing.T) {
 	d := roundTripDataset()
 	for _, format := range []Format{FormatCSV, FormatJSONL, FormatColumnar} {
@@ -271,11 +275,11 @@ func TestExportConcurrentDeterminism(t *testing.T) {
 		if len(ref) != 2 {
 			t.Fatalf("%v: exported %d files, want 2", format, len(ref))
 		}
-		for _, workers := range []int{0, 2, 4, 8} {
-			got := hashExportDir(t, d, format, workers)
+		for _, procs := range []int{2, 4, 8} {
+			got := hashExportDir(t, d, format, procs)
 			for name, h := range ref {
 				if got[name] != h {
-					t.Errorf("%v workers=%d: %s hash %s, want %s", format, workers, name, got[name], h)
+					t.Errorf("%v GOMAXPROCS=%d: %s hash %s, want %s", format, procs, name, got[name], h)
 				}
 			}
 		}

@@ -72,11 +72,11 @@
 // stops the table at the next flush once the context is done, and on
 // request (ExportOptions.Digest) takes the file's SHA-256 from the
 // same buffers. Tables are independent, so Export writes one file per
-// table on a bounded worker pool (ExportOptions.Workers) and commits
-// the directory atomically — every file stages as a temp file and the
-// set renames into place only after all tables encoded, so a failed
-// export never leaves a partial directory. File bytes are identical at
-// every worker count.
+// table, up to GOMAXPROCS of them at a time (par.ForEachCtx), and
+// commits the directory atomically — every file stages as a temp file
+// and the set renames into place only after all tables encoded, so a
+// failed export never leaves a partial directory. File bytes do not
+// depend on how many files are written at once.
 package table
 
 import (
@@ -227,18 +227,18 @@ func (pt *PropertyTable) SetDateBounds(lo, hi int64) {
 	pt.def.dateLo, pt.def.dateHi, pt.def.dateKnown = lo, hi, true
 }
 
-// Materialize fills a deferred column into storage, on up to workers
-// goroutines (0 = GOMAXPROCS), once: later calls, and calls on a column
-// that was never deferred, do nothing. A fill error leaves the column
-// deferred and is returned by every call.
-func (pt *PropertyTable) Materialize(workers int) error {
+// Materialize fills a deferred column into storage, chunks in parallel
+// (par.ForEach), once: later calls, and calls on a column that was
+// never deferred, do nothing. A fill error leaves the column deferred
+// and is returned by every call.
+func (pt *PropertyTable) Materialize() error {
 	d := pt.def
 	if d == nil {
 		return nil
 	}
 	d.once.Do(func() {
 		var s *PropertyTable
-		if s, d.err = pt.filled(workers); d.err == nil {
+		if s, d.err = pt.filled(); d.err == nil {
 			pt.ints, pt.floats, pt.codes, pt.arenas = s.ints, s.floats, s.codes, s.arenas
 			d.stored.Store(true)
 		}
@@ -250,10 +250,10 @@ func (pt *PropertyTable) Materialize(workers int) error {
 // that runs a FillFunc over a whole column, a chunk at a time, in any
 // order. A failing or panicking chunk fails the fill with the lowest
 // chunk's error (par.ForEach).
-func (pt *PropertyTable) filled(workers int) (*PropertyTable, error) {
+func (pt *PropertyTable) filled() (*PropertyTable, error) {
 	s := &PropertyTable{Name: pt.Name, Kind: pt.Kind, n: pt.n, dict: pt.dict}
 	s.alloc()
-	return s, par.ForEach(int((pt.n+ChunkRows-1)/ChunkRows), workers, func(c int) error {
+	return s, par.ForEach(int((pt.n+ChunkRows-1)/ChunkRows), func(c int) error {
 		lo := int64(c) * ChunkRows
 		hi := min(lo+ChunkRows, pt.n)
 		return s.FillChunk(lo, hi, func(dst *Chunk) error { return pt.def.fill(dst, lo, hi) })
@@ -264,7 +264,7 @@ func (pt *PropertyTable) filled(workers int) (*PropertyTable, error) {
 // have no error to return, so a fill that fails panics with its error.
 func (pt *PropertyTable) need() {
 	if pt.Deferred() {
-		if err := pt.Materialize(0); err != nil {
+		if err := pt.Materialize(); err != nil {
 			panic(err)
 		}
 	}

@@ -6,7 +6,7 @@ package par
 
 func Safe(fn func() error) error { return fn() }
 
-func ForEach(n, workers int, fn func(i int) error) error {
+func ForEach(n int, fn func(i int) error) error {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

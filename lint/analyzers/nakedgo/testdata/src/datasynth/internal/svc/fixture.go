@@ -14,7 +14,7 @@ func naked() {
 }
 
 func guardedDirect(n int) {
-	go par.ForEach(n, 1, func(int) error { return nil })
+	go par.ForEach(n, func(int) error { return nil })
 	go par.Workers(2, func(int) {})
 }
 
