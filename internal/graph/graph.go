@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"datasynth/internal/table"
@@ -29,12 +30,19 @@ func PutBuilder(b *Builder) { builderPool.Put(b) }
 // Graph is an undirected graph in CSR (compressed sparse row) form.
 // Self-loops are allowed (they contribute one neighbour entry) and
 // parallel edges are preserved as built.
+//
+// Node ids are at most maxNodes-1, so an adjacency entry is a uint32:
+// 4 bytes per entry plus 8 bytes per node for the offsets.
 type Graph struct {
 	n      int64
-	offs   []int64 // len n+1
-	adj    []int64 // len = sum of degrees
-	mEdges int64   // number of edges as built (each undirected edge once)
+	offs   []int64  // len n+1
+	adj    []uint32 // len = sum of degrees
+	mEdges int64    // number of edges as built (each undirected edge once)
 }
+
+// maxNodes is the largest node count a Graph holds: every node id must
+// fit an adjacency entry.
+const maxNodes = math.MaxUint32
 
 // FromEdgeTable builds an undirected CSR graph over n nodes from an
 // edge table. Each table row (t, h) becomes an undirected edge {t, h}.
@@ -53,18 +61,17 @@ func FromEdges(tail, head []int64, n int64) (*Graph, error) {
 }
 
 // Builder constructs CSR graphs while reusing its internal buffers
-// (degree counts, offsets, adjacency) across builds, so repeated
-// constructions — e.g. one per benchmark panel or per matching task —
-// stop reallocating the three big arrays.
+// (offsets, adjacency) across builds, so repeated constructions — e.g.
+// one per benchmark panel or per matching task — stop reallocating the
+// two big arrays.
 //
 // The returned *Graph aliases the builder's buffers: it is valid until
 // the next FromEdges/FromEdgeTable call on the same builder. A Builder
 // must not be used from multiple goroutines concurrently; pool builders
 // (sync.Pool) for concurrent use.
 type Builder struct {
-	deg  []int64 // degree counts, then the fill cursor
 	offs []int64
-	adj  []int64
+	adj  []uint32
 }
 
 // FromEdgeTable is FromEdgeTable over the builder's reused buffers.
@@ -95,47 +102,49 @@ func (b *Builder) build(tail, head []int64, nTail, nHead, headShift int64) (*Gra
 		return nil, fmt.Errorf("graph: ragged edge list (%d tails, %d heads)", len(tail), len(head))
 	}
 	n := max(nTail, headShift+nHead)
-	b.deg = growInt64(b.deg, n)
-	deg := b.deg
-	clear(deg)
+	if n > maxNodes {
+		return nil, fmt.Errorf("graph: %d nodes exceed the CSR's limit of %d", n, int64(maxNodes))
+	}
+	// offs[v+1] counts v's degree, then the prefix sum makes offs[v] the
+	// start of v's list, which the fill advances as v's cursor.
+	b.offs = grow(b.offs, n+1)
+	offs := b.offs
+	clear(offs)
 	for i := range tail {
 		t, h := tail[i], head[i]
 		if t < 0 || t >= nTail || h < 0 || h >= nHead {
 			return nil, fmt.Errorf("graph: edge %d (%d,%d) outside [0,%d)×[0,%d)", i, t, h, nTail, nHead)
 		}
-		deg[t]++
+		offs[t+1]++
 		if h += headShift; h != t {
-			deg[h]++
+			offs[h+1]++
 		}
 	}
-	b.offs = growInt64(b.offs, n+1)
-	offs := b.offs
-	offs[0] = 0
 	for v := int64(0); v < n; v++ {
-		offs[v+1] = offs[v] + deg[v]
+		offs[v+1] += offs[v]
 	}
-	b.adj = growInt64(b.adj, offs[n])
+	b.adj = grow(b.adj, offs[n])
 	adj := b.adj
-	// The degree counts are spent; their buffer becomes the fill cursor.
-	cur := deg
-	copy(cur, offs[:n])
 	for i := range tail {
 		t, h := tail[i], head[i]+headShift
-		adj[cur[t]] = h
-		cur[t]++
+		adj[offs[t]] = uint32(h)
+		offs[t]++
 		if h != t {
-			adj[cur[h]] = t
-			cur[h]++
+			adj[offs[h]] = uint32(t)
+			offs[h]++
 		}
 	}
+	// Each cursor stopped at the next node's start: shift them back.
+	copy(offs[1:], offs[:n])
+	offs[0] = 0
 	return &Graph{n: n, offs: offs, adj: adj, mEdges: int64(len(tail))}, nil
 }
 
-// growInt64 returns buf resized to n entries, reallocating only when
-// the capacity is insufficient. Contents are unspecified.
-func growInt64(buf []int64, n int64) []int64 {
+// grow returns buf resized to n entries, reallocating only when the
+// capacity is insufficient. Contents are unspecified.
+func grow[T any](buf []T, n int64) []T {
 	if int64(cap(buf)) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -149,9 +158,9 @@ func (g *Graph) M() int64 { return g.mEdges }
 // Degree returns the degree of v (self-loops count once).
 func (g *Graph) Degree(v int64) int64 { return g.offs[v+1] - g.offs[v] }
 
-// Neighbors returns the adjacency slice of v. Callers must not modify
-// it.
-func (g *Graph) Neighbors(v int64) []int64 { return g.adj[g.offs[v]:g.offs[v+1]] }
+// Neighbors returns the adjacency slice of v, in edge-list order.
+// Callers must not modify it.
+func (g *Graph) Neighbors(v int64) []uint32 { return g.adj[g.offs[v]:g.offs[v+1]] }
 
 // DegreeHistogram returns counts[d] = number of nodes with degree d.
 func (g *Graph) DegreeHistogram() []int64 {
@@ -208,7 +217,7 @@ func (g *Graph) ConnectedComponents() ([]int64, int64) {
 			for _, u := range g.Neighbors(v) {
 				if labels[u] == -1 {
 					labels[u] = comp
-					stack = append(stack, u)
+					stack = append(stack, int64(u))
 				}
 			}
 		}
@@ -250,7 +259,7 @@ func (g *Graph) BFSDistances(src int64) []int64 {
 		for _, u := range g.Neighbors(v) {
 			if dist[u] == -1 {
 				dist[u] = dist[v] + 1
-				queue = append(queue, u)
+				queue = append(queue, int64(u))
 			}
 		}
 	}

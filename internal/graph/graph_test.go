@@ -2,9 +2,12 @@ package graph
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"datasynth/internal/sgen"
 	"datasynth/internal/table"
 )
 
@@ -37,6 +40,30 @@ func TestFromEdgesValidation(t *testing.T) {
 	}
 	if _, err := FromEdges([]int64{-1}, []int64{0}, 2); err == nil {
 		t.Error("negative endpoint should fail")
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFromEdgesNodeBound: a node id must fit a 4-byte adjacency entry,
+// and a graph too large for one fails before its CSR is allocated.
+func TestFromEdgesNodeBound(t *testing.T) {
+	var err error
+	if b := allocated(func() { _, err = FromEdges(nil, nil, 1<<32) }); err == nil || b > 1<<10 {
+		t.Errorf("FromEdges over 2^32 nodes: err %v after allocating %d bytes", err, b)
+	}
+	b := allocated(func() {
+		_, err = new(Builder).FromBipartiteEdges([]int64{0}, []int64{1 << 31}, 1<<31, 1<<31+1)
+	})
+	if err == nil || b > 1<<10 {
+		t.Errorf("FromBipartiteEdges over 2^32 nodes: err %v after allocating %d bytes", err, b)
 	}
 }
 
@@ -273,18 +300,24 @@ func TestPowerLawAlphaMLE(t *testing.T) {
 }
 
 func TestCSRInvariantProperty(t *testing.T) {
-	// Property: sum of degrees equals 2*m - selfloops for arbitrary edge
-	// lists.
+	// Property: for arbitrary edge lists, sum of degrees equals
+	// 2*m - selfloops, and each node's neighbours are the edge list's
+	// entries for it in edge-list order (the stream matcher's scan
+	// order, and with it the matched bytes, depends on that order).
 	f := func(pairs []uint16) bool {
 		const n = 32
 		tails := make([]int64, len(pairs))
 		heads := make([]int64, len(pairs))
 		selfLoops := int64(0)
+		want := make([][]uint32, n)
 		for i, p := range pairs {
 			tails[i] = int64(p % n)
 			heads[i] = int64((p / n) % n)
+			want[tails[i]] = append(want[tails[i]], uint32(heads[i]))
 			if tails[i] == heads[i] {
 				selfLoops++
+			} else {
+				want[heads[i]] = append(want[heads[i]], uint32(tails[i]))
 			}
 		}
 		g, err := FromEdges(tails, heads, n)
@@ -294,11 +327,60 @@ func TestCSRInvariantProperty(t *testing.T) {
 		var degSum int64
 		for v := int64(0); v < n; v++ {
 			degSum += g.Degree(v)
+			if !slices.Equal(g.Neighbors(v), want[v]) {
+				return false
+			}
 		}
 		return degSum == 2*int64(len(pairs))-selfLoops
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// lfrEdges returns an LFR graph at the paper's parameters, the shape
+// of the social schema's knows edges.
+func lfrEdges(tb testing.TB, n int64) *table.EdgeTable {
+	tb.Helper()
+	et, err := sgen.NewLFR(1).Run(n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return et
+}
+
+// TestCSRBytesPerEdge pins the CSR's footprint: a build allocates 4
+// bytes per adjacency entry and 8 per node, nothing else of its size
+// (an int64 adjacency and a separate degree buffer would take 8 + 16).
+func TestCSRBytesPerEdge(t *testing.T) {
+	const n = 20_000
+	et := lfrEdges(t, n)
+	var g *Graph
+	b := allocated(func() {
+		var err error
+		if g, err = new(Builder).FromEdgeTable(et, n); err != nil {
+			t.Fatal(err)
+		}
+	})
+	entries := 2 * g.M() // no self-loops in LFR
+	want := 4*entries + 8*(n+1)
+	t.Logf("%d bytes for %d entries and %d nodes (%.2f B per entry)", b, entries, n, float64(b)/float64(entries))
+	if int64(b) > want+32<<10 {
+		t.Errorf("CSR build allocated %d bytes, want ≤ %d + 32 KiB", b, want)
+	}
+}
+
+// BenchmarkCSRBuild is the match task's CSR build on the social
+// schema's knows edges (LFR, 300k nodes, ≈ 2.9M edges).
+func BenchmarkCSRBuild(b *testing.B) {
+	const n = 300_000
+	et := lfrEdges(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := new(Builder).FromEdgeTable(et, n); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -19,14 +19,14 @@ func (g *Graph) LocalClustering(v int64) float64 {
 	if k < 2 {
 		return 0
 	}
-	set := make(map[int64]struct{}, k)
+	set := make(map[uint32]struct{}, k)
 	for _, u := range neigh {
 		set[u] = struct{}{}
 	}
 	links := 0
 	for _, u := range neigh {
-		for _, w := range g.Neighbors(u) {
-			if w == u || w == v {
+		for _, w := range g.Neighbors(int64(u)) {
+			if w == u || int64(w) == v {
 				continue
 			}
 			if _, ok := set[w]; ok {
@@ -39,12 +39,12 @@ func (g *Graph) LocalClustering(v int64) float64 {
 	return float64(links) / float64(k*(k-1))
 }
 
-func distinctNeighbors(g *Graph, v int64) []int64 {
+func distinctNeighbors(g *Graph, v int64) []uint32 {
 	raw := g.Neighbors(v)
-	out := make([]int64, 0, len(raw))
-	seen := make(map[int64]struct{}, len(raw))
+	out := make([]uint32, 0, len(raw))
+	seen := make(map[uint32]struct{}, len(raw))
 	for _, u := range raw {
-		if u == v {
+		if int64(u) == v {
 			continue
 		}
 		if _, ok := seen[u]; ok {
@@ -114,7 +114,7 @@ func (g *Graph) DegreeAssortativity() float64 {
 		for _, u := range g.Neighbors(v) {
 			// Each undirected edge appears twice (v->u and u->v), which
 			// symmetrises the correlation as required.
-			du := float64(g.Degree(u))
+			du := float64(g.Degree(int64(u)))
 			sx += dv
 			sy += du
 			sxx += dv * dv

@@ -19,7 +19,7 @@ func recountJointMatrix(g *graph.Graph, assign []int64, k int) []float64 {
 	cur := make([]float64, k*k)
 	for v := int64(0); v < g.N(); v++ {
 		for _, u := range g.Neighbors(v) {
-			if u <= v {
+			if int64(u) <= v {
 				continue
 			}
 			a, b := assign[v], assign[u]

@@ -25,34 +25,46 @@ func BuildMapping(assign []int64, rowLabels []int64, k int, seed uint64) ([]int6
 	if len(assign) > len(rowLabels) {
 		return nil, fmt.Errorf("match: %d nodes but only %d property rows", len(assign), len(rowLabels))
 	}
-	// Bucket property rows by value.
-	buckets := make([][]int64, k)
+	// Bucket property rows by value: one buffer laid out by the
+	// per-value counts, rows ascending inside each bucket, so that
+	// bucket t is rows[start[t]:start[t+1]].
+	start := make([]int, k+1)
 	for r, l := range rowLabels {
 		if l < 0 || l >= int64(k) {
 			return nil, fmt.Errorf("match: row %d has label %d outside [0,%d)", r, l, k)
 		}
-		buckets[l] = append(buckets[l], int64(r))
+		start[l+1]++
+	}
+	for t := 0; t < k; t++ {
+		start[t+1] += start[t]
+	}
+	rows := make([]int64, len(rowLabels))
+	next := make([]int, k)
+	copy(next, start)
+	for r, l := range rowLabels {
+		rows[next[l]] = int64(r)
+		next[l]++
 	}
 	// Shuffle each bucket deterministically.
 	s := xrand.NewStream(seed)
 	for t := 0; t < k; t++ {
-		b := buckets[t]
+		b := rows[start[t]:start[t+1]]
 		sub := s.DeriveStream(fmt.Sprintf("bucket-%d", t))
 		for i := len(b) - 1; i > 0; i-- {
 			j := sub.Intn(int64(i), int64(i)+1)
 			b[i], b[j] = b[j], b[i]
 		}
 	}
-	next := make([]int, k)
+	copy(next, start)
 	f := make([]int64, len(assign))
 	for v, t := range assign {
 		if t < 0 || t >= int64(k) {
 			return nil, fmt.Errorf("match: node %d unassigned", v)
 		}
-		if next[t] >= len(buckets[t]) {
-			return nil, fmt.Errorf("match: group %d over capacity (%d rows)", t, len(buckets[t]))
+		if next[t] == start[t+1] {
+			return nil, fmt.Errorf("match: group %d over capacity (%d rows)", t, start[t+1]-start[t])
 		}
-		f[v] = buckets[t][next[t]]
+		f[v] = rows[next[t]]
 		next[t]++
 	}
 	return f, nil
@@ -193,7 +205,7 @@ func BFSOrder(g *graph.Graph, seed uint64) []int64 {
 			for _, u := range g.Neighbors(v) {
 				if !visited[u] {
 					visited[u] = true
-					queue = append(queue, u)
+					queue = append(queue, int64(u))
 				}
 			}
 		}
@@ -205,20 +217,21 @@ func BFSOrder(g *graph.Graph, seed uint64) []int64 {
 // ablation stream order.
 func DegreeDescOrder(g *graph.Graph) []int64 {
 	n := g.N()
-	order := make([]int64, n)
-	for i := range order {
-		order[i] = int64(i)
-	}
-	// Counting sort by degree, descending; stable on node id.
 	maxDeg := g.MaxDegree()
-	buckets := make([][]int64, maxDeg+1)
+	// Counting sort by degree, descending; stable on node id. Nodes of
+	// degree d start at start[maxDeg-d].
+	start := make([]int64, maxDeg+2)
 	for v := int64(0); v < n; v++ {
-		d := g.Degree(v)
-		buckets[d] = append(buckets[d], v)
+		start[maxDeg-g.Degree(v)+1]++
 	}
-	out := order[:0]
-	for d := maxDeg; d >= 0; d-- {
-		out = append(out, buckets[d]...)
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	order := make([]int64, n)
+	for v := int64(0); v < n; v++ {
+		i := maxDeg - g.Degree(v)
+		order[start[i]] = v
+		start[i]++
 	}
 	return order
 }

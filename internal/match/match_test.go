@@ -2,6 +2,7 @@ package match
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"datasynth/internal/graph"
@@ -375,6 +376,40 @@ func TestBuildMappingErrors(t *testing.T) {
 	}
 }
 
+// allocated returns the bytes f allocates.
+func allocated(f func()) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestBuildMappingAllocations pins BuildMapping's memory shape: the
+// rows bucketed into one buffer laid out by the per-value counts, and
+// the mapping — two 8-byte words per node; per-bucket appends would
+// leave about as much again in doubling garbage.
+func TestBuildMappingAllocations(t *testing.T) {
+	const n, k = 200_000, 16
+	rowLabels := make([]int64, n)
+	assign := make([]int64, n)
+	for i := range rowLabels {
+		rowLabels[i] = int64(i*7) % k
+		assign[i] = int64(i*11) % k
+	}
+	var err error
+	b := allocated(func() { _, err = BuildMapping(assign, rowLabels, k, 3) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d bytes for %d rows (%.2f words per row)", b, n, float64(b)/8/n)
+	// The slack is each big buffer's rounding to whole pages plus the
+	// per-value shuffle streams.
+	if want := int64(2*8*n + 1<<15); b > want {
+		t.Errorf("BuildMapping allocated %d bytes, want ≤ %d (2·8·n + 32 KiB)", b, want)
+	}
+}
+
 func TestMatchPropertyEndToEnd(t *testing.T) {
 	et, _ := twoCliques(t, 25)
 	n := int64(50)
@@ -464,6 +499,27 @@ func TestDegreeDescOrder(t *testing.T) {
 	for i := 1; i < len(order); i++ {
 		if g.Degree(order[i]) > g.Degree(order[i-1]) {
 			t.Fatal("order not degree-descending")
+		}
+	}
+}
+
+// TestDegreeDescOrderAllocations: the counting sort places nodes
+// straight into the order it returns — one word per node plus a count
+// per degree — and keeps ties in id order.
+func TestDegreeDescOrderAllocations(t *testing.T) {
+	const n = 100_000
+	g := messyGraph(t, n, 4*n, 9)
+	var order []int64
+	b := allocated(func() { order = DegreeDescOrder(g) })
+	want := 8*n + 8*(g.MaxDegree()+2)
+	t.Logf("%d bytes for %d nodes, max degree %d", b, n, g.MaxDegree())
+	if b > want+1<<14 {
+		t.Errorf("DegreeDescOrder allocated %d bytes, want ≤ %d + 16 KiB", b, want)
+	}
+	for i := 1; i < len(order); i++ {
+		d, prev := g.Degree(order[i]), g.Degree(order[i-1])
+		if d > prev || d == prev && order[i] < order[i-1] {
+			t.Fatalf("order[%d] = %d (degree %d) after %d (degree %d)", i, order[i], d, order[i-1], prev)
 		}
 	}
 }

@@ -61,7 +61,7 @@ func newStream(g *graph.Graph, k int) *stream {
 func (s *stream) gather(v int64) {
 	assign, cnt, touched := s.assign, s.cnt, s.touched[:0]
 	for _, u := range s.g.Neighbors(v) {
-		if u == v {
+		if int64(u) == v {
 			continue
 		}
 		if a := assign[u]; a != Unassigned {

@@ -36,13 +36,6 @@ type edgeDedup struct {
 	gen   int32
 }
 
-func newEdgeDedup(capHint int64) *edgeDedup {
-	if capHint < 0 {
-		capHint = 0
-	}
-	return &edgeDedup{accepted: make([]uint64, 0, capHint)}
-}
-
 // reset clears the accepted set (buffers are kept). Callers reset
 // between wiring phases whose key spaces cannot collide — e.g. the
 // per-community intra phases (both endpoints inside one community) and
@@ -85,8 +78,20 @@ func packEdgeKey(a, b int64) uint64 {
 // the next round. ok, when non-nil, is the extra acceptance predicate.
 func (d *edgeDedup) pairRound(et *table.EdgeTable, pending []int64, ok func(a, b int64) bool) []int64 {
 	nPairs := len(pending) / 2
+	// Every buffer is sized to the round's pair count, the most it can
+	// hold: a phase's first round allocates them, later rounds are
+	// smaller. The first round's winners become the accepted set (see
+	// below), so its capacity holds every later winner and the merges
+	// run in place.
 	if cap(d.win) < nPairs {
 		d.win = make([]bool, nPairs)
+	}
+	if cap(d.keys) < nPairs {
+		d.keys = make([]uint64, 0, nPairs)
+		d.idx = make([]int32, 0, nPairs)
+	}
+	if cap(d.newKeys) < nPairs {
+		d.newKeys = make([]uint64, 0, nPairs)
 	}
 	win := d.win[:nPairs]
 	clear(win)

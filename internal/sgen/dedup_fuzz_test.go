@@ -112,7 +112,7 @@ func checkDedupAgainstReference(t *testing.T, seed uint64, data []byte, span uin
 	// Filtered (sorted-key) path — also the oversized-community
 	// fallback branch of the intra wiring.
 	{
-		dd := newEdgeDedup(0)
+		dd := new(edgeDedup)
 		fast := table.NewEdgeTable("fast", 0)
 		stubsA := append([]int64(nil), stubs...)
 		pairStubsFiltered(newSeq(seed), dd, fast, stubsA, 8, ok)
@@ -130,7 +130,7 @@ func checkDedupAgainstReference(t *testing.T, seed uint64, data []byte, span uin
 		for i := range members {
 			members[i] = int64(1000 + i*7)
 		}
-		dd := newEdgeDedup(0)
+		dd := new(edgeDedup)
 		fast := table.NewEdgeTable("fast", 0)
 		stubsA := append([]int64(nil), stubs...)
 		pairStubsDirect(newSeq(seed), dd, fast, stubsA, members, 8)
@@ -144,7 +144,7 @@ func checkDedupAgainstReference(t *testing.T, seed uint64, data []byte, span uin
 	// Dedup state must also survive reuse: a second phase on the same
 	// edgeDedup after reset() must behave like a fresh reference.
 	{
-		dd := newEdgeDedup(0)
+		dd := new(edgeDedup)
 		fast := table.NewEdgeTable("fast", 0)
 		pairStubsFiltered(newSeq(seed), dd, fast, append([]int64(nil), stubs...), 4, nil)
 		dd.reset()

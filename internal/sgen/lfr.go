@@ -271,24 +271,34 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 		return nil, err
 	}
 
-	dd := newEdgeDedup(int64(float64(n) * l.AvgDegree * l.Mu / 2))
-	interStubs := make([]int64, 0, n)
-	for v := int64(0); v < n; v++ {
+	wireInter(q, et, deg, intra, commOf)
+	return et, nil
+}
+
+// wireInter wires the inter-community edges: a global configuration
+// model over every node's residual deg−intra stubs. Same-community
+// pairs are additionally rejected (they would inflate µ^-1); after the
+// retry budget they are dropped. Inter pairs span two communities, so
+// they can never collide with an intra edge — the dedup starts from an
+// empty accepted set. The stub count is known before the first stub is
+// laid down, and sizes the stub buffer and the dedup's round scratch.
+func wireInter(q *seq, et *table.EdgeTable, deg, intra []int, commOf []int64) {
+	var nInter int
+	for v := range deg {
+		nInter += deg[v] - intra[v]
+	}
+	stubs := make([]int64, 0, nInter)
+	for v := range deg {
 		for j := 0; j < deg[v]-intra[v]; j++ {
-			interStubs = append(interStubs, v)
+			stubs = append(stubs, int64(v))
 		}
 	}
-	if len(interStubs)%2 == 1 {
-		interStubs = interStubs[:len(interStubs)-1]
+	if len(stubs)%2 == 1 {
+		stubs = stubs[:len(stubs)-1]
 	}
-	// For inter stubs, additionally reject same-community pairs (they
-	// would inflate µ^-1); after the retry budget they are dropped.
-	// Inter pairs span two communities, so they can never collide with
-	// an intra edge — the dedup starts from an empty accepted set.
-	pairStubsFiltered(q, dd, et, interStubs, 8, func(a, b int64) bool {
+	pairStubsFiltered(q, new(edgeDedup), et, stubs, 8, func(a, b int64) bool {
 		return commOf[a] != commOf[b]
 	})
-	return et, nil
 }
 
 // wireIntraShards wires every community's internal configuration model.
@@ -347,7 +357,7 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 	}
 
 	if workers == 1 {
-		dd := newEdgeDedup(0)
+		dd := new(edgeDedup)
 		var stubs []int64
 		for c := 0; c < nComm; c++ {
 			stubs = wire(c, dd, et, stubs)
@@ -370,7 +380,7 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 	counts := make([]int64, nComm)
 	var next atomic.Int64
 	par.Workers(workers, func(int) {
-		dd := newEdgeDedup(0)
+		dd := new(edgeDedup)
 		local := &table.EdgeTable{}
 		var stubs []int64
 		for {

@@ -1,6 +1,7 @@
 package sgen
 
 import (
+	"runtime"
 	"testing"
 
 	"datasynth/internal/par/partest"
@@ -51,4 +52,35 @@ func TestLFRShardedLargeCommunityWorkers(t *testing.T) {
 		l.MinCommunity, l.MaxCommunity = 2100, 2200
 		return l
 	}, 4300)
+}
+
+// TestLFRInterPhaseAllocations pins the inter phase's memory shape:
+// the stub buffer (8 bytes a stub) and one set of round buffers sized
+// to the first round's pair count (winner flag 1, key 8, index 4, radix
+// scratch 8 + 4, winner key 8: 33 bytes a pair), allocated once.
+// Growing either by appending would overshoot the bound.
+func TestLFRInterPhaseAllocations(t *testing.T) {
+	const n = 100_000
+	deg, intra, commOf := make([]int, n), make([]int, n), make([]int64, n)
+	var stubs int64
+	for v := range deg {
+		deg[v] = 10 + v%41
+		intra[v] = deg[v] - 1 - v%3
+		commOf[v] = int64(v / 30)
+		stubs += int64(deg[v] - intra[v])
+	}
+	et := table.NewEdgeTable("inter", stubs/2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	wireInter(newSeq(1), et, deg, intra, commOf)
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	exact := float64(8*stubs + 33*(stubs/2))
+	t.Logf("%d stubs, %d edges: %.0f bytes, %.3f× the exact size", stubs, et.Len(), got, got/exact)
+	if cap(et.Tail) != int(stubs/2) {
+		t.Fatalf("edge table regrown to %d", cap(et.Tail))
+	}
+	if got > 1.1*exact {
+		t.Errorf("inter phase allocated %.0f bytes, want ≤ 1.1 × %.0f", got, exact)
+	}
 }

@@ -182,7 +182,7 @@ func (r *RMAT) runSharded(n int64) (*table.EdgeTable, error) {
 	if !r.KeepDuplicates {
 		// No capacity hint: the first round's sorted winners become the
 		// accepted set (resolveRound adopts them), already sized.
-		dd = newEdgeDedup(0)
+		dd = new(edgeDedup)
 	}
 	var al *rmatAlias
 	if r.Noise == 0 {
@@ -489,6 +489,11 @@ func (d *edgeDedup) appendDedupedPacked(et *table.EdgeTable, slab []uint64, n, l
 // any fixed deterministic order is as good as slab order for the
 // determinism contract.
 //
+// A round that exhausts its limit is the last: the caller's table is
+// full and no later round reads the accepted set, so the round returns
+// as soon as the limit is reached and leaves the set as it was —
+// merging winners nobody will look up would copy the whole set.
+//
 // A round works in two buffers, keys and the sort scratch: the sort
 // ping-pongs between them and the winners are compacted in place in
 // whichever holds the sorted keys. keys is consumed. The first round's
@@ -497,6 +502,9 @@ func (d *edgeDedup) appendDedupedPacked(et *table.EdgeTable, slab []uint64, n, l
 // later rounds merge their (few) winners into that set and hand keys
 // back. Either way nothing the caller gets aliases the accepted set.
 func (d *edgeDedup) resolveRound(et *table.EdgeTable, keys []uint64, limit int64) []uint64 {
+	if limit <= 0 {
+		return keys
+	}
 	sorted, other := d.sortKeys(keys)
 
 	// Runs of equal keys against the accepted set (two-pointer: both
@@ -515,13 +523,10 @@ func (d *edgeDedup) resolveRound(et *table.EdgeTable, keys []uint64, limit int64
 		if ai < len(d.accepted) && d.accepted[ai] == key {
 			continue
 		}
-		if limit > 0 {
-			et.Add(int64(key>>32), int64(key&0xffffffff))
-			limit--
+		et.Add(int64(key>>32), int64(key&0xffffffff))
+		if limit--; limit == 0 {
+			return keys
 		}
-		// Keeping every winner key (even ones dropped by the limit) is
-		// sound: the limit only truncates the final round, after which
-		// no further round consults the accepted set.
 		sorted[w] = key
 		w++
 	}
