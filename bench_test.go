@@ -186,7 +186,7 @@ type ablationState struct {
 	g              *graph.Graph
 	target         *stats.Joint
 	sizes          []int64
-	etTail, etHead []int64
+	etTail, etHead []uint32
 	n              int64
 	k              int
 }

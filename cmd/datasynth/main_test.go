@@ -134,6 +134,24 @@ func TestValidateExitCodes(t *testing.T) {
 	}
 }
 
+// TestValidateNodeCountBound: a node type declaring more instances than
+// a uint32 endpoint id addresses is refused by -validate and by a
+// generating run alike, naming the type, before any output exists.
+func TestValidateNodeCountBound(t *testing.T) {
+	path := writeSchema(t, strings.Replace(recommender(`zipf-attachment()`), "count = 400", "count = 4294967296", 1))
+	code, stdout, stderr := run(t, "-validate", "-schema", path)
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "node type User has 4294967296 nodes") {
+		t.Errorf("-validate: exit %d, stdout %q, stderr %q; want 1 naming node type User's count", code, stdout, stderr)
+	}
+	out := filepath.Join(t.TempDir(), "out")
+	if code, _, _ := run(t, "-schema", path, "-out", out); code != 1 {
+		t.Errorf("generating: exit %d, want 1", code)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("generating left %s behind (%v)", out, err)
+	}
+}
+
 // TestTimingsShowStructureNote: the -timings report carries the
 // structure generator's telemetry on its task row.
 func TestTimingsShowStructureNote(t *testing.T) {

@@ -151,21 +151,17 @@ func readEdges(path string) (*table.EdgeTable, int64, error) {
 		if len(rec) < 3 {
 			return nil, 0, fmt.Errorf("edge row needs id,tail,head columns")
 		}
-		t, err := strconv.ParseInt(rec[1], 10, 64)
+		// Node ids are uint32, as in every edge table.
+		t, err := strconv.ParseUint(rec[1], 10, 32)
 		if err != nil {
 			return nil, 0, fmt.Errorf("bad tail %q: %w", rec[1], err)
 		}
-		h, err := strconv.ParseInt(rec[2], 10, 64)
+		h, err := strconv.ParseUint(rec[2], 10, 32)
 		if err != nil {
 			return nil, 0, fmt.Errorf("bad head %q: %w", rec[2], err)
 		}
-		et.Add(t, h)
-		if t > maxNode {
-			maxNode = t
-		}
-		if h > maxNode {
-			maxNode = h
-		}
+		et.Add(int64(t), int64(h))
+		maxNode = max(maxNode, int64(t), int64(h))
 	}
 	if maxNode < 0 {
 		return nil, 0, fmt.Errorf("no edges in %s", path)

@@ -133,9 +133,11 @@
 //     chunk as they write the file, so the column never exists in
 //     memory (a reader that indexes it materialises it once); with
 //     one garbage collection at the end of each structure and match
-//     task, a matcher CSR of 4-byte neighbour ids, and structure and
-//     match scratch sized once from counts already known, the
-//     300k-Person social job peaks at 100 MB, was 216.
+//     task, a matcher CSR of 4-byte neighbour ids, edge tables of
+//     uint32 endpoint ids (8 bytes an edge; the files still carry
+//     8-byte ids, so a node type holds at most 2^32-1 instances),
+//     and structure and match scratch sized once from counts already
+//     known, the 300k-Person social job peaks at 72 MB, was 216.
 //     Files stage as temp files and rename into place only after
 //     every table succeeded, so a failed export never leaves a
 //     partial directory. The exported bytes are hash-verified

@@ -61,8 +61,8 @@ func main() {
 	follows := dataset.Edges["follows"]
 	city := dataset.NodeProps["User"][0]
 	same := 0
-	for e := int64(0); e < follows.Len(); e++ {
-		if city.String(follows.Tail[e]) == city.String(follows.Head[e]) {
+	for e, t := range follows.Tail {
+		if city.String(int64(t)) == city.String(int64(follows.Head[e])) {
 			same++
 		}
 	}

@@ -59,8 +59,8 @@ func main() {
 	// (gamer↔games, maker↔tools, chef↔kitchen, reader↔books).
 	affinity := map[string]string{"gamer": "games", "maker": "tools", "chef": "kitchen", "reader": "books"}
 	aligned := 0
-	for e := int64(0); e < rates.Len(); e++ {
-		if affinity[segment.String(rates.Tail[e])] == category.String(rates.Head[e]) {
+	for e, t := range rates.Tail {
+		if affinity[segment.String(int64(t))] == category.String(int64(rates.Head[e])) {
 			aligned++
 		}
 	}
@@ -69,9 +69,9 @@ func main() {
 
 	// Popularity skew: Zipf attachment should concentrate ratings on few
 	// blockbuster products.
-	inDeg := make(map[int64]int64)
-	for e := int64(0); e < rates.Len(); e++ {
-		inDeg[rates.Head[e]]++
+	inDeg := make(map[uint32]int64)
+	for _, h := range rates.Head {
+		inDeg[h]++
 	}
 	var top int64
 	for _, d := range inDeg {

@@ -63,8 +63,8 @@ func main() {
 	knows := dataset.Edges["knows"]
 	country := dataset.NodeProps["Person"][0]
 	same := 0
-	for e := int64(0); e < knows.Len(); e++ {
-		if country.String(knows.Tail[e]) == country.String(knows.Head[e]) {
+	for e, t := range knows.Tail {
+		if country.String(int64(t)) == country.String(int64(knows.Head[e])) {
 			same++
 		}
 	}
@@ -85,8 +85,9 @@ func main() {
 	pDate := dataset.NodeProps["Person"][4]
 	kDate := dataset.EdgeProps["knows"][0]
 	violations := 0
-	for e := int64(0); e < knows.Len(); e++ {
-		if kDate.Int(e) <= pDate.Int(knows.Tail[e]) || kDate.Int(e) <= pDate.Int(knows.Head[e]) {
+	for e, t := range knows.Tail {
+		d := kDate.Int(int64(e))
+		if d <= pDate.Int(int64(t)) || d <= pDate.Int(int64(knows.Head[e])) {
 			violations++
 		}
 	}

@@ -38,7 +38,7 @@ func TestCascadeEdgeInDSL(t *testing.T) {
 	}
 	// Forest invariant survives the random matching: every node has at
 	// most one parent (out-degree <= 1 on the child->parent edge).
-	outDeg := make(map[int64]int)
+	outDeg := make(map[uint32]int)
 	for i := int64(0); i < replyOf.Len(); i++ {
 		outDeg[replyOf.Tail[i]]++
 		if outDeg[replyOf.Tail[i]] > 1 {
@@ -46,11 +46,11 @@ func TestCascadeEdgeInDSL(t *testing.T) {
 		}
 	}
 	// Acyclicity: follow parents from every node; must terminate.
-	parent := make(map[int64]int64, replyOf.Len())
+	parent := make(map[uint32]uint32, replyOf.Len())
 	for i := int64(0); i < replyOf.Len(); i++ {
 		parent[replyOf.Tail[i]] = replyOf.Head[i]
 	}
-	for v := int64(0); v < 3000; v++ {
+	for v := uint32(0); v < 3000; v++ {
 		cur, steps := v, 0
 		for {
 			p, ok := parent[cur]

@@ -175,7 +175,7 @@ func TestScratchCollectedAtTaskBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	et := d.Edges["knows"]
-	edges := int64(8 * (cap(et.Tail) + cap(et.Head)))
+	edges := int64(4 * (cap(et.Tail) + cap(et.Head))) // uint32 ids
 	if atMatch < edges*8/10 || atMatch > edges*12/10 {
 		t.Errorf("M:knows started on a %d-byte heap, want the %d bytes of the edge table within 20 %%", atMatch, edges)
 	}

@@ -233,6 +233,9 @@ func (e *Engine) GenerateCtx(ctx context.Context) (*table.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := e.checkCounts(); err != nil {
+		return nil, err
+	}
 	gens, err := e.buildGenerators()
 	if err != nil {
 		return nil, err
@@ -463,6 +466,9 @@ func (e *Engine) nodeCount(st *runState, plan *depgraph.Plan, typeName string) (
 	if c <= 0 {
 		return 0, fmt.Errorf("core: resolved count of %q is %d", typeName, c)
 	}
+	if err := checkCount("node type "+typeName, c); err != nil {
+		return 0, err
+	}
 	st.setCount(typeName, c)
 	return c, nil
 }
@@ -508,6 +514,26 @@ func (e *Engine) checkStructures() error {
 		if _, _, err := e.structureGen(&e.Schema.Edges[i]); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkCounts holds every declared node count to table.MaxNodes.
+func (e *Engine) checkCounts() error {
+	for i := range e.Schema.Nodes {
+		if err := checkCount("node type "+e.Schema.Nodes[i].Name, e.Schema.Nodes[i].Count); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkCount refuses n nodes of what past table.MaxNodes: endpoint ids
+// are uint32, so a node type can hold no more, and a count is checked
+// before anything is sized by it.
+func checkCount(what string, n int64) error {
+	if n > table.MaxNodes {
+		return fmt.Errorf("core: %s has %d nodes, more than the %d a uint32 endpoint id addresses", what, n, int64(table.MaxNodes))
 	}
 	return nil
 }
@@ -720,7 +746,7 @@ func (e *Engine) generate(st *runState, pg *propGen, n int64, et *table.EdgeTabl
 	// (via nil), and gathered through the edge table when it is an
 	// endpoint's.
 	srcs := make([]*table.PropertyTable, len(pg.deps))
-	via := make([][]int64, len(pg.deps))
+	via := make([][]uint32, len(pg.deps))
 	for i, d := range pg.deps {
 		var ok bool
 		if srcs[i], ok = st.prop(d.owner, d.name); !ok {

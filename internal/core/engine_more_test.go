@@ -274,7 +274,7 @@ func TestMatchingPassesImproveHomophily(t *testing.T) {
 		country := d.NodeProps["Person"][0]
 		same := 0.0
 		for e := int64(0); e < knows.Len(); e++ {
-			if country.String(knows.Tail[e]) == country.String(knows.Head[e]) {
+			if country.String(int64(knows.Tail[e])) == country.String(int64(knows.Head[e])) {
 				same++
 			}
 		}

@@ -136,8 +136,8 @@ func TestKnowsDateExceedsEndpointDates(t *testing.T) {
 	personDate := d.NodeProps["Person"][4]
 	knowsDate := d.EdgeProps["knows"][0]
 	for e := int64(0); e < knows.Len(); e++ {
-		td := personDate.Int(knows.Tail[e])
-		hd := personDate.Int(knows.Head[e])
+		td := personDate.Int(int64(knows.Tail[e]))
+		hd := personDate.Int(int64(knows.Head[e]))
 		kd := knowsDate.Int(e)
 		if kd <= td || kd <= hd {
 			t.Fatalf("edge %d: knows date %d not after endpoints (%d, %d)", e, kd, td, hd)
@@ -151,7 +151,7 @@ func TestHomophilyIsRealised(t *testing.T) {
 	country := d.NodeProps["Person"][0]
 	same, total := 0.0, 0.0
 	for e := int64(0); e < knows.Len(); e++ {
-		if country.String(knows.Tail[e]) == country.String(knows.Head[e]) {
+		if country.String(int64(knows.Tail[e])) == country.String(int64(knows.Head[e])) {
 			same++
 		}
 		total++
@@ -183,7 +183,7 @@ func TestUncorrelatedBaselineLower(t *testing.T) {
 	country := d.NodeProps["Person"][0]
 	same, total := 0.0, 0.0
 	for e := int64(0); e < knows.Len(); e++ {
-		if country.String(knows.Tail[e]) == country.String(knows.Head[e]) {
+		if country.String(int64(knows.Tail[e])) == country.String(int64(knows.Head[e])) {
 			same++
 		}
 		total++
@@ -263,8 +263,8 @@ graph shop {
 	// Aligned pairs (index-matched values) must dominate.
 	aligned, total := 0.0, 0.0
 	for e := int64(0); e < buys.Len(); e++ {
-		sVal := seg.String(buys.Tail[e])
-		cVal := cat.String(buys.Head[e])
+		sVal := seg.String(int64(buys.Tail[e]))
+		cVal := cat.String(int64(buys.Head[e]))
 		if (sVal == "casual") == (cVal == "games") {
 			aligned++
 		}
@@ -412,7 +412,7 @@ graph g {
 	if owns.Len() != 300 {
 		t.Fatalf("owns edges = %d", owns.Len())
 	}
-	seenT, seenH := map[int64]bool{}, map[int64]bool{}
+	seenT, seenH := map[uint32]bool{}, map[uint32]bool{}
 	for i := int64(0); i < 300; i++ {
 		if seenT[owns.Tail[i]] || seenH[owns.Head[i]] {
 			t.Fatal("1-1 edge reuses an endpoint")

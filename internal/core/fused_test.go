@@ -48,8 +48,8 @@ func TestFusedEdgeEndToEnd(t *testing.T) {
 	// The joint must be realised EXACTLY up to rounding: 90% aligned.
 	aligned := 0.0
 	for e := int64(0); e < posts.Len(); e++ {
-		r := region.String(posts.Tail[e])
-		l := locale.String(posts.Head[e])
+		r := region.String(int64(posts.Tail[e]))
+		l := locale.String(int64(posts.Head[e]))
 		if (r == "north") == (l == "n-locale") {
 			aligned++
 		}
@@ -72,7 +72,7 @@ func TestFusedEdgeEndToEnd(t *testing.T) {
 }
 
 func TestFusedDeterministic(t *testing.T) {
-	gen := func() []int64 {
+	gen := func() []uint32 {
 		s, err := dsl.Parse(fusedDSL)
 		if err != nil {
 			t.Fatal(err)

@@ -43,20 +43,24 @@ const SchemaVersion = 4
 // pass before generation: referential validation (schema.Validate), the
 // dependency analysis (cycle detection, count-source resolution), every
 // property generator built through the built-in registry and checked
-// against its property (buildGenerators), and every edge type's
-// structure generator built and its parameters checked
-// (checkStructures) — the two steps Generate starts with too. It is
-// what `datasynth -validate` and the generation service run at
-// admission, on every cache hit as well, so every step is O(schema
-// text): no table, CDF or row is built. A schema that passes here can
-// only fail at generation time for reasons of size — a domain too
-// small for the generator, a density it cannot reach — not of spelling
+// against its property (buildGenerators), every edge type's structure
+// generator built and its parameters checked (checkStructures), and
+// every declared node count held to the uint32 id bound (checkCounts) —
+// the steps Generate starts with too. It is what `datasynth -validate`
+// and the generation service run at admission, on every cache hit as
+// well, so every step is O(schema text): no table, CDF or row is built.
+// A schema that passes here can only fail at generation time for
+// reasons of size — a domain too small for the generator, a density it
+// cannot reach, an inferred count past the id bound — not of spelling
 // or range.
 func ValidateSchema(s *schema.Schema) error {
 	if _, err := depgraph.Analyze(s); err != nil {
 		return err
 	}
 	e := New(s)
+	if err := e.checkCounts(); err != nil {
+		return err
+	}
 	if _, err := e.buildGenerators(); err != nil {
 		return err
 	}

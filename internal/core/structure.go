@@ -44,6 +44,9 @@ func (e *Engine) genStructure(st *runState, plan *depgraph.Plan, edgeName string
 		} else if n, err = e.nodeCount(st, plan, edge.Tail); err != nil {
 			return "", err
 		}
+		if err := checkCount("edge "+edgeName+"'s structure", n); err != nil {
+			return "", err
+		}
 		if et, err = g.Run(n); err != nil {
 			return "", err
 		}
@@ -74,6 +77,14 @@ func (e *Engine) genStructure(st *runState, plan *depgraph.Plan, edgeName string
 		if edge.Cardinality == schema.OneToOne {
 			nHead = nTail
 		}
+		if err := checkCount("edge "+edgeName+"'s tail domain", nTail); err != nil {
+			return "", err
+		}
+		if nHead < 0 {
+			if err := checkMinted(edge, g, nTail); err != nil {
+				return "", err
+			}
+		}
 		if et, err = g.RunBipartite(nTail, nHead); err != nil {
 			return "", err
 		}
@@ -90,6 +101,20 @@ func (e *Engine) genStructure(st *runState, plan *depgraph.Plan, edgeName string
 		e.logf("structure %s: %d edges", edgeName, et.Len())
 	}
 	return note, nil
+}
+
+// checkMinted refuses a structure that mints a fresh head per edge (1→*)
+// when the edges nTail tails are expected to draw would pass
+// table.MaxNodes heads — before the table is allocated. A run that draws
+// past the bound anyway is refused by the generator.
+func checkMinted(edge *schema.EdgeType, g sgen.BipartiteGenerator, nTail int64) error {
+	if est, ok := g.(sgen.EdgeCountEstimator); ok {
+		if m := est.EstimatedEdges(nTail); m > table.MaxNodes {
+			return fmt.Errorf("core: edge %s mints a %s per edge and its %d tails draw about %d edges, more than the %d nodes a uint32 endpoint id addresses",
+				edge.Name, edge.Head, nTail, m, int64(table.MaxNodes))
+		}
+	}
+	return nil
 }
 
 // cacheEdgeSourcedCounts resolves every node count sourced from this
@@ -152,6 +177,9 @@ func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *sche
 		}
 		_, g, err := e.structureGen(edge)
 		if err != nil {
+			return err
+		}
+		if err := checkMinted(edge, g, nTail); err != nil {
 			return err
 		}
 		dry, err := g.RunBipartite(nTail, -1)
@@ -229,16 +257,11 @@ func (e *Engine) matchEdge(st *runState, plan *depgraph.Plan, edgeName string) (
 func (e *Engine) matchRandom(st *runState, edge *schema.EdgeType, et *table.EdgeTable, nTail, nHead int64, seed uint64) error {
 	// Domain extents actually used by the structure (tails and heads
 	// have independent id spaces on bipartite edges).
-	var maxTail, maxHead int64 = -1, -1
+	var tailSpan, headSpan int64
 	for i := range et.Tail {
-		if et.Tail[i] > maxTail {
-			maxTail = et.Tail[i]
-		}
-		if et.Head[i] > maxHead {
-			maxHead = et.Head[i]
-		}
+		tailSpan = max(tailSpan, int64(et.Tail[i])+1)
+		headSpan = max(headSpan, int64(et.Head[i])+1)
 	}
-	tailSpan, headSpan := maxTail+1, maxHead+1
 
 	switch edge.Cardinality {
 	case schema.OneToMany:

@@ -3,11 +3,13 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"datasynth/internal/dsl"
+	"datasynth/internal/schema"
 	"datasynth/internal/table"
 )
 
@@ -143,7 +145,7 @@ func TestValidateSchemaAcceptsKindFollowers(t *testing.T) {
 	et, props := d.Edges["e"], d.EdgeProps["e"]
 	node := d.NodeProps["A"]
 	for i := int64(0); i < et.Len(); i++ {
-		if props[0].String(i) != node[0].String(et.Tail[i]) || props[1].Int(i) != node[1].Int(et.Head[i]) || props[2].Float(i) != node[2].Float(et.Tail[i]) {
+		if props[0].String(i) != node[0].String(int64(et.Tail[i])) || props[1].Int(i) != node[1].Int(int64(et.Head[i])) || props[2].Float(i) != node[2].Float(int64(et.Tail[i])) {
 			t.Fatalf("edge %d does not carry its endpoints' values", i)
 		}
 		if lag := props[3].Int(i) - props[1].Int(i); lag < 1 || lag > 10 {
@@ -384,6 +386,74 @@ func TestBenchSchemasValidate(t *testing.T) {
 		}
 		if err := ValidateSchema(s); err != nil {
 			t.Errorf("%s: %v", p, err)
+		}
+	}
+}
+
+// TestNodeCountBound: endpoint ids are uint32, so no node type holds
+// more than table.MaxNodes instances. A declared count past that fails
+// ValidateSchema, and Generate before any task; an inferred one — heads
+// a 1→* structure would mint, a tail domain sized from an edge count —
+// fails its structure task, naming the edge. None of them gets as far
+// as allocating a table: at these sizes one would take gigabytes.
+func TestNodeCountBound(t *testing.T) {
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const budget = 1 << 20
+
+	declared := func(count string) *schema.Schema {
+		s, err := dsl.Parse(`graph g { seed = 1
+			node A { count = ` + count + ` property x : int = sequence() }
+			edge e : A *-* A { structure = erdos-renyi(edgesPerNode=2) } }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if err := ValidateSchema(declared("4294967295")); err != nil {
+		t.Errorf("a count of 2^32-1 is the bound itself: %v", err)
+	}
+	s := declared("4294967296")
+	var err error
+	if b := allocated(func() { err = ValidateSchema(s) }); err == nil || !strings.Contains(err.Error(), "node type A") || b > budget {
+		t.Errorf("ValidateSchema over 2^32-1 nodes = %v after %d bytes, want an error naming node type A", err, b)
+	}
+	tasks := 0
+	e := New(s)
+	e.Logf = func(format string, _ ...any) {
+		if strings.HasPrefix(format, "task ") {
+			tasks++
+		}
+	}
+	if b := allocated(func() { _, err = e.Generate() }); err == nil || tasks != 0 || b > budget {
+		t.Errorf("Generate over 2^32-1 nodes = %v after %d tasks and %d bytes, want the validation error first", err, tasks, b)
+	}
+
+	for _, c := range []struct{ name, src, want string }{
+		{"1→* heads", `graph g { seed = 1
+			node Person { count = 2147483648 }
+			node Message { }
+			edge creates : Person 1-* Message { structure = powerlaw-out(min=3, max=3) } }`,
+			"edge creates mints a Message per edge"},
+		{"tails from an edge count", `graph g { seed = 1
+			node A { }
+			edge e : A *-* A { structure = erdos-renyi(edgesPerNode=1) count = 10000000000 } }`,
+			"edge e's structure has 10000000000 nodes"},
+	} {
+		s, err := dsl.Parse(c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := ValidateSchema(s); err != nil {
+			t.Fatalf("%s: only generation knows the count, yet ValidateSchema = %v", c.name, err)
+		}
+		if b := allocated(func() { _, err = New(s).Generate() }); err == nil || !strings.Contains(err.Error(), c.want) || b > budget {
+			t.Errorf("%s: Generate = %v after %d bytes, want an error containing %q before any table", c.name, err, b, c.want)
 		}
 	}
 }

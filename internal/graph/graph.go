@@ -11,7 +11,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"datasynth/internal/table"
@@ -31,7 +30,7 @@ func PutBuilder(b *Builder) { builderPool.Put(b) }
 // Self-loops are allowed (they contribute one neighbour entry) and
 // parallel edges are preserved as built.
 //
-// Node ids are at most maxNodes-1, so an adjacency entry is a uint32:
+// Node ids are below table.MaxNodes, so an adjacency entry is a uint32:
 // 4 bytes per entry plus 8 bytes per node for the offsets.
 type Graph struct {
 	n      int64
@@ -40,23 +39,17 @@ type Graph struct {
 	mEdges int64    // number of edges as built (each undirected edge once)
 }
 
-// maxNodes is the largest node count a Graph holds: every node id must
-// fit an adjacency entry.
-const maxNodes = math.MaxUint32
-
 // FromEdgeTable builds an undirected CSR graph over n nodes from an
-// edge table. Each table row (t, h) becomes an undirected edge {t, h}.
+// edge table. Each table row (t, h) becomes an undirected edge {t, h};
+// an endpoint outside [0, n) or ragged columns fail the build.
 func FromEdgeTable(et *table.EdgeTable, n int64) (*Graph, error) {
-	if err := et.Validate(n, n); err != nil {
-		return nil, err
-	}
 	return FromEdges(et.Tail, et.Head, n)
 }
 
 // FromEdges builds an undirected CSR graph over n nodes from parallel
 // endpoint slices. The graph owns freshly allocated buffers; use a
 // Builder to amortise the CSR arrays across repeated constructions.
-func FromEdges(tail, head []int64, n int64) (*Graph, error) {
+func FromEdges(tail, head []uint32, n int64) (*Graph, error) {
 	return new(Builder).FromEdges(tail, head, n)
 }
 
@@ -76,14 +69,11 @@ type Builder struct {
 
 // FromEdgeTable is FromEdgeTable over the builder's reused buffers.
 func (b *Builder) FromEdgeTable(et *table.EdgeTable, n int64) (*Graph, error) {
-	if err := et.Validate(n, n); err != nil {
-		return nil, err
-	}
 	return b.FromEdges(et.Tail, et.Head, n)
 }
 
 // FromEdges is FromEdges over the builder's reused buffers.
-func (b *Builder) FromEdges(tail, head []int64, n int64) (*Graph, error) {
+func (b *Builder) FromEdges(tail, head []uint32, n int64) (*Graph, error) {
 	return b.build(tail, head, n, n, 0)
 }
 
@@ -91,19 +81,20 @@ func (b *Builder) FromEdges(tail, head []int64, n int64) (*Graph, error) {
 // list over nTail+nHead nodes: tail t keeps its id, head h becomes node
 // nTail+h. As in every graph built here, a node's neighbours are in
 // edge-list order.
-func (b *Builder) FromBipartiteEdges(tail, head []int64, nTail, nHead int64) (*Graph, error) {
+func (b *Builder) FromBipartiteEdges(tail, head []uint32, nTail, nHead int64) (*Graph, error) {
 	return b.build(tail, head, nTail, nHead, nTail)
 }
 
 // build lays out the CSR for tails in [0, nTail) and heads in
-// [0, nHead), heads shifted by headShift in the node id space.
-func (b *Builder) build(tail, head []int64, nTail, nHead, headShift int64) (*Graph, error) {
+// [0, nHead), heads shifted by headShift in the node id space. Its
+// counting pass is the one range check an edge gets.
+func (b *Builder) build(tail, head []uint32, nTail, nHead, headShift int64) (*Graph, error) {
 	if len(tail) != len(head) {
 		return nil, fmt.Errorf("graph: ragged edge list (%d tails, %d heads)", len(tail), len(head))
 	}
 	n := max(nTail, headShift+nHead)
-	if n > maxNodes {
-		return nil, fmt.Errorf("graph: %d nodes exceed the CSR's limit of %d", n, int64(maxNodes))
+	if n > table.MaxNodes {
+		return nil, fmt.Errorf("graph: %d nodes exceed the CSR's limit of %d", n, int64(table.MaxNodes))
 	}
 	// offs[v+1] counts v's degree, then the prefix sum makes offs[v] the
 	// start of v's list, which the fill advances as v's cursor.
@@ -111,8 +102,8 @@ func (b *Builder) build(tail, head []int64, nTail, nHead, headShift int64) (*Gra
 	offs := b.offs
 	clear(offs)
 	for i := range tail {
-		t, h := tail[i], head[i]
-		if t < 0 || t >= nTail || h < 0 || h >= nHead {
+		t, h := int64(tail[i]), int64(head[i])
+		if t >= nTail || h >= nHead {
 			return nil, fmt.Errorf("graph: edge %d (%d,%d) outside [0,%d)×[0,%d)", i, t, h, nTail, nHead)
 		}
 		offs[t+1]++
@@ -126,7 +117,7 @@ func (b *Builder) build(tail, head []int64, nTail, nHead, headShift int64) (*Gra
 	b.adj = grow(b.adj, offs[n])
 	adj := b.adj
 	for i := range tail {
-		t, h := tail[i], head[i]+headShift
+		t, h := int64(tail[i]), int64(head[i])+headShift
 		adj[offs[t]] = uint32(h)
 		offs[t]++
 		if h != t {

@@ -14,7 +14,7 @@ import (
 // triangle returns K3.
 func triangle(t *testing.T) *Graph {
 	t.Helper()
-	g, err := FromEdges([]int64{0, 1, 2}, []int64{1, 2, 0}, 3)
+	g, err := FromEdges([]uint32{0, 1, 2}, []uint32{1, 2, 0}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func triangle(t *testing.T) *Graph {
 // path returns the path 0-1-2-3.
 func path(t *testing.T) *Graph {
 	t.Helper()
-	g, err := FromEdges([]int64{0, 1, 2}, []int64{1, 2, 3}, 4)
+	g, err := FromEdges([]uint32{0, 1, 2}, []uint32{1, 2, 3}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,14 +32,14 @@ func path(t *testing.T) *Graph {
 }
 
 func TestFromEdgesValidation(t *testing.T) {
-	if _, err := FromEdges([]int64{0}, []int64{}, 2); err == nil {
+	if _, err := FromEdges([]uint32{0}, []uint32{}, 2); err == nil {
 		t.Error("ragged edges should fail")
 	}
-	if _, err := FromEdges([]int64{0}, []int64{5}, 2); err == nil {
+	if _, err := FromEdges([]uint32{0}, []uint32{5}, 2); err == nil {
 		t.Error("out-of-range endpoint should fail")
 	}
-	if _, err := FromEdges([]int64{-1}, []int64{0}, 2); err == nil {
-		t.Error("negative endpoint should fail")
+	if _, err := FromEdges([]uint32{math.MaxUint32}, []uint32{0}, 2); err == nil {
+		t.Error("endpoint 2^32-1 (a wrapped -1) should fail")
 	}
 }
 
@@ -60,7 +60,7 @@ func TestFromEdgesNodeBound(t *testing.T) {
 		t.Errorf("FromEdges over 2^32 nodes: err %v after allocating %d bytes", err, b)
 	}
 	b := allocated(func() {
-		_, err = new(Builder).FromBipartiteEdges([]int64{0}, []int64{1 << 31}, 1<<31, 1<<31+1)
+		_, err = new(Builder).FromBipartiteEdges([]uint32{0}, []uint32{1 << 31}, 1<<31, 1<<31+1)
 	})
 	if err == nil || b > 1<<10 {
 		t.Errorf("FromBipartiteEdges over 2^32 nodes: err %v after allocating %d bytes", err, b)
@@ -80,6 +80,10 @@ func TestFromEdgeTable(t *testing.T) {
 	}
 	if _, err := FromEdgeTable(et, 2); err == nil {
 		t.Error("node bound should be enforced")
+	}
+	et.Head = et.Head[:1]
+	if _, err := new(Builder).FromEdgeTable(et, 3); err == nil {
+		t.Error("ragged edge table should fail")
 	}
 }
 
@@ -104,7 +108,7 @@ func TestDegrees(t *testing.T) {
 }
 
 func TestSelfLoopDegree(t *testing.T) {
-	g, err := FromEdges([]int64{0}, []int64{0}, 1)
+	g, err := FromEdges([]uint32{0}, []uint32{0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +139,7 @@ func TestNeighborsSymmetric(t *testing.T) {
 
 func TestConnectedComponents(t *testing.T) {
 	// Two components: 0-1 and 2-3-4.
-	g, err := FromEdges([]int64{0, 2, 3}, []int64{1, 3, 4}, 5)
+	g, err := FromEdges([]uint32{0, 2, 3}, []uint32{1, 3, 4}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +181,7 @@ func TestBFSDistances(t *testing.T) {
 }
 
 func TestBFSUnreachable(t *testing.T) {
-	g, err := FromEdges([]int64{0}, []int64{1}, 3)
+	g, err := FromEdges([]uint32{0}, []uint32{1}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +235,7 @@ func TestClusteringPerDegree(t *testing.T) {
 
 func TestAssortativityStar(t *testing.T) {
 	// A star is maximally disassortative.
-	g, err := FromEdges([]int64{0, 0, 0, 0}, []int64{1, 2, 3, 4}, 5)
+	g, err := FromEdges([]uint32{0, 0, 0, 0}, []uint32{1, 2, 3, 4}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +246,7 @@ func TestAssortativityStar(t *testing.T) {
 
 func TestAssortativityRegular(t *testing.T) {
 	// Cycle: all degrees equal, zero variance -> NaN.
-	g, err := FromEdges([]int64{0, 1, 2, 3}, []int64{1, 2, 3, 0}, 4)
+	g, err := FromEdges([]uint32{0, 1, 2, 3}, []uint32{1, 2, 3, 0}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +258,8 @@ func TestAssortativityRegular(t *testing.T) {
 func TestModularityPerfectSplit(t *testing.T) {
 	// Two disjoint triangles with matching labels: Q = 0.5.
 	g, err := FromEdges(
-		[]int64{0, 1, 2, 3, 4, 5},
-		[]int64{1, 2, 0, 4, 5, 3}, 6)
+		[]uint32{0, 1, 2, 3, 4, 5},
+		[]uint32{1, 2, 0, 4, 5, 3}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +274,7 @@ func TestModularityPerfectSplit(t *testing.T) {
 }
 
 func TestMixingFraction(t *testing.T) {
-	g, err := FromEdges([]int64{0, 1}, []int64{1, 2}, 3)
+	g, err := FromEdges([]uint32{0, 1}, []uint32{1, 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +285,11 @@ func TestMixingFraction(t *testing.T) {
 }
 
 func TestGiniDegreeExtremes(t *testing.T) {
-	cycle, _ := FromEdges([]int64{0, 1, 2, 3}, []int64{1, 2, 3, 0}, 4)
+	cycle, _ := FromEdges([]uint32{0, 1, 2, 3}, []uint32{1, 2, 3, 0}, 4)
 	if gi := cycle.GiniDegree(); math.Abs(gi) > 1e-9 {
 		t.Errorf("regular Gini = %v, want 0", gi)
 	}
-	star, _ := FromEdges([]int64{0, 0, 0, 0, 0, 0}, []int64{1, 2, 3, 4, 5, 6}, 7)
+	star, _ := FromEdges([]uint32{0, 0, 0, 0, 0, 0}, []uint32{1, 2, 3, 4, 5, 6}, 7)
 	if gi := star.GiniDegree(); gi < 0.3 {
 		t.Errorf("star Gini = %v, want > 0.3", gi)
 	}
@@ -293,7 +297,7 @@ func TestGiniDegreeExtremes(t *testing.T) {
 
 func TestPowerLawAlphaMLE(t *testing.T) {
 	// Star graph has one huge degree; MLE over dmin=1 should exceed 1.
-	star, _ := FromEdges([]int64{0, 0, 0, 0}, []int64{1, 2, 3, 4}, 5)
+	star, _ := FromEdges([]uint32{0, 0, 0, 0}, []uint32{1, 2, 3, 4}, 5)
 	if a := star.PowerLawAlphaMLE(1); math.IsNaN(a) || a <= 1 {
 		t.Errorf("alpha = %v", a)
 	}
@@ -306,18 +310,18 @@ func TestCSRInvariantProperty(t *testing.T) {
 	// order, and with it the matched bytes, depends on that order).
 	f := func(pairs []uint16) bool {
 		const n = 32
-		tails := make([]int64, len(pairs))
-		heads := make([]int64, len(pairs))
+		tails := make([]uint32, len(pairs))
+		heads := make([]uint32, len(pairs))
 		selfLoops := int64(0)
 		want := make([][]uint32, n)
 		for i, p := range pairs {
-			tails[i] = int64(p % n)
-			heads[i] = int64((p / n) % n)
-			want[tails[i]] = append(want[tails[i]], uint32(heads[i]))
+			tails[i] = uint32(p % n)
+			heads[i] = uint32((p / n) % n)
+			want[tails[i]] = append(want[tails[i]], heads[i])
 			if tails[i] == heads[i] {
 				selfLoops++
 			} else {
-				want[heads[i]] = append(want[heads[i]], uint32(tails[i]))
+				want[heads[i]] = append(want[heads[i]], tails[i])
 			}
 		}
 		g, err := FromEdges(tails, heads, n)
@@ -389,11 +393,11 @@ func TestModularityBounds(t *testing.T) {
 	// graphs.
 	f := func(pairs []uint16, labelSeed uint8) bool {
 		const n = 24
-		tails := make([]int64, 0, len(pairs))
-		heads := make([]int64, 0, len(pairs))
+		tails := make([]uint32, 0, len(pairs))
+		heads := make([]uint32, 0, len(pairs))
 		for _, p := range pairs {
-			tails = append(tails, int64(p%n))
-			heads = append(heads, int64((p/n)%n))
+			tails = append(tails, uint32(p%n))
+			heads = append(heads, uint32((p/n)%n))
 		}
 		g, err := FromEdges(tails, heads, n)
 		if err != nil {

@@ -79,7 +79,7 @@ func EmpiricalBipartite(et *table.EdgeTable, tailLabels, headLabels []int64, kt,
 	w := 1 / float64(m)
 	for e := int64(0); e < m; e++ {
 		t, h := et.Tail[e], et.Head[e]
-		if t < 0 || t >= int64(len(tailLabels)) || h < 0 || h >= int64(len(headLabels)) {
+		if int(t) >= len(tailLabels) || int(h) >= len(headLabels) {
 			return nil, fmt.Errorf("match: edge %d endpoints outside labellings", e)
 		}
 		lt, lh := tailLabels[t], headLabels[h]
@@ -107,10 +107,8 @@ type BipartiteResult struct {
 // their frequencies set the group capacities. opt.Order, when set,
 // streams the combined id space: tails as they are, heads offset by
 // nTail. opt.Passes is ignored: the bipartite stream has no refinement.
+// An endpoint outside [0, nTail)×[0, nHead) fails the graph build.
 func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, headRowLabels []int64, target *BipartiteTarget, opt Options) (*BipartiteResult, error) {
-	if err := et.Validate(nTail, nHead); err != nil {
-		return nil, err
-	}
 	if err := target.Validate(); err != nil {
 		return nil, err
 	}

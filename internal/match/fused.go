@@ -36,8 +36,8 @@ import (
 // edge table (tail = tail row id, head = dense fresh id in [0, m)) and
 // headLabels, the value index of every minted head.
 func FusedOneToMany(tailLabels []int64, kt, kh int, m int64, target *BipartiteTarget, seed uint64) (*table.EdgeTable, []int64, error) {
-	if m <= 0 {
-		return nil, nil, fmt.Errorf("match: fused 1-* needs m > 0, got %d", m)
+	if m <= 0 || m > table.MaxNodes {
+		return nil, nil, fmt.Errorf("match: fused 1-* needs m in [1, %d] (one fresh head id each), got %d", int64(table.MaxNodes), m)
 	}
 	if target.KT != kt || target.KH != kh {
 		return nil, nil, fmt.Errorf("match: fused 1-* target is %dx%d, want %dx%d", target.KT, target.KH, kt, kh)

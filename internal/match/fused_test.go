@@ -37,7 +37,7 @@ func TestFusedOneToManyExactJoint(t *testing.T) {
 	seen := make([]bool, m)
 	for i := int64(0); i < m; i++ {
 		h := et.Head[i]
-		if h < 0 || h >= m || seen[h] {
+		if int64(h) >= m || seen[h] {
 			t.Fatal("heads not dense/unique")
 		}
 		seen[h] = true

@@ -39,12 +39,12 @@ func messyGraph(t testing.TB, n, m int64, seed uint64) *graph.Graph {
 	t.Helper()
 	s := xrand.NewStream(seed).DeriveStream("messy")
 	live := n - n/10
-	tail := make([]int64, 0, m+m/8)
-	head := make([]int64, 0, m+m/8)
+	tail := make([]uint32, 0, m+m/8)
+	head := make([]uint32, 0, m+m/8)
 	for e := int64(0); e < m; e++ {
-		a, b := s.Intn(2*e, live), s.Intn(2*e+1, live)
+		a, b := uint32(s.Intn(2*e, live)), uint32(s.Intn(2*e+1, live))
 		if e%5 == 0 {
-			a = s.Intn(2*e, 8) // hubs
+			a = uint32(s.Intn(2*e, 8)) // hubs
 		}
 		tail, head = append(tail, a), append(head, b)
 		switch e % 16 {

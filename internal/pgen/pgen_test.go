@@ -36,9 +36,9 @@ func newChunk(g Generator, kind table.ValueKind, rows int64, deps []*table.Prope
 func fillRange(t testing.TB, g Generator, kind table.ValueKind, lo, hi int64, stream xrand.Stream, deps ...*table.PropertyTable) table.Chunk {
 	t.Helper()
 	dst := newChunk(g, kind, hi-lo, deps)
-	idx := make([]int64, hi-lo)
+	idx := make([]uint32, hi-lo)
 	for i := range idx {
-		idx[i] = lo + int64(i)
+		idx[i] = uint32(lo) + uint32(i)
 	}
 	chunks := make([]table.Chunk, len(deps))
 	for i, d := range deps {

@@ -758,6 +758,28 @@ func TestSubmitRejectsBadGeneratorSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsNodeCountPastIDBound: a declared node count past the
+// uint32 endpoint id bound is a 400 at POST /v1/jobs naming the type,
+// with no engine run.
+func TestSubmitRejectsNodeCountPastIDBound(t *testing.T) {
+	svc := newTestService(t, Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	src := "graph g {\n  seed = 1\n  node A {\n    count = 4294967296\n  }\n}"
+	resp, err := http.Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "node type A") {
+		t.Errorf("POST: %d %s, want 400 naming node type A", resp.StatusCode, body)
+	}
+	if n := svc.Generations(); n != 0 {
+		t.Errorf("%d engine runs started for a schema that must not be admitted", n)
+	}
+}
+
 // TestSubmitRejectsBadStructure: admission builds every structure
 // generator too, so an unknown one, a parameter it refuses or one it
 // does not have is a 400 at POST /v1/jobs — naming the edge and the

@@ -41,7 +41,8 @@ func (g *PowerLawOut) Validate() error {
 }
 
 // RunBipartite implements BipartiteGenerator. nHead is ignored (the
-// generator mints one head per edge).
+// generator mints one head per edge); a run that would mint more than
+// table.MaxNodes heads fails rather than wrap an id.
 func (g *PowerLawOut) RunBipartite(nTail, nHead int64) (*table.EdgeTable, error) {
 	if nTail <= 0 {
 		return nil, fmt.Errorf("sgen: powerlaw-out needs nTail > 0, got %d", nTail)
@@ -65,6 +66,9 @@ func (g *PowerLawOut) RunBipartite(nTail, nHead int64) (*table.EdgeTable, error)
 			d--
 		}
 		for j := 0; j < d; j++ {
+			if head == table.MaxNodes {
+				return nil, fmt.Errorf("sgen: powerlaw-out mints more than %d heads from %d tails", int64(table.MaxNodes), nTail)
+			}
 			et.Add(t, head)
 			head++
 		}
@@ -188,7 +192,7 @@ func (g *ZipfAttachment) RunBipartite(nTail, nHead int64) (*table.EdgeTable, err
 	sHead := xrand.NewStream(g.Seed).DeriveStream("head")
 	sPerm := xrand.NewStream(g.Seed).DeriveStream("perm")
 	// headOf[rank] is the rank's head id plus one; 0 marks a rank not
-	// walked yet. int64: head ids pass 2^32 when nHead does.
+	// walked yet.
 	headOf := make([]int64, zipf.N())
 	et := table.NewEdgeTable("zipf-attachment", g.EstimatedEdges(nTail))
 	var st zipfStats
@@ -206,7 +210,7 @@ func (g *ZipfAttachment) RunBipartite(nTail, nHead int64) (*table.EdgeTable, err
 				st.ranks++
 			}
 			for _, have := range et.Head[mine:] {
-				if have == h {
+				if int64(have) == h {
 					st.dups++
 					continue draws
 				}

@@ -375,8 +375,8 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 		}
 		bound[c+1] = bound[c] + stubCount/2
 	}
-	tails := make([]int64, bound[nComm])
-	heads := make([]int64, bound[nComm])
+	tails := make([]uint32, bound[nComm])
+	heads := make([]uint32, bound[nComm])
 	counts := make([]int64, nComm)
 	var next atomic.Int64
 	par.Workers(workers, func(int) {

@@ -78,7 +78,7 @@ func TestRMATQuadrantSkewShardedAndReference(t *testing.T) {
 		half := n / 2
 		var aa, dd int64
 		for i := range et.Tail {
-			lowT, lowH := et.Tail[i] < half, et.Head[i] < half
+			lowT, lowH := int64(et.Tail[i]) < half, int64(et.Head[i]) < half
 			switch {
 			case lowT && lowH:
 				aa++
@@ -111,7 +111,7 @@ func TestRMATEdgeFactorAndSimpleGraph(t *testing.T) {
 				t.Fatalf("%s n=%d: %d edges, want %d", name, n, et.Len(), g.EdgeFactor*n)
 			}
 			for i := range et.Tail {
-				if et.Tail[i] < 0 || et.Tail[i] >= n || et.Head[i] < 0 || et.Head[i] >= n {
+				if int64(et.Tail[i]) >= n || int64(et.Head[i]) >= n {
 					t.Fatalf("%s n=%d: edge %d endpoint out of range: (%d,%d)", name, n, i, et.Tail[i], et.Head[i])
 				}
 			}
@@ -123,7 +123,7 @@ func TestRMATEdgeFactorAndSimpleGraph(t *testing.T) {
 				if et.Tail[i] == et.Head[i] {
 					t.Fatalf("%s n=%d: self-loop at %d", name, n, et.Tail[i])
 				}
-				key := packEdgeKey(et.Tail[i], et.Head[i])
+				key := packEdgeKey(int64(et.Tail[i]), int64(et.Head[i]))
 				if _, dup := seen[key]; dup {
 					t.Fatalf("%s n=%d: duplicate edge (%d,%d)", name, n, et.Tail[i], et.Head[i])
 				}

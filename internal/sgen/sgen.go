@@ -66,9 +66,13 @@
 //     units are resolved in a fixed order. Emission order is part of
 //     the bytes: pin it with a golden hash (TestRMATGoldenHash,
 //     TestZipfAttachmentGolden) before optimising.
-//   - Scratch is budgeted per generated edge. The table itself is 16
-//     bytes an edge; a generator should stay within a small multiple of
-//     that beside it and say how much: RMAT's dedup round holds two
+//   - Scratch is budgeted per generated edge. The table itself is 8
+//     bytes an edge: two uint32 ids, each below an n the engine bounds
+//     by table.MaxNodes (Add panics on an id past the uint32 range
+//     rather than truncate it; a generator that mints its own ids, as
+//     powerlaw-out mints heads, returns an error before that). A
+//     generator should stay within a small multiple of the table
+//     beside it and say how much: RMAT's dedup round holds two
 //     8-byte buffers per drawn key (TestRMATDedupBuffers), LFR's wiring
 //     reuses one edgeDedup per shard, zipf-attachment keeps 8 bytes per
 //     popularity rank and finds a tail's repeated head by scanning the

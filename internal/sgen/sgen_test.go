@@ -87,7 +87,7 @@ func TestRMATNoDuplicatesByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[[2]int64]bool{}
+	seen := map[[2]uint32]bool{}
 	for i := int64(0); i < et.Len(); i++ {
 		a, b := et.Tail[i], et.Head[i]
 		if a == b {
@@ -96,10 +96,10 @@ func TestRMATNoDuplicatesByDefault(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		if seen[[2]int64{a, b}] {
+		if seen[[2]uint32{a, b}] {
 			t.Fatalf("duplicate edge (%d,%d)", a, b)
 		}
-		seen[[2]int64{a, b}] = true
+		seen[[2]uint32{a, b}] = true
 	}
 }
 
@@ -494,7 +494,7 @@ func TestLFRLargeCommunityFallback(t *testing.T) {
 	if et.Len() == 0 {
 		t.Fatal("no edges")
 	}
-	seen := map[[2]int64]bool{}
+	seen := map[[2]uint32]bool{}
 	for i := range et.Tail {
 		a, b := et.Tail[i], et.Head[i]
 		if a == b {
@@ -503,10 +503,10 @@ func TestLFRLargeCommunityFallback(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		if seen[[2]int64{a, b}] {
+		if seen[[2]uint32{a, b}] {
 			t.Fatalf("duplicate edge (%d,%d)", a, b)
 		}
-		seen[[2]int64{a, b}] = true
+		seen[[2]uint32{a, b}] = true
 	}
 	again := build()
 	if again.Len() != et.Len() {

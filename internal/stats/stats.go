@@ -105,7 +105,7 @@ func EmpiricalJoint(et *table.EdgeTable, labels []int64, k int) (*Joint, error) 
 	w := 1 / float64(m)
 	for e := int64(0); e < m; e++ {
 		t, h := et.Tail[e], et.Head[e]
-		if t < 0 || t >= int64(len(labels)) || h < 0 || h >= int64(len(labels)) {
+		if int(t) >= len(labels) || int(h) >= len(labels) {
 			return nil, fmt.Errorf("stats: edge %d endpoint outside labelling", e)
 		}
 		lt, lh := labels[t], labels[h]

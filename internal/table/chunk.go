@@ -171,8 +171,8 @@ func zeroed[T any](s []T, n int) []T {
 
 // Gather copies the rows idx names, in that order, into the chunk
 // `into`, whose slices it reuses. It is how an edge property reads an
-// endpoint's node property.
-func (pt *PropertyTable) Gather(idx []int64, into *Chunk) {
+// endpoint's node property: idx is a run of an edge table's endpoints.
+func (pt *PropertyTable) Gather(idx []uint32, into *Chunk) {
 	pt.need()
 	switch {
 	case pt.Kind == KindFloat:
@@ -191,7 +191,7 @@ func (pt *PropertyTable) Gather(idx []int64, into *Chunk) {
 	}
 }
 
-func gather[T any](dst, src []T, idx []int64) []T {
+func gather[T any](dst, src []T, idx []uint32) []T {
 	if cap(dst) < len(idx) {
 		dst = make([]T, len(idx))
 	}

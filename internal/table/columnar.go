@@ -101,10 +101,12 @@ func (b *blockWriter) close() error {
 	return b.err
 }
 
-// ints appends vals as raw little-endian int64s, flushing each time the
-// buffer reaches encFlushAt. The buffer stays in a local across a slab
-// of values: this loop and its float twin carry most of a columnar file.
-func (b *blockWriter) ints(vals []int64) {
+// putWords appends vals as raw little-endian 8-byte integers — int64
+// values, or uint32 endpoint ids widened to the file's int64 — flushing
+// each time the buffer reaches encFlushAt. The buffer stays in a local
+// across a slab of values: this loop and its float twin carry most of a
+// columnar file.
+func putWords[T int64 | uint32](b *blockWriter, vals []T) {
 	for len(vals) > 0 {
 		k := min(len(vals), (encFlushAt-len(b.buf)+7)/8)
 		buf := b.buf
@@ -131,10 +133,10 @@ func (b *blockWriter) floats(vals []float64) {
 	}
 }
 
-// writeIntBlock emits vals as one int64 block.
-func writeIntBlock(w io.Writer, vals []int64) error {
-	b := newBlock(w, uint64(8*len(vals)))
-	b.ints(vals)
+// writeIDBlock emits an endpoint column as one int64 block.
+func writeIDBlock(w io.Writer, ids []uint32) error {
+	b := newBlock(w, uint64(8*len(ids)))
+	putWords(b, ids)
 	return b.close()
 }
 
@@ -203,7 +205,7 @@ func writeColumn(w io.Writer, pt *PropertyTable, fill *time.Duration) error {
 			b.close() // hands the block's buffer back; the file is abandoned
 			return err
 		}
-		b.ints(c.Ints)
+		putWords(b, c.Ints)
 		b.floats(c.Floats)
 	}
 	return b.close()
@@ -276,10 +278,10 @@ func WriteEdgeColumnar(w io.Writer, et *EdgeTable, props []*PropertyTable) error
 	if err := writeHeader(bw, 'E', et.Name, et.Len(), len(props)); err != nil {
 		return err
 	}
-	if err := writeIntBlock(bw, et.Tail); err != nil {
+	if err := writeIDBlock(bw, et.Tail); err != nil {
 		return err
 	}
-	if err := writeIntBlock(bw, et.Head); err != nil {
+	if err := writeIDBlock(bw, et.Head); err != nil {
 		return err
 	}
 	return writeColumns(w, bw, props)
@@ -334,60 +336,115 @@ func readName(r *bufio.Reader) (string, error) {
 	return string(buf), nil
 }
 
-// readBlock reads one block's payload, verifying length and CRC.
-func readBlock(r *bufio.Reader, wantLen uint64, what string) ([]byte, error) {
+// blockLen reads a block's payload length, checking it against wantLen
+// (-1: any) and the corruption guard.
+func blockLen(r *bufio.Reader, wantLen int64, what string) (uint64, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if wantLen != 0 && n != wantLen {
-		return nil, fmt.Errorf("table: columnar %s block is %d bytes, want %d", what, n, wantLen)
+	if wantLen >= 0 && n != uint64(wantLen) {
+		return 0, fmt.Errorf("table: columnar %s block is %d bytes, want %d", what, n, wantLen)
 	}
 	if n > maxColumnarBlock {
-		return nil, fmt.Errorf("table: columnar %s block length %d exceeds limit (file corrupt)", what, n)
+		return 0, fmt.Errorf("table: columnar %s block length %d exceeds limit (file corrupt)", what, n)
+	}
+	return n, nil
+}
+
+// checkCRC reads a block's CRC trailer and compares it with crc, the
+// checksum of the payload as read.
+func checkCRC(r *bufio.Reader, crc uint32, what string) error {
+	var tail [4]byte
+	if _, err := io.ReadFull(r, tail[:]); err != nil {
+		return fmt.Errorf("table: columnar %s block missing checksum: %w", what, err)
+	}
+	if binary.LittleEndian.Uint32(tail[:]) != crc {
+		return fmt.Errorf("table: columnar %s block checksum mismatch (file corrupt)", what)
+	}
+	return nil
+}
+
+// readBlock reads one block's payload of any length, verifying its CRC.
+func readBlock(r *bufio.Reader, what string) ([]byte, error) {
+	n, err := blockLen(r, -1, what)
+	if err != nil {
+		return nil, err
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("table: columnar %s block truncated: %w", what, err)
 	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return nil, fmt.Errorf("table: columnar %s block missing checksum: %w", what, err)
+	return payload, checkCRC(r, crc32.Checksum(payload, castagnoli), what)
+}
+
+// readWords decodes a block of rows 8-byte little-endian words into a
+// fresh []T without holding the payload: dec turns each run of words
+// the reader has buffered into its rows of the result. The length is
+// checked before the result is allocated, the CRC after the last run.
+func readWords[T any](r *bufio.Reader, rows int64, what string, dec func(dst []T, words []byte)) ([]T, error) {
+	if _, err := blockLen(r, 8*rows, what); err != nil {
+		return nil, err
 	}
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(tail[:]); got != want {
-		return nil, fmt.Errorf("table: columnar %s block checksum mismatch (file corrupt)", what)
+	vals := make([]T, rows)
+	var crc uint32
+	for at := 0; at < len(vals); {
+		k := min(len(vals)-at, r.Size()/8)
+		words, err := r.Peek(8 * k)
+		if err != nil {
+			return nil, fmt.Errorf("table: columnar %s block truncated: %w", what, err)
+		}
+		crc = crc32.Update(crc, castagnoli, words)
+		dec(vals[at:at+k], words)
+		r.Discard(len(words))
+		at += k
 	}
-	return payload, nil
+	return vals, checkCRC(r, crc, what)
 }
 
 func readIntBlock(r *bufio.Reader, rows int64, what string) ([]int64, error) {
-	payload, err := readBlock(r, uint64(8*rows), what)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]int64, rows)
-	for i := range vals {
-		vals[i] = int64(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
-	return vals, nil
+	return readWords(r, rows, what, func(dst []int64, words []byte) {
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint64(words[8*i:]))
+		}
+	})
 }
 
 func readFloatBlock(r *bufio.Reader, rows int64, what string) ([]float64, error) {
-	payload, err := readBlock(r, uint64(8*rows), what)
+	return readWords(r, rows, what, func(dst []float64, words []byte) {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(words[8*i:]))
+		}
+	})
+}
+
+// readIDBlock decodes an endpoint block into uint32 ids, 4 bytes a row.
+// An id past the uint32 range fails the file rather than be narrowed:
+// this writer never produces one.
+func readIDBlock(r *bufio.Reader, rows int64, what string) ([]uint32, error) {
+	var bad uint64
+	ids, err := readWords(r, rows, what, func(dst []uint32, words []byte) {
+		for i := range dst {
+			v := binary.LittleEndian.Uint64(words[8*i:])
+			if v > math.MaxUint32 && bad == 0 {
+				bad = v
+			}
+			dst[i] = uint32(v)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]float64, rows)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+	if bad != 0 {
+		return nil, fmt.Errorf("table: columnar %s block holds id %d, outside the uint32 id range", what, int64(bad))
 	}
-	return vals, nil
+	return ids, nil
 }
 
 // readStringBlock decodes a string block into arena chunks that alias
 // the payload's bytes.
 func readStringBlock(r *bufio.Reader, rows int64, what string) ([]Chunk, error) {
-	payload, err := readBlock(r, 0, what)
+	payload, err := readBlock(r, what)
 	if err != nil {
 		return nil, err
 	}
@@ -456,11 +513,11 @@ func ReadColumnarTable(r io.Reader) (*ColumnarTable, error) {
 	}
 	ct := &ColumnarTable{TypeName: typeName, Rows: rows}
 	if kind == 'E' {
-		tail, err := readIntBlock(br, rows, typeName+".tail")
+		tail, err := readIDBlock(br, rows, typeName+".tail")
 		if err != nil {
 			return nil, err
 		}
-		head, err := readIntBlock(br, rows, typeName+".head")
+		head, err := readIDBlock(br, rows, typeName+".head")
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -278,5 +280,93 @@ func TestColumnarRejectsAbsurdRowCount(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "row count") {
 			t.Errorf("rows=%d: error %v is not the row-count guard", rows, err)
 		}
+	}
+}
+
+// TestOpenColumnarEdgeAllocations: loading an m-edge columnar file
+// costs the loaded table — two uint32 ids, 8 bytes an edge — and no
+// more. The file's 16 bytes an edge of int64 ids stream through the
+// reader's buffer; neither the payload nor an int64 copy of it is held.
+func TestOpenColumnarEdgeAllocations(t *testing.T) {
+	const m = 1 << 20
+	et := NewEdgeTable("e", m)
+	for i := int64(0); i < m; i++ {
+		et.Add(i, math.MaxUint32-i)
+	}
+	d := NewDataset()
+	d.Edges["e"] = et
+	dir := t.TempDir()
+	if err := d.WriteDirColumnar(dir); err != nil {
+		t.Fatal(err)
+	}
+	var got *Dataset
+	b := allocated(func() {
+		var err error
+		if got, err = OpenColumnar(dir); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("decoding %d edges allocated %d bytes (%.2f B an edge)", m, b, float64(b)/m)
+	if b > 8*m+256<<10 {
+		t.Errorf("OpenColumnar allocated %d bytes for %d edges, want ≤ 8 an edge + 256 KiB", b, m)
+	}
+	assertDatasetsEqual(t, d, got)
+}
+
+// TestColumnarRejectsIDPastUint32: an endpoint block holding an id no
+// uint32 holds — a foreign or corrupt file, with a valid checksum — is
+// an error naming the block, not an id narrowed into another node's.
+func TestColumnarRejectsIDPastUint32(t *testing.T) {
+	for _, id := range []int64{1 << 32, -1} {
+		var buf bytes.Buffer
+		if err := writeHeader(&buf, 'E', "e", 2, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, col := range [][]int64{{0, id}, {1, 2}} {
+			b := newBlock(&buf, 16)
+			putWords(b, col)
+			if err := b.close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := ReadColumnarTable(bytes.NewReader(buf.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), "e.tail") || !strings.Contains(err.Error(), "outside the uint32 id range") {
+			t.Errorf("tail id %d: ReadColumnarTable = %v, want an error naming e.tail's id range", id, err)
+		}
+	}
+}
+
+// TestEdgeIDExtremesRoundTrip: the widest endpoint ids, 0 and 2^32-1,
+// leave as strconv renders them in CSV and JSON lines, and come back
+// from a columnar file as they went in.
+func TestEdgeIDExtremesRoundTrip(t *testing.T) {
+	et := NewEdgeTable("e", 2)
+	et.Add(0, math.MaxUint32)
+	et.Add(math.MaxUint32, 0)
+	lo, hi := strconv.Itoa(0), strconv.FormatUint(math.MaxUint32, 10)
+	var csvOut, jsonOut bytes.Buffer
+	if err := WriteEdgeCSV(&csvOut, et, nil, NodeCSVOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "id,tail,head\n0," + lo + "," + hi + "\n1," + hi + "," + lo + "\n"; csvOut.String() != want {
+		t.Errorf("CSV = %q, want %q", csvOut.String(), want)
+	}
+	if err := WriteEdgeJSONL(&jsonOut, et, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"head":` + hi + `,"id":0,"label":"e","tail":` + lo + "}\n" + `{"head":` + lo + `,"id":1,"label":"e","tail":` + hi + "}\n"
+	if jsonOut.String() != want {
+		t.Errorf("JSONL = %q, want %q", jsonOut.String(), want)
+	}
+	var col bytes.Buffer
+	if err := WriteEdgeColumnar(&col, et, nil); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := ReadColumnarTable(bytes.NewReader(col.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ct.Edges.Tail, et.Tail) || !slices.Equal(ct.Edges.Head, et.Head) {
+		t.Errorf("columnar round trip: %v → %v, want %v → %v", ct.Edges.Tail, ct.Edges.Head, et.Tail, et.Head)
 	}
 }

@@ -44,7 +44,7 @@ func writeTable(w io.Writer, f *cellFormat, label string, et *EdgeTable, props [
 	n := int64(-1)
 	if et != nil {
 		n = et.Len()
-		fields = append(fields, rowField{name: "tail", kind: fieldInt, ints: et.Tail}, rowField{name: "head", kind: fieldInt, ints: et.Head})
+		fields = append(fields, rowField{name: "tail", kind: fieldInt, ids: et.Tail}, rowField{name: "head", kind: fieldInt, ids: et.Head})
 	}
 	names := make([]string, len(fields))
 	for i := range fields {

@@ -154,7 +154,7 @@ func TestWriteDirCSVRoundTrip(t *testing.T) {
 		id := int64(r - 1)
 		tail, _ := strconv.ParseInt(erows[r][1], 10, 64)
 		head, _ := strconv.ParseInt(erows[r][2], 10, 64)
-		if tail != et.Tail[id] || head != et.Head[id] {
+		if tail != int64(et.Tail[id]) || head != int64(et.Head[id]) {
 			t.Errorf("edge %d: (%d,%d), want (%d,%d)", id, tail, head, et.Tail[id], et.Head[id])
 		}
 		assertCell(t, d.EdgeProps["follows"][0], id, erows[r][3])
@@ -238,7 +238,7 @@ func TestWriteDirJSONLRoundTrip(t *testing.T) {
 	for id, row := range erows {
 		tail, _ := row["tail"].(json.Number).Int64()
 		head, _ := row["head"].(json.Number).Int64()
-		if tail != et.Tail[id] || head != et.Head[id] {
+		if tail != int64(et.Tail[id]) || head != int64(et.Head[id]) {
 			t.Errorf("edge %d: (%d,%d), want (%d,%d)", id, tail, head, et.Tail[id], et.Head[id])
 		}
 		w, err := row["weight"].(json.Number).Float64()

@@ -183,7 +183,7 @@ type rowField struct {
 	pre  []byte // what precedes the cell: the separator, or `,"key":`
 	kind int
 	pt   *PropertyTable
-	ints []int64 // fieldInt without pt: an edge's endpoints
+	ids  []uint32 // fieldInt without pt: an edge's endpoints
 
 	pre16 [padW]byte // pre, zero-padded, when it fits
 	// fieldDate: the rendered days [tabLo, tabLo+tabDays), width bytes
@@ -266,11 +266,16 @@ func dateDomainError(pt *PropertyTable, id, day int64) error {
 }
 
 // load points the field at rows [lo, hi) of its column; fill gains the
-// time a deferred column's fill took.
+// time a deferred column's fill took. Endpoint ids are widened into the
+// field's scratch, so they render through the int cell.
 func (rf *rowField) load(f *cellFormat, lo, hi int64, fill *time.Duration) (err error) {
 	if rf.pt == nil {
-		if rf.ints != nil {
-			rf.cur.Ints = rf.ints[lo:hi]
+		if rf.ids != nil {
+			ints := zeroed(rf.scratch.Ints, int(hi-lo))
+			for i, id := range rf.ids[lo:hi] {
+				ints[i] = int64(id)
+			}
+			rf.scratch.Ints, rf.cur.Ints = ints, ints
 		}
 		return nil
 	}

@@ -3,9 +3,12 @@
 //
 // A Property Table (PT) is a 2-column table [id:int64, value:T] holding
 // one property for one node or edge type; ids are dense in [0, n).
-// An Edge Table (ET) is a 3-column table [id:int64, tail:int64,
-// head:int64] holding the structure of one edge type; edge ids are dense
-// in [0, m) and endpoint ids are dense per endpoint type.
+// An Edge Table (ET) is a 3-column table [id, tail, head] holding the
+// structure of one edge type; edge ids are dense in [0, m) and endpoint
+// ids are dense per endpoint type. In memory an endpoint id is a uint32,
+// 8 bytes an edge for both columns, so a node type holds at most
+// MaxNodes instances; the files are unchanged by that — CSV and JSON
+// lines write decimals, the columnar format 8-byte ids.
 //
 // Tables are chunked so generation can proceed in parallel: each worker
 // fills its own id range (PropertyTable.FillChunk) and the chunks are
@@ -81,6 +84,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -392,27 +396,49 @@ func (pt *PropertyTable) Coded() ([]uint32, []string) {
 	return pt.codes, pt.dict
 }
 
+// MaxNodes is the largest instance count of a node type: every endpoint
+// id fits a uint32. core.ValidateSchema refuses a larger declared count,
+// and the engine a larger inferred one, before any table exists.
+const MaxNodes = math.MaxUint32
+
 // EdgeTable is the dense [id, tail, head] table of one edge type. Edge
 // id i connects Tail[i] -> Head[i]; ids are implicit row numbers.
 type EdgeTable struct {
 	Name string // edge type name
-	Tail []int64
-	Head []int64
+	Tail []uint32
+	Head []uint32
 }
 
 // NewEdgeTable allocates an ET with capacity hint m.
 func NewEdgeTable(name string, m int64) *EdgeTable {
-	return &EdgeTable{Name: name, Tail: make([]int64, 0, m), Head: make([]int64, 0, m)}
+	return &EdgeTable{Name: name, Tail: make([]uint32, 0, m), Head: make([]uint32, 0, m)}
 }
 
 // Len returns the number of edges.
 func (et *EdgeTable) Len() int64 { return int64(len(et.Tail)) }
 
-// Add appends the edge tail -> head and returns its id.
+// Add appends the edge tail -> head and returns its id. An endpoint
+// outside [0, 2^32) panics instead of being truncated: generators only
+// emit ids below a node count the engine has bounded by MaxNodes.
 func (et *EdgeTable) Add(tail, head int64) int64 {
-	et.Tail = append(et.Tail, tail)
-	et.Head = append(et.Head, head)
+	if uint64(tail)|uint64(head) > math.MaxUint32 {
+		panic(idRangeError{et.Name, tail, head})
+	}
+	et.Tail = append(et.Tail, uint32(tail))
+	et.Head = append(et.Head, uint32(head))
 	return int64(len(et.Tail) - 1)
+}
+
+// idRangeError is what Add panics with on an endpoint outside the
+// uint32 id range: a value formatted only when printed, which keeps Add
+// within the inliner's budget — every generator's inner loop calls it.
+type idRangeError struct {
+	name       string
+	tail, head int64
+}
+
+func (e idRangeError) Error() string {
+	return fmt.Sprintf("table: %s edge (%d,%d) has an endpoint outside the uint32 id range", e.name, e.tail, e.head)
 }
 
 // MaxNode returns the largest endpoint id plus one (i.e. the implied
@@ -420,7 +446,7 @@ func (et *EdgeTable) Add(tail, head int64) int64 {
 func (et *EdgeTable) MaxNode() int64 {
 	top := int64(-1)
 	for i := range et.Tail {
-		top = max(top, et.Tail[i], et.Head[i])
+		top = max(top, int64(et.Tail[i]), int64(et.Head[i]))
 	}
 	return top + 1
 }
@@ -433,10 +459,10 @@ func (et *EdgeTable) Validate(nTail, nHead int64) error {
 		return fmt.Errorf("table: %s has ragged columns (%d tails, %d heads)", et.Name, len(et.Tail), len(et.Head))
 	}
 	for i := range et.Tail {
-		if et.Tail[i] < 0 || (nTail > 0 && et.Tail[i] >= nTail) {
+		if nTail > 0 && int64(et.Tail[i]) >= nTail {
 			return fmt.Errorf("table: %s edge %d has tail %d outside [0,%d)", et.Name, i, et.Tail[i], nTail)
 		}
-		if et.Head[i] < 0 || (nHead > 0 && et.Head[i] >= nHead) {
+		if nHead > 0 && int64(et.Head[i]) >= nHead {
 			return fmt.Errorf("table: %s edge %d has head %d outside [0,%d)", et.Name, i, et.Head[i], nHead)
 		}
 	}
@@ -444,17 +470,16 @@ func (et *EdgeTable) Validate(nTail, nHead int64) error {
 }
 
 // RemapTails rewrites every tail id through f. Used by the matching
-// step to substitute structure-node ids with property-row ids.
-func (et *EdgeTable) RemapTails(f []int64) {
-	for i, t := range et.Tail {
-		et.Tail[i] = f[t]
-	}
-}
+// step to substitute structure-node ids with property-row ids, which
+// lie below a node count of at most MaxNodes.
+func (et *EdgeTable) RemapTails(f []int64) { remap(et.Tail, f) }
 
 // RemapHeads rewrites every head id through f.
-func (et *EdgeTable) RemapHeads(f []int64) {
-	for i, h := range et.Head {
-		et.Head[i] = f[h]
+func (et *EdgeTable) RemapHeads(f []int64) { remap(et.Head, f) }
+
+func remap(ids []uint32, f []int64) {
+	for i, v := range ids {
+		ids[i] = uint32(f[v])
 	}
 }
 

@@ -2,8 +2,10 @@ package table
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -171,6 +173,52 @@ func TestEdgeTableCloneIsDeep(t *testing.T) {
 	c.Tail[0] = 99
 	if et.Tail[0] == 99 {
 		t.Error("Clone shares storage")
+	}
+}
+
+// TestEdgeTableAddBound: an endpoint outside [0, 2^32) panics in Add
+// instead of being truncated into another node's id.
+func TestEdgeTableAddBound(t *testing.T) {
+	et := NewEdgeTable("e", 1)
+	et.Add(0, math.MaxUint32)
+	for _, c := range [][2]int64{{1 << 32, 0}, {0, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%d, %d) did not panic", c[0], c[1])
+				}
+			}()
+			et.Add(c[0], c[1])
+		}()
+	}
+	if et.Len() != 1 || et.Tail[0] != 0 || et.Head[0] != math.MaxUint32 {
+		t.Errorf("table holds %v → %v, want the one edge 0 → 2^32-1", et.Tail, et.Head)
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestEdgeTableBytesPerEdge pins the table's footprint: both endpoint
+// ids are uint32, so a table sized up front holds m edges in 8 bytes
+// each, and Add allocates nothing of its own.
+func TestEdgeTableBytesPerEdge(t *testing.T) {
+	const m = 1 << 20
+	b := allocated(func() {
+		et := NewEdgeTable("e", m)
+		for i := int64(0); i < m; i++ {
+			et.Add(i, m-1-i)
+		}
+	})
+	t.Logf("%d edges in %d bytes (%.2f B an edge)", m, b, float64(b)/m)
+	if b > 8*m+32<<10 {
+		t.Errorf("NewEdgeTable(%d) and %d Adds allocated %d bytes, want ≤ 8 an edge + 32 KiB", m, m, b)
 	}
 }
 

@@ -18,7 +18,10 @@
 // (Section 4.1: "DataSynth builds a different r() for each PT").
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Stream is a randomly addressable pseudo-random sequence. The zero
 // value is a valid stream (seed 0); distinct seeds yield statistically
@@ -81,29 +84,16 @@ func (s Stream) U64n(i int64, n uint64) uint64 {
 		panic("xrand: U64n with n == 0")
 	}
 	v := s.U64(i)
-	hi, lo := mul64(v, n)
+	hi, lo := bits.Mul64(v, n)
 	if lo < n {
 		// Rejection zone: re-draw from decorrelated substreams.
 		thresh := -n % n
 		for j := int64(1); lo < thresh; j++ {
 			v = mix64(s.U64(i) ^ uint64(j)*0xd1342543de82ef95)
-			hi, lo = mul64(v, n)
+			hi, lo = bits.Mul64(v, n)
 		}
 	}
 	return hi
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Int63 returns the i-th non-negative int64 of the stream.
@@ -213,11 +203,11 @@ func (q *Seq) U64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Seq.U64n with n == 0")
 	}
-	hi, lo := mul64(q.U64(), n)
+	hi, lo := bits.Mul64(q.U64(), n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
-			hi, lo = mul64(q.U64(), n)
+			hi, lo = bits.Mul64(q.U64(), n)
 		}
 	}
 	return hi
