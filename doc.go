@@ -85,9 +85,10 @@
 //     memberships are fixed, each community's internal configuration
 //     model is an independent shard. Shard c draws from its own RNG
 //     stream keyed off (seed, "lfr.intra", c) via xrand's DeriveN,
-//     emits into a disjoint arena range, and the ranges concatenate in
-//     community order — so any number of goroutines, finishing in any
-//     order, produce the same edge table. (RMAT keeps its per-shard
+//     wires into its own window of the edge table, and one in-place
+//     pass closes the gaps in community order — so any number of
+//     goroutines, finishing in any order, produce the same edge table,
+//     stored once. (RMAT keeps its per-shard
 //     RNG streams — they are the bytes — and fills them in a plain
 //     loop.)
 //

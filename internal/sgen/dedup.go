@@ -22,8 +22,9 @@ type edgeDedup struct {
 	accepted []uint64 // sorted keys of all accepted edges
 	keys     []uint64 // scratch: one round's valid candidate keys, stream order
 	idx      []int32  // scratch: parallel pair indices
-	tmpK     []uint64 // scratch: radix ping-pong
-	tmpI     []int32  // scratch: radix ping-pong
+	tmpK     []uint64 // scratch: sortByKey's radix ping-pong (pairing rounds)
+	tmpI     []int32  // scratch: sortByKey's radix ping-pong (pairing rounds)
+	leaf     []uint64 // scratch: sortKeysInPlace's leaf buffer, at most sortLeafKeys long
 	count    []int32  // scratch: radix digit counts (1<<16)
 	win      []bool   // scratch: per-pair winner flag
 	newKeys  []uint64 // scratch: winner keys of a pairing round (sorted)
@@ -199,38 +200,113 @@ func (d *edgeDedup) mergeKeys(newKeys []uint64) {
 	d.accepted, d.merged = m, d.accepted
 }
 
-// sortKeys sorts a bare key slice by LSD radix passes between keys and
-// the scratch buffer — the path for rounds whose consumers don't need
-// stream positions (sharded RMAT emits winners in key order). It
-// returns the buffer holding the result and the other one, both
-// len(keys) long.
-//
-// Only the bits on which the keys differ (orAll^andAll) are sorted, and
-// a pass's digit is gathered from up to two windows of them, so the
-// dead bits between a packed key's two ids cost nothing: scale-18
-// (min<<32|max) keys have 36 live bits in two runs of 18 and sort in
-// three 12-bit passes — bits 0–11, 12–17 with 32–37, 38–49 — where
-// fixed 16-bit digits took four, two of them for 2 live bits each.
-// Windows are taken low to high and a digit keeps their order, so the
-// passes sort by the live bits in significance order, which is the
-// order of the keys.
-func (d *edgeDedup) sortKeys(keys []uint64) (sorted, other []uint64) {
-	n := len(keys)
-	if cap(d.tmpK) < n {
-		d.tmpK = make([]uint64, n)
+const (
+	// flagBits is the digit width of sortKeysInPlace's American-flag
+	// passes: 128 buckets, whose counts and cursors stay in L1.
+	flagBits = 7
+	// sortLeafKeys is the bucket size at and below which sortKeysInPlace
+	// hands a bucket to the LSD kernel. The kernel's scratch, 2 MiB at
+	// most, is the only buffer the sort allocates.
+	sortLeafKeys = 1 << 18
+)
+
+// sortKeysInPlace sorts a bare key slice in place — the path for
+// rounds whose consumers don't need stream positions (sharded RMAT
+// emits winners in key order), so no stability is needed and the sorted
+// sequence is the same as any sort's. A slice of more than leaf keys
+// takes an American-flag pass (McIlroy, Bostic & McIlroy, "Engineering
+// Radix Sort", Computing Systems 1993) on its top flagBits live bits and
+// recurses into each bucket; a bucket of at most leaf keys is sorted by
+// the LSD kernel through a leaf-sized scratch. Buffer use is therefore
+// keys plus min(len(keys), leaf) words, where an LSD sort of the whole
+// slice needs a second slice as long.
+func (d *edgeDedup) sortKeysInPlace(keys []uint64, leaf int) {
+	if n := min(len(keys), leaf); cap(d.leaf) < n {
+		d.leaf = make([]uint64, n)
 	}
-	src, dst := keys, d.tmpK[:n]
-	if n < 2 {
-		return src, dst
-	}
+	d.flagSort(keys, liveBits(keys), leaf)
+}
+
+// liveBits returns the bit positions on which keys differ.
+func liveBits(keys []uint64) uint64 {
 	orAll, andAll := uint64(0), ^uint64(0)
 	for _, k := range keys {
 		orAll |= k
 		andAll &= k
 	}
-	live := orAll ^ andAll
+	return orAll ^ andAll
+}
+
+// flagSort sorts keys, which agree on every bit outside live.
+func (d *edgeDedup) flagSort(keys []uint64, live uint64, leaf int) {
+	if live == 0 || len(keys) < 2 {
+		return
+	}
+	if len(keys) <= leaf {
+		scratch := d.leaf[:len(keys)]
+		if sorted := d.sortKeysLSD(keys, scratch); &sorted[0] == &scratch[0] {
+			copy(keys, scratch)
+		}
+		return
+	}
+	// The digit is the window of at most flagBits bit positions that
+	// ends at the top live bit, trimmed to start at a live bit.
+	top := 63 - bits.LeadingZeros64(live)
+	shift := max(top+1-flagBits, 0)
+	shift += bits.TrailingZeros64(live >> shift)
+	mask := uint64(1)<<(top+1-shift) - 1
+
+	var next, end [1 << flagBits]int
+	for _, k := range keys {
+		end[k>>shift&mask]++
+	}
+	sum := 0
+	for b := range end {
+		next[b] = sum
+		sum += end[b]
+		end[b] = sum
+	}
+	// Bucket by bucket, carry each misplaced key to its bucket's next
+	// free slot and pick up the key found there, until the carried key
+	// belongs where the cycle started.
+	for b := range end {
+		for i := next[b]; i < end[b]; i = next[b] {
+			k := keys[i]
+			for db := k >> shift & mask; db != uint64(b); db = k >> shift & mask {
+				keys[next[db]], k = k, keys[next[db]]
+				next[db]++
+			}
+			keys[i] = k
+			next[b]++
+		}
+	}
+	rest, lo := live&^(mask<<shift), 0
+	for _, hi := range end {
+		d.flagSort(keys[lo:hi], rest, leaf)
+		lo = hi
+	}
+}
+
+// sortKeysLSD sorts keys by LSD radix passes between keys and scratch
+// (as long as keys) and returns whichever holds the result: the leaf
+// kernel of sortKeysInPlace.
+//
+// Only the bits on which the keys differ (orAll^andAll) are sorted, and
+// a pass's digit is gathered from up to two windows of them, so the
+// dead bits between a packed key's two ids cost nothing: scale-18
+// (min<<32|max) keys have 36 live bits in two runs of 18 and, before a
+// flag pass has split them, sort in three 12-bit passes — bits 0–11,
+// 12–17 with 32–37, 38–49 — where fixed 16-bit digits took four, two
+// of them for 2 live bits each.
+// Windows are taken low to high and a digit keeps their order, so the
+// passes sort by the live bits in significance order, which is the
+// order of the keys.
+func (d *edgeDedup) sortKeysLSD(keys, scratch []uint64) []uint64 {
+	n := len(keys)
+	src, dst := keys, scratch
+	live := liveBits(keys)
 	if live == 0 {
-		return src, dst // n copies of one key
+		return src // n copies of one key
 	}
 	if d.count == nil {
 		d.count = make([]int32, 1<<16)
@@ -281,7 +357,7 @@ func (d *edgeDedup) sortKeys(keys []uint64) (sorted, other []uint64) {
 		}
 		src, dst = dst, src
 	}
-	return src, dst
+	return src
 }
 
 // sortByKey stable-sorts (keys, idx) by key with an LSD radix sort,

@@ -1,8 +1,10 @@
 package sgen
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"datasynth/internal/par"
@@ -242,9 +244,10 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 	// Communities are independent once sizes and memberships are fixed
 	// (an intra edge has both endpoints inside one community), so each
 	// community is wired as its own shard: randomness comes from a
-	// per-community stream keyed off (Seed, community id), edges land
-	// in a per-community slot, and the slots are concatenated in
-	// community order. Shards can therefore run on a worker pool — or
+	// per-community stream keyed off (Seed, community id) and edges land
+	// in the table in community order: appended one community after the
+	// next, or wired into per-community windows of the table and then
+	// compacted in place. Shards can therefore run on a worker pool — or
 	// serially — with a byte-identical edge table either way.
 	et := table.NewEdgeTable("lfr", int64(float64(n)*l.AvgDegree/2))
 
@@ -306,9 +309,10 @@ func wireInter(q *seq, et *table.EdgeTable, deg, intra []int, commOf []int64) {
 // land in community order, so the result is a pure function of the
 // schema seed regardless of how many goroutines (up to GOMAXPROCS)
 // process the shard queue or in which order they finish. One appends
-// each community straight to et; several emit into disjoint ranges of a
-// shared arena — [bound[c], bound[c+1]) per shard — concatenated
-// afterwards.
+// each community straight to et; several wire community c into its own
+// window of et, rows [bound[c], bound[c+1]), and one in-place forward
+// pass then closes the gaps between the windows. Either way the edges
+// are stored once.
 func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf, memberOffs []int64) error {
 	nComm := len(sizes)
 	if nComm == 0 {
@@ -365,9 +369,10 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 		return nil
 	}
 
-	// Per-community edge-count upper bound (half its stub count) sizes
-	// the shared output arena; counts records the actual emissions.
+	// Community c's window starts at bound[c]: half its stub count bounds
+	// its edges. counts records the actual emissions.
 	bound := make([]int64, nComm+1)
+	bound[0] = et.Len()
 	for c := 0; c < nComm; c++ {
 		var stubCount int64
 		for _, v := range memberBuf[memberOffs[c]:memberOffs[c+1]] {
@@ -375,33 +380,44 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 		}
 		bound[c+1] = bound[c] + stubCount/2
 	}
-	tails := make([]uint32, bound[nComm])
-	heads := make([]uint32, bound[nComm])
-	counts := make([]int64, nComm)
+	et.Tail = slices.Grow(et.Tail, int(bound[nComm]-bound[0]))
+	et.Head = slices.Grow(et.Head, int(bound[nComm]-bound[0]))
+	counts, errs := make([]int64, nComm), make([]error, workers)
 	var next atomic.Int64
-	par.Workers(workers, func(int) {
-		dd := new(edgeDedup)
-		local := &table.EdgeTable{}
+	par.Workers(workers, func(w int) {
+		dd, win := new(edgeDedup), &table.EdgeTable{Name: et.Name}
 		var stubs []int64
-		for {
-			c := int(next.Add(1) - 1)
-			if c >= nComm {
-				return
-			}
-			local.Tail, local.Head = local.Tail[:0], local.Head[:0]
-			stubs = wire(c, dd, local, stubs)
-			// Only the arena range and counts slot of community c are
-			// written, so shards never contend.
-			counts[c] = int64(len(local.Tail))
-			copy(tails[bound[c]:], local.Tail)
-			copy(heads[bound[c]:], local.Head)
+		for c := int(next.Add(1) - 1); c < nComm && errs[w] == nil; c = int(next.Add(1) - 1) {
+			counts[c], errs[w] = wireWindow(win, et, bound[c], bound[c+1], func() { stubs = wire(c, dd, win, stubs) })
 		}
 	})
-	for c := 0; c < nComm; c++ {
-		et.Tail = append(et.Tail, tails[bound[c]:bound[c]+counts[c]]...)
-		et.Head = append(et.Head, heads[bound[c]:bound[c]+counts[c]]...)
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
+	// Close the gaps in community order: every window starts at or after
+	// the rows already kept, so one forward pass moves each in place.
+	n := bound[0]
+	for c := 0; c < nComm; c++ {
+		copy(et.Tail[n:cap(et.Tail)], et.Tail[bound[c]:bound[c]+counts[c]])
+		copy(et.Head[n:cap(et.Head)], et.Head[bound[c]:bound[c]+counts[c]])
+		n += counts[c]
+	}
+	et.Tail, et.Head = et.Tail[:n], et.Head[:n]
 	return nil
+}
+
+// wireWindow points win at an empty view of et's rows [lo, hi), capped
+// at hi, and runs wire, which appends to win: the appends land in et's
+// storage in place, and one past hi reallocates the view instead of
+// writing into the next window, which wireWindow reports as an error.
+// It returns the number of edges wired.
+func wireWindow(win, et *table.EdgeTable, lo, hi int64, wire func()) (int64, error) {
+	win.Tail, win.Head = et.Tail[lo:lo:hi], et.Head[lo:lo:hi]
+	wire()
+	if win.Len() > hi-lo {
+		return 0, fmt.Errorf("sgen: %s: a shard wired %d edges into a window of %d", et.Name, win.Len(), hi-lo)
+	}
+	return win.Len(), nil
 }
 
 // directDedupMaxUniverse bounds the stamp table to 4M entries (16 MB

@@ -54,6 +54,70 @@ func TestLFRShardedLargeCommunityWorkers(t *testing.T) {
 	}, 4300)
 }
 
+// TestLFRShardWindows pins the parallel intra phase's memory shape:
+// with several workers, each community is wired into its own window of
+// the edge table and the windows are compacted in place, so the run
+// yields the one-worker edge table and allocates no more than the
+// one-worker run bar a fixed slack per extra worker — its stamp table
+// and stub buffer, bounded by the largest community, ≈ 80–100 KiB here —
+// where a shared arena and per-worker tables cost ≈ 8 bytes an
+// intra-community edge more (≈ 500 KiB here).
+func TestLFRShardWindows(t *testing.T) {
+	const n, perWorker = 5000, 128 << 10
+	var refHash string
+	var refAlloc uint64
+	for _, procs := range []int{1, 2, 4} {
+		partest.SetProcs(t, procs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		et, err := NewLFR(13).Run(n)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		alloc, hash := after.TotalAlloc-before.TotalAlloc, edgeTableSHA256(et)
+		t.Logf("GOMAXPROCS=%d: %d edges, %d bytes allocated", procs, et.Len(), alloc)
+		if procs == 1 {
+			refHash, refAlloc = hash, alloc
+			continue
+		}
+		if hash != refHash {
+			t.Errorf("GOMAXPROCS=%d: edge table hash %s, one worker %s", procs, hash, refHash)
+		}
+		if slack := uint64(procs-1) * perWorker; alloc > refAlloc+slack {
+			t.Errorf("GOMAXPROCS=%d: allocated %d bytes, one worker %d + %d slack", procs, alloc, refAlloc, slack)
+		}
+	}
+
+	t.Run("overflow", func(t *testing.T) {
+		et := table.NewEdgeTable("e", 6)
+		et.Tail, et.Head = et.Tail[:6], et.Head[:6]
+		for i := range et.Tail {
+			et.Tail[i], et.Head[i] = 90+uint32(i), 80+uint32(i)
+		}
+		win := &table.EdgeTable{}
+		if got, err := wireWindow(win, et, 0, 3, func() {
+			for i := int64(0); i < 3; i++ {
+				win.Add(i, i+1)
+			}
+		}); err != nil || got != 3 {
+			t.Fatalf("a full window: %d edges, %v", got, err)
+		}
+		if _, err := wireWindow(win, et, 0, 3, func() {
+			for i := int64(0); i < 4; i++ {
+				win.Add(i, i+1)
+			}
+		}); err == nil {
+			t.Fatal("an overflowing window returned no error")
+		}
+		for i := 3; i < 6; i++ {
+			if et.Tail[i] != 90+uint32(i) || et.Head[i] != 80+uint32(i) {
+				t.Fatalf("the neighbouring window's row %d became (%d,%d)", i, et.Tail[i], et.Head[i])
+			}
+		}
+	})
+}
+
 // TestLFRInterPhaseAllocations pins the inter phase's memory shape:
 // the stub buffer (8 bytes a stub) and one set of round buffers sized
 // to the first round's pair count (winner flag 1, key 8, index 4, radix

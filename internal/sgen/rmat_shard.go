@@ -38,9 +38,10 @@ const (
 	// an RNG stream — part of the byte contract. Large enough that the
 	// per-shard stream derivation is noise.
 	rmatShardSize = 1 << 16
-	// rmatMaxRoundDraws caps one round's slab so dedup scratch and slab
-	// memory stay bounded (two int64 slices of at most 4M entries);
-	// larger targets simply take more rounds.
+	// rmatMaxRoundDraws caps one round's slab so slab memory stays
+	// bounded (one packed-key slab of at most 4M entries, 32 MiB, sorted
+	// in place; the Noise path adds two int64 draw slices); larger
+	// targets simply take more rounds.
 	rmatMaxRoundDraws = 1 << 22
 	// rmatMaxDryRounds bounds consecutive zero-progress rounds before
 	// generation gives up (the graph cannot absorb more distinct edges).
@@ -466,7 +467,8 @@ func (d *edgeDedup) appendDeduped(et *table.EdgeTable, tails, heads []int64, n, 
 // candidate slab (drawShardAliasPacked's output): self-loops
 // (min == max) and out-of-range keys are filtered out in place and the
 // rest resolved as usual. The slab is consumed, like resolveRound's
-// keys; the buffer returned is the one to fill next round.
+// keys; the buffer returned — nil once the slab has become the accepted
+// set — is the one to fill next round.
 func (d *edgeDedup) appendDedupedPacked(et *table.EdgeTable, slab []uint64, n, limit int64) []uint64 {
 	w := 0
 	for _, k := range slab {
@@ -494,26 +496,26 @@ func (d *edgeDedup) appendDedupedPacked(et *table.EdgeTable, slab []uint64, n, l
 // as soon as the limit is reached and leaves the set as it was —
 // merging winners nobody will look up would copy the whole set.
 //
-// A round works in two buffers, keys and the sort scratch: the sort
-// ping-pongs between them and the winners are compacted in place in
-// whichever holds the sorted keys. keys is consumed. The first round's
-// winners — millions of them — become the accepted set where they lie
-// and the other buffer is returned for the caller's next candidates;
-// later rounds merge their (few) winners into that set and hand keys
-// back. Either way nothing the caller gets aliases the accepted set.
+// A round works in keys alone: it is sorted in place (sortKeysInPlace,
+// whose only scratch is a leaf-sized buffer) and its winners are
+// compacted at its front. keys is consumed. The first round's winners —
+// millions of them — become the accepted set where they lie and nil is
+// returned, so the caller allocates its next (smaller) slab; later
+// rounds merge their (few) winners into that set and hand keys back.
+// Either way nothing the caller gets aliases the accepted set.
 func (d *edgeDedup) resolveRound(et *table.EdgeTable, keys []uint64, limit int64) []uint64 {
 	if limit <= 0 {
 		return keys
 	}
-	sorted, other := d.sortKeys(keys)
+	d.sortKeysInPlace(keys, sortLeafKeys)
 
 	// Runs of equal keys against the accepted set (two-pointer: both
 	// sorted); the first fresh key of each run wins.
 	ai, w := 0, 0
-	for i := 0; i < len(sorted); {
-		key := sorted[i]
+	for i := 0; i < len(keys); {
+		key := keys[i]
 		j := i + 1
-		for j < len(sorted) && sorted[j] == key {
+		for j < len(keys) && keys[j] == key {
 			j++
 		}
 		i = j
@@ -527,15 +529,13 @@ func (d *edgeDedup) resolveRound(et *table.EdgeTable, keys []uint64, limit int64
 		if limit--; limit == 0 {
 			return keys
 		}
-		sorted[w] = key
+		keys[w] = key
 		w++
 	}
 	if len(d.accepted) == 0 && w > 0 {
-		// One of keys and the scratch is now the accepted set and the
-		// other goes to the caller: the next sort needs a new scratch.
-		d.accepted, d.tmpK = sorted[:w], nil
-		return other
+		d.accepted = keys[:w]
+		return nil
 	}
-	d.mergeKeys(sorted[:w])
+	d.mergeKeys(keys[:w])
 	return keys
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
@@ -345,20 +347,20 @@ func TestRMATDedupAgainstReference(t *testing.T) {
 	}
 }
 
-// TestRMATDedupBuffers pins the dedup's memory shape: a round's two
-// big buffers — the slab, filtered and sorted in place against one
-// scratch — where it used to hold four (slab, filtered copy, radix
-// scratch, winner list), and no merge in the round that fills the
-// table.
+// TestRMATDedupBuffers pins the dedup's memory shape: a round's one big
+// buffer — the slab, filtered, sorted and compacted in place — beside a
+// leaf-sized sort scratch, where it used to hold four (slab, filtered
+// copy, radix scratch, winner list) and then two (slab, radix scratch),
+// and no merge in the round that fills the table.
 func TestRMATDedupBuffers(t *testing.T) {
-	// Allocations outside the edge table, in 8-byte words per drawn key:
-	// four buffers a round read 3.86 at scale 16, and merging the
-	// table-filling round's winners into a 1.5× copy of the accepted set
-	// reads 3.2 at scale 18.
+	// Allocations outside the edge table (8 bytes an edge), in 8-byte
+	// words per drawn key: the slab and a round-sized radix scratch read
+	// 1.97 at scale 16 and 1.85 at scale 18; the slab and the leaf
+	// scratch read about 1.24 and 1.06.
 	for _, c := range []struct {
 		scale uint
 		words float64
-	}{{16, 3}, {18, 2}} {
+	}{{16, 1.4}, {18, 1.2}} {
 		g := NewRMAT(3)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -367,7 +369,7 @@ func TestRMATDedupBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		scratch := float64(after.TotalAlloc-before.TotalAlloc) - 16*float64(cap(et.Tail))
+		scratch := float64(after.TotalAlloc-before.TotalAlloc) - 8*float64(cap(et.Tail))
 		perKey := scratch / 8 / float64(g.lastStats.draws)
 		t.Logf("scale %d: %.2f words per drawn key outside the edge table", c.scale, perKey)
 		if perKey >= c.words {
@@ -379,13 +381,15 @@ func TestRMATDedupBuffers(t *testing.T) {
 	// does. Nothing handed back, and no scratch kept, may share memory
 	// with the accepted set: the next round's fill or sort would corrupt
 	// it and a duplicate would slip through. Ids drawn from a small
-	// range force duplicates within and across rounds, and the last
-	// round stops at its limit; the map reference decides.
-	base := func(s []uint64) *uint64 {
-		if cap(s) == 0 {
-			return nil
+	// range force duplicates within and across rounds, the merge of the
+	// second round outgrows the first round's slab, and the last round
+	// stops at its limit; the map reference decides.
+	overlaps := func(a, b []uint64) bool {
+		if cap(a) == 0 || cap(b) == 0 {
+			return false
 		}
-		return &s[:1][0]
+		a0, b0 := uintptr(unsafe.Pointer(&a[:1][0])), uintptr(unsafe.Pointer(&b[:1][0]))
+		return a0 < b0+8*uintptr(cap(b)) && b0 < a0+8*uintptr(cap(a))
 	}
 	const n = 200
 	q := newSeq(5)
@@ -410,21 +414,95 @@ func TestRMATDedupBuffers(t *testing.T) {
 		}
 		slab = dd.appendDedupedPacked(fast, slab, n, limit)
 		last := naiveDedupRound(accepted, naive, tails, heads, n, limit)
-		for name, buf := range map[string][]uint64{"returned slab": slab, "sort scratch": dd.tmpK, "merge scratch": dd.merged} {
-			if p := base(buf); p != nil && p == base(dd.accepted) {
-				t.Fatalf("round %d: %s aliases the accepted set", round, name)
+		if len(dd.accepted) == 0 {
+			t.Fatalf("round %d: empty accepted set", round)
+		}
+		for name, buf := range map[string][]uint64{"returned slab": slab, "leaf scratch": dd.leaf, "merge scratch": dd.merged} {
+			if overlaps(buf, dd.accepted) {
+				t.Fatalf("round %d: %s shares memory with the accepted set", round, name)
 			}
 		}
 		if last != (round == 4) {
 			t.Fatalf("round %d: limit exhausted = %v", round, last)
 		}
 	}
+	if dd.merged == nil {
+		t.Fatal("no merge outgrew the accepted set: the merge scratch went unchecked")
+	}
 	assertSameEdges(t, "slab reuse", naive, fast)
+}
+
+// checkSortKeysInPlace builds keys from raw bytes, eight a key, under a
+// live mask (fill supplies the bits outside it), sorts them in place
+// with the given leaf size and compares the result with slices.Sort.
+func checkSortKeysInPlace(t *testing.T, data []byte, mask, fill uint64, leaf int) {
+	keys := make([]uint64, 0, (len(data)+7)/8)
+	for i := 0; i < len(data); i += 8 {
+		var raw [8]byte
+		copy(raw[:], data[i:])
+		keys = append(keys, binary.LittleEndian.Uint64(raw[:])&mask|fill&^mask)
+	}
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	new(edgeDedup).sortKeysInPlace(keys, leaf)
+	if !slices.Equal(keys, want) {
+		t.Fatalf("mask %#x, leaf %d, %d keys: in-place sort differs from slices.Sort", mask, leaf, len(keys))
+	}
+}
+
+// rmatKeyMask is the live mask of scale-18 packed (min<<32|max) keys:
+// two runs of 18 bits.
+const rmatKeyMask = (1<<18-1)<<32 | (1<<18 - 1)
+
+// FuzzSortKeysInPlace go-fuzzes the in-place key sort against
+// slices.Sort. The leaf size is an argument, so the fuzzer's small
+// inputs reach the American-flag passes and their recursion.
+func FuzzSortKeysInPlace(f *testing.F) {
+	seq := make([]byte, 1<<12)
+	for i := range seq {
+		seq[i] = byte(i*131 + i>>8)
+	}
+	f.Add(seq, uint64(0), uint64(0xdeadbeef), uint8(1))    // all keys equal
+	f.Add(seq, uint64(1)<<40, uint64(0), uint8(3))         // a single live bit
+	f.Add(seq, ^uint64(1<<33-1), uint64(0x1234), uint8(5)) // live bits above bit 32 only
+	f.Add(seq, uint64(rmatKeyMask), ^uint64(0), uint8(16)) // RMAT's two 18-bit runs
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 1}, ^uint64(0), uint64(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, mask, fill uint64, leaf uint8) {
+		if len(data) > 1<<12 {
+			data = data[:1<<12]
+		}
+		checkSortKeysInPlace(t, data, mask, fill, 1+int(leaf%64))
+	})
+}
+
+// TestSortKeysInPlace runs the fuzz body over fixed batches on every
+// ordinary `go test`, and sorts one 2^20-key slab of scale-18 RMAT keys
+// at the production leaf size.
+func TestSortKeysInPlace(t *testing.T) {
+	q := newSeq(29)
+	masks := []uint64{0, 1, 1 << 63, ^uint64(1<<33 - 1), rmatKeyMask, 0xff00ff, ^uint64(0)}
+	for trial := 0; trial < 80; trial++ {
+		// Small byte alphabets make keys that tie on most live bits.
+		data, alphabet := make([]byte, int(q.Intn(1<<12))), []int64{2, 3, 16, 256}[trial%4]
+		for i := range data {
+			data[i] = byte(q.Intn(alphabet))
+		}
+		checkSortKeysInPlace(t, data, masks[trial%len(masks)], uint64(q.Intn(1<<62)), 1+int(q.Intn(64)))
+	}
+
+	slab := make([]uint64, 1<<20)
+	drawShardAliasPacked(xrand.NewSeq(3), slab, newRMATAlias(0.57, 0.19, 0.19, 0.05, 18))
+	want := slices.Clone(slab)
+	slices.Sort(want)
+	new(edgeDedup).sortKeysInPlace(slab, sortLeafKeys)
+	if !slices.Equal(slab, want) {
+		t.Fatal("2^20 RMAT keys: in-place sort differs from slices.Sort")
+	}
 }
 
 // BenchmarkRMATScale18 is the bench workload's structure task
 // (cli-rmat-columnar: scale 18, edge factor 16). B/op is
-// the number to watch: the edge table is 64 MB of it, the rest is
+// the number to watch: the edge table is 32 MB of it, the rest is
 // dedup scratch.
 func BenchmarkRMATScale18(b *testing.B) {
 	b.ReportAllocs()
