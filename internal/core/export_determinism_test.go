@@ -165,10 +165,11 @@ func TestOneProcAutoMatchesExplicitParallel(t *testing.T) {
 			t.Errorf("%s: GOMAXPROCS=1 hash %s, GOMAXPROCS=4 hash %s", name, one[name], h)
 		}
 	}
-	note := regexp.MustCompile(`^sbm [0-9.]+[µm]?s \(passes [^ ]+\+[^ ]+\+[^ ]+\)$`)
+	d := `[0-9.]+[µm]?s`
+	note := regexp.MustCompile(`^csr ` + d + ` order ` + d + ` sbm ` + d + ` \(passes [^ ]+\+[^ ]+\+[^ ]+\) map ` + d + ` joint ` + d + `$`)
 	for _, notes := range [][]string{oneNotes, fourNotes} {
 		if len(notes) != 1 || !note.MatchString(notes[0]) {
-			t.Errorf("match notes %q, want one like \"sbm 340ms (passes 120ms+110ms+110ms)\"", notes)
+			t.Errorf("match notes %q, want one like \"csr 4ms order 1ms sbm 340ms (passes 120ms+110ms+110ms) map 2ms joint 3ms\"", notes)
 		}
 	}
 }

@@ -429,29 +429,32 @@ func (e *Engine) matchMonopartite(st *runState, edge *schema.EdgeType, et *table
 	}
 	et.Remap(res.Mapping)
 	l1, _ := stats.L1(target, res.Observed)
-	note := sbmNote(res.PartitionTime, res.PassTimes)
+	note := sbmNote(res.StepTimes, res.PassTimes)
 	e.logf("match %s: k=%d L1=%.4f %s", edge.Name, k, l1, note)
 	st.setMatched(edge.Name)
 	return note, nil
 }
 
-// sbmNote renders a match task's SBM-Part timing for logs and the
-// timing report: the total, plus the per-pass breakdown when refinement
-// passes ran (pass 0 is the initial stream).
-func sbmNote(total time.Duration, passTimes []time.Duration) string {
-	if len(passTimes) <= 1 {
-		return fmt.Sprintf("sbm %v", total.Round(time.Microsecond))
-	}
+// sbmNote renders a match task's step timings for logs and the timing
+// report: CSR build, stream order, SBM-Part with the per-pass breakdown
+// when refinement passes ran (pass 0 is the initial stream), mapping and
+// observed joint.
+func sbmNote(st match.StepTimes, passTimes []time.Duration) string {
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	var b strings.Builder
-	fmt.Fprintf(&b, "sbm %v (passes", total.Round(time.Microsecond))
-	for i, d := range passTimes {
-		if i == 0 {
-			fmt.Fprintf(&b, " %v", d.Round(time.Microsecond))
-		} else {
-			fmt.Fprintf(&b, "+%v", d.Round(time.Microsecond))
+	fmt.Fprintf(&b, "csr %v order %v sbm %v", us(st.CSRTime), us(st.OrderTime), us(st.PartitionTime))
+	if len(passTimes) > 1 {
+		b.WriteString(" (passes")
+		for i, d := range passTimes {
+			if i == 0 {
+				fmt.Fprintf(&b, " %v", us(d))
+			} else {
+				fmt.Fprintf(&b, "+%v", us(d))
+			}
 		}
+		b.WriteString(")")
 	}
-	b.WriteString(")")
+	fmt.Fprintf(&b, " map %v joint %v", us(st.MappingTime), us(st.JointTime))
 	return b.String()
 }
 
@@ -495,7 +498,7 @@ func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *tab
 	et.RemapTails(res.TailMapping)
 	et.RemapHeads(res.HeadMapping)
 	st.setMatched(edge.Name)
-	return sbmNote(res.PartitionTime, nil), nil
+	return sbmNote(res.StepTimes, nil), nil
 }
 
 // labelWeights returns the frequency of each of k labels as a weight

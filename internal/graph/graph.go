@@ -32,6 +32,12 @@ func PutBuilder(b *Builder) { builderPool.Put(b) }
 //
 // Node ids are below table.MaxNodes, so an adjacency entry is a uint32:
 // 4 bytes per entry plus 8 bytes per node for the offsets.
+//
+// A streamed graph (FromEdgesStreamed, FromBipartiteEdges with a rank)
+// holds each non-loop edge once, at its later-streamed endpoint: a
+// node's list is what a streaming partitioner can read when the node
+// arrives, and its Degree counts only that. M is the edge count as built
+// either way. The metrics in this package want the full CSR.
 type Graph struct {
 	n      int64
 	offs   []int64  // len n+1
@@ -74,21 +80,34 @@ func (b *Builder) FromEdgeTable(et *table.EdgeTable, n int64) (*Graph, error) {
 
 // FromEdges is FromEdges over the builder's reused buffers.
 func (b *Builder) FromEdges(tail, head []uint32, n int64) (*Graph, error) {
-	return b.build(tail, head, n, n, 0)
+	return b.build(tail, head, n, n, 0, nil)
+}
+
+// FromEdgesStreamed builds the streamed CSR of an edge list for a
+// stream order: rank[v] is v's position in the stream (any
+// order-preserving numbering of it, one entry per node, all distinct).
+// Each non-loop edge is kept once, in the list of whichever endpoint
+// streams later; self-loops are dropped. A node's list is its full list
+// filtered to the neighbours streamed before it, in edge-list order. A
+// nil rank keeps both endpoints, as FromEdges does.
+func (b *Builder) FromEdgesStreamed(tail, head []uint32, n int64, rank []uint32) (*Graph, error) {
+	return b.build(tail, head, n, n, 0, rank)
 }
 
 // FromBipartiteEdges builds the undirected graph of a bipartite edge
 // list over nTail+nHead nodes: tail t keeps its id, head h becomes node
 // nTail+h. As in every graph built here, a node's neighbours are in
-// edge-list order.
-func (b *Builder) FromBipartiteEdges(tail, head []uint32, nTail, nHead int64) (*Graph, error) {
-	return b.build(tail, head, nTail, nHead, nTail)
+// edge-list order. A nil rank keeps both endpoints; a rank over the
+// nTail+nHead ids streams the graph as FromEdgesStreamed does.
+func (b *Builder) FromBipartiteEdges(tail, head []uint32, nTail, nHead int64, rank []uint32) (*Graph, error) {
+	return b.build(tail, head, nTail, nHead, nTail, rank)
 }
 
 // build lays out the CSR for tails in [0, nTail) and heads in
-// [0, nHead), heads shifted by headShift in the node id space. Its
-// counting pass is the one range check an edge gets.
-func (b *Builder) build(tail, head []uint32, nTail, nHead, headShift int64) (*Graph, error) {
+// [0, nHead), heads shifted by headShift in the node id space, each edge
+// in the lists holders names. Its counting pass is the one range check
+// an edge gets.
+func (b *Builder) build(tail, head []uint32, nTail, nHead, headShift int64, rank []uint32) (*Graph, error) {
 	if len(tail) != len(head) {
 		return nil, fmt.Errorf("graph: ragged edge list (%d tails, %d heads)", len(tail), len(head))
 	}
@@ -96,39 +115,93 @@ func (b *Builder) build(tail, head []uint32, nTail, nHead, headShift int64) (*Gr
 	if n > table.MaxNodes {
 		return nil, fmt.Errorf("graph: %d nodes exceed the CSR's limit of %d", n, int64(table.MaxNodes))
 	}
-	// offs[v+1] counts v's degree, then the prefix sum makes offs[v] the
-	// start of v's list, which the fill advances as v's cursor.
+	if rank != nil && int64(len(rank)) != n {
+		return nil, fmt.Errorf("graph: stream rank has %d entries for %d nodes", len(rank), n)
+	}
+	// offs[v+1] counts v's list length, then the prefix sum makes offs[v]
+	// the start of v's list, which the fill advances as v's cursor.
 	b.offs = grow(b.offs, n+1)
 	offs := b.offs
 	clear(offs)
-	for i := range tail {
-		t, h := int64(tail[i]), int64(head[i])
-		if t >= nTail || h >= nHead {
-			return nil, fmt.Errorf("graph: edge %d (%d,%d) outside [0,%d)×[0,%d)", i, t, h, nTail, nHead)
-		}
-		offs[t+1]++
-		if h += headShift; h != t {
-			offs[h+1]++
-		}
+	// count and fill are functions of their own: inside build, with its
+	// error paths, their loops ran out of registers and spilled.
+	if i := count(offs, tail, head, nTail, nHead, headShift, rank); i >= 0 {
+		return nil, fmt.Errorf("graph: edge %d (%d,%d) outside [0,%d)×[0,%d)", i, tail[i], head[i], nTail, nHead)
 	}
 	for v := int64(0); v < n; v++ {
 		offs[v+1] += offs[v]
 	}
 	b.adj = grow(b.adj, offs[n])
 	adj := b.adj
-	for i := range tail {
-		t, h := int64(tail[i]), int64(head[i])+headShift
-		adj[offs[t]] = uint32(h)
-		offs[t]++
-		if h != t {
-			adj[offs[h]] = uint32(t)
-			offs[h]++
-		}
-	}
+	fill(adj, offs, tail, head, headShift, rank)
 	// Each cursor stopped at the next node's start: shift them back.
 	copy(offs[1:], offs[:n])
 	offs[0] = 0
 	return &Graph{n: n, offs: offs, adj: adj, mEdges: int64(len(tail))}, nil
+}
+
+// count adds each edge to offs[v+1] for every list v that holds it. It
+// stops at the first edge with an endpoint outside [0, nTail)×[0, nHead)
+// and returns its index, or -1 when there is none.
+func count(offs []int64, tail, head []uint32, nTail, nHead, headShift int64, rank []uint32) int {
+	head = head[:len(tail)]
+	for i, t := range tail {
+		h := int64(head[i])
+		if int64(t) >= nTail || h >= nHead {
+			return i
+		}
+		v, u, k := holders(int64(t), h+headShift, rank)
+		if k > 0 {
+			offs[v+1]++
+		}
+		if k > 1 {
+			offs[u+1]++
+		}
+	}
+	return -1
+}
+
+// fill writes each edge into the lists that hold it, advancing each
+// list's cursor offs[v].
+func fill(adj []uint32, offs []int64, tail, head []uint32, headShift int64, rank []uint32) {
+	head = head[:len(tail)]
+	for i, t := range tail {
+		v, u, k := holders(int64(t), int64(head[i])+headShift, rank)
+		if k > 0 {
+			adj[offs[v]] = uint32(u)
+			offs[v]++
+		}
+		if k > 1 {
+			adj[offs[u]] = uint32(v)
+			offs[u]++
+		}
+	}
+}
+
+// holders names the lists that hold the edge {t, h}: with k ≥ 1 v's
+// list holds u, with k = 2 u's list holds v as well. Without a rank that
+// is both endpoints, a self-loop once; with one it is the later-streamed
+// endpoint alone, and a self-loop, streamed with itself, is in no list.
+func holders(t, h int64, rank []uint32) (v, u int64, k int) {
+	if rank == nil {
+		if h == t {
+			return t, h, 1
+		}
+		return t, h, 2
+	}
+	rt, rh := rank[t], rank[h]
+	if rt == rh {
+		return t, h, 0
+	}
+	// Which endpoint streams later is a coin flip per edge: swap without
+	// a branch (SETcc, not a jump), which saved about a fifth of the
+	// streamed build over a mispredicted one.
+	var later int64
+	if rh > rt {
+		later = 1
+	}
+	swap := (t ^ h) & -later
+	return t ^ swap, h ^ swap, 1
 }
 
 // grow returns buf resized to n entries, reallocating only when the

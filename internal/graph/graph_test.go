@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -9,6 +10,7 @@ import (
 
 	"datasynth/internal/sgen"
 	"datasynth/internal/table"
+	"datasynth/internal/xrand"
 )
 
 // triangle returns K3.
@@ -52,17 +54,30 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// minAllocated is the least allocated reads over a few runs of f:
+// TotalAlloc is process-wide, and the race runtime allocates in the
+// background of any one of them.
+func minAllocated(f func()) uint64 {
+	least := allocated(f)
+	for range 4 {
+		least = min(least, allocated(f))
+	}
+	return least
+}
+
 // TestFromEdgesNodeBound: a node id must fit a 4-byte adjacency entry,
-// and a graph too large for one fails before its CSR is allocated.
+// and a graph too large for one fails before its CSR is allocated. The
+// bound is many orders of magnitude below the ≥ 16 GiB CSR refused.
 func TestFromEdgesNodeBound(t *testing.T) {
+	const bound = 64 << 10
 	var err error
-	if b := allocated(func() { _, err = FromEdges(nil, nil, 1<<32) }); err == nil || b > 1<<10 {
+	if b := minAllocated(func() { _, err = FromEdges(nil, nil, 1<<32) }); err == nil || b > bound {
 		t.Errorf("FromEdges over 2^32 nodes: err %v after allocating %d bytes", err, b)
 	}
-	b := allocated(func() {
-		_, err = new(Builder).FromBipartiteEdges([]uint32{0}, []uint32{1 << 31}, 1<<31, 1<<31+1)
+	b := minAllocated(func() {
+		_, err = new(Builder).FromBipartiteEdges([]uint32{0}, []uint32{1 << 31}, 1<<31, 1<<31+1, nil)
 	})
-	if err == nil || b > 1<<10 {
+	if err == nil || b > bound {
 		t.Errorf("FromBipartiteEdges over 2^32 nodes: err %v after allocating %d bytes", err, b)
 	}
 }
@@ -342,6 +357,112 @@ func TestCSRInvariantProperty(t *testing.T) {
 	}
 }
 
+// checkStreamed builds the full and the streamed CSR of the edge list
+// and stream order streamedInput decodes — heads shifted past the tails
+// when bipartite, the two one id space otherwise — and checks each
+// streamed list is the full list filtered to the neighbours streamed
+// before its node: self-loops dropped, edge-list order kept. It returns
+// what differs, or "".
+func checkStreamed(data []byte, seed uint64, bipartite bool) string {
+	tail, head, nTail, nHead, perm := streamedInput(data, seed, bipartite)
+	var full, streamed *Graph
+	var err, errS error
+	rank := make([]uint32, len(perm))
+	for i, v := range perm {
+		rank[v] = uint32(i)
+	}
+	if bipartite {
+		full, err = new(Builder).FromBipartiteEdges(tail, head, nTail, nHead, nil)
+		streamed, errS = new(Builder).FromBipartiteEdges(tail, head, nTail, nHead, rank)
+	} else {
+		full, err = FromEdges(tail, head, nTail)
+		streamed, errS = new(Builder).FromEdgesStreamed(tail, head, nTail, rank)
+	}
+	if err != nil || errS != nil {
+		return fmt.Sprintf("build: %v / %v", err, errS)
+	}
+	if streamed.N() != full.N() || streamed.M() != full.M() {
+		return fmt.Sprintf("streamed N=%d M=%d, full N=%d M=%d", streamed.N(), streamed.M(), full.N(), full.M())
+	}
+	var kept, loops int64
+	for i := range tail {
+		if !bipartite && tail[i] == head[i] {
+			loops++
+		}
+	}
+	for v := int64(0); v < full.N(); v++ {
+		var want []uint32
+		for _, u := range full.Neighbors(v) {
+			if rank[u] < rank[v] {
+				want = append(want, u)
+			}
+		}
+		if got := streamed.Neighbors(v); !slices.Equal(got, want) {
+			return fmt.Sprintf("node %d (rank %d): streamed %v, want %v (full %v)", v, rank[v], got, want, full.Neighbors(v))
+		}
+		kept += int64(len(want))
+	}
+	if kept != full.M()-loops {
+		return fmt.Sprintf("%d entries kept for %d non-loop edges", kept, full.M()-loops)
+	}
+	return ""
+}
+
+// streamedInput decodes an edge list and a stream order from arbitrary
+// bytes: pairs of bytes are edges (self-loops and parallel edges come
+// for free), the id ranges follow from the first two bytes, and seed
+// shuffles the stream.
+func streamedInput(data []byte, seed uint64, bipartite bool) (tail, head []uint32, nTail, nHead int64, perm []int64) {
+	nTail, nHead = 1, 1
+	if len(data) >= 2 {
+		nTail, nHead = 1+int64(data[0]%40), 1+int64(data[1]%40)
+		data = data[2:]
+	}
+	if !bipartite {
+		nHead = nTail
+	}
+	for i := 0; i+1 < len(data); i += 2 {
+		tail = append(tail, uint32(int64(data[i])%nTail))
+		head = append(head, uint32(int64(data[i+1])%nHead))
+	}
+	n := nTail
+	if bipartite {
+		n += nHead
+	}
+	return tail, head, nTail, nHead, xrand.NewStream(seed).Shuffle(0, int(n))
+}
+
+// TestStreamedCSRProperty: for arbitrary edge lists, monopartite and
+// bipartite, and an arbitrary stream order, each node's streamed list is
+// its full list filtered to the neighbours streamed before it, in order.
+func TestStreamedCSRProperty(t *testing.T) {
+	f := func(data []byte, seed uint64, bipartite bool) bool {
+		if msg := checkStreamed(data, seed, bipartite); msg != "" {
+			t.Log(msg)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := new(Builder).FromEdgesStreamed([]uint32{0}, []uint32{1}, 3, make([]uint32, 2)); err == nil {
+		t.Error("a rank shorter than the node count should fail")
+	}
+}
+
+// FuzzStreamedCSR is TestStreamedCSRProperty under the fuzzer.
+func FuzzStreamedCSR(f *testing.F) {
+	f.Add([]byte{5, 3, 0, 1, 1, 2, 2, 2, 0, 1, 4, 0}, uint64(1), false)
+	f.Add([]byte{5, 3, 0, 1, 1, 2, 2, 2, 0, 1, 4, 0}, uint64(2), true)
+	f.Add([]byte{}, uint64(0), true)
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64, bipartite bool) {
+		if msg := checkStreamed(data, seed, bipartite); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}
+
 // lfrEdges returns an LFR graph at the paper's parameters, the shape
 // of the social schema's knows edges.
 func lfrEdges(tb testing.TB, n int64) *table.EdgeTable {
@@ -383,6 +504,24 @@ func BenchmarkCSRBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := new(Builder).FromEdgeTable(et, n); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCSRBuildStreamed is the same build streamed, as a match
+// without refinement runs it: each edge once, at its later-streamed end.
+func BenchmarkCSRBuildStreamed(b *testing.B) {
+	const n = 300_000
+	et := lfrEdges(b, n)
+	rank := make([]uint32, n)
+	for i, v := range xrand.NewStream(1).Shuffle(0, n) {
+		rank[v] = uint32(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := new(Builder).FromEdgesStreamed(et.Tail, et.Head, n, rank); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -96,9 +96,7 @@ type BipartiteResult struct {
 	TailAssign, HeadAssign   []int64
 	TailMapping, HeadMapping []int64
 	Observed                 *BipartiteTarget
-	// PartitionTime is what Result's field of the same name is: the
-	// wall time inside SBM-Part itself.
-	PartitionTime time.Duration
+	StepTimes
 }
 
 // MatchBipartite partitions both endpoint domains of a bipartite edge
@@ -130,12 +128,7 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 
 	// The bipartite SBM as a monopartite one (see the package comment):
 	// nodes are tails then heads, groups tail values then head values,
-	// and the target has mass only between the two. Each node's
-	// neighbour list keeps the edge table's order.
-	g, err := new(graph.Builder).FromBipartiteEdges(et.Tail, et.Head, nTail, nHead)
-	if err != nil {
-		return nil, err
-	}
+	// and the target has mass only between the two.
 	block := stats.NewJoint(kt + kh)
 	for a := 0; a < kt; a++ {
 		for b := 0; b < kh; b++ {
@@ -147,16 +140,26 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 		Balance: opt.Balance, Seed: opt.Seed,
 		tails: nTail, tailGroups: kt,
 	}
-	order := opt.Order
-	if order == nil {
-		order = RandomOrder(nTail+nHead, opt.Seed)
+	// The stream has no refinement, so, as in MatchProperty without
+	// passes, the order comes first and the CSR holds each edge once, at
+	// its later-streamed endpoint, in the edge table's order.
+	var times StepTimes
+	mark := time.Now()
+	order, rank, err := streamOrder(opt.Order, nTail+nHead, opt.Seed, part.Capacities)
+	if err != nil {
+		return nil, err
 	}
-	start := time.Now()
+	times.OrderTime = lap(&mark)
+	g, err := new(graph.Builder).FromBipartiteEdges(et.Tail, et.Head, nTail, nHead, rank)
+	if err != nil {
+		return nil, err
+	}
+	times.CSRTime = lap(&mark)
 	r, err := part.partition(g, order, 0)
 	if err != nil {
 		return nil, err
 	}
-	partitionTime := time.Since(start)
+	times.PartitionTime = lap(&mark)
 	assignT, assignH := r.assign[:nTail:nTail], r.assign[nTail:]
 	for i := range assignH {
 		assignH[i] -= int64(kt)
@@ -172,13 +175,15 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 	if err != nil {
 		return nil, err
 	}
+	times.MappingTime = lap(&mark)
 	obs, err := EmpiricalBipartite(et, assignT, assignH, kt, kh)
 	if err != nil {
 		return nil, err
 	}
+	times.JointTime = lap(&mark)
 	return &BipartiteResult{
 		TailAssign: assignT, HeadAssign: assignH,
 		TailMapping: mapT, HeadMapping: mapH,
-		Observed: obs, PartitionTime: partitionTime,
+		Observed: obs, StepTimes: times,
 	}, nil
 }

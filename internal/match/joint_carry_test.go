@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"datasynth/internal/graph"
+	"datasynth/internal/table"
 	"datasynth/internal/xrand"
 )
 
@@ -37,6 +38,15 @@ func recountJointMatrix(g *graph.Graph, assign []int64, k int) []float64 {
 // of isolated nodes (the last tenth of the id range has no edges).
 func messyGraph(t testing.TB, n, m int64, seed uint64) *graph.Graph {
 	t.Helper()
+	g, err := graph.FromEdgeTable(messyEdges(n, m, seed), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// messyEdges is messyGraph's edge list.
+func messyEdges(n, m int64, seed uint64) *table.EdgeTable {
 	s := xrand.NewStream(seed).DeriveStream("messy")
 	live := n - n/10
 	tail := make([]uint32, 0, m+m/8)
@@ -56,11 +66,7 @@ func messyGraph(t testing.TB, n, m int64, seed uint64) *graph.Graph {
 			tail, head = append(tail, a), append(head, a)
 		}
 	}
-	g, err := graph.FromEdges(tail, head, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return &table.EdgeTable{Name: "messy", Tail: tail, Head: head}
 }
 
 // TestCarriedJointMatrixMatchesRecount is the differential oracle for

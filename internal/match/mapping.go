@@ -89,6 +89,31 @@ func DefaultOptions(seed uint64) Options {
 	return Options{Seed: seed, Balance: true}
 }
 
+// StepTimes is where a match's wall time went, one field per step, so
+// callers can report where a match task's critical-path time goes.
+type StepTimes struct {
+	// CSRTime builds the graph SBM-Part reads.
+	CSRTime time.Duration
+	// OrderTime draws the stream order and, for a streamed CSR, inverts
+	// it into the rank the build orients by.
+	OrderTime time.Duration
+	// PartitionTime is the wall time spent inside SBM-Part itself (the
+	// paper's timing claim).
+	PartitionTime time.Duration
+	// MappingTime is BuildMapping, for both domains of a bipartite match.
+	MappingTime time.Duration
+	// JointTime measures the observed joint from the edge table.
+	JointTime time.Duration
+}
+
+// lap returns the time since *mark and moves mark to now.
+func lap(mark *time.Time) time.Duration {
+	now := time.Now()
+	d := now.Sub(*mark)
+	*mark = now
+	return d
+}
+
 // Result reports a completed matching.
 type Result struct {
 	// Mapping is f: structure node id -> property row id.
@@ -97,11 +122,7 @@ type Result struct {
 	Assign []int64
 	// Observed is the empirical joint P'(X,Y) after matching.
 	Observed *stats.Joint
-	// PartitionTime is the wall time spent inside SBM-Part itself (the
-	// paper's timing claim), isolated from graph build and mapping
-	// construction — plumbed out so callers can report where a match
-	// task's critical-path time actually goes.
-	PartitionTime time.Duration
+	StepTimes
 	// PassTimes breaks PartitionTime down per streaming pass: index 0
 	// is the initial stream, each later entry one re-streaming
 	// refinement pass (a single-pass match has exactly one entry).
@@ -116,14 +137,12 @@ type Result struct {
 // it partitions the structure with SBM-Part and builds the mapping.
 // The EdgeTable is not modified; apply Result.Mapping with et.Remap to
 // materialise the match.
+//
+// A match without refinement passes reads, for each node, only the
+// neighbours streamed before it, so it draws the order first and builds
+// the streamed CSR, each edge once; refinement reads whole
+// neighbourhoods and builds the full one.
 func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stats.Joint, opt Options) (*Result, error) {
-	// A builder of its own, not a pooled one: the CSR is this job's
-	// largest scratch, and the pool would carry it past the collection
-	// the engine runs when the match task ends.
-	g, err := new(graph.Builder).FromEdgeTable(et, n)
-	if err != nil {
-		return nil, err
-	}
 	capacities, err := stats.Frequencies(rowLabels, target.K)
 	if err != nil {
 		return nil, err
@@ -134,25 +153,46 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 	}
 	part.Balance = opt.Balance
 	part.Seed = opt.Seed
-	order := opt.Order
-	if order == nil {
-		order = RandomOrder(n, opt.Seed)
+	passes := max(opt.Passes, 0)
+
+	var times StepTimes
+	mark := time.Now()
+	order, rank := opt.Order, []uint32(nil)
+	if passes == 0 {
+		if order, rank, err = streamOrder(order, n, opt.Seed, capacities); err != nil {
+			return nil, err
+		}
+		times.OrderTime = lap(&mark)
 	}
-	start := time.Now()
-	assign, err := part.PartitionMultiPass(g, order, max(opt.Passes, 0))
+	// A builder of its own, not a pooled one: the CSR is this job's
+	// largest scratch, and the pool would carry it past the collection
+	// the engine runs when the match task ends. A nil rank is the full
+	// CSR.
+	g, err := new(graph.Builder).FromEdgesStreamed(et.Tail, et.Head, n, rank)
 	if err != nil {
 		return nil, err
 	}
-	partitionTime := time.Since(start)
+	times.CSRTime = lap(&mark)
+	if order == nil {
+		order = RandomOrder(n, opt.Seed)
+		times.OrderTime = lap(&mark)
+	}
+	assign, err := part.PartitionMultiPass(g, order, passes)
+	if err != nil {
+		return nil, err
+	}
+	times.PartitionTime = lap(&mark)
 	mapping, err := BuildMapping(assign, rowLabels, target.K, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
+	times.MappingTime = lap(&mark)
 	observed, err := stats.EmpiricalJoint(et, assign, target.K)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Mapping: mapping, Assign: assign, Observed: observed, PartitionTime: partitionTime, PassTimes: part.PassTimes}, nil
+	times.JointTime = lap(&mark)
+	return &Result{Mapping: mapping, Assign: assign, Observed: observed, StepTimes: times, PassTimes: part.PassTimes}, nil
 }
 
 // RandomMatch maps structure nodes to property rows uniformly at

@@ -37,6 +37,19 @@
 // first reaches them — is part of the result; stream_test.go pins the
 // assignments of every variant by hash.
 //
+// A run without refinement reads each neighbourhood once, when its node
+// arrives, and gather counts only the neighbours already placed — in
+// the first pass exactly those streamed earlier. So MatchProperty
+// without passes and MatchBipartite draw the order first and build a
+// streamed CSR (graph.Builder.FromEdgesStreamed): each edge once, at
+// its later-streamed endpoint, each list the full list filtered to the
+// earlier neighbours in edge-list order, self-loops dropped. gather
+// walks that list unchanged and every entry passes its checks, in the
+// order the full list would have passed them, so cnt and touched — and
+// with them every float sum, placement and output byte — are the full
+// CSR's, at half its adjacency. Refinement re-reads whole
+// neighbourhoods and keeps the full CSR.
+//
 // # Bipartite is a block matrix
 //
 // The paper: "a small variation of SBM-Part can also be applied to

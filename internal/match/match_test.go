@@ -410,6 +410,37 @@ func TestBuildMappingAllocations(t *testing.T) {
 	}
 }
 
+// TestMatchPropertyCSRBytes pins a match without refinement to the
+// streamed CSR: 4 bytes per kept entry, one per edge, plus 8 per offset
+// and the 4-byte rank the build is oriented by. Beside it the run takes
+// what it always took per node: the order, the assignment and the two
+// words of BuildMapping (8 bytes each), and a permutation-check byte
+// both when the order is drawn and when SBM-Part starts. The full CSR
+// would cost 4 bytes more per edge.
+func TestMatchPropertyCSRBytes(t *testing.T) {
+	const n, k = 20_000, 8
+	et, err := sgen.NewLFR(1).Run(n)
+	f := newMonoFixture(t, et, err, n, equalSizes(n, k), 0.8)
+	labels := f.rowLabels()
+	b := int64(math.MaxInt64)
+	for range 3 { // TotalAlloc is process-wide: take the quietest run
+		b = min(b, allocated(func() {
+			if _, err := MatchProperty(et, n, labels, f.target, DefaultOptions(5)); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	entries := et.Len() // no self-loops in LFR
+	csr := 4*entries + 8*(n+1) + 4*n
+	rest := int64(8*n + 8*n + 2*8*n + 2*n)
+	t.Logf("%d bytes: %d entries, CSR bound %d, the rest %d", b, entries, csr, rest)
+	// The slack is each big buffer's rounding to whole pages, the
+	// per-value shuffle streams and the k×k matrices.
+	if want := csr + rest + 128<<10; b > want {
+		t.Errorf("MatchProperty allocated %d bytes, want ≤ %d (streamed CSR + per-node words + 128 KiB)", b, want)
+	}
+}
+
 func TestMatchPropertyEndToEnd(t *testing.T) {
 	et, _ := twoCliques(t, 25)
 	n := int64(50)

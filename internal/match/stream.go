@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"datasynth/internal/graph"
+	"datasynth/internal/table"
 )
 
 // checkStream validates the inputs every streaming partitioner shares:
@@ -27,6 +28,29 @@ func checkStream(order []int64, n int64, capacities []int64) error {
 		seen[v] = true
 	}
 	return nil
+}
+
+// streamOrder returns the stream order of a match over n nodes — order
+// itself, or RandomOrder(n, seed) when nil — checked by checkStream
+// before it is inverted into its rank: rank[v] is v's position in the
+// stream. The rank orients the CSR a run without refinement reads
+// (graph.Builder.FromEdgesStreamed), so no CSR is built for an order
+// that is not a permutation.
+func streamOrder(order []int64, n int64, seed uint64, capacities []int64) ([]int64, []uint32, error) {
+	if n > table.MaxNodes {
+		return nil, nil, fmt.Errorf("match: %d nodes exceed the limit of %d", n, int64(table.MaxNodes))
+	}
+	if order == nil {
+		order = RandomOrder(n, seed)
+	}
+	if err := checkStream(order, n, capacities); err != nil {
+		return nil, nil, err
+	}
+	rank := make([]uint32, n)
+	for i, v := range order {
+		rank[v] = uint32(i)
+	}
+	return order, rank, nil
 }
 
 // stream is the kernel every streaming partitioner in this package runs

@@ -48,7 +48,17 @@ func homophilyTarget(t testing.TB, sizes []int64, h float64) *stats.Joint {
 	return target
 }
 
-func graphOf(t testing.TB, et *table.EdgeTable, err error, n int64) *graph.Graph {
+// monoFixture is a monopartite edge table over n nodes, its full CSR,
+// and a homophilous target/capacity pair.
+type monoFixture struct {
+	et     *table.EdgeTable
+	n      int64
+	g      *graph.Graph
+	target *stats.Joint
+	sizes  []int64
+}
+
+func newMonoFixture(t testing.TB, et *table.EdgeTable, err error, n int64, sizes []int64, h float64) *monoFixture {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -57,32 +67,42 @@ func graphOf(t testing.TB, et *table.EdgeTable, err error, n int64) *graph.Graph
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	return &monoFixture{et: et, n: n, g: g, target: homophilyTarget(t, sizes, h), sizes: sizes}
+}
+
+// rowLabels is a property column whose value frequencies are the
+// fixture's capacities.
+func (f *monoFixture) rowLabels() []int64 {
+	labels := make([]int64, 0, f.n)
+	for v, sz := range f.sizes {
+		for range sz {
+			labels = append(labels, int64(v))
+		}
+	}
+	return labels
 }
 
 // lfrFixture builds an LFR graph plus a homophilous target/capacity
 // pair.
-func lfrFixture(t testing.TB, n int64, k int) (*graph.Graph, *stats.Joint, []int64) {
+func lfrFixture(t testing.TB, n int64, k int) *monoFixture {
 	t.Helper()
 	et, err := sgen.NewLFR(17).Run(n)
-	sizes := equalSizes(n, k)
-	return graphOf(t, et, err, n), homophilyTarget(t, sizes, 0.8), sizes
+	return newMonoFixture(t, et, err, n, equalSizes(n, k), 0.8)
 }
 
 // rmatFixture is the skewed counterpart: a few hubs with very long
 // neighbour lists.
-func rmatFixture(t testing.TB, scale uint, k int) (*graph.Graph, *stats.Joint, []int64) {
+func rmatFixture(t testing.TB, scale uint, k int) *monoFixture {
 	t.Helper()
 	et, err := sgen.NewRMAT(29).RunScale(scale)
 	n := int64(1) << scale
-	sizes := equalSizes(n, k)
-	return graphOf(t, et, err, n), homophilyTarget(t, sizes, 0.7), sizes
+	return newMonoFixture(t, et, err, n, equalSizes(n, k), 0.7)
 }
 
 // isolatedFixture builds a graph whose second half is isolated nodes,
 // with total capacity exactly n — so late isolated placements exhaust
 // group quotas and exercise refinement's first-feasible fallback.
-func isolatedFixture(t testing.TB, n int64, k int) (*graph.Graph, *stats.Joint, []int64) {
+func isolatedFixture(t testing.TB, n int64, k int) *monoFixture {
 	t.Helper()
 	et := table.NewEdgeTable("iso", n)
 	for v := int64(1); v < n/2; v++ {
@@ -97,7 +117,7 @@ func isolatedFixture(t testing.TB, n int64, k int) (*graph.Graph, *stats.Joint, 
 		rem -= sizes[i]
 	}
 	sizes[k-1] = rem
-	return graphOf(t, et, nil, n), homophilyTarget(t, sizes, 0.7), sizes
+	return newMonoFixture(t, et, nil, n, sizes, 0.7)
 }
 
 // bipFixture is a bipartite edge table with row labellings for both
@@ -199,32 +219,40 @@ type streamCase struct {
 func streamCases(t testing.TB) []streamCase {
 	t.Helper()
 	var cases []streamCase
-	mono := func(name string, g *graph.Graph, target *stats.Joint, sizes []int64, first, refined [2]string) {
+	// Each first-pass case runs twice: SBMPart on the fixture's full CSR,
+	// and MatchProperty, which streams the CSR — each edge once, at its
+	// later-streamed end — with the same order and seed. Both must
+	// reproduce the pin.
+	mono := func(name string, f *monoFixture, first, refined [2]string) {
 		for _, v := range []struct {
 			variant string
 			extra   int
 			parent  [2]string
 		}{{"first", 0, first}, {"refine2", 2, refined}} {
 			cases = append(cases, streamCase{v.variant + "/" + name, func(t testing.TB, balance bool) string {
-				return sha256Int64(partitionAt(t, g, target, sizes, balance, v.extra))
+				return sha256Int64(partitionAt(t, f.g, f.target, f.sizes, balance, v.extra))
 			}, v.parent})
 		}
+		cases = append(cases, streamCase{"first/" + name + "/streamed", func(t testing.TB, balance bool) string {
+			opt := Options{Seed: 99, Order: RandomOrder(f.n, 5), Balance: balance}
+			res, err := MatchProperty(f.et, f.n, f.rowLabels(), f.target, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sha256Int64(res.Assign)
+		}, first})
 	}
-	g, target, sizes := lfrFixture(t, 4000, 16)
-	mono("lfr", g, target, sizes,
+	mono("lfr", lfrFixture(t, 4000, 16),
 		[2]string{"6d56234eb45e03f6996b58563662222ce96951b98894b3e8afcb90ba57697314", "810eb503b7f39a6033caa47c5a255f036169e024d4aafd1df11734aa148379d4"},
 		[2]string{"a89d9a7cdc7c1393e746871159a6fd298a2e6d53ec5d5a0388b6ef2d17b221bd", "e8c365903d0aa5c8b19b4b973f2b491f4c0a6a13b59c0abbb8e8d9b97990a0b5"})
-	g, target, sizes = rmatFixture(t, 11, 8)
-	mono("rmat", g, target, sizes,
+	mono("rmat", rmatFixture(t, 11, 8),
 		[2]string{"43dbdd5ab989583a4b19169253fac600a5a046069412e32208312607304999d7", "cb880ccbe1e866aa6a8e33a8b35f54900e76790780fcc544d2255649a9887e89"},
 		[2]string{"43128389e7036baafd3ea90fd3bafd1fcd4794d66274dc048518830e8d9f3fa0", "1b29d346a469cf62d1cda95d784ee82318e41bd20ee2d50561be9e1f55a620bf"})
 	// Self-loops, parallel edges, hubs and isolated nodes.
-	g, sizes = messyGraph(t, 3000, 24000, 41), equalSizes(3000, 16)
-	mono("messy", g, homophilyTarget(t, sizes, 0.7), sizes,
+	mono("messy", newMonoFixture(t, messyEdges(3000, 24000, 41), nil, 3000, equalSizes(3000, 16), 0.7),
 		[2]string{"d82cf8291f32edbc7662cc6745b711c67cff2164176eddcff7bee09f26ce791a", "6ab8c593aa9a7debf975ed01297084cc22fdf460fea1b220a07baa30655241a5"},
 		[2]string{"11b647fcf19fe2fe46851b0100a6a6247712b118ff1bc823a29ee3d449ae0a0c", "a08d4807659c7078707bbacc0813c8e157eda71d96870a1f402a47527166ae42"})
-	g, target, sizes = isolatedFixture(t, 1200, 6)
-	mono("isolated", g, target, sizes,
+	mono("isolated", isolatedFixture(t, 1200, 6),
 		[2]string{"048733c9ae0c8d765d17fce05cb2fa0e0372d87001f46f857c2e5d8fd7c96eca", "7f2cc2e93ee27ee9cbeb7a50170e775703178ce7d4128a32a33e35bce06e6bbd"},
 		[2]string{"cbf5808c16e22f6ee1bc8717c37eb63ca93a757d0d9a900e296c10b53905b1d5", "7a0b2a7c2b034084aef453e4c37ea7bac5c211403b1e21019fd11e2f65645565"})
 
@@ -247,7 +275,7 @@ func streamCases(t testing.TB) []streamCase {
 // per-seed reproducibility contract, which needs a core.SchemaVersion
 // bump, not a new pin. (These pins outlived a windowed parallel-scan
 // driver that had to reproduce them at every window × worker cell; the
-// tests keep the names they had then.)
+// stress and validation tests below still carry its name.)
 func streamDifferential(t *testing.T, variant string) {
 	for _, c := range streamCases(t) {
 		if !strings.HasPrefix(c.name, variant+"/") {
@@ -261,9 +289,9 @@ func streamDifferential(t *testing.T, variant string) {
 	}
 }
 
-func TestWindowedPartitionByteIdentical(t *testing.T)      { streamDifferential(t, "first") }
-func TestMultiPassWindowedByteIdentical(t *testing.T)      { streamDifferential(t, "refine2") }
-func TestMatchBipartiteWindowedByteIdentical(t *testing.T) { streamDifferential(t, "bipartite") }
+func TestFirstPassPinnedHashes(t *testing.T)      { streamDifferential(t, "first") }
+func TestMultiPassPinnedHashes(t *testing.T)      { streamDifferential(t, "refine2") }
+func TestMatchBipartitePinnedHashes(t *testing.T) { streamDifferential(t, "bipartite") }
 
 // streamStress runs one variant's first fixture on eight goroutines at
 // once under the race detector: runs share the graph and the target and
@@ -295,7 +323,7 @@ func TestMatchBipartiteWindowedStress(t *testing.T) { streamStress(t, "bipartite
 // TestWindowedPartitionOrderValidation: a stream order that is not a
 // permutation is rejected, naming the first offending node.
 func TestWindowedPartitionOrderValidation(t *testing.T) {
-	g, target, sizes := lfrFixture(t, 500, 4)
+	f := lfrFixture(t, 500, 4)
 	for _, tc := range []struct {
 		name string
 		at   int
@@ -307,13 +335,42 @@ func TestWindowedPartitionOrderValidation(t *testing.T) {
 		}
 		bad[tc.at] = tc.v
 		want := fmt.Sprintf("match: order is not a permutation (node %d)", tc.v)
-		part, err := NewSBMPart(target, sizes)
+		part, err := NewSBMPart(f.target, f.sizes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := part.PartitionMultiPass(g, bad, 1); err == nil || err.Error() != want {
+		if _, err := part.PartitionMultiPass(f.g, bad, 1); err == nil || err.Error() != want {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
 		}
+	}
+}
+
+// TestMatchPropertyBadOrder: a match without refinement inverts its
+// order before it builds the CSR the order streams, so an order that is
+// not a permutation fails first, naming the offending node. The edge
+// table also has an endpoint past n, which a build would have reported.
+func TestMatchPropertyBadOrder(t *testing.T) {
+	f := lfrFixture(t, 500, 4)
+	et := f.et.Clone()
+	et.Add(f.n, 0)
+	for _, tc := range []struct {
+		name string
+		at   int
+		v    int64
+	}{{"duplicate", 101, 0}, {"out of range", 0, 500}, {"negative", 7, -1}} {
+		opt := DefaultOptions(3)
+		opt.Order = RandomOrder(f.n, 5)
+		if tc.name == "duplicate" {
+			tc.v = opt.Order[100]
+		}
+		opt.Order[tc.at] = tc.v
+		want := fmt.Sprintf("match: order is not a permutation (node %d)", tc.v)
+		if _, err := MatchProperty(et, f.n, f.rowLabels(), f.target, opt); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
+		}
+	}
+	if _, err := MatchProperty(et, f.n, f.rowLabels(), f.target, DefaultOptions(3)); err == nil || !strings.HasPrefix(err.Error(), "graph: edge ") {
+		t.Errorf("valid order over a bad edge table: err = %v, want the build's", err)
 	}
 }
 
@@ -323,7 +380,8 @@ func TestWindowedPartitionOrderValidation(t *testing.T) {
 // same way on every run.
 func TestMultiPassIsolatedQuotaDeterminism(t *testing.T) {
 	const n, k = 1200, 6
-	g, target, sizes := isolatedFixture(t, n, k)
+	f := isolatedFixture(t, n, k)
+	g, target, sizes := f.g, f.target, f.sizes
 	ref := partitionAt(t, g, target, sizes, true, 3)
 	counts := make([]int64, k)
 	for _, a := range ref {
@@ -346,14 +404,14 @@ func TestMultiPassIsolatedQuotaDeterminism(t *testing.T) {
 // per streaming pass (initial + each refinement), resetting between
 // calls.
 func TestMultiPassPassTimes(t *testing.T) {
-	g, target, sizes := lfrFixture(t, 1000, 4)
-	part, err := NewSBMPart(target, sizes)
+	f := lfrFixture(t, 1000, 4)
+	part, err := NewSBMPart(f.target, f.sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	part.Seed = 7
 	for _, extra := range []int{2, 0} {
-		if _, err := part.PartitionMultiPass(g, RandomOrder(g.N(), 3), extra); err != nil {
+		if _, err := part.PartitionMultiPass(f.g, RandomOrder(f.n, 3), extra); err != nil {
 			t.Fatal(err)
 		}
 		if len(part.PassTimes) != 1+extra {
