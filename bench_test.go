@@ -1,7 +1,7 @@
 package datasynth
 
-// One benchmark per table/figure of the paper, plus the ablations
-// DESIGN.md calls out. Fidelity metrics (L1, KS) are attached to the
+// One benchmark per table/figure of the paper, plus the SBM-Part
+// ablations exp.Panel and match.SBMPart expose. Fidelity metrics (L1, KS) are attached to the
 // benchmark output via ReportMetric, so `go test -bench=.` regenerates
 // both the performance and the quality side of every experiment at
 // laptop scale. cmd/sbmpart-eval -full runs the paper's full sizes.
@@ -146,7 +146,8 @@ func benchTiming(b *testing.B, scale int64) {
 	b.ReportMetric(eps, "edges/s")
 }
 
-// --- Ablations called out in DESIGN.md ---
+// --- Ablations: the SBMPart knobs (Balance, stream order, FinalTarget,
+// refinement passes) ---
 
 // setupAblation builds one shared LFR instance with LDG ground truth.
 func setupAblation(b *testing.B, n int64, k int) (*graph.Graph, *stats.Joint, []int64) {
@@ -270,7 +271,7 @@ func BenchmarkAblationOrder(b *testing.B) {
 
 // BenchmarkAblationTarget compares the default proportional target
 // scaling against the literal final-target reading of the paper (see
-// DESIGN.md §6).
+// match.SBMPart.FinalTarget).
 func BenchmarkAblationTarget(b *testing.B) {
 	for _, final := range []bool{false, true} {
 		name := "proportional"

@@ -111,8 +111,10 @@
 //   - Parallel panels (internal/exp): figure panels and sweep points
 //     are independent (each owns its seed), so exp.RunPanels runs them
 //     on up to GOMAXPROCS goroutines and streams results back in
-//     submission order, byte-identical to the serial loop. The timing
-//     experiment runs one single-thread panel at a time.
+//     submission order, byte-identical to the serial loop. Each one
+//     matches through match.MatchProperty, the operator every
+//     datasynth job runs. The timing experiment runs one single-thread
+//     panel at a time.
 //   - Concurrent atomic export (internal/table): Dataset.Export writes
 //     one file per table, up to GOMAXPROCS at a time, in any of three
 //     formats — CSV via a store-by-index row kernel (room for a row

@@ -1,11 +1,10 @@
 package datasynth
 
-// Export-throughput benchmarks on the Figure3_LFR100k dataset: the
-// panel's 100k nodes / ~1M edges materialised as a property graph
-// (int + string + float node columns plus the edge table) and written
-// in every connector format — micro-benchmarks for work on the
-// encoders; the end-to-end export numbers are the benchmark's
-// (go run -C bench .):
+// Export-throughput benchmarks on an LFR-100k dataset: 100k nodes /
+// ~1M edges with int + string + float node columns, generated from a
+// schema by the engine the CLI runs, and written in every connector
+// format — micro-benchmarks for work on the encoders; the end-to-end
+// export numbers are the benchmark's (go run -C bench .):
 //
 //   - CSVSerial is the old one-table-at-a-time baseline shape
 //     (GOMAXPROCS=1) on the new append encoder;
@@ -24,7 +23,6 @@ import (
 
 	"datasynth/internal/core"
 	"datasynth/internal/dsl"
-	"datasynth/internal/exp"
 	"datasynth/internal/par/partest"
 	"datasynth/internal/table"
 )
@@ -35,16 +33,38 @@ var exportBench struct {
 	err  error
 }
 
-// exportBenchDataset builds the Figure3_LFR100k dataset once per
-// benchmark process.
+// exportBenchSchema is the LFR-100k dataset: one node type with an int,
+// a string and a float column, and an LFR edge type matched on the string.
+const exportBenchSchema = `graph g { seed = 33
+	node Node { count = 100000
+		property value : int = uniform-int(lo=0, hi=15)
+		property tag : string = categorical(values="v00|v01|v02|v03|v04|v05|v06|v07|v08|v09|v10|v11|v12|v13|v14|v15")
+		property score : float = uniform-float(lo=0, hi=1) }
+	edge links : Node *-* Node { structure = lfr()
+		correlate tag homophily 0.8 } }`
+
+// exportBenchDataset generates the LFR-100k dataset once per benchmark
+// process, with every column filled, so the benchmarks time the
+// encoders alone.
 func exportBenchDataset(b *testing.B) *table.Dataset {
 	exportBench.once.Do(func() {
-		r, err := exp.RunPanel(exp.Panel{Generator: exp.LFR, Size: 100000, K: 16, Seed: 33})
+		s, err := dsl.Parse(exportBenchSchema)
 		if err != nil {
 			exportBench.err = err
 			return
 		}
-		exportBench.d, exportBench.err = r.Dataset()
+		d, err := core.New(s).Generate()
+		if err != nil {
+			exportBench.err = err
+			return
+		}
+		for _, pt := range d.NodeProps["Node"] {
+			if err := pt.Materialize(); err != nil {
+				exportBench.err = err
+				return
+			}
+		}
+		exportBench.d = d
 	})
 	if exportBench.err != nil {
 		b.Fatal(exportBench.err)

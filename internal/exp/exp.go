@@ -8,8 +8,9 @@
 //     n·max(geo(0.4,i),1/k)/Σ_j max(geo(0.4,j),1/k).
 //  3. Label partition i's nodes with value i and compute the empirical
 //     joint P(X,Y).
-//  4. Build a property table with the same value frequencies and stream
-//     the nodes of g through SBM-Part in random order.
+//  4. Build a property table with the same value frequencies and match
+//     it to g with match.MatchProperty — the matcher every datasynth job
+//     runs — streaming the nodes in random order.
 //  5. Compare the expected and observed CDFs over value pairs sorted by
 //     decreasing expected probability.
 //
@@ -21,9 +22,7 @@
 // points the same way. The one deliberate exception is RunTiming,
 // which runs panels one at a time so its wall-clock numbers remain the
 // paper's single-thread measurement (the matcher it times is serial by
-// construction). A panel result carries the full assignment and edge
-// table (Result.Assign/.Table), so Result.Dataset can materialise it as
-// an exportable property graph.
+// construction).
 package exp
 
 import (
@@ -101,12 +100,6 @@ type Result struct {
 	SBMTime  time.Duration // SBM-Part matching (the paper's timing claim)
 	Expected *stats.Joint
 	Observed *stats.Joint
-	// Assign is SBM-Part's value assignment per structure node and
-	// Table the generated edge table — plumbed out so a panel can be
-	// materialised as an exportable dataset (see Result.Dataset) instead
-	// of existing only as summary statistics.
-	Assign []int64
-	Table  *table.EdgeTable
 }
 
 // RunPanel executes the full protocol for one panel.
@@ -135,6 +128,18 @@ func RunPanel(p Panel) (*Result, error) {
 		return nil, fmt.Errorf("exp: generating %s: %w", p.Label(), err)
 	}
 	genTime := time.Since(t0)
+	r, err := protocol(p, et, n)
+	if err != nil {
+		return nil, err
+	}
+	r.GenTime = genTime
+	return r, nil
+}
+
+// protocol runs steps 2–5 on a generated structure et over n nodes:
+// the LDG ground truth (seed^1), the stream order (seed^2) and the
+// match (seed^3) all derive from p.Seed.
+func protocol(p Panel, et *table.EdgeTable, n int64) (*Result, error) {
 	// The CSR build is amortised across panels: benchmarks call RunPanel
 	// in a loop, and the builder pool reuses deg/offs/adj between runs.
 	gb := graph.GetBuilder()
@@ -166,22 +171,8 @@ func RunPanel(p Panel) (*Result, error) {
 		return nil, err
 	}
 
-	// 4. Property table with the ground-truth frequencies, nodes sent to
-	// SBM-Part in random order (or an ablation order).
-	rowLabels := make([]int64, n)
-	idx := int64(0)
-	for v, sz := range sizes {
-		for c := int64(0); c < sz; c++ {
-			rowLabels[idx] = int64(v)
-			idx++
-		}
-	}
-	part, err := match.NewSBMPart(expected, sizes)
-	if err != nil {
-		return nil, err
-	}
-	part.Balance = !p.NoBalance
-	part.Seed = p.Seed ^ 0x3
+	// 4. Property rows with the ground-truth frequencies, matched in
+	// random order (or an ablation order, which needs the full CSR).
 	var order []int64
 	switch p.Order {
 	case "", "random":
@@ -193,41 +184,35 @@ func RunPanel(p Panel) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("exp: unknown stream order %q", p.Order)
 	}
-	t2 := time.Now()
-	var assign []int64
-	if p.Passes > 0 {
-		assign, err = part.PartitionMultiPass(g, order, p.Passes)
-	} else {
-		assign, err = part.Partition(g, order)
+	rowLabels, err := blockLabels(n, p.K)
+	if err != nil {
+		return nil, err
 	}
+	m, err := match.MatchProperty(et, n, rowLabels, expected, match.Options{
+		Seed: p.Seed ^ 0x3, Order: order, Balance: !p.NoBalance, Passes: p.Passes,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("exp: SBM-Part: %w", err)
 	}
-	sbmTime := time.Since(t2)
 
-	// 5. Observed joint and CDF comparison.
-	observed, err := stats.EmpiricalJoint(et, assign, p.K)
+	// 5. CDF comparison.
+	cdf, err := stats.NewCDFPair(expected, m.Observed)
 	if err != nil {
 		return nil, err
 	}
-	cdf, err := stats.NewCDFPair(expected, observed)
+	l1, err := stats.L1(expected, m.Observed)
 	if err != nil {
 		return nil, err
 	}
-	l1, err := stats.L1(expected, observed)
-	if err != nil {
-		return nil, err
-	}
-	js, err := stats.JensenShannon(expected, observed)
+	js, err := stats.JensenShannon(expected, m.Observed)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		Panel: p, Nodes: n, Edges: et.Len(),
 		CDF: cdf, L1: l1, KS: cdf.KS(), JS: js,
-		GenTime: genTime, LDGTime: ldgTime, SBMTime: sbmTime,
-		Expected: expected, Observed: observed,
-		Assign: assign, Table: et,
+		LDGTime: ldgTime, SBMTime: m.PartitionTime,
+		Expected: expected, Observed: m.Observed,
 	}, nil
 }
 

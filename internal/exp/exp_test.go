@@ -153,13 +153,6 @@ func TestWriteCDFAndSummary(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestSaveCDF(t *testing.T) {
 	r, err := RunPanel(Panel{Generator: LFR, Size: 1000, K: 4, Seed: 3})
 	if err != nil {

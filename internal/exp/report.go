@@ -118,10 +118,3 @@ func ASCIICDF(w io.Writer, r *Result, width, height int) error {
 	}
 	return nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

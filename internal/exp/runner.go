@@ -37,44 +37,30 @@ func RunPanels(panels []Panel, emit func(*Result) error) error {
 		err error
 	}
 	// One buffered slot per panel: workers never block on delivery, so
-	// an early consumer exit cannot deadlock a worker mid-send. The
-	// inflight semaphore bounds how far dispatch runs ahead of the
-	// ordered consumer — a Result retains the panel's full edge table,
-	// so without it a slow early panel would let the pool park every
-	// later panel's graph in memory at once. Capacity workers+1 keeps
-	// every worker busy while capping retained results; panel i is
-	// always among the first unemitted dispatches, so the consumer's
-	// wait can starve only if no token is out — impossible while it
-	// still has panels to emit.
+	// an early consumer exit cannot deadlock a worker mid-send. A Result
+	// is summary statistics only, so results parked ahead of a slow
+	// early panel cost little.
 	results := make([]chan outcome, n)
 	for i := range results {
 		results[i] = make(chan outcome, 1)
 	}
-	jobs := make(chan int)
+	jobs := make(chan int, n)
+	for i := range n {
+		jobs <- i
+	}
+	close(jobs)
 	done := make(chan struct{})
-	inflight := make(chan struct{}, workers+1)
-	//lint:allow nakedgo dispatcher body is pure channel sends and selects; recovering a panic here would close(jobs) early and convert a loud crash into a silent truncated run
-	go func() {
-		defer close(jobs)
-		for i := 0; i < n; i++ {
-			select {
-			case inflight <- struct{}{}:
-			case <-done:
-				return
-			}
-			select {
-			case jobs <- i:
-			case <-done:
-				return
-			}
-		}
-	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
+				select {
+				case <-done:
+					return
+				default:
+				}
 				// par.Safe converts a panicking panel (a generator bug on
 				// one parameter point) into that panel's error outcome, so
 				// the figure run fails cleanly in submission order instead
@@ -93,7 +79,6 @@ func RunPanels(panels []Panel, emit func(*Result) error) error {
 	var firstErr error
 	for i := 0; i < n; i++ {
 		o := <-results[i]
-		<-inflight
 		if o.err != nil {
 			firstErr = fmt.Errorf("panel %s: %w", panels[i].Label(), o.err)
 			break
@@ -106,19 +91,4 @@ func RunPanels(panels []Panel, emit func(*Result) error) error {
 	close(done)
 	wg.Wait()
 	return firstErr
-}
-
-// CollectPanels runs the panels and returns all results in submission
-// order — RunPanels for callers that want the batch rather than the
-// stream.
-func CollectPanels(panels []Panel) ([]*Result, error) {
-	out := make([]*Result, 0, len(panels))
-	err := RunPanels(panels, func(r *Result) error {
-		out = append(out, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

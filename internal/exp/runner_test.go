@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"datasynth/internal/par/partest"
-	"datasynth/internal/table"
 )
 
 // cdfBytes renders a result's full CDF series — the exact artifact the
@@ -114,79 +113,3 @@ var errStop = &stopError{}
 type stopError struct{}
 
 func (*stopError) Error() string { return "stop" }
-
-func TestCollectPanels(t *testing.T) {
-	partest.SetProcs(t, 2)
-	rs, err := CollectPanels(runnerPanels[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("collected %d results", len(rs))
-	}
-	for i, r := range rs {
-		if r.Panel.Seed != runnerPanels[i].Seed {
-			t.Errorf("result %d out of order (seed %d)", i, r.Panel.Seed)
-		}
-	}
-	if _, err := CollectPanels(nil); err != nil {
-		t.Errorf("empty panel list: %v", err)
-	}
-}
-
-// TestResultDataset: the plumbed-through assignment and edge table
-// materialise as a coherent dataset.
-func TestResultDataset(t *testing.T) {
-	r, err := RunPanel(Panel{Generator: LFR, Size: 1200, K: 4, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := r.Dataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NodeCounts["Node"] != 1200 {
-		t.Errorf("node count = %d", d.NodeCounts["Node"])
-	}
-	if got := d.Edges["edge"].Len(); got != r.Edges {
-		t.Errorf("edge count = %d, want %d", got, r.Edges)
-	}
-	props := d.NodeProps["Node"]
-	if len(props) != 3 {
-		t.Fatalf("props = %d", len(props))
-	}
-	value, label, score := props[0], props[1], props[2]
-	for id := int64(0); id < 1200; id++ {
-		v := value.Int(id)
-		if v != r.Assign[id] {
-			t.Fatalf("row %d: value %d, assign %d", id, v, r.Assign[id])
-		}
-		if want := "v0" + string('0'+byte(v)); label.String(id) != want {
-			t.Fatalf("row %d: label %q, want %q", id, label.String(id), want)
-		}
-		if score.Float(id) != float64(v)/4 {
-			t.Fatalf("row %d: score %v", id, score.Float(id))
-		}
-	}
-	if _, err := (&Result{}).Dataset(); err == nil {
-		t.Error("dataset from empty result should fail")
-	}
-
-	// The panel dataset must survive a columnar round trip under its
-	// own keys, even though the edge table's internal Name is the
-	// generator's.
-	dir := t.TempDir()
-	if err := d.WriteDirColumnar(dir); err != nil {
-		t.Fatal(err)
-	}
-	back, err := table.OpenColumnar(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NodeCounts["Node"] != 1200 {
-		t.Errorf("round-trip node count = %d", back.NodeCounts["Node"])
-	}
-	if back.Edges["edge"] == nil || back.Edges["edge"].Len() != r.Edges {
-		t.Errorf("round trip lost the edge table under its dataset key")
-	}
-}

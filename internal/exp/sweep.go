@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"datasynth/internal/graph"
-	"datasynth/internal/match"
 	"datasynth/internal/par"
 	"datasynth/internal/sgen"
-	"datasynth/internal/stats"
-	"datasynth/internal/xrand"
 )
 
 // Structure-sensitivity sweep: the paper's future work asks for
@@ -21,12 +17,13 @@ import (
 // and k, with the target joint derived from an LDG ground truth on the
 // same graph (the paper's protocol).
 //
-// Measured answer (see EXPERIMENTS.md): fidelity *improves* as µ grows.
-// The driver is not graph structure per se but how informative the
-// target joint is: at high µ the LDG ground truth is nearly random, so
-// the target approaches the independence joint, which any
-// capacity-respecting assignment realises; at low µ the target is
-// sharply structured and every cold-start misplacement costs mass.
+// Measured answer (TestMuSweepShape; TestMuSweepPinned holds the
+// table): fidelity *improves* as µ grows. The driver is not graph
+// structure per se but how informative the target joint is: at high µ
+// the LDG ground truth is nearly random, so the target approaches the
+// independence joint, which any capacity-respecting assignment
+// realises; at low µ the target is sharply structured and every
+// cold-start misplacement costs mass.
 // The hard regime is therefore a *structured target on a graph whose
 // topology resists it* — which is exactly why RMAT panels (hub-heavy,
 // weak blocks) fit worse than LFR panels in Figure 3.
@@ -58,7 +55,8 @@ func RunMuSweep(n int64, k int, mus []float64, seed uint64) ([]MuPoint, error) {
 	return out, nil
 }
 
-// runMuPoint measures one sweep point.
+// runMuPoint measures one sweep point: an LFR graph at seed+idx with
+// mixing muParam, through the panel protocol at seed.
 func runMuPoint(n int64, k int, muParam float64, seed uint64, idx int) (MuPoint, error) {
 	lfr := sgen.NewLFR(seed + uint64(idx))
 	lfr.Mu = muParam
@@ -66,48 +64,11 @@ func runMuPoint(n int64, k int, muParam float64, seed uint64, idx int) (MuPoint,
 	if err != nil {
 		return MuPoint{}, fmt.Errorf("exp: mu=%v: %w", muParam, err)
 	}
-	g, err := graph.FromEdgeTable(et, n)
+	r, err := protocol(Panel{Generator: LFR, Size: n, K: k, Seed: seed}, et, n)
 	if err != nil {
 		return MuPoint{}, err
 	}
-	sizes, err := xrand.GroupSizes(n, k, 0.4)
-	if err != nil {
-		return MuPoint{}, err
-	}
-	ldg, err := match.NewLDG(sizes)
-	if err != nil {
-		return MuPoint{}, err
-	}
-	truth, err := ldg.Partition(g, match.RandomOrder(n, seed^1))
-	if err != nil {
-		return MuPoint{}, err
-	}
-	expected, err := stats.EmpiricalJoint(et, truth, k)
-	if err != nil {
-		return MuPoint{}, err
-	}
-	part, err := match.NewSBMPart(expected, sizes)
-	if err != nil {
-		return MuPoint{}, err
-	}
-	part.Seed = seed ^ 3
-	assign, err := part.Partition(g, match.RandomOrder(n, seed^2))
-	if err != nil {
-		return MuPoint{}, err
-	}
-	observed, err := stats.EmpiricalJoint(et, assign, k)
-	if err != nil {
-		return MuPoint{}, err
-	}
-	l1, err := stats.L1(expected, observed)
-	if err != nil {
-		return MuPoint{}, err
-	}
-	cdf, err := stats.NewCDFPair(expected, observed)
-	if err != nil {
-		return MuPoint{}, err
-	}
-	return MuPoint{Mu: muParam, L1: l1, KS: cdf.KS()}, nil
+	return MuPoint{Mu: muParam, L1: r.L1, KS: r.KS}, nil
 }
 
 // WriteMuSweep renders the sweep as TSV.

@@ -8,7 +8,6 @@ import (
 
 	"datasynth/internal/graph"
 	"datasynth/internal/sgen"
-	"datasynth/internal/table"
 )
 
 // Table 1 of the paper is a qualitative capability matrix of existing
@@ -222,6 +221,3 @@ func WriteTiming(w io.Writer, pts []TimingPoint) error {
 	}
 	return nil
 }
-
-// Ensure table import stays (EdgeTable appears in signatures via sgen).
-var _ = table.NewEdgeTable

@@ -456,5 +456,5 @@ func matchPropertyRepeatable(t *testing.T, passes int) {
 	}
 }
 
-func TestMatchPropertyWindowedIdentical(t *testing.T)        { matchPropertyRepeatable(t, 0) }
-func TestMatchPropertyRefinedWindowedIdentical(t *testing.T) { matchPropertyRepeatable(t, 2) }
+func TestMatchPropertyRepeatable(t *testing.T)        { matchPropertyRepeatable(t, 0) }
+func TestMatchPropertyRefinedRepeatable(t *testing.T) { matchPropertyRepeatable(t, 2) }
