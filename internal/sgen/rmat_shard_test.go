@@ -66,6 +66,42 @@ func TestRMATGoldenHash(t *testing.T) {
 	}
 }
 
+// TestRMATConfigsPinned pins the exact edge table of every
+// rmatConfigs entry, at a power-of-two node count and at one that
+// cycle-walks out-of-range ids (3000), so a change to any draw or
+// resolve path shows here, not only in the default configuration.
+func TestRMATConfigsPinned(t *testing.T) {
+	want := map[string][2]string{
+		"default": {
+			"26ac0878022edbdcd6b9d951d92e659c30337c53ac1b2b53173e5a48ec5013d4",
+			"f9c602b3f693487c95f2b293b7261e2fb44975c629374b42b120ef022800160d",
+		},
+		"noise": {
+			"8f40d53f887f863628e002ceb8f9a5fb175cd249ee5190e130c40412efc7bdc5",
+			"949d5e6ea2af110555a20a841327a5eebd633e2acb0ecb124d217e7ece263754",
+		},
+		"keepDuplicates": {
+			"886c7672409843e663146807b5a0adf957216f9ed482f4c6c13cd7a4dfe4907a",
+			"21866ef19057fbdce6082e640f1ca7ef2777879aa9c5979ec06299c54d05f260",
+		},
+		"noisyKeepDuplicates": {
+			"5b26338e21bbcd63e1099b7fa83c8ff581d3c51a293ea00f42295651a4c2f400",
+			"0cbf9ffe9267edf734992084a22db88a71f18d4684d93c4e943a0568f07fe724",
+		},
+	}
+	for name, mk := range rmatConfigs() {
+		for i, n := range []int64{1 << 12, 3000} {
+			et, err := mk().Run(n)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", name, n, err)
+			}
+			if got := edgeTableSHA256(et); got != want[name][i] {
+				t.Errorf("%s n=%d: edge table hash %s, want %s", name, n, got, want[name][i])
+			}
+		}
+	}
+}
+
 // TestRMATQuadrantSkewShardedAndReference: the A quadrant
 // (low-id half on both endpoints) must dominate the D quadrant on
 // every draw path — the alias fast path and the per-level reference
