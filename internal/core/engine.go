@@ -614,6 +614,18 @@ func (e *Engine) buildGenerators() (map[string]*propGen, error) {
 			return nil, fmt.Errorf("core: property %s: %w", key, err)
 		}
 	}
+	for i := range e.Schema.Edges {
+		// A fused edge draws its head values from the head property's
+		// generator, whose vocabulary and marginal P(Y) must be finite.
+		edge := &e.Schema.Edges[i]
+		if c := edge.Correlation; c != nil && c.Fused {
+			gen := gens[edge.Head+"."+c.HeadProperty].gen
+			if _, ok := gen.(*pgen.Categorical); !ok {
+				return nil, fmt.Errorf("core: fused edge %s needs a categorical generator for %s.%s, got %s",
+					edge.Name, edge.Head, c.HeadProperty, gen.Name())
+			}
+		}
+	}
 	return gens, nil
 }
 
@@ -698,9 +710,6 @@ func (e *Engine) genNodeProperty(st *runState, plan *depgraph.Plan, typeName, pr
 	if fc := st.fusedCol(typeName, propName); fc != nil {
 		if int64(len(fc.labels)) != n {
 			return "", fmt.Errorf("core: fused column %s.%s has %d rows, expected %d", typeName, propName, len(fc.labels), n)
-		}
-		if pg.prop.Kind != table.KindString {
-			return "", fmt.Errorf("core: fused column %s.%s must be a string property", typeName, propName)
 		}
 		pt := table.NewStringTable(typeName+"."+propName, n, fc.values)
 		codes, _ := pt.Coded()

@@ -43,7 +43,8 @@ const SchemaVersion = 4
 // pass before generation: referential validation (schema.Validate), the
 // dependency analysis (cycle detection, count-source resolution), every
 // property generator built through the built-in registry and checked
-// against its property (buildGenerators), every edge type's structure
+// against its property, a fused edge's head generator checked to be
+// categorical (buildGenerators), every edge type's structure
 // generator built and its parameters checked (checkStructures), and
 // every declared node count held to the uint32 id bound (checkCounts) —
 // the steps Generate starts with too. It is what `datasynth -validate`

@@ -151,19 +151,11 @@ func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *sche
 	if !ok {
 		return fmt.Errorf("core: fused edge %s needs property %s.%s first", edge.Name, edge.Tail, c.TailProperty)
 	}
-	tailLabels, tailValues, err := labelsFor(tailPT)
-	if err != nil {
-		return err
-	}
+	tailLabels, tailValues := labelsFor(tailPT)
 	kt := len(tailValues)
 	// The head property's generator supplies the value universe and the
-	// marginal P(Y); it must be categorical for the joint to be finite.
-	gen := st.gens[edge.Head+"."+c.HeadProperty].gen
-	cat, ok := gen.(*pgen.Categorical)
-	if !ok {
-		return fmt.Errorf("core: fused edge %s needs a categorical generator for %s.%s, got %s",
-			edge.Name, edge.Head, c.HeadProperty, gen.Name())
-	}
+	// marginal P(Y); buildGenerators has checked it is categorical.
+	cat := st.gens[edge.Head+"."+c.HeadProperty].gen.(*pgen.Categorical)
 	headValues := cat.Vocabulary(nil)
 	kh := len(headValues)
 
@@ -263,23 +255,17 @@ func (e *Engine) matchRandom(st *runState, edge *schema.EdgeType, et *table.Edge
 		headSpan = max(headSpan, int64(et.Head[i])+1)
 	}
 
-	switch edge.Cardinality {
-	case schema.OneToMany:
-		if edge.Tail == edge.Head {
-			// Self 1→* edge (e.g. Message replyOf Message, a cascade):
-			// tails and heads share one id domain, so both endpoints must
-			// map through the same bijection to preserve the structure.
-			span := tailSpan
-			if headSpan > span {
-				span = headSpan
-			}
-			f, err := match.RandomMatch(span, nTail, seed)
-			if err != nil {
-				return err
-			}
-			et.Remap(f)
-			break
+	switch {
+	case edge.Tail == edge.Head && edge.Cardinality != schema.OneToOne:
+		// Tails and heads share one id domain (a *→* graph, or a 1→*
+		// cascade such as Message replyOf Message), so both endpoints
+		// map through the same bijection to preserve the structure.
+		f, err := match.RandomMatch(max(tailSpan, headSpan), nTail, seed)
+		if err != nil {
+			return err
 		}
+		et.Remap(f)
+	case edge.Cardinality == schema.OneToMany:
 		// Heads are freshly minted dense ids — they *are* the instance
 		// ids. Tails map through a random bijection so instance id
 		// carries no out-degree bias.
@@ -288,7 +274,7 @@ func (e *Engine) matchRandom(st *runState, edge *schema.EdgeType, et *table.Edge
 			return err
 		}
 		et.RemapTails(fTail)
-	case schema.OneToOne:
+	default:
 		fTail, err := match.RandomMatch(tailSpan, nTail, seed)
 		if err != nil {
 			return err
@@ -299,29 +285,6 @@ func (e *Engine) matchRandom(st *runState, edge *schema.EdgeType, et *table.Edge
 		}
 		et.RemapTails(fTail)
 		et.RemapHeads(fHead)
-	default: // ManyToMany
-		if edge.Tail == edge.Head {
-			span := tailSpan
-			if headSpan > span {
-				span = headSpan
-			}
-			f, err := match.RandomMatch(span, nTail, seed)
-			if err != nil {
-				return err
-			}
-			et.Remap(f)
-		} else {
-			fTail, err := match.RandomMatch(tailSpan, nTail, seed)
-			if err != nil {
-				return err
-			}
-			fHead, err := match.RandomMatch(headSpan, nHead, seed^0x9e3779b97f4a7c15)
-			if err != nil {
-				return err
-			}
-			et.RemapTails(fTail)
-			et.RemapHeads(fHead)
-		}
 	}
 	st.setMatched(edge.Name)
 	return nil
@@ -332,11 +295,9 @@ func (e *Engine) matchRandom(st *runState, edge *schema.EdgeType, et *table.Edge
 // Value order follows first appearance, making the reduction
 // deterministic. A coded column is re-ranked code by code — only its
 // distinct values are ever hashed, and two codes that spell the same
-// string share a label; an arena column hashes every row.
-func labelsFor(pt *table.PropertyTable) ([]int64, []string, error) {
-	if pt.Kind != table.KindString {
-		return nil, nil, fmt.Errorf("core: correlated property %s must be a string property", pt.Name)
-	}
+// string share a label; an arena column hashes every row. Every
+// correlated property is a string (schema.Validate).
+func labelsFor(pt *table.PropertyTable) ([]int64, []string) {
 	index := map[string]int64{}
 	var values []string
 	label := func(v string) int64 {
@@ -360,12 +321,12 @@ func labelsFor(pt *table.PropertyTable) ([]int64, []string, error) {
 			}
 			labels[id] = byCode[code]
 		}
-		return labels, values, nil
+		return labels, values
 	}
 	for id := range labels {
 		labels[id] = label(pt.String(int64(id)))
 	}
-	return labels, values, nil
+	return labels, values
 }
 
 // targetJoint builds the P(X,Y) for a monopartite correlation: the
@@ -406,10 +367,7 @@ func (e *Engine) matchMonopartite(st *runState, edge *schema.EdgeType, et *table
 	if !ok {
 		return "", fmt.Errorf("core: correlated property %s.%s not materialised", edge.Tail, edge.Correlation.Property)
 	}
-	labels, values, err := labelsFor(pt)
-	if err != nil {
-		return "", err
-	}
+	labels, values := labelsFor(pt)
 	k := len(values)
 	target, err := targetJoint(edge.Correlation, labels, k)
 	if err != nil {
@@ -471,14 +429,8 @@ func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *tab
 	if !ok {
 		return "", fmt.Errorf("core: property %s.%s not materialised", edge.Head, c.HeadProperty)
 	}
-	tailLabels, tailValues, err := labelsFor(tailPT)
-	if err != nil {
-		return "", err
-	}
-	headLabels, headValues, err := labelsFor(headPT)
-	if err != nil {
-		return "", err
-	}
+	tailLabels, tailValues := labelsFor(tailPT)
+	headLabels, headValues := labelsFor(headPT)
 	tailW, err := labelWeights(tailLabels, len(tailValues))
 	if err != nil {
 		return "", err

@@ -227,10 +227,7 @@ func TestLabelsForLayouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, pt := range map[string]*table.PropertyTable{"coded": coded, "arena": arena} {
-		labels, values, err := labelsFor(pt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		labels, values := labelsFor(pt)
 		if !slices.Equal(labels, wantLabels) || !slices.Equal(values, wantValues) {
 			t.Errorf("%s: labels %v over %v, want %v over %v", name, labels, values, wantLabels, wantValues)
 		}

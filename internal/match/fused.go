@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"sort"
 
-	"datasynth/internal/stats"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
 )
 
-// Fused operators — the paper's future-work proposal implemented:
+// The fused operator — the paper's future-work proposal, implemented for
+// 1→* edges:
 // "special cases of one-to-one and one-to-many edges could be
 // efficiently handled by more specific and efficient operators. These
 // would generate both the property values and the graph structure at
@@ -17,13 +17,14 @@ import (
 // strict constraints reliably."
 //
 // Instead of generating an anonymous structure and then streaming it
-// through SBM-Part (greedy, approximate), the fused operators *choose
-// the endpoints directly* from the target joint distribution. For 1→1
-// and 1→* edges this is possible because every head attaches
-// independently, so the joint P(X,Y) can be realised cell by cell with
-// largest-remainder rounding: the observed distribution matches the
-// target up to integer rounding — a strict guarantee the streaming
-// matcher cannot give.
+// through SBM-Part (greedy, approximate), the fused operator *chooses
+// the endpoints directly* from the target joint distribution. On a 1→*
+// edge this is possible because every head is minted for its one edge
+// and attaches independently, so the joint P(X,Y) can be realised cell
+// by cell with largest-remainder rounding: the observed distribution
+// matches the target up to integer rounding — a strict guarantee the
+// streaming matcher cannot give. The DSL's `fused` clause is valid on
+// 1→* edges only.
 
 // FusedOneToMany generates a correlated 1→* edge table directly from
 // the target: for quota-many edges per value pair (X=a of the tail
@@ -89,87 +90,6 @@ func FusedOneToMany(tailLabels []int64, kt, kh int, m int64, target *BipartiteTa
 	return et, headLabels, nil
 }
 
-// FusedOneToOne generates a correlated perfect matching between two
-// labelled domains of equal size n: the number of (a,b) pairs equals
-// the target joint scaled to n, up to rounding and the per-value
-// supply of each side. Every tail and head row is used exactly once
-// when supplies allow; a residual maximum of min(supply) pairs is
-// matched greedily otherwise.
-func FusedOneToOne(tailLabels, headLabels []int64, kt, kh int, target *BipartiteTarget, seed uint64) (*table.EdgeTable, error) {
-	if len(tailLabels) != len(headLabels) {
-		return nil, fmt.Errorf("match: fused 1-1 needs equal domains, got %d/%d", len(tailLabels), len(headLabels))
-	}
-	if err := target.Validate(); err != nil {
-		return nil, err
-	}
-	n := int64(len(tailLabels))
-	if n == 0 {
-		return table.NewEdgeTable("fused-1-1", 0), nil
-	}
-	tailBuckets := make([][]int64, kt)
-	for r, l := range tailLabels {
-		if l < 0 || l >= int64(kt) {
-			return nil, fmt.Errorf("match: tail row %d has label %d outside [0,%d)", r, l, kt)
-		}
-		tailBuckets[l] = append(tailBuckets[l], int64(r))
-	}
-	headBuckets := make([][]int64, kh)
-	for r, l := range headLabels {
-		if l < 0 || l >= int64(kh) {
-			return nil, fmt.Errorf("match: head row %d has label %d outside [0,%d)", r, l, kh)
-		}
-		headBuckets[l] = append(headBuckets[l], int64(r))
-	}
-	// Shuffle buckets deterministically so pairing carries no id bias.
-	s := xrand.NewStream(seed)
-	shuffle := func(b []int64, label string) {
-		sub := s.DeriveStream(label)
-		for i := len(b) - 1; i > 0; i-- {
-			j := sub.Intn(int64(i), int64(i)+1)
-			b[i], b[j] = b[j], b[i]
-		}
-	}
-	for a := range tailBuckets {
-		shuffle(tailBuckets[a], fmt.Sprintf("t%d", a))
-	}
-	for b := range headBuckets {
-		shuffle(headBuckets[b], fmt.Sprintf("h%d", b))
-	}
-	quotas, err := roundQuotas(target.P, n)
-	if err != nil {
-		return nil, err
-	}
-	et := table.NewEdgeTable("fused-1-1", n)
-	// First pass: satisfy quotas subject to supplies.
-	for a := 0; a < kt; a++ {
-		for b := 0; b < kh; b++ {
-			q := quotas[a*kh+b]
-			for q > 0 && len(tailBuckets[a]) > 0 && len(headBuckets[b]) > 0 {
-				et.Add(pop(&tailBuckets[a]), pop(&headBuckets[b]))
-				q--
-			}
-		}
-	}
-	// Second pass: pair any residual rows (supply/quota mismatch).
-	var residT, residH []int64
-	for a := range tailBuckets {
-		residT = append(residT, tailBuckets[a]...)
-	}
-	for b := range headBuckets {
-		residH = append(residH, headBuckets[b]...)
-	}
-	for i := range residT {
-		et.Add(residT[i], residH[i])
-	}
-	return et, nil
-}
-
-func pop(b *[]int64) int64 {
-	v := (*b)[len(*b)-1]
-	*b = (*b)[:len(*b)-1]
-	return v
-}
-
 // roundQuotas converts a probability vector into integer counts that
 // sum exactly to total, by largest-remainder rounding.
 func roundQuotas(probs []float64, total int64) ([]int64, error) {
@@ -204,7 +124,7 @@ func roundQuotas(probs []float64, total int64) ([]int64, error) {
 
 // FusedQuality verifies a fused result: the L1 distance between the
 // target and the observed joint of (et, tailLabels, headLabels). For
-// fused operators this is bounded by rounding alone — O(cells/total).
+// the fused operator this is bounded by rounding alone — O(cells/total).
 func FusedQuality(et *table.EdgeTable, tailLabels, headLabels []int64, target *BipartiteTarget) (float64, error) {
 	obs, err := EmpiricalBipartite(et, tailLabels, headLabels, target.KT, target.KH)
 	if err != nil {
@@ -220,6 +140,3 @@ func FusedQuality(et *table.EdgeTable, tailLabels, headLabels []int64, target *B
 	}
 	return l1, nil
 }
-
-// ensure stats import is used (joint types referenced in docs).
-var _ = stats.NewJoint

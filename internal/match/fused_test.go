@@ -103,75 +103,6 @@ func TestFusedOneToManyDeterministic(t *testing.T) {
 	}
 }
 
-func TestFusedOneToOnePerfectMatching(t *testing.T) {
-	n := 1000
-	tailLabels := make([]int64, n)
-	headLabels := make([]int64, n)
-	for i := 0; i < n; i++ {
-		tailLabels[i] = int64(i % 2)
-		headLabels[i] = int64((i / 2) % 2)
-	}
-	target := fusedTarget2x2(0.9)
-	et, err := FusedOneToOne(tailLabels, headLabels, 2, 2, target, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if et.Len() != int64(n) {
-		t.Fatalf("edges = %d, want %d", et.Len(), n)
-	}
-	// Perfect matching on both sides.
-	seenT := make([]bool, n)
-	seenH := make([]bool, n)
-	for e := int64(0); e < et.Len(); e++ {
-		if seenT[et.Tail[e]] || seenH[et.Head[e]] {
-			t.Fatal("row reused in perfect matching")
-		}
-		seenT[et.Tail[e]] = true
-		seenH[et.Head[e]] = true
-	}
-	// Joint close to target (supply allows 0.9 diagonal at 50/50 labels).
-	l1, err := FusedQuality(et, tailLabels, headLabels, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l1 > 0.05 {
-		t.Errorf("fused 1-1 L1 = %v, want < 0.05", l1)
-	}
-}
-
-func TestFusedOneToOneSupplyLimited(t *testing.T) {
-	// Target wants all-diagonal but labels make that impossible: 75% of
-	// tails are value 0 while only 25% of heads are. The operator must
-	// still produce a complete matching.
-	tailLabels := []int64{0, 0, 0, 1}
-	headLabels := []int64{0, 1, 1, 1}
-	target := fusedTarget2x2(1.0)
-	et, err := FusedOneToOne(tailLabels, headLabels, 2, 2, target, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if et.Len() != 4 {
-		t.Fatalf("edges = %d, want 4", et.Len())
-	}
-}
-
-func TestFusedOneToOneErrors(t *testing.T) {
-	target := fusedTarget2x2(0.5)
-	if _, err := FusedOneToOne([]int64{0}, []int64{0, 1}, 2, 2, target, 1); err == nil {
-		t.Error("unequal domains should fail")
-	}
-	if _, err := FusedOneToOne([]int64{9}, []int64{0}, 2, 2, target, 1); err == nil {
-		t.Error("bad tail label should fail")
-	}
-	if _, err := FusedOneToOne([]int64{0}, []int64{9}, 2, 2, target, 1); err == nil {
-		t.Error("bad head label should fail")
-	}
-	et, err := FusedOneToOne(nil, nil, 2, 2, target, 1)
-	if err != nil || et.Len() != 0 {
-		t.Errorf("empty domains: %v, %d edges", err, et.Len())
-	}
-}
-
 func TestRoundQuotasExact(t *testing.T) {
 	q, err := roundQuotas([]float64{0.3333, 0.3333, 0.3334}, 100)
 	if err != nil {

@@ -246,6 +246,9 @@ func (s *Schema) Validate() error {
 				if tail.Property(c.Property) == nil {
 					return fmt.Errorf("schema: edge %q correlates unknown property %q", e.Name, c.Property)
 				}
+				if err := correlatedKind(e, tail, c.Property); err != nil {
+					return err
+				}
 			} else {
 				if c.TailProperty == "" || c.HeadProperty == "" {
 					return fmt.Errorf("schema: edge %q correlation names no properties", e.Name)
@@ -255,6 +258,12 @@ func (s *Schema) Validate() error {
 				}
 				if head.Property(c.HeadProperty) == nil {
 					return fmt.Errorf("schema: edge %q head property %q unknown", e.Name, c.HeadProperty)
+				}
+				if err := correlatedKind(e, tail, c.TailProperty); err != nil {
+					return err
+				}
+				if err := correlatedKind(e, head, c.HeadProperty); err != nil {
+					return err
 				}
 			}
 			if c.Matrix == nil && (c.Homophily < 0 || c.Homophily > 1) {
@@ -308,6 +317,16 @@ func (s *Schema) Validate() error {
 	}
 	if !anchored {
 		return fmt.Errorf("schema: no scale anchor (every count is inferred)")
+	}
+	return nil
+}
+
+// correlatedKind refuses a correlated property that is not a string:
+// the matchers and the fused operator work on a property's distinct
+// values, which only a string column enumerates.
+func correlatedKind(e *EdgeType, n *NodeType, prop string) error {
+	if k := n.Property(prop).Kind; k != table.KindString {
+		return fmt.Errorf("schema: edge %q correlates %s.%s of kind %v; a correlated property must be a string property", e.Name, n.Name, prop, k)
 	}
 	return nil
 }

@@ -758,6 +758,76 @@ func TestSubmitRejectsBadGeneratorSpecs(t *testing.T) {
 	}
 }
 
+// TestCorrelationValidationFirst: a correlation the matchers cannot run
+// — on a non-string property, or fused onto a head property whose
+// generator is not categorical — fails the checks `datasynth -validate`
+// runs (dsl.Parse, then core.ValidateSchema) and is a 400 at POST
+// /v1/jobs, each naming the edge and the property, with no engine run.
+// All three used to validate and be admitted, then fail their
+// structure or match task.
+func TestCorrelationValidationFirst(t *testing.T) {
+	const (
+		intV  = `property v : int = uniform-int(lo=1, hi=5)`
+		catV  = `property v : string = categorical(values="a|b")`
+		catC  = `property c : string = categorical(values="x|y")`
+		textC = `property c : string = text(min=1, max=2)`
+	)
+	fused := func(tailProp, headProp string) string {
+		return `graph g {
+  seed = 1
+  node P {
+    count = 50
+    ` + tailProp + `
+  }
+  node M {
+    ` + headProp + `
+  }
+  edge posts : P 1-* M {
+    structure = powerlaw-out(min=1, max=4, gamma=2.0)
+    correlate tail.v with head.c homophily 0.8 fused
+  }
+}`
+	}
+	svc := newTestService(t, Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	for _, c := range []struct{ name, src, edge, prop string }{
+		{"int monopartite property", `graph g {
+  seed = 1
+  node P {
+    count = 50
+    ` + intV + `
+  }
+  edge knows : P *-* P {
+    structure = erdos-renyi(edgesPerNode=3)
+    correlate v homophily 0.8
+  }
+}`, "knows", "P.v"},
+		{"int fused tail property", fused(intV, catC), "posts", "P.v"},
+		{"text fused head property", fused(catV, textC), "posts", "M.c"},
+	} {
+		s, err := dsl.Parse(c.src)
+		if err == nil {
+			err = core.ValidateSchema(s)
+		}
+		if err == nil || !strings.Contains(err.Error(), c.edge) || !strings.Contains(err.Error(), c.prop) {
+			t.Errorf("%s: validation = %v, want an error naming edge %s and %s", c.name, err, c.edge, c.prop)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(c.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.edge) || !strings.Contains(string(body), c.prop) {
+			t.Errorf("%s: POST %d %s, want 400 naming edge %s and %s", c.name, resp.StatusCode, body, c.edge, c.prop)
+		}
+	}
+	if n := svc.Generations(); n != 0 {
+		t.Errorf("%d engine runs started for schemas that must not be admitted", n)
+	}
+}
+
 // TestSubmitRejectsNodeCountPastIDBound: a declared node count past the
 // uint32 endpoint id bound is a 400 at POST /v1/jobs naming the type,
 // with no engine run.

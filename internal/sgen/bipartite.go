@@ -344,13 +344,6 @@ func (g *UniformBipartite) NumTailsForEdges(numEdges int64) (int64, error) {
 	})
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // validOutDegrees checks the truncated power-law out-degree parameters
 // PowerLawOut and ZipfAttachment share (a MinOut below 1 samples from 1).
 func validOutDegrees(gen string, minOut, maxOut int, gamma float64) error {

@@ -7,11 +7,7 @@ import (
 	"datasynth/internal/xrand"
 )
 
-// Sharded RMAT generation. The serial generator drew edges one at a
-// time through a per-level addressable-RNG loop and deduped through a
-// map[uint64]struct{} — the last fully serial hot path in the
-// codebase. This implementation applies the LFR sharding contract to
-// RMAT:
+// Sharded RMAT generation, applying the LFR sharding contract:
 //
 //   - Edge draws happen in rounds. A round partitions its draw budget
 //     into fixed-size shards; shard s of round r fills the disjoint
@@ -19,19 +15,18 @@ import (
 //     draws from its own RNG stream, derived as
 //     NewStream(seed).DeriveStream("rmat.shard").DeriveN(r<<20|s).
 //     The slab content is a pure function of (seed, round, shard).
-//   - After the slab is full, one sequential pass resolves it in slab
-//     order: out-of-range endpoints (cycle-walk for non-power-of-two n)
-//     and — unless KeepDuplicates — self-loops and duplicate edges are
-//     rejected through the LFR-style radix sort-and-compact dedup, and
-//     the survivors append to the edge table in slab order.
+//   - Every configuration draws into one slab of raw tail<<32|head
+//     candidates: through the alias tables when noiseless, level by
+//     level when Noise perturbs the quadrant probabilities.
+//   - After the slab is full, one sequential pass resolves it. With
+//     KeepDuplicates, candidates append in slab order, skipping only
+//     out-of-range endpoints (the cycle-walk for non-power-of-two n).
+//     Otherwise self-loops and out-of-range endpoints are dropped, the
+//     rest canonicalised to (min<<32|max) in place, sorted in place,
+//     and the keys not seen before append in sorted order.
 //   - Rounds refill deterministically: the next round's draw budget is
 //     a function of how many edges are still missing, which is itself
 //     deterministic.
-//
-// Randomness per draw is one sequential splitmix64 value per recursion
-// level (xrand.Seq: one mix64 per draw), versus two mix rounds plus
-// index arithmetic for the old addressable path; the Noise branch is
-// resolved once per shard instead of once per level.
 
 const (
 	// rmatShardSize is the draw count of one shard, the unit that owns
@@ -39,9 +34,8 @@ const (
 	// per-shard stream derivation is noise.
 	rmatShardSize = 1 << 16
 	// rmatMaxRoundDraws caps one round's slab so slab memory stays
-	// bounded (one packed-key slab of at most 4M entries, 32 MiB, sorted
-	// in place; the Noise path adds two int64 draw slices); larger
-	// targets simply take more rounds.
+	// bounded (one candidate slab of at most 4M entries, 32 MiB, sorted
+	// in place); larger targets simply take more rounds.
 	rmatMaxRoundDraws = 1 << 22
 	// rmatMaxDryRounds bounds consecutive zero-progress rounds before
 	// generation gives up (the graph cannot absorb more distinct edges).
@@ -190,12 +184,7 @@ func (r *RMAT) runSharded(n int64) (*table.EdgeTable, error) {
 		al = newRMATAlias(r.A, r.B, r.C, r.D, scale)
 	}
 
-	// The hot configuration — noiseless with dedup — draws straight
-	// into a single packed-key slab; the other combinations go through
-	// the two-array (tail, head) slab.
-	packed := al != nil && !r.KeepDuplicates
 	var slab []uint64
-	var slabT, slabH []int64
 	dry := 0
 	r.lastStats = rmatStats{}
 	for round := 0; et.Len() < m; round++ {
@@ -205,25 +194,15 @@ func (r *RMAT) runSharded(n int64) (*table.EdgeTable, error) {
 		need := m - et.Len()
 		draws := rmatRoundDraws(round, need)
 		before := et.Len()
-		if packed {
-			if cap(slab) < int(draws) {
-				slab = make([]uint64, draws)
-			}
-			slab = slab[:draws]
-			r.fillSlabPacked(base, round, slab, al)
-			slab = dd.appendDedupedPacked(et, slab, n, need)
+		if cap(slab) < int(draws) {
+			slab = make([]uint64, draws)
+		}
+		slab = slab[:draws]
+		r.fillSlab(base, round, slab, scale, al)
+		if r.KeepDuplicates {
+			rmatAppendInRange(et, slab, n, need)
 		} else {
-			if cap(slabT) < int(draws) {
-				slabT = make([]int64, draws)
-				slabH = make([]int64, draws)
-			}
-			slabT, slabH = slabT[:draws], slabH[:draws]
-			r.fillSlab(base, round, slabT, slabH, scale, al)
-			if r.KeepDuplicates {
-				rmatAppendInRange(et, slabT, slabH, n, need)
-			} else {
-				dd.appendDeduped(et, slabT, slabH, n, need)
-			}
+			slab = dd.appendDeduped(et, slab, n, need)
 		}
 		r.lastStats.rounds = round + 1
 		r.lastStats.draws += draws
@@ -265,79 +244,29 @@ func shardStream(base xrand.Stream, round, s int) xrand.Seq {
 	return *xrand.NewSeq(base.DeriveN(uint64(round)<<20 | uint64(s)).Seed())
 }
 
-// shardLoop runs fill(s) for every shard of a draws-sized round. Shard
-// s owns the slab range [s·shardSize, (s+1)·shardSize).
-func shardLoop(draws int64, fill func(s int, lo, hi int64)) {
-	for s, lo := 0, int64(0); lo < draws; s, lo = s+1, lo+rmatShardSize {
-		fill(s, lo, min(lo+rmatShardSize, draws))
-	}
-}
-
-// fillSlab fills one round's two-array slab (Noise or KeepDuplicates
-// configurations).
-func (r *RMAT) fillSlab(base xrand.Stream, round int, slabT, slabH []int64, scale uint, al *rmatAlias) {
-	shardLoop(int64(len(slabT)), func(s int, lo, hi int64) {
+// fillSlab fills one round's candidate slab shard by shard. Shard s
+// owns the slab range [s·shardSize, (s+1)·shardSize).
+func (r *RMAT) fillSlab(base xrand.Stream, round int, slab []uint64, scale uint, al *rmatAlias) {
+	for s, lo := 0, 0; lo < len(slab); s, lo = s+1, lo+rmatShardSize {
 		q := shardStream(base, round, s)
+		shard := slab[lo:min(lo+rmatShardSize, len(slab))]
 		if al != nil {
-			drawShardAlias(&q, slabT[lo:hi], slabH[lo:hi], al)
+			drawShardAlias(&q, shard, al)
 		} else {
-			r.drawShard(&q, slabT[lo:hi], slabH[lo:hi], scale)
+			r.drawShard(&q, shard, scale)
 		}
-	})
-}
-
-// fillSlabPacked fills one round's packed-key slab (the noiseless
-// dedup fast path).
-func (r *RMAT) fillSlabPacked(base xrand.Stream, round int, slab []uint64, al *rmatAlias) {
-	shardLoop(int64(len(slab)), func(s int, lo, hi int64) {
-		q := shardStream(base, round, s)
-		drawShardAliasPacked(&q, slab[lo:hi], al)
-	})
-}
-
-// drawShardAlias fills one shard's slab range via the alias tables:
-// one RNG draw per rmatAliasLevels levels, the remainder block (if
-// any) first so full blocks run back to back.
-func drawShardAlias(q *xrand.Seq, tails, heads []int64, al *rmatAlias) {
-	for i := range tails {
-		var t, h int64
-		if al.rem > 0 {
-			v := q.U64()
-			idx := v >> (64 - 2*al.rem)
-			frac := (v << (2 * al.rem)) >> 8
-			o := int(al.remAlias[idx])
-			if frac < al.remThresh[idx] {
-				o = int(idx)
-			}
-			nb := al.remNib[o]
-			t = int64(nb >> 4)
-			h = int64(nb & 0xf)
-		}
-		for b := 0; b < al.blocks; b++ {
-			v := q.U64()
-			idx := v >> 56
-			frac := v & (rmatFracOne - 1)
-			o := int(al.alias[idx])
-			if frac < al.thresh[idx] {
-				o = int(idx)
-			}
-			nb := al.nib[o]
-			t = t<<4 | int64(nb>>4)
-			h = h<<4 | int64(nb&0xf)
-		}
-		tails[i], heads[i] = t, h
 	}
 }
 
-// drawShardAliasPacked is drawShardAlias emitting packed
-// (min<<32|max) candidate keys, the exact shape the dedup pass
-// consumes — self-loops stay detectable as min == max. The alias
-// select and the endpoint swap are branchless: at Graph500 skew both
+// drawShardAlias fills one shard's slab range with tail<<32|head
+// candidates via the alias tables: one RNG draw per rmatAliasLevels
+// levels, the remainder block (if any) first so full blocks run back
+// to back. The alias select is branchless: at Graph500 skew both
 // outcomes are near coin flips, and a mispredict costs more than the
 // mask arithmetic.
-func drawShardAliasPacked(q *xrand.Seq, slab []uint64, al *rmatAlias) {
+func drawShardAlias(q *xrand.Seq, slab []uint64, al *rmatAlias) {
 	for i := range slab {
-		var t, h int64
+		var t, h uint64
 		if al.rem > 0 {
 			v := q.U64()
 			idx := v >> (64 - 2*al.rem)
@@ -346,8 +275,8 @@ func drawShardAliasPacked(q *xrand.Seq, slab []uint64, al *rmatAlias) {
 			mask := uint64(diff >> 63)
 			o := int(idx&mask | uint64(al.remAlias[idx])&^mask)
 			nb := al.remNib[o]
-			t = int64(nb >> 4)
-			h = int64(nb & 0xf)
+			t = uint64(nb >> 4)
+			h = uint64(nb & 0xf)
 		}
 		for b := 0; b < al.blocks; b++ {
 			v := q.U64()
@@ -357,82 +286,54 @@ func drawShardAliasPacked(q *xrand.Seq, slab []uint64, al *rmatAlias) {
 			mask := uint64(diff >> 63)
 			o := int(idx&mask | uint64(al.alias[idx])&^mask)
 			nb := al.nib[o]
-			t = t<<4 | int64(nb>>4)
-			h = h<<4 | int64(nb&0xf)
+			t = t<<4 | uint64(nb>>4)
+			h = h<<4 | uint64(nb&0xf)
 		}
-		lo, hi := t, h
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		slab[i] = uint64(lo)<<32 | uint64(hi)
+		slab[i] = t<<32 | h
 	}
 }
 
 // drawShard fills one shard's slab range with per-level
 // quadrant-recursion draws — the Noise path, where the quadrant
 // probabilities change at every level and the alias tables cannot
-// apply. The noiseless branch is kept as the reference implementation
-// the alias path is property-tested against.
-func (r *RMAT) drawShard(q *xrand.Seq, tails, heads []int64, scale uint) {
-	if r.Noise > 0 {
-		a, b, c := r.A, r.B, r.C
-		for i := range tails {
-			var t, h int64
-			for level := scale; level > 0; level-- {
-				u := q.Float64()
-				// Symmetric noise keeps expectation fixed.
-				nz := (q.Float64() - 0.5) * 2 * r.Noise
-				al := a + a*nz
-				bl := b - b*nz/2
-				cl := c - c*nz/2
-				bit := int64(1) << (level - 1)
-				switch {
-				case u < al:
-					// quadrant (0,0): nothing to add
-				case u < al+bl:
-					h |= bit
-				case u < al+bl+cl:
-					t |= bit
-				default:
-					t |= bit
-					h |= bit
-				}
-			}
-			tails[i], heads[i] = t, h
-		}
-		return
-	}
-	a, ab, abc := r.A, r.A+r.B, r.A+r.B+r.C
-	for i := range tails {
-		var t, h int64
+// apply.
+func (r *RMAT) drawShard(q *xrand.Seq, slab []uint64, scale uint) {
+	a, b, c := r.A, r.B, r.C
+	for i := range slab {
+		var t, h uint64
 		for level := scale; level > 0; level-- {
 			u := q.Float64()
-			bit := int64(1) << (level - 1)
+			// Symmetric noise keeps expectation fixed.
+			nz := (q.Float64() - 0.5) * 2 * r.Noise
+			al := a + a*nz
+			bl := b - b*nz/2
+			cl := c - c*nz/2
+			bit := uint64(1) << (level - 1)
 			switch {
-			case u < a:
+			case u < al:
 				// quadrant (0,0): nothing to add
-			case u < ab:
+			case u < al+bl:
 				h |= bit
-			case u < abc:
+			case u < al+bl+cl:
 				t |= bit
 			default:
 				t |= bit
 				h |= bit
 			}
 		}
-		tails[i], heads[i] = t, h
+		slab[i] = t<<32 | h
 	}
 }
 
 // rmatAppendInRange resolves a KeepDuplicates round: candidates append
 // in slab order, skipping only endpoints outside [0, n) (the
 // cycle-walk for non-power-of-two n), up to limit edges.
-func rmatAppendInRange(et *table.EdgeTable, tails, heads []int64, n, limit int64) {
-	for i := range tails {
+func rmatAppendInRange(et *table.EdgeTable, slab []uint64, n, limit int64) {
+	for _, k := range slab {
 		if limit == 0 {
 			return
 		}
-		t, h := tails[i], heads[i]
+		t, h := int64(k>>32), int64(k&0xffffffff)
 		if t >= n || h >= n {
 			continue
 		}
@@ -441,42 +342,20 @@ func rmatAppendInRange(et *table.EdgeTable, tails, heads []int64, n, limit int64
 	}
 }
 
-// appendDeduped resolves one deduped round: candidates
-// (tails[i], heads[i]) with self-loops and endpoints outside [0, n)
-// dropped are canonicalised to (min, max) and handed to resolveRound.
-func (d *edgeDedup) appendDeduped(et *table.EdgeTable, tails, heads []int64, n, limit int64) {
-	nCand := len(tails)
-	// Sized up front: RMAT rounds are millions of candidates, and
-	// append doubling from a cold buffer would copy the whole round
-	// twice.
-	if cap(d.keys) < nCand {
-		d.keys = make([]uint64, 0, nCand)
-	}
-	keys := d.keys[:0]
-	for i := 0; i < nCand; i++ {
-		t, h := tails[i], heads[i]
-		if t == h || t >= n || h >= n {
-			continue
-		}
-		keys = append(keys, packEdgeKey(t, h))
-	}
-	d.keys = d.resolveRound(et, keys, limit)
-}
-
-// appendDedupedPacked is appendDeduped over an already packed
-// candidate slab (drawShardAliasPacked's output): self-loops
-// (min == max) and out-of-range keys are filtered out in place and the
-// rest resolved as usual. The slab is consumed, like resolveRound's
-// keys; the buffer returned — nil once the slab has become the accepted
-// set — is the one to fill next round.
-func (d *edgeDedup) appendDedupedPacked(et *table.EdgeTable, slab []uint64, n, limit int64) []uint64 {
+// appendDeduped resolves one deduped round over a slab of tail<<32|head
+// candidates: self-loops and endpoints outside [0, n) are filtered out
+// in place, the rest canonicalised to (min<<32|max) and handed to
+// resolveRound. The slab is consumed, like resolveRound's keys; the
+// buffer returned — nil once the slab has become the accepted set — is
+// the one to fill next round.
+func (d *edgeDedup) appendDeduped(et *table.EdgeTable, slab []uint64, n, limit int64) []uint64 {
 	w := 0
 	for _, k := range slab {
-		max := k & 0xffffffff
-		if k>>32 == max || int64(max) >= n {
+		t, h := k>>32, k&0xffffffff
+		if t == h || max(t, h) >= uint64(n) {
 			continue
 		}
-		slab[w] = k
+		slab[w] = min(t, h)<<32 | max(t, h)
 		w++
 	}
 	return d.resolveRound(et, slab[:w], limit)

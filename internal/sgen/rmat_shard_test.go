@@ -14,9 +14,10 @@ import (
 	"datasynth/internal/xrand"
 )
 
-// rmatConfigs are the generator's draw and resolve paths: the alias
-// fast path, the per-level Noise path, the KeepDuplicates path and the
-// cycle-walking non-power-of-two path.
+// rmatConfigs cross the two draw kernels (the alias tables, or per
+// level when Noise is set) with the two resolve passes (dedup, or slab
+// order with KeepDuplicates). All four fill the same candidate slab; at
+// a non-power-of-two n each also cycle-walks out-of-range ids.
 func rmatConfigs() map[string]func() *RMAT {
 	return map[string]func() *RMAT{
 		"default": func() *RMAT { return NewRMAT(21) },
@@ -104,8 +105,7 @@ func TestRMATConfigsPinned(t *testing.T) {
 
 // TestRMATQuadrantSkewShardedAndReference: the A quadrant
 // (low-id half on both endpoints) must dominate the D quadrant on
-// every draw path — the alias fast path and the per-level reference
-// path (forced via Noise, which is the per-level branch).
+// both draw kernels — the alias tables and the per-level Noise draw.
 func TestRMATQuadrantSkewShardedAndReference(t *testing.T) {
 	check := func(name string, g *RMAT) {
 		n := int64(1 << 12)
@@ -184,13 +184,11 @@ func TestRMATAliasOutcomeDistribution(t *testing.T) {
 	{
 		al := newRMATAlias(a, b, c, d, 2)
 		const draws = 1 << 19
-		tails := make([]int64, draws)
-		heads := make([]int64, draws)
-		q := xrand.NewSeq(99)
-		drawShardAlias(q, tails, heads, al)
+		slab := make([]uint64, draws)
+		drawShardAlias(xrand.NewSeq(99), slab, al)
 		counts := make([]int64, 16)
-		for i := range tails {
-			counts[tails[i]*4+heads[i]]++
+		for _, k := range slab {
+			counts[k>>32*4+k&0xffffffff]++
 		}
 		for th := 0; th < 16; th++ {
 			tt, hh := th/4, th%4
@@ -210,15 +208,13 @@ func TestRMATAliasOutcomeDistribution(t *testing.T) {
 	{
 		al := newRMATAlias(a, b, c, d, 8)
 		const draws = 1 << 19
-		tails := make([]int64, draws)
-		heads := make([]int64, draws)
-		q := xrand.NewSeq(100)
-		drawShardAlias(q, tails, heads, al)
+		slab := make([]uint64, draws)
+		drawShardAlias(xrand.NewSeq(100), slab, al)
 		for lvl := 0; lvl < 8; lvl++ {
-			var tSet, hSet int64
-			for i := range tails {
-				tSet += tails[i] >> lvl & 1
-				hSet += heads[i] >> lvl & 1
+			var tSet, hSet uint64
+			for _, k := range slab {
+				tSet += k >> (32 + lvl) & 1
+				hSet += k >> lvl & 1
 			}
 			tGot, hGot := float64(tSet)/draws, float64(hSet)/draws
 			if diff := tGot - (c + d); diff > 0.01 || diff < -0.01 {
@@ -246,8 +242,8 @@ func TestRMATRunNote(t *testing.T) {
 	t.Logf("note: %s", note)
 }
 
-// naiveDedupRound is the reference semantics of one
-// appendDeduped/appendDedupedPacked round: filter self-loops and
+// naiveDedupRound is the reference semantics of one appendDeduped
+// round: filter self-loops and
 // out-of-range endpoints, drop keys duplicated within the round or
 // accepted by any earlier round, and emit winners in sorted key order
 // up to limit. It reports whether the round exhausted its limit: such a
@@ -283,13 +279,13 @@ func naiveDedupRound(accepted map[uint64]struct{}, et *table.EdgeTable, tails, h
 	return limit == 0
 }
 
-// checkRMATDedupAgainstReference drives both dedup front-ends (the
-// unpacked Noise-path one and the packed fast-path one) through
-// multiple rounds over fuzz-derived candidates, up to the first round
-// that exhausts its limit, and compares each against the map
-// reference. span bounds the id universe — small spans
-// maximise duplicate and self-loop pressure; n < span forces
-// out-of-range rejections.
+// checkRMATDedupAgainstReference drives appendDeduped through
+// multiple rounds over fuzz-derived raw tail<<32|head candidates — tail
+// above head as often as below, so the in-place canonicalisation is
+// exercised — up to the first round that exhausts its limit, and
+// compares the result with the map reference. span bounds the id
+// universe — small spans maximise duplicate and self-loop pressure;
+// n < span forces out-of-range rejections.
 func checkRMATDedupAgainstReference(t *testing.T, data []byte, span uint8, n int64, limits []int64) {
 	if span < 2 {
 		span = 2
@@ -308,40 +304,26 @@ func checkRMATDedupAgainstReference(t *testing.T, data []byte, span uint8, n int
 		heads[i] = int64(data[2*i+1]) % int64(span)
 	}
 
-	for _, packed := range []bool{false, true} {
-		dd := new(edgeDedup)
-		fast := table.NewEdgeTable("fast", 0)
-		naive := table.NewEdgeTable("naive", 0)
-		accepted := map[uint64]struct{}{}
-		// Rounds split the candidates in half so the accepted set and
-		// both merge paths (in-place and reallocating) see action.
-		half := nCand / 2
-		bounds := [][2]int{{0, half}, {half, nCand}}
-		for r, lim := range limits {
-			lo, hi := bounds[r%2][0], bounds[r%2][1]
-			if packed {
-				slab := make([]uint64, 0, hi-lo)
-				for i := lo; i < hi; i++ {
-					a, b := tails[i], heads[i]
-					if a > b {
-						a, b = b, a
-					}
-					slab = append(slab, uint64(a)<<32|uint64(b))
-				}
-				dd.appendDedupedPacked(fast, slab, n, lim)
-			} else {
-				dd.appendDeduped(fast, tails[lo:hi], heads[lo:hi], n, lim)
-			}
-			if naiveDedupRound(accepted, naive, tails[lo:hi], heads[lo:hi], n, lim) {
-				break
-			}
+	dd := new(edgeDedup)
+	fast := table.NewEdgeTable("fast", 0)
+	naive := table.NewEdgeTable("naive", 0)
+	accepted := map[uint64]struct{}{}
+	// Rounds split the candidates in half so the accepted set and both
+	// merge paths (in-place and reallocating) see action.
+	half := nCand / 2
+	bounds := [][2]int{{0, half}, {half, nCand}}
+	for r, lim := range limits {
+		lo, hi := bounds[r%2][0], bounds[r%2][1]
+		slab := make([]uint64, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			slab = append(slab, uint64(tails[i])<<32|uint64(heads[i]))
 		}
-		kind := "unpacked"
-		if packed {
-			kind = "packed"
+		dd.appendDeduped(fast, slab, n, lim)
+		if naiveDedupRound(accepted, naive, tails[lo:hi], heads[lo:hi], n, lim) {
+			break
 		}
-		assertSameEdges(t, kind, naive, fast)
 	}
+	assertSameEdges(t, "dedup", naive, fast)
 }
 
 // FuzzRMATDedup go-fuzzes the sharded-RMAT dedup rounds against the
@@ -392,12 +374,21 @@ func TestRMATDedupBuffers(t *testing.T) {
 	// Allocations outside the edge table (8 bytes an edge), in 8-byte
 	// words per drawn key: the slab and a round-sized radix scratch read
 	// 1.97 at scale 16 and 1.85 at scale 18; the slab and the leaf
-	// scratch read about 1.24 and 1.06.
+	// scratch read about 1.24 and 1.06. Noise and KeepDuplicates fill
+	// the same slab (they read 2.75 and 2.00 words while they drew into
+	// two int64 slices and Noise copied the keys out).
 	for _, c := range []struct {
+		name  string
+		mk    func() *RMAT
 		scale uint
 		words float64
-	}{{16, 1.4}, {18, 1.2}} {
-		g := NewRMAT(3)
+	}{
+		{"default", rmatConfigs()["default"], 16, 1.4},
+		{"default", rmatConfigs()["default"], 18, 1.2},
+		{"noise", rmatConfigs()["noise"], 18, 1.2},
+		{"keepDuplicates", rmatConfigs()["keepDuplicates"], 18, 1.2},
+	} {
+		g := c.mk()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		et, err := g.RunScale(c.scale)
@@ -407,9 +398,9 @@ func TestRMATDedupBuffers(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		scratch := float64(after.TotalAlloc-before.TotalAlloc) - 8*float64(cap(et.Tail))
 		perKey := scratch / 8 / float64(g.lastStats.draws)
-		t.Logf("scale %d: %.2f words per drawn key outside the edge table", c.scale, perKey)
+		t.Logf("%s scale %d: %.2f words per drawn key outside the edge table", c.name, c.scale, perKey)
 		if perKey >= c.words {
-			t.Errorf("scale-%d run allocated %.2f words per drawn key outside the edge table, want < %v", c.scale, perKey, c.words)
+			t.Errorf("%s scale-%d run allocated %.2f words per drawn key outside the edge table, want < %v", c.name, c.scale, perKey, c.words)
 		}
 	}
 
@@ -442,13 +433,13 @@ func TestRMATDedupBuffers(t *testing.T) {
 		tails, heads := make([]int64, draws), make([]int64, draws)
 		for i := range slab {
 			tails[i], heads[i] = q.Intn(n+2), q.Intn(n+2) // some out of range
-			slab[i] = packEdgeKey(tails[i], heads[i])
+			slab[i] = uint64(tails[i])<<32 | uint64(heads[i])
 		}
 		limit := int64(1 << 30)
 		if round == 4 {
 			limit = 100
 		}
-		slab = dd.appendDedupedPacked(fast, slab, n, limit)
+		slab = dd.appendDeduped(fast, slab, n, limit)
 		last := naiveDedupRound(accepted, naive, tails, heads, n, limit)
 		if len(dd.accepted) == 0 {
 			t.Fatalf("round %d: empty accepted set", round)
@@ -486,8 +477,8 @@ func checkSortKeysInPlace(t *testing.T, data []byte, mask, fill uint64, leaf int
 	}
 }
 
-// rmatKeyMask is the live mask of scale-18 packed (min<<32|max) keys:
-// two runs of 18 bits.
+// rmatKeyMask is the live mask of scale-18 candidate keys: two runs of
+// 18 bits.
 const rmatKeyMask = (1<<18-1)<<32 | (1<<18 - 1)
 
 // FuzzSortKeysInPlace go-fuzzes the in-place key sort against
@@ -527,7 +518,7 @@ func TestSortKeysInPlace(t *testing.T) {
 	}
 
 	slab := make([]uint64, 1<<20)
-	drawShardAliasPacked(xrand.NewSeq(3), slab, newRMATAlias(0.57, 0.19, 0.19, 0.05, 18))
+	drawShardAlias(xrand.NewSeq(3), slab, newRMATAlias(0.57, 0.19, 0.19, 0.05, 18))
 	want := slices.Clone(slab)
 	slices.Sort(want)
 	new(edgeDedup).sortKeysInPlace(slab, sortLeafKeys)

@@ -72,8 +72,8 @@
 //     rather than truncate it; a generator that mints its own ids, as
 //     powerlaw-out mints heads, returns an error before that). A
 //     generator should stay within a small multiple of the table
-//     beside it and say how much: RMAT's dedup round holds two
-//     8-byte buffers per drawn key (TestRMATDedupBuffers), LFR's wiring
+//     beside it and say how much: an RMAT round holds one 8-byte
+//     candidate per drawn key (TestRMATDedupBuffers), LFR's wiring
 //     reuses one edgeDedup per shard, zipf-attachment keeps 8 bytes per
 //     popularity rank and finds a tail's repeated head by scanning the
 //     at most MaxOut heads it already has, not in a set per tail.
