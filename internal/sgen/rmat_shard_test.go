@@ -243,12 +243,12 @@ func TestRMATRunNote(t *testing.T) {
 }
 
 // naiveDedupRound is the reference semantics of one appendDeduped
-// round: filter self-loops and
-// out-of-range endpoints, drop keys duplicated within the round or
-// accepted by any earlier round, and emit winners in sorted key order
-// up to limit. It reports whether the round exhausted its limit: such a
-// round is the last one runSharded runs (its table is full), so the
-// dedup need not record its winners and the checks stop after it.
+// round: filter self-loops and out-of-range endpoints, drop keys
+// duplicated within the round or accepted by any earlier round, and
+// emit winners in sorted key order up to limit. It reports whether the
+// round exhausted its limit: such a round is the last one runSharded
+// runs (its table is full), so the dedup need not record its winners
+// and the checks stop after it.
 func naiveDedupRound(accepted map[uint64]struct{}, et *table.EdgeTable, tails, heads []int64, n, limit int64) (last bool) {
 	inRound := map[uint64]struct{}{}
 	var fresh []uint64
@@ -379,16 +379,10 @@ func TestRMATDedupBuffers(t *testing.T) {
 	// two int64 slices and Noise copied the keys out).
 	for _, c := range []struct {
 		name  string
-		mk    func() *RMAT
 		scale uint
 		words float64
-	}{
-		{"default", rmatConfigs()["default"], 16, 1.4},
-		{"default", rmatConfigs()["default"], 18, 1.2},
-		{"noise", rmatConfigs()["noise"], 18, 1.2},
-		{"keepDuplicates", rmatConfigs()["keepDuplicates"], 18, 1.2},
-	} {
-		g := c.mk()
+	}{{"default", 16, 1.4}, {"default", 18, 1.2}, {"noise", 18, 1.2}, {"keepDuplicates", 18, 1.2}} {
+		g := rmatConfigs()[c.name]()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		et, err := g.RunScale(c.scale)
