@@ -351,11 +351,11 @@ func rmatAppendInRange(et *table.EdgeTable, slab []uint64, n, limit int64) {
 func (d *edgeDedup) appendDeduped(et *table.EdgeTable, slab []uint64, n, limit int64) []uint64 {
 	w := 0
 	for _, k := range slab {
-		t, h := k>>32, k&0xffffffff
-		if t == h || max(t, h) >= uint64(n) {
+		lo, hi := min(k>>32, k&0xffffffff), max(k>>32, k&0xffffffff)
+		if lo == hi || hi >= uint64(n) {
 			continue
 		}
-		slab[w] = min(t, h)<<32 | max(t, h)
+		slab[w] = lo<<32 | hi
 		w++
 	}
 	return d.resolveRound(et, slab[:w], limit)
