@@ -173,7 +173,11 @@ func setupAblation(b *testing.B, n int64, k int) (*graph.Graph, *stats.Joint, []
 	if err != nil {
 		b.Fatal(err)
 	}
-	target, err := stats.EmpiricalJoint(et, truth, k)
+	labels := make([]int64, n)
+	for v, t := range truth {
+		labels[v] = int64(t)
+	}
+	target, err := stats.EmpiricalJoint(et, labels, k)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -194,7 +198,7 @@ type ablationState struct {
 
 var ablationShared ablationState
 
-func ablationL1(b *testing.B, assign []int64) float64 {
+func ablationL1(b *testing.B, assign []uint32) float64 {
 	b.Helper()
 	s := &ablationShared
 	obs := stats.NewJoint(s.k)
@@ -241,7 +245,7 @@ func BenchmarkAblationOrder(b *testing.B) {
 	for _, order := range []string{"random", "bfs", "degree"} {
 		b.Run(order, func(b *testing.B) {
 			g, target, sizes := setupAblation(b, 10000, 16)
-			var ord []int64
+			var ord []uint32
 			switch order {
 			case "random":
 				ord = match.RandomOrder(g.N(), 2)

@@ -83,7 +83,9 @@
 //     that holds each edge once, at its later-streamed end — all the
 //     first pass reads — with the same bytes. Each step's wall time
 //     surfaces in the -timings report as the match-task note ("csr 45ms
-//     order 5ms sbm 340ms (passes …) map 8ms joint 35ms").
+//     order 5ms sbm 340ms (passes …) map 6ms joint 7ms"). Node-indexed
+//     match state (order, groups, mapping) is 4 bytes a node, and the
+//     observed joint is read from the counts the partitioner carries.
 //   - Sharded LFR wiring (internal/sgen): once community sizes and
 //     memberships are fixed, each community's internal configuration
 //     model is an independent shard. Shard c draws from its own RNG
@@ -143,10 +145,11 @@
 //     once, at its later-streamed end, when the match runs no
 //     refinement — edge tables of uint32 endpoint ids (8 bytes an edge;
 //     the files still carry 8-byte ids, so a node type holds at most
-//     2^32-1 instances), and structure and match scratch sized once
-//     from counts already known, the 300k-Person social job peaks at
-//     63 MB, was 216, and the daemon's bipartite recommender job
-//     (300k users, 30k products) at 41 MB, was 42.
+//     2^32-1 instances), 4-byte match order, groups and mapping, and
+//     structure and match scratch sized once from counts already
+//     known, the 300k-Person social job peaks at
+//     60 MB, was 216, and the daemon's bipartite recommender job
+//     (300k users, 30k products) at 34 MB, was 42.
 //     Files stage as temp files and rename into place only after
 //     every table succeeded, so a failed export never leaves a
 //     partial directory. The exported bytes are hash-verified

@@ -165,15 +165,19 @@ func protocol(p Panel, et *table.EdgeTable, n int64) (*Result, error) {
 	}
 	ldgTime := time.Since(t1)
 
-	// 3. Expected joint.
-	expected, err := stats.EmpiricalJoint(et, truth, p.K)
+	// 3. Expected joint, over the truth as property labels.
+	labels := make([]int64, n)
+	for v, t := range truth {
+		labels[v] = int64(t)
+	}
+	expected, err := stats.EmpiricalJoint(et, labels, p.K)
 	if err != nil {
 		return nil, err
 	}
 
 	// 4. Property rows with the ground-truth frequencies, matched in
 	// random order (or an ablation order, which needs the full CSR).
-	var order []int64
+	var order []uint32
 	switch p.Order {
 	case "", "random":
 		order = match.RandomOrder(n, p.Seed^0x2)

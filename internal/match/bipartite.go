@@ -93,9 +93,11 @@ func EmpiricalBipartite(et *table.EdgeTable, tailLabels, headLabels []int64, kt,
 
 // BipartiteResult reports a completed bipartite matching.
 type BipartiteResult struct {
-	TailAssign, HeadAssign   []int64
-	TailMapping, HeadMapping []int64
-	Observed                 *BipartiteTarget
+	TailAssign, HeadAssign   []uint32
+	TailMapping, HeadMapping []uint32
+	// Observed equals EmpiricalBipartite over the edge table and the
+	// two assignments, bit for bit.
+	Observed *BipartiteTarget
 	StepTimes
 }
 
@@ -162,7 +164,7 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 	times.PartitionTime = lap(&mark)
 	assignT, assignH := r.assign[:nTail:nTail], r.assign[nTail:]
 	for i := range assignH {
-		assignH[i] -= int64(kt)
+		assignH[i] -= uint32(kt)
 	}
 
 	seedT := xrand.NewStream(opt.Seed).DeriveStream("bip-tail").Seed()
@@ -176,9 +178,17 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 		return nil, err
 	}
 	times.MappingTime = lap(&mark)
-	obs, err := EmpiricalBipartite(et, assignT, assignH, kt, kh)
-	if err != nil {
-		return nil, err
+	// The joint is the carried matrix's tail×head block: tails and heads
+	// never share a node, so no edge is a self-loop, and each cell is
+	// read as MatchProperty reads it (sbmRun.observed).
+	obs := NewBipartiteTarget(kt, kh)
+	if m := et.Len(); m > 0 {
+		w := 1 / float64(m)
+		for a := 0; a < kt; a++ {
+			for b := 0; b < kh; b++ {
+				obs.P[a*kh+b] = accumulate(w, int64(r.cur[a*part.K+kt+b]))
+			}
+		}
 	}
 	times.JointTime = lap(&mark)
 	return &BipartiteResult{

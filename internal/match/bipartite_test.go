@@ -102,14 +102,14 @@ func TestMatchBipartiteSeparable(t *testing.T) {
 		t.Errorf("observed diagonal mass = %v, want > 0.75 (random gives 0.5)", diag)
 	}
 	// Mappings are valid and injective per side.
-	checkInjective := func(f []int64, rows []int64, assign []int64) {
-		used := map[int64]bool{}
+	checkInjective := func(f []uint32, rows []int64, assign []uint32) {
+		used := map[uint32]bool{}
 		for v, r := range f {
 			if used[r] {
 				t.Fatalf("row %d reused", r)
 			}
 			used[r] = true
-			if rows[r] != assign[v] {
+			if rows[r] != int64(assign[v]) {
 				t.Fatalf("node %d group %d got row %d label %d", v, assign[v], r, rows[r])
 			}
 		}
@@ -197,15 +197,15 @@ func TestMatchBipartiteBadOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		at   int64
-		v    int64
+		v    uint32
 	}{
-		{"duplicate tail", 1, 0}, {"duplicate head", nT + 1, nT},
-		{"id past both domains", 3, nT + nH}, {"negative id", nT + nH - 1, -1},
+		{"duplicate tail", 1, 0}, {"duplicate head", nT + 1, uint32(nT)},
+		{"id past both domains", 3, uint32(nT + nH)}, {"largest id", nT + nH - 1, ^uint32(0)},
 	} {
 		opt := DefaultOptions(1)
-		opt.Order = make([]int64, nT+nH)
+		opt.Order = make([]uint32, nT+nH)
 		for i := range opt.Order {
-			opt.Order[i] = int64(i)
+			opt.Order[i] = uint32(i)
 		}
 		opt.Order[tc.at] = tc.v
 		want := fmt.Sprintf("match: order is not a permutation (node %d)", tc.v)
@@ -214,8 +214,31 @@ func TestMatchBipartiteBadOrder(t *testing.T) {
 		}
 	}
 	opt := DefaultOptions(1)
-	opt.Order = make([]int64, nT)
+	opt.Order = make([]uint32, nT)
 	if _, err := MatchBipartite(et, nT, nH, tailRows, headRows, diagBipTarget(), opt); err == nil {
 		t.Error("short order should fail")
+	}
+}
+
+// TestMatchBipartiteBytes holds a bipartite match to the accounting of
+// TestMatchPropertyCSRBytes: the streamed CSR over the nTail+nHead ids
+// (4 bytes per edge, 8 per offset, and the 4-byte rank that is also the
+// order's one permutation check), and beside it 16 bytes per node: the
+// order, the assignment, and each side's row buckets and mapping, with
+// as many rows as nodes, 4 bytes each.
+func TestMatchBipartiteBytes(t *testing.T) {
+	f := zipfFixture(t, 20_000, 10_000, 12, 6)
+	n := f.nTail + f.nHead
+	b := int64(math.MaxInt64)
+	for range 3 { // TotalAlloc is process-wide: take the quietest run
+		b = min(b, allocated(func() { f.match(t, true) }))
+	}
+	csr := 4*f.et.Len() + 8*(n+1) + 4*n
+	rest := 16 * n
+	t.Logf("%d bytes: %d edges, CSR bound %d, the rest %d", b, f.et.Len(), csr, rest)
+	// The slack is each big buffer's rounding to whole pages, the
+	// per-value shuffle streams and the k×k matrices.
+	if want := csr + rest + 128<<10; b > want {
+		t.Errorf("MatchBipartite allocated %d bytes, want ≤ %d (streamed CSR + per-node words + 128 KiB)", b, want)
 	}
 }

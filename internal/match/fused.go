@@ -104,7 +104,10 @@ func roundQuotas(probs []float64, total int64) ([]int64, error) {
 		if p < 0 {
 			return nil, fmt.Errorf("match: negative probability at cell %d", i)
 		}
-		exact := p * float64(total)
+		// Rounded on its own: fused into the subtraction below, the
+		// remainder — and the cell that gets the extra edge — could
+		// differ by GOARCH.
+		exact := float64(p * float64(total))
 		quotas[i] = int64(exact)
 		fracs[i] = frac{idx: i, f: exact - float64(quotas[i])}
 		assigned += quotas[i]

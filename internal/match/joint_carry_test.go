@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"testing/quick"
 
 	"datasynth/internal/graph"
+	"datasynth/internal/stats"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
 )
@@ -15,7 +17,7 @@ import (
 // non-loop edge counted once (owned by its lower endpoint), mirrored
 // off-diagonal. Until the matrix was carried from pass to pass, every
 // refinement pass started with this scan.
-func recountJointMatrix(g *graph.Graph, assign []int64, k int) []float64 {
+func recountJointMatrix(g *graph.Graph, assign []uint32, k int) []float64 {
 	kk := int64(k)
 	cur := make([]float64, k*k)
 	for v := int64(0); v < g.N(); v++ {
@@ -23,7 +25,7 @@ func recountJointMatrix(g *graph.Graph, assign []int64, k int) []float64 {
 			if int64(u) <= v {
 				continue
 			}
-			a, b := assign[v], assign[u]
+			a, b := int64(assign[v]), int64(assign[u])
 			cur[a*kk+b]++
 			if a != b {
 				cur[b*kk+a]++
@@ -109,5 +111,78 @@ func TestCarriedJointMatrixMatchesRecount(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestObservedMatchesRecount: a match reads its observed joint from the
+// carried matrix and a self-loop pass instead of recounting the edge
+// table. On random edge lists with self-loops and parallel edges, at
+// Passes 0 and 2, and on random bipartite edge lists, Result.Observed
+// and BipartiteResult.Observed must equal the recount —
+// stats.EmpiricalJoint and EmpiricalBipartite over the assignment —
+// bit for bit.
+func TestObservedMatchesRecount(t *testing.T) {
+	same := func(got, want []float64) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Logf("cell %d: read %v, recount %v", i, got[i], want[i])
+				return false
+			}
+		}
+		return true
+	}
+	mono := func(seed uint64, nn, mm uint16, kk uint8) bool {
+		k := 1 + int(kk%8)
+		n := 8 + int64(nn%400) // messyEdges' hubs are nodes 0–7
+		et := messyEdges(n, int64(mm%3000), seed)
+		f := newMonoFixture(t, et, nil, n, equalSizes(n, k), 0.7)
+		rows := f.rowLabels()
+		for _, passes := range []int{0, 2} {
+			opt := DefaultOptions(seed)
+			opt.Passes = passes
+			res, err := MatchProperty(et, n, rows, f.target, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := stats.EmpiricalJoint(et, widen(res.Assign), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !same(res.Observed.P, want.P) {
+				t.Logf("n=%d m=%d k=%d passes=%d", n, et.Len(), k, passes)
+				return false
+			}
+		}
+		return true
+	}
+	// messyBipartite draws from one seed, so the sizes vary the edges;
+	// tails and heads share small ids, so many edges join equal ids.
+	bip := func(seed uint64, nt, nh, mm uint16, kk uint8) bool {
+		kt, kh := 1+int(kk%5), 1+int(kk/5%5)
+		f := messyBipartite(t, 5+int64(nt%300), 5+int64(nh%300), 1+int64(mm%3000), kt, kh)
+		opt := DefaultOptions(seed)
+		res, err := MatchBipartite(f.et, f.nTail, f.nHead, f.tailLabels, f.headLabels, f.target, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EmpiricalBipartite(f.et, widen(res.TailAssign), widen(res.HeadAssign), kt, kh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(res.Observed.P, want.P) {
+			t.Logf("nTail=%d nHead=%d m=%d kt=%d kh=%d", f.nTail, f.nHead, f.et.Len(), kt, kh)
+			return false
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 60}
+	if err := quick.Check(mono, cfg); err != nil {
+		t.Error("monopartite:", err)
+	}
+	if err := quick.Check(bip, cfg); err != nil {
+		t.Error("bipartite:", err)
 	}
 }

@@ -35,7 +35,7 @@ func NewLDG(capacities []int64) (*LDG, error) {
 
 // Partition streams the nodes of g in the given order and returns each
 // node's partition. Total capacity must cover g.N().
-func (l *LDG) Partition(g *graph.Graph, order []int64) ([]int64, error) {
+func (l *LDG) Partition(g *graph.Graph, order []uint32) ([]uint32, error) {
 	if err := checkStream(order, g.N(), l.Capacities); err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func (l *LDG) Partition(g *graph.Graph, order []int64) ([]int64, error) {
 		if best < 0 {
 			return fmt.Errorf("match: no feasible partition for node %d", v)
 		}
-		s.assign[v] = best
+		s.assign[v] = uint32(best)
 		used[best]++
 		for _, j := range s.touched {
 			s.cnt[j] = 0

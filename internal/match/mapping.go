@@ -21,7 +21,7 @@ import (
 // assign[v] is v's group; rowLabels[r] is the value of property row r.
 // Within each group, rows are handed out in a pseudo-random (but
 // deterministic) order so that row ids carry no structural bias.
-func BuildMapping(assign []int64, rowLabels []int64, k int, seed uint64) ([]int64, error) {
+func BuildMapping(assign []uint32, rowLabels []int64, k int, seed uint64) ([]uint32, error) {
 	if len(assign) > len(rowLabels) {
 		return nil, fmt.Errorf("match: %d nodes but only %d property rows", len(assign), len(rowLabels))
 	}
@@ -38,11 +38,11 @@ func BuildMapping(assign []int64, rowLabels []int64, k int, seed uint64) ([]int6
 	for t := 0; t < k; t++ {
 		start[t+1] += start[t]
 	}
-	rows := make([]int64, len(rowLabels))
+	rows := make([]uint32, len(rowLabels))
 	next := make([]int, k)
 	copy(next, start)
 	for r, l := range rowLabels {
-		rows[next[l]] = int64(r)
+		rows[next[l]] = uint32(r)
 		next[l]++
 	}
 	// Shuffle each bucket deterministically.
@@ -56,9 +56,9 @@ func BuildMapping(assign []int64, rowLabels []int64, k int, seed uint64) ([]int6
 		}
 	}
 	copy(next, start)
-	f := make([]int64, len(assign))
+	f := make([]uint32, len(assign))
 	for v, t := range assign {
-		if t < 0 || t >= int64(k) {
+		if int64(t) >= int64(k) {
 			return nil, fmt.Errorf("match: node %d unassigned", v)
 		}
 		if next[t] == start[t+1] {
@@ -76,7 +76,7 @@ type Options struct {
 	Seed uint64
 	// Order overrides the node stream order; nil means pseudo-random
 	// (the paper: "We sent the nodes to SBM-Part randomly").
-	Order []int64
+	Order []uint32
 	// Balance toggles the LDG capacity factor (default true).
 	Balance bool
 	// Passes adds re-streaming refinement passes (see
@@ -102,7 +102,9 @@ type StepTimes struct {
 	PartitionTime time.Duration
 	// MappingTime is BuildMapping, for both domains of a bipartite match.
 	MappingTime time.Duration
-	// JointTime measures the observed joint from the edge table.
+	// JointTime reads the observed joint from the partitioner's carried
+	// joint matrix, plus one sequential pass over the edge table for
+	// self-loops, which the matrix never counts.
 	JointTime time.Duration
 }
 
@@ -117,10 +119,12 @@ func lap(mark *time.Time) time.Duration {
 // Result reports a completed matching.
 type Result struct {
 	// Mapping is f: structure node id -> property row id.
-	Mapping []int64
+	Mapping []uint32
 	// Assign is the group (value) each structure node received.
-	Assign []int64
-	// Observed is the empirical joint P'(X,Y) after matching.
+	Assign []uint32
+	// Observed is the empirical joint P'(X,Y) after matching: equal,
+	// bit for bit, to stats.EmpiricalJoint over the edge table and
+	// Assign.
 	Observed *stats.Joint
 	StepTimes
 	// PassTimes breaks PartitionTime down per streaming pass: index 0
@@ -173,49 +177,93 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 		return nil, err
 	}
 	times.CSRTime = lap(&mark)
-	if order == nil {
-		order = RandomOrder(n, opt.Seed)
+	if rank == nil {
+		if order == nil {
+			order = RandomOrder(n, opt.Seed)
+		}
+		if err := checkStream(order, n, capacities); err != nil {
+			return nil, err
+		}
 		times.OrderTime = lap(&mark)
 	}
-	assign, err := part.PartitionMultiPass(g, order, passes)
+	r, err := part.partition(g, order, passes)
 	if err != nil {
 		return nil, err
 	}
 	times.PartitionTime = lap(&mark)
-	mapping, err := BuildMapping(assign, rowLabels, target.K, opt.Seed)
+	mapping, err := BuildMapping(r.assign, rowLabels, target.K, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
 	times.MappingTime = lap(&mark)
-	observed, err := stats.EmpiricalJoint(et, assign, target.K)
-	if err != nil {
-		return nil, err
-	}
+	observed := r.observed(et)
 	times.JointTime = lap(&mark)
-	return &Result{Mapping: mapping, Assign: assign, Observed: observed, StepTimes: times, PassTimes: part.PassTimes}, nil
+	return &Result{Mapping: mapping, Assign: r.assign, Observed: observed, StepTimes: times, PassTimes: part.PassTimes}, nil
+}
+
+// observed is the empirical joint of the finished run over et, read from
+// the carried matrix instead of recounted: an unordered group pair's
+// cur cell is its exact non-loop edge count, and one sequential pass
+// over et adds the self-loops, which gather skips. stats.EmpiricalJoint
+// adds w = 1/m to a cell once per edge that reaches it, and nothing else
+// ever, so a cell reached c times holds accumulate(w, c) whatever the
+// edge order — the same bits.
+func (r *sbmRun) observed(et *table.EdgeTable) *stats.Joint {
+	k := r.part.K
+	j := stats.NewJoint(k)
+	m := et.Len()
+	if m == 0 {
+		return j
+	}
+	loops := make([]int64, k)
+	for e, t := range et.Tail {
+		if t == et.Head[e] {
+			loops[r.assign[t]]++
+		}
+	}
+	w := 1 / float64(m)
+	for a := 0; a < k; a++ {
+		j.P[a*k+a] = accumulate(w, int64(r.cur[a*k+a])+loops[a])
+		for b := a + 1; b < k; b++ {
+			j.P[a*k+b] = accumulate(w, int64(r.cur[a*k+b]))
+		}
+	}
+	return j
+}
+
+// accumulate returns w added c times to zero, one rounding per addition.
+func accumulate(w float64, c int64) float64 {
+	var x float64
+	for range c {
+		x += w
+	}
+	return x
 }
 
 // RandomMatch maps structure nodes to property rows uniformly at
 // random — the paper's rule when an edge type has no property-structure
 // correlation ("the matching is done randomly").
-func RandomMatch(n int64, numRows int64, seed uint64) ([]int64, error) {
+func RandomMatch(n int64, numRows int64, seed uint64) ([]uint32, error) {
 	if numRows < n {
 		return nil, fmt.Errorf("match: %d nodes but only %d property rows", n, numRows)
 	}
+	if numRows > table.MaxNodes {
+		return nil, fmt.Errorf("match: %d property rows exceed the limit of %d", numRows, int64(table.MaxNodes))
+	}
 	s := xrand.NewStream(seed)
-	f := make([]int64, n)
+	f := make([]uint32, n)
 	for v := int64(0); v < n; v++ {
-		f[v] = s.Perm(v, numRows)
+		f[v] = uint32(s.Perm(v, numRows))
 	}
 	return f, nil
 }
 
 // RandomOrder returns a pseudo-random permutation of [0, n).
-func RandomOrder(n int64, seed uint64) []int64 {
+func RandomOrder(n int64, seed uint64) []uint32 {
 	s := xrand.NewStream(seed).DeriveStream("stream-order")
-	order := make([]int64, n)
+	order := make([]uint32, n)
 	for i := range order {
-		order[i] = int64(i)
+		order[i] = uint32(i)
 	}
 	for i := n - 1; i > 0; i-- {
 		j := s.Intn(i, i+1)
@@ -226,12 +274,12 @@ func RandomOrder(n int64, seed uint64) []int64 {
 
 // BFSOrder returns nodes in breadth-first order from a pseudo-random
 // root per component — an ablation stream order with high locality.
-func BFSOrder(g *graph.Graph, seed uint64) []int64 {
+func BFSOrder(g *graph.Graph, seed uint64) []uint32 {
 	n := g.N()
-	order := make([]int64, 0, n)
+	order := make([]uint32, 0, n)
 	visited := make([]bool, n)
 	roots := RandomOrder(n, seed)
-	queue := make([]int64, 0, 1024)
+	queue := make([]uint32, 0, 1024)
 	for _, r := range roots {
 		if visited[r] {
 			continue
@@ -242,10 +290,10 @@ func BFSOrder(g *graph.Graph, seed uint64) []int64 {
 			v := queue[0]
 			queue = queue[1:]
 			order = append(order, v)
-			for _, u := range g.Neighbors(v) {
+			for _, u := range g.Neighbors(int64(v)) {
 				if !visited[u] {
 					visited[u] = true
-					queue = append(queue, int64(u))
+					queue = append(queue, u)
 				}
 			}
 		}
@@ -255,7 +303,7 @@ func BFSOrder(g *graph.Graph, seed uint64) []int64 {
 
 // DegreeDescOrder returns nodes by decreasing degree (hubs first) — an
 // ablation stream order.
-func DegreeDescOrder(g *graph.Graph) []int64 {
+func DegreeDescOrder(g *graph.Graph) []uint32 {
 	n := g.N()
 	maxDeg := g.MaxDegree()
 	// Counting sort by degree, descending; stable on node id. Nodes of
@@ -267,10 +315,10 @@ func DegreeDescOrder(g *graph.Graph) []int64 {
 	for i := 1; i < len(start); i++ {
 		start[i] += start[i-1]
 	}
-	order := make([]int64, n)
+	order := make([]uint32, n)
 	for v := int64(0); v < n; v++ {
 		i := maxDeg - g.Degree(v)
-		order[start[i]] = v
+		order[start[i]] = uint32(v)
 		start[i]++
 	}
 	return order

@@ -50,6 +50,24 @@
 // CSR's, at half its adjacency. Refinement re-reads whole
 // neighbourhoods and keeps the full CSR.
 //
+// # Node-indexed state is 4 bytes
+//
+// table.MaxNodes bounds every node count, so each node-indexed slice on
+// the match path holds uint32: the stream order (RandomOrder, BFSOrder,
+// DegreeDescOrder, Options.Order), the group array (a group is below
+// k ≤ rows ≤ 2^32−1, so ^uint32(0) is free to mark a node not yet
+// placed), Result.Assign and BipartiteResult's assignments and
+// mappings, BuildMapping's row buckets and RandomMatch. A match checks
+// its order once; without refinement the rank the streamed CSR is
+// oriented by is the seen marker. Property-row labels stay []int64.
+//
+// The observed joint is read, not recounted. Once a pass has placed
+// every node, the partitioner's carried matrix holds each unordered
+// group pair's exact non-loop edge count, and one sequential pass over
+// the edge table adds the self-loops. stats.EmpiricalJoint adds the same
+// w = 1/m to a cell once per edge that reaches it, so w added c times to
+// zero is its value to the last bit (TestObservedMatchesRecount).
+//
 // # Bipartite is a block matrix
 //
 // The paper: "a small variation of SBM-Part can also be applied to
@@ -72,9 +90,6 @@ import (
 	"datasynth/internal/stats"
 	"datasynth/internal/xrand"
 )
-
-// Unassigned marks a node not yet placed in a group.
-const Unassigned = int64(-1)
 
 // SBMPart is the paper's streaming property-to-node partitioner.
 type SBMPart struct {
@@ -160,7 +175,7 @@ func NewSBMPart(target *stats.Joint, capacities []int64) (*SBMPart, error) {
 // A node with no placed neighbours leaves the Frobenius norm unchanged
 // for every t, so it is placed pseudo-randomly weighted by remaining
 // capacity.
-func (p *SBMPart) Partition(g *graph.Graph, order []int64) ([]int64, error) {
+func (p *SBMPart) Partition(g *graph.Graph, order []uint32) ([]uint32, error) {
 	return p.PartitionMultiPass(g, order, 0)
 }
 
@@ -181,7 +196,10 @@ func (p *SBMPart) Partition(g *graph.Graph, order []int64) ([]int64, error) {
 // TestProbe-style sweeps: 0.29 → 0.35 L1 random vs 0.29 → 0.08
 // degree-ordered on LFR(5k,16)). Per-pass complexity stays
 // O(Σ deg(v) + n·k).
-func (p *SBMPart) PartitionMultiPass(g *graph.Graph, order []int64, extra int) ([]int64, error) {
+func (p *SBMPart) PartitionMultiPass(g *graph.Graph, order []uint32, extra int) ([]uint32, error) {
+	if err := checkStream(order, g.N(), p.Capacities); err != nil {
+		return nil, err
+	}
 	r, err := p.partition(g, order, extra)
 	if err != nil {
 		return nil, err
@@ -190,13 +208,12 @@ func (p *SBMPart) PartitionMultiPass(g *graph.Graph, order []int64, extra int) (
 }
 
 // partition runs the first pass and extra refinement passes and returns
-// the finished run, whose cur is the joint matrix of its assign.
-func (p *SBMPart) partition(g *graph.Graph, order []int64, extra int) (*sbmRun, error) {
+// the finished run, whose cur is the joint matrix of its assign. The
+// caller has checked order and the capacities (checkStream or
+// streamOrder).
+func (p *SBMPart) partition(g *graph.Graph, order []uint32, extra int) (*sbmRun, error) {
 	if extra < 0 {
 		return nil, fmt.Errorf("match: negative refinement passes")
-	}
-	if err := checkStream(order, g.N(), p.Capacities); err != nil {
-		return nil, err
 	}
 	k := p.K
 	r := &sbmRun{
@@ -302,7 +319,7 @@ func (r *sbmRun) placeFirst(v int64) error {
 // contributions from the joint matrix, pick the group against the
 // final target, re-add the contributions under it.
 func (r *sbmRun) refine(v int64) error {
-	old := r.assign[v]
+	old := int64(r.assign[v])
 	lo, hi := r.groupRange(v)
 	r.credit(old, -1)
 	// An isolated node stays where it was if quota allows, else takes
@@ -329,11 +346,12 @@ func (r *sbmRun) refine(v int64) error {
 
 // credit adds (sign = 1) or removes (sign = −1) the edges between the
 // node being placed and its counted neighbours to or from group t's row
-// and column of cur.
+// and column of cur. The explicit float64 conversion rounds the product
+// on its own, so no GOARCH fuses it into the sum (see placeByFrobenius).
 func (r *sbmRun) credit(t int64, sign float64) {
 	k := int64(r.part.K)
 	for _, j := range r.touched {
-		c := sign * float64(r.cnt[j])
+		c := float64(sign * float64(r.cnt[j]))
 		r.cur[t*k+int64(j)] += c
 		if int64(j) != t {
 			r.cur[int64(j)*k+t] += c
@@ -346,7 +364,7 @@ func (r *sbmRun) settle(v, t int64) {
 	for _, j := range r.touched {
 		r.cnt[j] = 0
 	}
-	r.assign[v] = t
+	r.assign[v] = uint32(t)
 	r.used[t]++
 }
 
@@ -389,7 +407,12 @@ func (r *sbmRun) placeByFrobenius(scale float64, lo, hi int) int64 {
 	// multiply-add over hi−lo cells — no gathers, no bounds checks.
 	// The per-t accumulation still visits touched groups in the same
 	// order as a t-major scan would, so the floating-point sums (and
-	// with them every placement decision) are bit-identical.
+	// with them every placement decision) are bit-identical. Each
+	// product is rounded by an explicit float64 conversion before it is
+	// added: the Go spec lets a compiler fuse x*y + z into one
+	// instruction with a single rounding, which arm64, ppc64le, s390x
+	// and riscv64 do, and only the conversion forbids it — so every
+	// GOARCH places nodes as amd64 does.
 	deltas := r.deltas[:hi-lo]
 	clear(deltas)
 	for _, j := range r.touched {
@@ -397,8 +420,8 @@ func (r *sbmRun) placeByFrobenius(scale float64, lo, hi int) int64 {
 		cj := r.cur[j*k+lo : j*k+hi]
 		tj := r.targetP[j*k+lo : j*k+hi]
 		for t, cv := range cj {
-			a := cv - scale*tj[t]
-			deltas[t] += c * (2*a + c)
+			a := cv - float64(scale*tj[t])
+			deltas[t] += float64(c * (float64(2*a) + c))
 		}
 	}
 	maxDelta := math.Inf(-1)

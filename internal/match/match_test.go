@@ -52,12 +52,12 @@ func TestSBMPartSeparatesCliques(t *testing.T) {
 	// "does not guarantee an optimal solution"), but each clique must be
 	// dominated by one group and the cliques must prefer different
 	// groups.
-	maj := func(c int64) (int64, int) {
-		counts := map[int64]int{}
+	maj := func(c int64) (uint32, int) {
+		counts := map[uint32]int{}
 		for v := c * 20; v < (c+1)*20; v++ {
 			counts[assign[v]]++
 		}
-		var bestG int64
+		var bestG uint32
 		best := -1
 		for g, n := range counts {
 			if n > best {
@@ -93,7 +93,7 @@ func TestSBMPartRespectsCapacities(t *testing.T) {
 	}
 	counts := make([]int64, 3)
 	for _, a := range assign {
-		if a == Unassigned {
+		if a == unassigned {
 			t.Fatal("node left unassigned")
 		}
 		counts[a]++
@@ -105,7 +105,7 @@ func TestSBMPartRespectsCapacities(t *testing.T) {
 
 func TestSBMPartDeterministic(t *testing.T) {
 	_, g := twoCliques(t, 15)
-	mk := func() []int64 {
+	mk := func() []uint32 {
 		part, err := NewSBMPart(diagTarget(), []int64{15, 15})
 		if err != nil {
 			t.Fatal(err)
@@ -157,10 +157,10 @@ func TestSBMPartInsufficientCapacity(t *testing.T) {
 func TestSBMPartBadOrder(t *testing.T) {
 	_, g := twoCliques(t, 5)
 	part, _ := NewSBMPart(diagTarget(), []int64{5, 5})
-	if _, err := part.Partition(g, []int64{0, 0, 1, 2, 3, 4, 5, 6, 7, 8}); err == nil {
+	if _, err := part.Partition(g, []uint32{0, 0, 1, 2, 3, 4, 5, 6, 7, 8}); err == nil {
 		t.Error("repeated node in order should fail")
 	}
-	if _, err := part.Partition(g, []int64{0}); err == nil {
+	if _, err := part.Partition(g, []uint32{0}); err == nil {
 		t.Error("short order should fail")
 	}
 }
@@ -192,7 +192,7 @@ func TestSBMPartObservedMatchesTargetOnLFR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := stats.EmpiricalJoint(et, truth, k)
+	target, err := stats.EmpiricalJoint(et, widen(truth), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSBMPartObservedMatchesTargetOnLFR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := stats.EmpiricalJoint(et, assign, k)
+	observed, err := stats.EmpiricalJoint(et, widen(assign), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,14 +256,14 @@ func TestSBMPartBeatsRandomAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, _ := stats.EmpiricalJoint(et, truth, k)
+	target, _ := stats.EmpiricalJoint(et, widen(truth), k)
 
 	part, _ := NewSBMPart(target, sizes)
 	assign, err := part.Partition(g, RandomOrder(n, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, _ := stats.EmpiricalJoint(et, assign, k)
+	obs, _ := stats.EmpiricalJoint(et, widen(assign), k)
 	l1SBM, _ := stats.L1(target, obs)
 
 	// Random assignment honouring capacities.
@@ -340,7 +340,7 @@ func TestLDGCapacitiesExact(t *testing.T) {
 }
 
 func TestBuildMapping(t *testing.T) {
-	assign := []int64{0, 1, 0, 1}
+	assign := []uint32{0, 1, 0, 1}
 	rowLabels := []int64{1, 0, 1, 0}
 	f, err := BuildMapping(assign, rowLabels, 2, 42)
 	if err != nil {
@@ -348,9 +348,9 @@ func TestBuildMapping(t *testing.T) {
 	}
 	// Every node must map to a row with its assigned value; rows used
 	// at most once.
-	used := map[int64]bool{}
+	used := map[uint32]bool{}
 	for v, row := range f {
-		if rowLabels[row] != assign[v] {
+		if rowLabels[row] != int64(assign[v]) {
 			t.Errorf("node %d (group %d) mapped to row %d (label %d)", v, assign[v], row, rowLabels[row])
 		}
 		if used[row] {
@@ -361,17 +361,20 @@ func TestBuildMapping(t *testing.T) {
 }
 
 func TestBuildMappingErrors(t *testing.T) {
-	if _, err := BuildMapping([]int64{0, 0}, []int64{0}, 1, 1); err == nil {
+	if _, err := BuildMapping([]uint32{0, 0}, []int64{0}, 1, 1); err == nil {
 		t.Error("fewer rows than nodes should fail")
 	}
-	if _, err := BuildMapping([]int64{0}, []int64{5}, 2, 1); err == nil {
+	if _, err := BuildMapping([]uint32{0}, []int64{5}, 2, 1); err == nil {
 		t.Error("row label out of range should fail")
 	}
-	if _, err := BuildMapping([]int64{3}, []int64{0, 0}, 2, 1); err == nil {
+	if _, err := BuildMapping([]uint32{3}, []int64{0, 0}, 2, 1); err == nil {
 		t.Error("assignment out of range should fail")
 	}
+	if _, err := BuildMapping([]uint32{unassigned}, []int64{0, 0}, 2, 1); err == nil {
+		t.Error("unassigned node should fail")
+	}
 	// Group over capacity: two nodes assigned group 0 but one row.
-	if _, err := BuildMapping([]int64{0, 0}, []int64{0, 1}, 2, 1); err == nil {
+	if _, err := BuildMapping([]uint32{0, 0}, []int64{0, 1}, 2, 1); err == nil {
 		t.Error("group over capacity should fail")
 	}
 }
@@ -387,36 +390,35 @@ func allocated(f func()) int64 {
 
 // TestBuildMappingAllocations pins BuildMapping's memory shape: the
 // rows bucketed into one buffer laid out by the per-value counts, and
-// the mapping — two 8-byte words per node; per-bucket appends would
+// the mapping — two 4-byte ids per node; per-bucket appends would
 // leave about as much again in doubling garbage.
 func TestBuildMappingAllocations(t *testing.T) {
 	const n, k = 200_000, 16
 	rowLabels := make([]int64, n)
-	assign := make([]int64, n)
+	assign := make([]uint32, n)
 	for i := range rowLabels {
 		rowLabels[i] = int64(i*7) % k
-		assign[i] = int64(i*11) % k
+		assign[i] = uint32(i*11) % k
 	}
 	var err error
 	b := allocated(func() { _, err = BuildMapping(assign, rowLabels, k, 3) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d bytes for %d rows (%.2f words per row)", b, n, float64(b)/8/n)
+	t.Logf("%d bytes for %d rows (%.2f bytes per row)", b, n, float64(b)/n)
 	// The slack is each big buffer's rounding to whole pages plus the
 	// per-value shuffle streams.
-	if want := int64(2*8*n + 1<<15); b > want {
-		t.Errorf("BuildMapping allocated %d bytes, want ≤ %d (2·8·n + 32 KiB)", b, want)
+	if want := int64(2*4*n + 1<<15); b > want {
+		t.Errorf("BuildMapping allocated %d bytes, want ≤ %d (2·4·n + 32 KiB)", b, want)
 	}
 }
 
 // TestMatchPropertyCSRBytes pins a match without refinement to the
 // streamed CSR: 4 bytes per kept entry, one per edge, plus 8 per offset
-// and the 4-byte rank the build is oriented by. Beside it the run takes
-// what it always took per node: the order, the assignment and the two
-// words of BuildMapping (8 bytes each), and a permutation-check byte
-// both when the order is drawn and when SBM-Part starts. The full CSR
-// would cost 4 bytes more per edge.
+// and the 4-byte rank the build is oriented by, which is also the
+// order's one permutation check. Beside it the run takes 16 bytes per
+// node: the order, the assignment and BuildMapping's row buckets and
+// mapping, 4 bytes each. The full CSR would cost 4 bytes more per edge.
 func TestMatchPropertyCSRBytes(t *testing.T) {
 	const n, k = 20_000, 8
 	et, err := sgen.NewLFR(1).Run(n)
@@ -432,7 +434,7 @@ func TestMatchPropertyCSRBytes(t *testing.T) {
 	}
 	entries := et.Len() // no self-loops in LFR
 	csr := 4*entries + 8*(n+1) + 4*n
-	rest := int64(8*n + 8*n + 2*8*n + 2*n)
+	rest := int64(4*n + 4*n + 2*4*n)
 	t.Logf("%d bytes: %d entries, CSR bound %d, the rest %d", b, entries, csr, rest)
 	// The slack is each big buffer's rounding to whole pages, the
 	// per-value shuffle streams and the k×k matrices.
@@ -475,9 +477,9 @@ func TestRandomMatchInjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[int64]bool{}
+	seen := map[uint32]bool{}
 	for _, r := range f {
-		if r < 0 || r >= 100 || seen[r] {
+		if r >= 100 || seen[r] {
 			t.Fatalf("mapping not injective at row %d", r)
 		}
 		seen[r] = true
@@ -491,7 +493,7 @@ func TestRandomOrderIsPermutation(t *testing.T) {
 	order := RandomOrder(1000, 5)
 	seen := make([]bool, 1000)
 	for _, v := range order {
-		if v < 0 || v >= 1000 || seen[v] {
+		if v >= 1000 || seen[v] {
 			t.Fatalf("not a permutation at %d", v)
 		}
 		seen[v] = true
@@ -528,27 +530,27 @@ func TestDegreeDescOrder(t *testing.T) {
 		t.Errorf("first node = %d, want hub 0", order[0])
 	}
 	for i := 1; i < len(order); i++ {
-		if g.Degree(order[i]) > g.Degree(order[i-1]) {
+		if g.Degree(int64(order[i])) > g.Degree(int64(order[i-1])) {
 			t.Fatal("order not degree-descending")
 		}
 	}
 }
 
 // TestDegreeDescOrderAllocations: the counting sort places nodes
-// straight into the order it returns — one word per node plus a count
-// per degree — and keeps ties in id order.
+// straight into the order it returns — a 4-byte id per node plus an
+// 8-byte count per degree — and keeps ties in id order.
 func TestDegreeDescOrderAllocations(t *testing.T) {
 	const n = 100_000
 	g := messyGraph(t, n, 4*n, 9)
-	var order []int64
+	var order []uint32
 	b := allocated(func() { order = DegreeDescOrder(g) })
-	want := 8*n + 8*(g.MaxDegree()+2)
+	want := 4*n + 8*(g.MaxDegree()+2)
 	t.Logf("%d bytes for %d nodes, max degree %d", b, n, g.MaxDegree())
 	if b > want+1<<14 {
 		t.Errorf("DegreeDescOrder allocated %d bytes, want ≤ %d + 16 KiB", b, want)
 	}
 	for i := 1; i < len(order); i++ {
-		d, prev := g.Degree(order[i]), g.Degree(order[i-1])
+		d, prev := g.Degree(int64(order[i])), g.Degree(int64(order[i-1]))
 		if d > prev || d == prev && order[i] < order[i-1] {
 			t.Fatalf("order[%d] = %d (degree %d) after %d (degree %d)", i, order[i], d, order[i-1], prev)
 		}
@@ -593,7 +595,7 @@ func TestFrobeniusDeltaMatchesNaive(t *testing.T) {
 	// Replay the stream naively: after all placements, cur must equal
 	// the empirical pair counts.
 	m := float64(et.Len())
-	obs, err := stats.EmpiricalJoint(et, assign, k)
+	obs, err := stats.EmpiricalJoint(et, widen(assign), k)
 	if err != nil {
 		t.Fatal(err)
 	}

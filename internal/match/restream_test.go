@@ -11,7 +11,7 @@ import (
 
 // restreamSetup builds an LFR instance with LDG ground truth for
 // refinement tests.
-func restreamSetup(t *testing.T, n int64, k int) (*graph.Graph, *stats.Joint, []int64, func([]int64) float64) {
+func restreamSetup(t *testing.T, n int64, k int) (*graph.Graph, *stats.Joint, []int64, func([]uint32) float64) {
 	t.Helper()
 	lfr := sgen.NewLFR(5)
 	et, err := lfr.Run(n)
@@ -34,12 +34,12 @@ func restreamSetup(t *testing.T, n int64, k int) (*graph.Graph, *stats.Joint, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := stats.EmpiricalJoint(et, truth, k)
+	target, err := stats.EmpiricalJoint(et, widen(truth), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1Of := func(assign []int64) float64 {
-		obs, err := stats.EmpiricalJoint(et, assign, k)
+	l1Of := func(assign []uint32) float64 {
+		obs, err := stats.EmpiricalJoint(et, widen(assign), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestMultiPassRespectsCapacities(t *testing.T) {
 	}
 	counts := make([]int64, len(sizes))
 	for _, a := range assign {
-		if a < 0 || int(a) >= len(sizes) {
+		if int(a) >= len(sizes) {
 			t.Fatalf("invalid assignment %d", a)
 		}
 		counts[a]++

@@ -7,9 +7,13 @@ import (
 	"datasynth/internal/table"
 )
 
-// checkStream validates the inputs every streaming partitioner shares:
-// order must be a permutation of [0, n) and the capacities must cover n.
-func checkStream(order []int64, n int64, capacities []int64) error {
+// unassigned marks a node not yet placed in a group. A group is below
+// k, and k ≤ rows ≤ table.MaxNodes < unassigned.
+const unassigned = ^uint32(0)
+
+// checkSizes checks that order has n entries and the capacities cover
+// n nodes.
+func checkSizes(order []uint32, n int64, capacities []int64) error {
 	if int64(len(order)) != n {
 		return fmt.Errorf("match: order has %d entries for %d nodes", len(order), n)
 	}
@@ -20,9 +24,18 @@ func checkStream(order []int64, n int64, capacities []int64) error {
 	if total < n {
 		return fmt.Errorf("match: total capacity %d below node count %d", total, n)
 	}
+	return nil
+}
+
+// checkStream validates the inputs every streaming partitioner shares:
+// order must be a permutation of [0, n) and the capacities must cover n.
+func checkStream(order []uint32, n int64, capacities []int64) error {
+	if err := checkSizes(order, n, capacities); err != nil {
+		return err
+	}
 	seen := make([]bool, n)
 	for _, v := range order {
-		if v < 0 || v >= n || seen[v] {
+		if int64(v) >= n || seen[v] {
 			return fmt.Errorf("match: order is not a permutation (node %d)", v)
 		}
 		seen[v] = true
@@ -31,23 +44,30 @@ func checkStream(order []int64, n int64, capacities []int64) error {
 }
 
 // streamOrder returns the stream order of a match over n nodes — order
-// itself, or RandomOrder(n, seed) when nil — checked by checkStream
-// before it is inverted into its rank: rank[v] is v's position in the
-// stream. The rank orients the CSR a run without refinement reads
-// (graph.Builder.FromEdgesStreamed), so no CSR is built for an order
-// that is not a permutation.
-func streamOrder(order []int64, n int64, seed uint64, capacities []int64) ([]int64, []uint32, error) {
+// itself, or RandomOrder(n, seed) when nil — and its rank: rank[v] is
+// v's position in the stream. It makes checkStream's checks, with the
+// rank as the seen marker, so the order is checked once and no CSR is
+// built for an order that is not a permutation. The rank orients the
+// CSR a run without refinement reads (graph.Builder.FromEdgesStreamed).
+func streamOrder(order []uint32, n int64, seed uint64, capacities []int64) ([]uint32, []uint32, error) {
 	if n > table.MaxNodes {
 		return nil, nil, fmt.Errorf("match: %d nodes exceed the limit of %d", n, int64(table.MaxNodes))
 	}
 	if order == nil {
 		order = RandomOrder(n, seed)
 	}
-	if err := checkStream(order, n, capacities); err != nil {
+	if err := checkSizes(order, n, capacities); err != nil {
 		return nil, nil, err
 	}
+	// A position is below n ≤ table.MaxNodes, so no rank is unassigned.
 	rank := make([]uint32, n)
+	for i := range rank {
+		rank[i] = unassigned
+	}
 	for i, v := range order {
+		if int64(v) >= n || rank[v] != unassigned {
+			return nil, nil, fmt.Errorf("match: order is not a permutation (node %d)", v)
+		}
 		rank[v] = uint32(i)
 	}
 	return order, rank, nil
@@ -61,7 +81,7 @@ func streamOrder(order []int64, n int64, seed uint64, capacities []int64) ([]int
 // that is all a variant supplies.
 type stream struct {
 	g      *graph.Graph
-	assign []int64 // group per node, Unassigned until placed
+	assign []uint32 // group per node, unassigned until placed
 
 	cnt     []int64 // v's placed neighbours per group; non-zero only at touched
 	touched []int   // groups with cnt > 0, in the order v's neighbour list first reaches them
@@ -70,12 +90,12 @@ type stream struct {
 func newStream(g *graph.Graph, k int) *stream {
 	s := &stream{
 		g:       g,
-		assign:  make([]int64, g.N()),
+		assign:  make([]uint32, g.N()),
 		cnt:     make([]int64, k),
 		touched: make([]int, 0, k),
 	}
 	for i := range s.assign {
-		s.assign[i] = Unassigned
+		s.assign[i] = unassigned
 	}
 	return s
 }
@@ -88,7 +108,7 @@ func (s *stream) gather(v int64) {
 		if int64(u) == v {
 			continue
 		}
-		if a := assign[u]; a != Unassigned {
+		if a := assign[u]; a != unassigned {
 			if cnt[a] == 0 {
 				touched = append(touched, int(a))
 			}
@@ -101,10 +121,10 @@ func (s *stream) gather(v int64) {
 // run streams order through commit: gather a node's counts, commit it,
 // next node. Serial by definition: SBM-Part is a streaming partitioner,
 // each node is placed against the state the previous node left.
-func (s *stream) run(order []int64, commit func(v int64) error) error {
+func (s *stream) run(order []uint32, commit func(v int64) error) error {
 	for _, v := range order {
-		s.gather(v)
-		if err := commit(v); err != nil {
+		s.gather(int64(v))
+		if err := commit(int64(v)); err != nil {
 			return err
 		}
 	}

@@ -16,8 +16,10 @@ import (
 	"datasynth/internal/xrand"
 )
 
-// sha256Int64 fingerprints assignment and mapping vectors, in order.
-func sha256Int64(vecs ...[]int64) string {
+// sha256Int64 fingerprints assignment and mapping vectors, in order,
+// each value as 8 little-endian bytes whatever its width, so the pins
+// taken when these vectors were int64 hold for the uint32 ones.
+func sha256Int64[T int64 | uint32](vecs ...[]T) string {
 	h := sha256.New()
 	var buf [8]byte
 	for _, vec := range vecs {
@@ -27,6 +29,16 @@ func sha256Int64(vecs ...[]int64) string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// widen returns an assignment as the []int64 labels stats.EmpiricalJoint
+// and EmpiricalBipartite take.
+func widen(assign []uint32) []int64 {
+	labels := make([]int64, len(assign))
+	for v, a := range assign {
+		labels[v] = int64(a)
+	}
+	return labels
 }
 
 // equalSizes splits n rows into k groups, the remainder going to group 0.
@@ -189,7 +201,7 @@ func (f *bipFixture) match(t testing.TB, balance bool) *BipartiteResult {
 
 // partitionAt runs SBM-Part with extra refinement passes on a fresh
 // partitioner.
-func partitionAt(t testing.TB, g *graph.Graph, target *stats.Joint, sizes []int64, balance bool, extra int) []int64 {
+func partitionAt(t testing.TB, g *graph.Graph, target *stats.Joint, sizes []int64, balance bool, extra int) []uint32 {
 	t.Helper()
 	part, err := NewSBMPart(target, sizes)
 	if err != nil {
@@ -316,19 +328,19 @@ func streamStress(t *testing.T, variant string) {
 	}
 }
 
-func TestWindowedPartitionStress(t *testing.T)      { streamStress(t, "first") }
+func TestFirstPassStress(t *testing.T)              { streamStress(t, "first") }
 func TestMultiPassWindowedStress(t *testing.T)      { streamStress(t, "refine2") }
 func TestMatchBipartiteWindowedStress(t *testing.T) { streamStress(t, "bipartite") }
 
-// TestWindowedPartitionOrderValidation: a stream order that is not a
-// permutation is rejected, naming the first offending node.
-func TestWindowedPartitionOrderValidation(t *testing.T) {
+// TestStreamOrderValidation: a stream order that is not a permutation
+// is rejected, naming the first offending node.
+func TestStreamOrderValidation(t *testing.T) {
 	f := lfrFixture(t, 500, 4)
 	for _, tc := range []struct {
 		name string
 		at   int
-		v    int64
-	}{{"duplicate", 101, 0}, {"out of range", 0, 500}, {"negative", 7, -1}} {
+		v    uint32
+	}{{"duplicate", 101, 0}, {"out of range", 0, 500}, {"largest id", 7, ^uint32(0)}} {
 		bad := RandomOrder(500, 5)
 		if tc.name == "duplicate" {
 			tc.v = bad[100]
@@ -356,8 +368,8 @@ func TestMatchPropertyBadOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		at   int
-		v    int64
-	}{{"duplicate", 101, 0}, {"out of range", 0, 500}, {"negative", 7, -1}} {
+		v    uint32
+	}{{"duplicate", 101, 0}, {"out of range", 0, 500}, {"largest id", 7, ^uint32(0)}} {
 		opt := DefaultOptions(3)
 		opt.Order = RandomOrder(f.n, 5)
 		if tc.name == "duplicate" {

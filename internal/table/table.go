@@ -472,19 +472,19 @@ func (et *EdgeTable) Validate(nTail, nHead int64) error {
 // RemapTails rewrites every tail id through f. Used by the matching
 // step to substitute structure-node ids with property-row ids, which
 // lie below a node count of at most MaxNodes.
-func (et *EdgeTable) RemapTails(f []int64) { remap(et.Tail, f) }
+func (et *EdgeTable) RemapTails(f []uint32) { remap(et.Tail, f) }
 
 // RemapHeads rewrites every head id through f.
-func (et *EdgeTable) RemapHeads(f []int64) { remap(et.Head, f) }
+func (et *EdgeTable) RemapHeads(f []uint32) { remap(et.Head, f) }
 
-func remap(ids []uint32, f []int64) {
+func remap(ids, f []uint32) {
 	for i, v := range ids {
-		ids[i] = uint32(f[v])
+		ids[i] = f[v]
 	}
 }
 
 // Remap rewrites both endpoints through f (monopartite matching).
-func (et *EdgeTable) Remap(f []int64) {
+func (et *EdgeTable) Remap(f []uint32) {
 	et.RemapTails(f)
 	et.RemapHeads(f)
 }

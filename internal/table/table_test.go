@@ -148,7 +148,7 @@ func TestEdgeTableRemap(t *testing.T) {
 	et := NewEdgeTable("e", 2)
 	et.Add(0, 1)
 	et.Add(1, 2)
-	f := []int64{10, 20, 30}
+	f := []uint32{10, 20, 30}
 	et.Remap(f)
 	if et.Tail[0] != 10 || et.Head[0] != 20 || et.Tail[1] != 20 || et.Head[1] != 30 {
 		t.Errorf("remap wrong: %v %v", et.Tail, et.Head)
@@ -159,8 +159,8 @@ func TestEdgeTableRemapBipartite(t *testing.T) {
 	et := NewEdgeTable("creates", 2)
 	et.Add(0, 0)
 	et.Add(1, 1)
-	et.RemapTails([]int64{5, 6})
-	et.RemapHeads([]int64{7, 8})
+	et.RemapTails([]uint32{5, 6})
+	et.RemapHeads([]uint32{7, 8})
 	if et.Tail[0] != 5 || et.Head[0] != 7 || et.Tail[1] != 6 || et.Head[1] != 8 {
 		t.Errorf("bipartite remap wrong: %v %v", et.Tail, et.Head)
 	}
@@ -310,9 +310,9 @@ func TestRemapPreservesLengthProperty(t *testing.T) {
 		for _, p := range pairs {
 			et.Add(int64(p%16), int64(p/16))
 		}
-		mapping := make([]int64, 16)
+		mapping := make([]uint32, 16)
 		for i := range mapping {
-			mapping[i] = int64(15 - i)
+			mapping[i] = uint32(15 - i)
 		}
 		before := et.Len()
 		et.Remap(mapping)
