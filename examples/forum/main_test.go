@@ -4,6 +4,8 @@ import (
 	"io"
 	"os"
 	"testing"
+
+	"datasynth/internal/sgen"
 )
 
 // wantStdout is the example's whole output for its fixed seeds.
@@ -32,5 +34,26 @@ func TestStdoutPinned(t *testing.T) {
 	w.Close()
 	if got := string(<-done); got != wantStdout {
 		t.Errorf("stdout:\n%s\nwant:\n%s", got, wantStdout)
+	}
+}
+
+// TestReplyDatesIncrease: roots land in [from, to] and every reply
+// 1..maxLagDays after its parent.
+func TestReplyDatesIncrease(t *testing.T) {
+	const n = 3000
+	et, err := sgen.NewCascade(11).Run(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := parents(et, n)
+	dates := replyDates(parent, 15000, 16000, 7, 21)
+	for v, p := range parent {
+		if p == -1 {
+			if dates[v] < 15000 || dates[v] > 16000 {
+				t.Fatalf("root %d date %d outside range", v, dates[v])
+			}
+		} else if lag := dates[v] - dates[p]; lag < 1 || lag > 7 {
+			t.Fatalf("reply %d lands %d days after its parent", v, lag)
+		}
 	}
 }

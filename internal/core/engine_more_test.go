@@ -234,7 +234,7 @@ graph g {
 // TestJSONLExportEndToEnd exports a generated dataset as JSONL.
 func TestJSONLExportEndToEnd(t *testing.T) {
 	d := generatePaper(t)
-	if err := d.WriteDirJSONL(t.TempDir()); err != nil {
+	if _, err := d.Export(t.TempDir(), table.ExportOptions{Format: table.FormatJSONL}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -109,25 +109,33 @@ func TestNameCorrelatedWithCountryAndSex(t *testing.T) {
 	d := generatePaper(t)
 	props := d.NodeProps["Person"]
 	country, sex, name := props[0], props[1], props[2]
-	// Spot-check: every name must belong to the (country, sex) pool.
-	for id := int64(0); id < 200; id++ {
-		pool := pgenNamesFor(country.String(id), sex.String(id))
-		found := false
-		for _, n := range pool {
-			if n == name.String(id) {
-				found = true
-				break
+	// The name lists of the (region, sex) pairs are disjoint, so a name
+	// drawn given (country, sex) names its sex, and countries of two
+	// regions never share a name.
+	sexOf := map[string]string{}
+	namesOf := map[string]map[string]bool{}
+	for id := int64(0); id < name.Len(); id++ {
+		n, s, c := name.String(id), sex.String(id), country.String(id)
+		if prev, ok := sexOf[n]; ok && prev != s {
+			t.Fatalf("row %d: name %q drawn for sex %s and %s", id, n, prev, s)
+		}
+		sexOf[n] = s
+		if namesOf[c] == nil {
+			namesOf[c] = map[string]bool{}
+		}
+		namesOf[c][n] = true
+	}
+	for _, pair := range [][2]string{{"China", "USA"}, {"China", "India"}, {"India", "USA"}} {
+		a, b := namesOf[pair[0]], namesOf[pair[1]]
+		if len(a) == 0 || len(b) == 0 {
+			t.Fatalf("no rows for %s or %s", pair[0], pair[1])
+		}
+		for n := range a {
+			if b[n] {
+				t.Errorf("name %q drawn for both %s and %s", n, pair[0], pair[1])
 			}
 		}
-		if !found {
-			t.Fatalf("row %d: name %q not in pool for (%s,%s)", id, name.String(id), country.String(id), sex.String(id))
-		}
 	}
-}
-
-// pgenNamesFor avoids an import cycle in test helpers.
-func pgenNamesFor(country, sex string) []string {
-	return namesForTest(country, sex)
 }
 
 func TestKnowsDateExceedsEndpointDates(t *testing.T) {

@@ -108,7 +108,7 @@ func TestExportedDatasetGoldenDeterminism(t *testing.T) {
 
 // refinedQuickstartSchema is the quickstart schema with re-streaming
 // refinement passes on its correlated edge, so match tasks exercise
-// PartitionMultiPass end to end.
+// the refinement passes end to end.
 func refinedQuickstartSchema() *schema.Schema {
 	s := quickstartSchema()
 	s.Edges[0].Correlation.Passes = 2
@@ -184,7 +184,7 @@ func TestColumnarExportRoundTripsThroughEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := d.WriteDirColumnar(dir); err != nil {
+	if _, err := d.Export(dir, table.ExportOptions{Format: table.FormatColumnar}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := table.OpenColumnar(dir)

@@ -60,14 +60,14 @@ func TestParsePaperExample(t *testing.T) {
 	if p.Property("creationDate").Kind != table.KindDate {
 		t.Error("creationDate kind wrong")
 	}
-	if p.Property("country").Generator.Param("dict", "") != "countries" {
+	if p.Property("country").Generator.Params["dict"] != "countries" {
 		t.Error("country generator params wrong")
 	}
 	k := s.EdgeType("knows")
 	if k == nil || k.Cardinality != schema.ManyToMany || k.Tail != "Person" || k.Head != "Person" {
 		t.Fatalf("knows parsed wrong: %+v", k)
 	}
-	if k.Structure.Name != "lfr" || k.Structure.Param("avgDegree", "") != "20" {
+	if k.Structure.Name != "lfr" || k.Structure.Params["avgDegree"] != "20" {
 		t.Errorf("knows structure = %+v", k.Structure)
 	}
 	if k.Correlation == nil || k.Correlation.Property != "country" || k.Correlation.Homophily != 0.8 {
@@ -229,7 +229,7 @@ func TestQuotedAndBareParamsEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := a.NodeType("A").Property("p")
-	if p.Generator.Param("lo", "") != "5" || p.Generator.Param("hi", "") != "9" {
+	if p.Generator.Params["lo"] != "5" || p.Generator.Params["hi"] != "9" {
 		t.Errorf("params = %+v", p.Generator.Params)
 	}
 }

@@ -226,21 +226,6 @@ func (g *Graph) Degree(v int64) int64 { return g.offs[v+1] - g.offs[v] }
 // Callers must not modify it.
 func (g *Graph) Neighbors(v int64) []uint32 { return g.adj[g.offs[v]:g.offs[v+1]] }
 
-// DegreeHistogram returns counts[d] = number of nodes with degree d.
-func (g *Graph) DegreeHistogram() []int64 {
-	var maxDeg int64
-	for v := int64(0); v < g.n; v++ {
-		if d := g.Degree(v); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	h := make([]int64, maxDeg+1)
-	for v := int64(0); v < g.n; v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}
-
 // AvgDegree returns the mean degree.
 func (g *Graph) AvgDegree() float64 {
 	if g.n == 0 {

@@ -116,10 +116,6 @@ func TestDegrees(t *testing.T) {
 	if math.Abs(g.AvgDegree()-1.5) > 1e-12 {
 		t.Errorf("AvgDegree = %v", g.AvgDegree())
 	}
-	h := g.DegreeHistogram()
-	if h[1] != 2 || h[2] != 2 {
-		t.Errorf("histogram = %v", h)
-	}
 }
 
 func TestSelfLoopDegree(t *testing.T) {
@@ -231,20 +227,6 @@ func TestLocalClusteringPath(t *testing.T) {
 		if c := g.LocalClustering(v); c != 0 {
 			t.Errorf("clustering(%d) = %v, want 0", v, c)
 		}
-	}
-}
-
-func TestClusteringPerDegree(t *testing.T) {
-	g := triangle(t)
-	ccd := g.ClusteringPerDegree()
-	if len(ccd) != 3 {
-		t.Fatalf("ccd len = %d", len(ccd))
-	}
-	if math.Abs(ccd[2]-1) > 1e-12 {
-		t.Errorf("ccd[2] = %v, want 1", ccd[2])
-	}
-	if !math.IsNaN(ccd[0]) || !math.IsNaN(ccd[1]) {
-		t.Errorf("absent degrees should be NaN: %v", ccd)
 	}
 }
 
@@ -429,7 +411,17 @@ func streamedInput(data []byte, seed uint64, bipartite bool) (tail, head []uint3
 	if bipartite {
 		n += nHead
 	}
-	return tail, head, nTail, nHead, xrand.NewStream(seed).Shuffle(0, int(n))
+	return tail, head, nTail, nHead, shuffled(seed, n)
+}
+
+// shuffled is a seeded uniform permutation of [0, n).
+func shuffled(seed uint64, n int64) []int64 {
+	perm := make([]int64, n)
+	for i := range perm {
+		perm[i] = int64(i)
+	}
+	xrand.NewSeq(seed).ShuffleInt64(perm)
+	return perm
 }
 
 // TestStreamedCSRProperty: for arbitrary edge lists, monopartite and
@@ -515,7 +507,7 @@ func BenchmarkCSRBuildStreamed(b *testing.B) {
 	const n = 300_000
 	et := lfrEdges(b, n)
 	rank := make([]uint32, n)
-	for i, v := range xrand.NewStream(1).Shuffle(0, n) {
+	for i, v := range shuffled(1, n) {
 		rank[v] = uint32(i)
 	}
 	b.ReportAllocs()

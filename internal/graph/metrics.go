@@ -79,30 +79,6 @@ func (g *Graph) AvgClustering(sample int64, seed uint64) float64 {
 	return sum / float64(sample)
 }
 
-// ClusteringPerDegree returns the average local clustering coefficient
-// per degree — the statistic BTER is parameterised by (ccd). Index d
-// holds the average over nodes of degree d; degrees with no nodes hold
-// NaN.
-func (g *Graph) ClusteringPerDegree() []float64 {
-	maxDeg := g.MaxDegree()
-	sums := make([]float64, maxDeg+1)
-	counts := make([]int64, maxDeg+1)
-	for v := int64(0); v < g.n; v++ {
-		d := g.Degree(v)
-		sums[d] += g.LocalClustering(v)
-		counts[d]++
-	}
-	out := make([]float64, maxDeg+1)
-	for d := range out {
-		if counts[d] == 0 {
-			out[d] = math.NaN()
-		} else {
-			out[d] = sums[d] / float64(counts[d])
-		}
-	}
-	return out
-}
-
 // DegreeAssortativity returns the Pearson correlation of the degrees at
 // the two ends of each edge (Newman's assortativity coefficient).
 // Returns NaN for degenerate graphs (no edges or zero variance).

@@ -124,22 +124,3 @@ func roundQuotas(probs []float64, total int64) ([]int64, error) {
 	}
 	return quotas, nil
 }
-
-// FusedQuality verifies a fused result: the L1 distance between the
-// target and the observed joint of (et, tailLabels, headLabels). For
-// the fused operator this is bounded by rounding alone — O(cells/total).
-func FusedQuality(et *table.EdgeTable, tailLabels, headLabels []int64, target *BipartiteTarget) (float64, error) {
-	obs, err := EmpiricalBipartite(et, tailLabels, headLabels, target.KT, target.KH)
-	if err != nil {
-		return 0, err
-	}
-	var l1 float64
-	for i := range target.P {
-		d := target.P[i] - obs.P[i]
-		if d < 0 {
-			d = -d
-		}
-		l1 += d
-	}
-	return l1, nil
-}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"datasynth/internal/table"
 )
 
 func fusedTarget2x2(d float64) *BipartiteTarget {
@@ -42,13 +44,10 @@ func TestFusedOneToManyExactJoint(t *testing.T) {
 		}
 		seen[h] = true
 	}
-	// Observed joint equals target up to rounding (< cells/m).
-	l1, err := FusedQuality(et, tailLabels, headLabels, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l1 > 4.0/float64(m)+1e-9 {
-		t.Errorf("fused 1-* L1 = %v, want <= rounding bound %v", l1, 4.0/float64(m))
+	// Observed joint equals target up to rounding: every cell is within
+	// one edge of its share.
+	if e := maxCellError(t, et, tailLabels, headLabels, target); e > 1/float64(m)+1e-9 {
+		t.Errorf("fused 1-* cell error = %v, want <= one edge %v", e, 1/float64(m))
 	}
 }
 
@@ -174,11 +173,22 @@ func TestFusedBeatsStreamingOnStrictConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1Fused, err := FusedQuality(et, tailLabels, headLabels, target)
+	if e := maxCellError(t, et, tailLabels, headLabels, target); e > 1/float64(m)+1e-9 {
+		t.Errorf("fused cell error = %v, want <= one edge %v", e, 1/float64(m))
+	}
+}
+
+// maxCellError is the largest |observed − target| over the cells of
+// the joint that (et, tailLabels, headLabels) realise.
+func maxCellError(t *testing.T, et *table.EdgeTable, tailLabels, headLabels []int64, target *BipartiteTarget) float64 {
+	t.Helper()
+	obs, err := EmpiricalBipartite(et, tailLabels, headLabels, target.KT, target.KH)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l1Fused > 0.001 {
-		t.Errorf("fused L1 = %v, want ~0", l1Fused)
+	var worst float64
+	for i := range target.P {
+		worst = max(worst, math.Abs(obs.P[i]-target.P[i]))
 	}
+	return worst
 }

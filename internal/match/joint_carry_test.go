@@ -81,23 +81,29 @@ func messyEdges(n, m int64, seed uint64) *table.EdgeTable {
 func TestCarriedJointMatrixMatchesRecount(t *testing.T) {
 	const n, m = 3000, 24000
 	g := messyGraph(t, n, m, 41)
-	// The second and third label date from a windowed driver that had
-	// to carry the matrix too; the test floor tracks subtests by name,
-	// so they stay until a PR can retire them. All three run the one
-	// driver.
-	modes := []string{"serial", "windowed", "windowed-first-serial-refine"}
+	// Each mode is the first pass's stream order; refinement passes
+	// always stream degree descending. "serial" is the random order the
+	// one (serial) driver runs by default.
+	modes := []struct {
+		name  string
+		order []uint32
+	}{
+		{"serial", RandomOrder(n, 3)},
+		{"bfs-order", BFSOrder(g, 3)},
+		{"degree-order", DegreeDescOrder(g)},
+	}
 	for _, k := range []int{2, 16, 64} {
 		sizes := equalSizes(n, k)
 		target := homophilyTarget(t, sizes, 0.7)
 		for _, mode := range modes {
 			for extra := 0; extra <= 3; extra++ {
-				t.Run(fmt.Sprintf("k=%d/%s/extra=%d", k, mode, extra), func(t *testing.T) {
+				t.Run(fmt.Sprintf("k=%d/%s/extra=%d", k, mode.name, extra), func(t *testing.T) {
 					part, err := NewSBMPart(target, sizes)
 					if err != nil {
 						t.Fatal(err)
 					}
 					part.Seed = 7
-					r, err := part.partition(g, RandomOrder(n, 3), extra)
+					r, err := part.partition(g, mode.order, extra)
 					if err != nil {
 						t.Fatal(err)
 					}

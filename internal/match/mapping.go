@@ -80,7 +80,7 @@ type Options struct {
 	// Balance toggles the LDG capacity factor (default true).
 	Balance bool
 	// Passes adds re-streaming refinement passes (see
-	// SBMPart.PartitionMultiPass).
+	// SBMPart.partition).
 	Passes int
 }
 

@@ -123,10 +123,9 @@ type SBMPart struct {
 	FinalTarget bool
 
 	// PassTimes records the wall time of every streaming pass of the
-	// most recent Partition or PartitionMultiPass call: index 0 is the
-	// initial stream, each later entry one refinement pass. Callers
-	// plumb it into timing reports so the cost of refinement is visible
-	// end to end.
+	// most recent run: index 0 is the initial stream, each later entry
+	// one refinement pass. Callers plumb it into timing reports so the
+	// cost of refinement is visible end to end.
 	PassTimes []time.Duration
 
 	// Bipartite runs (MatchBipartite): nodes below tails pick among the
@@ -155,11 +154,14 @@ func NewSBMPart(target *stats.Joint, capacities []int64) (*SBMPart, error) {
 	return &SBMPart{K: target.K, Target: target, Capacities: capacities, Balance: true}, nil
 }
 
-// Partition streams the nodes of g in the given order and returns the
-// group assignment of every node. The order must be a permutation of
-// [0, g.N()); the total capacity must be at least g.N().
+// partition streams the nodes of g in the given order, then replays
+// the stream extra times, and returns the finished run: its assign is
+// the group of every node and its cur the joint matrix of that
+// assignment. The caller has checked that order is a permutation of
+// [0, g.N()) and that the capacities cover g.N() (checkStream or
+// streamOrder).
 //
-// Placement of node v:
+// Placement of node v in the first pass:
 //  1. Count v's already-placed neighbours per group: cnt[j]; the node
 //     contributes cv = Σ_j cnt[j] new edges.
 //  2. For each feasible group t (s_t < q_t) compute the change in
@@ -175,42 +177,23 @@ func NewSBMPart(target *stats.Joint, capacities []int64) (*SBMPart, error) {
 // A node with no placed neighbours leaves the Frobenius norm unchanged
 // for every t, so it is placed pseudo-randomly weighted by remaining
 // capacity.
-func (p *SBMPart) Partition(g *graph.Graph, order []uint32) ([]uint32, error) {
-	return p.PartitionMultiPass(g, order, 0)
-}
-
-// PartitionMultiPass is Partition followed by extra re-streaming
-// refinement passes. The paper defers "optimization strategies" to
-// future work; the standard one for streaming partitioners (restreamed
-// LDG, Nishimura & Ugander KDD'13) is to replay the stream. Each pass
-// starts with fresh capacity quotas — otherwise every group is exactly
-// full after pass one and no node could ever move — and refines in
-// place: the assignment holds a node's new group once the pass has
-// reached it and its previous-pass group until then, so every node (in
-// particular the early-stream nodes that pass one placed almost blind)
-// is scored with a full-neighbourhood view. Refinement passes iterate
-// hubs first (degree descending): high-degree nodes carry the most
-// matrix mass, and re-anchoring them before the long tail is what
-// converts the full-information pass into a net win — with the original
-// random order, refinement oscillates and *degrades* (measured in
-// TestProbe-style sweeps: 0.29 → 0.35 L1 random vs 0.29 → 0.08
-// degree-ordered on LFR(5k,16)). Per-pass complexity stays
+//
+// The extra passes refine. The paper defers "optimization strategies"
+// to future work; the standard one for streaming partitioners
+// (restreamed LDG, Nishimura & Ugander KDD'13) is to replay the
+// stream. Each pass starts with fresh capacity quotas — otherwise every
+// group is exactly full after pass one and no node could ever move —
+// and refines in place: the assignment holds a node's new group once
+// the pass has reached it and its previous-pass group until then, so
+// every node (in particular the early-stream nodes that pass one placed
+// almost blind) is scored with a full-neighbourhood view. Refinement
+// passes iterate hubs first (degree descending): high-degree nodes
+// carry the most matrix mass, and re-anchoring them before the long
+// tail is what converts the full-information pass into a net win —
+// with the original random order, refinement oscillates and *degrades*
+// (measured in TestProbe-style sweeps: 0.29 → 0.35 L1 random vs 0.29 →
+// 0.08 degree-ordered on LFR(5k,16)). Per-pass complexity stays
 // O(Σ deg(v) + n·k).
-func (p *SBMPart) PartitionMultiPass(g *graph.Graph, order []uint32, extra int) ([]uint32, error) {
-	if err := checkStream(order, g.N(), p.Capacities); err != nil {
-		return nil, err
-	}
-	r, err := p.partition(g, order, extra)
-	if err != nil {
-		return nil, err
-	}
-	return r.assign, nil
-}
-
-// partition runs the first pass and extra refinement passes and returns
-// the finished run, whose cur is the joint matrix of its assign. The
-// caller has checked order and the capacities (checkStream or
-// streamOrder).
 func (p *SBMPart) partition(g *graph.Graph, order []uint32, extra int) (*sbmRun, error) {
 	if extra < 0 {
 		return nil, fmt.Errorf("match: negative refinement passes")

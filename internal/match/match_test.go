@@ -44,7 +44,7 @@ func TestSBMPartSeparatesCliques(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := part.Partition(g, RandomOrder(40, 7))
+	assign, err := assigned(part.partition(g, RandomOrder(40, 7), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSBMPartRespectsCapacities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := part.Partition(g, RandomOrder(20, 3))
+	assign, err := assigned(part.partition(g, RandomOrder(20, 3), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSBMPartDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assign, err := part.Partition(g, RandomOrder(30, 11))
+		assign, err := assigned(part.partition(g, RandomOrder(30, 11), 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,22 +145,18 @@ func TestSBMPartValidation(t *testing.T) {
 
 func TestSBMPartInsufficientCapacity(t *testing.T) {
 	_, g := twoCliques(t, 5)
-	part, err := NewSBMPart(diagTarget(), []int64{4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := part.Partition(g, RandomOrder(10, 1)); err == nil {
+	if err := checkStream(RandomOrder(10, 1), g.N(), []int64{4, 4}); err == nil {
 		t.Error("insufficient capacity should fail")
 	}
 }
 
 func TestSBMPartBadOrder(t *testing.T) {
 	_, g := twoCliques(t, 5)
-	part, _ := NewSBMPart(diagTarget(), []int64{5, 5})
-	if _, err := part.Partition(g, []uint32{0, 0, 1, 2, 3, 4, 5, 6, 7, 8}); err == nil {
+	capacities := []int64{5, 5}
+	if err := checkStream([]uint32{0, 0, 1, 2, 3, 4, 5, 6, 7, 8}, g.N(), capacities); err == nil {
 		t.Error("repeated node in order should fail")
 	}
-	if _, err := part.Partition(g, []uint32{0}); err == nil {
+	if err := checkStream([]uint32{0}, g.N(), capacities); err == nil {
 		t.Error("short order should fail")
 	}
 }
@@ -200,7 +196,7 @@ func TestSBMPartObservedMatchesTargetOnLFR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := part.Partition(g, RandomOrder(n, 99))
+	assign, err := assigned(part.partition(g, RandomOrder(n, 99), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +255,7 @@ func TestSBMPartBeatsRandomAssignment(t *testing.T) {
 	target, _ := stats.EmpiricalJoint(et, widen(truth), k)
 
 	part, _ := NewSBMPart(target, sizes)
-	assign, err := part.Partition(g, RandomOrder(n, 2))
+	assign, err := assigned(part.partition(g, RandomOrder(n, 2), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,9 +461,8 @@ func TestMatchPropertyEndToEnd(t *testing.T) {
 		t.Errorf("L1 = %v, want < 0.3 on separable instance", l1)
 	}
 	// Applying the mapping keeps the edge table valid.
-	clone := et.Clone()
-	clone.Remap(res.Mapping)
-	if err := clone.Validate(n, n); err != nil {
+	et.Remap(res.Mapping)
+	if err := et.Validate(n, n); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -588,7 +583,7 @@ func TestFrobeniusDeltaMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := RandomOrder(12, 9)
-	assign, err := part.Partition(g, order)
+	assign, err := assigned(part.partition(g, order, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +614,7 @@ func TestFrobeniusDeltaMatchesNaive(t *testing.T) {
 }
 
 // TestPartitionScratchReuse: the hoisted per-instance deltas scratch
-// must not leak state between Partition calls — repeated runs over the
+// must not leak state between partition calls — repeated runs over the
 // same input give identical assignments.
 func TestPartitionScratchReuse(t *testing.T) {
 	_, g := twoCliques(t, 100)
@@ -630,12 +625,12 @@ func TestPartitionScratchReuse(t *testing.T) {
 	}
 	p.Seed = 9
 	order := RandomOrder(200, 4)
-	first, err := p.Partition(g, order)
+	first, err := assigned(p.partition(g, order, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		again, err := p.Partition(g, order)
+		again, err := assigned(p.partition(g, order, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -645,4 +640,12 @@ func TestPartitionScratchReuse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// assigned unwraps a partition run to its assignment.
+func assigned(r *sbmRun, err error) ([]uint32, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r.assign, nil
 }

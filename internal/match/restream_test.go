@@ -56,11 +56,11 @@ func TestMultiPassImprovesFidelity(t *testing.T) {
 	g, target, sizes, l1Of := restreamSetup(t, 5000, 16)
 	order := RandomOrder(g.N(), 2)
 
-	single, err := newPart(t, target, sizes).Partition(g, order)
+	single, err := assigned(newPart(t, target, sizes).partition(g, order, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := newPart(t, target, sizes).PartitionMultiPass(g, order, 2)
+	multi, err := assigned(newPart(t, target, sizes).partition(g, order, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func newPart(t *testing.T, target *stats.Joint, sizes []int64) *SBMPart {
 
 func TestMultiPassRespectsCapacities(t *testing.T) {
 	g, target, sizes, _ := restreamSetup(t, 3000, 8)
-	assign, err := newPart(t, target, sizes).PartitionMultiPass(g, RandomOrder(g.N(), 7), 3)
+	assign, err := assigned(newPart(t, target, sizes).partition(g, RandomOrder(g.N(), 7), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,27 +100,9 @@ func TestMultiPassRespectsCapacities(t *testing.T) {
 	}
 }
 
-func TestMultiPassZeroExtraEqualsSingle(t *testing.T) {
-	g, target, sizes, _ := restreamSetup(t, 2000, 4)
-	order := RandomOrder(g.N(), 9)
-	a, err := newPart(t, target, sizes).Partition(g, order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := newPart(t, target, sizes).PartitionMultiPass(g, order, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("0 extra passes must equal single pass")
-		}
-	}
-}
-
 func TestMultiPassValidation(t *testing.T) {
 	g, target, sizes, _ := restreamSetup(t, 1000, 4)
-	if _, err := newPart(t, target, sizes).PartitionMultiPass(g, RandomOrder(g.N(), 1), -1); err == nil {
+	if _, err := assigned(newPart(t, target, sizes).partition(g, RandomOrder(g.N(), 1), -1)); err == nil {
 		t.Error("negative passes should fail")
 	}
 }
@@ -128,11 +110,11 @@ func TestMultiPassValidation(t *testing.T) {
 func TestMultiPassDeterministic(t *testing.T) {
 	g, target, sizes, _ := restreamSetup(t, 2000, 8)
 	order := RandomOrder(g.N(), 4)
-	a, err := newPart(t, target, sizes).PartitionMultiPass(g, order, 2)
+	a, err := assigned(newPart(t, target, sizes).partition(g, order, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := newPart(t, target, sizes).PartitionMultiPass(g, order, 2)
+	b, err := assigned(newPart(t, target, sizes).partition(g, order, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,8 +106,8 @@ func lfrFixture(t testing.TB, n int64, k int) *monoFixture {
 // neighbour lists.
 func rmatFixture(t testing.TB, scale uint, k int) *monoFixture {
 	t.Helper()
-	et, err := sgen.NewRMAT(29).RunScale(scale)
 	n := int64(1) << scale
+	et, err := sgen.NewRMAT(29).Run(n)
 	return newMonoFixture(t, et, err, n, equalSizes(n, k), 0.7)
 }
 
@@ -208,7 +208,7 @@ func partitionAt(t testing.TB, g *graph.Graph, target *stats.Joint, sizes []int6
 		t.Fatal(err)
 	}
 	part.Seed, part.Balance = 99, balance
-	assign, err := part.PartitionMultiPass(g, RandomOrder(g.N(), 5), extra)
+	assign, err := assigned(part.partition(g, RandomOrder(g.N(), 5), extra))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,9 +328,9 @@ func streamStress(t *testing.T, variant string) {
 	}
 }
 
-func TestFirstPassStress(t *testing.T)              { streamStress(t, "first") }
-func TestMultiPassWindowedStress(t *testing.T)      { streamStress(t, "refine2") }
-func TestMatchBipartiteWindowedStress(t *testing.T) { streamStress(t, "bipartite") }
+func TestFirstPassStress(t *testing.T)       { streamStress(t, "first") }
+func TestRefineStress(t *testing.T)          { streamStress(t, "refine2") }
+func TestBipartiteStreamStress(t *testing.T) { streamStress(t, "bipartite") }
 
 // TestStreamOrderValidation: a stream order that is not a permutation
 // is rejected, naming the first offending node.
@@ -347,11 +347,7 @@ func TestStreamOrderValidation(t *testing.T) {
 		}
 		bad[tc.at] = tc.v
 		want := fmt.Sprintf("match: order is not a permutation (node %d)", tc.v)
-		part, err := NewSBMPart(f.target, f.sizes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := part.PartitionMultiPass(f.g, bad, 1); err == nil || err.Error() != want {
+		if err := checkStream(bad, f.g.N(), f.sizes); err == nil || err.Error() != want {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
 		}
 	}
@@ -363,7 +359,7 @@ func TestStreamOrderValidation(t *testing.T) {
 // table also has an endpoint past n, which a build would have reported.
 func TestMatchPropertyBadOrder(t *testing.T) {
 	f := lfrFixture(t, 500, 4)
-	et := f.et.Clone()
+	et := f.et // the fixture's own: f.g was built before this edge
 	et.Add(f.n, 0)
 	for _, tc := range []struct {
 		name string
@@ -423,7 +419,7 @@ func TestMultiPassPassTimes(t *testing.T) {
 	}
 	part.Seed = 7
 	for _, extra := range []int{2, 0} {
-		if _, err := part.PartitionMultiPass(f.g, RandomOrder(f.n, 3), extra); err != nil {
+		if _, err := assigned(part.partition(f.g, RandomOrder(f.n, 3), extra)); err != nil {
 			t.Fatal(err)
 		}
 		if len(part.PassTimes) != 1+extra {

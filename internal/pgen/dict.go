@@ -186,12 +186,3 @@ func (c *ConditionalName) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, d
 	}
 	return nil
 }
-
-// NamesFor exposes the name list of a (country, sex) pair for tests.
-func NamesFor(country, sex string) []string {
-	region, ok := regionOf[country]
-	if !ok {
-		region = "western"
-	}
-	return namesByRegionSex[region+"/"+sex]
-}

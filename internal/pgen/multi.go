@@ -3,7 +3,6 @@ package pgen
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
@@ -80,11 +79,4 @@ func (m *MultiCategorical) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, 
 		dst.EndCell()
 	}
 	return nil
-}
-
-// Primary extracts the primary (first) value of a rendered set; used
-// when a multi-valued property participates in correlation matching.
-func (m *MultiCategorical) Primary(rendered string) string {
-	first, _, _ := strings.Cut(rendered, m.Separator)
-	return first
 }

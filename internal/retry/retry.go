@@ -36,29 +36,12 @@ type Policy struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-// permanentError marks an error that must not be retried.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps an error so Do stops retrying immediately and
-// returns it (unwrapped from the marker, still matching errors.Is/As
-// on the cause).
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err}
-}
-
-// Do calls fn until it succeeds, the attempt budget is spent, ctx is
-// done, or fn returns a Permanent error. It returns nil on success and
-// otherwise the last error fn produced (the context error when ctx
-// expired before the first attempt). fn receives the 0-based attempt
-// number. Context errors from fn itself are treated as permanent: a
-// canceled job must not burn the backoff schedule discovering it is
-// canceled.
+// Do calls fn until it succeeds, the attempt budget is spent or ctx is
+// done. It returns nil on success and otherwise the last error fn
+// produced (the context error when ctx expired before the first
+// attempt). fn receives the 0-based attempt number. Context errors
+// from fn itself stop the loop: a canceled job must not burn the
+// backoff schedule discovering it is canceled.
 func Do(ctx context.Context, p Policy, fn func(attempt int) error) error {
 	attempts := p.Attempts
 	if attempts < 1 {
@@ -85,10 +68,6 @@ func Do(ctx context.Context, p Policy, fn func(attempt int) error) error {
 		err := fn(attempt)
 		if err == nil {
 			return nil
-		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
-			return perm.err
 		}
 		lastErr = err
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

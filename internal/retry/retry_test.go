@@ -57,20 +57,6 @@ func TestZeroAttemptsMeansOne(t *testing.T) {
 	}
 }
 
-func TestPermanentStopsImmediately(t *testing.T) {
-	calls := 0
-	err := Do(context.Background(), Policy{Attempts: 5, Sleep: noSleep}, func(int) error {
-		calls++
-		return Permanent(errBoom)
-	})
-	if !errors.Is(err, errBoom) {
-		t.Fatalf("Do = %v, want the unwrapped cause", err)
-	}
-	if calls != 1 {
-		t.Fatalf("fn called %d times, want 1 (Permanent must not retry)", calls)
-	}
-}
-
 func TestContextErrorsFromFnNotRetried(t *testing.T) {
 	calls := 0
 	err := Do(context.Background(), Policy{Attempts: 5, Sleep: noSleep}, func(int) error {

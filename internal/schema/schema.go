@@ -60,17 +60,6 @@ type GeneratorSpec struct {
 	Params map[string]string
 }
 
-// Param returns a parameter value or the default.
-func (g *GeneratorSpec) Param(key, def string) string {
-	if g == nil || g.Params == nil {
-		return def
-	}
-	if v, ok := g.Params[key]; ok {
-		return v
-	}
-	return def
-}
-
 // Property describes one property of a node or edge type.
 type Property struct {
 	Name string

@@ -71,17 +71,6 @@ func TestCardinalityRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGeneratorSpecParam(t *testing.T) {
-	g := &GeneratorSpec{Name: "x", Params: map[string]string{"a": "1"}}
-	if g.Param("a", "d") != "1" || g.Param("b", "d") != "d" {
-		t.Error("Param lookup broken")
-	}
-	var nilSpec *GeneratorSpec
-	if nilSpec.Param("a", "d") != "d" {
-		t.Error("nil spec should return default")
-	}
-}
-
 func TestLookups(t *testing.T) {
 	s := validSchema()
 	if s.NodeType("Person") == nil || s.NodeType("Nope") != nil {

@@ -124,7 +124,7 @@ func BenchmarkServiceSingleflightStorm(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		src := testSchema(2000 + i)
-		before := svc.Generations()
+		before := svc.Stats().Generations
 		var wg sync.WaitGroup
 		errs := make([]error, benchStormWidth)
 		for c := 0; c < benchStormWidth; c++ {
@@ -158,7 +158,7 @@ func BenchmarkServiceSingleflightStorm(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if got := svc.Generations() - before; got != 1 {
+		if got := svc.Stats().Generations - before; got != 1 {
 			b.Fatalf("storm %d ran %d generations, want 1", i, got)
 		}
 	}

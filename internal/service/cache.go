@@ -506,12 +506,6 @@ func (c *diskCache) stats() (entries int, bytes int64) {
 	return len(c.index), c.total
 }
 
-// entries counts committed entries (from the index).
-func (c *diskCache) entries() int {
-	n, _ := c.stats()
-	return n
-}
-
 // lruEvictions reports how many entries were evicted to keep the cache
 // under its byte bound.
 func (c *diskCache) lruEvictions() int64 {

@@ -56,9 +56,6 @@ func (e *BadParamsError) Unwrap() error { return e.err }
 // cached points.
 const maxSweeps = 256
 
-// Scenarios returns the registry, or nil when the surface is disabled.
-func (s *Service) Scenarios() *scenario.Registry { return s.scen }
-
 // PutScenario registers a new scenario version (validation-first; an
 // invalid schema writes nothing).
 func (s *Service) PutScenario(name, src, description string, labels map[string]string) (*scenario.Version, bool, error) {

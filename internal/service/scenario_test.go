@@ -317,7 +317,7 @@ func TestSubmitByNameByteIdentity(t *testing.T) {
 
 	// The base recipe and the override are two schemas: two generations
 	// total, everything else cache hits or dedups.
-	if g := svc.Generations(); g != 2 {
+	if g := svc.Stats().Generations; g != 2 {
 		t.Errorf("%d generations, want 2", g)
 	}
 	st := svc.Stats()
@@ -422,14 +422,14 @@ func TestSweepTenPointMu(t *testing.T) {
 
 	// Re-POSTing the identical grid is idempotent: same sweep id, no
 	// new generations (all 10 points cache-hit).
-	gens := svc.Generations()
+	gens := svc.Stats().Generations
 	resp, raw = doReq(t, http.MethodPost, ts.URL+"/v1/sweeps", "application/json", body)
 	var sw2 SweepView
 	json.Unmarshal(raw, &sw2)
 	if resp.StatusCode != http.StatusAccepted || sw2.ID != sw.ID {
 		t.Fatalf("re-POST: %d id %s (first %s)", resp.StatusCode, sw2.ID, sw.ID)
 	}
-	if g := svc.Generations(); g != gens {
+	if g := svc.Stats().Generations; g != gens {
 		t.Fatalf("re-POST regenerated: %d -> %d", gens, g)
 	}
 
@@ -459,7 +459,7 @@ func TestSweepDuplicatePointsDedup(t *testing.T) {
 		t.Fatalf("points: %+v", sw.Points)
 	}
 	waitSweepDone(t, ts, sw.ID)
-	if g := svc.Generations(); g != 1 {
+	if g := svc.Stats().Generations; g != 1 {
 		t.Fatalf("%d generations for a duplicate pair, want 1", g)
 	}
 }

@@ -1047,10 +1047,6 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Generations reports how many engine runs the service has started —
-// the observable the singleflight tests pin.
-func (s *Service) Generations() int64 { return s.generations.Load() }
-
 func (s *Service) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)

@@ -199,7 +199,7 @@ func TestServiceEndToEndByteIdentical(t *testing.T) {
 	}
 	// Three formats, each generated exactly once: the warm passes must
 	// all have been served from the cache.
-	if g := svc.Generations(); g != 3 {
+	if g := svc.Stats().Generations; g != 3 {
 		t.Errorf("%d generations for 3 formats × 2 passes, want 3", g)
 	}
 }
@@ -281,7 +281,7 @@ func TestSingleflightStorm(t *testing.T) {
 			deduped++
 		}
 	}
-	if g := svc.Generations(); g != 1 {
+	if g := svc.Stats().Generations; g != 1 {
 		t.Errorf("storm of %d identical submits ran %d generations, want exactly 1", stormN, g)
 	}
 	if deduped != stormN-1 {
@@ -330,7 +330,7 @@ func TestCorruptedCacheEntryEvicted(t *testing.T) {
 		t.Fatal("corrupted entry served as a cache hit")
 	}
 	waitDone(t, res2.Job)
-	if g := svc2.Generations(); g != 1 {
+	if g := svc2.Stats().Generations; g != 1 {
 		t.Errorf("regeneration after eviction ran %d generations, want 1", g)
 	}
 	if ev := svc2.Stats().Cache.Evictions; ev != 1 {
@@ -373,7 +373,7 @@ func TestCacheHitAcrossRestart(t *testing.T) {
 		t.Fatalf("surface variant keyed %s, original %s", res2.Job.ID(), res.Job.ID())
 	}
 	waitDone(t, res2.Job)
-	if g := svc2.Generations(); g != 0 {
+	if g := svc2.Stats().Generations; g != 0 {
 		t.Errorf("cache hit ran %d generations", g)
 	}
 }
@@ -387,7 +387,7 @@ func TestAdmissionLimits(t *testing.T) {
 	if !errors.As(err, &le) {
 		t.Fatalf("600-node schema against a 100-node limit: %v", err)
 	}
-	if g := svc.Generations(); g != 0 {
+	if g := svc.Stats().Generations; g != 0 {
 		t.Errorf("rejected schema still generated")
 	}
 
@@ -417,7 +417,7 @@ func TestAdmissionInferredLimits(t *testing.T) {
 	if _, err := svc.Submit(testSchema(11), table.FormatCSV); !errors.As(err, &le) {
 		t.Fatalf("schema with ~1500 implied nodes against a 700-node limit: %v", err)
 	}
-	if g := svc.Generations(); g != 0 {
+	if g := svc.Stats().Generations; g != 0 {
 		t.Errorf("rejected schema still generated (%d)", g)
 	}
 
@@ -427,7 +427,7 @@ func TestAdmissionInferredLimits(t *testing.T) {
 	if _, err := svc.Submit(testSchema(12), table.FormatCSV); !errors.As(err, &le) {
 		t.Fatalf("schema with ~1800 implied edges against a 1000-edge limit: %v", err)
 	}
-	if g := svc.Generations(); g != 0 {
+	if g := svc.Stats().Generations; g != 0 {
 		t.Errorf("rejected schema still generated (%d)", g)
 	}
 
@@ -461,7 +461,7 @@ func TestJobTimeout(t *testing.T) {
 	if !strings.Contains(v.Error, "deadline") && !strings.Contains(v.Error, "cancel") {
 		t.Errorf("failure is not a cancellation: %s", v.Error)
 	}
-	if n := svc.cache.entries(); n != 0 {
+	if n, _ := svc.cache.stats(); n != 0 {
 		t.Errorf("failed job left %d cache entries", n)
 	}
 }
@@ -666,7 +666,7 @@ func TestJobMapEviction(t *testing.T) {
 
 	// The evicted job's dataset persists in the disk cache: the same
 	// schema comes back as a hit without a new generation.
-	gens := svc.Generations()
+	gens := svc.Stats().Generations
 	again, err := svc.Submit(testSchema(41), table.FormatCSV)
 	if err != nil {
 		t.Fatal(err)
@@ -674,7 +674,7 @@ func TestJobMapEviction(t *testing.T) {
 	if !again.CacheHit {
 		t.Errorf("resubmit of evicted schema was not a cache hit")
 	}
-	if g := svc.Generations(); g != gens {
+	if g := svc.Stats().Generations; g != gens {
 		t.Errorf("resubmit of evicted schema regenerated (%d -> %d)", gens, g)
 	}
 }
@@ -753,7 +753,7 @@ func TestSubmitRejectsBadGeneratorSpecs(t *testing.T) {
 			t.Errorf("%s: %d %s, want 400 naming A.y", decl, resp.StatusCode, body)
 		}
 	}
-	if n := svc.Generations(); n != 0 {
+	if n := svc.Stats().Generations; n != 0 {
 		t.Errorf("%d engine runs started for schemas that must not be admitted", n)
 	}
 }
@@ -823,7 +823,7 @@ func TestCorrelationValidationFirst(t *testing.T) {
 			t.Errorf("%s: POST %d %s, want 400 naming edge %s and %s", c.name, resp.StatusCode, body, c.edge, c.prop)
 		}
 	}
-	if n := svc.Generations(); n != 0 {
+	if n := svc.Stats().Generations; n != 0 {
 		t.Errorf("%d engine runs started for schemas that must not be admitted", n)
 	}
 }
@@ -845,7 +845,7 @@ func TestSubmitRejectsNodeCountPastIDBound(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "node type A") {
 		t.Errorf("POST: %d %s, want 400 naming node type A", resp.StatusCode, body)
 	}
-	if n := svc.Generations(); n != 0 {
+	if n := svc.Stats().Generations; n != 0 {
 		t.Errorf("%d engine runs started for a schema that must not be admitted", n)
 	}
 }
@@ -899,7 +899,7 @@ func TestSubmitRejectsBadStructure(t *testing.T) {
 		}
 	}
 	st := svc.Stats()
-	if n := svc.Generations(); n != 0 || st.Jobs.Queued+st.Jobs.Running+st.Jobs.Done+st.Jobs.Failed != 0 || st.QueueDepth != 0 {
+	if n := svc.Stats().Generations; n != 0 || st.Jobs.Queued+st.Jobs.Running+st.Jobs.Done+st.Jobs.Failed != 0 || st.QueueDepth != 0 {
 		t.Errorf("%d engine runs, jobs %+v, queue depth %d for schemas that must not be admitted", n, st.Jobs, st.QueueDepth)
 	}
 	if st.Scenarios.Puts != 0 {
@@ -954,7 +954,7 @@ func TestSubmitRejectsPassesOnTailHead(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `edge \"rates\"`) {
 		t.Errorf("%d %s, want 400 naming edge \"rates\"", resp.StatusCode, body)
 	}
-	if n := svc.Generations(); n != 0 {
+	if n := svc.Stats().Generations; n != 0 {
 		t.Errorf("%d engine runs started for a schema that must not be admitted", n)
 	}
 	// Without the passes clause the same schema is admitted.

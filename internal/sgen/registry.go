@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"datasynth/internal/cascade"
 )
 
 // Registry resolves DSL structure-generator specs into concrete
@@ -59,9 +57,6 @@ func (r *Registry) RegisterBipartite(name string, f BipFactory) error {
 
 // HasMono reports whether name is a monopartite generator.
 func (r *Registry) HasMono(name string) bool { _, ok := r.mono[name]; return ok }
-
-// HasBipartite reports whether name is a bipartite generator.
-func (r *Registry) HasBipartite(name string) bool { _, ok := r.bip[name]; return ok }
 
 // BuildMono resolves a monopartite generator spec. The generator it
 // returns has passed Validate.
@@ -273,12 +268,12 @@ func registerBuiltinSGs(r *Registry) {
 		return g, nil
 	})
 	mono("cascade", func(p *sgParams, seed uint64) (Generator, error) {
-		g := cascade.NewGenerator(seed)
+		g := NewCascade(seed)
 		g.TreeSizeMin = p.int("minSize", g.TreeSizeMin)
 		g.TreeSizeMax = p.int("maxSize", g.TreeSizeMax)
 		g.Gamma = p.float("gamma", g.Gamma)
 		g.PreferRecent = p.float("preferRecent", g.PreferRecent)
-		return &cascade.SG{Gen: g}, nil
+		return g, nil
 	})
 	mono("erdos-renyi", func(p *sgParams, seed uint64) (Generator, error) {
 		return NewErdosRenyi(p.float("edgesPerNode", 8), seed), nil

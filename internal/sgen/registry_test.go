@@ -94,9 +94,6 @@ func TestRegistryErrors(t *testing.T) {
 	if !r.HasMono("lfr") || r.HasMono("powerlaw-out") {
 		t.Error("HasMono misclassifies")
 	}
-	if !r.HasBipartite("powerlaw-out") || r.HasBipartite("lfr") {
-		t.Error("HasBipartite misclassifies")
-	}
 	if len(r.MonoNames()) < 8 || len(r.BipartiteNames()) < 4 {
 		t.Errorf("names: %v / %v", r.MonoNames(), r.BipartiteNames())
 	}

@@ -115,9 +115,3 @@ func (r *RMAT) NumNodesForEdges(numEdges int64) (int64, error) {
 	n := (numEdges + r.EdgeFactor - 1) / r.EdgeFactor
 	return int64(1) << scaleFor(n), nil
 }
-
-// RunScale is a Graph500-style convenience: generate at scale s
-// (n = 2^s nodes).
-func (r *RMAT) RunScale(scale uint) (*table.EdgeTable, error) {
-	return r.Run(int64(1) << scale)
-}

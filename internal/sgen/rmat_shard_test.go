@@ -385,7 +385,7 @@ func TestRMATDedupBuffers(t *testing.T) {
 		g := rmatConfigs()[c.name]()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		et, err := g.RunScale(c.scale)
+		et, err := g.Run(1 << c.scale)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -528,7 +528,7 @@ func TestSortKeysInPlace(t *testing.T) {
 func BenchmarkRMATScale18(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewRMAT(uint64(i)).RunScale(18); err != nil {
+		if _, err := NewRMAT(uint64(i)).Run(1 << 18); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,9 +5,8 @@ import "datasynth/internal/xrand"
 // seq is the sequential randomness source for batch generators (LFR,
 // BTER, …) whose algorithms are inherently sequential. It is a thin
 // alias over xrand.Seq (sequential splitmix64 — one mix per draw,
-// versus two for the addressable Stream) plus the distribution helper
-// the generators share. Determinism is preserved: a fixed seed yields
-// a fixed sequence.
+// versus two for the addressable Stream). Determinism is preserved: a
+// fixed seed yields a fixed sequence.
 type seq struct {
 	xrand.Seq
 }
@@ -18,6 +17,3 @@ func newSeq(seed uint64) *seq { return &seq{*xrand.NewSeq(seed)} }
 // stream (e.g. a per-shard child from Stream.DeriveN), so shards can
 // consume randomness independently of each other and of the parent.
 func newSeqFromStream(s xrand.Stream) *seq { return &seq{*xrand.NewSeq(s.Seed())} }
-
-// SampleDiscrete draws from d.
-func (q *seq) SampleDiscrete(d *xrand.Discrete) int { return d.SampleU(q.Float64()) }

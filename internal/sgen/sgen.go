@@ -11,9 +11,9 @@
 //
 // The package ships the generators the paper's evaluation and related
 // work discuss: RMAT (Graph500), LFR, BTER, plus Erdős–Rényi,
-// Barabási–Albert and Watts–Strogatz as commonly needed baselines, and
-// bipartite generators for 1→* and *→* edge types between different
-// node types.
+// Barabási–Albert and Watts–Strogatz as commonly needed baselines, the
+// reply-tree cascades of the paper's future work, and bipartite
+// generators for 1→* and *→* edge types between different node types.
 //
 // # Determinism and sharding
 //

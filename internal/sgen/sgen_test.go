@@ -152,7 +152,7 @@ func TestRMATNumNodesForEdges(t *testing.T) {
 }
 
 func TestRMATRunScale(t *testing.T) {
-	et, err := NewRMAT(2).RunScale(8)
+	et, err := NewRMAT(2).Run(1 << 8)
 	if err != nil {
 		t.Fatal(err)
 	}

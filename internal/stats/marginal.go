@@ -1,15 +1,11 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
-// Marginal utilities: value frequencies, marginal distributions of a
-// joint, and synthetic joint construction (homophily models) used by
-// the engine when the user specifies a correlation declaratively
-// instead of supplying a full matrix.
+// Marginal utilities: value frequencies and synthetic joint
+// construction (homophily models) used by the engine when the user
+// specifies a correlation declaratively instead of supplying a full
+// matrix.
 
 // Frequencies counts label occurrences, returning counts[v] for
 // v in [0, k).
@@ -22,24 +18,6 @@ func Frequencies(labels []int64, k int) ([]int64, error) {
 		counts[l]++
 	}
 	return counts, nil
-}
-
-// Marginal returns the marginal P(X=v) of a symmetric joint: the
-// probability that a uniformly random edge *endpoint* carries value v.
-func (j *Joint) Marginal() []float64 {
-	m := make([]float64, j.K)
-	for a := 0; a < j.K; a++ {
-		for b := a; b < j.K; b++ {
-			p := j.P[a*j.K+b]
-			if a == b {
-				m[a] += p
-			} else {
-				m[a] += p / 2
-				m[b] += p / 2
-			}
-		}
-	}
-	return m
 }
 
 // HomophilyJoint builds a synthetic joint distribution over k values
@@ -66,12 +44,14 @@ func HomophilyJoint(sizes []int64, homophily float64) (*Joint, error) {
 		total += float64(s)
 	}
 	j := NewJoint(k)
-	// Intra mass ∝ size_a², inter mass ∝ 2·size_a·size_b.
+	// Intra mass ∝ size_a², inter mass ∝ 2·size_a·size_b. Each product
+	// is rounded on its own (the explicit float64), so no GOARCH fuses
+	// it into the sum and the target is the same everywhere.
 	var intraW, interW float64
 	for a := 0; a < k; a++ {
-		intraW += float64(sizes[a]) * float64(sizes[a])
+		intraW += float64(float64(sizes[a]) * float64(sizes[a]))
 		for b := a + 1; b < k; b++ {
-			interW += 2 * float64(sizes[a]) * float64(sizes[b])
+			interW += float64(2 * float64(sizes[a]) * float64(sizes[b]))
 		}
 	}
 	for a := 0; a < k; a++ {
@@ -90,50 +70,4 @@ func HomophilyJoint(sizes []int64, homophily float64) (*Joint, error) {
 	// With a single group or homophily==1, inter mass must fold back.
 	j.Normalize()
 	return j, nil
-}
-
-// Quantile returns the q-quantile (0<=q<=1) of xs (copied and sorted).
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if q <= 0 {
-		return c[0]
-	}
-	if q >= 1 {
-		return c[len(c)-1]
-	}
-	pos := q * float64(len(c)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(c) {
-		return c[lo]
-	}
-	return c[lo]*(1-frac) + c[lo+1]*frac
-}
-
-// Histogram builds a fixed-width histogram of xs over [min, max] with
-// the given number of bins; out-of-range values clamp to the edge bins.
-func Histogram(xs []float64, min, max float64, bins int) ([]int64, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs bins > 0")
-	}
-	if max <= min {
-		return nil, fmt.Errorf("stats: histogram needs max > min")
-	}
-	h := make([]int64, bins)
-	w := (max - min) / float64(bins)
-	for _, x := range xs {
-		b := int((x - min) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		h[b]++
-	}
-	return h, nil
 }

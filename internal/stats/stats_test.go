@@ -184,26 +184,6 @@ func TestJensenShannonBounds(t *testing.T) {
 	}
 }
 
-func TestChiSquare(t *testing.T) {
-	e := NewJoint(2)
-	e.Set(0, 0, 0.5)
-	e.Set(1, 1, 0.5)
-	if chi := ChiSquare(e, e, 100); chi != 0 {
-		t.Errorf("chi-square self = %v", chi)
-	}
-	o := NewJoint(2)
-	o.Set(0, 0, 0.6)
-	o.Set(1, 1, 0.4)
-	if chi := ChiSquare(e, o, 100); chi <= 0 {
-		t.Errorf("chi-square = %v, want > 0", chi)
-	}
-	z := NewJoint(2)
-	z.Set(0, 1, 1)
-	if chi := ChiSquare(e, z, 100); !math.IsInf(chi, 1) {
-		t.Errorf("chi-square with impossible observation = %v, want +Inf", chi)
-	}
-}
-
 func TestFrequencies(t *testing.T) {
 	f, err := Frequencies([]int64{0, 1, 1, 2, 2, 2}, 3)
 	if err != nil {
@@ -214,26 +194,6 @@ func TestFrequencies(t *testing.T) {
 	}
 	if _, err := Frequencies([]int64{5}, 3); err == nil {
 		t.Error("out-of-range label should fail")
-	}
-}
-
-func TestMarginalSumsToOne(t *testing.T) {
-	j := NewJoint(3)
-	j.Set(0, 0, 0.2)
-	j.Set(0, 1, 0.3)
-	j.Set(1, 2, 0.4)
-	j.Set(2, 2, 0.1)
-	m := j.Marginal()
-	var sum float64
-	for _, p := range m {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("marginal sums to %v", sum)
-	}
-	// P(X=0) = P(0,0) + P(0,1)/2 = 0.2 + 0.15.
-	if math.Abs(m[0]-0.35) > 1e-12 {
-		t.Errorf("m[0] = %v, want 0.35", m[0])
 	}
 }
 
@@ -283,40 +243,6 @@ func TestHomophilyJointErrors(t *testing.T) {
 	}
 	if _, err := HomophilyJoint([]int64{0}, 0.5); err == nil {
 		t.Error("zero group should fail")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 3 {
-		t.Errorf("q1 = %v", q)
-	}
-	if q := Quantile(xs, 0.5); q != 2 {
-		t.Errorf("q0.5 = %v", q)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("empty quantile should be NaN")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := Histogram([]float64{0, 0.5, 0.9, 1.5, -3}, 0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bins are half-open [lo, hi): 0 and -3 (clamped) land in bin 0;
-	// 0.5, 0.9 and 1.5 (clamped) land in bin 1.
-	if h[0] != 2 || h[1] != 3 {
-		t.Errorf("histogram = %v", h)
-	}
-	if _, err := Histogram(nil, 0, 1, 0); err == nil {
-		t.Error("bins=0 should fail")
-	}
-	if _, err := Histogram(nil, 1, 0, 2); err == nil {
-		t.Error("max<=min should fail")
 	}
 }
 

@@ -107,7 +107,7 @@ func (pt *PropertyTable) FillChunk(lo, hi int64, fill func(dst *Chunk) error) er
 // checkArena checks a filled arena chunk: one cell per row, in bytes
 // its 32-bit offsets can address.
 func (pt *PropertyTable) checkArena(dst *Chunk, lo, hi int64) error {
-	if int64(len(dst.Offs)) != hi-lo+1 || len(dst.Data) > math.MaxUint32 {
+	if int64(len(dst.Offs)) != hi-lo+1 || int64(len(dst.Data)) > math.MaxUint32 {
 		return fmt.Errorf("table: %s rows [%d,%d) were filled with %d cells in %d bytes", pt.Name, lo, hi, len(dst.Offs)-1, len(dst.Data))
 	}
 	return nil

@@ -39,8 +39,8 @@ import (
 //
 // Every block carries a CRC-32C trailer so a truncated or corrupted
 // file is detected at load, and the whole format round-trips exactly:
-// OpenColumnar(WriteDirColumnar(d)) reproduces every value bit for bit
-// (floats travel as raw bits, not decimal text).
+// OpenColumnar of a columnar Export of d reproduces every value bit
+// for bit (floats travel as raw bits, not decimal text).
 
 // ColumnarExt is the file extension of the columnar format.
 const ColumnarExt = ".dsc"
@@ -285,14 +285,6 @@ func WriteEdgeColumnar(w io.Writer, et *EdgeTable, props []*PropertyTable) error
 		return err
 	}
 	return writeColumns(w, bw, props)
-}
-
-// WriteDirColumnar exports the dataset as nodes_<Type>.dsc and
-// edges_<Type>.dsc files. Tables are written concurrently and
-// committed atomically; see Export.
-func (d *Dataset) WriteDirColumnar(dir string) error {
-	_, err := d.Export(dir, ExportOptions{Format: FormatColumnar})
-	return err
 }
 
 // columnar decoding ----------------------------------------------------------
@@ -581,7 +573,7 @@ func ReadColumnarFileFS(fsys faultfs.FS, path string) (*ColumnarTable, error) {
 }
 
 // OpenColumnar loads every *.dsc file in dir back into a Dataset — the
-// read side of WriteDirColumnar — on the real filesystem.
+// read side of a columnar Export — on the real filesystem.
 func OpenColumnar(dir string) (*Dataset, error) {
 	return OpenColumnarFS(faultfs.OS, dir)
 }

@@ -28,7 +28,7 @@ func putUvarintLen(buf []byte, v uint64) int {
 }
 
 // Columnar round-trip fidelity, mirroring roundtrip_test.go: writing
-// with WriteDirColumnar and loading with OpenColumnar must reproduce
+// with a columnar Export and loading with OpenColumnar must reproduce
 // every in-memory value exactly. Unlike the text formats there is no
 // formatting layer at all — ints, dates and float bit patterns travel
 // raw — so equality here is bit-for-bit by construction, and the test
@@ -109,7 +109,7 @@ func assertPTEqual(t *testing.T, want, got *PropertyTable) {
 func TestColumnarRoundTrip(t *testing.T) {
 	d := roundTripDataset()
 	dir := t.TempDir()
-	if err := d.WriteDirColumnar(dir); err != nil {
+	if _, err := d.Export(dir, ExportOptions{Format: FormatColumnar}); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"nodes_User.dsc", "edges_follows.dsc"} {
@@ -131,7 +131,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 func TestColumnarReadFaultInjection(t *testing.T) {
 	d := roundTripDataset()
 	dir := t.TempDir()
-	if err := d.WriteDirColumnar(dir); err != nil {
+	if _, err := d.Export(dir, ExportOptions{Format: FormatColumnar}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -164,7 +164,7 @@ func TestColumnarZeroPropertyNodeType(t *testing.T) {
 	et.Add(0, 6)
 	d.Edges["self"] = et
 	dir := t.TempDir()
-	if err := d.WriteDirColumnar(dir); err != nil {
+	if _, err := d.Export(dir, ExportOptions{Format: FormatColumnar}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := OpenColumnar(dir)
@@ -220,7 +220,7 @@ func TestColumnarWriterValidatesLengths(t *testing.T) {
 func TestColumnarDetectsCorruption(t *testing.T) {
 	d := roundTripDataset()
 	dir := t.TempDir()
-	if err := d.WriteDirColumnar(dir); err != nil {
+	if _, err := d.Export(dir, ExportOptions{Format: FormatColumnar}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "nodes_User.dsc")
@@ -296,7 +296,7 @@ func TestOpenColumnarEdgeAllocations(t *testing.T) {
 	d := NewDataset()
 	d.Edges["e"] = et
 	dir := t.TempDir()
-	if err := d.WriteDirColumnar(dir); err != nil {
+	if _, err := d.Export(dir, ExportOptions{Format: FormatColumnar}); err != nil {
 		t.Fatal(err)
 	}
 	var got *Dataset

@@ -321,7 +321,7 @@ func TestExportRenamesEdgeTableToDatasetKey(t *testing.T) {
 	d.Edges["knows"] = et
 
 	dir := t.TempDir()
-	if err := d.WriteDirColumnar(dir); err != nil {
+	if _, err := d.Export(dir, ExportOptions{Format: FormatColumnar}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := OpenColumnar(dir)
@@ -339,7 +339,7 @@ func TestExportRenamesEdgeTableToDatasetKey(t *testing.T) {
 	}
 
 	jsonlDir := t.TempDir()
-	if err := d.WriteDirJSONL(jsonlDir); err != nil {
+	if _, err := d.Export(jsonlDir, ExportOptions{Format: FormatJSONL}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(filepath.Join(jsonlDir, "edges_knows.jsonl"))

@@ -27,11 +27,3 @@ func WriteNodeJSONL(w io.Writer, typeName string, props []*PropertyTable) error 
 func WriteEdgeJSONL(w io.Writer, et *EdgeTable, props []*PropertyTable) error {
 	return writeTable(w, newCellFormat(true, 0), et.Name, et, props)
 }
-
-// WriteDirJSONL exports the dataset as nodes_<Type>.jsonl and
-// edges_<Type>.jsonl files. Tables are written concurrently and
-// committed atomically; see Export.
-func (d *Dataset) WriteDirJSONL(dir string) error {
-	_, err := d.Export(dir, ExportOptions{Format: FormatJSONL})
-	return err
-}

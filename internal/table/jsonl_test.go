@@ -208,8 +208,8 @@ func TestJSONLReservedKeyCollision(t *testing.T) {
 	bad.SetString(0, "x")
 	d.NodeProps["User"] = []*PropertyTable{bad}
 	d.NodeCounts["User"] = 1
-	if err := d.WriteDirJSONL(t.TempDir()); err == nil {
-		t.Fatal("WriteDirJSONL accepted a reserved-key collision")
+	if _, err := d.Export(t.TempDir(), ExportOptions{Format: FormatJSONL}); err == nil {
+		t.Fatal("a JSONL export accepted a reserved-key collision")
 	}
 }
 
@@ -270,7 +270,7 @@ func TestDatasetWriteDirJSONL(t *testing.T) {
 	et.Add(0, 0)
 	d.Edges["knows"] = et
 	dir := t.TempDir()
-	if err := d.WriteDirJSONL(dir); err != nil {
+	if _, err := d.Export(dir, ExportOptions{Format: FormatJSONL}); err != nil {
 		t.Fatal(err)
 	}
 	nodes, err := os.ReadFile(filepath.Join(dir, "nodes_Person.jsonl"))

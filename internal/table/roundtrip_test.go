@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// Round-trip fidelity: writing a dataset with WriteDir / WriteDirJSONL
+// Round-trip fidelity: writing a dataset with WriteDir / a JSONL Export
 // and parsing the files back must reproduce every in-memory value
 // exactly — strings verbatim, ints and dates losslessly, floats
 // through Go's shortest-round-trip formatting. The formatting tests
@@ -164,7 +164,7 @@ func TestWriteDirCSVRoundTrip(t *testing.T) {
 func TestWriteDirJSONLRoundTrip(t *testing.T) {
 	d := roundTripDataset()
 	dir := t.TempDir()
-	if err := d.WriteDirJSONL(dir); err != nil {
+	if _, err := d.Export(dir, ExportOptions{Format: FormatJSONL}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -85,7 +85,6 @@ package table
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -487,9 +486,4 @@ func remap(ids, f []uint32) {
 func (et *EdgeTable) Remap(f []uint32) {
 	et.RemapTails(f)
 	et.RemapHeads(f)
-}
-
-// Clone returns a deep copy of the table.
-func (et *EdgeTable) Clone() *EdgeTable {
-	return &EdgeTable{Name: et.Name, Tail: slices.Clone(et.Tail), Head: slices.Clone(et.Head)}
 }

@@ -166,16 +166,6 @@ func TestEdgeTableRemapBipartite(t *testing.T) {
 	}
 }
 
-func TestEdgeTableCloneIsDeep(t *testing.T) {
-	et := NewEdgeTable("e", 1)
-	et.Add(1, 2)
-	c := et.Clone()
-	c.Tail[0] = 99
-	if et.Tail[0] == 99 {
-		t.Error("Clone shares storage")
-	}
-}
-
 // TestEdgeTableAddBound: an endpoint outside [0, 2^32) panics in Add
 // instead of being truncated into another node's id.
 func TestEdgeTableAddBound(t *testing.T) {

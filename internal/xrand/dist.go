@@ -99,15 +99,6 @@ func (d *Discrete) buildGuide() {
 	}
 }
 
-// MustDiscrete is NewDiscrete that panics on error; for literals.
-func MustDiscrete(weights []float64) *Discrete {
-	d, err := NewDiscrete(weights)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // N returns the number of categories.
 func (d *Discrete) N() int { return len(d.cum) }
 
@@ -205,21 +196,12 @@ func (g *Geometric) PMF(k int) float64 {
 	return math.Pow(1-g.p, float64(k)) * g.p
 }
 
-// Sample draws the i-th geometric value by CDF inversion.
-func (g *Geometric) Sample(s Stream, i int64) int {
-	u := s.Float64(i)
-	if g.p == 1 {
-		return 0
-	}
-	return int(math.Floor(math.Log1p(-u) / math.Log(1-g.p)))
-}
-
 // PowerLawInt samples integers in [min, max] from a truncated discrete
 // power law P(k) ∝ k^(-gamma). LFR uses it for both degree sequences
 // and community sizes.
 type PowerLawInt struct {
-	min, max int
-	d        *Discrete
+	min int
+	d   *Discrete
 }
 
 // NewPowerLawInt builds the distribution. Requires 1 <= min <= max and
@@ -239,7 +221,7 @@ func NewPowerLawInt(min, max int, gamma float64) (*PowerLawInt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PowerLawInt{min: min, max: max, d: d}, nil
+	return &PowerLawInt{min: min, d: d}, nil
 }
 
 // Sample draws the i-th value in [min, max].
@@ -255,9 +237,6 @@ func (p *PowerLawInt) Mean() float64 {
 	}
 	return m
 }
-
-// Bounds returns (min, max).
-func (p *PowerLawInt) Bounds() (int, int) { return p.min, p.max }
 
 // GroupSizes implements the paper's ground-truth group sizing rule
 // (Section 4.2, evaluation): the i-th of k groups over n nodes has size

@@ -96,11 +96,6 @@ func (s Stream) U64n(i int64, n uint64) uint64 {
 	return hi
 }
 
-// Int63 returns the i-th non-negative int64 of the stream.
-func (s Stream) Int63(i int64) int64 {
-	return int64(s.U64(i) >> 1)
-}
-
 // Intn returns the i-th value uniform in [0, n). n must be positive.
 func (s Stream) Intn(i int64, n int64) int64 {
 	if n <= 0 {
@@ -126,15 +121,6 @@ func (s Stream) NormFloat64(i int64) float64 {
 	u1 := float64(s.U64(i)>>11)/(1<<53) + 0.5/(1<<53) // avoid log(0)
 	u2 := float64(mix64(s.U64(i)^0xa0761d6478bd642f)>>11) / (1 << 53)
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// ExpFloat64 returns the i-th unit-rate exponential value.
-func (s Stream) ExpFloat64(i int64) float64 {
-	u := s.Float64(i)
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -math.Log(1 - u)
 }
 
 // Perm applies the i-th deterministic pseudo-random permutation pick:
@@ -232,20 +218,4 @@ func (q *Seq) ShuffleInt64(xs []int64) {
 		j := q.Intn(int64(i + 1))
 		xs[i], xs[j] = xs[j], xs[i]
 	}
-}
-
-// Shuffle fills dst with a uniformly shuffled copy of [0, n) using the
-// stream's index i as the shuffle identity. Unlike Perm it materialises
-// the permutation (O(n) memory) but guarantees exact uniformity.
-func (s Stream) Shuffle(i int64, n int) []int64 {
-	out := make([]int64, n)
-	for j := range out {
-		out[j] = int64(j)
-	}
-	sub := Stream{seed: mix64(s.seed ^ uint64(i)*0x8bb84b93962eacc9)}
-	for j := n - 1; j > 0; j-- {
-		k := sub.Intn(int64(j), int64(j)+1)
-		out[j], out[k] = out[k], out[j]
-	}
-	return out
 }

@@ -1,0 +1,274 @@
+// Command unreached is the reachability ratchet: it fails when a
+// function or method declared under internal/ is linked into no entry
+// point and is not on the allowlist, and when an allowlisted one is
+// linked again or no longer declared. So the allowlist can only shrink.
+//
+// A per-package analyzer cannot see whole-program reachability; the
+// linker already computes it. The command builds every entry point —
+// each main package under cmd/ and examples/, and the bench/ harness
+// (its own module) — with inlining off, so a function that is called
+// is a symbol of its own, and reads each binary's symbol table with
+// `go tool nm`. Closures (F.func1, F.func1.2, F.gowrap1, F.deferwrap1,
+// F-range1), method values (M-fm) and generic instantiations
+// (F[go.shape.int]) fold into the function that declares them. Package
+// init functions always run, so they are never reported.
+//
+// Usage, from the repository root:
+//
+//	go run ./lint/cmd/unreached
+//
+// The allowlist, lint/unreached.allow, holds one symbol a line as this
+// command prints it, followed by "# reason"; the reason is mandatory.
+// It is for test seams: code only tests call, on purpose. Exit status
+// is 0 when clean, 1 when there are findings, 2 on a driver error —
+// including a build that fails or binaries that link nothing of the
+// module, so a run that read nothing never passes.
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+)
+
+func main() {
+	os.Exit(run())
+}
+
+// allowPath is the allowlist of test seams, relative to the repository
+// root.
+const allowPath = "lint/unreached.allow"
+
+func run() int {
+	module, err := modulePath("go.mod")
+	if err != nil {
+		return fail(err)
+	}
+	decls, err := declared(module, "internal")
+	if err != nil {
+		return fail(err)
+	}
+	linked, roots, err := linkedSymbols(module)
+	if err != nil {
+		return fail(err)
+	}
+	allow, err := readAllow(allowPath)
+	if err != nil {
+		return fail(err)
+	}
+
+	var findings []string
+	for sym, pos := range decls {
+		if !linked[sym] {
+			if _, ok := allow[sym]; !ok {
+				findings = append(findings, fmt.Sprintf("%s: %s is linked into no entry point", pos, sym))
+			}
+		}
+	}
+	for sym, line := range allow {
+		switch {
+		case decls[sym] == "":
+			findings = append(findings, fmt.Sprintf("%s:%d: %s is allowlisted but not declared; delete the line", allowPath, line, sym))
+		case linked[sym]:
+			findings = append(findings, fmt.Sprintf("%s:%d: %s is allowlisted but linked; delete the line", allowPath, line, sym))
+		}
+	}
+	sort.Strings(findings)
+	for _, f := range findings {
+		fmt.Println(f)
+	}
+	fmt.Fprintf(os.Stderr, "unreached: %d roots, %d declared, %d linked, %d allowlisted, %d findings\n",
+		roots, len(decls), len(linked), len(allow), len(findings))
+	if len(findings) > 0 {
+		return 1
+	}
+	return 0
+}
+
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, "unreached:", err)
+	return 2
+}
+
+// modulePath reads the module directive of a go.mod file.
+func modulePath(gomod string) (string, error) {
+	b, err := os.ReadFile(gomod)
+	if err != nil {
+		return "", fmt.Errorf("%v (run from the repository root)", err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.TrimSpace(rest), nil
+		}
+	}
+	return "", fmt.Errorf("%s: no module directive", gomod)
+}
+
+// declared maps the symbol of every function and method declared in a
+// non-test file under dir to its position. Package init functions are
+// left out.
+func declared(module, dir string) (map[string]string, error) {
+	fset := token.NewFileSet()
+	decls := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := module + "/" + filepath.ToSlash(filepath.Dir(path))
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil && fd.Name.Name == "init" {
+				continue
+			}
+			decls[symbol(pkg, fd)] = fset.Position(fd.Pos()).String()
+		}
+		return nil
+	})
+	if len(decls) == 0 && err == nil {
+		err = fmt.Errorf("no function declared under %s", dir)
+	}
+	return decls, err
+}
+
+// symbol names fd the way the linker does: pkg.F, pkg.T.M or
+// pkg.(*T).M, with a generic receiver's type parameters dropped.
+func symbol(pkg string, fd *ast.FuncDecl) string {
+	if fd.Recv == nil {
+		return pkg + "." + fd.Name.Name
+	}
+	typ := fd.Recv.List[0].Type
+	star := false
+	if s, ok := typ.(*ast.StarExpr); ok {
+		star, typ = true, s.X
+	}
+	switch t := typ.(type) {
+	case *ast.IndexExpr:
+		typ = t.X
+	case *ast.IndexListExpr:
+		typ = t.X
+	}
+	recv := typ.(*ast.Ident).Name
+	if star {
+		recv = "(*" + recv + ")"
+	}
+	return pkg + "." + recv + "." + fd.Name.Name
+}
+
+// linkedSymbols builds every entry point with inlining off into a
+// temporary directory and returns the module's text symbols the
+// binaries hold, folded into their declaring functions, and how many
+// binaries it read.
+func linkedSymbols(module string) (map[string]bool, int, error) {
+	dir, err := os.MkdirTemp("", "unreached")
+	if err != nil {
+		return nil, 0, err
+	}
+	defer os.RemoveAll(dir)
+	builds := [][]string{
+		{"build", "-gcflags=all=-l", "-o", dir + string(filepath.Separator), "./cmd/...", "./examples/..."},
+		{"build", "-C", "bench", "-gcflags=all=-l", "-o", filepath.Join(dir, "bench"), "."},
+	}
+	for _, args := range builds {
+		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+			return nil, 0, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+	bins, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	linked := map[string]bool{}
+	for _, b := range bins {
+		out, err := exec.Command("go", "tool", "nm", filepath.Join(dir, b.Name())).Output()
+		if err != nil {
+			return nil, 0, fmt.Errorf("go tool nm %s: %v", b.Name(), err)
+		}
+		n := 0
+		sc := bufio.NewScanner(bytes.NewReader(out))
+		for sc.Scan() {
+			// Each line is "address type name"; T and t are text.
+			f := strings.Fields(sc.Text())
+			if len(f) == 3 && (f[1] == "T" || f[1] == "t") && strings.HasPrefix(f[2], module+"/") {
+				linked[fold(f[2])] = true
+				n++
+			}
+		}
+		if n == 0 {
+			return nil, 0, fmt.Errorf("%s links no function of %s", b.Name(), module)
+		}
+	}
+	if len(bins) == 0 {
+		return nil, 0, fmt.Errorf("built no entry point")
+	}
+	return linked, len(bins), nil
+}
+
+// wrapperSuffix matches one closure or wrapper suffix the compiler adds
+// to the function that declares it.
+var wrapperSuffix = regexp.MustCompile(`(\.func[0-9]+|\.gowrap[0-9]+|\.deferwrap[0-9]+|\.[0-9]+|-range[0-9]+|-fm)$`)
+
+// fold maps a linker symbol to the function that declares it: generic
+// instantiations lose their bracketed shapes, then closure and wrapper
+// suffixes come off one at a time.
+func fold(sym string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range sym {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	sym = b.String()
+	for {
+		loc := wrapperSuffix.FindStringIndex(sym)
+		if loc == nil {
+			return sym
+		}
+		sym = sym[:loc[0]]
+	}
+}
+
+// readAllow reads the allowlist: symbol → line number. A line is
+// "symbol # reason"; blank lines and lines starting with # are skipped.
+func readAllow(path string) (map[string]int, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	allow := map[string]int{}
+	for i, line := range strings.Split(string(b), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sym, reason, _ := strings.Cut(line, "#")
+		sym = strings.TrimSpace(sym)
+		if strings.TrimSpace(reason) == "" || strings.ContainsAny(sym, " \t") {
+			return nil, fmt.Errorf("%s:%d: want \"symbol # reason\", got %q", path, i+1, line)
+		}
+		if _, dup := allow[sym]; dup {
+			return nil, fmt.Errorf("%s:%d: %s listed twice", path, i+1, sym)
+		}
+		allow[sym] = i + 1
+	}
+	return allow, nil
+}

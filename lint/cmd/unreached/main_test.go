@@ -1,0 +1,97 @@
+package main
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+func TestFold(t *testing.T) {
+	for sym, want := range map[string]string{
+		"m/p.F":                            "m/p.F",
+		"m/p.F.func1":                      "m/p.F",
+		"m/p.F.func2.1.3":                  "m/p.F",
+		"m/p.(*T).M.func2.deferwrap1":      "m/p.(*T).M",
+		"m/p.(*T).M.gowrap1":               "m/p.(*T).M",
+		"m/p.F-range1":                     "m/p.F",
+		"m/p.(*T).M-fm":                    "m/p.(*T).M",
+		"m/p.grow[go.shape.int64]":         "m/p.grow",
+		"m/p.(*Set[go.shape.[]uint8]).Add": "m/p.(*Set).Add",
+		"m/p.Map[go.shape.int,go.shape.string].func1": "m/p.Map",
+		"m/p.T.String": "m/p.T.String",
+	} {
+		if got := fold(sym); got != want {
+			t.Errorf("fold(%q) = %q, want %q", sym, got, want)
+		}
+	}
+}
+
+func TestSymbol(t *testing.T) {
+	src := `package p
+func F() {}
+func G[T any](x T) {}
+func (T) M() {}
+func (*T) N() {}
+func (s *Set[K]) Add(k K) {}
+func (m Map[K, V]) Get(k K) V { var v V; return v }
+`
+	f, err := parser.ParseFile(token.NewFileSet(), "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range f.Decls {
+		got = append(got, symbol("m/p", d.(*ast.FuncDecl)))
+	}
+	want := "m/p.F m/p.G m/p.T.M m/p.(*T).N m/p.(*Set).Add m/p.Map.Get"
+	if strings.Join(got, " ") != want {
+		t.Errorf("symbols %v, want %s", got, want)
+	}
+}
+
+func TestDeclaredSkipsTestsAndInit(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, src string) {
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("a/a.go", "package a\nfunc init() {}\nfunc A() {}\n")
+	write("a/a_test.go", "package a\nfunc helper() {}\n")
+	t.Chdir(dir)
+	decls, err := declared("m", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) != 1 || decls["m/a.A"] == "" {
+		t.Errorf("declared = %v, want only m/a.A", decls)
+	}
+}
+
+func TestReadAllow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "allow")
+	for src, ok := range map[string]bool{
+		"# header\n\nm/p.F # seam\n": true,
+		"m/p.F\n":                    false, // no reason
+		"m/p.F #   \n":               false, // empty reason
+		"m/p.F # a\nm/p.F # b\n":     false, // listed twice
+	} {
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		allow, err := readAllow(path)
+		if (err == nil) != ok {
+			t.Errorf("%q: err = %v", src, err)
+		}
+		if ok && allow["m/p.F"] != 3 {
+			t.Errorf("%q: line of m/p.F = %d, want 3", src, allow["m/p.F"])
+		}
+	}
+}
