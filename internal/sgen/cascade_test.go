@@ -113,6 +113,25 @@ func TestCascadeForestInvariants(t *testing.T) {
 	}
 }
 
+// TestCascadeEdgeTableShape checks the replyOf table on its own terms:
+// one edge per non-root and every edge child -> parent with the child
+// the larger id, so the table is acyclic.
+func TestCascadeEdgeTableShape(t *testing.T) {
+	et, err := NewCascade(9).Run(2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sizes := cascadeTrees(t, et, 2000)
+	if want := 2000 - int64(len(sizes)); et.Len() != want {
+		t.Fatalf("edges = %d, want %d", et.Len(), want)
+	}
+	for i := int64(0); i < et.Len(); i++ {
+		if et.Tail[i] <= et.Head[i] {
+			t.Fatalf("edge %d not child->parent ordered", i)
+		}
+	}
+}
+
 func TestCascadeValidation(t *testing.T) {
 	if _, err := NewCascade(1).Run(0); err == nil {
 		t.Error("n=0 should fail")
