@@ -59,8 +59,8 @@
 // reuses per-partitioner scoring scratch, the LFR configuration model
 // deduplicates edges by sort-and-compact over packed keys (plus a
 // stamp table for the small intra-community universes) instead of a
-// per-edge hash map, and CSR graph construction goes through a pooled
-// reusable builder (internal/graph.Builder).
+// per-edge hash map, and each CSR build allocates its two arrays once,
+// sized by a counting pass (internal/graph).
 //
 // # Intra-task parallelism and the determinism contract
 //
@@ -90,12 +90,19 @@
 //     memberships are fixed, each community's internal configuration
 //     model is an independent shard. Shard c draws from its own RNG
 //     stream keyed off (seed, "lfr.intra", c) via xrand's DeriveN,
-//     wires into its own window of the edge table, and one in-place
-//     pass closes the gaps in community order — so any number of
-//     goroutines, finishing in any order, produce the same edge table,
-//     stored once. (RMAT keeps its per-shard
+//     wires into its own window of the edge table under par.ForEach,
+//     and one in-place pass closes the gaps in community order — so
+//     any number of goroutines, finishing in any order, produce the
+//     same edge table, stored once. (RMAT keeps its per-shard
 //     RNG streams — they are the bytes — and fills them in a plain
 //     loop.)
+//
+// Every index-range fan-out goes through one primitive, par.ForEachCtx:
+// indices claimed in order on up to GOMAXPROCS goroutines (one at
+// GOMAXPROCS=1, claiming them in the serial loop's order), no index
+// above a failure started, the lowest-index error or recovered panic
+// returned once every started call has finished. Only the task
+// scheduler above and the daemon's job queue dispatch otherwise.
 //
 // Every Generate also records per-task wall times and derives the
 // plan's critical path (Engine.Report, datasynth -timings): the
@@ -112,8 +119,8 @@
 //
 //   - Parallel panels (internal/exp): figure panels and sweep points
 //     are independent (each owns its seed), so exp.RunPanels runs them
-//     on up to GOMAXPROCS goroutines and streams results back in
-//     submission order, byte-identical to the serial loop. Each one
+//     under par.ForEachCtx and streams results back in submission
+//     order, byte-identical to the serial loop. Each one
 //     matches through match.MatchProperty, the operator every
 //     datasynth job runs. The timing experiment runs one single-thread
 //     panel at a time.

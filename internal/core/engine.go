@@ -57,6 +57,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -518,7 +519,7 @@ func (e *Engine) checkStructures() error {
 	return nil
 }
 
-// checkCounts holds every declared node count to table.MaxNodes.
+// checkCounts holds every declared node count to maxCount.
 func (e *Engine) checkCounts() error {
 	for i := range e.Schema.Nodes {
 		if err := checkCount("node type "+e.Schema.Nodes[i].Name, e.Schema.Nodes[i].Count); err != nil {
@@ -528,12 +529,20 @@ func (e *Engine) checkCounts() error {
 	return nil
 }
 
-// checkCount refuses n nodes of what past table.MaxNodes: endpoint ids
-// are uint32, so a node type can hold no more, and a count is checked
+// maxCount is the most instances a node type holds: table.MaxNodes,
+// since endpoint ids are uint32, or math.MaxInt where an int is 32 bits,
+// since every per-node slice is indexed by an int.
+const maxCount = min(table.MaxNodes, math.MaxInt)
+
+// checkCount refuses n nodes of what past maxCount, naming the bound,
 // before anything is sized by it.
 func checkCount(what string, n int64) error {
-	if n > table.MaxNodes {
-		return fmt.Errorf("core: %s has %d nodes, more than the %d a uint32 endpoint id addresses", what, n, int64(table.MaxNodes))
+	if n > maxCount {
+		bound := "table.MaxNodes, the uint32 endpoint id bound"
+		if maxCount < table.MaxNodes {
+			bound = "math.MaxInt, the int bound on this platform"
+		}
+		return fmt.Errorf("core: %s has %d nodes, more than the %d of %s", what, n, int64(maxCount), bound)
 	}
 	return nil
 }

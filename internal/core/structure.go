@@ -104,14 +104,14 @@ func (e *Engine) genStructure(st *runState, plan *depgraph.Plan, edgeName string
 }
 
 // checkMinted refuses a structure that mints a fresh head per edge (1→*)
-// when the edges nTail tails are expected to draw would pass
-// table.MaxNodes heads — before the table is allocated. A run that draws
-// past the bound anyway is refused by the generator.
+// when the edges nTail tails are expected to draw would pass maxCount
+// heads — before the table is allocated. A run that draws past the
+// bound anyway is refused by the generator.
 func checkMinted(edge *schema.EdgeType, g sgen.BipartiteGenerator, nTail int64) error {
 	if est, ok := g.(sgen.EdgeCountEstimator); ok {
-		if m := est.EstimatedEdges(nTail); m > table.MaxNodes {
-			return fmt.Errorf("core: edge %s mints a %s per edge and its %d tails draw about %d edges, more than the %d nodes a uint32 endpoint id addresses",
-				edge.Name, edge.Head, nTail, m, int64(table.MaxNodes))
+		if m := est.EstimatedEdges(nTail); m > maxCount {
+			return fmt.Errorf("core: edge %s mints a %s per edge and its %d tails draw about %d edges, more than the %d nodes a node type holds",
+				edge.Name, edge.Head, nTail, m, int64(maxCount))
 		}
 	}
 	return nil

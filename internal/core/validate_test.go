@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -387,8 +389,10 @@ func TestBenchSchemasValidate(t *testing.T) {
 	}
 }
 
-// TestNodeCountBound: endpoint ids are uint32, so no node type holds
-// more than table.MaxNodes instances. A declared count past that fails
+// TestNodeCountBound: endpoint ids are uint32 and per-node slices are
+// indexed by an int, so no node type holds more than maxCount instances
+// (table.MaxNodes on 64-bit, TestCountBoundPerPlatform). A declared
+// count past that fails
 // ValidateSchema, and Generate before any task; an inferred one — heads
 // a 1→* structure would mint, a tail domain sized from an edge count —
 // fails its structure task, naming the edge. None of them gets as far
@@ -412,13 +416,13 @@ func TestNodeCountBound(t *testing.T) {
 		}
 		return s
 	}
-	if err := ValidateSchema(declared("4294967295")); err != nil {
-		t.Errorf("a count of 2^32-1 is the bound itself: %v", err)
+	if err := ValidateSchema(declared(strconv.FormatInt(maxCount, 10))); err != nil {
+		t.Errorf("a count of %d is the bound itself: %v", int64(maxCount), err)
 	}
-	s := declared("4294967296")
+	s := declared(strconv.FormatInt(maxCount+1, 10))
 	var err error
 	if b := allocated(func() { err = ValidateSchema(s) }); err == nil || !strings.Contains(err.Error(), "node type A") || b > budget {
-		t.Errorf("ValidateSchema over 2^32-1 nodes = %v after %d bytes, want an error naming node type A", err, b)
+		t.Errorf("ValidateSchema over %d nodes = %v after %d bytes, want an error naming node type A", int64(maxCount), err, b)
 	}
 	tasks := 0
 	e := New(s)
@@ -428,12 +432,12 @@ func TestNodeCountBound(t *testing.T) {
 		}
 	}
 	if b := allocated(func() { _, err = e.Generate() }); err == nil || tasks != 0 || b > budget {
-		t.Errorf("Generate over 2^32-1 nodes = %v after %d tasks and %d bytes, want the validation error first", err, tasks, b)
+		t.Errorf("Generate over %d nodes = %v after %d tasks and %d bytes, want the validation error first", int64(maxCount), err, tasks, b)
 	}
 
 	for _, c := range []struct{ name, src, want string }{
 		{"1→* heads", `graph g { seed = 1
-			node Person { count = 2147483648 }
+			node Person { count = 1431655766 }
 			node Message { }
 			edge creates : Person 1-* Message { structure = powerlaw-out(min=3, max=3) } }`,
 			"edge creates mints a Message per edge"},
@@ -452,5 +456,35 @@ func TestNodeCountBound(t *testing.T) {
 		if b := allocated(func() { _, err = New(s).Generate() }); err == nil || !strings.Contains(err.Error(), c.want) || b > budget {
 			t.Errorf("%s: Generate = %v after %d bytes, want an error containing %q before any table", c.name, err, b, c.want)
 		}
+	}
+}
+
+// TestCountBoundPerPlatform: maxCount is table.MaxNodes where an int is
+// 64 bits and math.MaxInt where it is 32, and validation names which.
+// Person = 3000000000 is a valid count on 64-bit; on 32-bit it fails
+// ValidateSchema (so -validate and daemon admission) instead of a task's
+// make.
+func TestCountBoundPerPlatform(t *testing.T) {
+	want, name := int64(table.MaxNodes), "table.MaxNodes"
+	if strconv.IntSize == 32 {
+		want, name = math.MaxInt32, "math.MaxInt"
+	}
+	if maxCount != want {
+		t.Errorf("maxCount = %d on a %d-bit int, want %d", int64(maxCount), strconv.IntSize, want)
+	}
+	s, err := dsl.Parse(`graph g { seed = 1
+		node Person { count = 3000000000 property x : int = sequence() } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = ValidateSchema(s)
+	switch {
+	case strconv.IntSize == 64 && err != nil:
+		t.Errorf("Person = 3000000000 on a 64-bit int: %v", err)
+	case strconv.IntSize == 32 && (err == nil || !strings.Contains(err.Error(), "node type Person has 3000000000 nodes") || !strings.Contains(err.Error(), name)):
+		t.Errorf("Person = 3000000000 on a 32-bit int: %v, want an error naming the type and %s", err, name)
+	}
+	if err := checkCount("node type P", want+1); err == nil || !strings.Contains(err.Error(), name) {
+		t.Errorf("checkCount past the bound = %v, want an error naming %s", err, name)
 	}
 }

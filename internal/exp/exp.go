@@ -15,11 +15,12 @@
 //     decreasing expected probability.
 //
 // Panels are independent — each derives every RNG stream from its own
-// seed — so the harness fans them out: RunPanels executes a panel list
-// on up to GOMAXPROCS goroutines and streams results back in submission
-// order, byte-identical to the serial loop at any GOMAXPROCS
-// (TestRunPanelsMatchesSerial pins this). RunMuSweep pools its sweep
-// points the same way. The one deliberate exception is RunTiming,
+// seed — so the harness fans them out through par.ForEachCtx, the one
+// fan-out primitive: RunPanels runs a panel list on up to GOMAXPROCS
+// goroutines and streams results back in submission order,
+// byte-identical to the serial loop at any GOMAXPROCS
+// (TestRunPanelsMatchesSerial pins this). RunMuSweep fans its sweep
+// points out through par.ForEach the same way. The one deliberate exception is RunTiming,
 // which runs panels one at a time so its wall-clock numbers remain the
 // paper's single-thread measurement (the matcher it times is serial by
 // construction).
@@ -140,11 +141,7 @@ func RunPanel(p Panel) (*Result, error) {
 // the LDG ground truth (seed^1), the stream order (seed^2) and the
 // match (seed^3) all derive from p.Seed.
 func protocol(p Panel, et *table.EdgeTable, n int64) (*Result, error) {
-	// The CSR build is amortised across panels: benchmarks call RunPanel
-	// in a loop, and the builder pool reuses deg/offs/adj between runs.
-	gb := graph.GetBuilder()
-	defer graph.PutBuilder(gb)
-	g, err := gb.FromEdgeTable(et, n)
+	g, err := graph.FromEdgeTable(et, n)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,8 @@
 package exp
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"datasynth/internal/par"
 )
@@ -14,81 +14,59 @@ import (
 // RunPanel loop at any GOMAXPROCS, and delivers them to the caller in
 // submission order as soon as each prefix of the panel list has
 // finished (streaming, not batch). The timing experiment (RunTiming)
-// deliberately does NOT go through this pool: its panels run one at a
+// deliberately does NOT go through this fan-out: its panels run one at a
 // time so the measured wall times stay the paper's single-thread,
 // single-stream numbers — the matcher is serial by construction.
 
-// RunPanels executes the panels on up to GOMAXPROCS goroutines
-// (par.Procs) and calls emit once per panel, in submission order, from
-// the calling goroutine. One goroutine reproduces the serial loop
-// exactly, including its stop-at-first-error behavior: the first panel
-// error (in submission order) aborts the stream, and a non-nil error
-// from emit does the same. Panels after a failed one may have started
-// speculatively; their results are discarded.
+// RunPanels runs the panels under par.ForEachCtx and calls emit once
+// per panel, in submission order, from the calling goroutine. Each panel
+// has a result slot and a done channel; the caller waits on them in
+// order. The first panel error (in submission order) stops the stream,
+// and a non-nil error from emit does the same: either cancels the
+// context, so no further panel is claimed, and RunPanels returns only
+// after every started panel has finished. Panels are claimed in order,
+// so every panel before a failure completes, as in the serial loop;
+// panels after it may have started, and their results are discarded.
 func RunPanels(panels []Panel, emit func(*Result) error) error {
 	n := len(panels)
-	if n == 0 {
-		return nil
+	results, errs := make([]*Result, n), make([]error, n)
+	done := make([]chan struct{}, n)
+	for i := range done {
+		done[i] = make(chan struct{})
 	}
-	workers := min(par.Procs(), n)
+	ctx, cancel := context.WithCancel(context.Background())
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		// Each panel's error is read from its slot: ForEachCtx's own
+		// return adds only the cancellation RunPanels asked for.
+		_ = par.ForEachCtx(ctx, n, func(i int) error {
+			defer close(done[i])
+			// par.Safe converts a panicking panel (a generator bug on one
+			// parameter point) into that panel's error, so the figure run
+			// fails cleanly in submission order instead of taking down
+			// the whole experiment binary.
+			errs[i] = par.Safe(func() error {
+				var err error
+				results[i], err = RunPanel(panels[i])
+				return err
+			})
+			return errs[i]
+		})
+	}()
+	defer func() {
+		cancel()
+		<-finished
+	}()
 
-	type outcome struct {
-		r   *Result
-		err error
-	}
-	// One buffered slot per panel: workers never block on delivery, so
-	// an early consumer exit cannot deadlock a worker mid-send. A Result
-	// is summary statistics only, so results parked ahead of a slow
-	// early panel cost little.
-	results := make([]chan outcome, n)
-	for i := range results {
-		results[i] = make(chan outcome, 1)
-	}
-	jobs := make(chan int, n)
 	for i := range n {
-		jobs <- i
-	}
-	close(jobs)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				// par.Safe converts a panicking panel (a generator bug on
-				// one parameter point) into that panel's error outcome, so
-				// the figure run fails cleanly in submission order instead
-				// of taking down the whole experiment binary.
-				var r *Result
-				err := par.Safe(func() error {
-					var runErr error
-					r, runErr = RunPanel(panels[i])
-					return runErr
-				})
-				results[i] <- outcome{r, err}
-			}
-		}()
-	}
-
-	var firstErr error
-	for i := 0; i < n; i++ {
-		o := <-results[i]
-		if o.err != nil {
-			firstErr = fmt.Errorf("panel %s: %w", panels[i].Label(), o.err)
-			break
+		<-done[i]
+		if errs[i] != nil {
+			return fmt.Errorf("panel %s: %w", panels[i].Label(), errs[i])
 		}
-		if err := emit(o.r); err != nil {
-			firstErr = err
-			break
+		if err := emit(results[i]); err != nil {
+			return err
 		}
 	}
-	close(done)
-	wg.Wait()
-	return firstErr
+	return nil
 }

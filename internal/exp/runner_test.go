@@ -2,8 +2,10 @@ package exp
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"datasynth/internal/par/partest"
 )
@@ -63,9 +65,30 @@ func TestRunPanelsMatchesSerial(t *testing.T) {
 	}
 }
 
+// checkGoroutinesBack checks, once RunPanels has returned, that no
+// goroutine is still inside a panel and that the goroutine count is back
+// to base. A goroutine that has signalled its end may still be on its
+// way out, so the count gets a second to settle; a panel still running
+// has no such excuse.
+func checkGoroutinesBack(t *testing.T, base int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "exp.RunPanel(") {
+		t.Errorf("a panel is still running after RunPanels returned:\n%s", stacks)
+	}
+	got := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); got > base && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if got > base {
+		t.Errorf("%d goroutines after RunPanels returned, %d before", got, base)
+	}
+}
+
 // TestRunPanelsError: a failing panel aborts the stream at its
 // submission position, like the serial loop; earlier panels still
-// emit, later ones never reach the callback, and nothing deadlocks.
+// emit, later ones never reach the callback, nothing deadlocks, and
+// every panel goroutine is gone once RunPanels returns.
 func TestRunPanelsError(t *testing.T) {
 	panels := []Panel{
 		{Generator: LFR, Size: 1000, K: 4, Seed: 1},
@@ -73,6 +96,7 @@ func TestRunPanelsError(t *testing.T) {
 		{Generator: LFR, Size: 1000, K: 4, Seed: 3},
 	}
 	partest.SetProcs(t, 4)
+	base := runtime.NumGoroutine()
 	var emitted int
 	err := RunPanels(panels, func(r *Result) error {
 		emitted++
@@ -87,11 +111,14 @@ func TestRunPanelsError(t *testing.T) {
 	if emitted != 1 {
 		t.Errorf("emitted %d results before the failure, want 1", emitted)
 	}
+	checkGoroutinesBack(t, base)
 }
 
-// TestRunPanelsEmitError: the consumer can abort the stream.
+// TestRunPanelsEmitError: the consumer can abort the stream, and every
+// panel goroutine is gone once RunPanels returns.
 func TestRunPanelsEmitError(t *testing.T) {
 	partest.SetProcs(t, 2)
+	base := runtime.NumGoroutine()
 	var emitted int
 	err := RunPanels(runnerPanels[:3], func(r *Result) error {
 		emitted++
@@ -106,6 +133,7 @@ func TestRunPanelsEmitError(t *testing.T) {
 	if emitted != 2 {
 		t.Errorf("emitted = %d, want 2", emitted)
 	}
+	checkGoroutinesBack(t, base)
 }
 
 var errStop = &stopError{}

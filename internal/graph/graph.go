@@ -4,27 +4,18 @@
 // coefficient, connected components, diameter, assortativity and
 // community quality (modularity).
 //
-// The package is a substrate: structure generators are validated
+// The package is a substrate: the matcher reads its CSR (the streamed
+// one when it does not refine), structure generators are validated
 // against it in tests, and the Table 1 capability harness measures
-// generated graphs with it.
+// generated graphs with it. Every build allocates its graph's own
+// arrays; nothing is pooled, so a Graph never aliases another.
 package graph
 
 import (
 	"fmt"
-	"sync"
 
 	"datasynth/internal/table"
 )
-
-// builderPool amortises CSR buffers across hot-path graph builds.
-var builderPool = sync.Pool{New: func() any { return new(Builder) }}
-
-// GetBuilder returns a pooled Builder. Release it with PutBuilder once
-// every Graph built from it is dead — the graphs alias its buffers.
-func GetBuilder() *Builder { return builderPool.Get().(*Builder) }
-
-// PutBuilder returns a builder to the pool.
-func PutBuilder(b *Builder) { builderPool.Put(b) }
 
 // Graph is an undirected graph in CSR (compressed sparse row) form.
 // Self-loops are allowed (they contribute one neighbour entry) and
@@ -53,34 +44,9 @@ func FromEdgeTable(et *table.EdgeTable, n int64) (*Graph, error) {
 }
 
 // FromEdges builds an undirected CSR graph over n nodes from parallel
-// endpoint slices. The graph owns freshly allocated buffers; use a
-// Builder to amortise the CSR arrays across repeated constructions.
+// endpoint slices. The graph owns freshly allocated buffers.
 func FromEdges(tail, head []uint32, n int64) (*Graph, error) {
-	return new(Builder).FromEdges(tail, head, n)
-}
-
-// Builder constructs CSR graphs while reusing its internal buffers
-// (offsets, adjacency) across builds, so repeated constructions — e.g.
-// one per benchmark panel or per matching task — stop reallocating the
-// two big arrays.
-//
-// The returned *Graph aliases the builder's buffers: it is valid until
-// the next FromEdges/FromEdgeTable call on the same builder. A Builder
-// must not be used from multiple goroutines concurrently; pool builders
-// (sync.Pool) for concurrent use.
-type Builder struct {
-	offs []int64
-	adj  []uint32
-}
-
-// FromEdgeTable is FromEdgeTable over the builder's reused buffers.
-func (b *Builder) FromEdgeTable(et *table.EdgeTable, n int64) (*Graph, error) {
-	return b.FromEdges(et.Tail, et.Head, n)
-}
-
-// FromEdges is FromEdges over the builder's reused buffers.
-func (b *Builder) FromEdges(tail, head []uint32, n int64) (*Graph, error) {
-	return b.build(tail, head, n, n, 0, nil)
+	return build(tail, head, n, n, 0, nil)
 }
 
 // FromEdgesStreamed builds the streamed CSR of an edge list for a
@@ -90,8 +56,8 @@ func (b *Builder) FromEdges(tail, head []uint32, n int64) (*Graph, error) {
 // streams later; self-loops are dropped. A node's list is its full list
 // filtered to the neighbours streamed before it, in edge-list order. A
 // nil rank keeps both endpoints, as FromEdges does.
-func (b *Builder) FromEdgesStreamed(tail, head []uint32, n int64, rank []uint32) (*Graph, error) {
-	return b.build(tail, head, n, n, 0, rank)
+func FromEdgesStreamed(tail, head []uint32, n int64, rank []uint32) (*Graph, error) {
+	return build(tail, head, n, n, 0, rank)
 }
 
 // FromBipartiteEdges builds the undirected graph of a bipartite edge
@@ -99,15 +65,15 @@ func (b *Builder) FromEdgesStreamed(tail, head []uint32, n int64, rank []uint32)
 // nTail+h. As in every graph built here, a node's neighbours are in
 // edge-list order. A nil rank keeps both endpoints; a rank over the
 // nTail+nHead ids streams the graph as FromEdgesStreamed does.
-func (b *Builder) FromBipartiteEdges(tail, head []uint32, nTail, nHead int64, rank []uint32) (*Graph, error) {
-	return b.build(tail, head, nTail, nHead, nTail, rank)
+func FromBipartiteEdges(tail, head []uint32, nTail, nHead int64, rank []uint32) (*Graph, error) {
+	return build(tail, head, nTail, nHead, nTail, rank)
 }
 
 // build lays out the CSR for tails in [0, nTail) and heads in
 // [0, nHead), heads shifted by headShift in the node id space, each edge
 // in the lists holders names. Its counting pass is the one range check
 // an edge gets.
-func (b *Builder) build(tail, head []uint32, nTail, nHead, headShift int64, rank []uint32) (*Graph, error) {
+func build(tail, head []uint32, nTail, nHead, headShift int64, rank []uint32) (*Graph, error) {
 	if len(tail) != len(head) {
 		return nil, fmt.Errorf("graph: ragged edge list (%d tails, %d heads)", len(tail), len(head))
 	}
@@ -120,9 +86,7 @@ func (b *Builder) build(tail, head []uint32, nTail, nHead, headShift int64, rank
 	}
 	// offs[v+1] counts v's list length, then the prefix sum makes offs[v]
 	// the start of v's list, which the fill advances as v's cursor.
-	b.offs = grow(b.offs, n+1)
-	offs := b.offs
-	clear(offs)
+	offs := make([]int64, n+1)
 	// count and fill are functions of their own: inside build, with its
 	// error paths, their loops ran out of registers and spilled.
 	if i := count(offs, tail, head, nTail, nHead, headShift, rank); i >= 0 {
@@ -131,8 +95,7 @@ func (b *Builder) build(tail, head []uint32, nTail, nHead, headShift int64, rank
 	for v := int64(0); v < n; v++ {
 		offs[v+1] += offs[v]
 	}
-	b.adj = grow(b.adj, offs[n])
-	adj := b.adj
+	adj := make([]uint32, offs[n])
 	fill(adj, offs, tail, head, headShift, rank)
 	// Each cursor stopped at the next node's start: shift them back.
 	copy(offs[1:], offs[:n])
@@ -202,15 +165,6 @@ func holders(t, h int64, rank []uint32) (v, u int64, k int) {
 	}
 	swap := (t ^ h) & -later
 	return t ^ swap, h ^ swap, 1
-}
-
-// grow returns buf resized to n entries, reallocating only when the
-// capacity is insufficient. Contents are unspecified.
-func grow[T any](buf []T, n int64) []T {
-	if int64(cap(buf)) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
 }
 
 // N returns the number of nodes.

@@ -75,7 +75,7 @@ func TestFromEdgesNodeBound(t *testing.T) {
 		t.Errorf("FromEdges over 2^32 nodes: err %v after allocating %d bytes", err, b)
 	}
 	b := minAllocated(func() {
-		_, err = new(Builder).FromBipartiteEdges([]uint32{0}, []uint32{1 << 31}, 1<<31, 1<<31+1, nil)
+		_, err = FromBipartiteEdges([]uint32{0}, []uint32{1 << 31}, 1<<31, 1<<31+1, nil)
 	})
 	if err == nil || b > bound {
 		t.Errorf("FromBipartiteEdges over 2^32 nodes: err %v after allocating %d bytes", err, b)
@@ -97,7 +97,7 @@ func TestFromEdgeTable(t *testing.T) {
 		t.Error("node bound should be enforced")
 	}
 	et.Head = et.Head[:1]
-	if _, err := new(Builder).FromEdgeTable(et, 3); err == nil {
+	if _, err := FromEdgeTable(et, 3); err == nil {
 		t.Error("ragged edge table should fail")
 	}
 }
@@ -354,11 +354,11 @@ func checkStreamed(data []byte, seed uint64, bipartite bool) string {
 		rank[v] = uint32(i)
 	}
 	if bipartite {
-		full, err = new(Builder).FromBipartiteEdges(tail, head, nTail, nHead, nil)
-		streamed, errS = new(Builder).FromBipartiteEdges(tail, head, nTail, nHead, rank)
+		full, err = FromBipartiteEdges(tail, head, nTail, nHead, nil)
+		streamed, errS = FromBipartiteEdges(tail, head, nTail, nHead, rank)
 	} else {
 		full, err = FromEdges(tail, head, nTail)
-		streamed, errS = new(Builder).FromEdgesStreamed(tail, head, nTail, rank)
+		streamed, errS = FromEdgesStreamed(tail, head, nTail, rank)
 	}
 	if err != nil || errS != nil {
 		return fmt.Sprintf("build: %v / %v", err, errS)
@@ -438,7 +438,7 @@ func TestStreamedCSRProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := new(Builder).FromEdgesStreamed([]uint32{0}, []uint32{1}, 3, make([]uint32, 2)); err == nil {
+	if _, err := FromEdgesStreamed([]uint32{0}, []uint32{1}, 3, make([]uint32, 2)); err == nil {
 		t.Error("a rank shorter than the node count should fail")
 	}
 }
@@ -475,7 +475,7 @@ func TestCSRBytesPerEdge(t *testing.T) {
 	var g *Graph
 	b := allocated(func() {
 		var err error
-		if g, err = new(Builder).FromEdgeTable(et, n); err != nil {
+		if g, err = FromEdgeTable(et, n); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -495,7 +495,7 @@ func BenchmarkCSRBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := new(Builder).FromEdgeTable(et, n); err != nil {
+		if _, err := FromEdgeTable(et, n); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -513,7 +513,7 @@ func BenchmarkCSRBuildStreamed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := new(Builder).FromEdgesStreamed(et.Tail, et.Head, n, rank); err != nil {
+		if _, err := FromEdgesStreamed(et.Tail, et.Head, n, rank); err != nil {
 			b.Fatal(err)
 		}
 	}

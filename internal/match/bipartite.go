@@ -152,7 +152,7 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 		return nil, err
 	}
 	times.OrderTime = lap(&mark)
-	g, err := new(graph.Builder).FromBipartiteEdges(et.Tail, et.Head, nTail, nHead, rank)
+	g, err := graph.FromBipartiteEdges(et.Tail, et.Head, nTail, nHead, rank)
 	if err != nil {
 		return nil, err
 	}

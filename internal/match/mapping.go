@@ -168,11 +168,10 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 		}
 		times.OrderTime = lap(&mark)
 	}
-	// A builder of its own, not a pooled one: the CSR is this job's
-	// largest scratch, and the pool would carry it past the collection
+	// The CSR is this job's largest scratch, dropped by the collection
 	// the engine runs when the match task ends. A nil rank is the full
 	// CSR.
-	g, err := new(graph.Builder).FromEdgesStreamed(et.Tail, et.Head, n, rank)
+	g, err := graph.FromEdgesStreamed(et.Tail, et.Head, n, rank)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@
 // arrives, and gather counts only the neighbours already placed — in
 // the first pass exactly those streamed earlier. So MatchProperty
 // without passes and MatchBipartite draw the order first and build a
-// streamed CSR (graph.Builder.FromEdgesStreamed): each edge once, at
+// streamed CSR (graph.FromEdgesStreamed): each edge once, at
 // its later-streamed endpoint, each list the full list filtered to the
 // earlier neighbours in edge-list order, self-loops dropped. gather
 // walks that list unchanged and every entry passes its checks, in the

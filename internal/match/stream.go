@@ -48,7 +48,7 @@ func checkStream(order []uint32, n int64, capacities []int64) error {
 // v's position in the stream. It makes checkStream's checks, with the
 // rank as the seen marker, so the order is checked once and no CSR is
 // built for an order that is not a permutation. The rank orients the
-// CSR a run without refinement reads (graph.Builder.FromEdgesStreamed).
+// CSR a run without refinement reads (graph.FromEdgesStreamed).
 func streamOrder(order []uint32, n int64, seed uint64, capacities []int64) ([]uint32, []uint32, error) {
 	if n > table.MaxNodes {
 		return nil, nil, fmt.Errorf("match: %d nodes exceed the limit of %d", n, int64(table.MaxNodes))

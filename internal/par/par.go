@@ -1,9 +1,11 @@
-// Package par provides the one concurrency primitive the outer
-// pipeline layers share: a bounded-worker fan-out over an index range.
-// The export pipeline (table) and the evaluation sweeps (exp) each
-// need "run fn over [0,n) in parallel, stop on error" — keeping a single
-// implementation pins the sizing rule (Procs) and the error-propagation
-// semantics in one place.
+// Package par provides the one fan-out primitive the pipeline shares:
+// ForEachCtx, a bounded-worker loop over an index range. The export
+// pipeline and the column fill (table, core), LFR's community shards
+// (sgen), and the evaluation panels and sweeps (exp) all "run fn over
+// [0,n) in parallel, stop on error" through it, so the sizing rule
+// (Procs), the claim order and the error and panic semantics have one
+// implementation. Only the engine's task DAG, which dispatches by
+// dependency readiness, and the daemon's job queue schedule otherwise.
 package par
 
 import (
@@ -56,57 +58,18 @@ func Safe(fn func() error) (err error) {
 // environment variable already says it.
 func Procs() int { return runtime.GOMAXPROCS(0) }
 
-// Workers runs fn(0) … fn(workers-1), one goroutine per worker, and
-// waits for all of them to finish. Each worker runs under Safe; after
-// the pool drains, the first recovered panic (lowest worker index) is
-// re-raised on the caller's goroutine as its original *PanicError.
-// This keeps the call transparent for the generator/matcher worker
-// pools, whose workers write only worker-private or index-disjoint
-// state and cannot fail with ordinary errors: callers keep their plain
-// signatures, while a worker panic is transported to a goroutine with
-// a recover boundary above it (engine runTask, service runJob) — one
-// crashing worker fails its task, never the process. workers <= 1
-// calls fn(0) inline on the caller's goroutine.
-func Workers(workers int, fn func(w int)) {
-	if workers <= 1 {
-		fn(0)
-		return
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		errW     int
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := Safe(func() error { fn(w); return nil }); err != nil {
-				mu.Lock()
-				if firstErr == nil || w < errW {
-					firstErr, errW = err, w
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		panic(firstErr)
-	}
-}
-
-// ForEach runs fn(0) … fn(n-1) on up to Procs goroutines (one runs the
-// plain serial loop). Indices are claimed in order; after the first
-// failure no new index is claimed, in-flight calls finish, and the error
-// of the lowest-indexed failure observed is returned — matching what
-// the serial loop would have surfaced. A panicking fn is isolated: the
-// panic is recovered into a *PanicError carrying the stack and
-// reported with the same lowest-index discipline, so one bad index
-// fails the fan-out instead of crashing the process. fn must treat
-// its index as the only shared state it may write (e.g. one output
-// slot per index).
+// ForEach runs fn(0) … fn(n-1) on up to Procs goroutines; at one, that
+// goroutine claims the indices in the serial loop's order. Indices are
+// claimed in order, and after a failure no index above it starts, while
+// every index below it that was already claimed still runs: without a
+// cancellation every index below the lowest failing one completes, so
+// the error returned is the one the serial loop would have surfaced. A
+// panicking fn is isolated: the panic is recovered into a *PanicError
+// carrying the stack and reported with the same lowest-index
+// discipline, so one bad index fails the fan-out instead of crashing
+// the process. ForEach returns once every started fn has returned. fn
+// must treat its index as the only shared state it may write (e.g. one
+// output slot per index).
 func ForEach(n int, fn func(i int) error) error {
 	return ForEachCtx(context.Background(), n, fn)
 }
@@ -123,18 +86,6 @@ func ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
 		return nil
 	}
 	workers := min(Procs(), n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			i := i
-			if err := Safe(func() error { return fn(i) }); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var (
 		next     atomic.Int64
 		mu       sync.Mutex
@@ -159,7 +110,7 @@ func ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
 					return
 				}
 				mu.Lock()
-				stop := firstErr != nil
+				stop := firstErr != nil && errIdx < i
 				mu.Unlock()
 				if stop {
 					return

@@ -153,73 +153,3 @@ func TestSafeRecoversAndPassesThrough(t *testing.T) {
 		t.Fatalf("Safe(panic) = %T %v, want *PanicError", err, err)
 	}
 }
-
-func TestWorkersCoversEveryIndex(t *testing.T) {
-	for _, workers := range []int{-1, 0, 1, 2, 7, 32} {
-		n := workers
-		if n < 1 {
-			n = 1
-		}
-		hits := make([]atomic.Int64, n)
-		Workers(workers, func(w int) { hits[w].Add(1) })
-		for w := range hits {
-			if got := hits[w].Load(); got != 1 {
-				t.Errorf("workers=%d: fn(%d) ran %d times, want 1", workers, w, got)
-			}
-		}
-	}
-}
-
-func TestWorkersInlineWhenSingle(t *testing.T) {
-	// workers <= 1 must run fn on the caller's goroutine so callers
-	// that rely on goroutine-local sequencing (profiling labels, the
-	// serial determinism baseline) see no goroutine hop. A panic then
-	// propagates raw — there is no pool boundary to re-wrap it.
-	defer func() {
-		if r := recover(); r != "inline" {
-			t.Fatalf("recover() = %v, want raw panic value", r)
-		}
-	}()
-	Workers(1, func(w int) { panic("inline") })
-}
-
-func TestWorkersRepanicsLowestIndex(t *testing.T) {
-	defer func() {
-		r := recover()
-		pe, ok := r.(*PanicError)
-		if !ok {
-			t.Fatalf("recover() = %T %v, want *PanicError", r, r)
-		}
-		if pe.Value != "boom 1" {
-			t.Fatalf("re-raised panic value = %v, want the lowest worker's", pe.Value)
-		}
-		if len(pe.Stack) == 0 {
-			t.Fatal("re-raised PanicError lost its stack")
-		}
-	}()
-	Workers(4, func(w int) {
-		if w == 1 || w == 3 {
-			panic(fmt.Sprintf("boom %d", w))
-		}
-	})
-	t.Fatal("Workers with a panicking worker must re-panic")
-}
-
-func TestWorkersWaitsForAllBeforePanic(t *testing.T) {
-	// The re-raise must happen only after every worker finished: the
-	// pool contract is that worker-written state is fully settled when
-	// control returns (normally or by panic).
-	var finished atomic.Int64
-	func() {
-		defer func() { recover() }()
-		Workers(8, func(w int) {
-			if w == 0 {
-				panic("early")
-			}
-			finished.Add(1)
-		})
-	}()
-	if got := finished.Load(); got != 7 {
-		t.Fatalf("%d workers finished before re-panic, want 7", got)
-	}
-}

@@ -115,15 +115,26 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.Stats())
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// readBody reads a request body of at most maxSchemaBytes; what names
+// it in errors. On failure it has answered — 413 for an oversized body,
+// 400 for any other read error — and returns false.
+func (s *Service) readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSchemaBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("schema body exceeds %d bytes", maxSchemaBytes))
-		} else {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("reading schema body: %w", err))
-		}
+	if err == nil {
+		return body, true
+	}
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		s.writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s body exceeds %d bytes", what, maxSchemaBytes))
+	} else {
+		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("reading %s body: %w", what, err))
+	}
+	return nil, false
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, ok := s.readBody(w, r, "schema")
+	if !ok {
 		return
 	}
 	src := string(body)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -67,14 +66,8 @@ func (s *Service) handleScenarioPut(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, ErrScenariosDisabled)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSchemaBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("scenario body exceeds %d bytes", maxSchemaBytes))
-		} else {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("reading scenario body: %w", err))
-		}
+	body, ok := s.readBody(w, r, "scenario")
+	if !ok {
 		return
 	}
 	req := scenarioPutRequest{Schema: string(body)}
@@ -180,9 +173,8 @@ func (s *Service) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, ErrScenariosDisabled)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSchemaBytes))
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("reading sweep body: %w", err))
+	body, ok := s.readBody(w, r, "sweep")
+	if !ok {
 		return
 	}
 	var req SweepRequest

@@ -666,3 +666,27 @@ func TestPrunePrefersSettledSweeps(t *testing.T) {
 		t.Fatalf("%d sweeps after prune, want %d", n, maxSweeps)
 	}
 }
+
+// TestOversizedBodyIs413: a body one byte past maxSchemaBytes is a 413
+// naming the bound at every endpoint that reads one — job submit,
+// scenario PUT and sweep submit — with nothing generated or registered.
+func TestOversizedBodyIs413(t *testing.T) {
+	svc, ts := newScenarioServer(t)
+	body := strings.Repeat("x", maxSchemaBytes+1)
+	for _, c := range []struct{ method, path, contentType string }{
+		{http.MethodPost, "/v1/jobs", "text/plain"},
+		{http.MethodPut, "/v1/scenarios/big", "text/plain"},
+		{http.MethodPost, "/v1/sweeps", "application/json"},
+	} {
+		resp, raw := doReq(t, c.method, ts.URL+c.path, c.contentType, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(raw), fmt.Sprint(maxSchemaBytes)) {
+			t.Errorf("%s %s with %d bytes: %d %s, want 413 naming the %d-byte bound", c.method, c.path, len(body), resp.StatusCode, raw, maxSchemaBytes)
+		}
+	}
+	if n := svc.Stats().Generations; n != 0 {
+		t.Errorf("%d engine runs started for oversized bodies", n)
+	}
+	if list := svc.scen.List(); len(list) != 0 {
+		t.Errorf("an oversized PUT registered %v", list)
+	}
+}

@@ -1,11 +1,9 @@
 package sgen
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"datasynth/internal/par"
 	"datasynth/internal/table"
@@ -245,30 +243,29 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 	// (an intra edge has both endpoints inside one community), so each
 	// community is wired as its own shard: randomness comes from a
 	// per-community stream keyed off (Seed, community id) and edges land
-	// in the table in community order: appended one community after the
-	// next, or wired into per-community windows of the table and then
-	// compacted in place. Shards can therefore run on a worker pool — or
-	// serially — with a byte-identical edge table either way.
+	// in the table in community order: wired into per-community windows
+	// of the table and then compacted in place. Shards can therefore run
+	// on any number of goroutines with a byte-identical edge table.
 	et := table.NewEdgeTable("lfr", int64(float64(n)*l.AvgDegree/2))
 
 	// Community member lists as one CSR block instead of len(sizes)
-	// independently grown slices.
-	placed := make([]int64, len(sizes))
-	for v := int64(0); v < n; v++ {
-		placed[commOf[v]]++
-	}
+	// independently grown slices. memberOffs[c+1] counts c's members,
+	// the prefix sum makes memberOffs[c] the start of c's list, which the
+	// fill advances as c's cursor, and a shift puts the starts back.
 	memberOffs := make([]int64, len(sizes)+1)
+	for _, c := range commOf {
+		memberOffs[c+1]++
+	}
 	for c := range sizes {
-		memberOffs[c+1] = memberOffs[c] + placed[c]
+		memberOffs[c+1] += memberOffs[c]
 	}
 	memberBuf := make([]int64, n)
-	fill := make([]int64, len(sizes))
-	copy(fill, memberOffs[:len(sizes)])
-	for v := int64(0); v < n; v++ {
-		c := commOf[v]
-		memberBuf[fill[c]] = v
-		fill[c]++
+	for v, c := range commOf {
+		memberBuf[memberOffs[c]] = int64(v)
+		memberOffs[c]++
 	}
+	copy(memberOffs[1:], memberOffs[:len(sizes)])
+	memberOffs[0] = 0
 
 	if err := l.wireIntraShards(et, sizes, intra, memberBuf, memberOffs); err != nil {
 		return nil, err
@@ -305,26 +302,24 @@ func wireInter(q *seq, et *table.EdgeTable, deg, intra []int, commOf []int64) {
 }
 
 // wireIntraShards wires every community's internal configuration model.
-// Shard c draws from the stream (Seed, "lfr.intra", c) and its edges
-// land in community order, so the result is a pure function of the
-// schema seed regardless of how many goroutines (up to GOMAXPROCS)
-// process the shard queue or in which order they finish. One appends
-// each community straight to et; several wire community c into its own
-// window of et, rows [bound[c], bound[c+1]), and one in-place forward
-// pass then closes the gaps between the windows. Either way the edges
-// are stored once.
+// Shard c draws from the stream (Seed, "lfr.intra", c) and is wired into
+// its own window of et, rows [bound[c], bound[c+1]), under par.ForEach;
+// one in-place forward pass then closes the gaps between the windows.
+// The edges are stored once and land in community order, so the result
+// is a pure function of the schema seed however many goroutines (up to
+// GOMAXPROCS) wire the shards or in which order they finish. A shard
+// that overflows its window, or panics, fails the run with ForEach's
+// lowest-index error.
 func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf, memberOffs []int64) error {
 	nComm := len(sizes)
 	if nComm == 0 {
 		return nil
 	}
 	intraBase := xrand.NewStream(l.Seed).DeriveStream("lfr.intra")
-
-	workers := min(par.Procs(), nComm)
 	l.lastShards = nComm
 
-	// wire appends one shard's edges to sink using a worker's reusable
-	// scratch (dedup, stub buffer).
+	// wire appends one shard's edges to sink using a reusable scratch
+	// (dedup, stub buffer).
 	wire := func(c int, dd *edgeDedup, sink *table.EdgeTable, stubs []int64) []int64 {
 		members := memberBuf[memberOffs[c]:memberOffs[c+1]]
 		size := int64(len(members))
@@ -360,15 +355,6 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 		return stubs
 	}
 
-	if workers == 1 {
-		dd := new(edgeDedup)
-		var stubs []int64
-		for c := 0; c < nComm; c++ {
-			stubs = wire(c, dd, et, stubs)
-		}
-		return nil
-	}
-
 	// Community c's window starts at bound[c]: half its stub count bounds
 	// its edges. counts records the actual emissions.
 	bound := make([]int64, nComm+1)
@@ -382,16 +368,31 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 	}
 	et.Tail = slices.Grow(et.Tail, int(bound[nComm]-bound[0]))
 	et.Head = slices.Grow(et.Head, int(bound[nComm]-bound[0]))
-	counts, errs := make([]int64, nComm), make([]error, workers)
-	var next atomic.Int64
-	par.Workers(workers, func(w int) {
-		dd, win := new(edgeDedup), &table.EdgeTable{Name: et.Name}
-		var stubs []int64
-		for c := int(next.Add(1) - 1); c < nComm && errs[w] == nil; c = int(next.Add(1) - 1) {
-			counts[c], errs[w] = wireWindow(win, et, bound[c], bound[c+1], func() { stubs = wire(c, dd, win, stubs) })
+	counts := make([]int64, nComm)
+	// Shard scratch (dedup, window view, stub buffer) passes through a
+	// free list, so there are at most as many as goroutines; a sync.Pool
+	// may drop one at any time, and under the race detector does so at
+	// random.
+	type scratch struct {
+		dd    edgeDedup
+		win   table.EdgeTable
+		stubs []int64
+	}
+	free := make(chan *scratch, min(par.Procs(), nComm))
+	if err := par.ForEach(nComm, func(c int) (err error) {
+		var s *scratch
+		select {
+		case s = <-free:
+		default:
+			s = &scratch{win: table.EdgeTable{Name: et.Name}}
 		}
-	})
-	if err := errors.Join(errs...); err != nil {
+		counts[c], err = wireWindow(&s.win, et, bound[c], bound[c+1], func() { s.stubs = wire(c, &s.dd, &s.win, s.stubs) })
+		select {
+		case free <- s:
+		default:
+		}
+		return err
+	}); err != nil {
 		return err
 	}
 	// Close the gaps in community order: every window starts at or after

@@ -233,7 +233,7 @@ func (p *PowerLawInt) Sample(s Stream, i int64) int {
 func (p *PowerLawInt) Mean() float64 {
 	m := 0.0
 	for k := 0; k < p.d.N(); k++ {
-		m += float64(p.min+k) * p.d.Prob(k)
+		m += float64(float64(p.min+k) * p.d.Prob(k))
 	}
 	return m
 }

@@ -109,16 +109,19 @@ func (s Stream) Float64(i int64) float64 {
 	return float64(s.U64(i)>>11) / (1 << 53)
 }
 
-// Float64Range returns the i-th value uniform in [lo, hi).
+// Float64Range returns the i-th value uniform in [lo, hi). The product
+// is rounded before the sum (no fused multiply-add), as every float
+// product feeding a sum in this package is, so a draw is the same on
+// every architecture.
 func (s Stream) Float64Range(i int64, lo, hi float64) float64 {
-	return lo + (hi-lo)*s.Float64(i)
+	return lo + float64((hi-lo)*s.Float64(i))
 }
 
 // NormFloat64 returns the i-th standard-normal value, computed with the
 // Box-Muller transform over two decorrelated uniforms derived from the
 // same index (so one index still maps to one deterministic value).
 func (s Stream) NormFloat64(i int64) float64 {
-	u1 := float64(s.U64(i)>>11)/(1<<53) + 0.5/(1<<53) // avoid log(0)
+	u1 := float64(float64(s.U64(i)>>11)/(1<<53)) + 0.5/(1<<53) // avoid log(0)
 	u2 := float64(mix64(s.U64(i)^0xa0761d6478bd642f)>>11) / (1 << 53)
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }

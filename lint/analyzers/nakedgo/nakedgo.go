@@ -5,11 +5,10 @@
 // closed that hole at the known worker layers; this analyzer keeps it
 // closed everywhere by demanding that every goroutine either
 //
-//   - is spawned by internal/par itself (ForEach/ForEachCtx/Workers own
-//     their recover discipline), or
+//   - is spawned by internal/par itself (ForEach/ForEachCtx own their
+//     recover discipline), or
 //   - immediately calls a par primitive (par.Safe, par.ForEach,
-//     par.ForEachCtx, par.Workers) somewhere in its function-literal
-//     body, so a panic is recovered into a *par.PanicError instead of
+//     par.ForEachCtx) somewhere in its function-literal body, so a panic is recovered into a *par.PanicError instead of
 //     unwinding off the goroutine.
 //
 // Goroutines whose bodies are pure channel plumbing (and therefore
@@ -38,14 +37,13 @@ var guards = map[string]bool{
 	"Safe":       true,
 	"ForEach":    true,
 	"ForEachCtx": true,
-	"Workers":    true,
 }
 
 // Analyzer is the nakedgo check.
 var Analyzer = &analysis.Analyzer{
 	Name: "nakedgo",
 	Doc: "flags go statements outside internal/par that don't route " +
-		"through par.Safe/par.ForEach/par.Workers panic isolation",
+		"through par.Safe/par.ForEach/par.ForEachCtx panic isolation",
 	Run: run,
 }
 
@@ -62,7 +60,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if guarded(pass, gs) {
 				return true
 			}
-			pass.Reportf(gs.Go, "naked go statement: a panic here kills the process; route the fan-out through par.ForEach/par.Workers or wrap the body in par.Safe (or //lint:allow nakedgo <reason> if the body cannot panic)")
+			pass.Reportf(gs.Go, "naked go statement: a panic here kills the process; route the fan-out through par.ForEach/par.ForEachCtx or wrap the body in par.Safe (or //lint:allow nakedgo <reason> if the body cannot panic)")
 			return true
 		})
 	}

@@ -17,9 +17,3 @@ func ForEach(n int, fn func(i int) error) error {
 	<-done
 	return nil
 }
-
-func Workers(workers int, fn func(w int)) {
-	for w := 0; w < workers; w++ {
-		fn(w)
-	}
-}

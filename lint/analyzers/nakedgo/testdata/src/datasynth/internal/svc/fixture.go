@@ -15,7 +15,6 @@ func naked() {
 
 func guardedDirect(n int) {
 	go par.ForEach(n, func(int) error { return nil })
-	go par.Workers(2, func(int) {})
 }
 
 func guardedBody(logf func(string, ...any)) {
