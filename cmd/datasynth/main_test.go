@@ -122,6 +122,13 @@ func TestValidateExitCodes(t *testing.T) {
 		}
 	}
 
+	// A property generator refuses a misspelt parameter as a structure
+	// generator does, instead of drawing from the default range.
+	misspelt := writeSchema(t, "graph g {\n  seed = 1\n  node A {\n    count = 10\n    property y : int = uniform-int(low=5, hi=10)\n  }\n}\n")
+	if code, stdout, stderr := run(t, "-validate", "-schema", misspelt); code != 1 || stdout != "" || !strings.Contains(stderr, "A.y") || !strings.Contains(stderr, "uniform-int has no parameter low") {
+		t.Errorf("-validate uniform-int(low=5, hi=10): exit %d, stdout %q, stderr %q; want 1 naming A.y and low", code, stdout, stderr)
+	}
+
 	// -window went with the windowed-matcher knobs, -exportworkers
 	// with Engine.ExportWorkers and -workers with the last worker bound
 	// (GOMAXPROCS is the only one); a removed flag is a usage error, not

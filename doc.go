@@ -39,10 +39,11 @@
 // it needs quoting, integers are written digit pairs in place and the
 // id column is a decimal counter. Generator parameters are checked
 // when the generator is built, which core.ValidateSchema does for
-// every property — and for every edge type's structure generator,
-// whose Validate refuses out-of-range values in O(parameters) and
-// whose factory refuses parameters it does not have — before any row
-// exists.
+// every property and every edge type's structure generator before any
+// row exists. Both families read their parameters through one reader,
+// schema.Params, which refuses a parameter the generator does not
+// have; a structure generator's Validate also refuses out-of-range
+// values in O(parameters).
 //
 // Every discrete draw — categorical and zipf columns, power-law
 // degrees, zipf-attachment's popularity ranks — is an inversion of a

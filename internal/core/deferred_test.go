@@ -39,10 +39,8 @@ func failsAtRow(t *testing.T, e *Engine, panics bool) {
 		return pgen.Value{Int: id, Str: "ok"}, nil
 	}
 	for name, kind := range map[string]table.ValueKind{"bad-int": table.KindInt, "bad-text": table.KindString} {
-		if err := e.PGens.Register(name, func(map[string]string) (pgen.Generator, error) {
+		e.PGens[name] = func(*schema.Params) (pgen.Generator, error) {
 			return pgen.PerRow(name, kind, 0, run), nil
-		}); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -214,12 +212,10 @@ func TestDeferredDateColumns(t *testing.T) {
 	}
 	generate := func() *table.Dataset {
 		e := New(s)
-		if err := e.PGens.Register("outside", func(map[string]string) (pgen.Generator, error) {
+		e.PGens["outside"] = func(*schema.Params) (pgen.Generator, error) {
 			return pgen.PerRow("outside", table.KindDate, 0, func(id int64, _ xrand.Stream, _ []pgen.Value) (pgen.Value, error) {
 				return pgen.Value{Int: id * 37 % 100_000}, nil
 			}), nil
-		}); err != nil {
-			t.Fatal(err)
 		}
 		d, err := e.Generate()
 		if err != nil {

@@ -76,8 +76,9 @@ import (
 // Engine generates property graphs from a schema.
 type Engine struct {
 	Schema *schema.Schema
-	PGens  *pgen.Registry
-	SGens  *sgen.Registry
+	// PGens resolves property generator specs; tests add custom
+	// generators to it.
+	PGens pgen.Registry
 	// ExportFormat selects the on-disk encoding used by Export
 	// (the zero value is CSV).
 	ExportFormat table.Format
@@ -97,9 +98,9 @@ type Engine struct {
 	report   *RunReport
 }
 
-// New returns an engine with the built-in generator registries.
+// New returns an engine with the built-in property generators.
 func New(s *schema.Schema) *Engine {
-	return &Engine{Schema: s, PGens: pgen.NewRegistry(), SGens: sgen.NewRegistry()}
+	return &Engine{Schema: s, PGens: pgen.NewRegistry()}
 }
 
 // Report returns the per-task timing report of the most recent
@@ -230,18 +231,8 @@ func (e *Engine) Generate() (*table.Dataset, error) {
 // the generation service's per-job timeout relies on: a timed-out job
 // releases its worker as soon as the current task completes.
 func (e *Engine) GenerateCtx(ctx context.Context) (*table.Dataset, error) {
-	plan, err := depgraph.Analyze(e.Schema)
+	plan, gens, err := e.prepare()
 	if err != nil {
-		return nil, err
-	}
-	if err := e.checkCounts(); err != nil {
-		return nil, err
-	}
-	gens, err := e.buildGenerators()
-	if err != nil {
-		return nil, err
-	}
-	if err := e.checkStructures(); err != nil {
 		return nil, err
 	}
 	// A property nothing in the plan reads is left to the export.
@@ -262,6 +253,33 @@ func (e *Engine) GenerateCtx(ctx context.Context) (*table.Dataset, error) {
 		}
 	}
 	return e.assemble(st), nil
+}
+
+// prepare is the validation both GenerateCtx and ValidateSchema run, so
+// that validation accepts exactly what generation does: the dependency
+// analysis, every declared node count held to maxCount, every property
+// generator built and checked, and every structure generator built,
+// before any task runs.
+func (e *Engine) prepare() (*depgraph.Plan, map[string]*propGen, error) {
+	plan, err := depgraph.Analyze(e.Schema)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range e.Schema.Nodes {
+		if err := checkCount("node type "+e.Schema.Nodes[i].Name, e.Schema.Nodes[i].Count); err != nil {
+			return nil, nil, err
+		}
+	}
+	gens, err := e.buildGenerators()
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range e.Schema.Edges {
+		if _, _, err := e.structureGen(&e.Schema.Edges[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return plan, gens, nil
 }
 
 // runPlan executes the plan's task DAG on a bounded worker pool: a task
@@ -497,36 +515,15 @@ func (e *Engine) tailCountFromEdgeCount(edge *schema.EdgeType) (int64, error) {
 func (e *Engine) structureGen(edge *schema.EdgeType) (mono sgen.Generator, bip sgen.BipartiteGenerator, err error) {
 	spec, seed := edge.Structure, e.structureSeed(edge.Name)
 	fused := edge.Correlation != nil && edge.Correlation.Fused
-	if edge.Tail == edge.Head && !fused && e.SGens.HasMono(spec.Name) {
-		mono, err = e.SGens.BuildMono(spec.Name, spec.Params, seed)
+	if sgens := sgen.NewRegistry(); edge.Tail == edge.Head && !fused && sgens.HasMono(spec.Name) {
+		mono, err = sgens.BuildMono(spec.Name, spec.Params, seed)
 	} else {
-		bip, err = e.SGens.BuildBipartite(spec.Name, spec.Params, seed)
+		bip, err = sgens.BuildBipartite(spec.Name, spec.Params, seed)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: edge %s: %w", edge.Name, err)
 	}
 	return mono, bip, nil
-}
-
-// checkStructures builds every edge type's structure generator, so
-// that a bad structure spec fails before any task runs.
-func (e *Engine) checkStructures() error {
-	for i := range e.Schema.Edges {
-		if _, _, err := e.structureGen(&e.Schema.Edges[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkCounts holds every declared node count to maxCount.
-func (e *Engine) checkCounts() error {
-	for i := range e.Schema.Nodes {
-		if err := checkCount("node type "+e.Schema.Nodes[i].Name, e.Schema.Nodes[i].Count); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // maxCount is the most instances a node type holds: table.MaxNodes,

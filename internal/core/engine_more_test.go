@@ -149,10 +149,8 @@ func TestParallelFillPropagatesErrors(t *testing.T) {
 		}},
 	}
 	e := New(s)
-	if err := e.PGens.Register("failing", func(map[string]string) (pgen.Generator, error) {
+	e.PGens["failing"] = func(*schema.Params) (pgen.Generator, error) {
 		return failingGen(43210), nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 	_, err := e.Generate()
 	if err == nil || !strings.Contains(err.Error(), "row 43210: injected failure") {

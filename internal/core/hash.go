@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 
-	"datasynth/internal/depgraph"
 	"datasynth/internal/dsl"
 	"datasynth/internal/schema"
 )
@@ -40,32 +39,23 @@ import (
 const SchemaVersion = 4
 
 // ValidateSchema runs the full static checking pipeline a schema must
-// pass before generation: referential validation (schema.Validate), the
-// dependency analysis (cycle detection, count-source resolution), every
-// property generator built through the built-in registry and checked
-// against its property, a fused edge's head generator checked to be
-// categorical (buildGenerators), every edge type's structure
-// generator built and its parameters checked (checkStructures), and
-// every declared node count held to the uint32 id bound (checkCounts) —
-// the steps Generate starts with too. It is what `datasynth -validate`
-// and the generation service run at admission, on every cache hit as
-// well, so every step is O(schema text): no table, CDF or row is built.
+// pass before generation, Engine.prepare, which Generate starts with
+// too: referential validation (schema.Validate), the dependency
+// analysis (cycle detection, count-source resolution), every declared
+// node count held to the uint32 id bound, every property generator
+// built through the built-in registry and checked against its property,
+// a fused edge's head generator checked to be categorical
+// (buildGenerators), and every edge type's structure generator built
+// and its parameters checked. It is what `datasynth -validate` and the
+// generation service run at admission, on every cache hit as well, so
+// every step is O(schema text): no table, CDF or row is built.
 // A schema that passes here can only fail at generation time for
 // reasons of size — a domain too small for the generator, a density it
 // cannot reach, an inferred count past the id bound — not of spelling
 // or range.
 func ValidateSchema(s *schema.Schema) error {
-	if _, err := depgraph.Analyze(s); err != nil {
-		return err
-	}
-	e := New(s)
-	if err := e.checkCounts(); err != nil {
-		return err
-	}
-	if _, err := e.buildGenerators(); err != nil {
-		return err
-	}
-	return e.checkStructures()
+	_, _, err := New(s).prepare()
+	return err
 }
 
 // CanonicalSchema returns the canonical DSL rendering of the schema —

@@ -12,7 +12,7 @@ const hashSchemaA = `graph g {
   seed = 7
   node Person {
     count = 100
-    property age : int = uniform-int(min=18, max=90)
+    property age : int = uniform-int(lo=18, hi=90)
   }
 }
 `
@@ -24,7 +24,7 @@ graph g {
   seed = 7
   node Person {
     count   = 100
-    property age : int = uniform-int(max=90, min=18)
+    property age : int = uniform-int(hi=90, lo=18)
   }
 }
 `
@@ -66,7 +66,7 @@ func TestCanonicalHashSensitivity(t *testing.T) {
 	for name, text := range map[string]string{
 		"seed":  strings.Replace(hashSchemaA, "seed = 7", "seed = 8", 1),
 		"count": strings.Replace(hashSchemaA, "count = 100", "count = 101", 1),
-		"param": strings.Replace(hashSchemaA, "max=90", "max=91", 1),
+		"param": strings.Replace(hashSchemaA, "hi=90", "hi=91", 1),
 	} {
 		s, err := dsl.Parse(text)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"datasynth/internal/par"
 	"datasynth/internal/par/partest"
 	"datasynth/internal/pgen"
+	"datasynth/internal/schema"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
 )
@@ -31,7 +32,7 @@ func TestGeneratorPanicReturnsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boom := func(map[string]string) (pgen.Generator, error) {
+	boom := func(*schema.Params) (pgen.Generator, error) {
 		return pgen.PerRow("boom", table.KindInt, 0, func(id int64, s xrand.Stream, _ []pgen.Value) (pgen.Value, error) {
 			return pgen.Value{Int: s.Intn(id, 0)}, nil // xrand panics on an empty range
 		}), nil
@@ -39,9 +40,7 @@ func TestGeneratorPanicReturnsError(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		partest.SetProcs(t, procs)
 		eng := New(s)
-		if err := eng.PGens.Register("boom", boom); err != nil {
-			t.Fatal(err)
-		}
+		eng.PGens["boom"] = boom
 		_, err := eng.Generate()
 		if err == nil {
 			t.Fatalf("GOMAXPROCS=%d: Generate must fail, not crash or succeed", procs)

@@ -114,13 +114,11 @@ func TestParallelFillErrorNoDeadlock(t *testing.T) {
 	}}})
 	partest.SetProcs(t, 2)
 	var rows atomic.Int64
-	if err := e.PGens.Register("always-fails", func(map[string]string) (pgen.Generator, error) {
+	e.PGens["always-fails"] = func(*schema.Params) (pgen.Generator, error) {
 		return pgen.PerRow("always-fails", table.KindInt, 0, func(id int64, _ xrand.Stream, _ []pgen.Value) (pgen.Value, error) {
 			rows.Add(1)
 			return pgen.Value{}, fmt.Errorf("boom at row %d", id)
 		}), nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {

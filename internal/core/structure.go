@@ -494,7 +494,7 @@ func alignedTarget(c *schema.Correlation, kind string, tailW, headW []float64) (
 	var diagW, offW float64
 	for a := 0; a < kt; a++ {
 		for b := 0; b < kh; b++ {
-			w := tailW[a] * headW[b]
+			w := float64(tailW[a] * headW[b]) // rounded before the sums: no fused multiply-add
 			if a%minK == b%minK {
 				diagW += w
 			} else {

@@ -30,6 +30,8 @@ var badGeneratorSpecs = []struct{ name, decl, want string }{
 	{"text bounds", `property y : string = text(min=0, max=3)`, "word bounds [0,3]"},
 	{"rating range", `property y : int = rating(lo=3, hi=3)`, "rating range"},
 	{"malformed parameter", `property y : int = uniform-int(lo=abc)`, "not an integer"},
+	{"misspelt parameter", `property y : int = uniform-int(low=5, hi=10)`, "uniform-int has no parameter low"},
+	{"dictionary beside values", `property y : string = categorical(dict="topics", values="a|b")`, "categorical takes values= or dict=, not both"},
 	{"kind mismatch", `property y : int = categorical(values="a|b")`, "produces string but the property is declared int"},
 	{"constant on an int", `property y : int = constant(value="7")`, "produces string"},
 	{"sequence on a float", `property y : float = sequence()`, "produces int"},

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 
+	"datasynth/internal/schema"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
 )
@@ -127,7 +128,7 @@ func (n *Normal) Arity() int            { return 0 }
 
 func (n *Normal) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, _ []table.Chunk) error {
 	for i := range dst.Floats {
-		dst.Floats[i] = n.Mean + n.Std*s.NormFloat64(lo+int64(i))
+		dst.Floats[i] = n.Mean + float64(n.Std*s.NormFloat64(lo+int64(i))) // rounded: no fused multiply-add
 	}
 	return nil
 }
@@ -215,100 +216,109 @@ func (t *Text) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, _ []table.Ch
 	return nil
 }
 
-// registerBuiltins wires every built-in factory into a registry. A
-// failed registration is recorded on the registry (not panicked) and
-// surfaced from Build, so it fails the schema that needs the registry
-// rather than whatever process happened to construct one.
-func registerBuiltins(r *Registry) {
-	register := func(name string, f func(p *params) (Generator, error)) {
-		err := r.Register(name, func(m map[string]string) (Generator, error) {
-			p := &params{m: m}
-			return p.build(f(p))
-		})
-		if err != nil && r.err == nil {
-			r.err = err
-		}
+// valueList reads a string generator's values: the embedded dictionary
+// dict= names (with its weights), else the values= list. weighted says
+// the spec also gives weights=, which go with values= only. A factory
+// calls it after its other reads, since its error ends the factory.
+func valueList(p *schema.Params, gen string, weighted bool) ([]string, []float64, error) {
+	values := p.List("values")
+	name, _ := p.Lookup("dict")
+	if name == "" {
+		return values, nil, nil
 	}
-	register("categorical", func(p *params) (Generator, error) {
-		if values, weights := p.dict(); values != nil {
-			return NewCategorical(values, weights)
+	p.Check(values == nil, "%s takes values= or dict=, not both", gen)
+	p.Check(!weighted, "%s takes weights= with values=, not with dict=", gen)
+	return Dictionary(name)
+}
+
+// builtins are the built-in PGs by DSL name. Each factory reads its
+// parameters through p, which refuses the ones it did not read.
+var builtins = map[string]Factory{
+	"categorical": func(p *schema.Params) (Generator, error) {
+		ws := p.List("weights")
+		values, weights, err := valueList(p, "categorical", ws != nil)
+		if err != nil {
+			return nil, err
 		}
-		var weights []float64
-		for _, w := range p.list("weights") {
+		for _, w := range ws {
 			f, err := strconv.ParseFloat(w, 64)
-			p.check(err == nil, "weight %q: %v", w, err)
+			p.Check(err == nil, "categorical weight %q: %v", w, err)
 			weights = append(weights, f)
 		}
-		return NewCategorical(p.list("values"), weights)
-	})
-	register("zipf", func(p *params) (Generator, error) {
-		values, _ := p.dict()
-		if values == nil {
-			values = p.list("values")
+		return NewCategorical(values, weights)
+	},
+	"zipf": func(p *schema.Params) (Generator, error) {
+		theta := p.Float("theta", 1.0)
+		values, _, err := valueList(p, "zipf", false)
+		if err != nil {
+			return nil, err
 		}
-		return NewZipfCategorical(values, p.float("theta", 1.0))
-	})
-	register("uniform-int", func(p *params) (Generator, error) {
-		lo, hi := p.int("lo", 0), p.int("hi", 100)
-		p.check(lo <= hi, "uniform-int range [%d,%d] empty", lo, hi)
-		p.check(hi-lo+1 > 0, "uniform-int range [%d,%d] holds more than %d values", lo, hi, int64(math.MaxInt64))
+		return NewZipfCategorical(values, theta)
+	},
+	"uniform-int": func(p *schema.Params) (Generator, error) {
+		lo, hi := p.Int64("lo", 0), p.Int64("hi", 100)
+		p.Check(lo <= hi, "uniform-int range [%d,%d] empty", lo, hi)
+		p.Check(hi-lo+1 > 0, "uniform-int range [%d,%d] holds more than %d values", lo, hi, int64(math.MaxInt64))
 		return &UniformInt{Lo: lo, Hi: hi}, nil
-	})
-	register("uniform-float", func(p *params) (Generator, error) {
-		lo, hi := p.float("lo", 0), p.float("hi", 1)
-		p.check(lo < hi, "uniform-float range [%v,%v) empty", lo, hi)
+	},
+	"uniform-float": func(p *schema.Params) (Generator, error) {
+		lo, hi := p.Float("lo", 0), p.Float("hi", 1)
+		p.Check(lo < hi, "uniform-float range [%v,%v) empty", lo, hi)
 		return &UniformFloat{Lo: lo, Hi: hi}, nil
-	})
-	register("uniform-date", func(p *params) (Generator, error) {
-		from, to := p.date("from", "2010-01-01"), p.date("to", "2020-01-01")
-		p.check(from <= to, "uniform-date range [%s,%s] empty", table.FormatDate(from), table.FormatDate(to))
+	},
+	"uniform-date": func(p *schema.Params) (Generator, error) {
+		from, to := p.Date("from", "2010-01-01"), p.Date("to", "2020-01-01")
+		p.Check(from <= to, "uniform-date range [%s,%s] empty", table.FormatDate(from), table.FormatDate(to))
 		return &UniformDate{From: from, To: to}, nil
-	})
-	register("normal", func(p *params) (Generator, error) {
-		mean, std := p.float("mean", 0), p.float("std", 1)
-		p.check(std >= 0, "normal needs std >= 0, got %v", std)
+	},
+	"normal": func(p *schema.Params) (Generator, error) {
+		mean, std := p.Float("mean", 0), p.Float("std", 1)
+		p.Check(std >= 0, "normal needs std >= 0, got %v", std)
 		return &Normal{Mean: mean, Std: std}, nil
-	})
-	register("sequence", func(p *params) (Generator, error) {
-		return &Sequence{Offset: p.int("offset", 0)}, nil
-	})
-	register("uuid", func(p *params) (Generator, error) {
+	},
+	"sequence": func(p *schema.Params) (Generator, error) {
+		return &Sequence{Offset: p.Int64("offset", 0)}, nil
+	},
+	"uuid": func(p *schema.Params) (Generator, error) {
 		return UUID{}, nil
-	})
-	register("constant", func(p *params) (Generator, error) {
-		v, ok := p.m["value"]
-		p.check(ok, "constant needs value=")
+	},
+	"constant": func(p *schema.Params) (Generator, error) {
+		v, ok := p.Lookup("value")
+		p.Check(ok, "constant needs value=")
 		return &Constant{Value: v}, nil
-	})
-	register("text", func(p *params) (Generator, error) {
-		lo, hi := p.int("min", 3), p.int("max", 12)
-		p.check(1 <= lo && lo <= hi && hi <= maxTextWords, "text word bounds [%d,%d] invalid (want 1 <= min <= max <= %d)", lo, hi, maxTextWords)
+	},
+	"text": func(p *schema.Params) (Generator, error) {
+		lo, hi := p.Int64("min", 3), p.Int64("max", 12)
+		p.Check(1 <= lo && lo <= hi && hi <= maxTextWords, "text word bounds [%d,%d] invalid (want 1 <= min <= max <= %d)", lo, hi, maxTextWords)
 		return &Text{MinWords: int(lo), MaxWords: int(hi)}, nil
-	})
-	register("multi-categorical", func(p *params) (Generator, error) {
-		values, weights := p.dict()
-		if values == nil {
-			values = p.list("values")
+	},
+	"multi-categorical": func(p *schema.Params) (Generator, error) {
+		lo, hi := p.Int("min", 1), p.Int("max", 3)
+		sep, _ := p.Lookup("sep")
+		values, weights, err := valueList(p, "multi-categorical", false)
+		if err != nil {
+			return nil, err
 		}
-		return NewMultiCategorical(values, weights, int(p.int("min", 1)), int(p.int("max", 3)), p.m["sep"])
-	})
-	register("dictionary", func(p *params) (Generator, error) {
-		return NewConditionalName(p.m["dict"])
-	})
-	register("max-endpoint-date", func(p *params) (Generator, error) {
-		maxDays := p.int("maxDays", 365)
+		return NewMultiCategorical(values, weights, lo, hi, sep)
+	},
+	"dictionary": func(p *schema.Params) (Generator, error) {
+		dict, _ := p.Lookup("dict")
+		return NewConditionalName(dict)
+	},
+	"max-endpoint-date": func(p *schema.Params) (Generator, error) {
+		maxDays := p.Int64("maxDays", 365)
 		if maxDays <= 0 {
 			maxDays = 365
 		}
-		p.check(maxDays <= table.MaxDate-table.MinDate, "max-endpoint-date maxDays=%d is longer than the date domain (%d days)", maxDays, table.MaxDate-table.MinDate)
+		p.Check(maxDays <= table.MaxDate-table.MinDate, "max-endpoint-date maxDays=%d is longer than the date domain (%d days)", maxDays, table.MaxDate-table.MinDate)
 		return &MaxEndpointDate{MaxLagDays: maxDays}, nil
-	})
-	register("endpoint-copy", func(p *params) (Generator, error) {
+	},
+	"endpoint-copy": func(p *schema.Params) (Generator, error) {
 		return &EndpointCopy{}, nil
-	})
-	register("rating", func(p *params) (Generator, error) {
-		lo, hi := p.int("lo", 1), p.int("hi", 5)
-		p.check(lo < hi, "rating range [%d,%d] invalid", lo, hi)
+	},
+	"rating": func(p *schema.Params) (Generator, error) {
+		lo, hi := p.Int64("lo", 1), p.Int64("hi", 5)
+		p.Check(lo < hi, "rating range [%d,%d] invalid", lo, hi)
 		return &Rating{Lo: lo, Hi: hi}, nil
-	})
+	},
 }

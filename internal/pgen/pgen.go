@@ -34,18 +34,20 @@
 //     when every value comes from a finite list, implements Coded and
 //     writes dst.Codes — which is what lets the matcher and the encoders
 //     work per distinct value instead of per row.
-//   - Parameters are checked once, in the Factory: core.ValidateSchema
-//     builds every generator of a schema before any row is generated,
-//     and Fill returns an error only for what depends on the data.
+//   - Parameters are checked once, in the Factory, which reads them
+//     through schema.Params as structure generators do; Build refuses one
+//     the factory never read. core.ValidateSchema builds every generator
+//     of a schema before any row is generated, and Fill returns an error
+//     only for what depends on the data.
 package pgen
 
 import (
 	"fmt"
 	"maps"
 	"slices"
-	"strconv"
 	"strings"
 
+	"datasynth/internal/schema"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
 )
@@ -135,126 +137,35 @@ func (p *perRow) Fill(dst *table.Chunk, lo, hi int64, s xrand.Stream, deps []tab
 	return nil
 }
 
-// Factory builds a Generator from DSL parameters.
-type Factory func(params map[string]string) (Generator, error)
+// Factory builds a Generator from the DSL parameters p reads.
+type Factory func(p *schema.Params) (Generator, error)
 
 // Registry maps generator names to factories; the engine and DSL
 // resolve schema.GeneratorSpec through it. It corresponds to the
-// paper's "pluggable objects that can be referenced from the DSL".
-type Registry struct {
-	factories map[string]Factory
-	// err records a failed built-in registration; registration used to
-	// panic(err), which a service worker would die from. Build surfaces
-	// it instead, so a broken registry fails one job, not the process.
-	err error
-}
+// paper's "pluggable objects that can be referenced from the DSL": a
+// custom generator is one more entry.
+type Registry map[string]Factory
 
-// NewRegistry returns a registry preloaded with all built-in PGs.
-func NewRegistry() *Registry {
-	r := &Registry{factories: map[string]Factory{}}
-	registerBuiltins(r)
-	return r
-}
+// NewRegistry returns a registry holding every built-in PG.
+func NewRegistry() Registry { return maps.Clone(builtins) }
 
-// Register adds a factory; it fails on duplicates.
-func (r *Registry) Register(name string, f Factory) error {
-	if _, dup := r.factories[name]; dup {
-		return fmt.Errorf("pgen: generator %q already registered", name)
-	}
-	r.factories[name] = f
-	return nil
-}
-
-// Build resolves a generator spec.
-func (r *Registry) Build(name string, params map[string]string) (Generator, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	f, ok := r.factories[name]
+// Build resolves a generator spec. A malformed or unread parameter, or
+// a failed check, fails before the factory's own error.
+func (r Registry) Build(name string, params map[string]string) (Generator, error) {
+	f, ok := r[name]
 	if !ok {
 		return nil, fmt.Errorf("pgen: unknown generator %q (have: %s)", name, strings.Join(r.Names(), ", "))
 	}
-	return f(params)
-}
-
-// Names lists registered generators, sorted.
-func (r *Registry) Names() []string { return slices.Sorted(maps.Keys(r.factories)) }
-
-// params reads one factory's DSL parameters. The first malformed
-// parameter or failed check sticks in err, so a factory reads and checks
-// everything in straight-line code and ends with build.
-type params struct {
-	m   map[string]string
-	err error
-}
-
-// fail records err unless an earlier error already stuck (or err is nil).
-func (p *params) fail(err error) {
-	if p.err == nil {
-		p.err = err
+	p := schema.NewParams(name, params)
+	g, err := f(p)
+	if perr := p.Err(); perr != nil {
+		return nil, fmt.Errorf("pgen: %w", perr)
 	}
-}
-
-// check records a failed parameter check.
-func (p *params) check(ok bool, format string, args ...any) {
-	if !ok {
-		p.fail(fmt.Errorf("pgen: "+format, args...))
-	}
-}
-
-func (p *params) int(key string, def int64) int64 {
-	if p.m[key] == "" {
-		return def
-	}
-	n, err := strconv.ParseInt(p.m[key], 10, 64)
-	p.check(err == nil, "parameter %s=%q is not an integer", key, p.m[key])
-	return n
-}
-
-func (p *params) float(key string, def float64) float64 {
-	if p.m[key] == "" {
-		return def
-	}
-	f, err := strconv.ParseFloat(p.m[key], 64)
-	p.check(err == nil, "parameter %s=%q is not a number", key, p.m[key])
-	return f
-}
-
-func (p *params) date(key, def string) int64 {
-	if p.m[key] != "" {
-		def = p.m[key]
-	}
-	d, err := table.ParseDate(def)
-	p.fail(err)
-	return d
-}
-
-// list splits a "|"-separated list parameter.
-func (p *params) list(key string) []string {
-	var out []string
-	for _, part := range strings.Split(p.m[key], "|") {
-		if t := strings.TrimSpace(part); t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// dict is the embedded dictionary a dict= parameter names, if any.
-func (p *params) dict() (values []string, weights []float64) {
-	if name := p.m["dict"]; name != "" {
-		var err error
-		values, weights, err = Dictionary(name)
-		p.fail(err)
-	}
-	return values, weights
-}
-
-// build returns the generator a factory constructed, unless a parameter
-// was bad.
-func (p *params) build(g Generator, err error) (Generator, error) {
-	if p.fail(err); p.err != nil {
-		return nil, p.err
+	if err != nil {
+		return nil, err
 	}
 	return g, nil
 }
+
+// Names lists registered generators, sorted.
+func (r Registry) Names() []string { return slices.Sorted(maps.Keys(r)) }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"datasynth/internal/schema"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
 )
@@ -377,14 +378,33 @@ func TestRegistryErrors(t *testing.T) {
 	if _, err := r.Build("categorical", map[string]string{"values": "a|b", "weights": "1|x"}); err == nil {
 		t.Error("bad weight should fail")
 	}
-	if err := r.Register("categorical", nil); err == nil {
-		t.Error("duplicate registration should fail")
+	for _, name := range r.Names() {
+		if _, err := r.Build(name, map[string]string{"noSuchParameter": "1"}); err == nil || !strings.Contains(err.Error(), name+" has no parameter noSuchParameter") {
+			t.Errorf("%s(noSuchParameter=1) = %v, want the parameter refused by name", name, err)
+		}
 	}
-	if err := r.Register("custom", func(map[string]string) (Generator, error) { return UUID{}, nil }); err != nil {
-		t.Errorf("custom registration failed: %v", err)
+	if _, err := r.Build("uniform-int", map[string]string{"low": "5", "hi": "10"}); err == nil || !strings.Contains(err.Error(), "uniform-int has no parameter low (it has: hi, lo)") {
+		t.Errorf("uniform-int(low=5, hi=10) = %v, want low refused and lo, hi offered", err)
 	}
-	if len(r.Names()) == 0 {
-		t.Error("Names empty")
+	// A mode conflict is refused as one, not as a parameter the
+	// generator lacks.
+	for _, c := range []struct{ name, key, want string }{
+		{"categorical", "values", "categorical takes values= or dict=, not both"},
+		{"categorical", "weights", "categorical takes weights= with values=, not with dict="},
+		{"zipf", "values", "zipf takes values= or dict=, not both"},
+		{"multi-categorical", "values", "multi-categorical takes values= or dict=, not both"},
+	} {
+		_, err := r.Build(c.name, map[string]string{"dict": "topics", c.key: "1|2"})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s(dict, %s) = %v, want %q", c.name, c.key, err, c.want)
+		}
+	}
+	r["custom"] = func(*schema.Params) (Generator, error) { return UUID{}, nil }
+	if _, err := r.Build("custom", nil); err != nil {
+		t.Errorf("custom generator: %v", err)
+	}
+	if _, ok := NewRegistry()["custom"]; ok {
+		t.Error("a generator added to one registry leaked into the built-ins")
 	}
 }
 
@@ -501,16 +521,5 @@ func TestPerRow(t *testing.T) {
 	err := g.Fill(&dst, 70, 71, s(3), []table.Chunk{topic.Chunk(70, 71), score.Chunk(70, 71)})
 	if err == nil || !strings.Contains(err.Error(), "row 70") {
 		t.Errorf("err = %v, want row 70 named", err)
-	}
-}
-
-// TestRegistrationErrorSurfacesNotPanics mirrors the sgen regression:
-// a failed built-in registration is recorded and surfaced from Build
-// instead of panicking the process.
-func TestRegistrationErrorSurfacesNotPanics(t *testing.T) {
-	r := NewRegistry()
-	registerBuiltins(r) // duplicates: every Register fails
-	if _, err := r.Build("uniform-int", map[string]string{"lo": "1", "hi": "2"}); err == nil {
-		t.Fatal("Build on a broken registry must return the registration error")
 	}
 }

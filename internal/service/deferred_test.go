@@ -32,15 +32,13 @@ func TestDeferredFillPanicFailsJobNotProcess(t *testing.T) {
 		bad.Nodes[0].Properties = slices.Clone(s.Nodes[0].Properties)
 		bad.Nodes[0].Properties[1].Generator = schema.GeneratorSpec{Name: "boom"}
 		eng := core.New(&bad)
-		if err := eng.PGens.Register("boom", func(map[string]string) (pgen.Generator, error) {
+		eng.PGens["boom"] = func(*schema.Params) (pgen.Generator, error) {
 			return pgen.PerRow("boom", table.KindDate, 0, func(id int64, _ xrand.Stream, _ []pgen.Value) (pgen.Value, error) {
 				if id == 300 {
 					panic("injected panic in a deferred fill")
 				}
 				return pgen.Value{Int: 17000}, nil
 			}), nil
-		}); err != nil {
-			t.Error(err)
 		}
 		return eng
 	}

@@ -729,8 +729,8 @@ func TestJSONSubmitBody(t *testing.T) {
 }
 
 // TestSubmitRejectsBadGeneratorSpecs: admission builds every property
-// generator, so an unknown generator, a kind mismatch or an empty range
-// is a 400 at POST /v1/jobs — naming type.property — and costs no
+// generator, so an unknown generator, a misspelt parameter, a kind
+// mismatch or an empty range is a 400 at POST /v1/jobs — naming type.property — and costs no
 // engine run, instead of an admitted job that fails at its first row.
 func TestSubmitRejectsBadGeneratorSpecs(t *testing.T) {
 	svc := newTestService(t, Config{})
@@ -739,6 +739,7 @@ func TestSubmitRejectsBadGeneratorSpecs(t *testing.T) {
 	for _, decl := range []string{
 		`property y : int = nosuchgen()`,
 		`property y : int = uniform-int(lo=5, hi=1)`,
+		`property y : int = uniform-int(low=5, hi=10)`,
 		`property y : string = text(min=0, max=3)`,
 		`property y : int = categorical(values="a|b")`,
 	} {

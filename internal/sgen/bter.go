@@ -169,7 +169,7 @@ func (b *BTER) Run(n int64) (*table.EdgeTable, error) {
 			}
 		}
 		// Residual degree for phase 2.
-		expectedIn := rho * float64(blockSize-1)
+		expectedIn := float64(rho * float64(blockSize-1)) // rounded: no fused multiply-subtract below
 		for i := v; i < v+blockSize; i++ {
 			e := float64(deg[i]) - expectedIn
 			if e < 0 {

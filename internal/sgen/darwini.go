@@ -196,7 +196,7 @@ func (d *Darwini) Run(n int64) (*table.EdgeTable, error) {
 				}
 			}
 		}
-		expectedIn := rho * float64(size-1)
+		expectedIn := float64(rho * float64(size-1)) // rounded: no fused multiply-subtract below
 		for i := 0; i < size; i++ {
 			e := float64(bucket[i].deg) - expectedIn
 			if e < 0 {

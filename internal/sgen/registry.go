@@ -4,75 +4,35 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
-	"strconv"
-	"strings"
+
+	"datasynth/internal/schema"
 )
 
 // Registry resolves DSL structure-generator specs into concrete
-// generators, mirroring pgen.Registry. Monopartite and bipartite
-// generators live in separate namespaces because edge cardinality
-// decides which is legal.
-type Registry struct {
-	mono map[string]MonoFactory
-	bip  map[string]BipFactory
-	// err records a failed built-in registration. Registration used to
-	// panic(err) — which, reached through core.Engine inside a service
-	// worker, would kill the whole daemon — so the first error is
-	// recorded here instead and surfaced from every Build call: a
-	// broken registry fails the job that touches it, never the process.
-	err error
-}
+// generators. Monopartite and bipartite generators live in separate
+// namespaces because edge cardinality decides which is legal. The
+// built-ins are two static tables, so the registry has no state.
+type Registry struct{}
 
-// MonoFactory builds a monopartite generator.
-type MonoFactory func(params map[string]string, seed uint64) (Generator, error)
-
-// BipFactory builds a bipartite generator.
-type BipFactory func(params map[string]string, seed uint64) (BipartiteGenerator, error)
-
-// NewRegistry returns a registry with every built-in SG.
-func NewRegistry() *Registry {
-	r := &Registry{mono: map[string]MonoFactory{}, bip: map[string]BipFactory{}}
-	registerBuiltinSGs(r)
-	return r
-}
-
-// RegisterMono adds a monopartite factory.
-func (r *Registry) RegisterMono(name string, f MonoFactory) error {
-	if _, dup := r.mono[name]; dup {
-		return fmt.Errorf("sgen: generator %q already registered", name)
-	}
-	r.mono[name] = f
-	return nil
-}
-
-// RegisterBipartite adds a bipartite factory.
-func (r *Registry) RegisterBipartite(name string, f BipFactory) error {
-	if _, dup := r.bip[name]; dup {
-		return fmt.Errorf("sgen: bipartite generator %q already registered", name)
-	}
-	r.bip[name] = f
-	return nil
-}
+// NewRegistry returns the registry of every built-in SG.
+func NewRegistry() *Registry { return &Registry{} }
 
 // HasMono reports whether name is a monopartite generator.
-func (r *Registry) HasMono(name string) bool { _, ok := r.mono[name]; return ok }
+func (*Registry) HasMono(name string) bool { _, ok := monoBuiltins[name]; return ok }
 
 // BuildMono resolves a monopartite generator spec. The generator it
 // returns has passed Validate.
 func (r *Registry) BuildMono(name string, params map[string]string, seed uint64) (Generator, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	f, ok := r.mono[name]
+	f, ok := monoBuiltins[name]
 	if !ok {
 		return nil, fmt.Errorf("sgen: unknown structure generator %q (have: %v)", name, r.MonoNames())
 	}
-	g, err := f(params, seed)
-	if err != nil {
-		return nil, err
+	p := schema.NewParams(name, params)
+	g, err := f(p, seed)
+	if err == nil {
+		err = g.Validate()
 	}
-	if err := g.Validate(); err != nil {
+	if err = paramsErr(p, err); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -81,219 +41,106 @@ func (r *Registry) BuildMono(name string, params map[string]string, seed uint64)
 // BuildBipartite resolves a bipartite generator spec. The generator it
 // returns has passed Validate.
 func (r *Registry) BuildBipartite(name string, params map[string]string, seed uint64) (BipartiteGenerator, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	f, ok := r.bip[name]
+	f, ok := bipBuiltins[name]
 	if !ok {
 		return nil, fmt.Errorf("sgen: unknown bipartite structure generator %q (have: %v)", name, r.BipartiteNames())
 	}
-	g, err := f(params, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
+	p := schema.NewParams(name, params)
+	g := f(p, seed)
+	if err := paramsErr(p, g.Validate()); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// MonoNames lists monopartite generators, sorted.
-func (r *Registry) MonoNames() []string {
-	out := make([]string, 0, len(r.mono))
-	for n := range r.mono {
-		out = append(out, n)
+// paramsErr is the error of a generator built from p that failed with
+// err: a malformed or unread parameter comes before the factory's or
+// Validate's own error.
+func paramsErr(p *schema.Params, err error) error {
+	if perr := p.Err(); perr != nil {
+		return fmt.Errorf("sgen: %w", perr)
 	}
-	sort.Strings(out)
-	return out
+	return err
 }
+
+// MonoNames lists monopartite generators, sorted.
+func (*Registry) MonoNames() []string { return slices.Sorted(maps.Keys(monoBuiltins)) }
 
 // BipartiteNames lists bipartite generators, sorted.
-func (r *Registry) BipartiteNames() []string {
-	out := make([]string, 0, len(r.bip))
-	for n := range r.bip {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (*Registry) BipartiteNames() []string { return slices.Sorted(maps.Keys(bipBuiltins)) }
 
-// sgParams reads one spec's parameters for a factory. It keeps the
-// first malformed value and the names read, so that finish can refuse
-// a spec naming a parameter the generator does not have: a misspelt
-// name must not generate silently with the default (and cache under a
-// hash of its own).
-type sgParams struct {
-	gen  string // generator name, for messages
-	vals map[string]string
-	read []string
-	err  error
-}
-
-// lookup returns the value of key, ok false when the spec leaves it
-// unset (or empty) and the default applies.
-func (p *sgParams) lookup(key string) (string, bool) {
-	p.read = append(p.read, key)
-	v, ok := p.vals[key]
-	return v, ok && v != ""
-}
-
-func (p *sgParams) fail(key, v, want string) {
-	if p.err == nil {
-		p.err = fmt.Errorf("sgen: %s parameter %s=%q is not %s", p.gen, key, v, want)
-	}
-}
-
-func (p *sgParams) float(key string, def float64) float64 {
-	v, ok := p.lookup(key)
-	if !ok {
-		return def
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		p.fail(key, v, "a number")
-		return def
-	}
-	return f
-}
-
-func (p *sgParams) bool(key string, def bool) bool {
-	v, ok := p.lookup(key)
-	if !ok {
-		return def
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		p.fail(key, v, "a boolean")
-		return def
-	}
-	return b
-}
-
-func (p *sgParams) int(key string, def int) int {
-	v, ok := p.lookup(key)
-	if !ok {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		p.fail(key, v, "an integer")
-		return def
-	}
-	return n
-}
-
-// finish reports the first malformed value, else the parameters the
-// spec names that the factory never read.
-func (p *sgParams) finish() error {
-	if p.err != nil {
-		return p.err
-	}
-	var unknown []string
-	for _, k := range slices.Sorted(maps.Keys(p.vals)) {
-		if !slices.Contains(p.read, k) {
-			unknown = append(unknown, k)
-		}
-	}
-	if len(unknown) == 0 {
-		return nil
-	}
-	sort.Strings(p.read)
-	return fmt.Errorf("sgen: %s has no parameter %s (it has: %s)", p.gen, strings.Join(unknown, ", "), strings.Join(p.read, ", "))
-}
-
-func registerBuiltinSGs(r *Registry) {
-	must := func(err error) {
-		if err != nil && r.err == nil {
-			r.err = err
-		}
-	}
-	// mono and bip register a factory that reads its parameters through
-	// an sgParams and is refused the ones it did not read.
-	mono := func(name string, build func(p *sgParams, seed uint64) (Generator, error)) {
-		must(r.RegisterMono(name, func(params map[string]string, seed uint64) (Generator, error) {
-			p := &sgParams{gen: name, vals: params}
-			g, err := build(p, seed)
-			if perr := p.finish(); perr != nil {
-				return nil, perr
-			}
-			return g, err
-		}))
-	}
-	bip := func(name string, build func(p *sgParams, seed uint64) BipartiteGenerator) {
-		must(r.RegisterBipartite(name, func(params map[string]string, seed uint64) (BipartiteGenerator, error) {
-			p := &sgParams{gen: name, vals: params}
-			g := build(p, seed)
-			if err := p.finish(); err != nil {
-				return nil, err
-			}
-			return g, nil
-		}))
-	}
-	mono("rmat", func(p *sgParams, seed uint64) (Generator, error) {
+// monoBuiltins are the monopartite generators by DSL name. Each factory
+// reads its parameters through p, which refuses the ones it did not
+// read.
+var monoBuiltins = map[string]func(p *schema.Params, seed uint64) (Generator, error){
+	"rmat": func(p *schema.Params, seed uint64) (Generator, error) {
 		g := NewRMAT(seed)
-		g.A = p.float("a", g.A)
-		g.B = p.float("b", g.B)
-		g.C = p.float("c", g.C)
-		g.D = p.float("d", g.D)
-		g.EdgeFactor = int64(p.int("edgeFactor", int(g.EdgeFactor)))
-		g.Noise = p.float("noise", g.Noise)
-		g.KeepDuplicates = p.bool("keepDuplicates", g.KeepDuplicates)
+		g.A = p.Float("a", g.A)
+		g.B = p.Float("b", g.B)
+		g.C = p.Float("c", g.C)
+		g.D = p.Float("d", g.D)
+		g.EdgeFactor = int64(p.Int("edgeFactor", int(g.EdgeFactor)))
+		g.Noise = p.Float("noise", g.Noise)
+		g.KeepDuplicates = p.Bool("keepDuplicates", g.KeepDuplicates)
 		return g, nil
-	})
-	mono("lfr", func(p *sgParams, seed uint64) (Generator, error) {
+	},
+	"lfr": func(p *schema.Params, seed uint64) (Generator, error) {
 		g := NewLFR(seed)
-		g.AvgDegree = p.float("avgDegree", g.AvgDegree)
-		g.MaxDegree = p.int("maxDegree", g.MaxDegree)
-		g.MinCommunity = p.int("minCommunity", g.MinCommunity)
-		g.MaxCommunity = p.int("maxCommunity", g.MaxCommunity)
-		g.Mu = p.float("mu", g.Mu)
-		g.Tau1 = p.float("tau1", g.Tau1)
-		g.Tau2 = p.float("tau2", g.Tau2)
+		g.AvgDegree = p.Float("avgDegree", g.AvgDegree)
+		g.MaxDegree = p.Int("maxDegree", g.MaxDegree)
+		g.MinCommunity = p.Int("minCommunity", g.MinCommunity)
+		g.MaxCommunity = p.Int("maxCommunity", g.MaxCommunity)
+		g.Mu = p.Float("mu", g.Mu)
+		g.Tau1 = p.Float("tau1", g.Tau1)
+		g.Tau2 = p.Float("tau2", g.Tau2)
 		return g, nil
-	})
+	},
 	// BTER and Darwini rescale their degree histogram to the Run(n)
 	// size, so the reference population just needs to be large enough
 	// for resolution.
-	mono("bter", func(p *sgParams, seed uint64) (Generator, error) {
-		return NewBTERPowerLaw(1<<20, p.int("dmin", 2), p.int("dmax", 50), p.float("gamma", 2.0), seed)
-	})
-	mono("darwini", func(p *sgParams, seed uint64) (Generator, error) {
-		spread := p.float("spread", 0.5)
-		g, err := NewDarwiniPowerLaw(1<<20, p.int("dmin", 2), p.int("dmax", 50), p.float("gamma", 2.0), seed)
+	"bter": func(p *schema.Params, seed uint64) (Generator, error) {
+		return NewBTERPowerLaw(1<<20, p.Int("dmin", 2), p.Int("dmax", 50), p.Float("gamma", 2.0), seed)
+	},
+	"darwini": func(p *schema.Params, seed uint64) (Generator, error) {
+		spread := p.Float("spread", 0.5)
+		g, err := NewDarwiniPowerLaw(1<<20, p.Int("dmin", 2), p.Int("dmax", 50), p.Float("gamma", 2.0), seed)
 		if err != nil {
 			return nil, err
 		}
 		g.CCSpread = spread
 		return g, nil
-	})
-	mono("cascade", func(p *sgParams, seed uint64) (Generator, error) {
+	},
+	"cascade": func(p *schema.Params, seed uint64) (Generator, error) {
 		g := NewCascade(seed)
-		g.TreeSizeMin = p.int("minSize", g.TreeSizeMin)
-		g.TreeSizeMax = p.int("maxSize", g.TreeSizeMax)
-		g.Gamma = p.float("gamma", g.Gamma)
-		g.PreferRecent = p.float("preferRecent", g.PreferRecent)
+		g.TreeSizeMin = p.Int("minSize", g.TreeSizeMin)
+		g.TreeSizeMax = p.Int("maxSize", g.TreeSizeMax)
+		g.Gamma = p.Float("gamma", g.Gamma)
+		g.PreferRecent = p.Float("preferRecent", g.PreferRecent)
 		return g, nil
-	})
-	mono("erdos-renyi", func(p *sgParams, seed uint64) (Generator, error) {
-		return NewErdosRenyi(p.float("edgesPerNode", 8), seed), nil
-	})
-	mono("barabasi-albert", func(p *sgParams, seed uint64) (Generator, error) {
-		return NewBarabasiAlbert(p.int("m", 4), seed), nil
-	})
-	mono("watts-strogatz", func(p *sgParams, seed uint64) (Generator, error) {
-		return NewWattsStrogatz(p.int("k", 4), p.float("beta", 0.1), seed), nil
-	})
-	bip("powerlaw-out", func(p *sgParams, seed uint64) BipartiteGenerator {
-		return NewPowerLawOut(p.int("min", 1), p.int("max", 20), p.float("gamma", 2.0), seed)
-	})
-	bip("zipf-attachment", func(p *sgParams, seed uint64) BipartiteGenerator {
-		return NewZipfAttachment(p.int("min", 1), p.int("max", 20), p.float("gamma", 2.0), p.float("theta", 1.0), seed)
-	})
-	bip("one-to-one", func(p *sgParams, seed uint64) BipartiteGenerator {
+	},
+	"erdos-renyi": func(p *schema.Params, seed uint64) (Generator, error) {
+		return NewErdosRenyi(p.Float("edgesPerNode", 8), seed), nil
+	},
+	"barabasi-albert": func(p *schema.Params, seed uint64) (Generator, error) {
+		return NewBarabasiAlbert(p.Int("m", 4), seed), nil
+	},
+	"watts-strogatz": func(p *schema.Params, seed uint64) (Generator, error) {
+		return NewWattsStrogatz(p.Int("k", 4), p.Float("beta", 0.1), seed), nil
+	},
+}
+
+// bipBuiltins are the bipartite generators by DSL name.
+var bipBuiltins = map[string]func(p *schema.Params, seed uint64) BipartiteGenerator{
+	"powerlaw-out": func(p *schema.Params, seed uint64) BipartiteGenerator {
+		return NewPowerLawOut(p.Int("min", 1), p.Int("max", 20), p.Float("gamma", 2.0), seed)
+	},
+	"zipf-attachment": func(p *schema.Params, seed uint64) BipartiteGenerator {
+		return NewZipfAttachment(p.Int("min", 1), p.Int("max", 20), p.Float("gamma", 2.0), p.Float("theta", 1.0), seed)
+	},
+	"one-to-one": func(p *schema.Params, seed uint64) BipartiteGenerator {
 		return &OneToOne{Seed: seed}
-	})
-	bip("uniform-bipartite", func(p *sgParams, seed uint64) BipartiteGenerator {
-		return &UniformBipartite{AvgOut: p.float("avgOut", 3), Seed: seed}
-	})
+	},
+	"uniform-bipartite": func(p *schema.Params, seed uint64) BipartiteGenerator {
+		return &UniformBipartite{AvgOut: p.Float("avgOut", 3), Seed: seed}
+	},
 }

@@ -131,7 +131,7 @@ func buildRMATAlias(p [4]float64, levels uint) (thresh []uint64, alias []uint16,
 		small = small[:len(small)-1]
 		g := large[len(large)-1]
 		large = large[:len(large)-1]
-		thresh[s] = uint64(scaled[s] * float64(rmatFracOne))
+		thresh[s] = uint64(float64(scaled[s] * float64(rmatFracOne))) // rounded before the conversion, which subtracts on ppc64le and riscv64
 		alias[s] = uint16(g)
 		scaled[g] += scaled[s] - 1
 		if scaled[g] < 1 {
@@ -304,10 +304,11 @@ func (r *RMAT) drawShard(q *xrand.Seq, slab []uint64, scale uint) {
 		for level := scale; level > 0; level-- {
 			u := q.Float64()
 			// Symmetric noise keeps expectation fixed.
-			nz := (q.Float64() - 0.5) * 2 * r.Noise
-			al := a + a*nz
-			bl := b - b*nz/2
-			cl := c - c*nz/2
+			// float64(…) rounds the draw and each product: no fused multiply-add.
+			nz := (float64(q.Float64()) - 0.5) * 2 * r.Noise
+			al := a + float64(a*nz)
+			bl := b - float64(b*nz/2)
+			cl := c - float64(c*nz/2)
 			bit := uint64(1) << (level - 1)
 			switch {
 			case u < al:

@@ -36,8 +36,8 @@
 // # Writing a structure generator
 //
 // A generator is a struct of parameters and a seed implementing
-// Generator (one node type) or BipartiteGenerator (two), registered
-// under its DSL name with Registry.RegisterMono/RegisterBipartite.
+// Generator (one node type) or BipartiteGenerator (two), and a factory
+// under its DSL name in registry.go's monoBuiltins or bipBuiltins table.
 // Four rules make it safe to put behind the engine and the daemon:
 //
 //   - Validate is the whole parameter check. It refuses everything Run
@@ -55,10 +55,11 @@
 //     itself, for callers that fill the struct by hand, and adds only
 //     the checks that need n (a domain too small, a density out of
 //     reach).
-//   - Unknown parameters are errors. A built-in factory reads its
-//     parameters through sgParams, which refuses a spec naming one the
-//     factory never read: zipf-attachment(tetha=2) must not generate
-//     with theta's default and be cached under a hash of its own.
+//   - Unknown parameters are errors. A factory reads its parameters
+//     through schema.Params, as every property generator's does, and
+//     the registry refuses a spec naming one the factory never read:
+//     zipf-attachment(tetha=2) must not generate with theta's default
+//     and be cached under a hash of its own.
 //   - The edge table is a pure function of (seed, parameters, n) at
 //     any GOMAXPROCS. Draw from xrand streams derived from the seed
 //     by label or index, never from shared state; if the work is
