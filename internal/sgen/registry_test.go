@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"datasynth/internal/graph"
+	"datasynth/internal/table"
 )
 
 func TestRegistryBuildAllMono(t *testing.T) {
@@ -214,5 +215,55 @@ func TestRegistryRejectsUnreadParameters(t *testing.T) {
 	// A generator that fails its own Validate never leaves the registry.
 	if _, err := r.BuildBipartite("zipf-attachment", map[string]string{"theta": "0"}, 1); err == nil || !strings.Contains(err.Error(), "theta > 0") {
 		t.Errorf("zipf-attachment(theta=0) = %v, want Validate's error", err)
+	}
+}
+
+// TestRegistryGeneratorsPinned pins the edge tables of the structure
+// generators no other golden covers, built through the registry as a
+// schema builds them: the defaults, and BTER and Darwini with degree-1
+// nodes (dmin=1), which take their own branch, and Darwini without its
+// clustering spread. A change here means the generator's draws changed
+// for existing seeds, which needs a core.SchemaVersion bump.
+func TestRegistryGeneratorsPinned(t *testing.T) {
+	r := NewRegistry()
+	cases := []struct {
+		name   string
+		params map[string]string
+		seed   uint64
+		n      int64 // tails, for a bipartite generator
+		nHead  int64 // 0 for a monopartite generator
+		edges  int64
+		want   string
+	}{
+		{"bter", map[string]string{}, 11, 3000, 0, 8097, "06ac516265d7b55ef2bf24ca7916c439360d2a26393ef68e3b6b152662e9f3ec"},
+		{"bter", map[string]string{"dmin": "1", "dmax": "40", "gamma": "1.8"}, 12, 2000, 0, 3151, "c7d234d8c35e209f0f0a96acb179133c0df87df48bc992d1951be2d51c80e607"},
+		{"darwini", map[string]string{}, 13, 3000, 0, 8342, "b4d83b85ea5218cac039c13f9dee1c63aca0552ee82884c13b319243497f42e5"},
+		{"darwini", map[string]string{"dmin": "1", "dmax": "40", "gamma": "1.8"}, 14, 2000, 0, 3702, "a6eba12904e233b9e1035ab933be16b3b53285f377f17d5f2f343e372a7bf6c9"},
+		{"darwini", map[string]string{"spread": "0"}, 15, 2000, 0, 5250, "cc499734893d3915b9002810dd4cd6c37f47fcbfe49828f96079a94e862bd286"},
+		{"barabasi-albert", map[string]string{}, 16, 3000, 0, 11990, "63bd39e6829c8b59e504516eb23f8e9eb6304d5d927fef05bbd48fbd8255f1dd"},
+		{"watts-strogatz", map[string]string{}, 17, 3000, 0, 12000, "57eb02bce366e81b9e12decab5b2e071ccb1d0a38c4b05ec3be8674bd5463ddc"},
+		{"uniform-bipartite", map[string]string{}, 18, 3000, 700, 9000, "95b5d93caff5290018f26e371ce33aa0a69d117c8044320ac119d217a9d0e045"},
+	}
+	for _, c := range cases {
+		var et *table.EdgeTable
+		var err error
+		if c.nHead > 0 {
+			var g BipartiteGenerator
+			if g, err = r.BuildBipartite(c.name, c.params, c.seed); err == nil {
+				et, err = g.RunBipartite(c.n, c.nHead)
+			}
+		} else {
+			var g Generator
+			if g, err = r.BuildMono(c.name, c.params, c.seed); err == nil {
+				et, err = g.Run(c.n)
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s(%v): %v", c.name, c.params, err)
+		}
+		if got := edgeTableSHA256(et); et.Len() != c.edges || got != c.want {
+			t.Errorf("%s(%v) seed %d: %d edges hash %s, want %d edges hash %s",
+				c.name, c.params, c.seed, et.Len(), got, c.edges, c.want)
+		}
 	}
 }
