@@ -65,8 +65,7 @@ graph social {
 func main() {
 	schemaPath := flag.String("schema", "", "path to the DSL schema file")
 	out := flag.String("out", "dataset", "output directory for the exported files")
-	format := flag.String("format", "", "export format: csv (default), jsonl, columnar")
-	jsonl := flag.Bool("jsonl", false, "write JSON-lines files (shorthand for -format jsonl)")
+	format := flag.String("format", "csv", "export format: csv, jsonl, columnar")
 	planOnly := flag.Bool("plan", false, "print the dependency-analysis task plan and exit")
 	validate := flag.Bool("validate", false, "parse and validate the schema, print its canonical hash, and exit without generating")
 	scenarioFile := flag.String("scenario", "", "validate a DSL file as a scenario and print the canonical text + hash PUT /v1/scenarios would register; no generation")
@@ -143,19 +142,7 @@ func main() {
 		}
 		return
 	}
-	formatName := *format
-	if *jsonl {
-		// -jsonl is shorthand for -format jsonl; a conflicting explicit
-		// -format is a mistake worth stopping, not silently overriding.
-		if formatName != "" && formatName != "jsonl" {
-			fatal(fmt.Errorf("-jsonl conflicts with -format %s", formatName))
-		}
-		formatName = "jsonl"
-	}
-	if formatName == "" {
-		formatName = "csv"
-	}
-	exportFormat, err := table.ParseFormat(formatName)
+	exportFormat, err := table.ParseFormat(*format)
 	if err != nil {
 		fatal(err)
 	}

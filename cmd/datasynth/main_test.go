@@ -130,13 +130,14 @@ func TestValidateExitCodes(t *testing.T) {
 	}
 
 	// -window went with the windowed-matcher knobs, -exportworkers
-	// with Engine.ExportWorkers and -workers with the last worker bound
-	// (GOMAXPROCS is the only one); a removed flag is a usage error, not
-	// something silently accepted.
-	for _, removed := range [][2]string{{"-window", "64"}, {"-exportworkers", "2"}, {"-workers", "2"}} {
-		code, _, stderr := run(t, removed[0], removed[1], "-validate", "-schema", writeSchema(t, example))
-		if code != 2 || !strings.Contains(stderr, removed[0]) {
-			t.Errorf("%s %s: exit %d, stderr %q; want 2 naming the flag", removed[0], removed[1], code, stderr)
+	// with Engine.ExportWorkers, -workers with the last worker bound
+	// (GOMAXPROCS is the only one) and -jsonl, which only repeated
+	// -format jsonl; a removed flag is a usage error, not something
+	// silently accepted.
+	for _, removed := range [][]string{{"-window", "64"}, {"-exportworkers", "2"}, {"-workers", "2"}, {"-jsonl"}} {
+		code, _, stderr := run(t, append(removed, "-validate", "-schema", writeSchema(t, example))...)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+removed[0]) {
+			t.Errorf("%s: exit %d, stderr %q; want 2 naming the flag", strings.Join(removed, " "), code, stderr)
 		}
 	}
 }

@@ -26,8 +26,8 @@
 // per-phase latency histograms.
 //
 // The daemon fails jobs, not the process. Worker panics are recovered
-// into job errors; a failed cache commit is retried (-storeretries,
-// -storeretrybase) and, if the disk stays broken (e.g. ENOSPC), the
+// into job errors; a failed cache commit is retried (three attempts,
+// 25ms then 50ms apart) and, if the disk stays broken (e.g. ENOSPC), the
 // job still completes and serves its tables cache-bypass from the
 // staging directory, marked "degraded": true. GET /v1/readyz answers
 // 503 while degraded or draining so an orchestrator can prefer a
@@ -43,8 +43,8 @@
 // POST /v1/jobs accepts {"scenario": "name@version", "params": {...}}
 // and resolves it to the same content-hash cache key an anonymous
 // submit of the resolved text would get; POST /v1/sweeps expands a
-// parameter grid (bounded by -maxsweeppoints) into one cached job per
-// point. See docs/scenarios.md.
+// parameter grid of at most 256 points into one cached job per point.
+// See docs/scenarios.md.
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops, queued and
 // running jobs finish (up to -draintimeout), then the process exits.
@@ -73,30 +73,20 @@ func main() {
 	maxNodes := flag.Int64("maxnodes", 0, "per-job node limit (0 = unlimited)")
 	maxEdges := flag.Int64("maxedges", 0, "per-job edge limit (0 = unlimited)")
 	jobTimeout := flag.Duration("jobtimeout", 10*time.Minute, "per-job generation timeout (0 = none)")
-	maxJobs := flag.Int("maxjobs", 0, "in-memory job map bound, oldest finished jobs evicted first (0 = 4096, negative = unbounded)")
-	jobRetention := flag.Duration("jobretention", 0, "evict finished jobs older than this from the job map (0 = no age bound)")
-	storeRetries := flag.Int("storeretries", 0, "cache-commit attempts before a job goes degraded cache-bypass (0 = 3)")
-	storeRetryBase := flag.Duration("storeretrybase", 0, "first cache-commit retry delay, doubling with jitter per attempt (0 = 25ms)")
 	scenarioDir := flag.String("scenariodir", "datasynthd-scenarios", "scenario registry directory; empty disables /v1/scenarios and /v1/sweeps")
-	maxSweepPoints := flag.Int("maxsweeppoints", 0, "largest grid a single sweep may expand to (0 = 256)")
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 	verbose := flag.Bool("v", false, "log job progress")
 	flag.Parse()
 
 	cfg := service.Config{
-		CacheDir:       *cacheDir,
-		CacheMaxBytes:  *cacheMaxBytes,
-		QueueDepth:     *queueDepth,
-		JobWorkers:     *jobWorkers,
-		MaxNodes:       *maxNodes,
-		MaxEdges:       *maxEdges,
-		JobTimeout:     *jobTimeout,
-		MaxJobs:        *maxJobs,
-		JobRetention:   *jobRetention,
-		StoreAttempts:  *storeRetries,
-		StoreRetryBase: *storeRetryBase,
-		ScenarioDir:    *scenarioDir,
-		MaxSweepPoints: *maxSweepPoints,
+		CacheDir:      *cacheDir,
+		CacheMaxBytes: *cacheMaxBytes,
+		QueueDepth:    *queueDepth,
+		JobWorkers:    *jobWorkers,
+		MaxNodes:      *maxNodes,
+		MaxEdges:      *maxEdges,
+		JobTimeout:    *jobTimeout,
+		ScenarioDir:   *scenarioDir,
 	}
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "datasynthd: "+format+"\n", args...)

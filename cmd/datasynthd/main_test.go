@@ -319,12 +319,22 @@ func TestKillRestartRecovers(t *testing.T) {
 }
 
 // TestRemovedWorkersFlag: -workers went with the last worker bound —
-// the daemon's parallelism is GOMAXPROCS — and a removed flag is a
-// usage error, not something silently accepted.
+// the daemon's parallelism is GOMAXPROCS — and the store-retry, job-map
+// and sweep-cap flags went with the settings no deployment changed. A
+// removed flag is a usage error, not something silently accepted.
 func TestRemovedWorkersFlag(t *testing.T) {
-	out, err := exec.Command(datasynthdBin, "-workers", "2").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-workers") {
-		t.Errorf("datasynthd -workers 2: %v, output %q; want exit 2 naming the flag", err, out)
+	for _, args := range [][]string{
+		{"-workers", "2"},
+		{"-storeretries", "5"},
+		{"-storeretrybase", "10ms"},
+		{"-jobretention", "1h"},
+		{"-maxjobs", "100"},
+		{"-maxsweeppoints", "64"},
+	} {
+		out, err := exec.Command(datasynthdBin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: "+args[0]) {
+			t.Errorf("datasynthd %s: %v, output %q; want exit 2 naming the flag", strings.Join(args, " "), err, out)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"datasynth/internal/faultfs"
 	"datasynth/internal/table"
@@ -128,14 +127,14 @@ func TestStoreFailureReadsNoTables(t *testing.T) {
 	fsys := &tableOpens{ext: ".jsonl", FS: faultfs.NewInject(1, &faultfs.Rule{
 		Ops: faultfs.OpWriteFile, Path: manifestName, Err: faultfs.ENOSPC,
 	})}
-	svc := newTestService(t, Config{FS: fsys, StoreRetryBase: time.Millisecond})
+	svc := newTestService(t, Config{FS: fsys})
 	res, err = svc.Submit(src, table.FormatJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := waitDone(t, res.Job)
 	st := svc.Stats()
-	if !v.Degraded || st.Cache.Bypasses != 1 || st.Cache.StoreRetries < 1 {
+	if !v.Degraded || st.Cache.Bypasses != 1 || st.Cache.StoreRetries != storeAttempts-1 {
 		t.Fatalf("degraded=%v bypasses=%d retries=%d: the store did not fail through to bypass", v.Degraded, st.Cache.Bypasses, st.Cache.StoreRetries)
 	}
 	if n := fsys.n.Load(); n != 0 {

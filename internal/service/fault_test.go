@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"errors"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -106,7 +108,7 @@ func TestStoreRetryRecoversTransientFault(t *testing.T) {
 	fsys := faultfs.NewInject(1, &faultfs.Rule{
 		Ops: faultfs.OpWriteFile, Path: manifestName, Times: 1,
 	})
-	svc := newTestService(t, Config{FS: fsys, StoreRetryBase: time.Millisecond})
+	svc := newTestService(t, Config{FS: fsys})
 	res, err := svc.Submit(testSchema(31), table.FormatCSV)
 	if err != nil {
 		t.Fatal(err)
@@ -127,6 +129,105 @@ func TestStoreRetryRecoversTransientFault(t *testing.T) {
 	}
 }
 
+// deadlineFS holds the first manifest write of the job keyed key until
+// 15ms before the job's deadline, so that the deadline passes during
+// the 25ms pause after the store fails.
+type deadlineFS struct {
+	faultfs.FS
+	svc     *Service
+	key     string
+	timeout time.Duration
+	once    sync.Once
+}
+
+func (f *deadlineFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
+	if filepath.Base(name) == manifestName {
+		f.once.Do(func() {
+			j := f.svc.Job(f.key)
+			j.mu.Lock()
+			deadline := j.started.Add(f.timeout)
+			j.mu.Unlock()
+			time.Sleep(time.Until(deadline) - 15*time.Millisecond)
+		})
+	}
+	return f.FS.WriteFile(name, data, perm)
+}
+
+// TestStoreDeadlineDuringBackoffFails: a job whose deadline passes
+// while a failed store waits to retry fails. It makes no further
+// attempt, removes its stage directory, and neither bypasses nor
+// commits.
+func TestStoreDeadlineDuringBackoffFails(t *testing.T) {
+	const timeout = time.Second
+	cacheDir := t.TempDir()
+	src := testSchema(33)
+	sch, err := dsl.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CacheKey(sch, table.FormatCSV)
+	fsys := &deadlineFS{key: key, timeout: timeout, FS: faultfs.NewInject(1, &faultfs.Rule{
+		Ops: faultfs.OpWriteFile, Path: manifestName, Err: faultfs.ENOSPC,
+	})}
+	svc := newTestService(t, Config{CacheDir: cacheDir, FS: fsys, JobTimeout: timeout})
+	fsys.svc = svc
+	res, err := svc.Submit(src, table.FormatCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitTerminal(t, res.Job); v.Status != StatusFailed {
+		t.Fatalf("job = %s, want failed: its deadline passed before the store could retry", v.Status)
+	}
+	st := svc.Stats()
+	if st.Cache.StoreRetries != 0 || st.Cache.Bypasses != 0 || st.Cache.Entries != 0 || st.Degraded {
+		t.Fatalf("retries=%d bypasses=%d entries=%d degraded=%v, want a failed job and nothing else",
+			st.Cache.StoreRetries, st.Cache.Bypasses, st.Cache.Entries, st.Degraded)
+	}
+	if _, err := os.Stat(filepath.Join(cacheDir, store.TempPrefix+key)); !os.IsNotExist(err) {
+		t.Fatalf("the failed job left its stage directory behind: %v", err)
+	}
+}
+
+// TestStoreWithRetry drives the store loop directly. A context that is
+// already done makes no attempt. A persistent fault makes storeAttempts
+// attempts, pausing storeBackoff and then twice that between them, and
+// returns the fault. A healthy store commits the same stage at once.
+func TestStoreWithRetry(t *testing.T) {
+	rule := &faultfs.Rule{Ops: faultfs.OpWriteFile, Path: manifestName, Err: faultfs.ENOSPC}
+	fsys := faultfs.NewInject(1, rule)
+	svc := newTestService(t, Config{FS: fsys})
+	key := strings.Repeat("a", 64) + "-csv"
+	stage, err := svc.cache.dir.Stage(key)
+	if err == nil {
+		err = os.Mkdir(stage, 0o755)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Manifest{Version: 1, Key: key}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := svc.storeWithRetry(ctx, key, stage, m); !errors.Is(err, context.Canceled) || rule.Fired() != 0 {
+		t.Fatalf("store under a canceled context: %v after %d attempts; want context.Canceled and none", err, rule.Fired())
+	}
+
+	start := time.Now()
+	_, err = svc.storeWithRetry(context.Background(), key, stage, m)
+	if elapsed := time.Since(start); !errors.Is(err, faultfs.ENOSPC) || rule.Fired() != storeAttempts || elapsed < 3*storeBackoff {
+		t.Fatalf("persistent fault: %v after %d attempts in %v; want ENOSPC after %d attempts and at least %v of pauses",
+			err, rule.Fired(), elapsed, storeAttempts, 3*storeBackoff)
+	}
+	if st := svc.Stats(); st.Cache.StoreRetries != storeAttempts-1 || svc.cache.has(key) {
+		t.Fatalf("persistent fault: %d retries, committed %v; want %d and nothing committed", st.Cache.StoreRetries, svc.cache.has(key), storeAttempts-1)
+	}
+
+	fsys.ClearRules()
+	if _, err := svc.storeWithRetry(context.Background(), key, stage, m); err != nil || !svc.cache.has(key) {
+		t.Fatalf("healthy store: %v, committed %v", err, svc.cache.has(key))
+	}
+}
+
 // TestStoreLostAckCommits: the publishing rename happens but reports
 // failure (the acknowledgement is lost). The entry is fully on disk, so
 // the job must complete from it — indexed, not degraded, no bypass —
@@ -143,7 +244,7 @@ func TestStoreLostAckCommits(t *testing.T) {
 	// Only the commit names the final entry path; the export's own
 	// renames all live under the staging directory.
 	rule := &faultfs.Rule{Ops: faultfs.OpRename, Path: filepath.Join(cacheDir, key), After: true}
-	svc := newTestService(t, Config{CacheDir: cacheDir, FS: faultfs.NewInject(1, rule), StoreRetryBase: time.Millisecond})
+	svc := newTestService(t, Config{CacheDir: cacheDir, FS: faultfs.NewInject(1, rule)})
 	res, err := svc.Submit(src, table.FormatCSV)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +276,7 @@ func TestENOSPCDegradedBypass(t *testing.T) {
 	fsys := faultfs.NewInject(1, &faultfs.Rule{
 		Ops: faultfs.OpWriteFile, Path: manifestName, Err: faultfs.ENOSPC,
 	})
-	svc := newTestService(t, Config{FS: fsys, StoreRetryBase: time.Millisecond})
+	svc := newTestService(t, Config{FS: fsys})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -264,7 +365,7 @@ func TestCrashRecoveryQuarantineAndRegenerate(t *testing.T) {
 	fsys := faultfs.NewInject(1, &faultfs.Rule{
 		Ops: faultfs.OpWriteFile, Path: manifestName, Err: faultfs.ErrCrash,
 	})
-	svc1 := newTestService(t, Config{CacheDir: cacheDir, FS: fsys, StoreRetryBase: time.Millisecond})
+	svc1 := newTestService(t, Config{CacheDir: cacheDir, FS: fsys})
 	res, err := svc1.Submit(src, table.FormatCSV)
 	if err != nil {
 		t.Fatal(err)
@@ -414,9 +515,8 @@ func TestServiceChaosUnderFaults(t *testing.T) {
 	const jobs = 12
 	fsys := faultfs.NewInject(0xC4A05)
 	svc := newTestService(t, Config{
-		FS:             fsys,
-		JobWorkers:     4,
-		StoreRetryBase: time.Millisecond,
+		FS:         fsys,
+		JobWorkers: 4,
 	})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()

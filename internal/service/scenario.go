@@ -56,6 +56,10 @@ func (e *BadParamsError) Unwrap() error { return e.err }
 // cached points.
 const maxSweeps = 256
 
+// maxSweepPoints caps how many jobs a single POST /v1/sweeps may expand
+// into. expandAxis applies it before anything is allocated.
+const maxSweepPoints = 256
+
 // PutScenario registers a new scenario version (validation-first; an
 // invalid schema writes nothing).
 func (s *Service) PutScenario(name, src, description string, labels map[string]string) (*scenario.Version, bool, error) {
@@ -209,22 +213,22 @@ type SweepView struct {
 // expandAxis turns one sweep axis into its ordered value strings.
 // Numeric values are normalised through formatSweepValue so that a
 // grid point and a hand-written override of the same number spell —
-// and therefore hash — identically. maxPoints bounds the axis length
-// *before* anything is allocated: an axis that alone exceeds the sweep
+// and therefore hash — identically. maxSweepPoints bounds the axis
+// length *before* anything is allocated: an axis that alone exceeds the sweep
 // cap necessarily makes the whole grid exceed it, and rejecting it
 // here keeps a tiny {from:0,to:1e9,step:1} request from materialising
 // a multi-GB slice (or overflowing the float→int length conversion)
 // inside the handler.
-func expandAxis(name string, raw json.RawMessage, maxPoints int) ([]string, error) {
+func expandAxis(name string, raw json.RawMessage) ([]string, error) {
 	axisTooBig := func() error {
-		return &BadParamsError{fmt.Errorf("sweep axis %q alone expands to more than %d points", name, maxPoints)}
+		return &BadParamsError{fmt.Errorf("sweep axis %q alone expands to more than %d points", name, maxSweepPoints)}
 	}
 	var list []any
 	if err := json.Unmarshal(raw, &list); err == nil {
 		if len(list) == 0 {
 			return nil, &BadParamsError{fmt.Errorf("sweep axis %q: empty value list", name)}
 		}
-		if len(list) > maxPoints {
+		if len(list) > maxSweepPoints {
 			return nil, axisTooBig()
 		}
 		vals := make([]string, len(list))
@@ -250,7 +254,7 @@ func expandAxis(name string, raw json.RawMessage, maxPoints int) ([]string, erro
 	// Checked before converting to int or allocating: span can be huge
 	// or non-finite for extreme from/to/step combinations.
 	span := math.Floor((rng.To-rng.From)/rng.Step + 1e-9)
-	if math.IsNaN(span) || span >= float64(maxPoints) {
+	if math.IsNaN(span) || span >= maxSweepPoints {
 		return nil, axisTooBig()
 	}
 	n := int(span) + 1
@@ -297,14 +301,14 @@ func (s *Service) expandSweep(req SweepRequest, format table.Format) (resolved s
 		if _, fixed := req.Params[name]; fixed {
 			return "", nil, nil, &BadParamsError{fmt.Errorf("sweep axis %q also appears in fixed params", name)}
 		}
-		vals, err := expandAxis(name, req.Sweep[name], s.cfg.maxSweepPoints())
+		vals, err := expandAxis(name, req.Sweep[name])
 		if err != nil {
 			return "", nil, nil, err
 		}
 		values[i] = vals
 		total *= len(vals)
-		if total > s.cfg.maxSweepPoints() {
-			return "", nil, nil, &BadParamsError{fmt.Errorf("sweep expands to more than %d points", s.cfg.maxSweepPoints())}
+		if total > maxSweepPoints {
+			return "", nil, nil, &BadParamsError{fmt.Errorf("sweep expands to more than %d points", maxSweepPoints)}
 		}
 	}
 	// Cross product, odometer-style: last axis increments fastest.

@@ -543,7 +543,7 @@ func TestExpandAxisBoundedBeforeAllocation(t *testing.T) {
 		"int overflow":   `{"from":0,"to":1e18,"step":1}`,
 		"float overflow": `{"from":-1e308,"to":1e308,"step":1e-300}`,
 	} {
-		_, err := expandAxis("seed", json.RawMessage(raw), 256)
+		_, err := expandAxis("seed", json.RawMessage(raw))
 		if err == nil {
 			t.Errorf("%s: expanded instead of failing fast", name)
 			continue
@@ -556,17 +556,17 @@ func TestExpandAxisBoundedBeforeAllocation(t *testing.T) {
 
 	// An explicit value list longer than the cap fails the same way.
 	long := "[" + strings.Repeat("1,", 300) + "1]"
-	if _, err := expandAxis("seed", json.RawMessage(long), 256); err == nil {
+	if _, err := expandAxis("seed", json.RawMessage(long)); err == nil {
 		t.Error("301-value list passed a 256-point cap")
 	}
 
 	// Boundary: exactly the cap is allowed, one more is not.
-	vals, err := expandAxis("seed", json.RawMessage(`{"from":1,"to":4,"step":1}`), 4)
-	if err != nil || len(vals) != 4 {
-		t.Fatalf("4-point axis under cap 4: %v err=%v", vals, err)
+	vals, err := expandAxis("seed", json.RawMessage(`{"from":1,"to":256,"step":1}`))
+	if err != nil || len(vals) != maxSweepPoints {
+		t.Fatalf("256-point axis under cap %d: %d values, err=%v", maxSweepPoints, len(vals), err)
 	}
-	if _, err := expandAxis("seed", json.RawMessage(`{"from":1,"to":5,"step":1}`), 4); err == nil {
-		t.Fatal("5-point axis passed a 4-point cap")
+	if _, err := expandAxis("seed", json.RawMessage(`{"from":1,"to":257,"step":1}`)); err == nil {
+		t.Fatal("257-point axis passed the 256-point cap")
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 	"datasynth/internal/dsl"
 	"datasynth/internal/faultfs"
 	"datasynth/internal/par"
-	"datasynth/internal/retry"
 	"datasynth/internal/scenario"
 	"datasynth/internal/schema"
 	"datasynth/internal/table"
@@ -69,32 +68,14 @@ type Config struct {
 	// JobTimeout bounds one generation; a timed-out job fails and
 	// releases its worker at the next task boundary. 0 means no limit.
 	JobTimeout time.Duration
-	// MaxJobs bounds the in-memory job map: when an insert would push
-	// the map past the bound, the oldest finished jobs are evicted
-	// first. Queued and running jobs are never evicted. 0 means 4096;
-	// negative disables the bound.
-	MaxJobs int
-	// JobRetention evicts finished jobs older than this from the job map
-	// on each submission. 0 means no age bound.
-	JobRetention time.Duration
 	// ScenarioDir, when non-empty, enables the named-scenario registry
 	// rooted there (PUT/GET/DELETE /v1/scenarios, submit-by-name, and
 	// server-side sweeps). Empty disables the scenario surface.
 	ScenarioDir string
-	// MaxSweepPoints caps how many jobs a single POST /v1/sweeps may
-	// expand into. 0 means 256.
-	MaxSweepPoints int
 	// FS, if non-nil, routes all cache and export disk I/O through it —
 	// the fault-injection seam (faultfs.InjectFS in tests). Nil means
 	// the real filesystem.
 	FS faultfs.FS
-	// StoreAttempts bounds how many times a failed cache store is tried
-	// (jittered exponential backoff between tries) before the job
-	// degrades to cache-bypass. 0 means 3; negative means 1 (no retry).
-	StoreAttempts int
-	// StoreRetryBase is the backoff base delay between store attempts.
-	// 0 means 25ms.
-	StoreRetryBase time.Duration
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -111,40 +92,6 @@ func (c *Config) jobWorkers() int {
 		return 2
 	}
 	return c.JobWorkers
-}
-
-func (c *Config) storeAttempts() int {
-	if c.StoreAttempts == 0 {
-		return 3
-	}
-	if c.StoreAttempts < 0 {
-		return 1
-	}
-	return c.StoreAttempts
-}
-
-func (c *Config) storeRetryBase() time.Duration {
-	if c.StoreRetryBase <= 0 {
-		return 25 * time.Millisecond
-	}
-	return c.StoreRetryBase
-}
-
-func (c *Config) maxSweepPoints() int {
-	if c.MaxSweepPoints <= 0 {
-		return 256
-	}
-	return c.MaxSweepPoints
-}
-
-func (c *Config) maxJobs() int {
-	if c.MaxJobs == 0 {
-		return 4096
-	}
-	if c.MaxJobs < 0 {
-		return 0 // disabled
-	}
-	return c.MaxJobs
 }
 
 // Submission errors the HTTP layer maps to distinct status codes.
@@ -552,17 +499,19 @@ func (s *Service) rideAlong(j *Job) SubmitResult {
 	return SubmitResult{Job: j, Deduped: true}
 }
 
+// maxJobs bounds the in-memory job map: an insert that would push the
+// map past it first evicts the oldest finished jobs.
+const maxJobs = 4096
+
 // pruneJobsLocked garbage-collects the in-memory job map ahead of one
-// insert: finished jobs past JobRetention go first, then — while the
-// insert would still push the map past MaxJobs — the oldest finished
-// jobs. Queued and running jobs are never evicted (the queue owns
-// them). Eviction is safe: a done job's dataset persists in the disk
-// cache, so resubmitting its schema is a cache hit, and a failed job
-// would be retried by the next submission anyway. Caller holds s.mu.
+// insert: while the insert would push the map past maxJobs, the oldest
+// finished jobs go. Queued and running jobs are never evicted (the
+// queue owns them). Eviction is safe: a done job's dataset persists in
+// the disk cache, so resubmitting its schema is a cache hit, and a
+// failed job would be retried by the next submission anyway. Caller
+// holds s.mu.
 func (s *Service) pruneJobsLocked() {
-	retention := s.cfg.JobRetention
-	maxJobs := s.cfg.maxJobs()
-	if retention <= 0 && maxJobs <= 0 {
+	if len(s.jobs) < maxJobs {
 		return
 	}
 	type finishedJob struct {
@@ -579,37 +528,18 @@ func (s *Service) pruneJobsLocked() {
 			fin = append(fin, finishedJob{key, at})
 		}
 	}
-	evict := func(key string) {
+	sort.Slice(fin, func(a, b int) bool { return fin[a].at.Before(fin[b].at) })
+	for _, f := range fin {
+		if len(s.jobs) < maxJobs {
+			break
+		}
 		// A degraded job's dataset lives only in its bypass directory;
 		// evicting the job record is the moment to reclaim the disk.
-		if j := s.jobs[key]; j != nil {
-			if dir := j.BypassDir(); dir != "" {
-				s.cache.dir.Remove(dir)
-			}
+		if dir := s.jobs[f.key].BypassDir(); dir != "" {
+			s.cache.dir.Remove(dir)
 		}
-		delete(s.jobs, key)
+		delete(s.jobs, f.key)
 		s.jobEvictions.Add(1)
-	}
-	if retention > 0 {
-		cutoff := time.Now().Add(-retention)
-		kept := fin[:0]
-		for _, f := range fin {
-			if f.at.Before(cutoff) {
-				evict(f.key)
-			} else {
-				kept = append(kept, f)
-			}
-		}
-		fin = kept
-	}
-	if maxJobs > 0 && len(s.jobs)+1 > maxJobs {
-		sort.Slice(fin, func(a, b int) bool { return fin[a].at.Before(fin[b].at) })
-		for _, f := range fin {
-			if len(s.jobs)+1 <= maxJobs {
-				break
-			}
-			evict(f.key)
-		}
 	}
 }
 
@@ -760,27 +690,44 @@ func (s *Service) executeJob(j *Job) error {
 	return nil
 }
 
-// storeWithRetry commits a staged entry, retrying transient failures
-// with jittered exponential backoff before giving up.
+// A failed cache store is tried storeAttempts times in all, pausing
+// storeBackoff before the first retry and doubling the pause after
+// each, before the job degrades to cache-bypass.
+const (
+	storeAttempts = 3
+	storeBackoff  = 25 * time.Millisecond
+)
+
+// storeWithRetry commits a staged entry, retrying transient failures.
+// It checks ctx before every attempt and stops when ctx ends during a
+// pause, returning the last store error (ctx's, if no attempt ran).
 func (s *Service) storeWithRetry(ctx context.Context, key, stageDir string, m *Manifest) (*Manifest, error) {
-	var out *Manifest
-	p := retry.Policy{
-		Attempts:  s.cfg.storeAttempts(),
-		BaseDelay: s.cfg.storeRetryBase(),
-		MaxDelay:  2 * time.Second,
-		Jitter:    0.5,
-		Seed:      m.Seed,
-	}
-	err := retry.Do(ctx, p, func(attempt int) error {
-		if attempt > 0 {
-			s.storeRetries.Add(1)
-			s.logf("job %s: retrying cache store (attempt %d/%d)", shortKey(key), attempt+1, p.Attempts)
+	var err error
+	pause := storeBackoff
+	for attempt := 1; ; attempt++ {
+		if cerr := ctx.Err(); cerr != nil {
+			if err == nil {
+				err = cerr
+			}
+			return nil, err
 		}
-		var serr error
-		out, serr = s.cache.store(key, stageDir, m)
-		return serr
-	})
-	return out, err
+		if attempt > 1 {
+			s.storeRetries.Add(1)
+			s.logf("job %s: retrying cache store (attempt %d/%d)", shortKey(key), attempt, storeAttempts)
+		}
+		var out *Manifest
+		if out, err = s.cache.store(key, stageDir, m); err == nil || attempt == storeAttempts {
+			return out, err
+		}
+		t := time.NewTimer(pause)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return nil, err
+		}
+		pause *= 2
+	}
 }
 
 // completeBypass finishes a job whose cache store failed for good: its

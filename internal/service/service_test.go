@@ -621,12 +621,12 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
-// TestJobMapEviction: the in-memory job map is bounded — once MaxJobs
+// TestJobMapEviction: the in-memory job map is bounded — once maxJobs
 // is reached, the oldest finished jobs are evicted on the next submit,
 // /v1/stats reports the eviction, and resubmitting an evicted schema is
 // served from the disk cache (no regeneration).
 func TestJobMapEviction(t *testing.T) {
-	svc := newTestService(t, Config{MaxJobs: 2})
+	svc := newTestService(t, Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -635,6 +635,16 @@ func TestJobMapEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, first.Job)
+	// Finished records, each newer than the first job, fill the map to
+	// maxJobs-1: the next submit fits, the one after it does not.
+	svc.mu.Lock()
+	for i := len(svc.jobs); i < maxJobs-1; i++ {
+		j := newJob(fmt.Sprintf("filler-%d", i), nil, table.FormatCSV)
+		j.status, j.finished = StatusDone, time.Now()
+		close(j.done)
+		svc.jobs[j.id] = j
+	}
+	svc.mu.Unlock()
 	for _, seed := range []int{42, 43} {
 		res, err := svc.Submit(testSchema(seed), table.FormatCSV)
 		if err != nil {
@@ -643,7 +653,7 @@ func TestJobMapEviction(t *testing.T) {
 		waitDone(t, res.Job)
 	}
 
-	// The third submit pushed the map past MaxJobs=2; the oldest
+	// The second submit pushed the map past maxJobs; the oldest
 	// finished job (seed 41) must be gone.
 	if svc.Job(first.Job.ID()) != nil {
 		t.Errorf("oldest finished job still in the map after eviction")
@@ -657,11 +667,11 @@ func TestJobMapEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Jobs.Evicted < 1 {
-		t.Errorf("stats report %d evicted jobs, want >= 1", st.Jobs.Evicted)
+	if st.Jobs.Evicted != 1 {
+		t.Errorf("stats report %d evicted jobs, want 1", st.Jobs.Evicted)
 	}
-	if total := st.Jobs.Queued + st.Jobs.Running + st.Jobs.Done + st.Jobs.Failed; total > 2 {
-		t.Errorf("job map holds %d jobs, MaxJobs is 2", total)
+	if total := st.Jobs.Queued + st.Jobs.Running + st.Jobs.Done + st.Jobs.Failed; total > maxJobs {
+		t.Errorf("job map holds %d jobs, maxJobs is %d", total, maxJobs)
 	}
 
 	// The evicted job's dataset persists in the disk cache: the same
@@ -677,29 +687,6 @@ func TestJobMapEviction(t *testing.T) {
 	if g := svc.Stats().Generations; g != gens {
 		t.Errorf("resubmit of evicted schema regenerated (%d -> %d)", gens, g)
 	}
-}
-
-// TestJobRetention: finished jobs older than JobRetention are evicted
-// on the next submission even when the map is far below MaxJobs.
-func TestJobRetention(t *testing.T) {
-	svc := newTestService(t, Config{JobRetention: time.Nanosecond})
-	first, err := svc.Submit(testSchema(44), table.FormatCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, first.Job)
-	time.Sleep(10 * time.Millisecond) // age the finished job past retention
-	res, err := svc.Submit(testSchema(45), table.FormatCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svc.Job(first.Job.ID()) != nil {
-		t.Errorf("finished job outlived JobRetention")
-	}
-	if st := svc.Stats(); st.Jobs.Evicted < 1 {
-		t.Errorf("stats report %d evicted jobs, want >= 1", st.Jobs.Evicted)
-	}
-	waitDone(t, res.Job)
 }
 
 // TestJSONSubmitBody: the JSON submission shape works end to end.

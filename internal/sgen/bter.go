@@ -16,24 +16,18 @@ import (
 //
 // Phase 1 groups nodes of (near-)equal degree d into affinity blocks of
 // d+1 nodes and wires each block as a dense Erdős–Rényi graph whose
-// connectivity is chosen to hit the per-degree clustering target.
+// connectivity is chosen to hit the per-degree clustering target ccFor.
 // Phase 2 distributes the residual degree with a Chung–Lu model.
 type BTER struct {
 	// DegreeCounts[d] = desired number of nodes of degree d. Index 0
 	// is ignored (degree-0 nodes have no edges).
 	DegreeCounts []int64
-	// CCD[d] = target mean local clustering coefficient of degree-d
-	// nodes. Missing/short entries default via the heuristic
-	// c(d) = CCMax · exp(-(d-1)·decay).
-	CCD   []float64
-	CCMax float64 // heuristic peak clustering for low degrees (default 0.95)
-	Decay float64 // heuristic exponential decay (default 0.05)
-	Seed  uint64
+	Seed         uint64
 }
 
 // NewBTER builds a BTER generator targeting the given degree counts.
 func NewBTER(degreeCounts []int64, seed uint64) *BTER {
-	return &BTER{DegreeCounts: degreeCounts, CCMax: 0.95, Decay: 0.05, Seed: seed}
+	return &BTER{DegreeCounts: degreeCounts, Seed: seed}
 }
 
 // NewBTERPowerLaw builds a BTER generator with a power-law target
@@ -77,20 +71,11 @@ func (b *BTER) Validate() error {
 	return nil
 }
 
-// ccFor returns the clustering target for degree d.
-func (b *BTER) ccFor(d int) float64 {
-	if d < len(b.CCD) && !math.IsNaN(b.CCD[d]) && b.CCD[d] > 0 {
-		return b.CCD[d]
-	}
-	ccMax := b.CCMax
-	if ccMax <= 0 {
-		ccMax = 0.95
-	}
-	decay := b.Decay
-	if decay <= 0 {
-		decay = 0.05
-	}
-	return ccMax * math.Exp(-float64(d-1)*decay)
+// ccFor is the mean local clustering coefficient BTER and Darwini aim
+// for at degree d: 0.95 for the lowest degrees, decaying by a factor
+// e^-0.05 a degree.
+func ccFor(d int) float64 {
+	return 0.95 * math.Exp(-float64(d-1)*0.05)
 }
 
 // Run implements Generator. n rescales the configured degree counts
@@ -157,7 +142,7 @@ func (b *BTER) Run(n int64) (*table.EdgeTable, error) {
 		if v+blockSize > nn {
 			blockSize = nn - v
 		}
-		rho := math.Cbrt(b.ccFor(d))
+		rho := math.Cbrt(ccFor(d))
 		if rho > 1 {
 			rho = 1
 		}

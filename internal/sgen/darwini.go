@@ -28,15 +28,10 @@ import (
 //     in BTER.
 type Darwini struct {
 	DegreeCounts []int64 // target degree histogram (index = degree)
-	// CCMean[d] is the mean local clustering target for degree d;
-	// missing entries fall back to cc(d) = CCMax·exp(-(d-1)·Decay).
-	CCMean []float64
 	// CCSpread in [0,1] widens the per-node clustering distribution:
-	// each node's target is cc·(1±CCSpread) at random — the "ccdd"
+	// each node's target is ccFor(d)·(1±CCSpread) at random — the "ccdd"
 	// refinement over BTER.
 	CCSpread float64
-	CCMax    float64
-	Decay    float64
 	Seed     uint64
 }
 
@@ -50,8 +45,6 @@ func NewDarwiniPowerLaw(n int64, dmin, dmax int, gamma float64, seed uint64) (*D
 	return &Darwini{
 		DegreeCounts: b.DegreeCounts,
 		CCSpread:     0.5,
-		CCMax:        0.95,
-		Decay:        0.05,
 		Seed:         seed,
 	}, nil
 }
@@ -70,21 +63,6 @@ func (d *Darwini) Validate() error {
 	return nil
 }
 
-func (d *Darwini) ccFor(deg int) float64 {
-	if deg < len(d.CCMean) && d.CCMean[deg] > 0 && !math.IsNaN(d.CCMean[deg]) {
-		return d.CCMean[deg]
-	}
-	ccMax := d.CCMax
-	if ccMax <= 0 {
-		ccMax = 0.95
-	}
-	decay := d.Decay
-	if decay <= 0 {
-		decay = 0.05
-	}
-	return ccMax * math.Exp(-float64(deg-1)*decay)
-}
-
 // Run implements Generator.
 func (d *Darwini) Run(n int64) (*table.EdgeTable, error) {
 	if n <= 0 {
@@ -93,7 +71,7 @@ func (d *Darwini) Run(n int64) (*table.EdgeTable, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	bter := &BTER{DegreeCounts: d.DegreeCounts, CCMax: d.CCMax, Decay: d.Decay}
+	bter := &BTER{DegreeCounts: d.DegreeCounts}
 	counts, err := bter.rescaledCounts(n)
 	if err != nil {
 		return nil, err
@@ -110,7 +88,7 @@ func (d *Darwini) Run(n int64) (*table.EdgeTable, error) {
 	var id int64
 	for deg := 1; deg < len(counts); deg++ {
 		for c := int64(0); c < counts[deg]; c++ {
-			cc := d.ccFor(deg)
+			cc := ccFor(deg)
 			// Two-point spread around the mean: ccdd wider than BTER's
 			// single value per degree.
 			if d.CCSpread > 0 {
@@ -137,8 +115,8 @@ func (d *Darwini) Run(n int64) (*table.EdgeTable, error) {
 	}
 
 	// Phase 1: sort by triangle budget and pack buckets of similar
-	// demand (Darwini's grouping refinement). Bucket size tracks the
-	// median degree inside the bucket.
+	// demand (Darwini's grouping refinement). A bucket's size comes from
+	// the degree of its first node, the one with the lowest budget.
 	sort.Slice(demands, func(a, b int) bool {
 		if demands[a].budget != demands[b].budget {
 			return demands[a].budget < demands[b].budget
@@ -167,14 +145,10 @@ func (d *Darwini) Run(n int64) (*table.EdgeTable, error) {
 	excess := make([]float64, nn) // residual degree, indexed by demand position
 	pos := 0
 	for pos < len(demands) {
-		// Bucket size: median degree + 1, clipped to remaining nodes.
-		deg := demands[pos].deg
-		size := deg + 1
-		if size < 2 {
-			excess[pos] = float64(demands[pos].deg)
-			pos++
-			continue
-		}
+		// Bucket size: the first node's degree + 1, clipped to the
+		// remaining nodes. Every degree is at least 1, so a bucket holds
+		// at least 2 nodes until the last one.
+		size := demands[pos].deg + 1
 		if pos+size > len(demands) {
 			size = len(demands) - pos
 		}

@@ -345,7 +345,7 @@ func TestEdgeIDExtremesRoundTrip(t *testing.T) {
 	et.Add(math.MaxUint32, 0)
 	lo, hi := strconv.Itoa(0), strconv.FormatUint(math.MaxUint32, 10)
 	var csvOut, jsonOut bytes.Buffer
-	if err := WriteEdgeCSV(&csvOut, et, nil, NodeCSVOptions{}); err != nil {
+	if err := WriteEdgeCSV(&csvOut, et, nil); err != nil {
 		t.Fatal(err)
 	}
 	if want := "id,tail,head\n0," + lo + "," + hi + "\n1," + hi + "," + lo + "\n"; csvOut.String() != want {

@@ -1,7 +1,6 @@
 package table
 
 import (
-	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -10,29 +9,22 @@ import (
 // (UseCRLF = false), so any parser that accepts its files accepts
 // these, bit for bit.
 
-// csvFieldNeedsQuotes replicates encoding/csv's quoting decision for a
-// separator rune: quote when the field contains the separator, a quote
-// or a line break, starts with a space, or is the Postgres end-of-data
-// marker `\.`. This mirrors go1.24's fieldNeedsQuotes byte for byte —
+// csvFieldNeedsQuotes replicates encoding/csv's quoting decision with
+// its default ',' separator: quote when the field contains a comma, a
+// quote or a line break, starts with a space, or is the Postgres
+// end-of-data marker `\.`. This mirrors go1.24's fieldNeedsQuotes byte for byte —
 // an earlier revision kept the pre-1.24 special case for
 // space-separated files (quote on any interior space), which the fuzz
 // cross-check against encoding/csv flagged as a divergence.
-func csvFieldNeedsQuotes(field string, comma rune) bool {
+func csvFieldNeedsQuotes(field string) bool {
 	if field == "" {
 		return false
 	}
 	if field == `\.` {
 		return true
 	}
-	if comma < utf8.RuneSelf {
-		for i := 0; i < len(field); i++ {
-			c := field[i]
-			if c == '\n' || c == '\r' || c == '"' || c == byte(comma) {
-				return true
-			}
-		}
-	} else {
-		if strings.ContainsRune(field, comma) || strings.ContainsAny(field, "\"\r\n") {
+	for i := 0; i < len(field); i++ {
+		if c := field[i]; c == '\n' || c == '\r' || c == '"' || c == ',' {
 			return true
 		}
 	}
@@ -43,8 +35,8 @@ func csvFieldNeedsQuotes(field string, comma rune) bool {
 // appendCSVField appends one string cell, quoted exactly as
 // encoding/csv (UseCRLF = false) would emit it: embedded quotes double,
 // everything else passes through verbatim inside the quotes.
-func appendCSVField(dst []byte, field string, comma rune) []byte {
-	if !csvFieldNeedsQuotes(field, comma) {
+func appendCSVField(dst []byte, field string) []byte {
+	if !csvFieldNeedsQuotes(field) {
 		return append(dst, field...)
 	}
 	dst = append(dst, '"')

@@ -140,7 +140,7 @@ func TestDeferredDateTable(t *testing.T) {
 	stored := intsTable("E.when", KindDate, days)
 	export := func(pt *PropertyTable) (string, string, error) {
 		var c, j bytes.Buffer
-		if err := WriteNodeCSV(&c, "E", []*PropertyTable{pt}, NodeCSVOptions{}); err != nil {
+		if err := WriteNodeCSV(&c, "E", []*PropertyTable{pt}); err != nil {
 			return "", "", err
 		}
 		err := WriteNodeJSONL(&j, "E", []*PropertyTable{pt})
@@ -166,7 +166,7 @@ func TestDeferredDateTable(t *testing.T) {
 		if c.known {
 			d.SetDateBounds(c.lo, c.hi)
 		}
-		rf, err := newCellFormat(false, 0).field(d)
+		rf, err := newCellFormat(false).field(d)
 		if err != nil || rf.tabDays != c.tabDays || (rf.tab == nil) != (c.tabDays == 0) {
 			t.Errorf("%s: a table of %d days (%v), want %d", c.name, rf.tabDays, err, c.tabDays)
 		}

@@ -205,7 +205,7 @@ func (d *Dataset) exportJobs(f Format) []exportJob {
 		case FormatColumnar:
 			write = func(w io.Writer) error { return WriteNodeColumnar(w, t, count, props) }
 		default:
-			write = func(w io.Writer) error { return WriteNodeCSV(w, t, props, NodeCSVOptions{}) }
+			write = func(w io.Writer) error { return WriteNodeCSV(w, t, props) }
 		}
 		jobs = append(jobs, exportJob{file: NodeFileName(t, f), write: write})
 	}
@@ -226,7 +226,7 @@ func (d *Dataset) exportJobs(f Format) []exportJob {
 		case FormatColumnar:
 			write = func(w io.Writer) error { return WriteEdgeColumnar(w, et, props) }
 		default:
-			write = func(w io.Writer) error { return WriteEdgeCSV(w, et, props, NodeCSVOptions{}) }
+			write = func(w io.Writer) error { return WriteEdgeCSV(w, et, props) }
 		}
 		jobs = append(jobs, exportJob{file: EdgeFileName(t, f), write: write})
 	}

@@ -454,22 +454,19 @@ func TestCSVEncoderMatchesStdlib(t *testing.T) {
 		" leadingspace", "trailing ", "\ttab", `\.`, "ünïcødé ✓", `""`,
 		"a,b\"c\nd", "0", "-123", "1.5e-300", " nbsp",
 	}
-	for _, comma := range []rune{',', ';', '|'} {
-		for _, f := range fields {
-			var want bytes.Buffer
-			cw := csv.NewWriter(&want)
-			cw.Comma = comma
-			if err := cw.Write([]string{f, f}); err != nil {
-				t.Fatal(err)
-			}
-			cw.Flush()
-			got := appendCSVField(nil, f, comma)
-			got = append(got, string(comma)...)
-			got = appendCSVField(got, f, comma)
-			got = append(got, '\n')
-			if string(got) != want.String() {
-				t.Errorf("comma %q field %q: encoder %q, stdlib %q", comma, f, got, want.String())
-			}
+	for _, f := range fields {
+		var want bytes.Buffer
+		cw := csv.NewWriter(&want)
+		if err := cw.Write([]string{f, f}); err != nil {
+			t.Fatal(err)
+		}
+		cw.Flush()
+		got := appendCSVField(nil, f)
+		got = append(got, ',')
+		got = appendCSVField(got, f)
+		got = append(got, '\n')
+		if string(got) != want.String() {
+			t.Errorf("field %q: encoder %q, stdlib %q", f, got, want.String())
 		}
 	}
 }
@@ -487,7 +484,7 @@ func TestCSVNumericAppendMatchesFormat(t *testing.T) {
 		dates.SetInt(int64(i), d)
 	}
 	var got bytes.Buffer
-	if err := WriteNodeCSV(&got, "T", []*PropertyTable{pt, dates}, NodeCSVOptions{}); err != nil {
+	if err := WriteNodeCSV(&got, "T", []*PropertyTable{pt, dates}); err != nil {
 		t.Fatal(err)
 	}
 	want := "id,f,d\n"

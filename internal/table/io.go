@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"unicode/utf8"
 )
 
 // This file implements the CSV output connector required by the paper's
@@ -15,22 +14,17 @@ import (
 // (Neo4j-style node/relationship files). Rows are rendered by the row
 // writer in rows.go and the bytes match encoding/csv output exactly.
 
-// NodeCSVOptions configures WriteNodeCSV.
-type NodeCSVOptions struct {
-	Comma rune // field separator; 0 means ','
-}
-
 // WriteNodeCSV writes a node-type file with header "id,prop1,prop2,…"
 // joining the given PTs on the implicit id column. All PTs must have
 // the same length. Property columns are emitted in the order given.
-func WriteNodeCSV(w io.Writer, typeName string, props []*PropertyTable, opt NodeCSVOptions) error {
-	return writeTable(w, newCellFormat(false, opt.Comma), typeName, nil, props)
+func WriteNodeCSV(w io.Writer, typeName string, props []*PropertyTable) error {
+	return writeTable(w, newCellFormat(false), typeName, nil, props)
 }
 
 // WriteEdgeCSV writes an edge-type file with header
 // "id,tail,head,prop1,…". Edge PTs must have one row per edge.
-func WriteEdgeCSV(w io.Writer, et *EdgeTable, props []*PropertyTable, opt NodeCSVOptions) error {
-	return writeTable(w, newCellFormat(false, opt.Comma), et.Name, et, props)
+func WriteEdgeCSV(w io.Writer, et *EdgeTable, props []*PropertyTable) error {
+	return writeTable(w, newCellFormat(false), et.Name, et, props)
 }
 
 // writeTable plans the fields of a node (et nil) or edge table in the
@@ -81,9 +75,9 @@ func writeTable(w io.Writer, f *cellFormat, label string, et *EdgeTable, props [
 	var head []byte
 	for i := range fields {
 		if i > 0 {
-			fields[i].pre = utf8.AppendRune(nil, f.comma)
+			fields[i].pre = []byte{','}
 		}
-		head = appendCSVField(append(head, fields[i].pre...), fields[i].name, f.comma)
+		head = appendCSVField(append(head, fields[i].pre...), fields[i].name)
 	}
 	return writeRows(w, f, append(head, '\n'), fields, n, "\n")
 }

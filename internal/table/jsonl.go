@@ -17,7 +17,7 @@ import "io"
 // "<prop>":…} with keys in sorted order. A property short name equal
 // to "id" or "label" (or duplicated across properties) is an error.
 func WriteNodeJSONL(w io.Writer, typeName string, props []*PropertyTable) error {
-	return writeTable(w, newCellFormat(true, 0), typeName, nil, props)
+	return writeTable(w, newCellFormat(true), typeName, nil, props)
 }
 
 // WriteEdgeJSONL writes one object per edge: {"head":…, "id":…,
@@ -25,5 +25,5 @@ func WriteNodeJSONL(w io.Writer, typeName string, props []*PropertyTable) error 
 // property short name equal to a structural key ("id", "label",
 // "tail", "head") or duplicated across properties is an error.
 func WriteEdgeJSONL(w io.Writer, et *EdgeTable, props []*PropertyTable) error {
-	return writeTable(w, newCellFormat(true, 0), et.Name, et, props)
+	return writeTable(w, newCellFormat(true), et.Name, et, props)
 }

@@ -220,24 +220,24 @@ func TestJSONLReservedKeyCollision(t *testing.T) {
 // key in JSONL rows.
 func TestCSVHeaderCollision(t *testing.T) {
 	id := NewPropertyTable("User.id", KindInt, 1)
-	if err := WriteNodeCSV(&bytes.Buffer{}, "User", []*PropertyTable{id}, NodeCSVOptions{}); err == nil {
+	if err := WriteNodeCSV(&bytes.Buffer{}, "User", []*PropertyTable{id}); err == nil {
 		t.Fatal("node property \"id\" did not collide with the CSV id column")
 	}
 	a := NewPropertyTable("User.x", KindInt, 1)
 	b := NewPropertyTable("Other.x", KindInt, 1)
-	if err := WriteNodeCSV(&bytes.Buffer{}, "User", []*PropertyTable{a, b}, NodeCSVOptions{}); err == nil {
+	if err := WriteNodeCSV(&bytes.Buffer{}, "User", []*PropertyTable{a, b}); err == nil {
 		t.Fatal("duplicate CSV headers did not collide")
 	}
 	label := NewPropertyTable("User.label", KindString, 1)
 	label.SetString(0, "x")
-	if err := WriteNodeCSV(&bytes.Buffer{}, "User", []*PropertyTable{label}, NodeCSVOptions{}); err != nil {
+	if err := WriteNodeCSV(&bytes.Buffer{}, "User", []*PropertyTable{label}); err != nil {
 		t.Fatalf("\"label\" must stay legal in CSV: %v", err)
 	}
 	et := NewEdgeTable("knows", 1)
 	et.Add(0, 0)
 	for _, reserved := range []string{"id", "tail", "head"} {
 		pt := NewPropertyTable("knows."+reserved, KindFloat, 1)
-		if err := WriteEdgeCSV(&bytes.Buffer{}, et, []*PropertyTable{pt}, NodeCSVOptions{}); err == nil {
+		if err := WriteEdgeCSV(&bytes.Buffer{}, et, []*PropertyTable{pt}); err == nil {
 			t.Fatalf("edge property %q did not collide with the CSV structural columns", reserved)
 		}
 	}

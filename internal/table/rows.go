@@ -78,8 +78,7 @@ const maxDateTable = 1 << 16
 
 // cellFormat is the cell-level difference between the two encodings.
 type cellFormat struct {
-	json  bool
-	comma rune // CSV separator
+	json bool
 	// plain marks the bytes an arena chunk may contain for its cells to
 	// be written as raw spans; excluded holds each byte of 0x20 … 0x7f
 	// it leaves out, repeated across a word, for raw's scan.
@@ -87,18 +86,14 @@ type cellFormat struct {
 	excluded []uint64
 }
 
-// newCellFormat returns the JSON-lines format, or the CSV one with the
-// given separator (0 means ',').
-func newCellFormat(json bool, comma rune) *cellFormat {
-	if comma == 0 {
-		comma = ','
-	}
-	f := &cellFormat{json: json, comma: comma}
+// newCellFormat returns the JSON-lines format or the CSV one.
+func newCellFormat(json bool) *cellFormat {
+	f := &cellFormat{json: json}
 	for b := 0x20; b < utf8.RuneSelf; b++ {
-		// CSV quotes on the separator, a quote, a line break, leading
-		// white space (non-ASCII included) and the cell `\.`.
+		// CSV quotes on a comma, a quote, a line break, leading white
+		// space (non-ASCII included) and the cell `\.`.
 		f.plain[b] = json && jsonSafeSet[b] ||
-			!json && comma < utf8.RuneSelf && b != '"' && b != '\\' && b != int(comma)
+			!json && b != '"' && b != '\\' && b != ','
 		if !f.plain[b] {
 			f.excluded = append(f.excluded, uint64(b)*lsbs)
 		}
@@ -110,7 +105,7 @@ func (f *cellFormat) appendString(dst []byte, s string) []byte {
 	if f.json {
 		return appendJSONString(dst, s)
 	}
-	return appendCSVField(dst, s, f.comma)
+	return appendCSVField(dst, s)
 }
 
 // raw reports whether every cell of an arena chunk encodes as its own

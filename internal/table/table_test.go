@@ -220,7 +220,7 @@ func TestWriteNodeCSV(t *testing.T) {
 	age.SetInt(0, 30)
 	age.SetInt(1, 40)
 	var buf bytes.Buffer
-	if err := WriteNodeCSV(&buf, "Person", []*PropertyTable{name, age}, NodeCSVOptions{}); err != nil {
+	if err := WriteNodeCSV(&buf, "Person", []*PropertyTable{name, age}); err != nil {
 		t.Fatal(err)
 	}
 	want := "id,name,age\n0,alice,30\n1,bob,40\n"
@@ -232,7 +232,7 @@ func TestWriteNodeCSV(t *testing.T) {
 func TestWriteNodeCSVRaggedFails(t *testing.T) {
 	a := NewPropertyTable("T.a", KindInt, 2)
 	b := NewPropertyTable("T.b", KindInt, 3)
-	if err := WriteNodeCSV(&bytes.Buffer{}, "T", []*PropertyTable{a, b}, NodeCSVOptions{}); err == nil {
+	if err := WriteNodeCSV(&bytes.Buffer{}, "T", []*PropertyTable{a, b}); err == nil {
 		t.Error("ragged PTs should fail")
 	}
 }
@@ -243,7 +243,7 @@ func TestWriteEdgeCSV(t *testing.T) {
 	d := NewPropertyTable("knows.creationDate", KindDate, 1)
 	d.SetInt(0, MustParseDate("2015-05-05"))
 	var buf bytes.Buffer
-	if err := WriteEdgeCSV(&buf, et, []*PropertyTable{d}, NodeCSVOptions{}); err != nil {
+	if err := WriteEdgeCSV(&buf, et, []*PropertyTable{d}); err != nil {
 		t.Fatal(err)
 	}
 	want := "id,tail,head,creationDate\n0,3,4,2015-05-05\n"
@@ -256,7 +256,7 @@ func TestWriteEdgeCSVPropLenMismatch(t *testing.T) {
 	et := NewEdgeTable("e", 1)
 	et.Add(0, 0)
 	p := NewPropertyTable("e.x", KindInt, 2)
-	if err := WriteEdgeCSV(&bytes.Buffer{}, et, []*PropertyTable{p}, NodeCSVOptions{}); err == nil {
+	if err := WriteEdgeCSV(&bytes.Buffer{}, et, []*PropertyTable{p}); err == nil {
 		t.Error("mismatched edge props should fail")
 	}
 }
