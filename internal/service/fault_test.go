@@ -188,15 +188,12 @@ func TestStoreDeadlineDuringBackoffFails(t *testing.T) {
 	}
 }
 
-// TestStoreWithRetry drives the store loop directly. A context that is
-// already done makes no attempt. A persistent fault makes storeAttempts
-// attempts, pausing storeBackoff and then twice that between them, and
-// returns the fault. A healthy store commits the same stage at once.
-func TestStoreWithRetry(t *testing.T) {
-	rule := &faultfs.Rule{Ops: faultfs.OpWriteFile, Path: manifestName, Err: faultfs.ENOSPC}
-	fsys := faultfs.NewInject(1, rule)
-	svc := newTestService(t, Config{FS: fsys})
-	key := strings.Repeat("a", 64) + "-csv"
+// newStoreLoop returns a service over fsys and a staged, empty entry
+// for driving the store loop directly, without a job.
+func newStoreLoop(t *testing.T, fsys faultfs.FS) (svc *Service, key, stage string, m *Manifest) {
+	t.Helper()
+	svc = newTestService(t, Config{FS: fsys})
+	key = strings.Repeat("a", 64) + "-csv"
 	stage, err := svc.cache.dir.Stage(key)
 	if err == nil {
 		err = os.Mkdir(stage, 0o755)
@@ -204,27 +201,88 @@ func TestStoreWithRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &Manifest{Version: 1, Key: key}
+	return svc, key, stage, &Manifest{Version: 1, Key: key}
+}
 
+// TestStoreSucceedsAfterTransients: a store that fails once and then
+// succeeds returns no error, commits the entry and counts one retry.
+func TestStoreSucceedsAfterTransients(t *testing.T) {
+	rule := &faultfs.Rule{Ops: faultfs.OpWriteFile, Path: manifestName, Err: faultfs.ENOSPC, Times: 1}
+	svc, key, stage, m := newStoreLoop(t, faultfs.NewInject(1, rule))
+	if _, err := svc.storeWithRetry(context.Background(), key, stage, m); err != nil {
+		t.Fatalf("store after one transient fault: %v", err)
+	}
+	if st := svc.Stats(); rule.Fired() != 1 || st.Cache.StoreRetries != 1 || !svc.cache.has(key) {
+		t.Fatalf("%d faults, %d retries, committed %v; want 1, 1 and committed", rule.Fired(), st.Cache.StoreRetries, svc.cache.has(key))
+	}
+}
+
+// TestStoreAttemptBudgetExhausted: a persistent fault makes exactly
+// storeAttempts attempts, counts storeAttempts-1 retries, commits
+// nothing and returns the last attempt's error.
+func TestStoreAttemptBudgetExhausted(t *testing.T) {
+	rule := &faultfs.Rule{Ops: faultfs.OpWriteFile, Path: manifestName, Err: faultfs.ENOSPC}
+	svc, key, stage, m := newStoreLoop(t, faultfs.NewInject(1, rule))
+	if _, err := svc.storeWithRetry(context.Background(), key, stage, m); !errors.Is(err, faultfs.ENOSPC) || rule.Fired() != storeAttempts {
+		t.Fatalf("persistent fault: %v after %d attempts; want ENOSPC after %d", err, rule.Fired(), storeAttempts)
+	}
+	if st := svc.Stats(); st.Cache.StoreRetries != storeAttempts-1 || svc.cache.has(key) {
+		t.Fatalf("persistent fault: %d retries, committed %v; want %d and nothing committed", st.Cache.StoreRetries, svc.cache.has(key), storeAttempts-1)
+	}
+}
+
+// TestStoreCanceledContextBeforeFirstAttempt: a context that is
+// already done makes no attempt and returns the context's error.
+func TestStoreCanceledContextBeforeFirstAttempt(t *testing.T) {
+	rule := &faultfs.Rule{Ops: faultfs.OpWriteFile, Path: manifestName, Err: faultfs.ENOSPC}
+	svc, key, stage, m := newStoreLoop(t, faultfs.NewInject(1, rule))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := svc.storeWithRetry(ctx, key, stage, m); !errors.Is(err, context.Canceled) || rule.Fired() != 0 {
 		t.Fatalf("store under a canceled context: %v after %d attempts; want context.Canceled and none", err, rule.Fired())
 	}
-
-	start := time.Now()
-	_, err = svc.storeWithRetry(context.Background(), key, stage, m)
-	if elapsed := time.Since(start); !errors.Is(err, faultfs.ENOSPC) || rule.Fired() != storeAttempts || elapsed < 3*storeBackoff {
-		t.Fatalf("persistent fault: %v after %d attempts in %v; want ENOSPC after %d attempts and at least %v of pauses",
-			err, rule.Fired(), elapsed, storeAttempts, 3*storeBackoff)
+	if st := svc.Stats(); st.Cache.StoreRetries != 0 || svc.cache.has(key) {
+		t.Fatalf("canceled store: %d retries, committed %v; want none", st.Cache.StoreRetries, svc.cache.has(key))
 	}
-	if st := svc.Stats(); st.Cache.StoreRetries != storeAttempts-1 || svc.cache.has(key) {
-		t.Fatalf("persistent fault: %d retries, committed %v; want %d and nothing committed", st.Cache.StoreRetries, svc.cache.has(key), storeAttempts-1)
-	}
+}
 
-	fsys.ClearRules()
-	if _, err := svc.storeWithRetry(context.Background(), key, stage, m); err != nil || !svc.cache.has(key) {
-		t.Fatalf("healthy store: %v, committed %v", err, svc.cache.has(key))
+// stampFS records when each manifest write starts.
+type stampFS struct {
+	faultfs.FS
+	mu     sync.Mutex
+	stamps []time.Time
+}
+
+func (f *stampFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
+	if filepath.Base(name) == manifestName {
+		f.mu.Lock()
+		f.stamps = append(f.stamps, time.Now())
+		f.mu.Unlock()
+	}
+	return f.FS.WriteFile(name, data, perm)
+}
+
+// TestStoreBackoffGrowth: the pauses between attempts are at least
+// storeBackoff and then twice that.
+func TestStoreBackoffGrowth(t *testing.T) {
+	fsys := &stampFS{FS: faultfs.NewInject(1, &faultfs.Rule{
+		Ops: faultfs.OpWriteFile, Path: manifestName, Err: faultfs.ENOSPC,
+	})}
+	svc, key, stage, m := newStoreLoop(t, fsys)
+	if _, err := svc.storeWithRetry(context.Background(), key, stage, m); !errors.Is(err, faultfs.ENOSPC) {
+		t.Fatalf("persistent fault: %v, want ENOSPC", err)
+	}
+	fsys.mu.Lock()
+	defer fsys.mu.Unlock()
+	if len(fsys.stamps) != storeAttempts {
+		t.Fatalf("%d attempts, want %d", len(fsys.stamps), storeAttempts)
+	}
+	want := storeBackoff
+	for i := 1; i < len(fsys.stamps); i++ {
+		if gap := fsys.stamps[i].Sub(fsys.stamps[i-1]); gap < want {
+			t.Fatalf("pause %d = %v, want at least %v", i, gap, want)
+		}
+		want *= 2
 	}
 }
 
