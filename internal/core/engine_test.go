@@ -8,7 +8,6 @@ import (
 	"datasynth/internal/dsl"
 	"datasynth/internal/graph"
 	"datasynth/internal/schema"
-	"datasynth/internal/stats"
 	"datasynth/internal/table"
 )
 
@@ -280,48 +279,6 @@ graph shop {
 	}
 	if frac := aligned / total; frac < 0.6 {
 		t.Errorf("aligned fraction = %v, want > 0.6 (homophily 0.9)", frac)
-	}
-}
-
-func TestExplicitMatrixCorrelation(t *testing.T) {
-	// Programmatic schema with a full P(X,Y) matrix.
-	s := &schema.Schema{
-		Name: "m",
-		Seed: 5,
-		Nodes: []schema.NodeType{{
-			Name:  "N",
-			Count: 600,
-			Properties: []schema.Property{
-				{Name: "c", Kind: table.KindString, Generator: schema.GeneratorSpec{Name: "categorical", Params: map[string]string{"values": "a|b"}}},
-			},
-		}},
-		Edges: []schema.EdgeType{{
-			Name: "e", Tail: "N", Head: "N",
-			Cardinality: schema.ManyToMany,
-			Structure:   schema.GeneratorSpec{Name: "lfr", Params: map[string]string{"avgDegree": "8", "maxDegree": "20"}},
-			// Consistent with ~50/50 value frequencies: strong diagonal.
-			Correlation: &schema.Correlation{Property: "c", Matrix: [][]float64{{0.45, 0.1}, {0, 0.45}}},
-		}},
-	}
-	d, err := New(s).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	et := d.Edges["e"]
-	c := d.NodeProps["N"][0]
-	labels := make([]int64, 600)
-	for i := int64(0); i < 600; i++ {
-		if c.String(i) == "b" {
-			labels[i] = 1
-		}
-	}
-	obs, err := stats.EmpiricalJoint(et, labels, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The diagonal must dominate (target 0.9 of mass; random gives 0.5).
-	if diag := obs.At(0, 0) + obs.At(1, 1); diag < 0.65 {
-		t.Errorf("diagonal mass = %v, want > 0.65", diag)
 	}
 }
 

@@ -191,7 +191,7 @@ func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *sche
 	for b := range headW {
 		headW[b] = cat.Prob(b)
 	}
-	target, err := alignedTarget(c, "fused", tailW, headW)
+	target, err := stats.AlignedHomophilyJoint(tailW, headW, c.Homophily)
 	if err != nil {
 		return err
 	}
@@ -329,36 +329,6 @@ func labelsFor(pt *table.PropertyTable) ([]int64, []string) {
 	return labels, values
 }
 
-// targetJoint builds the P(X,Y) for a monopartite correlation: the
-// user's explicit matrix, or the homophily model over the observed
-// value frequencies.
-func targetJoint(c *schema.Correlation, labels []int64, k int) (*stats.Joint, error) {
-	if c.Matrix != nil {
-		if len(c.Matrix) != k {
-			return nil, fmt.Errorf("core: correlation matrix is %d×·, property has %d values", len(c.Matrix), k)
-		}
-		j := stats.NewJoint(k)
-		for a := range c.Matrix {
-			if len(c.Matrix[a]) != k {
-				return nil, fmt.Errorf("core: correlation matrix row %d has %d entries, want %d", a, len(c.Matrix[a]), k)
-			}
-			for b := a; b < k; b++ {
-				j.Set(a, b, c.Matrix[a][b])
-			}
-		}
-		j.Normalize()
-		if err := j.Validate(); err != nil {
-			return nil, err
-		}
-		return j, nil
-	}
-	sizes, err := stats.Frequencies(labels, k)
-	if err != nil {
-		return nil, err
-	}
-	return stats.HomophilyJoint(sizes, c.Homophily)
-}
-
 // matchMonopartite runs SBM-Part for a same-type correlated edge. The
 // returned note carries the partitioner's per-pass wall times into the
 // task timing report.
@@ -369,7 +339,11 @@ func (e *Engine) matchMonopartite(st *runState, edge *schema.EdgeType, et *table
 	}
 	labels, values := labelsFor(pt)
 	k := len(values)
-	target, err := targetJoint(edge.Correlation, labels, k)
+	sizes, err := stats.Frequencies(labels, k)
+	if err != nil {
+		return "", err
+	}
+	target, err := stats.HomophilyJoint(sizes, edge.Correlation.Homophily)
 	if err != nil {
 		return "", err
 	}
@@ -439,7 +413,7 @@ func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *tab
 	if err != nil {
 		return "", err
 	}
-	target, err := alignedTarget(c, "bipartite", tailW, headW)
+	target, err := stats.AlignedHomophilyJoint(tailW, headW, c.Homophily)
 	if err != nil {
 		return "", err
 	}
@@ -454,7 +428,7 @@ func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *tab
 }
 
 // labelWeights returns the frequency of each of k labels as a weight
-// vector for alignedTarget.
+// vector for stats.AlignedHomophilyJoint.
 func labelWeights(labels []int64, k int) ([]float64, error) {
 	freq, err := stats.Frequencies(labels, k)
 	if err != nil {
@@ -465,57 +439,6 @@ func labelWeights(labels []int64, k int) ([]float64, error) {
 		w[i] = float64(f)
 	}
 	return w, nil
-}
-
-// alignedTarget derives the len(tailW)×len(headW) target of a
-// two-domain correlation: the explicit matrix, or the homophily model
-// generalised to two label sets — mass h on pairs with equal index
-// modulo min(kt,kh), the rest spread proportionally to the product of
-// the pair's weights. kind names the edge flavour in shape errors.
-func alignedTarget(c *schema.Correlation, kind string, tailW, headW []float64) (*match.BipartiteTarget, error) {
-	kt, kh := len(tailW), len(headW)
-	t := match.NewBipartiteTarget(kt, kh)
-	if c.Matrix != nil {
-		if len(c.Matrix) != kt {
-			return nil, fmt.Errorf("core: %s matrix has %d rows, want %d", kind, len(c.Matrix), kt)
-		}
-		for a := range c.Matrix {
-			if len(c.Matrix[a]) != kh {
-				return nil, fmt.Errorf("core: %s matrix row %d has %d entries, want %d", kind, a, len(c.Matrix[a]), kh)
-			}
-			for b := range c.Matrix[a] {
-				t.Set(a, b, c.Matrix[a][b])
-			}
-		}
-		t.Normalize()
-		return t, t.Validate()
-	}
-	minK := min(kt, kh)
-	var diagW, offW float64
-	for a := 0; a < kt; a++ {
-		for b := 0; b < kh; b++ {
-			w := float64(tailW[a] * headW[b]) // rounded before the sums: no fused multiply-add
-			if a%minK == b%minK {
-				diagW += w
-			} else {
-				offW += w
-			}
-		}
-	}
-	for a := 0; a < kt; a++ {
-		for b := 0; b < kh; b++ {
-			w := tailW[a] * headW[b]
-			if a%minK == b%minK {
-				if diagW > 0 {
-					t.Set(a, b, c.Homophily*w/diagW)
-				}
-			} else if offW > 0 {
-				t.Set(a, b, (1-c.Homophily)*w/offW)
-			}
-		}
-	}
-	t.Normalize()
-	return t, t.Validate()
 }
 
 // genEdgeProperty produces one edge property table; dependencies may

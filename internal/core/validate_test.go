@@ -116,6 +116,47 @@ func TestValidateSchemaRejectsPassesOnTailHead(t *testing.T) {
 	}
 }
 
+// TestValidateSchemaRejectsMatrix: a correlation's target is a homophily
+// model. A Go-built schema that sets an explicit matrix — which the DSL
+// cannot write and the canonical hash would not cover — is refused by
+// ValidateSchema and Generate, naming the edge, on one-domain and
+// tail/head correlations alike.
+func TestValidateSchemaRejectsMatrix(t *testing.T) {
+	mono := &schema.Schema{
+		Name: "m",
+		Seed: 5,
+		Nodes: []schema.NodeType{{
+			Name:  "N",
+			Count: 600,
+			Properties: []schema.Property{
+				{Name: "c", Kind: table.KindString, Generator: schema.GeneratorSpec{Name: "categorical", Params: map[string]string{"values": "a|b"}}},
+			},
+		}},
+		Edges: []schema.EdgeType{{
+			Name: "e", Tail: "N", Head: "N",
+			Cardinality: schema.ManyToMany,
+			Structure:   schema.GeneratorSpec{Name: "lfr", Params: map[string]string{"avgDegree": "8", "maxDegree": "20"}},
+			Correlation: &schema.Correlation{Property: "c", Matrix: [][]float64{{0.45, 0.1}, {0, 0.45}}},
+		}},
+	}
+	bip, err := dsl.Parse(recommenderDSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bip.Edges[0].Correlation.Matrix = [][]float64{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}}
+	for _, c := range []struct {
+		s    *schema.Schema
+		edge string
+	}{{mono, `edge "e"`}, {bip, `edge "rates"`}} {
+		if err := ValidateSchema(c.s); err == nil || !strings.Contains(err.Error(), c.edge) || !strings.Contains(err.Error(), "matrix") {
+			t.Errorf("ValidateSchema = %v, want an error naming %s and the matrix", err, c.edge)
+		}
+		if _, err := New(c.s).Generate(); err == nil || !strings.Contains(err.Error(), c.edge) {
+			t.Errorf("Generate = %v, want the validation error naming %s", err, c.edge)
+		}
+	}
+}
+
 // TestValidateSchemaAcceptsKindFollowers: the generators whose kind
 // follows the property still validate where they make sense — sequence
 // numbering days, endpoint-copy of each kind.

@@ -3,11 +3,11 @@ package exp
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"datasynth/internal/match"
 	"datasynth/internal/sgen"
+	"datasynth/internal/stats"
 	"datasynth/internal/xrand"
 )
 
@@ -84,9 +84,9 @@ func RunBipartitePanel(p Panel) (*BipartiteResult, error) {
 	}
 	matchTime := time.Since(t1)
 
-	var l1 float64
-	for i := range target.P {
-		l1 += math.Abs(target.P[i] - res.Observed.P[i])
+	l1, err := stats.L1(target, res.Observed)
+	if err != nil {
+		return nil, err
 	}
 	return &BipartiteResult{
 		Panel: p, NTail: nTail, NHead: nHead, Edges: et.Len(),

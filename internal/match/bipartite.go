@@ -2,7 +2,6 @@ package match
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"datasynth/internal/graph"
@@ -19,59 +18,20 @@ import (
 // types such as Person—creates—Message where both endpoint types carry
 // a correlated property; the partitioner itself is SBMPart's.
 
-// BipartiteTarget is a joint distribution P(X,Y) where X is the tail
-// property value (kT categories) and Y the head value (kH categories):
-// the probability that a uniformly random edge carries values (X, Y).
-// Unlike stats.Joint it is not symmetric.
-type BipartiteTarget struct {
-	KT, KH int
-	P      []float64 // row-major kT×kH
+// twoDomain returns the tail and head value counts of a two-domain
+// target, refusing a one-domain or improper one.
+func twoDomain(target *stats.Joint) (kt, kh int, err error) {
+	if target.Tails == 0 {
+		return 0, 0, fmt.Errorf("match: a tail/head match needs a two-domain target, got a one-domain joint over %d values", target.K)
+	}
+	return target.Tails, target.K - target.Tails, target.Validate()
 }
 
-// NewBipartiteTarget allocates a zero target.
-func NewBipartiteTarget(kt, kh int) *BipartiteTarget {
-	return &BipartiteTarget{KT: kt, KH: kh, P: make([]float64, kt*kh)}
-}
-
-// At returns P(X=a, Y=b).
-func (t *BipartiteTarget) At(a, b int) float64 { return t.P[a*t.KH+b] }
-
-// Set assigns P(X=a, Y=b).
-func (t *BipartiteTarget) Set(a, b int, p float64) { t.P[a*t.KH+b] = p }
-
-// Normalize rescales the mass to 1.
-func (t *BipartiteTarget) Normalize() {
-	var sum float64
-	for _, p := range t.P {
-		sum += p
-	}
-	if sum == 0 {
-		return
-	}
-	for i := range t.P {
-		t.P[i] /= sum
-	}
-}
-
-// Validate checks the target is a proper distribution.
-func (t *BipartiteTarget) Validate() error {
-	var sum float64
-	for i, p := range t.P {
-		if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
-			return fmt.Errorf("match: bipartite target cell %d = %v invalid", i, p)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		return fmt.Errorf("match: bipartite target mass %v, want 1", sum)
-	}
-	return nil
-}
-
-// EmpiricalBipartite measures P(X,Y) from an edge table and endpoint
-// labellings.
-func EmpiricalBipartite(et *table.EdgeTable, tailLabels, headLabels []int64, kt, kh int) (*BipartiteTarget, error) {
-	j := NewBipartiteTarget(kt, kh)
+// EmpiricalBipartite measures the two-domain joint P(X,Y) of an edge
+// table from its tail and head labellings.
+func EmpiricalBipartite(et *table.EdgeTable, tailLabels, headLabels []int64, kt, kh int) (*stats.Joint, error) {
+	j := stats.NewJoint(kt + kh)
+	j.Tails = kt
 	m := et.Len()
 	if m == 0 {
 		return j, nil
@@ -86,7 +46,7 @@ func EmpiricalBipartite(et *table.EdgeTable, tailLabels, headLabels []int64, kt,
 		if lt < 0 || lt >= int64(kt) || lh < 0 || lh >= int64(kh) {
 			return nil, fmt.Errorf("match: edge %d labels (%d,%d) out of range", e, lt, lh)
 		}
-		j.P[lt*int64(kh)+lh] += w
+		j.Add(int(lt), kt+int(lh), w)
 	}
 	return j, nil
 }
@@ -95,24 +55,24 @@ func EmpiricalBipartite(et *table.EdgeTable, tailLabels, headLabels []int64, kt,
 type BipartiteResult struct {
 	TailAssign, HeadAssign   []uint32
 	TailMapping, HeadMapping []uint32
-	// Observed equals EmpiricalBipartite over the edge table and the
-	// two assignments, bit for bit.
-	Observed *BipartiteTarget
+	// Observed, a two-domain joint, equals EmpiricalBipartite over the
+	// edge table and the two assignments, bit for bit.
+	Observed *stats.Joint
 	StepTimes
 }
 
 // MatchBipartite partitions both endpoint domains of a bipartite edge
-// table so that the observed P'(X,Y) approaches the target.
+// table so that the observed P'(X,Y) approaches the two-domain target.
 // tailRowLabels/headRowLabels are the two PTs reduced to value indices;
 // their frequencies set the group capacities. opt.Order, when set,
 // streams the combined id space: tails as they are, heads offset by
 // nTail. opt.Passes is ignored: the bipartite stream has no refinement.
 // An endpoint outside [0, nTail)×[0, nHead) fails the graph build.
-func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, headRowLabels []int64, target *BipartiteTarget, opt Options) (*BipartiteResult, error) {
-	if err := target.Validate(); err != nil {
+func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, headRowLabels []int64, target *stats.Joint, opt Options) (*BipartiteResult, error) {
+	kt, kh, err := twoDomain(target)
+	if err != nil {
 		return nil, err
 	}
-	kt, kh := target.KT, target.KH
 	capT, err := stats.Frequencies(tailRowLabels, kt)
 	if err != nil {
 		return nil, fmt.Errorf("match: tail labels: %w", err)
@@ -129,18 +89,11 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 	}
 
 	// The bipartite SBM as a monopartite one (see the package comment):
-	// nodes are tails then heads, groups tail values then head values,
-	// and the target has mass only between the two.
-	block := stats.NewJoint(kt + kh)
-	for a := 0; a < kt; a++ {
-		for b := 0; b < kh; b++ {
-			block.Set(a, kt+b, target.At(a, b))
-		}
-	}
+	// nodes are tails then heads, and the target's groups are tail
+	// values then head values.
 	part := &SBMPart{
-		K: kt + kh, Target: block, Capacities: append(capT, capH...),
-		Balance: opt.Balance, Seed: opt.Seed,
-		tails: nTail, tailGroups: kt,
+		K: target.K, Target: target, Capacities: append(capT, capH...),
+		Balance: opt.Balance, Seed: opt.Seed, tails: nTail,
 	}
 	// The stream has no refinement, so, as in MatchProperty without
 	// passes, the order comes first and the CSR holds each edge once, at
@@ -178,18 +131,7 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 		return nil, err
 	}
 	times.MappingTime = lap(&mark)
-	// The joint is the carried matrix's tail×head block: tails and heads
-	// never share a node, so no edge is a self-loop, and each cell is
-	// read as MatchProperty reads it (sbmRun.observed).
-	obs := NewBipartiteTarget(kt, kh)
-	if m := et.Len(); m > 0 {
-		w := 1 / float64(m)
-		for a := 0; a < kt; a++ {
-			for b := 0; b < kh; b++ {
-				obs.P[a*kh+b] = accumulate(w, int64(r.cur[a*part.K+kt+b]))
-			}
-		}
-	}
+	obs := r.observed(et)
 	times.JointTime = lap(&mark)
 	return &BipartiteResult{
 		TailAssign: assignT, HeadAssign: assignH,

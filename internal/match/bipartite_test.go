@@ -3,8 +3,10 @@ package match
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"datasynth/internal/stats"
 	"datasynth/internal/table"
 )
 
@@ -25,41 +27,22 @@ func separableBipartite(t *testing.T) (*table.EdgeTable, int64, int64) {
 	return et, 20, 40
 }
 
-func diagBipTarget() *BipartiteTarget {
-	j := NewBipartiteTarget(2, 2)
-	j.Set(0, 0, 0.5)
-	j.Set(1, 1, 0.5)
+// twoDomainJoint returns the two-domain joint with len(p) tail values
+// and len(p[0]) head values whose P(X=a, Y=b) is p[a][b].
+func twoDomainJoint(p [][]float64) *stats.Joint {
+	kt := len(p)
+	j := stats.NewJoint(kt + len(p[0]))
+	j.Tails = kt
+	for a, row := range p {
+		for b, v := range row {
+			j.Set(a, kt+b, v)
+		}
+	}
 	return j
 }
 
-func TestBipartiteTargetValidate(t *testing.T) {
-	j := diagBipTarget()
-	if err := j.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := NewBipartiteTarget(2, 2)
-	bad.Set(0, 0, 0.4)
-	if err := bad.Validate(); err == nil {
-		t.Error("mass != 1 should fail")
-	}
-	neg := NewBipartiteTarget(1, 1)
-	neg.Set(0, 0, -1)
-	if err := neg.Validate(); err == nil {
-		t.Error("negative cell should fail")
-	}
-}
-
-func TestBipartiteTargetNormalize(t *testing.T) {
-	j := NewBipartiteTarget(2, 2)
-	j.Set(0, 0, 2)
-	j.Set(1, 1, 2)
-	j.Normalize()
-	if err := j.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(j.At(0, 0)-0.5) > 1e-12 {
-		t.Errorf("normalised cell = %v", j.At(0, 0))
-	}
+func diagBipTarget() *stats.Joint {
+	return twoDomainJoint([][]float64{{0.5, 0}, {0, 0.5}})
 }
 
 func TestEmpiricalBipartite(t *testing.T) {
@@ -70,8 +53,8 @@ func TestEmpiricalBipartite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(j.At(0, 1)-0.5) > 1e-12 || math.Abs(j.At(1, 0)-0.5) > 1e-12 {
-		t.Errorf("empirical bipartite wrong: %v", j.P)
+	if j.Tails != 2 || math.Abs(j.At(0, 2+1)-0.5) > 1e-12 || math.Abs(j.At(1, 2+0)-0.5) > 1e-12 {
+		t.Errorf("empirical bipartite wrong: tails %d, %v", j.Tails, j.P)
 	}
 	if _, err := EmpiricalBipartite(et, []int64{0}, []int64{0, 0}, 2, 2); err == nil {
 		t.Error("short labels should fail")
@@ -97,7 +80,7 @@ func TestMatchBipartiteSeparable(t *testing.T) {
 	// recovery is not guaranteed (the paper: greedy "does not guarantee
 	// an optimal solution"). Require the diagonal mass to be far above
 	// the 0.5 a random assignment would give.
-	diag := res.Observed.At(0, 0) + res.Observed.At(1, 1)
+	diag := res.Observed.At(0, 2+0) + res.Observed.At(1, 2+1)
 	if diag < 0.75 {
 		t.Errorf("observed diagonal mass = %v, want > 0.75 (random gives 0.5)", diag)
 	}
@@ -129,9 +112,21 @@ func TestMatchBipartiteErrors(t *testing.T) {
 		headRows[i] = 1
 	}
 	// Bad target mass.
-	bad := NewBipartiteTarget(2, 2)
+	bad := twoDomainJoint([][]float64{{0, 0}, {0, 0}})
 	if _, err := MatchBipartite(et, nT, nH, tailRows, headRows, bad, DefaultOptions(1)); err == nil {
 		t.Error("zero-mass target should fail")
+	}
+	// A one-domain joint over as many values has no tail/head split.
+	one := stats.NewJoint(4)
+	one.Set(0, 2, 0.5)
+	one.Set(1, 3, 0.5)
+	if _, err := MatchBipartite(et, nT, nH, tailRows, headRows, one, DefaultOptions(1)); err == nil || !strings.Contains(err.Error(), "two-domain") {
+		t.Errorf("one-domain target: err = %v, want a two-domain refusal", err)
+	}
+	// A split with one tail value cannot hold the tail rows' value 1.
+	split := twoDomainJoint([][]float64{{0.2, 0.4, 0.4}})
+	if _, err := MatchBipartite(et, nT, nH, tailRows, headRows, split, DefaultOptions(1)); err == nil || !strings.Contains(err.Error(), "tail labels") {
+		t.Errorf("1×3 target for 2×2 labels: err = %v, want a tail-label refusal", err)
 	}
 	// Too few tail rows.
 	if _, err := MatchBipartite(et, nT, nH, tailRows[:5], headRows, diagBipTarget(), DefaultOptions(1)); err == nil {
@@ -145,10 +140,8 @@ func TestMatchBipartiteErrors(t *testing.T) {
 	}
 }
 
-func mustUniformBip() *BipartiteTarget {
-	j := NewBipartiteTarget(1, 1)
-	j.Set(0, 0, 1)
-	return j
+func mustUniformBip() *stats.Joint {
+	return twoDomainJoint([][]float64{{1}})
 }
 
 func TestMatchBipartiteDeterministic(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"datasynth/internal/stats"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
 )
@@ -33,18 +34,20 @@ import (
 // minted and recorded with value b.
 //
 // Inputs: tailLabels (the tail PT reduced to value indices, kt values),
-// the desired edge count m, and the target joint (kt×kh). Returns the
-// edge table (tail = tail row id, head = dense fresh id in [0, m)) and
-// headLabels, the value index of every minted head.
-func FusedOneToMany(tailLabels []int64, kt, kh int, m int64, target *BipartiteTarget, seed uint64) (*table.EdgeTable, []int64, error) {
+// the desired edge count m, and the two-domain target joint (kt tail
+// values, kh head values). Returns the edge table (tail = tail row id,
+// head = dense fresh id in [0, m)) and headLabels, the value index of
+// every minted head.
+func FusedOneToMany(tailLabels []int64, kt, kh int, m int64, target *stats.Joint, seed uint64) (*table.EdgeTable, []int64, error) {
 	if m <= 0 || m > table.MaxNodes {
 		return nil, nil, fmt.Errorf("match: fused 1-* needs m in [1, %d] (one fresh head id each), got %d", int64(table.MaxNodes), m)
 	}
-	if target.KT != kt || target.KH != kh {
-		return nil, nil, fmt.Errorf("match: fused 1-* target is %dx%d, want %dx%d", target.KT, target.KH, kt, kh)
-	}
-	if err := target.Validate(); err != nil {
+	tk, hk, err := twoDomain(target)
+	if err != nil {
 		return nil, nil, err
+	}
+	if tk != kt || hk != kh {
+		return nil, nil, fmt.Errorf("match: fused 1-* target is %dx%d, want %dx%d", tk, hk, kt, kh)
 	}
 	// Bucket tail rows by value.
 	buckets := make([][]int64, kt)
@@ -54,8 +57,13 @@ func FusedOneToMany(tailLabels []int64, kt, kh int, m int64, target *BipartiteTa
 		}
 		buckets[l] = append(buckets[l], int64(r))
 	}
-	// Integer quotas per cell by largest remainder.
-	quotas, err := roundQuotas(target.P, m)
+	// Integer quotas per cell by largest remainder, over the tail×head
+	// block in row-major order: row a's head values are contiguous.
+	cells := make([]float64, 0, kt*kh)
+	for a := 0; a < kt; a++ {
+		cells = append(cells, target.P[a*target.K+kt:(a+1)*target.K]...)
+	}
+	quotas, err := roundQuotas(cells, m)
 	if err != nil {
 		return nil, nil, err
 	}

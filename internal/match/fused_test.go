@@ -2,20 +2,17 @@ package match
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"datasynth/internal/stats"
 	"datasynth/internal/table"
 )
 
-func fusedTarget2x2(d float64) *BipartiteTarget {
+func fusedTarget2x2(d float64) *stats.Joint {
 	// Diagonal mass d split evenly, off-diagonal the rest.
-	t := NewBipartiteTarget(2, 2)
-	t.Set(0, 0, d/2)
-	t.Set(1, 1, d/2)
-	t.Set(0, 1, (1-d)/2)
-	t.Set(1, 0, (1-d)/2)
-	return t
+	return twoDomainJoint([][]float64{{d / 2, (1 - d) / 2}, {(1 - d) / 2, d / 2}})
 }
 
 func TestFusedOneToManyExactJoint(t *testing.T) {
@@ -78,9 +75,21 @@ func TestFusedOneToManyErrors(t *testing.T) {
 	if _, _, err := FusedOneToMany([]int64{0, 0}, 2, 2, 10, target, 1); err == nil {
 		t.Error("missing tail value should fail")
 	}
-	bad := NewBipartiteTarget(2, 2) // zero mass
+	bad := twoDomainJoint([][]float64{{0, 0}, {0, 0}}) // zero mass
 	if _, _, err := FusedOneToMany([]int64{0, 1}, 2, 2, 10, bad, 1); err == nil {
 		t.Error("invalid target should fail")
+	}
+	// A one-domain joint over 4 values has no tail/head split.
+	one := stats.NewJoint(4)
+	one.Set(0, 2, 0.5)
+	one.Set(1, 3, 0.5)
+	if _, _, err := FusedOneToMany([]int64{0, 1}, 2, 2, 10, one, 1); err == nil || !strings.Contains(err.Error(), "two-domain") {
+		t.Errorf("one-domain target: err = %v, want a two-domain refusal", err)
+	}
+	// Four values split 1|3, not 2|2.
+	split := twoDomainJoint([][]float64{{0.2, 0.4, 0.4}})
+	if _, _, err := FusedOneToMany([]int64{0, 1}, 2, 2, 10, split, 1); err == nil || !strings.Contains(err.Error(), "target is 1x3, want 2x2") {
+		t.Errorf("1×3 target for 2×2: err = %v, want a shape refusal", err)
 	}
 }
 
@@ -180,9 +189,9 @@ func TestFusedBeatsStreamingOnStrictConstraints(t *testing.T) {
 
 // maxCellError is the largest |observed − target| over the cells of
 // the joint that (et, tailLabels, headLabels) realise.
-func maxCellError(t *testing.T, et *table.EdgeTable, tailLabels, headLabels []int64, target *BipartiteTarget) float64 {
+func maxCellError(t *testing.T, et *table.EdgeTable, tailLabels, headLabels []int64, target *stats.Joint) float64 {
 	t.Helper()
-	obs, err := EmpiricalBipartite(et, tailLabels, headLabels, target.KT, target.KH)
+	obs, err := EmpiricalBipartite(et, tailLabels, headLabels, target.Tails, target.K-target.Tails)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,8 +103,8 @@ type StepTimes struct {
 	// MappingTime is BuildMapping, for both domains of a bipartite match.
 	MappingTime time.Duration
 	// JointTime reads the observed joint from the partitioner's carried
-	// joint matrix, plus one sequential pass over the edge table for
-	// self-loops, which the matrix never counts.
+	// joint matrix, plus, for a one-domain joint, one sequential pass
+	// over the edge table for self-loops, which the matrix never counts.
 	JointTime time.Duration
 }
 
@@ -200,24 +200,29 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 	return &Result{Mapping: mapping, Assign: r.assign, Observed: observed, StepTimes: times, PassTimes: part.PassTimes}, nil
 }
 
-// observed is the empirical joint of the finished run over et, read from
-// the carried matrix instead of recounted: an unordered group pair's
-// cur cell is its exact non-loop edge count, and one sequential pass
-// over et adds the self-loops, which gather skips. stats.EmpiricalJoint
+// observed is the empirical joint of the finished run over et, of the
+// target's kind, read from the carried matrix instead of recounted: an
+// unordered group pair's cur cell is its exact non-loop edge count, and
+// one sequential pass over et adds the self-loops, which gather skips.
+// A two-domain run has no self-loops — tails and heads never share a
+// node — so it skips that pass. stats.EmpiricalJoint (EmpiricalBipartite)
 // adds w = 1/m to a cell once per edge that reaches it, and nothing else
 // ever, so a cell reached c times holds accumulate(w, c) whatever the
 // edge order — the same bits.
 func (r *sbmRun) observed(et *table.EdgeTable) *stats.Joint {
 	k := r.part.K
 	j := stats.NewJoint(k)
+	j.Tails = r.part.Target.Tails
 	m := et.Len()
 	if m == 0 {
 		return j
 	}
 	loops := make([]int64, k)
-	for e, t := range et.Tail {
-		if t == et.Head[e] {
-			loops[r.assign[t]]++
+	if j.Tails == 0 {
+		for e, t := range et.Tail {
+			if t == et.Head[e] {
+				loops[r.assign[t]]++
+			}
 		}
 	}
 	w := 1 / float64(m)

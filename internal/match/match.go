@@ -68,17 +68,19 @@
 // w = 1/m to a cell once per edge that reaches it, so w added c times to
 // zero is its value to the last bit (TestObservedMatchesRecount).
 //
-// # Bipartite is a block matrix
+// # Bipartite is a block joint
 //
 // The paper: "a small variation of SBM-Part can also be applied to
 // bi-partite graphs, since the SBM can model this type of graphs as
 // well." A bipartite SBM over kT tail values and kH head values is an
 // SBM over kT+kH groups whose target has mass only in the off-diagonal
-// blocks: P({a, kT+b}) = P(X=a, Y=b). MatchBipartite therefore builds
-// one graph over tails followed by heads, one stats.Joint over tail
-// groups followed by head groups, and runs the monopartite partitioner
-// with each side's nodes restricted to its own group range — there is
-// no second implementation.
+// blocks: P({a, kT+b}) = P(X=a, Y=b). That block joint is the target
+// itself — a two-domain stats.Joint, Tails = kT — so there is one joint
+// type for every correlation. MatchBipartite builds one graph over
+// tails followed by heads and runs the monopartite partitioner on the
+// target as given, with each side's nodes restricted to its own group
+// range, and reads the observed joint as MatchProperty does — there is
+// no second implementation. FusedOneToMany takes the same target.
 package match
 
 import (
@@ -129,10 +131,9 @@ type SBMPart struct {
 	PassTimes []time.Duration
 
 	// Bipartite runs (MatchBipartite): nodes below tails pick among the
-	// groups below tailGroups, all other nodes among the rest. Zero for
-	// a monopartite run, where every node picks among all K groups.
-	tails      int64
-	tailGroups int
+	// target's tail values, all other nodes among its head values. Zero
+	// for a monopartite run, where every node picks among all K groups.
+	tails int64
 }
 
 // NewSBMPart returns a balanced SBM-Part instance.
@@ -145,6 +146,9 @@ func NewSBMPart(target *stats.Joint, capacities []int64) (*SBMPart, error) {
 	}
 	if err := target.Validate(); err != nil {
 		return nil, fmt.Errorf("match: invalid target: %w", err)
+	}
+	if target.Tails > 0 {
+		return nil, fmt.Errorf("match: a two-domain target needs MatchBipartite")
 	}
 	for t, q := range capacities {
 		if q < 0 {
@@ -214,7 +218,7 @@ func (p *SBMPart) partition(g *graph.Graph, order []uint32, extra int) (*sbmRun,
 	// The two stream labels predate the shared partitioner; existing
 	// seeds keep their placements only if each keeps its own.
 	label := "sbm-unconstrained"
-	if p.tailGroups > 0 {
+	if p.Target.Tails > 0 {
 		label = "bip-unconstrained"
 	}
 	r.rnd = xrand.NewStream(p.Seed).DeriveStream(label)
@@ -265,9 +269,9 @@ type sbmRun struct {
 // groupRange returns the groups [lo, hi) node v may be placed in.
 func (r *sbmRun) groupRange(v int64) (lo, hi int) {
 	if v < r.part.tails {
-		return 0, r.part.tailGroups
+		return 0, r.part.Target.Tails
 	}
-	return r.part.tailGroups, r.part.K
+	return r.part.Target.Tails, r.part.K
 }
 
 // placeFirst is the first-pass commit: v is not placed yet, its placed

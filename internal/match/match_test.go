@@ -3,6 +3,7 @@ package match
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"datasynth/internal/graph"
@@ -140,6 +141,9 @@ func TestSBMPartValidation(t *testing.T) {
 	}
 	if _, err := NewSBMPart(j, []int64{-1, 2}); err == nil {
 		t.Error("negative capacity should fail")
+	}
+	if _, err := NewSBMPart(diagBipTarget(), []int64{1, 1, 1, 1}); err == nil || !strings.Contains(err.Error(), "MatchBipartite") {
+		t.Errorf("two-domain target: err = %v, want a refusal naming MatchBipartite", err)
 	}
 }
 

@@ -138,7 +138,7 @@ type bipFixture struct {
 	et                     *table.EdgeTable
 	nTail, nHead           int64
 	tailLabels, headLabels []int64
-	target                 *BipartiteTarget
+	target                 *stats.Joint
 }
 
 func newBipFixture(t testing.TB, et *table.EdgeTable, nTail, nHead int64, kt, kh int) *bipFixture {

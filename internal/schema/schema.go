@@ -82,11 +82,12 @@ type Correlation struct {
 	Property     string
 	TailProperty string
 	HeadProperty string
-	// Homophily in [0,1] declares a synthetic joint with the given
-	// same-value edge fraction; used when Matrix is nil.
+	// Homophily in [0,1] is the same-value (for a tail/head pair, the
+	// aligned-value) edge fraction of the target joint.
 	Homophily float64
-	// Matrix, if non-nil, is an explicit P(X,Y) over value-pair indices
-	// (row-major, upper-triangular interpretation for monopartite).
+	// Matrix is not supported: Validate refuses a correlation that sets
+	// it. The DSL cannot write an explicit P(X,Y) and the canonical hash
+	// does not cover one, so the target is always a homophily model.
 	Matrix [][]float64
 	// Passes adds re-streaming refinement passes to the matcher
 	// (0 = the paper's single-pass algorithm). Each extra pass replays
@@ -255,7 +256,10 @@ func (s *Schema) Validate() error {
 					return err
 				}
 			}
-			if c.Matrix == nil && (c.Homophily < 0 || c.Homophily > 1) {
+			if c.Matrix != nil {
+				return fmt.Errorf("schema: edge %q sets an explicit correlation matrix; only homophily is supported", e.Name)
+			}
+			if c.Homophily < 0 || c.Homophily > 1 {
 				return fmt.Errorf("schema: edge %q homophily %v outside [0,1]", e.Name, c.Homophily)
 			}
 			if c.Passes < 0 {

@@ -2,10 +2,9 @@ package stats
 
 import "fmt"
 
-// Marginal utilities: value frequencies and synthetic joint
-// construction (homophily models) used by the engine when the user
-// specifies a correlation declaratively instead of supplying a full
-// matrix.
+// Marginal utilities: value frequencies and the two homophily models
+// that turn a correlation's `homophily h` into its target joint, one per
+// kind of joint.
 
 // Frequencies counts label occurrences, returning counts[v] for
 // v in [0, k).
@@ -27,7 +26,7 @@ func Frequencies(labels []int64, k int) ([]int64, error) {
 // across groups (proportionally to size_a·size_b). homophily = 1 gives
 // a perfectly clustered graph; 0 mixes freely. This is how a DSL user
 // writes "Persons from the same country are more likely to know each
-// other" without supplying a full k×k matrix.
+// other".
 func HomophilyJoint(sizes []int64, homophily float64) (*Joint, error) {
 	k := len(sizes)
 	if k == 0 {
@@ -70,4 +69,43 @@ func HomophilyJoint(sizes []int64, homophily float64) (*Joint, error) {
 	// With a single group or homophily==1, inter mass must fold back.
 	j.Normalize()
 	return j, nil
+}
+
+// AlignedHomophilyJoint builds the two-domain joint of a tail/head
+// correlation from the tail and head value weights (need not be
+// normalised): tail value a and head value b are aligned when
+// a ≡ b (mod min(kt, kh)); a fraction `homophily` of the mass falls on
+// aligned pairs and the rest on the others, each spread in proportion to
+// the product of the pair's weights. The caller has checked homophily
+// is in [0,1].
+func AlignedHomophilyJoint(tailW, headW []float64, homophily float64) (*Joint, error) {
+	kt, kh := len(tailW), len(headW)
+	j := NewJoint(kt + kh)
+	j.Tails = kt
+	minK := min(kt, kh)
+	var diagW, offW float64
+	for a := 0; a < kt; a++ {
+		for b := 0; b < kh; b++ {
+			w := float64(tailW[a] * headW[b]) // rounded before the sums: no fused multiply-add
+			if a%minK == b%minK {
+				diagW += w
+			} else {
+				offW += w
+			}
+		}
+	}
+	for a := 0; a < kt; a++ {
+		for b := 0; b < kh; b++ {
+			w := tailW[a] * headW[b]
+			if a%minK == b%minK {
+				if diagW > 0 {
+					j.Set(a, kt+b, homophily*w/diagW)
+				}
+			} else if offW > 0 {
+				j.Set(a, kt+b, (1-homophily)*w/offW)
+			}
+		}
+	}
+	j.Normalize()
+	return j, j.Validate()
 }

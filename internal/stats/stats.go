@@ -13,12 +13,20 @@ import (
 	"datasynth/internal/table"
 )
 
-// Joint is a joint probability distribution P(X, Y) over pairs of
-// categorical values in [0, k). It is symmetric by construction when
-// built from an undirected graph: P(i,j) carries the unordered pair
-// probability with i <= j.
+// Joint is a joint probability distribution over pairs of categorical
+// values in [0, K): the block joint SBM-Part partitions against. P(i,j)
+// carries the unordered pair probability with i <= j.
+//
+// A one-domain joint (Tails == 0) correlates one property with itself:
+// values are the property's values. A two-domain joint correlates a
+// tail property with a head property: groups [0, Tails) are the tail
+// values, [Tails, K) the head values, P(X=a, Y=b) sits at {a, Tails+b},
+// and the two within-domain blocks hold no mass.
 type Joint struct {
 	K int
+	// Tails is the number of tail values of a two-domain joint, 0 for a
+	// one-domain one.
+	Tails int
 	// P[i*K+j] for i <= j holds the probability of observing the
 	// unordered value pair {i, j} on a uniformly random edge.
 	P []float64
@@ -75,13 +83,21 @@ func (j *Joint) Normalize() {
 	}
 }
 
-// Validate checks that the distribution is proper.
+// Validate checks that the distribution is proper and, for a
+// two-domain joint, that both domains have values and every pair with
+// mass joins a tail value to a head value.
 func (j *Joint) Validate() error {
+	if j.Tails < 0 || j.Tails > 0 && j.Tails >= j.K {
+		return fmt.Errorf("stats: %d tail values in a joint over %d", j.Tails, j.K)
+	}
 	for a := 0; a < j.K; a++ {
 		for b := a; b < j.K; b++ {
 			p := j.P[a*j.K+b]
 			if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
 				return fmt.Errorf("stats: P(%d,%d) = %v invalid", a, b, p)
+			}
+			if p != 0 && j.Tails > 0 && (b < j.Tails || a >= j.Tails) {
+				return fmt.Errorf("stats: P(%d,%d) = %v joins two values of one domain", a, b, p)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -42,6 +43,66 @@ func TestJointValidateRejectsNegative(t *testing.T) {
 	j.Set(0, 0, -1)
 	if err := j.Validate(); err == nil {
 		t.Error("negative probability should fail")
+	}
+}
+
+// twoByTwo is the two-domain joint over 2 tail and 2 head values with
+// mass d on the aligned pairs (0,0) and (1,1).
+func twoByTwo(d float64) *Joint {
+	j := NewJoint(4)
+	j.Tails = 2
+	j.Set(0, 2, d/2)
+	j.Set(1, 3, d/2)
+	j.Set(0, 3, (1-d)/2)
+	j.Set(1, 2, (1-d)/2)
+	return j
+}
+
+func TestJointValidateTwoDomain(t *testing.T) {
+	if err := twoByTwo(0.8).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	short := twoByTwo(0.8)
+	short.Set(0, 2, 0)
+	if err := short.Validate(); err == nil {
+		t.Error("mass != 1 should fail")
+	}
+	neg := NewJoint(2)
+	neg.Tails = 1
+	neg.Set(0, 1, -1)
+	if err := neg.Validate(); err == nil {
+		t.Error("negative cell should fail")
+	}
+	// Mass between two tail values, or two head values, joins one
+	// domain to itself.
+	for _, cell := range [][2]int{{0, 1}, {2, 3}, {3, 3}} {
+		j := twoByTwo(1)
+		j.Set(0, 2, 0)
+		j.Set(cell[0], cell[1], 0.5)
+		if err := j.Validate(); err == nil || !strings.Contains(err.Error(), "one domain") {
+			t.Errorf("mass at %v: err = %v, want a one-domain refusal", cell, err)
+		}
+	}
+	for _, tails := range []int{-1, 4, 5} {
+		j := twoByTwo(0.8)
+		j.Tails = tails
+		if err := j.Validate(); err == nil {
+			t.Errorf("Tails = %d of K = 4 should fail", tails)
+		}
+	}
+}
+
+func TestJointNormalizeTwoDomain(t *testing.T) {
+	j := NewJoint(4)
+	j.Tails = 2
+	j.Set(0, 2, 2)
+	j.Set(1, 3, 2)
+	j.Normalize()
+	if err := j.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(j.At(0, 2)-0.5) > 1e-12 {
+		t.Errorf("normalised cell = %v", j.At(0, 2))
 	}
 }
 
@@ -299,5 +360,44 @@ func TestCDFMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAlignedHomophilyJoint: the two-domain model puts mass h on the
+// pairs aligned modulo min(kt, kh), in proportion to the product of the
+// weights, and 1−h on the rest; the result is a proper two-domain joint.
+func TestAlignedHomophilyJoint(t *testing.T) {
+	tailW, headW := []float64{4, 3, 2}, []float64{1, 1}
+	j, err := AlignedHomophilyJoint(tailW, headW, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.K != 5 || j.Tails != 3 {
+		t.Fatalf("K = %d, Tails = %d, want 5 and 3", j.K, j.Tails)
+	}
+	var aligned float64
+	for a := range tailW {
+		for b := range headW {
+			if a%2 == b%2 {
+				aligned += j.At(a, 3+b)
+			}
+		}
+	}
+	if math.Abs(aligned-0.75) > 1e-12 {
+		t.Errorf("aligned mass = %v, want 0.75", aligned)
+	}
+	// Tail 0 and tail 2 share head 0 in proportion to their weights.
+	if r := j.At(0, 3) / j.At(2, 3); math.Abs(r-2) > 1e-12 {
+		t.Errorf("P(0,0)/P(2,0) = %v, want 2", r)
+	}
+	full, err := AlignedHomophilyJoint(tailW, headW, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.At(0, 3+1) != 0 || full.At(1, 3+0) != 0 {
+		t.Errorf("homophily 1 put mass on unaligned pairs: %v", full.P)
+	}
+	if _, err := AlignedHomophilyJoint(nil, headW, 0.5); err == nil {
+		t.Error("no tail values should fail")
 	}
 }
