@@ -1,7 +1,7 @@
 package datasynth
 
-// One benchmark per table/figure of the paper; the SBM-Part ablations
-// live beside the matcher (internal/match). Fidelity metrics (L1, KS)
+// One benchmark per table/figure of the paper; the SBM-Part
+// refinement-pass ablation lives beside the matcher (internal/match). Fidelity metrics (L1, KS)
 // are attached to the benchmark output via ReportMetric, so `go test
 // -bench=.` regenerates both the performance and the quality side of
 // every experiment at laptop scale. cmd/sbmpart-eval -full runs the

@@ -26,7 +26,6 @@ import (
 
 // BipartiteResult holds one bipartite panel's measurements.
 type BipartiteResult struct {
-	Panel        Panel
 	NTail, NHead int64
 	Edges        int64
 	KT, KH       int
@@ -75,10 +74,8 @@ func RunBipartitePanel(p Panel) (*BipartiteResult, error) {
 		return nil, err
 	}
 
-	opt := match.DefaultOptions(p.Seed ^ 0x3)
-	opt.Balance = !p.NoBalance
 	t1 := time.Now()
-	res, err := match.MatchBipartite(et, nTail, nHead, truthT, truthH, target, opt)
+	res, err := match.MatchBipartite(et, nTail, nHead, truthT, truthH, target, match.DefaultOptions(p.Seed^0x3))
 	if err != nil {
 		return nil, fmt.Errorf("exp: MatchBipartite: %w", err)
 	}
@@ -89,7 +86,7 @@ func RunBipartitePanel(p Panel) (*BipartiteResult, error) {
 		return nil, err
 	}
 	return &BipartiteResult{
-		Panel: p, NTail: nTail, NHead: nHead, Edges: et.Len(),
+		NTail: nTail, NHead: nHead, Edges: et.Len(),
 		KT: kt, KH: kh, L1: l1,
 		GenTime: genTime, MatchTime: matchTime,
 	}, nil

@@ -58,11 +58,6 @@ type Panel struct {
 	K int
 	// Seed drives all pseudo-randomness of the panel.
 	Seed uint64
-	// Order optionally overrides the SBM-Part stream order ablation
-	// ("random" default, "bfs", "degree").
-	Order string
-	// Balance toggles SBM-Part's capacity-balancing term (default on).
-	NoBalance bool
 	// Passes adds re-streaming refinement passes after the first
 	// streaming pass (0 = the paper's single-pass algorithm).
 	Passes int
@@ -89,18 +84,16 @@ func compact(n int64) string {
 
 // Result holds one panel's measurements.
 type Result struct {
-	Panel    Panel
-	Nodes    int64
-	Edges    int64
-	CDF      *stats.CDFPair
-	L1       float64
-	KS       float64
-	JS       float64
-	GenTime  time.Duration // graph generation
-	LDGTime  time.Duration // ground-truth partitioning
-	SBMTime  time.Duration // SBM-Part matching (the paper's timing claim)
-	Expected *stats.Joint
-	Observed *stats.Joint
+	Panel   Panel
+	Nodes   int64
+	Edges   int64
+	CDF     *stats.CDFPair
+	L1      float64
+	KS      float64
+	JS      float64
+	GenTime time.Duration // graph generation
+	LDGTime time.Duration // ground-truth partitioning
+	SBMTime time.Duration // SBM-Part matching (the paper's timing claim)
 }
 
 // RunPanel executes the full protocol for one panel.
@@ -173,24 +166,13 @@ func protocol(p Panel, et *table.EdgeTable, n int64) (*Result, error) {
 	}
 
 	// 4. Property rows with the ground-truth frequencies, matched in
-	// random order (or an ablation order, which needs the full CSR).
-	var order []uint32
-	switch p.Order {
-	case "", "random":
-		order = match.RandomOrder(n, p.Seed^0x2)
-	case "bfs":
-		order = match.BFSOrder(g, p.Seed^0x2)
-	case "degree":
-		order = match.DegreeDescOrder(g)
-	default:
-		return nil, fmt.Errorf("exp: unknown stream order %q", p.Order)
-	}
+	// random order.
 	rowLabels, err := blockLabels(n, p.K)
 	if err != nil {
 		return nil, err
 	}
 	m, err := match.MatchProperty(et, n, rowLabels, expected, match.Options{
-		Seed: p.Seed ^ 0x3, Order: order, Balance: !p.NoBalance, Passes: p.Passes,
+		Seed: p.Seed ^ 0x3, Order: match.RandomOrder(n, p.Seed^0x2), Passes: p.Passes,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("exp: SBM-Part: %w", err)
@@ -213,7 +195,6 @@ func protocol(p Panel, et *table.EdgeTable, n int64) (*Result, error) {
 		Panel: p, Nodes: n, Edges: et.Len(),
 		CDF: cdf, L1: l1, KS: cdf.KS(), JS: js,
 		LDGTime: ldgTime, SBMTime: m.PartitionTime,
-		Expected: expected, Observed: m.Observed,
 	}, nil
 }
 

@@ -95,9 +95,6 @@ func TestPanelValidation(t *testing.T) {
 	if _, err := RunPanel(Panel{Generator: "nope", Size: 100, K: 2}); err == nil {
 		t.Error("unknown generator should fail")
 	}
-	if _, err := RunPanel(Panel{Generator: LFR, Size: 1000, K: 4, Order: "bogus"}); err == nil {
-		t.Error("unknown order should fail")
-	}
 }
 
 func TestFigurePanelSets(t *testing.T) {
@@ -181,32 +178,6 @@ func TestASCIICDF(t *testing.T) {
 	}
 	if err := ASCIICDF(&buf, r, 2, 2); err == nil {
 		t.Error("tiny plot should fail")
-	}
-}
-
-func TestAblationOrders(t *testing.T) {
-	base := Panel{Generator: LFR, Size: 2000, K: 8, Seed: 11}
-	for _, order := range []string{"random", "bfs", "degree"} {
-		p := base
-		p.Order = order
-		r, err := RunPanel(p)
-		if err != nil {
-			t.Fatalf("order %s: %v", order, err)
-		}
-		if r.L1 < 0 || r.L1 > 2 {
-			t.Errorf("order %s: L1 = %v out of range", order, r.L1)
-		}
-	}
-}
-
-func TestAblationNoBalance(t *testing.T) {
-	p := Panel{Generator: LFR, Size: 2000, K: 8, Seed: 11, NoBalance: true}
-	r, err := RunPanel(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.L1 < 0 || r.L1 > 2 {
-		t.Errorf("no-balance L1 = %v", r.L1)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // pinnedPanels are the CDF series the evaluation writes, pinned by the
-// SHA-256 of WriteCDF's output. They cover both generators, the three
-// stream orders, the balance ablation and refinement passes, so a change
-// to how a panel is matched that moves any figure byte fails here.
+// SHA-256 of WriteCDF's output. They cover both generators, the random
+// stream order and refinement passes, so a change to how a panel is
+// matched that moves any figure byte fails here.
 var pinnedPanels = []struct {
 	p    Panel
 	hash string
@@ -22,9 +22,6 @@ var pinnedPanels = []struct {
 	{Panel{Generator: RMAT, Size: 10, K: 4, Seed: 33}, "c64b4724418cda57c7aaee623d1bce3ab34a629d44540ed9f9124f08a87abbcb"},
 	{Panel{Generator: RMAT, Size: 9, K: 8, Seed: 34}, "ff2dffa36f290f27575afb53108a7724a720cb1863a8fffe2e3a2ffb711155ac"},
 	{Panel{Generator: LFR, Size: 1000, K: 2, Seed: 35}, "02834026e42379c6cbdcdf8b200d79d2643b319b5eb6e38758f096bf6e689d64"},
-	{Panel{Generator: LFR, Size: 2000, K: 8, Seed: 11, Order: "bfs"}, "54e3fa56c02b3a6959f46ff1f145e9fabf86ea6c33bde29cdcc42b66db5627b5"},
-	{Panel{Generator: LFR, Size: 2000, K: 8, Seed: 11, Order: "degree"}, "bdac7b8642084b8900a46293bd8deb3a453d372fa583f0fb29d70f59fc3adb65"},
-	{Panel{Generator: LFR, Size: 2000, K: 8, Seed: 11, NoBalance: true}, "b74f2f82c7a6421e2ee2279badfa3b63a1925f5f6af06ccb59aa7a1eb727139f"},
 	{Panel{Generator: LFR, Size: 3000, K: 8, Seed: 7, Passes: 2}, "26344276f8db5af37b3b69428fe68c5ba035dd5b62fbb8eb48322f69a6672d3f"},
 	{Panel{Generator: RMAT, Size: 10, K: 8, Seed: 7, Passes: 2}, "6afced53d027aa097ea037764a5a3c5e2ec09f35bdd73dabe0419fc1ea7c14e5"},
 }

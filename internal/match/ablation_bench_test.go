@@ -10,9 +10,8 @@ import (
 	"datasynth/internal/xrand"
 )
 
-// Ablations of the SBMPart knobs — Balance, stream order, FinalTarget,
-// refinement passes — on one LFR instance with LDG ground truth; each
-// reports the L1 distance it reaches.
+// The refinement-pass ablation on one LFR instance with LDG ground
+// truth: each pass count reports the L1 distance it reaches.
 
 // setupAblation builds one shared LFR instance with LDG ground truth.
 func setupAblation(b *testing.B, n int64, k int) (*graph.Graph, *stats.Joint, []int64) {
@@ -76,97 +75,6 @@ func ablationL1(b *testing.B, assign []uint32) float64 {
 		b.Fatal(err)
 	}
 	return l1
-}
-
-// BenchmarkAblationBalance compares SBM-Part with and without the LDG
-// capacity-balancing factor.
-func BenchmarkAblationBalance(b *testing.B) {
-	for _, balance := range []bool{true, false} {
-		b.Run(fmt.Sprintf("balance=%v", balance), func(b *testing.B) {
-			g, target, sizes := setupAblation(b, 10000, 16)
-			var l1 float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				part, err := NewSBMPart(target, sizes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				part.Balance = balance
-				part.Seed = 3
-				assign, err := assigned(part.partition(g, RandomOrder(g.N(), 2), 0))
-				if err != nil {
-					b.Fatal(err)
-				}
-				l1 = ablationL1(b, assign)
-			}
-			b.ReportMetric(l1, "L1")
-		})
-	}
-}
-
-// BenchmarkAblationOrder compares stream orders (random vs BFS vs
-// degree-descending).
-func BenchmarkAblationOrder(b *testing.B) {
-	for _, order := range []string{"random", "bfs", "degree"} {
-		b.Run(order, func(b *testing.B) {
-			g, target, sizes := setupAblation(b, 10000, 16)
-			var ord []uint32
-			switch order {
-			case "random":
-				ord = RandomOrder(g.N(), 2)
-			case "bfs":
-				ord = BFSOrder(g, 2)
-			case "degree":
-				ord = DegreeDescOrder(g)
-			}
-			var l1 float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				part, err := NewSBMPart(target, sizes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				part.Seed = 3
-				assign, err := assigned(part.partition(g, ord, 0))
-				if err != nil {
-					b.Fatal(err)
-				}
-				l1 = ablationL1(b, assign)
-			}
-			b.ReportMetric(l1, "L1")
-		})
-	}
-}
-
-// BenchmarkAblationTarget compares the default proportional target
-// scaling against the literal final-target reading of the paper (see
-// SBMPart.FinalTarget).
-func BenchmarkAblationTarget(b *testing.B) {
-	for _, final := range []bool{false, true} {
-		name := "proportional"
-		if final {
-			name = "final"
-		}
-		b.Run(name, func(b *testing.B) {
-			g, target, sizes := setupAblation(b, 10000, 16)
-			var l1 float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				part, err := NewSBMPart(target, sizes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				part.Seed = 3
-				part.FinalTarget = final
-				assign, err := assigned(part.partition(g, RandomOrder(g.N(), 2), 0))
-				if err != nil {
-					b.Fatal(err)
-				}
-				l1 = ablationL1(b, assign)
-			}
-			b.ReportMetric(l1, "L1")
-		})
-	}
 }
 
 // BenchmarkAblationRestream measures the re-streaming refinement

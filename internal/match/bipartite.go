@@ -93,7 +93,7 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 	// values then head values.
 	part := &SBMPart{
 		K: target.K, Target: target, Capacities: append(capT, capH...),
-		Balance: opt.Balance, Seed: opt.Seed, tails: nTail,
+		Seed: opt.Seed, tails: nTail,
 	}
 	// The stream has no refinement, so, as in MatchProperty without
 	// passes, the order comes first and the CSR holds each edge once, at

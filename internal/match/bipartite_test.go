@@ -224,7 +224,7 @@ func TestMatchBipartiteBytes(t *testing.T) {
 	n := f.nTail + f.nHead
 	b := int64(math.MaxInt64)
 	for range 3 { // TotalAlloc is process-wide: take the quietest run
-		b = min(b, allocated(func() { f.match(t, true) }))
+		b = min(b, allocated(func() { f.match(t) }))
 	}
 	csr := 4*f.et.Len() + 8*(n+1) + 4*n
 	rest := 16 * n

@@ -89,7 +89,6 @@ func TestCarriedJointMatrixMatchesRecount(t *testing.T) {
 		order []uint32
 	}{
 		{"serial", RandomOrder(n, 3)},
-		{"bfs-order", BFSOrder(g, 3)},
 		{"degree-order", DegreeDescOrder(g)},
 	}
 	for _, k := range []int{2, 16, 64} {

@@ -13,9 +13,9 @@ import (
 // already-seen neighbours, weighted by the remaining capacity factor
 // (1 − s_t/c_t).
 //
-// In this repository LDG plays two roles: the baseline SBM-Part is
-// compared against, and the tool the paper's evaluation uses to create
-// ground-truth value groups on LFR/RMAT graphs (Section 4.2).
+// In this repository LDG builds the ground truth of the paper's
+// evaluation: the value groups on LFR/RMAT graphs whose joint SBM-Part
+// is then asked to reproduce (Section 4.2).
 type LDG struct {
 	Capacities []int64
 }

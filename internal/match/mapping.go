@@ -74,11 +74,11 @@ func BuildMapping(assign []uint32, rowLabels []int64, k int, seed uint64) ([]uin
 type Options struct {
 	// Seed drives the stream order and bucket shuffles.
 	Seed uint64
-	// Order overrides the node stream order; nil means pseudo-random
-	// (the paper: "We sent the nodes to SBM-Part randomly").
+	// Order is the node stream order; nil means RandomOrder(n, Seed)
+	// (the paper: "We sent the nodes to SBM-Part randomly"). The
+	// evaluation harness sets it because it draws its random order from
+	// a seed of its own, apart from the match seed.
 	Order []uint32
-	// Balance toggles the LDG capacity factor (default true).
-	Balance bool
 	// Passes adds re-streaming refinement passes (see
 	// SBMPart.partition).
 	Passes int
@@ -86,7 +86,7 @@ type Options struct {
 
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions(seed uint64) Options {
-	return Options{Seed: seed, Balance: true}
+	return Options{Seed: seed}
 }
 
 // StepTimes is where a match's wall time went, one field per step, so
@@ -147,6 +147,9 @@ type Result struct {
 // the streamed CSR, each edge once; refinement reads whole
 // neighbourhoods and builds the full one.
 func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stats.Joint, opt Options) (*Result, error) {
+	if opt.Passes < 0 {
+		return nil, fmt.Errorf("match: negative refinement passes (%d)", opt.Passes)
+	}
 	capacities, err := stats.Frequencies(rowLabels, target.K)
 	if err != nil {
 		return nil, err
@@ -155,14 +158,12 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 	if err != nil {
 		return nil, err
 	}
-	part.Balance = opt.Balance
 	part.Seed = opt.Seed
-	passes := max(opt.Passes, 0)
 
 	var times StepTimes
 	mark := time.Now()
 	order, rank := opt.Order, []uint32(nil)
-	if passes == 0 {
+	if opt.Passes == 0 {
 		if order, rank, err = streamOrder(order, n, opt.Seed, capacities); err != nil {
 			return nil, err
 		}
@@ -185,7 +186,7 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 		}
 		times.OrderTime = lap(&mark)
 	}
-	r, err := part.partition(g, order, passes)
+	r, err := part.partition(g, order, opt.Passes)
 	if err != nil {
 		return nil, err
 	}
@@ -276,37 +277,8 @@ func RandomOrder(n int64, seed uint64) []uint32 {
 	return order
 }
 
-// BFSOrder returns nodes in breadth-first order from a pseudo-random
-// root per component — an ablation stream order with high locality.
-func BFSOrder(g *graph.Graph, seed uint64) []uint32 {
-	n := g.N()
-	order := make([]uint32, 0, n)
-	visited := make([]bool, n)
-	roots := RandomOrder(n, seed)
-	queue := make([]uint32, 0, 1024)
-	for _, r := range roots {
-		if visited[r] {
-			continue
-		}
-		visited[r] = true
-		queue = append(queue[:0], r)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			for _, u := range g.Neighbors(int64(v)) {
-				if !visited[u] {
-					visited[u] = true
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	return order
-}
-
-// DegreeDescOrder returns nodes by decreasing degree (hubs first) — an
-// ablation stream order.
+// DegreeDescOrder returns nodes by decreasing degree (hubs first) —
+// the order of every refinement pass.
 func DegreeDescOrder(g *graph.Graph) []uint32 {
 	n := g.N()
 	maxDeg := g.MaxDegree()

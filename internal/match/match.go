@@ -21,16 +21,16 @@
 //
 // Every streaming partitioner here — SBM-Part's first pass, its
 // re-streaming refinement passes, the bipartite matcher and the LDG
-// baseline — is the same loop: for each node of the stream, count its
+// ground-truth partitioner — is the same loop: for each node of the stream, count its
 // placed neighbours per group, then decide. stream (stream.go) owns
 // that loop once: gather is the neighbour count, run the one driver
 // (gather, commit, next node — the stream is sequential by definition,
 // each placement reads what the previous one wrote). A variant supplies
 // only the commit callback, which reads the counts, picks a group and
-// updates its own ledgers: sbmRun.placeFirst (proportional or final
-// target scale, placeByFrobenius, placeUnconstrained for neighbour-less
-// nodes), sbmRun.refine (vacate → place → re-add against the carried
-// joint matrix), or LDG's neighbour-majority rule.
+// updates its own ledgers: sbmRun.placeFirst (the target scaled to the
+// edges placed so far, placeByFrobenius, placeUnconstrained for
+// neighbour-less nodes), sbmRun.refine (vacate → place → re-add
+// against the carried joint matrix), or LDG's neighbour-majority rule.
 //
 // Placement scores are floating-point sums over a node's touched
 // groups, so the order of that list — groups as the neighbour list
@@ -53,7 +53,7 @@
 // # Node-indexed state is 4 bytes
 //
 // table.MaxNodes bounds every node count, so each node-indexed slice on
-// the match path holds uint32: the stream order (RandomOrder, BFSOrder,
+// the match path holds uint32: the stream order (RandomOrder,
 // DegreeDescOrder, Options.Order), the group array (a group is below
 // k ≤ rows ≤ 2^32−1, so ^uint32(0) is free to mark a node not yet
 // placed), Result.Assign and BipartiteResult's assignments and
@@ -103,26 +103,10 @@ type SBMPart struct {
 	// Capacities holds q_t, the number of property rows carrying value
 	// t; group t accepts at most Capacities[t] nodes.
 	Capacities []int64
-	// Balance applies LDG's remaining-capacity factor (1 − s_t/q_t) to
-	// the placement score. The paper uses true; false is the pure-greedy
-	// ablation.
-	Balance bool
 	// Seed drives the placement of nodes that arrive with no already-
 	// placed neighbours: they are assigned pseudo-randomly, weighted by
 	// remaining capacity, so no group soaks up all early-stream nodes.
 	Seed uint64
-	// FinalTarget scores placements against the *final* absolute target
-	// matrix W = m·P instead of the default proportional target
-	// W(s) = m_placed·P. The final-target variant reads the paper most
-	// literally but suffers a systematic early-stream bias: while every
-	// cell is far below its final count, the largest-deficit diagonal
-	// cell attracts nodes regardless of their neighbourhoods. Scaling
-	// the target with the number of edges placed so far keeps the
-	// comparison in probability space — the space P(X,Y) is actually
-	// defined in (the paper's footnote 1 notes absolute counts are used
-	// merely "for convenience") — and is self-correcting. Kept as an
-	// ablation switch; see BenchmarkAblationTarget.
-	FinalTarget bool
 
 	// PassTimes records the wall time of every streaming pass of the
 	// most recent run: index 0 is the initial stream, each later entry
@@ -136,7 +120,7 @@ type SBMPart struct {
 	tails int64
 }
 
-// NewSBMPart returns a balanced SBM-Part instance.
+// NewSBMPart returns an SBM-Part instance.
 func NewSBMPart(target *stats.Joint, capacities []int64) (*SBMPart, error) {
 	if target == nil {
 		return nil, fmt.Errorf("match: nil target distribution")
@@ -155,7 +139,7 @@ func NewSBMPart(target *stats.Joint, capacities []int64) (*SBMPart, error) {
 			return nil, fmt.Errorf("match: negative capacity for group %d", t)
 		}
 	}
-	return &SBMPart{K: target.K, Target: target, Capacities: capacities, Balance: true}, nil
+	return &SBMPart{K: target.K, Target: target, Capacities: capacities}, nil
 }
 
 // partition streams the nodes of g in the given order, then replays
@@ -170,12 +154,16 @@ func NewSBMPart(target *stats.Joint, capacities []int64) (*SBMPart, error) {
 //     contributes cv = Σ_j cnt[j] new edges.
 //  2. For each feasible group t (s_t < q_t) compute the change in
 //     ||W_cur − W(s)||²_F caused by adding cnt[j] edges to cells (t,j),
-//     where W(s) = (m_placed + cv)·P is the running proportional target
-//     (or the final m·P when FinalTarget is set):
+//     where W(s) = (m_placed + cv)·P is the running proportional target:
 //     Δ_t = Σ_j cnt[j]·(2·(W_cur[t][j] − W(s)[t][j]) + cnt[j]).
+//     Scaling the target with the edges placed so far keeps the
+//     comparison in probability space, the space P(X,Y) is defined in
+//     (the paper's footnote 1 uses absolute counts merely "for
+//     convenience"); against the final m·P the largest-deficit diagonal
+//     cell would attract early-stream nodes regardless of their
+//     neighbourhoods.
 //  3. Convert to a gain G_t = maxΔ − Δ_t and pick
-//     argmax_t G_t·(1 − s_t/q_t)   (the LDG balancing rule);
-//     without Balance, pick argmin_t Δ_t directly.
+//     argmax_t G_t·(1 − s_t/q_t)   (the LDG balancing rule).
 //     Ties break toward the group with the most remaining capacity.
 //
 // A node with no placed neighbours leaves the Frobenius norm unchanged
@@ -199,9 +187,6 @@ func NewSBMPart(target *stats.Joint, capacities []int64) (*SBMPart, error) {
 // 0.08 degree-ordered on LFR(5k,16)). Per-pass complexity stays
 // O(Σ deg(v) + n·k).
 func (p *SBMPart) partition(g *graph.Graph, order []uint32, extra int) (*sbmRun, error) {
-	if extra < 0 {
-		return nil, fmt.Errorf("match: negative refinement passes")
-	}
 	k := p.K
 	r := &sbmRun{
 		stream: newStream(g, k), part: p,
@@ -261,7 +246,7 @@ type sbmRun struct {
 	// used is the quota ledger s_t of the current pass.
 	used   []int64
 	placed float64 // edges the first pass has counted into cur so far
-	edges  float64 // m, the scale of the final target
+	edges  float64 // m, the scale of the refinement target
 	rnd    xrand.Stream
 	deltas []float64 // placeByFrobenius scratch
 }
@@ -286,11 +271,7 @@ func (r *sbmRun) placeFirst(v int64) error {
 	if len(r.touched) == 0 {
 		best = r.placeUnconstrained(v, lo, hi)
 	} else {
-		scale := r.placed + cv
-		if r.part.FinalTarget {
-			scale = r.edges
-		}
-		best = r.placeByFrobenius(scale, lo, hi)
+		best = r.placeByFrobenius(r.placed+cv, lo, hi)
 	}
 	if best < 0 {
 		return fmt.Errorf("match: no feasible group for node %d", v)
@@ -417,8 +398,8 @@ func (r *sbmRun) placeByFrobenius(scale float64, lo, hi int) int64 {
 			maxDelta = d
 		}
 	}
-	// Pass 2: the balanced gain (maxΔ − Δ_t)·(1 − s_t/q_t), or −Δ_t for
-	// the greedy ablation; ties go to the emptier group.
+	// Pass 2: the balanced gain (maxΔ − Δ_t)·(1 − s_t/q_t); ties go to
+	// the emptier group.
 	best := int64(-1)
 	bestScore := math.Inf(-1)
 	var bestRem float64
@@ -427,10 +408,7 @@ func (r *sbmRun) placeByFrobenius(scale float64, lo, hi int) int64 {
 			continue
 		}
 		rem := 1 - float64(used[t])/float64(caps[t])
-		score := -d
-		if r.part.Balance {
-			score = (maxDelta - d) * rem
-		}
+		score := (maxDelta - d) * rem
 		if score > bestScore || (score == bestScore && rem > bestRem) {
 			bestScore, bestRem, best = score, rem, int64(lo+t)
 		}

@@ -499,21 +499,6 @@ func TestRandomOrderIsPermutation(t *testing.T) {
 	}
 }
 
-func TestBFSOrderIsPermutation(t *testing.T) {
-	_, g := twoCliques(t, 10)
-	order := BFSOrder(g, 3)
-	if len(order) != 20 {
-		t.Fatalf("order len = %d", len(order))
-	}
-	seen := make([]bool, 20)
-	for _, v := range order {
-		if seen[v] {
-			t.Fatal("repeated node")
-		}
-		seen[v] = true
-	}
-}
-
 func TestDegreeDescOrder(t *testing.T) {
 	// Star: center (degree 4) must come first.
 	et := table.NewEdgeTable("star", 4)
@@ -553,25 +538,6 @@ func TestDegreeDescOrderAllocations(t *testing.T) {
 		if d > prev || d == prev && order[i] < order[i-1] {
 			t.Fatalf("order[%d] = %d (degree %d) after %d (degree %d)", i, order[i], d, order[i-1], prev)
 		}
-	}
-}
-
-func TestSBMPartNoBalanceStillValid(t *testing.T) {
-	et, _ := twoCliques(t, 20)
-	n := int64(40)
-	rowLabels := make([]int64, n)
-	for i := int64(20); i < 40; i++ {
-		rowLabels[i] = 1
-	}
-	opt := DefaultOptions(5)
-	opt.Balance = false
-	res, err := MatchProperty(et, n, rowLabels, diagTarget(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1, _ := stats.L1(diagTarget(), res.Observed)
-	if l1 > 0.3 {
-		t.Errorf("greedy variant L1 = %v, want < 0.3 on separable instance", l1)
 	}
 }
 

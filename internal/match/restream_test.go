@@ -100,10 +100,15 @@ func TestMultiPassRespectsCapacities(t *testing.T) {
 	}
 }
 
+// TestMultiPassValidation: a negative pass count is refused, not run
+// as a single pass.
 func TestMultiPassValidation(t *testing.T) {
-	g, target, sizes, _ := restreamSetup(t, 1000, 4)
-	if _, err := assigned(newPart(t, target, sizes).partition(g, RandomOrder(g.N(), 1), -1)); err == nil {
-		t.Error("negative passes should fail")
+	f := lfrFixture(t, 1000, 4)
+	opt := DefaultOptions(1)
+	opt.Passes = -1
+	const want = "match: negative refinement passes (-1)"
+	if _, err := MatchProperty(f.et, f.n, f.rowLabels(), f.target, opt); err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
 	}
 }
 

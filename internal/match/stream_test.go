@@ -188,11 +188,9 @@ func messyBipartite(t testing.TB, nTail, nHead, m int64, kt, kh int) *bipFixture
 	return newBipFixture(t, et, nTail, nHead, kt, kh)
 }
 
-func (f *bipFixture) match(t testing.TB, balance bool) *BipartiteResult {
+func (f *bipFixture) match(t testing.TB) *BipartiteResult {
 	t.Helper()
-	opt := DefaultOptions(63)
-	opt.Balance = balance
-	res, err := MatchBipartite(f.et, f.nTail, f.nHead, f.tailLabels, f.headLabels, f.target, opt)
+	res, err := MatchBipartite(f.et, f.nTail, f.nHead, f.tailLabels, f.headLabels, f.target, DefaultOptions(63))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +199,13 @@ func (f *bipFixture) match(t testing.TB, balance bool) *BipartiteResult {
 
 // partitionAt runs SBM-Part with extra refinement passes on a fresh
 // partitioner.
-func partitionAt(t testing.TB, g *graph.Graph, target *stats.Joint, sizes []int64, balance bool, extra int) []uint32 {
+func partitionAt(t testing.TB, g *graph.Graph, target *stats.Joint, sizes []int64, extra int) []uint32 {
 	t.Helper()
 	part, err := NewSBMPart(target, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part.Seed, part.Balance = 99, balance
+	part.Seed = 99
 	assign, err := assigned(part.partition(g, RandomOrder(g.N(), 5), extra))
 	if err != nil {
 		t.Fatal(err)
@@ -219,13 +217,12 @@ func partitionAt(t testing.TB, g *graph.Graph, target *stats.Joint, sizes []int6
 // stream kernel on one fixture. run returns the SHA-256 of everything
 // the run assigned; parent holds that hash as the commit before the
 // kernel existed produced it (its serial first pass, serial refinement
-// and serial MatchBipartite — three separate loops then), for Balance
-// true and false, so the kernel is held to the old code and not only
-// to itself.
+// and serial MatchBipartite — three separate loops then), so the
+// kernel is held to the old code and not only to itself.
 type streamCase struct {
 	name   string // "<variant>/<fixture>"
-	run    func(t testing.TB, balance bool) string
-	parent [2]string
+	run    func(t testing.TB) string
+	parent string
 }
 
 func streamCases(t testing.TB) []streamCase {
@@ -235,18 +232,18 @@ func streamCases(t testing.TB) []streamCase {
 	// and MatchProperty, which streams the CSR — each edge once, at its
 	// later-streamed end — with the same order and seed. Both must
 	// reproduce the pin.
-	mono := func(name string, f *monoFixture, first, refined [2]string) {
+	mono := func(name string, f *monoFixture, first, refined string) {
 		for _, v := range []struct {
 			variant string
 			extra   int
-			parent  [2]string
+			parent  string
 		}{{"first", 0, first}, {"refine2", 2, refined}} {
-			cases = append(cases, streamCase{v.variant + "/" + name, func(t testing.TB, balance bool) string {
-				return sha256Int64(partitionAt(t, f.g, f.target, f.sizes, balance, v.extra))
+			cases = append(cases, streamCase{v.variant + "/" + name, func(t testing.TB) string {
+				return sha256Int64(partitionAt(t, f.g, f.target, f.sizes, v.extra))
 			}, v.parent})
 		}
-		cases = append(cases, streamCase{"first/" + name + "/streamed", func(t testing.TB, balance bool) string {
-			opt := Options{Seed: 99, Order: RandomOrder(f.n, 5), Balance: balance}
+		cases = append(cases, streamCase{"first/" + name + "/streamed", func(t testing.TB) string {
+			opt := Options{Seed: 99, Order: RandomOrder(f.n, 5)}
 			res, err := MatchProperty(f.et, f.n, f.rowLabels(), f.target, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -255,34 +252,34 @@ func streamCases(t testing.TB) []streamCase {
 		}, first})
 	}
 	mono("lfr", lfrFixture(t, 4000, 16),
-		[2]string{"6d56234eb45e03f6996b58563662222ce96951b98894b3e8afcb90ba57697314", "810eb503b7f39a6033caa47c5a255f036169e024d4aafd1df11734aa148379d4"},
-		[2]string{"a89d9a7cdc7c1393e746871159a6fd298a2e6d53ec5d5a0388b6ef2d17b221bd", "e8c365903d0aa5c8b19b4b973f2b491f4c0a6a13b59c0abbb8e8d9b97990a0b5"})
+		"6d56234eb45e03f6996b58563662222ce96951b98894b3e8afcb90ba57697314",
+		"a89d9a7cdc7c1393e746871159a6fd298a2e6d53ec5d5a0388b6ef2d17b221bd")
 	mono("rmat", rmatFixture(t, 11, 8),
-		[2]string{"43dbdd5ab989583a4b19169253fac600a5a046069412e32208312607304999d7", "cb880ccbe1e866aa6a8e33a8b35f54900e76790780fcc544d2255649a9887e89"},
-		[2]string{"43128389e7036baafd3ea90fd3bafd1fcd4794d66274dc048518830e8d9f3fa0", "1b29d346a469cf62d1cda95d784ee82318e41bd20ee2d50561be9e1f55a620bf"})
+		"43dbdd5ab989583a4b19169253fac600a5a046069412e32208312607304999d7",
+		"43128389e7036baafd3ea90fd3bafd1fcd4794d66274dc048518830e8d9f3fa0")
 	// Self-loops, parallel edges, hubs and isolated nodes.
 	mono("messy", newMonoFixture(t, messyEdges(3000, 24000, 41), nil, 3000, equalSizes(3000, 16), 0.7),
-		[2]string{"d82cf8291f32edbc7662cc6745b711c67cff2164176eddcff7bee09f26ce791a", "6ab8c593aa9a7debf975ed01297084cc22fdf460fea1b220a07baa30655241a5"},
-		[2]string{"11b647fcf19fe2fe46851b0100a6a6247712b118ff1bc823a29ee3d449ae0a0c", "a08d4807659c7078707bbacc0813c8e157eda71d96870a1f402a47527166ae42"})
+		"d82cf8291f32edbc7662cc6745b711c67cff2164176eddcff7bee09f26ce791a",
+		"11b647fcf19fe2fe46851b0100a6a6247712b118ff1bc823a29ee3d449ae0a0c")
 	mono("isolated", isolatedFixture(t, 1200, 6),
-		[2]string{"048733c9ae0c8d765d17fce05cb2fa0e0372d87001f46f857c2e5d8fd7c96eca", "7f2cc2e93ee27ee9cbeb7a50170e775703178ce7d4128a32a33e35bce06e6bbd"},
-		[2]string{"cbf5808c16e22f6ee1bc8717c37eb63ca93a757d0d9a900e296c10b53905b1d5", "7a0b2a7c2b034084aef453e4c37ea7bac5c211403b1e21019fd11e2f65645565"})
+		"048733c9ae0c8d765d17fce05cb2fa0e0372d87001f46f857c2e5d8fd7c96eca",
+		"cbf5808c16e22f6ee1bc8717c37eb63ca93a757d0d9a900e296c10b53905b1d5")
 
-	bip := func(name string, f *bipFixture, parent [2]string) {
-		cases = append(cases, streamCase{"bipartite/" + name, func(t testing.TB, balance bool) string {
-			res := f.match(t, balance)
+	bip := func(name string, f *bipFixture, parent string) {
+		cases = append(cases, streamCase{"bipartite/" + name, func(t testing.TB) string {
+			res := f.match(t)
 			return sha256Int64(res.TailAssign, res.HeadAssign, res.TailMapping, res.HeadMapping)
 		}, parent})
 	}
 	bip("zipf", zipfFixture(t, 6000, 3000, 12, 6),
-		[2]string{"aab8a38b8a4f27e925b9f39483b6cffeaa22dce5a8bd4b7f5c463803e1daf5f4", "3588dca9230d18e73482b75accb8b22f3632873b52183fa06ad89daea934edd1"})
+		"aab8a38b8a4f27e925b9f39483b6cffeaa22dce5a8bd4b7f5c463803e1daf5f4")
 	bip("messy", messyBipartite(t, 500, 300, 4000, 5, 3),
-		[2]string{"8690ae81b071ba7a1076fbd670b30e8d66a87afd9fafa21d35114a5fc8ba360e", "33156e212039d5ec22862a56c34e2e013c86db6ef089d98bd20ef2aa54b4bef6"})
+		"8690ae81b071ba7a1076fbd670b30e8d66a87afd9fafa21d35114a5fc8ba360e")
 	return cases
 }
 
 // streamDifferential checks every case of one variant against the
-// parent commit's hash, for Balance true and false. A changed hash
+// parent commit's hash. A changed hash
 // means existing seeds produce different matchings — a break of the
 // per-seed reproducibility contract, which needs a core.SchemaVersion
 // bump, not a new pin. (These pins outlived a windowed parallel-scan
@@ -293,10 +290,8 @@ func streamDifferential(t *testing.T, variant string) {
 		if !strings.HasPrefix(c.name, variant+"/") {
 			continue
 		}
-		for b, balance := range []bool{true, false} {
-			if got := c.run(t, balance); got != c.parent[b] {
-				t.Errorf("%s balance=%v: %s, parent commit %s", c.name, balance, got, c.parent[b])
-			}
+		if got := c.run(t); got != c.parent {
+			t.Errorf("%s: %s, parent commit %s", c.name, got, c.parent)
 		}
 	}
 }
@@ -318,8 +313,8 @@ func streamStress(t *testing.T, variant string) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if got := c.run(t, true); got != c.parent[0] {
-					t.Errorf("%s run %d: %s, parent commit %s", c.name, r, got, c.parent[0])
+				if got := c.run(t); got != c.parent {
+					t.Errorf("%s run %d: %s, parent commit %s", c.name, r, got, c.parent)
 				}
 			}()
 		}
@@ -390,7 +385,7 @@ func TestMultiPassIsolatedQuotaDeterminism(t *testing.T) {
 	const n, k = 1200, 6
 	f := isolatedFixture(t, n, k)
 	g, target, sizes := f.g, f.target, f.sizes
-	ref := partitionAt(t, g, target, sizes, true, 3)
+	ref := partitionAt(t, g, target, sizes, 3)
 	counts := make([]int64, k)
 	for _, a := range ref {
 		counts[a]++
@@ -400,7 +395,7 @@ func TestMultiPassIsolatedQuotaDeterminism(t *testing.T) {
 			t.Fatalf("group %d over capacity: %d > %d", i, counts[i], sizes[i])
 		}
 	}
-	got := partitionAt(t, g, target, sizes, true, 3)
+	got := partitionAt(t, g, target, sizes, 3)
 	for v := range ref {
 		if got[v] != ref[v] {
 			t.Fatalf("second run: node %d assigned %d, first run %d", v, got[v], ref[v])
