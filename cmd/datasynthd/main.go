@@ -55,6 +55,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -94,6 +95,13 @@ func main() {
 	if *verbose {
 		cfg.Logf = logf
 	}
+	// Bind first: a daemon that cannot serve exits without claiming to
+	// listen or sweeping a cache another daemon may be writing.
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		logf("%v", err)
+		os.Exit(1)
+	}
 	svc, err := service.New(cfg)
 	if err != nil {
 		logf("%v", err)
@@ -101,7 +109,6 @@ func main() {
 	}
 
 	server := &http.Server{
-		Addr:              *listen,
 		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -110,10 +117,10 @@ func main() {
 	defer stop()
 
 	errc := make(chan error, 1)
-	//lint:allow nakedgo body is a single channel send of ListenAndServe's return; a crash here should crash the daemon, not be recovered
-	go func() { errc <- server.ListenAndServe() }()
+	//lint:allow nakedgo body is a single channel send of Serve's return; a crash here should crash the daemon, not be recovered
+	go func() { errc <- server.Serve(ln) }()
 	logf("listening on %s (cache %s, queue %d, %d job workers)",
-		*listen, *cacheDir, *queueDepth, *jobWorkers)
+		ln.Addr(), *cacheDir, *queueDepth, *jobWorkers)
 
 	select {
 	case err := <-errc:

@@ -338,3 +338,30 @@ func TestRemovedWorkersFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestTakenPortExitsBeforeListening: a daemon that cannot bind its
+// address exits 1 without ever saying it listens, and without touching
+// its cache or scenario directories.
+func TestTakenPortExitsBeforeListening(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	dir := t.TempDir()
+	cmd := exec.Command(datasynthdBin, "-listen", held.Addr().String(),
+		"-cache", filepath.Join(dir, "cache"), "-scenariodir", filepath.Join(dir, "scenarios"), "-v")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("datasynthd on a taken port: %v, want exit 1\n%s", err, stderr.String())
+	}
+	if strings.Contains(stderr.String(), "listening") || !strings.Contains(stderr.String(), "address already in use") {
+		t.Errorf("stderr %q: want the bind error and no listening line", stderr.String())
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("a daemon that could not bind created %d entries beside its cache", len(entries))
+	}
+}

@@ -38,6 +38,15 @@ func main() {
 	out := flag.String("out", "results", "output directory for TSV series")
 	capN := flag.Int64("capn", 20000, "graph size for the capability measurements")
 	flag.Parse()
+	// -passes refines the figure panels only; checked before any is built.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "passes" && !*all && *figure != 3 && *figure != 4 {
+			usageError("-passes applies only to -figure 3, -figure 4 and -all")
+		}
+	})
+	if *passes < 0 {
+		usageError(fmt.Sprintf("-passes %d: the number of refinement passes cannot be negative", *passes))
+	}
 
 	ran := false
 	if *all || *figure == 3 {
@@ -84,6 +93,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+func usageError(msg string) {
+	fmt.Fprintln(os.Stderr, "sbmpart-eval: "+msg)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func withPasses(panels []exp.Panel, passes int) []exp.Panel {

@@ -69,14 +69,24 @@ func TestBipartiteWritesItsTSV(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: no experiment selected is a usage error, and so is
-// -workers, which went with the last worker bound.
+// TestUsageErrors: no experiment selected is a usage error, and so are
+// -workers, which went with the last worker bound, a negative -passes,
+// and -passes beside an experiment it does not refine.
 func TestUsageErrors(t *testing.T) {
 	dir := t.TempDir()
-	for _, args := range [][]string{{}, {"-workers", "2", "-bipartite"}} {
-		code, _, stderr := run(t, dir, args...)
-		if code != 2 || !strings.Contains(stderr, "Usage of") || (len(args) > 0 && !strings.Contains(stderr, args[0])) {
-			t.Errorf("sbmpart-eval %v: exit %d, stderr %q; want the usage text and 2", args, code, stderr)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, ""},
+		{[]string{"-workers", "2", "-bipartite"}, "-workers"},
+		{[]string{"-figure", "3", "-passes", "-1"}, "cannot be negative"},
+		{[]string{"-bipartite", "-passes", "1"}, "-passes applies only to"},
+		{[]string{"-musweep", "-passes", "2"}, "-passes applies only to"},
+	} {
+		code, _, stderr := run(t, dir, c.args...)
+		if code != 2 || !strings.Contains(stderr, "Usage of") || !strings.Contains(stderr, c.want) {
+			t.Errorf("sbmpart-eval %v: exit %d, stderr %q; want the usage text, %q and 2", c.args, code, stderr, c.want)
 		}
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {

@@ -102,6 +102,58 @@ func TestPanicIsolationFailsOnlyJob(t *testing.T) {
 	}
 }
 
+// TestDoneLogPanicKeepsJobDone: a Config.Logf that panics on the line
+// reporting a job done must not rewrite the finished job or cost the
+// worker. With one worker, the first job stays done and serves its
+// tables, and a second submission still completes.
+func TestDoneLogPanicKeepsJobDone(t *testing.T) {
+	logf := func(format string, args ...any) {
+		if strings.HasPrefix(format, "job %s done") {
+			panic("logger down")
+		}
+	}
+	svc := newTestService(t, Config{JobWorkers: 1, Logf: logf})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	src := testSchema(61)
+	first, err := svc.Submit(src, table.FormatCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, first.Job)
+	second, err := svc.Submit(testSchema(62), table.FormatCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-second.Job.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatalf("second job still %s: the only worker died", second.Job.View().Status)
+	}
+	// The worker took the second job only after it left the first, so
+	// whatever the recovered panic did to the first job has happened.
+	for _, j := range []*Job{first.Job, second.Job} {
+		if v := j.View(); v.Status != StatusDone || v.Error != "" {
+			t.Fatalf("job %s is %s (%q) after its done line panicked, want done", j.ID(), v.Status, v.Error)
+		}
+	}
+	want := directExport(t, src, table.FormatCSV)
+	v := first.Job.View()
+	if len(v.Files) != len(want) {
+		t.Fatalf("first job lists %d files, want %d", len(v.Files), len(want))
+	}
+	for _, f := range v.Files {
+		code, body := httpGet(t, ts.URL+"/v1/jobs/"+first.Job.ID()+"/tables/"+f.Name)
+		if code != http.StatusOK || sha256Hex(body) != want[f.Name] {
+			t.Fatalf("download %s = %d, or its bytes differ from a direct export", f.Name, code)
+		}
+	}
+	if st := svc.Stats(); st.Jobs.Done != 2 || st.Jobs.Failed != 0 {
+		t.Fatalf("stats: %d done, %d failed; want 2 and 0", st.Jobs.Done, st.Jobs.Failed)
+	}
+}
+
 // TestStoreRetryRecoversTransientFault: a store that fails once and
 // then succeeds costs a retry, not a failed job and not degraded mode.
 func TestStoreRetryRecoversTransientFault(t *testing.T) {
@@ -357,12 +409,29 @@ func TestENOSPCDegradedBypass(t *testing.T) {
 		t.Fatalf("degraded job lists %d files, want %d", len(v.Files), len(want))
 	}
 	for _, f := range v.Files {
-		code, body := httpGet(t, ts.URL+"/v1/jobs/"+res.Job.ID()+"/tables/"+f.Name)
-		if code != http.StatusOK {
-			t.Fatalf("download %s = %d: %s", f.Name, code, body)
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + res.Job.ID() + "/tables/" + f.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("download %s = %d: %s", f.Name, resp.StatusCode, body)
 		}
 		if got := sha256Hex(body); got != want[f.Name] {
 			t.Fatalf("degraded download %s differs from clean export", f.Name)
+		}
+		for h, want := range map[string]string{
+			"ETag":                  `"` + f.SHA256 + `"`,
+			"X-Datasynth-Cache-Key": res.Job.ID(),
+			"X-Datasynth-Degraded":  "1",
+		} {
+			if got := resp.Header.Get(h); got != want {
+				t.Errorf("degraded download %s: %s %q, want %q", f.Name, h, got, want)
+			}
 		}
 	}
 

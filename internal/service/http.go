@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"datasynth/internal/faultfs"
 	"datasynth/internal/table"
 )
 
@@ -261,40 +262,38 @@ func (s *Service) handleTable(w http.ResponseWriter, r *http.Request) {
 	// A degraded job's files never made it into the cache; they stream
 	// straight from the job's staging directory (cache-bypass). No pin
 	// is needed — the directory lives exactly as long as the job record,
-	// and an open fd survives the eventual removal mid-stream.
-	if dir := j.BypassDir(); dir != "" {
-		f, err := s.cache.dir.FS().Open(filepath.Join(dir, mf.Name))
-		if err != nil {
-			s.writeErr(w, http.StatusNotFound, fmt.Errorf("degraded dataset no longer available (%v); resubmit the schema to regenerate it", err))
-			return
-		}
-		defer f.Close()
-		format, _ := table.ParseFormat(m.Format)
-		w.Header().Set("Content-Type", format.ContentType())
-		w.Header().Set("ETag", `"`+mf.SHA256+`"`)
-		w.Header().Set("X-Datasynth-Cache-Key", j.ID())
-		w.Header().Set("X-Datasynth-Degraded", "1")
-		http.ServeContent(w, r, mf.Name, m.Created, f)
-		return
+	// and an open fd survives the eventual removal mid-stream. A cached
+	// file is opened through the cache, which pins the entry against LRU
+	// eviction for the duration of the stream: an evicted-while-streaming
+	// entry is only removed from disk after release (evict-after-close).
+	dir := j.BypassDir()
+	var f faultfs.File
+	release := func() {}
+	var err error
+	if dir != "" {
+		f, err = s.cache.dir.FS().Open(filepath.Join(dir, mf.Name))
+	} else {
+		f, release, err = s.cache.open(j.ID(), mf.Name)
 	}
-	// open pins the cache entry against LRU eviction for the duration
-	// of the stream: an evicted-while-streaming entry is only removed
-	// from disk after release (evict-after-close).
-	f, release, err := s.cache.open(j.ID(), mf.Name)
-	if err != nil {
-		release()
-		if os.IsNotExist(err) {
-			// The entry was evicted by the size bound after the job
-			// completed; the dataset regenerates deterministically, so
-			// this is a cache miss to resubmit through, not a fault.
-			s.writeErr(w, http.StatusNotFound, errors.New("dataset evicted from cache; resubmit the schema to regenerate it"))
-			return
-		}
+	defer release()
+	switch {
+	case err != nil && dir != "":
+		s.writeErr(w, http.StatusNotFound, fmt.Errorf("degraded dataset no longer available (%v); resubmit the schema to regenerate it", err))
+		return
+	case os.IsNotExist(err):
+		// The entry was evicted by the size bound after the job
+		// completed; the dataset regenerates deterministically, so
+		// this is a cache miss to resubmit through, not a fault.
+		s.writeErr(w, http.StatusNotFound, errors.New("dataset evicted from cache; resubmit the schema to regenerate it"))
+		return
+	case err != nil:
 		s.writeErr(w, http.StatusInternalServerError, fmt.Errorf("cache entry unreadable: %w", err))
 		return
 	}
-	defer release()
 	defer f.Close()
+	if dir != "" {
+		w.Header().Set("X-Datasynth-Degraded", "1")
+	}
 	format, _ := table.ParseFormat(m.Format)
 	w.Header().Set("Content-Type", format.ContentType())
 	w.Header().Set("ETag", `"`+mf.SHA256+`"`)

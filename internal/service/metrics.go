@@ -64,15 +64,6 @@ func (h *latencyHist) observe(d time.Duration) {
 	h.count.Add(1)
 }
 
-// phaseHistograms holds one latency histogram per pipeline phase.
-type phaseHistograms struct {
-	hist [numPhases]latencyHist
-}
-
-func (p *phaseHistograms) observe(ph phase, d time.Duration) {
-	p.hist[ph].observe(d)
-}
-
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b bytes.Buffer
 	s.writeMetrics(&b)
@@ -168,7 +159,7 @@ func (s *Service) writePhaseHistograms(w io.Writer) {
 	fmt.Fprintf(w, "# HELP %s Per-job pipeline phase latency, from the engine's run report.\n", name)
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	for ph := phase(0); ph < numPhases; ph++ {
-		h := &s.phases.hist[ph]
+		h := &s.phases[ph]
 		var cum int64
 		for i, ub := range latencyBuckets {
 			cum += h.buckets[i].Load()

@@ -438,13 +438,8 @@ func (s *Service) pruneSweepsLocked() {
 // running).
 func (s *Service) sweepSettled(sw *Sweep) bool {
 	for _, p := range sw.points {
-		if j := s.Job(p.key); j != nil {
-			j.mu.Lock()
-			terminal := j.status == StatusDone || j.status == StatusFailed
-			j.mu.Unlock()
-			if !terminal {
-				return false
-			}
+		if j := s.Job(p.key); j != nil && !j.state().status.terminal() {
+			return false
 		}
 	}
 	return true

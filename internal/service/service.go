@@ -13,15 +13,16 @@
 // byte-identical to regeneration and N concurrent identical submits
 // need exactly one generation.
 //
-// Job lifecycle: queued → running → done | failed. The job id IS the
-// cache key, so identical schemas submitted at any time share one job
-// and one cache entry; a failed job is retried by the next submission
-// of the same schema. Admission enforces per-job resource limits
-// (declared node/edge counts), the queue is bounded (a full queue
-// rejects with ErrQueueFull rather than buffering unboundedly), and
-// running jobs are bounded by a worker pool. Generation enforces the
-// limits again on the actual dataset and honours a per-job timeout via
-// the engine's task-granular cancellation.
+// Job lifecycle: queued → running → done | failed, or queued → done on
+// a disk-cache hit; Service.transition makes every move. The job id IS
+// the cache key, so identical schemas submitted at any time share one
+// job and one cache entry; a failed job is retried by the next
+// submission of the same schema. Admission enforces per-job resource
+// limits (declared node/edge counts), the queue is bounded (a full
+// queue rejects with ErrQueueFull rather than buffering unboundedly),
+// and running jobs are bounded by a worker pool. Generation enforces
+// the limits again on the actual dataset and honours a per-job timeout
+// via the engine's task-granular cancellation.
 package service
 
 import (
@@ -29,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -127,16 +129,18 @@ const (
 )
 
 // Job is one generation request, shared by every submitter of the same
-// schema (the id is the cache key).
+// schema (the id is the cache key). Service.transition is the only code
+// that writes the fields under mu; everything else reads them through
+// state.
 type Job struct {
-	id     string
-	schema *schema.Schema
-	format table.Format
+	id      string
+	schema  *schema.Schema
+	format  table.Format
+	created time.Time
 
 	mu       sync.Mutex
 	status   JobStatus
 	errMsg   string
-	created  time.Time
 	started  time.Time
 	finished time.Time
 	cacheHit bool // completed straight from the disk cache
@@ -151,6 +155,24 @@ type Job struct {
 	done chan struct{}
 }
 
+// jobState is a consistent copy of a job's mutable fields.
+type jobState struct {
+	status            JobStatus
+	errMsg            string
+	started, finished time.Time
+	cacheHit          bool
+	bypassDir         string
+	manifest          *Manifest
+}
+
+func (j *Job) state() jobState {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return jobState{j.status, j.errMsg, j.started, j.finished, j.cacheHit, j.bypassDir, j.manifest}
+}
+
+func (st JobStatus) terminal() bool { return st == StatusDone || st == StatusFailed }
+
 // ID returns the job id (the cache key).
 func (j *Job) ID() string { return j.id }
 
@@ -160,12 +182,10 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // Manifest returns the cache-entry manifest of a completed job, nil
 // otherwise.
 func (j *Job) Manifest() *Manifest {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != StatusDone {
-		return nil
+	if st := j.state(); st.status == StatusDone {
+		return st.manifest
 	}
-	return j.manifest
+	return nil
 }
 
 // JobView is an immutable snapshot of a job for serialization.
@@ -192,28 +212,25 @@ type JobView struct {
 
 // View snapshots the job.
 func (j *Job) View() JobView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	st := j.state()
 	v := JobView{
 		ID:       j.id,
-		Status:   j.status,
+		Status:   st.status,
 		Graph:    j.schema.Name,
 		Seed:     j.schema.Seed,
 		Format:   j.format.String(),
-		CacheHit: j.cacheHit,
-		Degraded: j.bypassDir != "",
+		CacheHit: st.cacheHit,
+		Degraded: st.bypassDir != "",
 		Created:  j.created,
-		Error:    j.errMsg,
+		Error:    st.errMsg,
 	}
-	if !j.started.IsZero() {
-		t := j.started
-		v.Started = &t
+	if !st.started.IsZero() {
+		v.Started = &st.started
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		v.Finished = &t
+	if !st.finished.IsZero() {
+		v.Finished = &st.finished
 	}
-	if m := j.manifest; m != nil && j.status == StatusDone {
+	if m := st.manifest; m != nil && st.status == StatusDone {
 		v.Nodes, v.Edges = m.Nodes, m.Edges
 		v.Files = m.Files
 		v.Report = m.Report
@@ -221,54 +238,9 @@ func (j *Job) View() JobView {
 	return v
 }
 
-func (j *Job) setRunning() {
-	j.mu.Lock()
-	j.status = StatusRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-}
-
-func (j *Job) fail(err error) {
-	j.mu.Lock()
-	j.status = StatusFailed
-	j.errMsg = err.Error()
-	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// complete marks the job done. The run's timing report lives on as
-// manifest.Report (already serialized), which is what JobView serves.
-func (j *Job) complete(m *Manifest, fromCache bool) {
-	j.mu.Lock()
-	j.status = StatusDone
-	j.manifest = m
-	j.cacheHit = fromCache
-	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// completeBypass marks the job done in degraded cache-bypass mode:
-// its files are served from dir (the staging directory the export
-// landed in) because the cache could not commit the entry.
-func (j *Job) completeBypass(m *Manifest, dir string) {
-	j.mu.Lock()
-	j.status = StatusDone
-	j.manifest = m
-	j.bypassDir = dir
-	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
-}
-
 // BypassDir returns the staging directory a degraded job serves from,
 // or "" for cache-backed jobs.
-func (j *Job) BypassDir() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.bypassDir
-}
+func (j *Job) BypassDir() string { return j.state().bypassDir }
 
 // SubmitResult is the outcome of one submission.
 type SubmitResult struct {
@@ -329,7 +301,7 @@ type Service struct {
 	// from a daemon whose disk is sick while it keeps serving.
 	degraded atomic.Bool
 
-	phases phaseHistograms // per-phase latency, served by /v1/metrics
+	phases [numPhases]latencyHist // per-phase latency, served by /v1/metrics
 }
 
 // New starts a service: creates the cache directory and launches the
@@ -411,18 +383,11 @@ func (s *Service) submitSchema(sch *schema.Schema, format table.Format) (SubmitR
 	key := CacheKey(sch, format)
 
 	// Singleflight, round 1: an identical job already queued, running,
-	// or completed collapses this submission onto it. A completed job
-	// only counts if its dataset is still reachable — in the cache, or
-	// served by the job's own bypass directory (degraded mode). LRU
-	// eviction can pull the entry out from under a done job, and riding
-	// along on one would hand the client a job whose downloads all 404.
+	// or completed collapses this submission onto it.
 	s.mu.Lock()
-	if j, ok := s.jobs[key]; ok && !isFailed(j) {
-		if !isDone(j) || s.cache.has(key) || j.BypassDir() != "" {
-			s.mu.Unlock()
-			return s.rideAlong(j), nil
-		}
-		delete(s.jobs, key)
+	if res, ok := s.rideAlongLocked(key); ok {
+		s.mu.Unlock()
+		return res, nil
 	}
 	s.mu.Unlock()
 
@@ -439,28 +404,23 @@ func (s *Service) submitSchema(sch *schema.Schema, format table.Format) (SubmitR
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Round 2: somebody may have submitted the same schema while we
-	// were hashing (same stale-done-job caveat as round 1).
-	if j, ok := s.jobs[key]; ok && !isFailed(j) {
-		if !isDone(j) || s.cache.has(key) || j.BypassDir() != "" {
-			return s.rideAlong(j), nil
-		}
-		delete(s.jobs, key)
+	// were hashing.
+	if res, ok := s.rideAlongLocked(key); ok {
+		return res, nil
 	}
 	// About to insert a job either way below: garbage-collect the map
 	// first so long-running services don't accumulate one Job per
 	// distinct schema forever.
 	s.pruneJobsLocked()
+	j := newJob(key, sch, format)
 	if m != nil {
-		s.cacheHits.Add(1)
-		j := newJob(key, sch, format)
-		j.complete(m, true)
+		s.transition(j, StatusDone, change{manifest: m, fromCache: true})
 		s.jobs[key] = j
 		return SubmitResult{Job: j, CacheHit: true}, nil
 	}
 	if s.draining {
 		return SubmitResult{}, ErrDraining
 	}
-	j := newJob(key, sch, format)
 	select {
 	case s.queue <- j:
 	default:
@@ -486,17 +446,29 @@ func newJob(key string, sch *schema.Schema, format table.Format) *Job {
 	}
 }
 
-// rideAlong collapses a submission onto an existing identical job. A
-// completed job counts as a cache hit (the dataset is served without
-// any new generation — the in-memory tier of the cache); a queued or
-// running one is the singleflight dedup proper.
-func (s *Service) rideAlong(j *Job) SubmitResult {
-	if isDone(j) {
-		s.cacheHits.Add(1)
-		return SubmitResult{Job: j, CacheHit: true, Deduped: true}
+// rideAlongLocked collapses a submission onto the identical job in the
+// map: a queued or running one (singleflight dedup proper), or a done
+// one whose dataset is still in the cache or its bypass directory (a
+// hit on the in-memory tier of the cache). A done job whose entry LRU
+// eviction pulled would hand the client downloads that all 404, so it
+// leaves the map. Caller holds s.mu.
+func (s *Service) rideAlongLocked(key string) (SubmitResult, bool) {
+	j, ok := s.jobs[key]
+	if !ok {
+		return SubmitResult{}, false
 	}
-	s.dedupHits.Add(1)
-	return SubmitResult{Job: j, Deduped: true}
+	switch st := j.state(); {
+	case st.status == StatusFailed:
+		return SubmitResult{}, false
+	case st.status != StatusDone:
+		s.dedupHits.Add(1)
+		return SubmitResult{Job: j, Deduped: true}, true
+	case s.cache.has(key) || st.bypassDir != "":
+		s.cacheHits.Add(1)
+		return SubmitResult{Job: j, CacheHit: true, Deduped: true}, true
+	}
+	delete(s.jobs, key)
+	return SubmitResult{}, false
 }
 
 // maxJobs bounds the in-memory job map: an insert that would push the
@@ -516,43 +488,27 @@ func (s *Service) pruneJobsLocked() {
 	}
 	type finishedJob struct {
 		key string
-		at  time.Time
+		jobState
 	}
 	var fin []finishedJob
 	for key, j := range s.jobs {
-		j.mu.Lock()
-		terminal := j.status == StatusDone || j.status == StatusFailed
-		at := j.finished
-		j.mu.Unlock()
-		if terminal {
-			fin = append(fin, finishedJob{key, at})
+		if st := j.state(); st.status.terminal() {
+			fin = append(fin, finishedJob{key, st})
 		}
 	}
-	sort.Slice(fin, func(a, b int) bool { return fin[a].at.Before(fin[b].at) })
+	sort.Slice(fin, func(a, b int) bool { return fin[a].finished.Before(fin[b].finished) })
 	for _, f := range fin {
 		if len(s.jobs) < maxJobs {
 			break
 		}
 		// A degraded job's dataset lives only in its bypass directory;
 		// evicting the job record is the moment to reclaim the disk.
-		if dir := s.jobs[f.key].BypassDir(); dir != "" {
-			s.cache.dir.Remove(dir)
+		if f.bypassDir != "" {
+			s.cache.dir.Remove(f.bypassDir)
 		}
 		delete(s.jobs, f.key)
 		s.jobEvictions.Add(1)
 	}
-}
-
-func isFailed(j *Job) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status == StatusFailed
-}
-
-func isDone(j *Job) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status == StatusDone
 }
 
 // Job returns a job by id (cache key), or nil.
@@ -571,22 +527,22 @@ func (s *Service) worker() {
 
 // runJob generates, size-checks, exports and commits one job. The
 // entire pipeline runs inside par.Safe: a panic anywhere in it — a
-// generator bug, a bad schema tripping library code — is recovered
-// into a failed job (error message carrying the stack) instead of
-// killing the worker goroutine and with it the whole daemon.
+// generator bug, a bad schema tripping library code, a Config.Logf
+// that panics — is recovered into a failed job (error message carrying
+// the stack) instead of killing the worker goroutine and with it the
+// whole daemon. A job that was already done stays done.
 func (s *Service) runJob(j *Job) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
-	j.setRunning()
-	s.logf("job %s running", shortKey(j.id))
 	if err := par.Safe(func() error { return s.executeJob(j) }); err != nil {
-		s.failJob(j, err)
+		s.transition(j, StatusFailed, change{err: err})
 	}
 }
 
-// executeJob is the runJob pipeline body; it completes j itself on
-// success and returns the failure otherwise.
+// executeJob is the runJob pipeline body; it moves j to running, and
+// on success to done, and returns the failure otherwise.
 func (s *Service) executeJob(j *Job) error {
+	s.transition(j, StatusRunning, change{})
 	ctx := context.Background()
 	if s.cfg.JobTimeout > 0 {
 		var cancel context.CancelFunc
@@ -598,14 +554,21 @@ func (s *Service) executeJob(j *Job) error {
 	eng.ExportFS = s.cfg.FS
 	eng.ExportDigest = true // the manifest's per-file SHA-256
 
-	s.generations.Add(1)
 	genStart := time.Now()
 	d, err := eng.GenerateCtx(ctx)
 	if err != nil {
 		return err
 	}
-	s.phases.observe(phaseGenerate, time.Since(genStart))
-	if err := s.checkDatasetLimits(d); err != nil {
+	s.phases[phaseGenerate].observe(time.Since(genStart))
+	var nodes, edges int64
+	for _, n := range d.NodeCounts {
+		nodes += n
+	}
+	for _, et := range d.Edges {
+		edges += et.Len()
+	}
+	// The authoritative check: the actual dataset, inferred counts too.
+	if err := s.checkLimits("dataset has ", nodes, edges); err != nil {
 		return err
 	}
 	stageDir, err := s.cache.dir.Stage(j.id)
@@ -622,7 +585,7 @@ func (s *Service) executeJob(j *Job) error {
 		s.cache.dir.Remove(stageDir)
 		return err
 	}
-	s.phases.observe(phaseExport, time.Since(expStart))
+	s.phases[phaseExport].observe(time.Since(expStart))
 	report := eng.Report()
 	if len(report.ExportFiles) == 0 {
 		s.cache.dir.Remove(stageDir)
@@ -637,18 +600,11 @@ func (s *Service) executeJob(j *Job) error {
 			matchWall += report.Timings[i].Duration
 		}
 	}
-	s.phases.observe(phaseMatch, matchWall)
+	s.phases[phaseMatch].observe(matchWall)
 	reportJSON, err := json.Marshal(report)
 	if err != nil {
 		s.cache.dir.Remove(stageDir)
 		return err
-	}
-	var nodes, edges int64
-	for _, n := range d.NodeCounts {
-		nodes += n
-	}
-	for _, et := range d.Edges {
-		edges += et.Len()
 	}
 	m := &Manifest{
 		Version:       1,
@@ -667,12 +623,11 @@ func (s *Service) executeJob(j *Job) error {
 	storeStart := time.Now()
 	stored, err := s.storeWithRetry(ctx, j.id, stageDir, m)
 	if err == nil {
-		s.phases.observe(phaseHash, time.Since(storeStart))
+		s.phases[phaseHash].observe(time.Since(storeStart))
 		// A successful commit is proof the disk recovered; clear the
 		// degraded latch.
 		s.setDegraded(false)
-		j.complete(stored, false)
-		s.logf("job %s done: %d nodes, %d edges, %d files", shortKey(j.id), nodes, edges, len(stored.Files))
+		s.transition(j, StatusDone, change{manifest: stored})
 		return nil
 	}
 	// Degraded cache-bypass: the cache cannot commit the entry (disk
@@ -681,12 +636,16 @@ func (s *Service) executeJob(j *Job) error {
 	// salvages work that already succeeded — the job completes, its
 	// downloads stream from the stage dir, and only the caching is
 	// lost. The daemon flips its readiness to degraded so orchestrators
-	// notice; a canceled/timed-out job still fails outright.
+	// notice; a canceled/timed-out job still fails outright. The
+	// manifest already carries the encoder's digests, the same integrity
+	// metadata as a cached entry, with no further read of the failing
+	// disk.
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		s.cache.dir.Remove(stageDir)
 		return err
 	}
-	s.completeBypass(j, stageDir, m, err)
+	s.setDegraded(true)
+	s.transition(j, StatusDone, change{manifest: m, bypassDir: stageDir, err: err})
 	return nil
 }
 
@@ -730,17 +689,6 @@ func (s *Service) storeWithRetry(ctx context.Context, key, stageDir string, m *M
 	}
 }
 
-// completeBypass finishes a job whose cache store failed for good: its
-// manifest already carries the encoder's digests (the same integrity
-// metadata as a cached entry, with no further read of the failing
-// disk) and the job completes serving from the stage directory.
-func (s *Service) completeBypass(j *Job, stageDir string, m *Manifest, storeErr error) {
-	s.bypasses.Add(1)
-	s.setDegraded(true)
-	j.completeBypass(m, stageDir)
-	s.logf("job %s done DEGRADED: cache store failed (%v); serving cache-bypass from stage", shortKey(j.id), storeErr)
-}
-
 // setDegraded flips the degraded latch, logging only transitions.
 func (s *Service) setDegraded(v bool) {
 	if s.degraded.Swap(v) != v {
@@ -756,14 +704,81 @@ func (s *Service) setDegraded(v bool) {
 // mode (readiness, not liveness: it still serves).
 func (s *Service) Degraded() bool { return s.degraded.Load() }
 
-func (s *Service) failJob(j *Job, err error) {
-	var pe *par.PanicError
-	if errors.As(err, &pe) {
-		s.panics.Add(1)
-		s.logf("job %s panicked (recovered): %v", shortKey(j.id), pe.Value)
+// change is what a transition writes beside the status.
+type change struct {
+	manifest  *Manifest // to done
+	fromCache bool      // to done: completed straight from the disk cache
+	bypassDir string    // to done: the stage directory served cache-bypass
+	// err is why a job failed, or, for a bypass, why the store failed.
+	err error
+}
+
+// moves lists where a job may go from each status. A job is born queued
+// (newJob); a disk-cache hit is done at once. Nothing leaves done or
+// failed, so done closes exactly once.
+var moves = map[JobStatus][]JobStatus{
+	StatusQueued:  {StatusRunning, StatusDone},
+	StatusRunning: {StatusDone, StatusFailed},
+}
+
+// transition moves j to status to and is the only code that changes a
+// job's state: it writes the status, the times and what c carries,
+// counts the move, closes j.done on a terminal move and logs it. A move
+// missing from moves is refused and logged, and changes nothing. The
+// counters move before done closes, so a waiter woken by it reads them;
+// the log line comes last, so a panicking Config.Logf cannot undo or
+// interrupt the move it reports.
+func (s *Service) transition(j *Job, to JobStatus, c change) {
+	key := shortKey(j.id)
+	now := time.Now()
+	j.mu.Lock()
+	from := j.status
+	if !slices.Contains(moves[from], to) {
+		j.mu.Unlock()
+		s.logf("job %s: refused move %s -> %s (%v)", key, from, to, c.err)
+		return
 	}
-	j.fail(err)
-	s.logf("job %s failed: %v", shortKey(j.id), err)
+	j.status = to
+	switch to {
+	case StatusRunning:
+		j.started = now
+	case StatusDone:
+		j.finished, j.manifest, j.cacheHit, j.bypassDir = now, c.manifest, c.fromCache, c.bypassDir
+	case StatusFailed:
+		j.finished, j.errMsg = now, c.err.Error()
+	}
+	j.mu.Unlock()
+
+	var pe *par.PanicError
+	panicked := to == StatusFailed && errors.As(c.err, &pe)
+	switch {
+	case to == StatusRunning:
+		s.generations.Add(1)
+	case c.fromCache:
+		s.cacheHits.Add(1)
+	case c.bypassDir != "":
+		s.bypasses.Add(1)
+	case panicked:
+		s.panics.Add(1)
+	}
+	if to.terminal() {
+		close(j.done)
+	}
+
+	switch {
+	case to == StatusRunning:
+		s.logf("job %s running", key)
+	case c.fromCache: // a hit does no work; nothing to report
+	case c.bypassDir != "":
+		s.logf("job %s done DEGRADED: cache store failed (%v); serving cache-bypass from stage", key, c.err)
+	case to == StatusDone:
+		s.logf("job %s done: %d nodes, %d edges, %d files", key, c.manifest.Nodes, c.manifest.Edges, len(c.manifest.Files))
+	default:
+		if panicked {
+			s.logf("job %s panicked (recovered): %v", key, pe.Value)
+		}
+		s.logf("job %s failed: %v", key, c.err)
+	}
 }
 
 // checkDeclaredLimits enforces MaxNodes/MaxEdges at admission — cheap
@@ -771,8 +786,8 @@ func (s *Service) failJob(j *Job, err error) {
 // which resolves inferred counts from generator parameters (RMAT's edge
 // factor, a 1→* edge's mean out-degree sizing its head type, …), so a
 // schema declaring 600 nodes but implying millions of edges is turned
-// away at submit. The estimate is a lower bound; checkDatasetLimits
-// stays the authoritative post-generation check.
+// away at submit. The estimate is a lower bound; the check of the
+// generated dataset in executeJob stays the authoritative one.
 func (s *Service) checkDeclaredLimits(sch *schema.Schema) error {
 	if s.cfg.MaxNodes <= 0 && s.cfg.MaxEdges <= 0 {
 		return nil
@@ -790,35 +805,16 @@ func (s *Service) checkDeclaredLimits(sch *schema.Schema) error {
 			edges += sch.Edges[i].Count
 		}
 	}
-	if s.cfg.MaxNodes > 0 && nodes > s.cfg.MaxNodes {
-		return &LimitError{fmt.Sprintf("service: schema implies ~%d nodes, limit is %d", nodes, s.cfg.MaxNodes)}
-	}
-	if s.cfg.MaxEdges > 0 && edges > s.cfg.MaxEdges {
-		return &LimitError{fmt.Sprintf("service: schema implies ~%d edges, limit is %d", edges, s.cfg.MaxEdges)}
-	}
-	return nil
+	return s.checkLimits("schema implies ~", nodes, edges)
 }
 
-// checkDatasetLimits enforces the limits on the generated dataset —
-// the authoritative check, covering inferred counts.
-func (s *Service) checkDatasetLimits(d *table.Dataset) error {
-	if s.cfg.MaxNodes > 0 {
-		var nodes int64
-		for _, n := range d.NodeCounts {
-			nodes += n
-		}
-		if nodes > s.cfg.MaxNodes {
-			return &LimitError{fmt.Sprintf("service: dataset has %d nodes, limit is %d", nodes, s.cfg.MaxNodes)}
-		}
+// checkLimits enforces MaxNodes/MaxEdges on a size that what describes.
+func (s *Service) checkLimits(what string, nodes, edges int64) error {
+	if s.cfg.MaxNodes > 0 && nodes > s.cfg.MaxNodes {
+		return &LimitError{fmt.Sprintf("service: %s%d nodes, limit is %d", what, nodes, s.cfg.MaxNodes)}
 	}
-	if s.cfg.MaxEdges > 0 {
-		var edges int64
-		for _, et := range d.Edges {
-			edges += et.Len()
-		}
-		if edges > s.cfg.MaxEdges {
-			return &LimitError{fmt.Sprintf("service: dataset has %d edges, limit is %d", edges, s.cfg.MaxEdges)}
-		}
+	if s.cfg.MaxEdges > 0 && edges > s.cfg.MaxEdges {
+		return &LimitError{fmt.Sprintf("service: %s%d edges, limit is %d", what, edges, s.cfg.MaxEdges)}
 	}
 	return nil
 }
@@ -940,14 +936,8 @@ func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	st.QueueDepth = len(s.queue)
 	st.Draining = s.draining
-	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		j.mu.Lock()
-		switch j.status {
+		switch j.state().status {
 		case StatusQueued:
 			st.Jobs.Queued++
 		case StatusRunning:
@@ -957,8 +947,8 @@ func (s *Service) Stats() Stats {
 		case StatusFailed:
 			st.Jobs.Failed++
 		}
-		j.mu.Unlock()
 	}
+	s.mu.Unlock()
 
 	st.Cache.Entries, st.Cache.Bytes = s.cache.stats()
 	st.Cache.MaxBytes = s.cfg.CacheMaxBytes

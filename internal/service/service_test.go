@@ -194,6 +194,9 @@ func TestServiceEndToEndByteIdentical(t *testing.T) {
 				if ct := resp.Header.Get("Content-Type"); ct != format.ContentType() {
 					t.Errorf("%s: table %s: Content-Type %s", format, f.Name, ct)
 				}
+				if d := resp.Header.Get("X-Datasynth-Degraded"); d != "" {
+					t.Errorf("%s: cached table %s carries X-Datasynth-Degraded %q", format, f.Name, d)
+				}
 			}
 		}
 	}
