@@ -13,10 +13,13 @@
 // of four kinds — generate node property, generate structure, match
 // properties to structure, generate edge property — and exposes the
 // per-task dependency edges (Plan.Deps), not just a topological order.
-// A pool of GOMAXPROCS goroutines dispatches every task the moment its
-// dependencies are satisfied, so independent schema elements generate
-// concurrently — the in-process analogue of the paper's shared-nothing
-// cluster. Within a property task, chunks of rows additionally fan out,
+// The engine runs the plan in waves: a task's level is one past its
+// deepest dependency, the levels run in order, and the tasks of one
+// level run together under par.ForEachCtx, so independent schema
+// elements generate concurrently — the in-process analogue of the
+// paper's shared-nothing cluster. A task reads what earlier levels
+// produced and returns its own output, which the engine stores once
+// the level has finished, so no task writes shared state. Within a property task, chunks of rows additionally fan out,
 // since every value is a pure function of (id, r(id), deps). There is
 // no parallelism setting: every fan-out sizes itself from GOMAXPROCS
 // (par.Procs) — the parallelism the process was given, not the
@@ -65,7 +68,7 @@
 //
 // # Intra-task parallelism and the determinism contract
 //
-// Beyond task-level scheduling, one large task shards internally,
+// Beyond the task-level waves, one large task shards internally,
 // under one invariant: the dataset is a pure function of the schema
 // seed — byte-identical at any GOMAXPROCS, verified end to end by
 // hashing exported files in all three formats (internal/core
@@ -102,8 +105,9 @@
 // indices claimed in order on up to GOMAXPROCS goroutines (one at
 // GOMAXPROCS=1, claiming them in the serial loop's order), no index
 // above a failure started, the lowest-index error or recovered panic
-// returned once every started call has finished. Only the task
-// scheduler above and the daemon's job queue dispatch otherwise.
+// returned once every started call has finished. The plan's levels
+// above run through it too; only the daemon's job queue dispatches
+// otherwise.
 //
 // Every Generate also records per-task wall times and derives the
 // plan's critical path (Engine.Report, datasynth -timings): the

@@ -9,19 +9,21 @@
 // mirroring the paper's shared-nothing cluster design in-process:
 //
 //   - Task level: depgraph exposes the plan as a DAG (Plan.Deps), and
-//     the engine dispatches every task whose dependencies are satisfied
-//     onto a pool of GOMAXPROCS goroutines, so independent schema
-//     elements — property generation, structure generation, and
-//     SBM-Part matching of unrelated types — run concurrently.
+//     the engine runs it in waves: a task's level is one past its
+//     deepest dependency, and the tasks of one level run together under
+//     par.ForEachCtx, so independent schema elements — property
+//     generation, structure generation, and SBM-Part matching of
+//     unrelated types — run concurrently.
 //   - Row level: property generation is embarrassingly parallel (every
 //     value is a pure function of (id, r(id), deps)), so each property
 //     task additionally fans chunks of rows out (table.Materialize).
 //
 // Every fan-out sizes itself from GOMAXPROCS (par.Procs); there is no
 // other parallelism setting. Determinism is independent of it: every
-// task keys its RNG streams off (schema seed, task id) and writes only
-// its own output slot, so the same seed yields a byte-identical dataset
-// whether the process runs on one P or on every core.
+// task keys its RNG streams off (schema seed, task id) and returns its
+// output rather than writing shared state, so the same seed yields a
+// byte-identical dataset whether the process runs on one P or on every
+// core.
 //
 // # Memory
 //
@@ -89,8 +91,8 @@ type Engine struct {
 	// digests come back in Report().ExportFiles. The generation service
 	// builds its manifests from them.
 	ExportDigest bool
-	// Logf, if non-nil, receives progress lines. It may be called from
-	// multiple scheduler workers concurrently.
+	// Logf, if non-nil, receives progress lines. The tasks of one plan
+	// level run together, so it may be called concurrently.
 	Logf func(format string, args ...any)
 
 	// report of the most recent Generate, for Report().
@@ -114,26 +116,26 @@ func (e *Engine) Report() *RunReport {
 	return e.report
 }
 
-// run-state, private to one Generate call. Scheduler workers execute
-// tasks concurrently, so every map access goes through the mu-guarded
-// accessors below; each task writes only its own output slot, which
-// keeps the state itself order-independent.
+// runState is what one Generate call has produced so far. Only runPlan
+// writes its maps, between plan levels: a task reads what earlier
+// levels stored and returns its own output (taskOut), so no goroutine
+// writes them while tasks run and they need no lock.
 type runState struct {
-	mu     sync.Mutex
-	counts map[string]int64
 	// props holds the generated tables by (node or edge type, property);
 	// type names are unique across both.
-	props   map[[2]string]*table.PropertyTable
-	edges   map[string]*table.EdgeTable
-	matched map[string]bool
+	props map[[2]string]*table.PropertyTable
+	edges map[string]*table.EdgeTable
+	// heads holds the count of each node type sized by a 1→* edge's
+	// heads, read from the structure's table before the match remaps it.
+	heads map[string]int64
 	// gens holds every property's generator, built and checked before
 	// the first task runs. A property's own task sets its rows; nothing
 	// else is written afterwards.
 	gens map[string]*propGen
-	// fusedProps holds property columns produced by fused operators
-	// (value indices plus the value universe); genNodeProperty
-	// materialises these instead of running a generator.
-	fusedProps map[string]map[string]*fusedColumn
+	// fused holds the head columns minted by fused operators (value
+	// indices plus the value universe) by (head type, property);
+	// genNodeProperty materialises these instead of running a generator.
+	fused map[[2]string]*fusedColumn
 }
 
 // fusedColumn is a property column minted by a fused operator.
@@ -142,81 +144,23 @@ type fusedColumn struct {
 	values []string
 }
 
+// taskOut is what one task produced, for runPlan to store once the
+// task's level has finished.
+type taskOut struct {
+	note  string               // the timing report's annotation
+	prop  *table.PropertyTable // a property or edge-property task's column
+	edges *table.EdgeTable     // a structure task's table
+	fused *fusedColumn         // a fused structure's head column
+}
+
 func newRunState(gens map[string]*propGen) *runState {
 	return &runState{
-		gens:       gens,
-		counts:     map[string]int64{},
-		props:      map[[2]string]*table.PropertyTable{},
-		edges:      map[string]*table.EdgeTable{},
-		matched:    map[string]bool{},
-		fusedProps: map[string]map[string]*fusedColumn{},
+		gens:  gens,
+		props: map[[2]string]*table.PropertyTable{},
+		edges: map[string]*table.EdgeTable{},
+		heads: map[string]int64{},
+		fused: map[[2]string]*fusedColumn{},
 	}
-}
-
-func (st *runState) count(name string) (int64, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	c, ok := st.counts[name]
-	return c, ok
-}
-
-func (st *runState) setCount(name string, c int64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.counts[name] = c
-}
-
-func (st *runState) prop(typeName, propName string) (*table.PropertyTable, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	pt, ok := st.props[[2]string{typeName, propName}]
-	return pt, ok
-}
-
-func (st *runState) setProp(typeName, propName string, pt *table.PropertyTable) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.props[[2]string{typeName, propName}] = pt
-}
-
-func (st *runState) edgeTable(name string) (*table.EdgeTable, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	et, ok := st.edges[name]
-	return et, ok
-}
-
-func (st *runState) setEdgeTable(name string, et *table.EdgeTable) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.edges[name] = et
-}
-
-func (st *runState) isMatched(name string) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.matched[name]
-}
-
-func (st *runState) setMatched(name string) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.matched[name] = true
-}
-
-func (st *runState) fusedCol(typeName, propName string) *fusedColumn {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.fusedProps[typeName][propName]
-}
-
-func (st *runState) setFusedCol(typeName, propName string, fc *fusedColumn) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.fusedProps[typeName] == nil {
-		st.fusedProps[typeName] = map[string]*fusedColumn{}
-	}
-	st.fusedProps[typeName][propName] = fc
 }
 
 // Generate executes the schema and returns the dataset.
@@ -225,7 +169,7 @@ func (e *Engine) Generate() (*table.Dataset, error) {
 }
 
 // GenerateCtx is Generate with cooperative cancellation: when ctx is
-// done, no further task is dispatched, in-flight tasks finish, and the
+// done, no further task starts, in-flight tasks finish, and the
 // context's error is returned. Cancellation is task-granular — the
 // engine never abandons a half-written table — which is the contract
 // the generation service's per-job timeout relies on: a timed-out job
@@ -245,14 +189,18 @@ func (e *Engine) GenerateCtx(ctx context.Context) (*table.Dataset, error) {
 	if err := e.runPlan(ctx, st, plan); err != nil {
 		return nil, err
 	}
-	// Node types with no properties still need their counts resolved
-	// for the dataset (e.g. a bare join type).
+	d := e.assemble(st)
+	// Every node type's count, also one with no properties (e.g. a bare
+	// join type).
 	for i := range e.Schema.Nodes {
-		if _, err := e.nodeCount(st, plan, e.Schema.Nodes[i].Name); err != nil {
+		name := e.Schema.Nodes[i].Name
+		c, err := e.nodeCount(st, plan, name)
+		if err != nil {
 			return nil, err
 		}
+		d.NodeCounts[name] = c
 	}
-	return e.assemble(st), nil
+	return d, nil
 }
 
 // prepare is the validation both GenerateCtx and ValidateSchema run, so
@@ -282,133 +230,88 @@ func (e *Engine) prepare() (*depgraph.Plan, map[string]*propGen, error) {
 	return plan, gens, nil
 }
 
-// runPlan executes the plan's task DAG on a bounded worker pool: a task
-// is dispatched as soon as every dependency has completed. Ready-queue
-// sends never block (the channel holds every task), completion
-// bookkeeping happens under one mutex, and the first task error stops
-// dispatch; in-flight tasks drain before the error is returned.
+// runPlan executes the plan in dependency waves. A task's level is one
+// past its deepest dependency; the levels run in order, and the tasks
+// of one level run together under par.ForEachCtx. A task reads only
+// what earlier levels stored in st and returns its output, which is
+// stored once its whole level has finished. The failing task with the
+// lowest plan index fails the plan, and no later level starts.
 func (e *Engine) runPlan(ctx context.Context, st *runState, plan *depgraph.Plan) error {
-	n := len(plan.Tasks)
-	if n == 0 {
+	if len(plan.Tasks) == 0 {
 		return nil
 	}
-	workers := min(par.Procs(), n)
-
-	dependents := make([][]int, n)
-	indeg := make([]int, n)
+	var levels [][]int
+	level := make([]int, len(plan.Tasks))
 	for i, deps := range plan.Deps {
-		indeg[i] = len(deps)
-		for _, d := range deps {
-			dependents[d] = append(dependents[d], i)
+		for _, d := range deps { // d < i: Tasks is topologically ordered
+			level[i] = max(level[i], level[d]+1)
 		}
-	}
-
-	ready := make(chan int, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready <- i
+		if level[i] == len(levels) {
+			levels = append(levels, nil)
 		}
+		levels[level[i]] = append(levels[level[i]], i)
 	}
-
-	// Per-task timing slots: every worker writes only the slot of the
-	// task it executed, so no lock is needed beyond the scheduler's.
-	timings := make([]TaskTiming, n)
-	for i, t := range plan.Tasks {
-		timings[i] = TaskTiming{ID: t.ID(), Kind: t.Kind}
-	}
+	timings := make([]TaskTiming, len(plan.Tasks))
 	runStart := time.Now()
-
-	var (
-		mu        sync.Mutex
-		firstErr  error
-		remaining = n
-		closed    bool
-	)
-	closeReady := func() {
-		if !closed {
-			closed = true
-			close(ready)
+	for _, tasks := range levels {
+		outs := make([]taskOut, len(tasks))
+		err := par.ForEachCtx(ctx, len(tasks), func(k int) error {
+			i, t := tasks[k], plan.Tasks[tasks[k]]
+			e.logf("task %s", t.ID())
+			taskStart := time.Now()
+			out, err := e.runTask(st, plan, t)
+			timings[i] = TaskTiming{ID: t.ID(), Kind: t.Kind, Start: taskStart.Sub(runStart), Duration: time.Since(taskStart), Note: out.note}
+			if err != nil {
+				return fmt.Errorf("core: task %s: %w", t.ID(), err)
+			}
+			outs[k] = out
+			return nil
+		})
+		if err != nil {
+			if err == ctx.Err() {
+				return fmt.Errorf("core: generation canceled: %w", err)
+			}
+			return err
+		}
+		for k, i := range tasks {
+			e.store(st, plan, plan.Tasks[i], outs[k])
 		}
 	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// The scheduling loop itself runs under par.Safe: task
-			// panics are already recovered inside runTask, so this
-			// guards the bookkeeping around it — a panic there fails
-			// the plan (and releases the other workers via closeReady)
-			// instead of killing the process. The mu-guarded sections
-			// are plain assignments and guarded closes and cannot
-			// panic, so the recovery path never runs with mu held.
-			if perr := par.Safe(func() error {
-				for i := range ready {
-					mu.Lock()
-					if firstErr == nil && ctx.Err() != nil {
-						firstErr = fmt.Errorf("core: generation canceled: %w", ctx.Err())
-						closeReady()
-					}
-					failed := firstErr != nil
-					mu.Unlock()
-					if failed {
-						continue // drain without executing
-					}
-					t := plan.Tasks[i]
-					e.logf("task %s", t.ID())
-					taskStart := time.Now()
-					note, err := e.runTask(st, plan, t)
-					timings[i].Start = taskStart.Sub(runStart)
-					timings[i].Duration = time.Since(taskStart)
-					timings[i].Note = note
-					mu.Lock()
-					if err != nil {
-						if firstErr == nil {
-							firstErr = fmt.Errorf("core: task %s: %w", t.ID(), err)
-						}
-						closeReady()
-						mu.Unlock()
-						continue
-					}
-					for _, j := range dependents[i] {
-						indeg[j]--
-						if indeg[j] == 0 && !closed {
-							ready <- j
-						}
-					}
-					remaining--
-					if remaining == 0 {
-						closeReady()
-					}
-					mu.Unlock()
-				}
-				return nil
-			}); perr != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("core: scheduler worker: %w", perr)
-				}
-				closeReady()
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr == nil {
-		report := buildReport(plan, timings, time.Since(runStart))
-		e.reportMu.Lock()
-		e.report = report
-		e.reportMu.Unlock()
-		e.logf("plan done: total %v, critical path %v (%d tasks)",
-			report.Total, report.CriticalPathTime, len(report.CriticalPath))
-	}
-	return firstErr
+	report := buildReport(plan, timings, time.Since(runStart))
+	e.reportMu.Lock()
+	e.report = report
+	e.reportMu.Unlock()
+	e.logf("plan done: total %v, critical path %v (%d tasks)",
+		report.Total, report.CriticalPathTime, len(report.CriticalPath))
+	return nil
 }
 
-// runTask dispatches one plan task to its executor. The returned note
-// is a free-form per-task annotation for the timing report (match
-// tasks report their per-pass SBM-Part breakdown there). A panicking
+// store records what task t produced. A structure whose heads size
+// their node type (a 1→* edge, depgraph.SourceEdgeHead) also fixes that
+// count, from the table as drawn, before the match remaps it; a fused
+// one also stores the head column it minted.
+func (e *Engine) store(st *runState, plan *depgraph.Plan, t depgraph.Task, out taskOut) {
+	switch t.Kind {
+	case depgraph.TaskProperty, depgraph.TaskEdgeProperty:
+		st.props[[2]string{t.Type, t.Prop}] = out.prop
+	case depgraph.TaskStructure:
+		st.edges[t.Type] = out.edges
+		edge := e.Schema.EdgeType(t.Type)
+		if src := plan.Counts[edge.Head]; src.Kind == depgraph.SourceEdgeHead && src.Edge == t.Type {
+			// A 1→* edge's heads are dense [0, m), so MaxNode is the
+			// edge count; an empty table implies zero heads.
+			st.heads[edge.Head] = out.edges.MaxNode()
+		}
+		if out.fused != nil {
+			st.fused[[2]string{edge.Head, edge.Correlation.HeadProperty}] = out.fused
+		}
+	}
+}
+
+// runTask dispatches one plan task to its executor and returns what it
+// produced; the output's note is a free-form per-task annotation for
+// the timing report (match tasks report their per-pass SBM-Part
+// breakdown there). A panicking
 // generator or matcher is recovered into a *par.PanicError here, so a
 // bad task fails the plan like any other task error instead of
 // killing the process — the isolation contract the generation service
@@ -422,17 +325,17 @@ func (e *Engine) runPlan(ctx context.Context, st *runState, plan *depgraph.Plan)
 // whatever the next task allocates, and the process's peak is its
 // allocation history rather than its live set. The heap is a few large
 // pointer-free slices, so a cycle costs well under a millisecond.
-func (e *Engine) runTask(st *runState, plan *depgraph.Plan, t depgraph.Task) (note string, err error) {
+func (e *Engine) runTask(st *runState, plan *depgraph.Plan, t depgraph.Task) (out taskOut, err error) {
 	err = par.Safe(func() error {
 		switch t.Kind {
 		case depgraph.TaskProperty:
-			note, err = e.genNodeProperty(st, plan, t.Type, t.Prop)
+			out, err = e.genNodeProperty(st, plan, t.Type, t.Prop)
 		case depgraph.TaskStructure:
-			note, err = e.genStructure(st, plan, t.Type)
+			out, err = e.genStructure(st, plan, t.Type)
 		case depgraph.TaskMatch:
-			note, err = e.matchEdge(st, plan, t.Type)
+			out.note, err = e.matchEdge(st, plan, t.Type)
 		case depgraph.TaskEdgeProperty:
-			note, err = e.genEdgeProperty(st, t.Type, t.Prop)
+			out, err = e.genEdgeProperty(st, t.Type, t.Prop)
 		default:
 			err = fmt.Errorf("core: unknown task kind %v", t.Kind)
 		}
@@ -441,7 +344,7 @@ func (e *Engine) runTask(st *runState, plan *depgraph.Plan, t depgraph.Task) (no
 	if err == nil && (t.Kind == depgraph.TaskStructure || t.Kind == depgraph.TaskMatch) {
 		runtime.GC()
 	}
-	return note, err
+	return out, err
 }
 
 func (e *Engine) logf(format string, args ...any) {
@@ -450,14 +353,10 @@ func (e *Engine) logf(format string, args ...any) {
 	}
 }
 
-// nodeCount resolves (and caches) a node type's instance count using
-// the plan's count sources. Concurrent tasks may resolve the same type
-// simultaneously; the computation is deterministic, so the duplicated
-// work writes the same value.
+// nodeCount resolves a node type's instance count from the plan's
+// count sources. It only reads: a count sized by a 1→* edge's heads is
+// the one runPlan stored when that edge's structure finished.
 func (e *Engine) nodeCount(st *runState, plan *depgraph.Plan, typeName string) (int64, error) {
-	if c, ok := st.count(typeName); ok {
-		return c, nil
-	}
 	src, ok := plan.Counts[typeName]
 	if !ok {
 		return 0, fmt.Errorf("core: no count source for node type %q", typeName)
@@ -467,16 +366,11 @@ func (e *Engine) nodeCount(st *runState, plan *depgraph.Plan, typeName string) (
 	case depgraph.SourceExplicit:
 		c = e.Schema.NodeType(typeName).Count
 	case depgraph.SourceEdgeHead:
-		et, ok := st.edgeTable(src.Edge)
-		if !ok {
+		if c, ok = st.heads[typeName]; !ok {
 			return 0, fmt.Errorf("core: count of %q needs structure of %q first", typeName, src.Edge)
 		}
-		c = et.MaxNode()
-		// A 1→* edge's heads are dense [0, m), so MaxNode == edge count;
-		// an empty table still implies zero heads.
 	case depgraph.SourceEdgeCount:
-		edge := e.Schema.EdgeType(src.Edge)
-		n, err := e.tailCountFromEdgeCount(edge)
+		n, err := e.tailCountFromEdgeCount(e.Schema.EdgeType(src.Edge))
 		if err != nil {
 			return 0, err
 		}
@@ -488,7 +382,6 @@ func (e *Engine) nodeCount(st *runState, plan *depgraph.Plan, typeName string) (
 	if err := checkCount("node type "+typeName, c); err != nil {
 		return 0, err
 	}
-	st.setCount(typeName, c)
 	return c, nil
 }
 
@@ -707,30 +600,27 @@ func dateRange(pg *propGen, gens map[string]*propGen) (lo, hi int64, ok bool) {
 // fused operator are materialised directly from the fused labels
 // instead of running the property generator. The note says where a
 // deferred column's fill will run.
-func (e *Engine) genNodeProperty(st *runState, plan *depgraph.Plan, typeName, propName string) (string, error) {
+func (e *Engine) genNodeProperty(st *runState, plan *depgraph.Plan, typeName, propName string) (taskOut, error) {
 	n, err := e.nodeCount(st, plan, typeName)
 	if err != nil {
-		return "", err
+		return taskOut{}, err
 	}
-	pg := st.gens[typeName+"."+propName]
-	if fc := st.fusedCol(typeName, propName); fc != nil {
+	if fc := st.fused[[2]string{typeName, propName}]; fc != nil {
 		if int64(len(fc.labels)) != n {
-			return "", fmt.Errorf("core: fused column %s.%s has %d rows, expected %d", typeName, propName, len(fc.labels), n)
+			return taskOut{}, fmt.Errorf("core: fused column %s.%s has %d rows, expected %d", typeName, propName, len(fc.labels), n)
 		}
 		pt := table.NewStringTable(typeName+"."+propName, n, fc.values)
 		codes, _ := pt.Coded()
 		for id, label := range fc.labels {
 			codes[id] = uint32(label)
 		}
-		st.setProp(typeName, propName, pt)
-		return "", nil
+		return taskOut{prop: pt}, nil
 	}
-	pt, err := e.generate(st, pg, n, nil)
+	pt, err := e.generate(st, st.gens[typeName+"."+propName], n, nil)
 	if err != nil {
-		return "", err
+		return taskOut{}, err
 	}
-	st.setProp(typeName, propName, pt)
-	return deferredNote(pt, table.NodeFileName(typeName, e.ExportFormat)), nil
+	return taskOut{prop: pt, note: deferredNote(pt, table.NodeFileName(typeName, e.ExportFormat))}, nil
 }
 
 // deferredNote is the timing-report note of a property task whose
@@ -764,7 +654,7 @@ func (e *Engine) generate(st *runState, pg *propGen, n int64, et *table.EdgeTabl
 	via := make([][]uint32, len(pg.deps))
 	for i, d := range pg.deps {
 		var ok bool
-		if srcs[i], ok = st.prop(d.owner, d.name); !ok {
+		if srcs[i], ok = st.props[[2]string{d.owner, d.name}]; !ok {
 			return nil, fmt.Errorf("core: dependency %s.%s not materialised", d.owner, d.name)
 		}
 		if d.via == 1 {

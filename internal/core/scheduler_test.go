@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,7 +83,7 @@ graph social {
 }
 `
 
-// TestSchedulerDeterminismQuickstart: the DAG scheduler must produce a
+// TestSchedulerDeterminismQuickstart: the plan waves must produce a
 // byte-identical dataset at any GOMAXPROCS (the determinism table of
 // export_determinism_test.go).
 func TestSchedulerDeterminismQuickstart(t *testing.T) {
@@ -139,7 +140,7 @@ func TestParallelFillErrorNoDeadlock(t *testing.T) {
 }
 
 // TestSchedulerErrorPropagates: a failing task must surface its error
-// through the concurrent scheduler (and not hang the run).
+// through the plan waves (and not hang the run).
 func TestSchedulerErrorPropagates(t *testing.T) {
 	s := &schema.Schema{
 		Name: "bad",
@@ -166,5 +167,71 @@ func TestSchedulerErrorPropagates(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("Generate hung on a failing task")
+	}
+}
+
+// threeProps is one node type whose property c reads a and b, so that
+// neither is deferred and both run in the plan's first level: P:T.a is
+// task 0 and P:T.b task 1.
+func threeProps(a, b string) *schema.Schema {
+	return &schema.Schema{Name: "x", Seed: 1, Nodes: []schema.NodeType{{
+		Name: "T", Count: 16,
+		Properties: []schema.Property{
+			{Name: "a", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: a}},
+			{Name: "b", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: b}},
+			{Name: "c", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "sequence"}, DependsOn: []string{"a", "b"}},
+		},
+	}}}
+}
+
+// TestPlanErrorNamesLowestTask: when two tasks of one level fail, the
+// plan's error names the lower plan index whichever fails first —
+// par.ForEachCtx's rule. a fails 50 ms late, b at once.
+func TestPlanErrorNamesLowestTask(t *testing.T) {
+	partest.SetProcs(t, 2)
+	failing := func(msg string, delay time.Duration) pgen.Factory {
+		return func(*schema.Params) (pgen.Generator, error) {
+			return pgen.PerRow(msg, table.KindInt, 0, func(int64, xrand.Stream, []pgen.Value) (pgen.Value, error) {
+				time.Sleep(delay)
+				return pgen.Value{}, fmt.Errorf("%s", msg)
+			}), nil
+		}
+	}
+	for trial := 0; trial < 5; trial++ {
+		e := New(threeProps("slow", "fast"))
+		e.PGens["slow"] = failing("slow failure", 50*time.Millisecond)
+		e.PGens["fast"] = failing("fast failure", 0)
+		_, err := e.Generate()
+		if err == nil || !strings.HasPrefix(err.Error(), "core: task P:T.a: ") {
+			t.Fatalf("trial %d: err = %v, want task P:T.a's", trial, err)
+		}
+	}
+}
+
+// TestLevelTasksRunTogether: at GOMAXPROCS=2 the two tasks of one plan
+// level run at once — each generator waits for the other to start. An
+// executor that ran them one after the other fails here after 5 s.
+func TestLevelTasksRunTogether(t *testing.T) {
+	partest.SetProcs(t, 2)
+	started := map[string]chan struct{}{"a": make(chan struct{}), "b": make(chan struct{})}
+	meet := func(self, other string) pgen.Factory {
+		var once sync.Once
+		return func(*schema.Params) (pgen.Generator, error) {
+			return pgen.PerRow(self, table.KindInt, 0, func(id int64, _ xrand.Stream, _ []pgen.Value) (pgen.Value, error) {
+				once.Do(func() { close(started[self]) })
+				select {
+				case <-started[other]:
+					return pgen.Value{Int: id}, nil
+				case <-time.After(5 * time.Second):
+					return pgen.Value{}, fmt.Errorf("%s ran alone: %s had not started after 5s", self, other)
+				}
+			}), nil
+		}
+	}
+	e := New(threeProps("a", "b"))
+	e.PGens["a"] = meet("a", "b")
+	e.PGens["b"] = meet("b", "a")
+	if _, err := e.Generate(); err != nil {
+		t.Fatal(err)
 	}
 }

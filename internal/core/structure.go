@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"strings"
 	"time"
 
@@ -23,14 +21,14 @@ import (
 // generator's one-line telemetry (sgen.Noter — e.g. sharded RMAT's
 // round/draw counts) into the task timing report, like match tasks do
 // with their SBM-Part per-pass breakdown.
-func (e *Engine) genStructure(st *runState, plan *depgraph.Plan, edgeName string) (string, error) {
+func (e *Engine) genStructure(st *runState, plan *depgraph.Plan, edgeName string) (taskOut, error) {
 	edge := e.Schema.EdgeType(edgeName)
 	if c := edge.Correlation; c != nil && c.Fused {
-		return "", e.genFusedStructure(st, plan, edge)
+		return e.genFusedStructure(st, plan, edge)
 	}
 	mono, bip, err := e.structureGen(edge)
 	if err != nil {
-		return "", err
+		return taskOut{}, err
 	}
 
 	var et *table.EdgeTable
@@ -39,19 +37,19 @@ func (e *Engine) genStructure(st *runState, plan *depgraph.Plan, edgeName string
 		var n int64
 		if edge.Count > 0 {
 			if n, err = g.NumNodesForEdges(edge.Count); err != nil {
-				return "", err
+				return taskOut{}, err
 			}
 		} else if n, err = e.nodeCount(st, plan, edge.Tail); err != nil {
-			return "", err
+			return taskOut{}, err
 		}
 		if err := checkCount("edge "+edgeName+"'s structure", n); err != nil {
-			return "", err
+			return taskOut{}, err
 		}
 		if et, err = g.Run(n); err != nil {
-			return "", err
+			return taskOut{}, err
 		}
 		if err := et.Validate(n, n); err != nil {
-			return "", fmt.Errorf("core: structure generator %s: %w", g.Name(), err)
+			return taskOut{}, fmt.Errorf("core: structure generator %s: %w", g.Name(), err)
 		}
 		if nt, ok := g.(sgen.Noter); ok {
 			note = nt.RunNote()
@@ -61,46 +59,44 @@ func (e *Engine) genStructure(st *runState, plan *depgraph.Plan, edgeName string
 		var nTail int64
 		if edge.Count > 0 {
 			if nTail, err = g.NumTailsForEdges(edge.Count); err != nil {
-				return "", err
+				return taskOut{}, err
 			}
 		} else if nTail, err = e.nodeCount(st, plan, edge.Tail); err != nil {
-			return "", err
+			return taskOut{}, err
 		}
 		// 1→* mints fresh heads; other cardinalities need the head
 		// domain up front.
 		nHead := int64(-1)
 		if edge.Cardinality != schema.OneToMany && edge.Tail != edge.Head {
 			if nHead, err = e.nodeCount(st, plan, edge.Head); err != nil {
-				return "", err
+				return taskOut{}, err
 			}
 		}
 		if edge.Cardinality == schema.OneToOne {
 			nHead = nTail
 		}
 		if err := checkCount("edge "+edgeName+"'s tail domain", nTail); err != nil {
-			return "", err
+			return taskOut{}, err
 		}
 		if nHead < 0 {
 			if err := checkMinted(edge, g, nTail); err != nil {
-				return "", err
+				return taskOut{}, err
 			}
 		}
 		if et, err = g.RunBipartite(nTail, nHead); err != nil {
-			return "", err
+			return taskOut{}, err
 		}
 		if nt, ok := g.(sgen.Noter); ok {
 			note = nt.RunNote()
 		}
 	}
 	et.Name = edgeName
-	st.setEdgeTable(edgeName, et)
-	e.cacheEdgeSourcedCounts(st, plan, edgeName, et)
 	if note != "" {
 		e.logf("structure %s: %d edges (%s)", edgeName, et.Len(), note)
 	} else {
 		e.logf("structure %s: %d edges", edgeName, et.Len())
 	}
-	return note, nil
+	return taskOut{edges: et, note: note}, nil
 }
 
 // checkMinted refuses a structure that mints a fresh head per edge (1→*)
@@ -117,39 +113,16 @@ func checkMinted(edge *schema.EdgeType, g sgen.BipartiteGenerator, nTail int64) 
 	return nil
 }
 
-// cacheEdgeSourcedCounts resolves every node count sourced from this
-// edge's table (SourceEdgeHead) as soon as the structure exists. The
-// match task later rewrites the table's endpoint ids in place, so
-// readers must never scan it themselves: resolving here both avoids a
-// data race between a count-reading task and the remap, and pins the
-// count to the pre-remap id domain — the only value that is correct.
-// A non-positive MaxNode (empty table) is left uncached so nodeCount
-// reports its usual error at the first reader.
-func (e *Engine) cacheEdgeSourcedCounts(st *runState, plan *depgraph.Plan, edgeName string, et *table.EdgeTable) {
-	for _, typeName := range slices.Sorted(maps.Keys(plan.Counts)) {
-		src := plan.Counts[typeName]
-		if src.Kind != depgraph.SourceEdgeHead || src.Edge != edgeName {
-			continue
-		}
-		if _, ok := st.count(typeName); ok {
-			continue
-		}
-		if c := et.MaxNode(); c > 0 {
-			st.setCount(typeName, c)
-		}
-	}
-}
-
 // genFusedStructure implements the paper's future-work fused operator
 // for correlated 1→* edges: structure and the correlated head property
 // are produced together by match.FusedOneToMany, realising the joint
 // exactly up to integer rounding. Tail ids in the resulting table are
-// final instance ids, so the match task becomes a no-op.
-func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *schema.EdgeType) error {
+// final instance ids and heads are fresh, so the match task is a no-op.
+func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *schema.EdgeType) (taskOut, error) {
 	c := edge.Correlation
-	tailPT, ok := st.prop(edge.Tail, c.TailProperty)
+	tailPT, ok := st.props[[2]string{edge.Tail, c.TailProperty}]
 	if !ok {
-		return fmt.Errorf("core: fused edge %s needs property %s.%s first", edge.Name, edge.Tail, c.TailProperty)
+		return taskOut{}, fmt.Errorf("core: fused edge %s needs property %s.%s first", edge.Name, edge.Tail, c.TailProperty)
 	}
 	tailLabels, tailValues := labelsFor(tailPT)
 	kt := len(tailValues)
@@ -165,18 +138,18 @@ func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *sche
 	if m == 0 {
 		nTail, err := e.nodeCount(st, plan, edge.Tail)
 		if err != nil {
-			return err
+			return taskOut{}, err
 		}
 		_, g, err := e.structureGen(edge)
 		if err != nil {
-			return err
+			return taskOut{}, err
 		}
 		if err := checkMinted(edge, g, nTail); err != nil {
-			return err
+			return taskOut{}, err
 		}
 		dry, err := g.RunBipartite(nTail, -1)
 		if err != nil {
-			return err
+			return taskOut{}, err
 		}
 		m = dry.Len()
 	}
@@ -185,7 +158,7 @@ func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *sche
 	// generator's marginal probabilities.
 	tailW, err := labelWeights(tailLabels, kt)
 	if err != nil {
-		return err
+		return taskOut{}, err
 	}
 	headW := make([]float64, kh)
 	for b := range headW {
@@ -193,19 +166,15 @@ func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *sche
 	}
 	target, err := stats.AlignedHomophilyJoint(tailW, headW, c.Homophily)
 	if err != nil {
-		return err
+		return taskOut{}, err
 	}
 	et, headLabels, err := match.FusedOneToMany(tailLabels, kt, kh, m, target, e.structureSeed(edge.Name))
 	if err != nil {
-		return err
+		return taskOut{}, err
 	}
 	et.Name = edge.Name
-	st.setEdgeTable(edge.Name, et)
-	e.cacheEdgeSourcedCounts(st, plan, edge.Name, et)
-	st.setMatched(edge.Name) // tails are final ids; heads are fresh
-	st.setFusedCol(edge.Head, c.HeadProperty, &fusedColumn{labels: headLabels, values: headValues})
 	e.logf("fused structure %s: %d edges, joint exact up to rounding", edge.Name, et.Len())
-	return nil
+	return taskOut{edges: et, fused: &fusedColumn{labels: headLabels, values: headValues}}, nil
 }
 
 // matchEdge performs the paper's graph-matching task: it rewrites the
@@ -216,13 +185,12 @@ func (e *Engine) genFusedStructure(st *runState, plan *depgraph.Plan, edge *sche
 // match task's critical-path time goes — including refinement passes.
 func (e *Engine) matchEdge(st *runState, plan *depgraph.Plan, edgeName string) (string, error) {
 	edge := e.Schema.EdgeType(edgeName)
-	et, ok := st.edgeTable(edgeName)
+	if c := edge.Correlation; c != nil && c.Fused {
+		return "", nil // genFusedStructure drew final ids
+	}
+	et, ok := st.edges[edgeName]
 	if !ok {
 		return "", fmt.Errorf("core: match before structure for %q", edgeName)
-	}
-	if st.isMatched(edgeName) {
-		// Fused edges arrive pre-matched.
-		return "", nil
 	}
 	seed := xrand.NewStream(e.Schema.Seed).DeriveStream("match." + edgeName).Seed()
 	nTail, err := e.nodeCount(st, plan, edge.Tail)
@@ -235,7 +203,7 @@ func (e *Engine) matchEdge(st *runState, plan *depgraph.Plan, edgeName string) (
 	}
 
 	if edge.Correlation == nil {
-		return "", e.matchRandom(st, edge, et, nTail, nHead, seed)
+		return "", matchRandom(edge, et, nTail, nHead, seed)
 	}
 	if edge.Correlation.Property != "" {
 		return e.matchMonopartite(st, edge, et, nTail, seed)
@@ -246,7 +214,7 @@ func (e *Engine) matchEdge(st *runState, plan *depgraph.Plan, edgeName string) (
 // matchRandom applies the paper's uncorrelated rule: "In those cases
 // where an edge type is not correlated with any property, the matching
 // is done randomly."
-func (e *Engine) matchRandom(st *runState, edge *schema.EdgeType, et *table.EdgeTable, nTail, nHead int64, seed uint64) error {
+func matchRandom(edge *schema.EdgeType, et *table.EdgeTable, nTail, nHead int64, seed uint64) error {
 	// Domain extents actually used by the structure (tails and heads
 	// have independent id spaces on bipartite edges).
 	var tailSpan, headSpan int64
@@ -286,7 +254,6 @@ func (e *Engine) matchRandom(st *runState, edge *schema.EdgeType, et *table.Edge
 		et.RemapTails(fTail)
 		et.RemapHeads(fHead)
 	}
-	st.setMatched(edge.Name)
 	return nil
 }
 
@@ -333,7 +300,7 @@ func labelsFor(pt *table.PropertyTable) ([]int64, []string) {
 // returned note carries the partitioner's per-pass wall times into the
 // task timing report.
 func (e *Engine) matchMonopartite(st *runState, edge *schema.EdgeType, et *table.EdgeTable, nTail int64, seed uint64) (string, error) {
-	pt, ok := st.prop(edge.Tail, edge.Correlation.Property)
+	pt, ok := st.props[[2]string{edge.Tail, edge.Correlation.Property}]
 	if !ok {
 		return "", fmt.Errorf("core: correlated property %s.%s not materialised", edge.Tail, edge.Correlation.Property)
 	}
@@ -363,7 +330,6 @@ func (e *Engine) matchMonopartite(st *runState, edge *schema.EdgeType, et *table
 	l1, _ := stats.L1(target, res.Observed)
 	note := sbmNote(res.StepTimes, res.PassTimes)
 	e.logf("match %s: k=%d L1=%.4f %s", edge.Name, k, l1, note)
-	st.setMatched(edge.Name)
 	return note, nil
 }
 
@@ -395,11 +361,11 @@ func sbmNote(st match.StepTimes, passTimes []time.Duration) string {
 // timing note as matchMonopartite.
 func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *table.EdgeTable, nTail, nHead int64, seed uint64) (string, error) {
 	c := edge.Correlation
-	tailPT, ok := st.prop(edge.Tail, c.TailProperty)
+	tailPT, ok := st.props[[2]string{edge.Tail, c.TailProperty}]
 	if !ok {
 		return "", fmt.Errorf("core: property %s.%s not materialised", edge.Tail, c.TailProperty)
 	}
-	headPT, ok := st.prop(edge.Head, c.HeadProperty)
+	headPT, ok := st.props[[2]string{edge.Head, c.HeadProperty}]
 	if !ok {
 		return "", fmt.Errorf("core: property %s.%s not materialised", edge.Head, c.HeadProperty)
 	}
@@ -423,7 +389,6 @@ func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *tab
 	}
 	et.RemapTails(res.TailMapping)
 	et.RemapHeads(res.HeadMapping)
-	st.setMatched(edge.Name)
 	return sbmNote(res.StepTimes, nil), nil
 }
 
@@ -444,26 +409,24 @@ func labelWeights(labels []int64, k int) ([]float64, error) {
 // genEdgeProperty produces one edge property table; dependencies may
 // reference sibling edge properties or endpoint node properties via
 // tail./head. prefixes (resolved through the matched edge table).
-func (e *Engine) genEdgeProperty(st *runState, edgeName, propName string) (string, error) {
-	et, ok := st.edgeTable(edgeName)
-	if !ok || !st.isMatched(edgeName) {
-		return "", fmt.Errorf("core: edge property %s.%s before match", edgeName, propName)
+func (e *Engine) genEdgeProperty(st *runState, edgeName, propName string) (taskOut, error) {
+	et, ok := st.edges[edgeName]
+	if !ok {
+		return taskOut{}, fmt.Errorf("core: edge property %s.%s before structure", edgeName, propName)
 	}
 	pt, err := e.generate(st, st.gens[edgeName+"."+propName], et.Len(), et)
 	if err != nil {
-		return "", err
+		return taskOut{}, err
 	}
-	st.setProp(edgeName, propName, pt)
-	return deferredNote(pt, table.EdgeFileName(edgeName, e.ExportFormat)), nil
+	return taskOut{prop: pt, note: deferredNote(pt, table.EdgeFileName(edgeName, e.ExportFormat))}, nil
 }
 
-// assemble packages the run state as a dataset, preserving schema
-// property order.
+// assemble packages the run state's tables as a dataset, preserving
+// schema property order; GenerateCtx adds the node counts.
 func (e *Engine) assemble(st *runState) *table.Dataset {
 	d := table.NewDataset()
 	for i := range e.Schema.Nodes {
 		n := &e.Schema.Nodes[i]
-		d.NodeCounts[n.Name] = st.counts[n.Name]
 		for j := range n.Properties {
 			d.NodeProps[n.Name] = append(d.NodeProps[n.Name], st.props[[2]string{n.Name, n.Properties[j].Name}])
 		}

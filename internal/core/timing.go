@@ -10,10 +10,10 @@ import (
 	"datasynth/internal/table"
 )
 
-// Scheduler observability: every Generate records per-task wall time
-// and derives the critical path of the schema — the dependency chain
-// whose cumulative duration bounds how fast the plan can possibly run
-// on infinitely many cores. The report is what drives sharding
+// Plan observability: every Generate records per-task wall time and
+// derives the critical path of the schema — the dependency chain whose
+// cumulative duration bounds how fast the plan can possibly run on
+// infinitely many cores. The report is what drives sharding
 // decisions: a task sitting on the critical path is worth
 // parallelising internally (sharded LFR) when that measures as a win;
 // a task off it only costs idle time.

@@ -95,10 +95,10 @@ type CountSource struct {
 }
 
 // Plan is the task DAG plus sizing rules. Tasks is in a
-// dependency-respecting (topological) order, so a sequential executor
-// can simply walk it; Deps exposes the per-task dependency edges so a
-// concurrent executor can dispatch every task whose dependencies are
-// satisfied without waiting for unrelated ones.
+// dependency-respecting (topological) order, so an executor can walk
+// it; Deps exposes the per-task dependency edges, from which the engine
+// gives each task a level (one past its deepest dependency) and runs
+// the tasks of one level together.
 type Plan struct {
 	Tasks []Task
 	// Deps[i] lists the indices (into Tasks) of the tasks that must
@@ -165,7 +165,7 @@ func Analyze(s *schema.Schema) (*Plan, error) {
 	}
 
 	// Edges of the dependency graph: dep -> dependent, deduplicated so
-	// Deps and the indegrees stay consistent for the scheduler.
+	// Deps and the indegrees stay consistent for kahn.
 	adj := make([][]int, len(tasks))
 	indeg := make([]int, len(tasks))
 	haveEdge := map[[2]int]bool{}
@@ -251,9 +251,9 @@ func Analyze(s *schema.Schema) (*Plan, error) {
 		}
 		// Match follows structure and the correlated property tables. It
 		// also resolves both endpoint counts, so any structure task that
-		// sizes an endpoint domain must have completed (the sequential
-		// executor got this for free from tie-break ordering; the
-		// concurrent one needs the edge to be explicit).
+		// sizes an endpoint domain must have completed; the edge must be
+		// explicit, since the task order alone does not put that
+		// structure in an earlier level.
 		if err := addDep(st, mt); err != nil {
 			return nil, err
 		}

@@ -4,8 +4,8 @@
 // (sgen), and the evaluation panels and sweeps (exp) all "run fn over
 // [0,n) in parallel, stop on error" through it, so the sizing rule
 // (Procs), the claim order and the error and panic semantics have one
-// implementation. Only the engine's task DAG, which dispatches by
-// dependency readiness, and the daemon's job queue schedule otherwise.
+// implementation; the engine runs each level of its task plan through
+// it too. Only the daemon's job queue schedules otherwise.
 package par
 
 import (
@@ -37,8 +37,8 @@ func (e *PanicError) Error() string {
 
 // Safe runs fn, converting a panic into a *PanicError. It is the one
 // recover point the pipeline layers share: par workers, the engine's
-// task scheduler and row-fill workers, and the service's job runner
-// all isolate panics through it, so "a panic becomes one failed
+// task runner and row-fill workers, and the service's job runner and
+// job workers all isolate panics through it, so "a panic becomes one failed
 // operation, never a dead process" has a single implementation.
 func Safe(fn func() error) (err error) {
 	defer func() {

@@ -14,8 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"datasynth/internal/core"
 	"datasynth/internal/dsl"
 	"datasynth/internal/faultfs"
+	"datasynth/internal/pgen"
+	"datasynth/internal/schema"
 	"datasynth/internal/store"
 	"datasynth/internal/table"
 )
@@ -151,6 +154,45 @@ func TestDoneLogPanicKeepsJobDone(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Jobs.Done != 2 || st.Jobs.Failed != 0 {
 		t.Fatalf("stats: %d done, %d failed; want 2 and 0", st.Jobs.Done, st.Jobs.Failed)
+	}
+}
+
+// TestFailedLogPanicKeepsWorker: a Config.Logf that panics on the line
+// reporting a job failed must not cost the worker. With one worker, the
+// first job fails — its engine builds no property generator — and a
+// second submission still leaves the queue and finishes.
+func TestFailedLogPanicKeepsWorker(t *testing.T) {
+	logf := func(format string, args ...any) {
+		if strings.HasPrefix(format, "job %s failed") {
+			panic("logger down")
+		}
+	}
+	svc := newTestService(t, Config{JobWorkers: 1, Logf: logf})
+	svc.newEngine = func(s *schema.Schema) *core.Engine {
+		eng := core.New(s)
+		if s.Seed == 71 {
+			eng.PGens = pgen.Registry{}
+		}
+		return eng
+	}
+	first, err := svc.Submit(testSchema(71), table.FormatCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitTerminal(t, first.Job); v.Status != StatusFailed {
+		t.Fatalf("first job finished %s, want failed", v.Status)
+	}
+	second, err := svc.Submit(testSchema(72), table.FormatCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-second.Job.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatalf("second job still %s: the only worker died", second.Job.View().Status)
+	}
+	if got := svc.Stats().Jobs.Panics; got != 1 {
+		t.Errorf("Stats.Jobs.Panics = %d, want the failed line's 1", got)
 	}
 }
 

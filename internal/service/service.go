@@ -334,13 +334,18 @@ func New(cfg Config) (*Service, error) {
 	}
 	for w := 0; w < cfg.jobWorkers(); w++ {
 		s.wg.Add(1)
+		// A job worker drains the queue until it closes. runJob recovers
+		// a panic in the job's pipeline into a failed job; what escapes
+		// it — a Config.Logf that panics on the line reporting the
+		// failure — is recovered here, per job, and counted, so the
+		// worker takes the next job. Nothing is logged for it: that
+		// logger may panic again.
 		go func() {
 			defer s.wg.Done()
-			// runJob recovers per-job panics itself; this outer Safe is a
-			// backstop for the loop plumbing, so a crash there degrades the
-			// pool by one worker instead of killing the whole daemon.
-			if err := par.Safe(func() error { s.worker(); return nil }); err != nil {
-				s.logf("service: job worker crashed: %v", err)
+			for j := range s.queue {
+				if par.Safe(func() error { s.runJob(j); return nil }) != nil {
+					s.panics.Add(1)
+				}
 			}
 		}()
 	}
@@ -518,19 +523,13 @@ func (s *Service) Job(id string) *Job {
 	return s.jobs[id]
 }
 
-// worker drains the job queue until it closes.
-func (s *Service) worker() {
-	for j := range s.queue {
-		s.runJob(j)
-	}
-}
-
 // runJob generates, size-checks, exports and commits one job. The
 // entire pipeline runs inside par.Safe: a panic anywhere in it — a
 // generator bug, a bad schema tripping library code, a Config.Logf
 // that panics — is recovered into a failed job (error message carrying
 // the stack) instead of killing the worker goroutine and with it the
-// whole daemon. A job that was already done stays done.
+// whole daemon. A job that was already done stays done. A panic in the
+// failed move itself (its log line) is the job worker's to recover.
 func (s *Service) runJob(j *Job) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
