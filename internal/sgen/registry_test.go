@@ -220,7 +220,8 @@ func TestRegistryRejectsUnreadParameters(t *testing.T) {
 
 // TestRegistryGeneratorsPinned pins the edge tables of the structure
 // generators no other golden covers, built through the registry as a
-// schema builds them: the defaults, and BTER and Darwini with degree-1
+// schema builds them: the defaults, Erdős–Rényi asked for more edges
+// than the densest simple graph holds, and BTER and Darwini with degree-1
 // nodes (dmin=1), which take their own branch, and Darwini without its
 // clustering spread. A change here means the generator's draws changed
 // for existing seeds, which needs a core.SchemaVersion bump.
@@ -242,6 +243,8 @@ func TestRegistryGeneratorsPinned(t *testing.T) {
 		{"darwini", map[string]string{"spread": "0"}, 15, 2000, 0, 5250, "cc499734893d3915b9002810dd4cd6c37f47fcbfe49828f96079a94e862bd286"},
 		{"barabasi-albert", map[string]string{}, 16, 3000, 0, 11990, "63bd39e6829c8b59e504516eb23f8e9eb6304d5d927fef05bbd48fbd8255f1dd"},
 		{"watts-strogatz", map[string]string{}, 17, 3000, 0, 12000, "57eb02bce366e81b9e12decab5b2e071ccb1d0a38c4b05ec3be8674bd5463ddc"},
+		{"erdos-renyi", map[string]string{}, 19, 3000, 0, 24000, "36dacb5a052a613b55a223191dfed18ff3a8c8957c89fb95252e35cee31101d6"},
+		{"erdos-renyi", map[string]string{"edgesPerNode": "30"}, 20, 50, 0, 1225, "b2cc08e19a819f3fd5f52949e304da5c403545664bebcc371c100f75f6e22d10"},
 		{"uniform-bipartite", map[string]string{}, 18, 3000, 700, 9000, "95b5d93caff5290018f26e371ce33aa0a69d117c8044320ac119d217a9d0e045"},
 	}
 	for _, c := range cases {
