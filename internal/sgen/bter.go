@@ -107,23 +107,7 @@ func (b *BTER) Run(n int64) (*table.EdgeTable, error) {
 	}
 
 	et := table.NewEdgeTable("bter", 0)
-	seen := make(map[uint64]struct{})
-	addEdge := func(a, c int64) bool {
-		if a == c {
-			return false
-		}
-		x, y := a, c
-		if x > y {
-			x, y = y, x
-		}
-		key := uint64(x)<<32 | uint64(y)
-		if _, dup := seen[key]; dup {
-			return false
-		}
-		seen[key] = struct{}{}
-		et.Add(a, c)
-		return true
-	}
+	seen := edgeSet{}
 
 	// Phase 1: affinity blocks. Nodes are already grouped by degree;
 	// consecutive runs of d+1 nodes with degree >= 2 form a block wired
@@ -148,8 +132,8 @@ func (b *BTER) Run(n int64) (*table.EdgeTable, error) {
 		}
 		for i := v; i < v+blockSize; i++ {
 			for j := i + 1; j < v+blockSize; j++ {
-				if q.Float64() < rho {
-					addEdge(i, j)
+				if q.Float64() < rho && seen.add(i, j) {
+					et.Add(i, j)
 				}
 			}
 		}
@@ -186,7 +170,8 @@ func (b *BTER) Run(n int64) (*table.EdgeTable, error) {
 		}
 		for e, tries := int64(0), int64(0); e < targetEdges && tries < attempts; tries++ {
 			a, c := sample(), sample()
-			if addEdge(a, c) {
+			if seen.add(a, c) {
+				et.Add(a, c)
 				e++
 			}
 		}

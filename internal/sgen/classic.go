@@ -54,24 +54,15 @@ func (g *ErdosRenyi) Run(n int64) (*table.EdgeTable, error) {
 	}
 	et := table.NewEdgeTable("erdos-renyi", m)
 	s := xrand.NewStream(g.Seed)
-	seen := make(map[uint64]struct{}, m)
+	seen := make(edgeSet, m)
 	var i int64
 	for et.Len() < m {
 		a := s.Intn(2*i, n)
 		b := s.Intn(2*i+1, n)
 		i++
-		if a == b {
-			continue
+		if seen.add(a, b) {
+			et.Add(min(a, b), max(a, b))
 		}
-		if a > b {
-			a, b = b, a
-		}
-		key := uint64(a)<<32 | uint64(b)
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		et.Add(a, b)
 	}
 	return et, nil
 }
@@ -231,23 +222,7 @@ func (g *WattsStrogatz) Run(n int64) (*table.EdgeTable, error) {
 	}
 	q := newSeq(g.Seed)
 	et := table.NewEdgeTable("watts-strogatz", n*int64(g.K))
-	seen := make(map[uint64]struct{}, n*int64(g.K))
-	add := func(a, b int64) bool {
-		if a == b {
-			return false
-		}
-		x, y := a, b
-		if x > y {
-			x, y = y, x
-		}
-		key := uint64(x)<<32 | uint64(y)
-		if _, dup := seen[key]; dup {
-			return false
-		}
-		seen[key] = struct{}{}
-		et.Add(a, b)
-		return true
-	}
+	seen := make(edgeSet, n*int64(g.K))
 	for v := int64(0); v < n; v++ {
 		for k := 1; k <= g.K; k++ {
 			target := (v + int64(k)) % n
@@ -255,7 +230,8 @@ func (g *WattsStrogatz) Run(n int64) (*table.EdgeTable, error) {
 				// Rewire to a uniform node, retrying on collisions.
 				for tries := 0; tries < 16; tries++ {
 					cand := q.Intn(n)
-					if add(v, cand) {
+					if seen.add(v, cand) {
+						et.Add(v, cand)
 						target = -1
 						break
 					}
@@ -264,7 +240,9 @@ func (g *WattsStrogatz) Run(n int64) (*table.EdgeTable, error) {
 					continue
 				}
 			}
-			add(v, target)
+			if seen.add(v, target) {
+				et.Add(v, target)
+			}
 		}
 	}
 	return et, nil

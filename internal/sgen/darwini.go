@@ -124,23 +124,7 @@ func (d *Darwini) Run(n int64) (*table.EdgeTable, error) {
 		return demands[a].id < demands[b].id
 	})
 	et := table.NewEdgeTable("darwini", 0)
-	seen := make(map[uint64]struct{})
-	addEdge := func(a, b int64) bool {
-		if a == b {
-			return false
-		}
-		x, y := a, b
-		if x > y {
-			x, y = y, x
-		}
-		key := uint64(x)<<32 | uint64(y)
-		if _, dup := seen[key]; dup {
-			return false
-		}
-		seen[key] = struct{}{}
-		et.Add(a, b)
-		return true
-	}
+	seen := edgeSet{}
 
 	excess := make([]float64, nn) // residual degree, indexed by demand position
 	pos := 0
@@ -165,8 +149,8 @@ func (d *Darwini) Run(n int64) (*table.EdgeTable, error) {
 		}
 		for i := 0; i < size; i++ {
 			for j := i + 1; j < size; j++ {
-				if q.Float64() < rho {
-					addEdge(bucket[i].id, bucket[j].id)
+				if q.Float64() < rho && seen.add(bucket[i].id, bucket[j].id) {
+					et.Add(bucket[i].id, bucket[j].id)
 				}
 			}
 		}
@@ -199,7 +183,8 @@ func (d *Darwini) Run(n int64) (*table.EdgeTable, error) {
 		}
 		for e, tries := int64(0), int64(0); e < targetEdges && tries < attempts; tries++ {
 			a, b := sample(), sample()
-			if addEdge(a, b) {
+			if seen.add(a, b) {
+				et.Add(a, b)
 				e++
 			}
 		}

@@ -66,6 +66,24 @@ func (d *edgeDedup) seenDirect(key int64) bool {
 	return false
 }
 
+// edgeSet is the set of undirected edges a simple-graph generator has
+// drawn, keyed by packEdgeKey.
+type edgeSet map[uint64]struct{}
+
+// add records the edge {a, b} and reports whether it is new: a
+// self-loop, or a pair already added in either orientation, is refused.
+func (s edgeSet) add(a, b int64) bool {
+	if a == b {
+		return false
+	}
+	key := packEdgeKey(a, b)
+	if _, dup := s[key]; dup {
+		return false
+	}
+	s[key] = struct{}{}
+	return true
+}
+
 func packEdgeKey(a, b int64) uint64 {
 	if a > b {
 		a, b = b, a
