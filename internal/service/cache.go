@@ -34,8 +34,8 @@ import (
 // process touches it; a corrupted entry — truncated file, flipped
 // bytes, missing manifest — is evicted on the spot and the lookup
 // reports a miss, so the job layer regenerates instead of serving bad
-// bytes. Validated keys are memoized in memory, keeping the hash check
-// off the hot hit path.
+// bytes. An index entry keeps its verified manifest, keeping the hash
+// check off the hot hit path.
 //
 // Size bound: the cache keeps an in-memory index of every committed
 // entry — its byte size (sum of the manifest's per-file sizes) in
@@ -107,8 +107,11 @@ func (m *Manifest) totalBytes() int64 {
 type cacheEntry struct {
 	key   string
 	bytes int64
-	refs  int  // open readers streaming from the entry directory
-	dead  bool // evicted from the index; directory removal may be deferred
+	// manifest is the entry's manifest once this process has verified
+	// every file against it (or stored the entry); nil until then.
+	manifest *Manifest
+	refs     int  // open readers streaming from the entry directory
+	dead     bool // evicted from the index; directory removal may be deferred
 
 	prev, next *cacheEntry // LRU list; head = most recently used
 }
@@ -119,7 +122,6 @@ type diskCache struct {
 	maxBytes int64      // 0 or negative = unbounded
 
 	mu        sync.Mutex
-	validated map[string]*Manifest     // keys hash-verified this process
 	inflight  map[string]chan struct{} // keys being verified right now
 	index     map[string]*cacheEntry   // committed entries, by key
 	dying     map[string]*cacheEntry   // evicted with open readers; dir removal deferred
@@ -135,12 +137,11 @@ func newDiskCache(root string, maxBytes int64, fsys faultfs.FS, logf func(format
 		return nil, err
 	}
 	c := &diskCache{
-		dir:       dir,
-		maxBytes:  maxBytes,
-		validated: map[string]*Manifest{},
-		inflight:  map[string]chan struct{}{},
-		index:     map[string]*cacheEntry{},
-		dying:     map[string]*cacheEntry{},
+		dir:      dir,
+		maxBytes: maxBytes,
+		inflight: map[string]chan struct{}{},
+		index:    map[string]*cacheEntry{},
+		dying:    map[string]*cacheEntry{},
 	}
 	if err := c.rebuildIndex(); err != nil {
 		return nil, err
@@ -243,7 +244,6 @@ func (c *diskCache) touchLocked(e *cacheEntry) {
 func (c *diskCache) dropLocked(e *cacheEntry) {
 	c.unlinkLocked(e)
 	delete(c.index, e.key)
-	delete(c.validated, e.key)
 	c.total -= e.bytes
 	e.dead = true
 }
@@ -294,18 +294,16 @@ func (c *diskCache) lookup(key string) (*Manifest, bool, error) {
 			c.mu.Unlock()
 			return nil, false, nil
 		}
-		if m, ok := c.validated[key]; ok {
-			if e := c.index[key]; e != nil {
-				c.touchLocked(e)
-			}
+		if e := c.index[key]; e != nil && e.manifest != nil {
+			c.touchLocked(e)
 			c.mu.Unlock()
-			return m, false, nil
+			return e.manifest, false, nil
 		}
 		if ch, busy := c.inflight[key]; busy {
 			c.mu.Unlock()
 			<-ch
-			// The verifier finished: either the key is validated now
-			// (next iteration hits the memo) or the entry was bad and
+			// The verifier finished: either the entry is verified now
+			// (next iteration hits its manifest) or it was bad and
 			// evicted (next iteration finds no manifest — a cheap stat).
 			continue
 		}
@@ -317,7 +315,6 @@ func (c *diskCache) lookup(key string) (*Manifest, bool, error) {
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if err == nil && m != nil {
-			c.validated[key] = m
 			// Index the entry if the startup scan missed it (e.g. the
 			// directory appeared after this process started).
 			e := c.index[key]
@@ -329,6 +326,7 @@ func (c *diskCache) lookup(key string) (*Manifest, bool, error) {
 			} else {
 				c.touchLocked(e)
 			}
+			e.manifest = m
 		}
 		if evicted {
 			// Corrupt entry: the directory is already gone; drop any
@@ -419,21 +417,22 @@ func (c *diskCache) store(key string, stageDir string, m *Manifest) (*Manifest, 
 	}
 	bytes := m.totalBytes()
 	c.mu.Lock()
-	c.validated[key] = m
 	// A dying entry under this key points at the directory we just
 	// replaced; supersede its deferred removal or the last reader's
 	// release would delete the fresh entry.
 	delete(c.dying, key)
-	if e := c.index[key]; e != nil {
+	e := c.index[key]
+	if e != nil {
 		c.total += bytes - e.bytes
 		e.bytes = bytes
 		c.touchLocked(e)
 	} else {
-		e := &cacheEntry{key: key, bytes: bytes}
+		e = &cacheEntry{key: key, bytes: bytes}
 		c.index[key] = e
 		c.pushFrontLocked(e)
 		c.total += bytes
 	}
+	e.manifest = m
 	victims := c.evictToFitLocked(key)
 	c.mu.Unlock()
 	for _, dir := range victims {
