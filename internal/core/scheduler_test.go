@@ -139,22 +139,32 @@ func TestParallelFillErrorNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestSchedulerErrorPropagates: a failing task must surface its error
-// through the plan waves (and not hang the run).
+// TestSchedulerErrorPropagates: a task that fails inside the plan's
+// second level surfaces its own error from Generate, and no task of a
+// later level starts. b reads a and fails on every row; c reads b, and d
+// reads c so that c is filled, not deferred.
 func TestSchedulerErrorPropagates(t *testing.T) {
-	s := &schema.Schema{
-		Name: "bad",
-		Seed: 1,
-		Nodes: []schema.NodeType{{
-			Name:  "N",
-			Count: 100,
-			Properties: []schema.Property{{
-				Name: "p", Kind: table.KindInt,
-				Generator: schema.GeneratorSpec{Name: "no-such-generator"},
-			}},
-		}},
+	var cRan atomic.Bool
+	e := New(&schema.Schema{Name: "x", Seed: 1, Nodes: []schema.NodeType{{
+		Name: "T", Count: 16,
+		Properties: []schema.Property{
+			{Name: "a", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "sequence"}},
+			{Name: "b", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "fails"}, DependsOn: []string{"a"}},
+			{Name: "c", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "records"}, DependsOn: []string{"b"}},
+			{Name: "d", Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "sequence"}, DependsOn: []string{"c"}},
+		},
+	}}})
+	e.PGens["fails"] = func(*schema.Params) (pgen.Generator, error) {
+		return pgen.PerRow("fails", table.KindInt, 1, func(int64, xrand.Stream, []pgen.Value) (pgen.Value, error) {
+			return pgen.Value{}, fmt.Errorf("second-level failure")
+		}), nil
 	}
-	e := New(s)
+	e.PGens["records"] = func(*schema.Params) (pgen.Generator, error) {
+		return pgen.PerRow("records", table.KindInt, 1, func(id int64, _ xrand.Stream, _ []pgen.Value) (pgen.Value, error) {
+			cRan.Store(true)
+			return pgen.Value{Int: id}, nil
+		}), nil
+	}
 	done := make(chan error, 1)
 	go func() {
 		_, err := e.Generate()
@@ -162,11 +172,14 @@ func TestSchedulerErrorPropagates(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("expected an error for unknown generator")
+		if err == nil || !strings.HasPrefix(err.Error(), "core: task P:T.b: ") || !strings.Contains(err.Error(), "second-level failure") {
+			t.Fatalf("err = %v, want task P:T.b's second-level failure", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("Generate hung on a failing task")
+	}
+	if cRan.Load() {
+		t.Error("T.c, a task of the level after the failure, started")
 	}
 }
 
