@@ -83,7 +83,7 @@
 //     (gather a node's neighbour groups, commit it, next node): a
 //     streaming partitioner is sequential by definition, each placement
 //     reads what the previous one wrote. A match without refinement
-//     (no `passes`, and every bipartite match) builds a streamed CSR
+//     (no `passes`, one-domain or bipartite) builds a streamed CSR
 //     that holds each edge once, at its later-streamed end — all the
 //     first pass reads — with the same bytes. Each step's wall time
 //     surfaces in the -timings report as the match-task note ("csr 45ms

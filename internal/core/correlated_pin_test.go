@@ -2,6 +2,7 @@ package core
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"datasynth/internal/dsl"
@@ -80,6 +81,39 @@ func TestCorrelatedExportsPinned(t *testing.T) {
 			if c.want[file] != h {
 				t.Errorf("%s: %s hash %s, want %s", c.name, file, h, c.want[file])
 			}
+		}
+	}
+}
+
+// TestRefinedBipartiteExportPinned pins the CSV bytes of recommenderDSL
+// with one refinement pass on its tail/head correlation: the bipartite
+// matcher's refinement, end to end. The node files are the unrefined
+// schema's (TestCorrelatedExportsPinned); only the edge file moves.
+func TestRefinedBipartiteExportPinned(t *testing.T) {
+	s, err := dsl.Parse(strings.Replace(recommenderDSL, "homophily 0.75", "homophily 0.75 passes 1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(s).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := d.Export(dir, table.ExportOptions{Format: table.FormatCSV}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"edges_rates.csv":   "12ea6d391aeace327e4f760aeaec04d5477b0bfdd368b590256c041c5d5e136a",
+		"nodes_Product.csv": "f784ba0c6d134fcda23a844a9b9fe3117e6ca8fca6936d69e96eda0fadb997ef",
+		"nodes_User.csv":    "629fb9c6870a1c71ec7666b492eb3ecc310b3d3de02392739af1a626539d74e0",
+	}
+	got := hashDir(t, dir)
+	if len(got) != len(want) {
+		t.Errorf("%d files, want %d", len(got), len(want))
+	}
+	for file, h := range got {
+		if want[file] != h {
+			t.Errorf("%s hash %s, want %s", file, h, want[file])
 		}
 	}
 }

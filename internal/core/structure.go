@@ -205,10 +205,7 @@ func (e *Engine) matchEdge(st *runState, plan *depgraph.Plan, edgeName string) (
 	if edge.Correlation == nil {
 		return "", matchRandom(edge, et, nTail, nHead, seed)
 	}
-	if edge.Correlation.Property != "" {
-		return e.matchMonopartite(st, edge, et, nTail, seed)
-	}
-	return e.matchBipartiteEdge(st, edge, et, nTail, nHead, seed)
+	return e.matchCorrelated(st, edge, et, nTail, nHead, seed)
 }
 
 // matchRandom applies the paper's uncorrelated rule: "In those cases
@@ -296,40 +293,77 @@ func labelsFor(pt *table.PropertyTable) ([]int64, []string) {
 	return labels, values
 }
 
-// matchMonopartite runs SBM-Part for a same-type correlated edge. The
-// returned note carries the partitioner's per-pass wall times into the
-// task timing report.
-func (e *Engine) matchMonopartite(st *runState, edge *schema.EdgeType, et *table.EdgeTable, nTail int64, seed uint64) (string, error) {
-	pt, ok := st.props[[2]string{edge.Tail, edge.Correlation.Property}]
-	if !ok {
-		return "", fmt.Errorf("core: correlated property %s.%s not materialised", edge.Tail, edge.Correlation.Property)
-	}
-	labels, values := labelsFor(pt)
-	k := len(values)
-	sizes, err := stats.Frequencies(labels, k)
-	if err != nil {
-		return "", err
-	}
-	target, err := stats.HomophilyJoint(sizes, edge.Correlation.Homophily)
-	if err != nil {
-		return "", err
-	}
-	structN := et.MaxNode()
-	if structN > nTail {
-		return "", fmt.Errorf("core: structure of %s spans %d nodes but %s has %d instances", edge.Name, structN, edge.Tail, nTail)
-	}
-	// The structure may cover fewer nodes than instances exist; SBM-Part
-	// capacities come from all rows, so the mapping stays injective.
+// matchCorrelated runs SBM-Part for a correlated edge: over one domain
+// for a same-type correlation, over tails then heads for a tail/head
+// one, refined by the correlation's passes either way. The returned
+// note carries the match's step and per-pass wall times into the task
+// timing report.
+func (e *Engine) matchCorrelated(st *runState, edge *schema.EdgeType, et *table.EdgeTable, nTail, nHead int64, seed uint64) (string, error) {
+	c := edge.Correlation
 	opt := match.DefaultOptions(seed)
-	opt.Passes = edge.Correlation.Passes
-	res, err := match.MatchProperty(et, nTail, labels, target, opt)
-	if err != nil {
-		return "", err
+	opt.Passes = c.Passes
+	var (
+		target, observed *stats.Joint
+		times            match.StepTimes
+		passes           []time.Duration
+	)
+	if c.Property != "" {
+		pt, ok := st.props[[2]string{edge.Tail, c.Property}]
+		if !ok {
+			return "", fmt.Errorf("core: correlated property %s.%s not materialised", edge.Tail, c.Property)
+		}
+		labels, values := labelsFor(pt)
+		sizes, err := stats.Frequencies(labels, len(values))
+		if err != nil {
+			return "", err
+		}
+		if target, err = stats.HomophilyJoint(sizes, c.Homophily); err != nil {
+			return "", err
+		}
+		if structN := et.MaxNode(); structN > nTail {
+			return "", fmt.Errorf("core: structure of %s spans %d nodes but %s has %d instances", edge.Name, structN, edge.Tail, nTail)
+		}
+		// The structure may cover fewer nodes than instances exist; SBM-Part
+		// capacities come from all rows, so the mapping stays injective.
+		res, err := match.MatchProperty(et, nTail, labels, target, opt)
+		if err != nil {
+			return "", err
+		}
+		et.Remap(res.Mapping)
+		observed, times, passes = res.Observed, res.StepTimes, res.PassTimes
+	} else {
+		tailPT, ok := st.props[[2]string{edge.Tail, c.TailProperty}]
+		if !ok {
+			return "", fmt.Errorf("core: property %s.%s not materialised", edge.Tail, c.TailProperty)
+		}
+		headPT, ok := st.props[[2]string{edge.Head, c.HeadProperty}]
+		if !ok {
+			return "", fmt.Errorf("core: property %s.%s not materialised", edge.Head, c.HeadProperty)
+		}
+		tailLabels, tailValues := labelsFor(tailPT)
+		headLabels, headValues := labelsFor(headPT)
+		tailW, err := labelWeights(tailLabels, len(tailValues))
+		if err != nil {
+			return "", err
+		}
+		headW, err := labelWeights(headLabels, len(headValues))
+		if err != nil {
+			return "", err
+		}
+		if target, err = stats.AlignedHomophilyJoint(tailW, headW, c.Homophily); err != nil {
+			return "", err
+		}
+		res, err := match.MatchBipartite(et, nTail, nHead, tailLabels, headLabels, target, opt)
+		if err != nil {
+			return "", err
+		}
+		et.RemapTails(res.TailMapping)
+		et.RemapHeads(res.HeadMapping)
+		observed, times, passes = res.Observed, res.StepTimes, res.PassTimes
 	}
-	et.Remap(res.Mapping)
-	l1, _ := stats.L1(target, res.Observed)
-	note := sbmNote(res.StepTimes, res.PassTimes)
-	e.logf("match %s: k=%d L1=%.4f %s", edge.Name, k, l1, note)
+	l1, _ := stats.L1(target, observed)
+	note := sbmNote(times, passes)
+	e.logf("match %s: k=%d L1=%.4f %s", edge.Name, target.K, l1, note)
 	return note, nil
 }
 
@@ -354,42 +388,6 @@ func sbmNote(st match.StepTimes, passTimes []time.Duration) string {
 	}
 	fmt.Fprintf(&b, " map %v joint %v", us(st.MappingTime), us(st.JointTime))
 	return b.String()
-}
-
-// matchBipartiteEdge runs the bipartite SBM-Part variation for an edge
-// correlating a tail property with a head property, returning the same
-// timing note as matchMonopartite.
-func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *table.EdgeTable, nTail, nHead int64, seed uint64) (string, error) {
-	c := edge.Correlation
-	tailPT, ok := st.props[[2]string{edge.Tail, c.TailProperty}]
-	if !ok {
-		return "", fmt.Errorf("core: property %s.%s not materialised", edge.Tail, c.TailProperty)
-	}
-	headPT, ok := st.props[[2]string{edge.Head, c.HeadProperty}]
-	if !ok {
-		return "", fmt.Errorf("core: property %s.%s not materialised", edge.Head, c.HeadProperty)
-	}
-	tailLabels, tailValues := labelsFor(tailPT)
-	headLabels, headValues := labelsFor(headPT)
-	tailW, err := labelWeights(tailLabels, len(tailValues))
-	if err != nil {
-		return "", err
-	}
-	headW, err := labelWeights(headLabels, len(headValues))
-	if err != nil {
-		return "", err
-	}
-	target, err := stats.AlignedHomophilyJoint(tailW, headW, c.Homophily)
-	if err != nil {
-		return "", err
-	}
-	res, err := match.MatchBipartite(et, nTail, nHead, tailLabels, headLabels, target, match.DefaultOptions(seed))
-	if err != nil {
-		return "", err
-	}
-	et.RemapTails(res.TailMapping)
-	et.RemapHeads(res.HeadMapping)
-	return sbmNote(res.StepTimes, nil), nil
 }
 
 // labelWeights returns the frequency of each of k labels as a weight

@@ -81,37 +81,45 @@ func TestValidateSchemaBuildsGenerators(t *testing.T) {
 	}
 }
 
-// TestValidateSchemaRejectsPassesOnTailHead: refinement passes exist for
-// the monopartite matcher only, so `passes` on a tail/head correlation —
-// bipartite or fused — is a validation error naming the edge, not a
-// schema that validates and then runs zero refinement.
+// TestValidateSchemaRejectsPassesOnTailHead: a fused tail/head edge
+// draws its structure already matched, so `passes` on it is a
+// validation error naming the edge, not a schema that validates and
+// then runs zero refinement. A bipartite tail/head edge is matched by
+// SBM-Part like a one-domain one: `passes` on it validates and refines,
+// and its match task notes each pass.
 func TestValidateSchemaRejectsPassesOnTailHead(t *testing.T) {
-	for _, src := range []string{
-		fusedDSL,
-		strings.NewReplacer("1-* Message", "*-* Message", "Message {", "Message {\n    count = 500",
-			"powerlaw-out(min=2, max=6, gamma=2.0)", "zipf-attachment(min=1, max=5, gamma=2.0, theta=1.1)",
-			"homophily 0.9 fused", "homophily 0.9").Replace(fusedDSL),
-	} {
-		s, err := dsl.Parse(src)
-		if err != nil {
-			t.Fatalf("the schema must parse without its passes clause: %v\n%s", err, src)
-		}
-		s.Edges[0].Correlation.Passes = 2
-		err = ValidateSchema(s)
-		if err == nil || !strings.Contains(err.Error(), `edge "posts"`) || !strings.Contains(err.Error(), "2 refinement passes") {
-			t.Errorf("ValidateSchema = %v, want an error naming edge \"posts\" and its 2 refinement passes\n%s", err, src)
-		}
-		if _, err := New(s).Generate(); err == nil {
-			t.Error("Generate accepted passes on a tail/head correlation")
-		}
-		// The DSL front door (-validate, admission, PUT /v1/scenarios all
-		// parse first) refuses the clause itself.
-		if _, err := dsl.Parse(strings.Replace(src, "homophily 0.9", "homophily 0.9 passes 2", 1)); err == nil || !strings.Contains(err.Error(), `edge "posts"`) {
-			t.Errorf("dsl.Parse with passes 2 = %v, want an error naming edge \"posts\"", err)
-		}
+	s, err := dsl.Parse(fusedDSL)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := refinedQuickstartSchema()
-	if err := ValidateSchema(s); err != nil {
+	s.Edges[0].Correlation.Passes = 2
+	err = ValidateSchema(s)
+	if err == nil || !strings.Contains(err.Error(), `edge "posts"`) || !strings.Contains(err.Error(), "2 refinement passes") {
+		t.Errorf("ValidateSchema = %v, want an error naming edge \"posts\" and its 2 refinement passes", err)
+	}
+	if _, err := New(s).Generate(); err == nil {
+		t.Error("Generate accepted passes on a fused correlation")
+	}
+	// The DSL front door (-validate, admission, PUT /v1/scenarios all
+	// parse first) refuses the clause itself.
+	if _, err := dsl.Parse(strings.Replace(fusedDSL, "homophily 0.9 fused", "homophily 0.9 fused passes 2", 1)); err == nil || !strings.Contains(err.Error(), `edge "posts"`) {
+		t.Errorf("dsl.Parse with passes 2 = %v, want an error naming edge \"posts\"", err)
+	}
+
+	bipartite := strings.NewReplacer("1-* Message", "*-* Message", "Message {", "Message {\n    count = 500",
+		"powerlaw-out(min=2, max=6, gamma=2.0)", "zipf-attachment(min=1, max=5, gamma=2.0, theta=1.1)",
+		"homophily 0.9 fused", "homophily 0.9 passes 2").Replace(fusedDSL)
+	if s, err = dsl.Parse(bipartite); err != nil {
+		t.Fatalf("passes on a bipartite correlation: %v", err)
+	}
+	e := New(s)
+	if _, err := e.Generate(); err != nil {
+		t.Fatal(err)
+	}
+	if notes := matchNotes(e.Report()); len(notes) != 1 || !strings.Contains(notes[0], " (passes ") {
+		t.Errorf("bipartite match notes %q, want one with a (passes …) breakdown", notes)
+	}
+	if err := ValidateSchema(refinedQuickstartSchema()); err != nil {
 		t.Errorf("passes on a monopartite correlation: %v", err)
 	}
 }

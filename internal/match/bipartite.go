@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"datasynth/internal/graph"
 	"datasynth/internal/stats"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
@@ -59,6 +58,9 @@ type BipartiteResult struct {
 	// edge table and the two assignments, bit for bit.
 	Observed *stats.Joint
 	StepTimes
+	// PassTimes breaks PartitionTime down per streaming pass, as
+	// Result.PassTimes does.
+	PassTimes []time.Duration
 }
 
 // MatchBipartite partitions both endpoint domains of a bipartite edge
@@ -66,8 +68,9 @@ type BipartiteResult struct {
 // tailRowLabels/headRowLabels are the two PTs reduced to value indices;
 // their frequencies set the group capacities. opt.Order, when set,
 // streams the combined id space: tails as they are, heads offset by
-// nTail. opt.Passes is ignored: the bipartite stream has no refinement.
-// An endpoint outside [0, nTail)×[0, nHead) fails the graph build.
+// nTail. opt.Passes refines as in MatchProperty, hubs first over the
+// combined id space, each side within its own values. An endpoint
+// outside [0, nTail)×[0, nHead) fails the graph build.
 func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, headRowLabels []int64, target *stats.Joint, opt Options) (*BipartiteResult, error) {
 	kt, kh, err := twoDomain(target)
 	if err != nil {
@@ -91,30 +94,12 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 	// The bipartite SBM as a monopartite one (see the package comment):
 	// nodes are tails then heads, and the target's groups are tail
 	// values then head values.
-	part := &SBMPart{
-		K: target.K, Target: target, Capacities: append(capT, capH...),
-		Seed: opt.Seed, tails: nTail,
+	part := &SBMPart{K: target.K, Target: target, Capacities: append(capT, capH...), tails: nTail}
+	r, times, err := part.match(et, nTail, nHead, opt)
+	if err != nil {
+		return nil, err
 	}
-	// The stream has no refinement, so, as in MatchProperty without
-	// passes, the order comes first and the CSR holds each edge once, at
-	// its later-streamed endpoint, in the edge table's order.
-	var times StepTimes
 	mark := time.Now()
-	order, rank, err := streamOrder(opt.Order, nTail+nHead, opt.Seed, part.Capacities)
-	if err != nil {
-		return nil, err
-	}
-	times.OrderTime = lap(&mark)
-	g, err := graph.FromBipartiteEdges(et.Tail, et.Head, nTail, nHead, rank)
-	if err != nil {
-		return nil, err
-	}
-	times.CSRTime = lap(&mark)
-	r, err := part.partition(g, order, 0)
-	if err != nil {
-		return nil, err
-	}
-	times.PartitionTime = lap(&mark)
 	assignT, assignH := r.assign[:nTail:nTail], r.assign[nTail:]
 	for i := range assignH {
 		assignH[i] -= uint32(kt)
@@ -136,6 +121,6 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 	return &BipartiteResult{
 		TailAssign: assignT, HeadAssign: assignH,
 		TailMapping: mapT, HeadMapping: mapH,
-		Observed: obs, StepTimes: times,
+		Observed: obs, StepTimes: times, PassTimes: part.PassTimes,
 	}, nil
 }

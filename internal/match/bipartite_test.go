@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"datasynth/internal/sgen"
 	"datasynth/internal/stats"
 	"datasynth/internal/table"
 )
@@ -233,5 +234,66 @@ func TestMatchBipartiteBytes(t *testing.T) {
 	// per-value shuffle streams and the k×k matrices.
 	if want := csr + rest + 128<<10; b > want {
 		t.Errorf("MatchBipartite allocated %d bytes, want ≤ %d (streamed CSR + per-node words + 128 KiB)", b, want)
+	}
+}
+
+// TestMatchBipartiteRefines: refinement passes work on a two-domain
+// target. A zipf-attachment recommender — 20,000 users × 2,000
+// products, values weighted 4|3|2|3 on both sides, the aligned
+// homophily target at h = 0.75 — reads an aligned (diagonal) mass of
+// 0.461–0.480 and an L1 of 0.539–0.578 from the first pass alone on
+// seeds 1–3; one refinement pass lifts them past 0.58 and under 0.37,
+// and the carried joint still equals the recount bit for bit.
+func TestMatchBipartiteRefines(t *testing.T) {
+	const nT, nH = 20000, 2000
+	weights := []float64{4, 3, 2, 3}
+	labels := func(n int64) []int64 {
+		// Row r takes the first value whose cumulative weight share
+		// exceeds r/n, so the counts cover n exactly.
+		cum := []int64{4, 7, 9, 12}
+		rows := make([]int64, n)
+		for r := range rows {
+			for int64(r)*12 >= n*cum[rows[r]] {
+				rows[r]++
+			}
+		}
+		return rows
+	}
+	target, err := stats.AlignedHomophilyJoint(weights, weights, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		et, err := sgen.NewZipfAttachment(1, 30, 1.8, 1.1, seed).RunBipartite(nT, nH)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := DefaultOptions(11)
+		opt.Passes = 1
+		res, err := MatchBipartite(et, nT, nH, labels(nT), labels(nH), target, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var diag float64
+		for a := range weights {
+			diag += res.Observed.At(a, len(weights)+a)
+		}
+		l1, err := stats.L1(target, res.Observed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diag < 0.58 || l1 > 0.37 || len(res.PassTimes) != 2 {
+			t.Errorf("seed %d: diag %.3f L1 %.3f over %d passes, want diag ≥ 0.58 and L1 ≤ 0.37 over 2", seed, diag, l1, len(res.PassTimes))
+		}
+		want, err := EmpiricalBipartite(et, widen(res.TailAssign), widen(res.HeadAssign), len(weights), len(weights))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range want.P {
+			if math.Float64bits(res.Observed.P[i]) != math.Float64bits(p) {
+				t.Fatalf("seed %d: observed cell %d reads %v, recount %v", seed, i, res.Observed.P[i], p)
+			}
+		}
+		t.Logf("seed %d: %d edges, diag %.3f L1 %.3f", seed, et.Len(), diag, l1)
 	}
 }

@@ -168,18 +168,21 @@ func TestObservedMatchesRecount(t *testing.T) {
 	bip := func(seed uint64, nt, nh, mm uint16, kk uint8) bool {
 		kt, kh := 1+int(kk%5), 1+int(kk/5%5)
 		f := messyBipartite(t, 5+int64(nt%300), 5+int64(nh%300), 1+int64(mm%3000), kt, kh)
-		opt := DefaultOptions(seed)
-		res, err := MatchBipartite(f.et, f.nTail, f.nHead, f.tailLabels, f.headLabels, f.target, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := EmpiricalBipartite(f.et, widen(res.TailAssign), widen(res.HeadAssign), kt, kh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !same(res.Observed.P, want.P) {
-			t.Logf("nTail=%d nHead=%d m=%d kt=%d kh=%d", f.nTail, f.nHead, f.et.Len(), kt, kh)
-			return false
+		for _, passes := range []int{0, 2} {
+			opt := DefaultOptions(seed)
+			opt.Passes = passes
+			res, err := MatchBipartite(f.et, f.nTail, f.nHead, f.tailLabels, f.headLabels, f.target, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := EmpiricalBipartite(f.et, widen(res.TailAssign), widen(res.HeadAssign), kt, kh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !same(res.Observed.P, want.P) {
+				t.Logf("nTail=%d nHead=%d m=%d kt=%d kh=%d passes=%d", f.nTail, f.nHead, f.et.Len(), kt, kh, passes)
+				return false
+			}
 		}
 		return true
 	}

@@ -33,16 +33,18 @@ func NewLDG(capacities []int64) (*LDG, error) {
 	return &LDG{Capacities: capacities}, nil
 }
 
-// Partition streams the nodes of g in the given order and returns each
-// node's partition. Total capacity must cover g.N().
+// Partition streams the nodes of g in the given order (nil:
+// RandomOrder(g.N(), 0)) and returns each node's partition. Total
+// capacity must cover g.N().
 func (l *LDG) Partition(g *graph.Graph, order []uint32) ([]uint32, error) {
-	if err := checkStream(order, g.N(), l.Capacities); err != nil {
+	order, _, err := streamOrder(order, g.N(), 0, l.Capacities)
+	if err != nil {
 		return nil, err
 	}
 	k := len(l.Capacities)
 	s := newStream(g, k)
 	used := make([]int64, k)
-	err := s.run(order, func(v int64) error {
+	err = s.run(order, func(v int64) error {
 		best := int64(-1)
 		bestScore := math.Inf(-1)
 		var bestRem float64

@@ -94,8 +94,8 @@ func DefaultOptions(seed uint64) Options {
 type StepTimes struct {
 	// CSRTime builds the graph SBM-Part reads.
 	CSRTime time.Duration
-	// OrderTime draws the stream order and, for a streamed CSR, inverts
-	// it into the rank the build orients by.
+	// OrderTime draws the stream order and inverts it into its rank,
+	// which checks it and orients a streamed CSR.
 	OrderTime time.Duration
 	// PartitionTime is the wall time spent inside SBM-Part itself (the
 	// paper's timing claim).
@@ -141,15 +141,7 @@ type Result struct {
 // it partitions the structure with SBM-Part and builds the mapping.
 // The EdgeTable is not modified; apply Result.Mapping with et.Remap to
 // materialise the match.
-//
-// A match without refinement passes reads, for each node, only the
-// neighbours streamed before it, so it draws the order first and builds
-// the streamed CSR, each edge once; refinement reads whole
-// neighbourhoods and builds the full one.
 func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stats.Joint, opt Options) (*Result, error) {
-	if opt.Passes < 0 {
-		return nil, fmt.Errorf("match: negative refinement passes (%d)", opt.Passes)
-	}
 	capacities, err := stats.Frequencies(rowLabels, target.K)
 	if err != nil {
 		return nil, err
@@ -158,39 +150,11 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 	if err != nil {
 		return nil, err
 	}
-	part.Seed = opt.Seed
-
-	var times StepTimes
+	r, times, err := part.match(et, n, 0, opt)
+	if err != nil {
+		return nil, err
+	}
 	mark := time.Now()
-	order, rank := opt.Order, []uint32(nil)
-	if opt.Passes == 0 {
-		if order, rank, err = streamOrder(order, n, opt.Seed, capacities); err != nil {
-			return nil, err
-		}
-		times.OrderTime = lap(&mark)
-	}
-	// The CSR is this job's largest scratch, dropped by the collection
-	// the engine runs when the match task ends. A nil rank is the full
-	// CSR.
-	g, err := graph.FromEdgesStreamed(et.Tail, et.Head, n, rank)
-	if err != nil {
-		return nil, err
-	}
-	times.CSRTime = lap(&mark)
-	if rank == nil {
-		if order == nil {
-			order = RandomOrder(n, opt.Seed)
-		}
-		if err := checkStream(order, n, capacities); err != nil {
-			return nil, err
-		}
-		times.OrderTime = lap(&mark)
-	}
-	r, err := part.partition(g, order, opt.Passes)
-	if err != nil {
-		return nil, err
-	}
-	times.PartitionTime = lap(&mark)
 	mapping, err := BuildMapping(r.assign, rowLabels, target.K, opt.Seed)
 	if err != nil {
 		return nil, err
@@ -199,6 +163,49 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 	observed := r.observed(et)
 	times.JointTime = lap(&mark)
 	return &Result{Mapping: mapping, Assign: r.assign, Observed: observed, StepTimes: times, PassTimes: part.PassTimes}, nil
+}
+
+// match runs the steps every SBM-Part match shares — order, CSR and
+// partition — over et's nodes: [0, nTail) for a one-domain target
+// (nHead = 0), and for a two-domain one tails then heads, head h as node
+// nTail+h. The order comes first, so no graph is built for an order
+// that is not a permutation. A match without refinement passes reads,
+// for each node, only the neighbours streamed before it, so it builds
+// the CSR streamed by the order's rank, each edge once; refinement
+// reads whole neighbourhoods and builds the full one.
+func (p *SBMPart) match(et *table.EdgeTable, nTail, nHead int64, opt Options) (*sbmRun, StepTimes, error) {
+	var times StepTimes
+	if opt.Passes < 0 {
+		return nil, times, fmt.Errorf("match: negative refinement passes (%d)", opt.Passes)
+	}
+	p.Seed = opt.Seed
+	mark := time.Now()
+	order, rank, err := streamOrder(opt.Order, nTail+nHead, opt.Seed, p.Capacities)
+	if err != nil {
+		return nil, times, err
+	}
+	if opt.Passes > 0 {
+		rank = nil // the full CSR
+	}
+	times.OrderTime = lap(&mark)
+	// The CSR is this job's largest scratch, dropped by the collection
+	// the engine runs when the match task ends.
+	var g *graph.Graph
+	if p.Target.Tails > 0 {
+		g, err = graph.FromBipartiteEdges(et.Tail, et.Head, nTail, nHead, rank)
+	} else {
+		g, err = graph.FromEdgesStreamed(et.Tail, et.Head, nTail, rank)
+	}
+	if err != nil {
+		return nil, times, err
+	}
+	times.CSRTime = lap(&mark)
+	r, err := p.partition(g, order, opt.Passes)
+	if err != nil {
+		return nil, times, err
+	}
+	times.PartitionTime = lap(&mark)
+	return r, times, nil
 }
 
 // observed is the empirical joint of the finished run over et, of the

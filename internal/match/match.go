@@ -19,10 +19,10 @@
 //
 // # One stream kernel
 //
-// Every streaming partitioner here — SBM-Part's first pass, its
-// re-streaming refinement passes, the bipartite matcher and the LDG
-// ground-truth partitioner — is the same loop: for each node of the stream, count its
-// placed neighbours per group, then decide. stream (stream.go) owns
+// Every streaming partitioner here — SBM-Part's first pass and its
+// re-streaming refinement passes, over one domain or two, and the LDG
+// ground-truth partitioner — is the same loop: for each node of the
+// stream, count its placed neighbours per group, then decide. stream (stream.go) owns
 // that loop once: gather is the neighbour count, run the one driver
 // (gather, commit, next node — the stream is sequential by definition,
 // each placement reads what the previous one wrote). A variant supplies
@@ -37,12 +37,21 @@
 // first reaches them — is part of the result; stream_test.go pins the
 // assignments of every variant by hash.
 //
+// # One match front end
+//
+// MatchProperty and MatchBipartite differ only in what they hand the
+// partitioner and read back: capacities from one PT or two before, one
+// mapping or two after. The steps between — check the options, draw and
+// check the stream order, build the CSR, partition — are one function,
+// SBMPart.match, so refinement passes work on a two-domain target as on
+// a one-domain one.
+//
 // A run without refinement reads each neighbourhood once, when its node
 // arrives, and gather counts only the neighbours already placed — in
-// the first pass exactly those streamed earlier. So MatchProperty
-// without passes and MatchBipartite draw the order first and build a
-// streamed CSR (graph.FromEdgesStreamed): each edge once, at
-// its later-streamed endpoint, each list the full list filtered to the
+// the first pass exactly those streamed earlier. So a match without
+// passes builds a streamed CSR (graph.FromEdgesStreamed,
+// graph.FromBipartiteEdges with a rank): each edge once, at its
+// later-streamed endpoint, each list the full list filtered to the
 // earlier neighbours in edge-list order, self-loops dropped. gather
 // walks that list unchanged and every entry passes its checks, in the
 // order the full list would have passed them, so cnt and touched — and
@@ -58,8 +67,8 @@
 // k ≤ rows ≤ 2^32−1, so ^uint32(0) is free to mark a node not yet
 // placed), Result.Assign and BipartiteResult's assignments and
 // mappings, BuildMapping's row buckets and RandomMatch. A match checks
-// its order once; without refinement the rank the streamed CSR is
-// oriented by is the seen marker. Property-row labels stay []int64.
+// its order once, with the rank a streamed CSR is oriented by as the
+// seen marker. Property-row labels stay []int64.
 //
 // The observed joint is read, not recounted. Once a pass has placed
 // every node, the partitioner's carried matrix holds each unordered
@@ -78,9 +87,10 @@
 // itself — a two-domain stats.Joint, Tails = kT — so there is one joint
 // type for every correlation. MatchBipartite builds one graph over
 // tails followed by heads and runs the monopartite partitioner on the
-// target as given, with each side's nodes restricted to its own group
-// range, and reads the observed joint as MatchProperty does — there is
-// no second implementation. FusedOneToMany takes the same target.
+// target as given, refinement passes included, with each side's nodes
+// restricted to its own group range, and reads the observed joint as
+// MatchProperty does — there is no second implementation.
+// FusedOneToMany takes the same target.
 package match
 
 import (
@@ -115,8 +125,9 @@ type SBMPart struct {
 	PassTimes []time.Duration
 
 	// Bipartite runs (MatchBipartite): nodes below tails pick among the
-	// target's tail values, all other nodes among its head values. Zero
-	// for a monopartite run, where every node picks among all K groups.
+	// target's tail values, all other nodes among its head values, in
+	// every pass. Zero for a monopartite run, where every node picks
+	// among all K groups.
 	tails int64
 }
 
@@ -146,8 +157,7 @@ func NewSBMPart(target *stats.Joint, capacities []int64) (*SBMPart, error) {
 // the stream extra times, and returns the finished run: its assign is
 // the group of every node and its cur the joint matrix of that
 // assignment. The caller has checked that order is a permutation of
-// [0, g.N()) and that the capacities cover g.N() (checkStream or
-// streamOrder).
+// [0, g.N()) and that the capacities cover g.N() (streamOrder).
 //
 // Placement of node v in the first pass:
 //  1. Count v's already-placed neighbours per group: cnt[j]; the node

@@ -149,7 +149,7 @@ func TestSBMPartValidation(t *testing.T) {
 
 func TestSBMPartInsufficientCapacity(t *testing.T) {
 	_, g := twoCliques(t, 5)
-	if err := checkStream(RandomOrder(10, 1), g.N(), []int64{4, 4}); err == nil {
+	if _, _, err := streamOrder(RandomOrder(10, 1), g.N(), 0, []int64{4, 4}); err == nil {
 		t.Error("insufficient capacity should fail")
 	}
 }
@@ -157,10 +157,10 @@ func TestSBMPartInsufficientCapacity(t *testing.T) {
 func TestSBMPartBadOrder(t *testing.T) {
 	_, g := twoCliques(t, 5)
 	capacities := []int64{5, 5}
-	if err := checkStream([]uint32{0, 0, 1, 2, 3, 4, 5, 6, 7, 8}, g.N(), capacities); err == nil {
+	if _, _, err := streamOrder([]uint32{0, 0, 1, 2, 3, 4, 5, 6, 7, 8}, g.N(), 0, capacities); err == nil {
 		t.Error("repeated node in order should fail")
 	}
-	if err := checkStream([]uint32{0}, g.N(), capacities); err == nil {
+	if _, _, err := streamOrder([]uint32{0}, g.N(), 0, capacities); err == nil {
 		t.Error("short order should fail")
 	}
 }

@@ -27,28 +27,13 @@ func checkSizes(order []uint32, n int64, capacities []int64) error {
 	return nil
 }
 
-// checkStream validates the inputs every streaming partitioner shares:
-// order must be a permutation of [0, n) and the capacities must cover n.
-func checkStream(order []uint32, n int64, capacities []int64) error {
-	if err := checkSizes(order, n, capacities); err != nil {
-		return err
-	}
-	seen := make([]bool, n)
-	for _, v := range order {
-		if int64(v) >= n || seen[v] {
-			return fmt.Errorf("match: order is not a permutation (node %d)", v)
-		}
-		seen[v] = true
-	}
-	return nil
-}
-
-// streamOrder returns the stream order of a match over n nodes — order
+// streamOrder returns the stream order of a run over n nodes — order
 // itself, or RandomOrder(n, seed) when nil — and its rank: rank[v] is
-// v's position in the stream. It makes checkStream's checks, with the
-// rank as the seen marker, so the order is checked once and no CSR is
-// built for an order that is not a permutation. The rank orients the
-// CSR a run without refinement reads (graph.FromEdgesStreamed).
+// v's position in the stream. It is the one check every streaming
+// partitioner's inputs get: the order must be a permutation of [0, n),
+// with the rank as the seen marker, and the capacities must cover n.
+// The rank orients the CSR a run without refinement reads
+// (graph.FromEdgesStreamed).
 func streamOrder(order []uint32, n int64, seed uint64, capacities []int64) ([]uint32, []uint32, error) {
 	if n > table.MaxNodes {
 		return nil, nil, fmt.Errorf("match: %d nodes exceed the limit of %d", n, int64(table.MaxNodes))

@@ -342,7 +342,7 @@ func TestStreamOrderValidation(t *testing.T) {
 		}
 		bad[tc.at] = tc.v
 		want := fmt.Sprintf("match: order is not a permutation (node %d)", tc.v)
-		if err := checkStream(bad, f.g.N(), f.sizes); err == nil || err.Error() != want {
+		if _, _, err := streamOrder(bad, f.g.N(), 0, f.sizes); err == nil || err.Error() != want {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
 		}
 	}

@@ -93,7 +93,8 @@ type Correlation struct {
 	// (0 = the paper's single-pass algorithm). Each extra pass replays
 	// the stream hubs-first with full-neighbourhood information,
 	// typically shrinking the joint-distribution error severalfold at
-	// linear extra cost. Monopartite (Property) correlations only.
+	// linear extra cost. Every correlation but a fused one, whose
+	// structure is drawn already matched.
 	Passes int
 	// Fused requests the specialised fused operator (paper Section 5
 	// future work): structure and the correlated head property are
@@ -265,10 +266,10 @@ func (s *Schema) Validate() error {
 			if c.Passes < 0 {
 				return fmt.Errorf("schema: edge %q has negative matching passes", e.Name)
 			}
-			if c.Passes > 0 && c.Property == "" {
-				// Refinement exists for the monopartite matcher only; a
-				// bipartite or fused match would silently run none.
-				return fmt.Errorf("schema: edge %q asks for %d refinement passes, which a tail/head correlation does not support", e.Name, c.Passes)
+			if c.Passes > 0 && c.Fused {
+				// A fused edge's structure is drawn already matched: no
+				// matcher runs that could refine it.
+				return fmt.Errorf("schema: edge %q asks for %d refinement passes, which a fused correlation does not support", e.Name, c.Passes)
 			}
 			if c.Fused {
 				if e.Cardinality != OneToMany {

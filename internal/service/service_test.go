@@ -914,9 +914,11 @@ func TestSubmitRejectsBadStructure(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsPassesOnTailHead: `passes` on a tail/head correlation
-// used to be admitted and run with no refinement at all; admission now
-// answers 400 naming the edge, with no engine run.
+// TestSubmitRejectsPassesOnTailHead: `passes` on a fused tail/head
+// correlation, whose structure is drawn already matched, is a 400 at
+// admission naming the edge, with no engine run. On a bipartite
+// tail/head correlation it is admitted, and the job's report notes the
+// refinement passes of its match task.
 func TestSubmitRejectsPassesOnTailHead(t *testing.T) {
 	svc := newTestService(t, Config{})
 	ts := httptest.NewServer(svc.Handler())
@@ -928,12 +930,11 @@ func TestSubmitRejectsPassesOnTailHead(t *testing.T) {
     property seg : string = categorical(values="a|b")
   }
   node P {
-    count = 20
     property cat : string = categorical(values="x|y")
   }
-  edge rates : U *-* P {
-    structure = zipf-attachment(min=1, max=4, gamma=2.0, theta=1.1)
-    correlate tail.seg with head.cat homophily 0.7 passes 2
+  edge rates : U 1-* P {
+    structure = powerlaw-out(min=1, max=4, gamma=2.0)
+    correlate tail.seg with head.cat homophily 0.7 fused passes 2
   }
 }`
 	resp, err := http.Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(src))
@@ -948,13 +949,43 @@ func TestSubmitRejectsPassesOnTailHead(t *testing.T) {
 	if n := svc.Stats().Generations; n != 0 {
 		t.Errorf("%d engine runs started for a schema that must not be admitted", n)
 	}
-	// Without the passes clause the same schema is admitted.
-	resp, err = http.Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(strings.Replace(src, " passes 2", "", 1)))
+	// The same correlation matched by SBM-Part is admitted and refined.
+	bipartite := strings.NewReplacer("P {", "P {\n    count = 20", "U 1-* P", "U *-* P",
+		"powerlaw-out(min=1, max=4, gamma=2.0)", "zipf-attachment(min=1, max=4, gamma=2.0, theta=1.1)",
+		" fused", "").Replace(src)
+	resp, err = http.Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(bipartite))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sub submitResponse
+	err = json.NewDecoder(resp.Body).Decode(&sub)
 	resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		t.Errorf("schema without passes: status %d", resp.StatusCode)
+	if err != nil || resp.StatusCode/100 != 2 {
+		t.Fatalf("passes on a bipartite correlation: status %d, %v", resp.StatusCode, err)
+	}
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + sub.ID + "?wait=60s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view JobView
+	err = json.NewDecoder(resp.Body).Decode(&view)
+	resp.Body.Close()
+	if err != nil || view.Status != StatusDone {
+		t.Fatalf("job %s: %v %s", view.Status, err, view.Error)
+	}
+	var report struct {
+		Timings []struct{ Kind, Note string }
+	}
+	if err := json.Unmarshal(view.Report, &report); err != nil {
+		t.Fatal(err)
+	}
+	var notes []string
+	for _, tt := range report.Timings {
+		if tt.Kind == "match" {
+			notes = append(notes, tt.Note)
+		}
+	}
+	if len(notes) != 1 || !strings.Contains(notes[0], " (passes ") {
+		t.Errorf("match notes %q, want one with a (passes …) breakdown", notes)
 	}
 }
