@@ -2,10 +2,14 @@
 //
 //	datasynth -schema social.dsl -out ./dataset
 //	datasynth -schema social.dsl -format columnar   # binary bulk-load files
-//	datasynth -schema social.dsl -plan              # print the task plan only
-//	datasynth -schema social.dsl -validate          # validate + canonical hash only
-//	datasynth -scenario social.dsl -name figure3    # dry-run a scenario registration
+//	datasynth -schema social.dsl -validate          # check the schema, generate nothing
 //	datasynth -example                              # print a starter schema
+//
+// -validate is the one static check of a schema. It runs the
+// validation datasynthd runs at admission and at scenario registration,
+// and prints the verdict, the canonical hash the service caches the
+// dataset under, the numbered task plan of the dependency analysis, and
+// the canonical text PUT /v1/scenarios would register.
 //
 // The output directory receives one file per node type and per edge
 // type. -format selects the encoding: csv (default, the layout bulk
@@ -26,7 +30,6 @@ import (
 	"datasynth/internal/core"
 	"datasynth/internal/depgraph"
 	"datasynth/internal/dsl"
-	"datasynth/internal/scenario"
 	"datasynth/internal/table"
 )
 
@@ -66,10 +69,7 @@ func main() {
 	schemaPath := flag.String("schema", "", "path to the DSL schema file")
 	out := flag.String("out", "dataset", "output directory for the exported files")
 	format := flag.String("format", "csv", "export format: csv, jsonl, columnar")
-	planOnly := flag.Bool("plan", false, "print the dependency-analysis task plan and exit")
-	validate := flag.Bool("validate", false, "parse and validate the schema, print its canonical hash, and exit without generating")
-	scenarioFile := flag.String("scenario", "", "validate a DSL file as a scenario and print the canonical text + hash PUT /v1/scenarios would register; no generation")
-	scenarioName := flag.String("name", "", "scenario name to check against the registry's naming rule (with -scenario)")
+	validate := flag.Bool("validate", false, "validate the schema, print its canonical hash, task plan and canonical text, and exit without generating")
 	example := flag.Bool("example", false, "print an example schema and exit")
 	verbose := flag.Bool("v", false, "log task progress")
 	timings := flag.Bool("timings", false, "print the per-task timing report and end-to-end critical path (generation + export)")
@@ -77,34 +77,6 @@ func main() {
 
 	if *example {
 		fmt.Print(exampleSchema)
-		return
-	}
-	if *scenarioFile != "" {
-		// Offline dry-run of a scenario registration. scenario.Validate
-		// is the exact function the daemon's PUT handler runs, so a
-		// schema this accepts — and the canonical text and hash it
-		// prints — are what the registry would store.
-		if *scenarioName != "" {
-			if err := scenario.ValidateName(*scenarioName); err != nil {
-				fatal(err)
-			}
-		}
-		src, err := os.ReadFile(*scenarioFile)
-		if err != nil {
-			fatal(err)
-		}
-		val, err := scenario.Validate(string(src))
-		if err != nil {
-			fatal(err)
-		}
-		name := *scenarioName
-		if name == "" {
-			name = "<name>"
-		}
-		fmt.Printf("scenario %s: valid (%d node types, %d edge types, seed %d)\n",
-			name, len(val.Schema.Nodes), len(val.Schema.Edges), val.Schema.Seed)
-		fmt.Printf("canonical sha256: %s\n", val.Hash)
-		fmt.Printf("canonical text PUT /v1/scenarios/%s would register:\n\n%s", name, val.Text)
 		return
 	}
 	if *schemaPath == "" {
@@ -120,26 +92,21 @@ func main() {
 		fatal(err)
 	}
 	if *validate {
-		// The same validation + canonical-hash pipeline datasynthd runs
-		// at job admission: the printed hash is the content address the
-		// service caches the dataset under (combined with the format).
 		if err := core.ValidateSchema(s); err != nil {
+			fatal(err)
+		}
+		plan, err := depgraph.Analyze(s)
+		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("schema %s: valid (%d node types, %d edge types, seed %d)\n",
 			s.Name, len(s.Nodes), len(s.Edges), s.Seed)
 		fmt.Printf("canonical sha256: %s\n", core.CanonicalHash(s))
-		return
-	}
-	if *planOnly {
-		plan, err := depgraph.Analyze(s)
-		if err != nil {
-			fatal(err)
-		}
 		fmt.Printf("plan for graph %q (%d tasks):\n", s.Name, len(plan.Tasks))
 		for i, t := range plan.Tasks {
 			fmt.Printf("%3d. %s\n", i+1, t.ID())
 		}
+		fmt.Printf("canonical text:\n\n%s", core.CanonicalSchema(s))
 		return
 	}
 	exportFormat, err := table.ParseFormat(*format)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"datasynth/internal/core"
+	"datasynth/internal/depgraph"
 	"datasynth/internal/dsl"
 )
 
@@ -100,6 +102,20 @@ func TestValidateExitCodes(t *testing.T) {
 	if code != 0 || !strings.Contains(stdout, ": valid (") || !strings.Contains(stdout, "canonical sha256: "+core.CanonicalHash(s)+"\n") {
 		t.Errorf("-validate on the example schema: exit %d, stdout %q, stderr %q; want 0 and its canonical hash %s", code, stdout, stderr, core.CanonicalHash(s))
 	}
+	// -validate is the one static check: it also prints the numbered
+	// task plan and the canonical text a scenario registration records.
+	plan, err := depgraph.Analyze(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, task := range plan.Tasks {
+		if line := fmt.Sprintf("%3d. %s\n", i+1, task.ID()); !strings.Contains(stdout, line) {
+			t.Errorf("-validate prints no plan line %q:\n%s", line, stdout)
+		}
+	}
+	if !strings.HasSuffix(stdout, "\n"+core.CanonicalSchema(s)) {
+		t.Errorf("-validate does not end with the canonical text:\n%s", stdout)
+	}
 
 	for _, c := range []struct{ structure, want string }{
 		{`nosuchgen(min=1)`, `"nosuchgen"`},
@@ -131,10 +147,10 @@ func TestValidateExitCodes(t *testing.T) {
 
 	// -window went with the windowed-matcher knobs, -exportworkers
 	// with Engine.ExportWorkers, -workers with the last worker bound
-	// (GOMAXPROCS is the only one) and -jsonl, which only repeated
-	// -format jsonl; a removed flag is a usage error, not something
-	// silently accepted.
-	for _, removed := range [][]string{{"-window", "64"}, {"-exportworkers", "2"}, {"-workers", "2"}, {"-jsonl"}} {
+	// (GOMAXPROCS is the only one), -jsonl, which only repeated
+	// -format jsonl, and -plan, -scenario and -name into -validate; a
+	// removed flag is a usage error, not something silently accepted.
+	for _, removed := range [][]string{{"-window", "64"}, {"-exportworkers", "2"}, {"-workers", "2"}, {"-jsonl"}, {"-plan"}, {"-scenario", "x"}, {"-name", "x"}} {
 		code, _, stderr := run(t, append(removed, "-validate", "-schema", writeSchema(t, example))...)
 		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+removed[0]) {
 			t.Errorf("%s: exit %d, stderr %q; want 2 naming the flag", strings.Join(removed, " "), code, stderr)

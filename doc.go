@@ -192,9 +192,9 @@
 //
 // The library lives under internal/ (see README.md for the map);
 // cmd/datasynth generates datasets from DSL schemas (-format
-// csv|jsonl|columnar; -validate prints the canonical schema hash
-// without generating), cmd/datasynthd serves generation
-// over HTTP, cmd/sbmpart-eval regenerates
+// csv|jsonl|columnar; -validate prints the verdict, canonical hash,
+// task plan and canonical text without generating), cmd/datasynthd
+// serves generation over HTTP, cmd/sbmpart-eval regenerates
 // the paper's evaluation and cmd/graphstats validates exported
 // datasets in either connector format. The benchmarks in bench_test.go
 // cover every table and figure of the paper, and export_bench_test.go

@@ -459,12 +459,12 @@ type propGen struct {
 	deferred bool
 }
 
-// depRef locates one dependency of a property. An edge property reads
-// a sibling edge property row for row (via 0), or a node property of
-// the edge's tail (via 1) or head (via 2).
+// depRef locates one dependency of a property: a sibling read row for
+// row, or (for an edge property) a node property of the edge's tail or
+// head.
 type depRef struct {
 	owner, name string
-	via         int
+	via         schema.DepSource
 }
 
 // buildGenerators builds the generator of every node and edge property
@@ -484,13 +484,10 @@ func (e *Engine) buildGenerators() (map[string]*propGen, error) {
 			}
 			pg := &propGen{gen: gen, prop: p, owner: owner, rows: rows, deps: make([]depRef, len(p.DependsOn))}
 			for j, d := range p.DependsOn {
-				switch {
-				case edge != nil && len(d) > 5 && d[:5] == "tail.":
-					pg.deps[j] = depRef{edge.Tail, d[5:], 1}
-				case edge != nil && len(d) > 5 && d[:5] == "head.":
-					pg.deps[j] = depRef{edge.Head, d[5:], 2}
-				default:
-					pg.deps[j] = depRef{owner, d, 0}
+				pg.deps[j] = depRef{owner, d, schema.DepSibling}
+				if edge != nil {
+					via, o, name := edge.SplitDep(d)
+					pg.deps[j] = depRef{o, name, via}
 				}
 			}
 			gens[owner+"."+p.Name] = pg
@@ -657,9 +654,10 @@ func (e *Engine) generate(st *runState, pg *propGen, n int64, et *table.EdgeTabl
 		if srcs[i], ok = st.props[[2]string{d.owner, d.name}]; !ok {
 			return nil, fmt.Errorf("core: dependency %s.%s not materialised", d.owner, d.name)
 		}
-		if d.via == 1 {
+		switch d.via {
+		case schema.DepTail:
 			via[i] = et.Tail
-		} else if d.via == 2 {
+		case schema.DepHead:
 			via[i] = et.Head
 		}
 	}

@@ -539,3 +539,86 @@ func TestCountBoundPerPlatform(t *testing.T) {
 		t.Errorf("checkCount past the bound = %v, want an error naming %s", err, name)
 	}
 }
+
+// prefixTwinDSL gives edge e a property literally named tail.a beside
+// node P's property a; b's "given (tail.a)" reads the node property.
+// sequence() ignores the values it is given; endpoint-copy() copies them.
+const prefixTwinDSL = `graph g {
+  seed = 1
+  node P {
+    count = 200
+    property a : int = uniform-int(lo=1, hi=5)
+  }
+  edge e : P *-* P {
+    structure = erdos-renyi()
+    property tail.a : int = uniform-int(lo=100, hi=200)
+    property b : int = sequence() given (tail.a)
+  }
+}
+`
+
+// TestEdgeDepPrefixWins: validation, the dependency analysis and the
+// engine decode an edge property's dependency one way — a "tail."
+// prefix names the tail's node property even beside a sibling edge
+// property of that literal name. A schema whose tail has no such node
+// property fails validation naming the property and the dependency
+// (it used to pass it and fail in the analysis as "internal"); the
+// twin whose tail has it keeps the bytes it had before the decoders
+// were one, and endpoint-copy reads P.a through the edge's tails.
+func TestEdgeDepPrefixWins(t *testing.T) {
+	repro := strings.ReplaceAll(prefixTwinDSL, "tail.a", "tail.z")
+	_, err := dsl.Parse(repro)
+	if err == nil || !strings.Contains(err.Error(), "e.b") || !strings.Contains(err.Error(), `"tail.z"`) || strings.Contains(err.Error(), "internal") {
+		t.Fatalf("tail.z with no node property P.z: %v; want a schema error naming e.b and tail.z", err)
+	}
+
+	export := func(src string) string {
+		t.Helper()
+		s, err := dsl.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := New(s).Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if _, err := d.Export(dir, table.ExportOptions{Format: table.FormatCSV}); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	got := hashDir(t, export(prefixTwinDSL))
+	for file, want := range map[string]string{
+		"edges_e.csv": "be8faae73be786887e2148682c55c2fe2afe5b9dc2475a572497e68544738cb6",
+		"nodes_P.csv": "7af1b948571dbe3aa9bd5347be57ab7bf32d61a80a6c2730defd8c62c281781c",
+	} {
+		if got[file] != want {
+			t.Errorf("%s hash %s, want %s", file, got[file], want)
+		}
+	}
+
+	dir := export(strings.Replace(prefixTwinDSL, "sequence()", "endpoint-copy()", 1))
+	rows := func(file string) [][]string {
+		raw, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]string
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n")[1:] {
+			out = append(out, strings.Split(line, ","))
+		}
+		return out
+	}
+	nodeA := rows("nodes_P.csv")
+	edges := rows("edges_e.csv") // id,tail,head,tail.a,b
+	if len(edges) == 0 {
+		t.Fatal("no edges")
+	}
+	for _, r := range edges {
+		tail, _ := strconv.Atoi(r[1])
+		if r[4] != nodeA[tail][1] {
+			t.Fatalf("edge %s: b = %s, want P.a of tail %d = %s", r[0], r[4], tail, nodeA[tail][1])
+		}
+	}
+}

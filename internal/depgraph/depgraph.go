@@ -290,14 +290,10 @@ func Analyze(s *schema.Schema) (*Plan, error) {
 				return nil, err
 			}
 			for _, dep := range p.DependsOn {
-				var dt Task
-				switch {
-				case len(dep) > 5 && dep[:5] == "tail.":
-					dt = Task{Kind: TaskProperty, Type: e.Tail, Prop: dep[5:]}
-				case len(dep) > 5 && dep[:5] == "head.":
-					dt = Task{Kind: TaskProperty, Type: e.Head, Prop: dep[5:]}
-				default:
-					dt = Task{Kind: TaskEdgeProperty, Type: e.Name, Prop: dep}
+				src, owner, prop := e.SplitDep(dep)
+				dt := Task{Kind: TaskProperty, Type: owner, Prop: prop}
+				if src == schema.DepSibling {
+					dt.Kind = TaskEdgeProperty
 				}
 				if err := addDep(dt, this); err != nil {
 					return nil, err

@@ -308,3 +308,32 @@ func TestDepsExposed(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixedDepReadsEndpoint: an edge property given "tail.a" waits
+// for the tail's node property a, even beside a sibling edge property
+// literally named tail.a.
+func TestPrefixedDepReadsEndpoint(t *testing.T) {
+	intProp := func(name string, deps ...string) schema.Property {
+		return schema.Property{Name: name, Kind: table.KindInt, Generator: schema.GeneratorSpec{Name: "uniform-int"}, DependsOn: deps}
+	}
+	s := &schema.Schema{
+		Name:  "g",
+		Nodes: []schema.NodeType{{Name: "P", Count: 200, Properties: []schema.Property{intProp("a")}}},
+		Edges: []schema.EdgeType{{
+			Name: "e", Tail: "P", Head: "P", Cardinality: schema.ManyToMany,
+			Structure:  schema.GeneratorSpec{Name: "erdos-renyi"},
+			Properties: []schema.Property{intProp("tail.a"), intProp("b", "tail.a")},
+		}},
+	}
+	plan, err := Analyze(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deps []string
+	for _, d := range plan.Deps[pos(t, plan, "EP:e.b")] {
+		deps = append(deps, plan.Tasks[d].ID())
+	}
+	if want := []string{"P:P.a", "M:e"}; strings.Join(deps, " ") != strings.Join(want, " ") {
+		t.Errorf("EP:e.b depends on %v, want %v", deps, want)
+	}
+}

@@ -43,7 +43,6 @@ import (
 	"datasynth/internal/core"
 	"datasynth/internal/dsl"
 	"datasynth/internal/faultfs"
-	"datasynth/internal/schema"
 	"datasynth/internal/store"
 )
 
@@ -72,32 +71,22 @@ func ValidateName(name string) error {
 	return nil
 }
 
-// Validated is DSL source that passed the full registration pipeline.
-// PUT /v1/scenarios and `datasynth -scenario` both go through Validate,
-// so the CLI dry-run and the service agree exactly on what "valid"
-// means and on the canonical text + hash a registration would commit.
-type Validated struct {
-	Schema *schema.Schema
-	// Text is the canonical DSL rendering — the exact bytes a version
-	// records and the service hashes for cache keys.
-	Text string
-	// Hash is core.CanonicalHash of the schema (covers the schema
-	// version and the seed).
-	Hash string
-}
-
-// Validate runs the registration pipeline on DSL source: parse,
-// referential validation, dependency analysis, canonicalisation.
-// Failures come back as *ValidationError.
-func Validate(src string) (*Validated, error) {
+// canonical runs the registration pipeline on DSL source — parse,
+// referential validation, dependency analysis, generator checks — and
+// returns the canonical text a version records and its
+// core.CanonicalHash (which covers the schema version and the seed).
+// Put and the startup reload both go through it, so what a
+// registration commits is what a reload accepts. Failures come back as
+// *ValidationError.
+func canonical(src string) (text, hash string, err error) {
 	s, err := dsl.Parse(src)
 	if err != nil {
-		return nil, &ValidationError{err}
+		return "", "", &ValidationError{err}
 	}
 	if err := core.ValidateSchema(s); err != nil {
-		return nil, &ValidationError{err}
+		return "", "", &ValidationError{err}
 	}
-	return &Validated{Schema: s, Text: core.CanonicalSchema(s), Hash: core.CanonicalHash(s)}, nil
+	return core.CanonicalSchema(s), core.CanonicalHash(s), nil
 }
 
 // Version is one immutable version of a scenario.
@@ -232,14 +221,14 @@ func (r *Registry) readVersion(name, fname string) (*Version, error) {
 	if v.Name != name || v.Version != wantVer {
 		return nil, fmt.Errorf("records %s@v%d, path says %s@v%d", v.Name, v.Version, name, wantVer)
 	}
-	val, err := Validate(v.DSL)
+	text, hash, err := canonical(v.DSL)
 	if err != nil {
 		return nil, fmt.Errorf("stored DSL no longer validates: %w", err)
 	}
-	if val.Text != v.DSL {
+	if text != v.DSL {
 		return nil, fmt.Errorf("stored DSL is not canonical")
 	}
-	v.CanonicalSHA = val.Hash
+	v.CanonicalSHA = hash
 	return &v, nil
 }
 
@@ -252,7 +241,7 @@ func (r *Registry) Put(name, src, description string, labels map[string]string) 
 	if err := ValidateName(name); err != nil {
 		return nil, false, err
 	}
-	val, err := Validate(src)
+	text, hash, err := canonical(src)
 	if err != nil {
 		return nil, false, err
 	}
@@ -262,7 +251,7 @@ func (r *Registry) Put(name, src, description string, labels map[string]string) 
 	next := 1
 	if n := len(versions); n > 0 {
 		latest := versions[n-1]
-		if latest.DSL == val.Text {
+		if latest.DSL == text {
 			return latest, false, nil
 		}
 		next = latest.Version + 1
@@ -270,8 +259,8 @@ func (r *Registry) Put(name, src, description string, labels map[string]string) 
 	rec := &Version{
 		Name:         name,
 		Version:      next,
-		DSL:          val.Text,
-		CanonicalSHA: val.Hash,
+		DSL:          text,
+		CanonicalSHA: hash,
 		Created:      time.Now().UTC(),
 		Description:  description,
 		Labels:       labels,

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"datasynth/internal/core"
+	"datasynth/internal/dsl"
 	"datasynth/internal/faultfs"
 	"datasynth/internal/store"
 )
@@ -351,18 +353,27 @@ func TestConcurrentPutsRace(t *testing.T) {
 }
 
 func TestValidateMatchesServiceHash(t *testing.T) {
-	val, err := Validate(regSchema(7))
+	text, hash, err := canonical(regSchema(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Canonicalisation is a fixpoint: validating the canonical text
 	// reproduces the same text and hash.
-	again, err := Validate(val.Text)
+	again, againHash, err := canonical(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Text != val.Text || again.Hash != val.Hash {
-		t.Fatalf("canonical text is not a fixpoint:\n%q\n%q", val.Text, again.Text)
+	if again != text || againHash != hash {
+		t.Fatalf("canonical text is not a fixpoint:\n%q\n%q", text, again)
+	}
+	// The hash a version records is the one the service keys an
+	// anonymous submission of the same text on.
+	s, err := dsl.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := core.CanonicalHash(s); got != hash {
+		t.Fatalf("recorded hash %s, service hash %s", hash, got)
 	}
 }
 

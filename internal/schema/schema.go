@@ -10,6 +10,7 @@ package schema
 
 import (
 	"fmt"
+	"strings"
 
 	"datasynth/internal/table"
 )
@@ -151,6 +152,38 @@ func (e *EdgeType) Property(name string) *Property {
 	return nil
 }
 
+// DepSource says where a property's dependency is read from.
+type DepSource int
+
+// Dependency sources. A node property reads only siblings; an edge
+// property also reads its endpoints' node properties.
+const (
+	// DepSibling: a property of the same type, read row for row.
+	DepSibling DepSource = iota
+	// DepTail: a node property of the edge's tail, read through the
+	// edge's tail ids.
+	DepTail
+	// DepHead: a node property of the edge's head, read through the
+	// edge's head ids.
+	DepHead
+)
+
+// SplitDep decodes one `given` entry of an edge property: "tail.x" is
+// the tail node type's property x, "head.x" the head's, anything else
+// a sibling edge property. The prefix always wins, so a sibling whose
+// name starts with "tail." or "head." cannot be depended on. owner is
+// the type that holds the property. Validation, the dependency
+// analysis and the engine all decode through it.
+func (e *EdgeType) SplitDep(dep string) (src DepSource, owner, prop string) {
+	if p, ok := strings.CutPrefix(dep, "tail."); ok && p != "" {
+		return DepTail, e.Tail, p
+	}
+	if p, ok := strings.CutPrefix(dep, "head."); ok && p != "" {
+		return DepHead, e.Head, p
+	}
+	return DepSibling, e.Name, dep
+}
+
 // Schema is a complete generation specification.
 type Schema struct {
 	Name  string
@@ -281,18 +314,14 @@ func (s *Schema) Validate() error {
 			}
 		}
 		if err := validateProps(e.Name, e.Properties, func(dep string) bool {
-			// Edge properties may depend on sibling edge properties or on
-			// endpoint node properties via tail./head. prefixes.
-			if e.Property(dep) != nil {
-				return true
+			switch src, _, name := e.SplitDep(dep); src {
+			case DepTail:
+				return tail.Property(name) != nil
+			case DepHead:
+				return head.Property(name) != nil
+			default:
+				return e.Property(name) != nil
 			}
-			if len(dep) > 5 && dep[:5] == "tail." {
-				return tail.Property(dep[5:]) != nil
-			}
-			if len(dep) > 5 && dep[:5] == "head." {
-				return head.Property(dep[5:]) != nil
-			}
-			return false
 		}); err != nil {
 			return err
 		}

@@ -177,12 +177,35 @@ func TestBipartiteCorrelationValidated(t *testing.T) {
 	mustFail(t, s, "names no properties")
 }
 
+// TestEdgePropertyEndpointDeps: tail./head. deps resolve against the
+// endpoint types, and the prefix wins even where a sibling edge
+// property carries the whole name.
 func TestEdgePropertyEndpointDeps(t *testing.T) {
 	s := validSchema()
-	// tail./head. deps resolve against endpoint types.
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	s.Edges[0].Properties[0].DependsOn = []string{"tail.ghost"}
 	mustFail(t, s, "unknown property")
+
+	s = validSchema()
+	knows := &s.Edges[0]
+	ghost := Property{Name: "tail.ghost", Kind: table.KindDate, Generator: GeneratorSpec{Name: "uniform-date"}}
+	knows.Properties = append(knows.Properties, ghost)
+	knows.Properties[0].DependsOn = []string{"tail.ghost"}
+	mustFail(t, s, `knows.creationDate depends on unknown property "tail.ghost"`)
+
+	for _, c := range []struct {
+		dep, owner, prop string
+		src              DepSource
+	}{
+		{"tail.x", "Person", "x", DepTail},
+		{"head.x", "Person", "x", DepHead},
+		{"x", "knows", "x", DepSibling},
+		{"tail.", "knows", "tail.", DepSibling},
+	} {
+		if src, owner, prop := knows.SplitDep(c.dep); src != c.src || owner != c.owner || prop != c.prop {
+			t.Errorf("SplitDep(%q) = %v, %s, %s; want %v, %s, %s", c.dep, src, owner, prop, c.src, c.owner, c.prop)
+		}
+	}
 }

@@ -108,8 +108,9 @@ func parseScenarioRef(ref string) (name string, version int, err error) {
 
 // resolveScenario turns (ref, params) into a validated schema plus the
 // resolved "name@v<N>" it came from. The registry invariant guarantees
-// the stored text parses; overrides re-run the full validation
-// pipeline because they can change the count-inference graph.
+// the stored text validates; overrides re-run core.ValidateSchema
+// (which runs schema.Validate first) because they can change the
+// count-inference graph.
 func (s *Service) resolveScenario(ref string, params map[string]string) (*schema.Schema, string, error) {
 	if s.scen == nil {
 		return nil, "", ErrScenariosDisabled
@@ -128,9 +129,6 @@ func (s *Service) resolveScenario(ref string, params map[string]string) (*schema
 	}
 	if len(params) > 0 {
 		if err := dsl.Override(sch, params); err != nil {
-			return nil, "", &BadParamsError{err}
-		}
-		if err := sch.Validate(); err != nil {
 			return nil, "", &BadParamsError{err}
 		}
 		if err := core.ValidateSchema(sch); err != nil {

@@ -786,23 +786,16 @@ func (s *Service) transition(j *Job, to JobStatus, c change) {
 // factor, a 1→* edge's mean out-degree sizing its head type, …), so a
 // schema declaring 600 nodes but implying millions of edges is turned
 // away at submit. The estimate is a lower bound; the check of the
-// generated dataset in executeJob stays the authoritative one.
+// generated dataset in executeJob stays the authoritative one. Every
+// caller passes a validated schema, so the estimate failing is a
+// server fault.
 func (s *Service) checkDeclaredLimits(sch *schema.Schema) error {
 	if s.cfg.MaxNodes <= 0 && s.cfg.MaxEdges <= 0 {
 		return nil
 	}
 	nodes, edges, err := core.EstimatedSizes(sch)
 	if err != nil {
-		// The dependency analysis failed; generation will surface the
-		// same error with full context, so fall back to the explicit
-		// declared counts and let the job fail there.
-		nodes, edges = 0, 0
-		for i := range sch.Nodes {
-			nodes += sch.Nodes[i].Count
-		}
-		for i := range sch.Edges {
-			edges += sch.Edges[i].Count
-		}
+		return &internalError{err}
 	}
 	return s.checkLimits("schema implies ~", nodes, edges)
 }

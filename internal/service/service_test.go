@@ -819,6 +819,39 @@ func TestCorrelationValidationFirst(t *testing.T) {
 	}
 }
 
+// TestEdgeDepRefusedAtAdmission: an edge property given "tail.z", where
+// the tail type has no property z, is a client error (400) naming the
+// property and the dependency, even beside a sibling edge property
+// literally named tail.z; no engine runs.
+func TestEdgeDepRefusedAtAdmission(t *testing.T) {
+	svc := newTestService(t, Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(`graph g {
+  seed = 1
+  node P {
+    count = 200
+    property a : int = uniform-int(lo=1, hi=5)
+  }
+  edge e : P *-* P {
+    structure = erdos-renyi()
+    property tail.z : int = uniform-int(lo=100, hi=200)
+    property b : int = sequence() given (tail.z)
+  }
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "e.b") || !strings.Contains(string(body), "tail.z") || strings.Contains(string(body), "internal") {
+		t.Errorf("POST %d %s, want 400 naming e.b and tail.z", resp.StatusCode, body)
+	}
+	if n := svc.Stats().Generations; n != 0 {
+		t.Errorf("%d engine runs started for a schema that must not be admitted", n)
+	}
+}
+
 // TestSubmitRejectsNodeCountPastIDBound: a declared node count past the
 // uint32 endpoint id bound is a 400 at POST /v1/jobs naming the type,
 // with no engine run.
