@@ -194,3 +194,41 @@ func TestTimingsShowStructureNote(t *testing.T) {
 	}
 	t.Errorf("no S:rates row in the timing report:\n%s", stderr)
 }
+
+// TestSemanticErrorFromGenerate: the parser checks syntax only, so a
+// schema naming an undeclared endpoint type is refused by the analysis
+// a generating run starts with — the same stderr line, exit 1 and no
+// output directory as when the parser refused it.
+func TestSemanticErrorFromGenerate(t *testing.T) {
+	path := writeSchema(t, "graph g {\n  node A { count = 1 }\n  edge e : A *-* Ghost { structure = rmat() }\n}\n")
+	want := "datasynth: schema: edge \"e\" head type \"Ghost\" undeclared\n"
+	out := filepath.Join(t.TempDir(), "out")
+	for _, args := range [][]string{{"-validate"}, {"-out", out}} {
+		code, stdout, stderr := run(t, append(args, "-schema", path)...)
+		if code != 1 || stdout != "" || stderr != want {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 1 and %q", args, code, stdout, stderr, want)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("generating left %s behind (%v)", out, err)
+	}
+}
+
+// TestValidateRefusesCollidingColumns: a property whose exported CSV or
+// JSONL column another property or a structural column already takes
+// fails -validate naming the property, instead of validating and then
+// failing at export.
+func TestValidateRefusesCollidingColumns(t *testing.T) {
+	for _, c := range []struct{ node, edge, want string }{
+		{"property id : int = uniform-int(lo=1, hi=5)", "", `P.id exports column "id", already taken by the structural column`},
+		{"", "property tail.a : int = uniform-int(lo=1, hi=5)\n    property a : int = uniform-int(lo=1, hi=5)", `e.a exports column "a", already taken by property e.tail.a`},
+		{"", "property head : int = uniform-int(lo=1, hi=5)", `e.head exports column "head", already taken by the structural column`},
+	} {
+		src := "graph g {\n  seed = 1\n  node P {\n    count = 20\n    property a : int = uniform-int(lo=1, hi=5)\n    " + c.node +
+			"\n  }\n  edge e : P *-* P {\n    structure = erdos-renyi()\n    " + c.edge + "\n  }\n}\n"
+		code, stdout, stderr := run(t, "-validate", "-schema", writeSchema(t, src))
+		if code != 1 || stdout != "" || !strings.Contains(stderr, c.want) {
+			t.Errorf("-validate: exit %d, stdout %q, stderr %q; want 1 and %q", code, stdout, stderr, c.want)
+		}
+	}
+}

@@ -96,7 +96,11 @@ func TestFusedDeterministic(t *testing.T) {
 
 func TestFusedRequiresOneToMany(t *testing.T) {
 	src := strings.Replace(fusedDSL, "1-* Message", "*-* Message", 1)
-	if _, err := dsl.Parse(src); err == nil || !strings.Contains(err.Error(), "not 1-*") {
+	s, err := dsl.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateSchema(s); err == nil || !strings.Contains(err.Error(), "not 1-*") {
 		t.Errorf("err = %v, want fused-needs-1-* rejection", err)
 	}
 }

@@ -1,102 +1,83 @@
 package core
 
 import (
-	"maps"
-	"slices"
-
 	"datasynth/internal/depgraph"
 	"datasynth/internal/schema"
 	"datasynth/internal/sgen"
 )
 
 // EstimatedSizes derives best-effort node and edge totals for a schema
-// without generating anything, resolving the same count-inference
-// chains the engine executes: explicit counts, tails sized from an
-// explicit edge count via getNumNodes, and 1→* heads sized from the
-// feeding edge's estimated edge count. Inferred edge counts come from
-// the generators' EdgeCountEstimator closed forms (RMAT's edge factor,
-// LFR's average degree, a 1→* generator's mean out-degree, …).
+// without generating anything. It walks the plan's tasks in order, the
+// way the engine resolves counts: explicit node counts and tails sized
+// from an explicit edge count via getNumNodes first, then at each
+// structure task the edge count — explicit, or the generator's
+// EdgeCountEstimator closed form (RMAT's edge factor, LFR's average
+// degree, a 1→* generator's mean out-degree, …) at the tail count —
+// which also sizes the head when that edge is the head's 1→* source.
+// The plan puts the structure task that sizes a tail before every
+// structure task that reads it.
 //
 // The result is a lower bound: a contribution that cannot be estimated
-// — an unresolvable chain, a generator without an estimator — counts
-// as zero rather than failing the whole estimate. The generation
-// service uses this at admission to reject oversized jobs before any
-// work; the post-generation dataset check stays authoritative.
+// — an unsized tail, a generator without an estimator — counts as zero
+// rather than failing the whole estimate. The generation service uses
+// this at admission to reject oversized jobs before any work; the
+// post-generation dataset check stays authoritative.
 func EstimatedSizes(s *schema.Schema) (nodes, edges int64, err error) {
-	e := New(s)
 	plan, err := depgraph.Analyze(s)
 	if err != nil {
 		return 0, 0, err
 	}
-	resolved := map[string]int64{}
-
-	// estimateEdge sizes one edge type; ok is false while the tail count
-	// is unresolved or the generator offers no estimate.
-	estimateEdge := func(edge *schema.EdgeType) (int64, bool) {
-		if edge.Count > 0 {
-			return edge.Count, true
+	e := New(s)
+	counts := make(map[string]int64, len(s.Nodes))
+	for i := range s.Nodes {
+		name := s.Nodes[i].Name
+		switch src := plan.Counts[name]; src.Kind {
+		case depgraph.SourceExplicit:
+			counts[name] = s.Nodes[i].Count
+		case depgraph.SourceEdgeCount:
+			if n, err := e.tailCountFromEdgeCount(s.EdgeType(src.Edge)); err == nil && n > 0 {
+				counts[name] = n
+			}
 		}
-		nTail, ok := resolved[edge.Tail]
+	}
+	// estimate is the generator's edge count for the tail's count; 0
+	// when the tail is unsized or the generator offers no estimate.
+	estimate := func(edge *schema.EdgeType) int64 {
+		nTail, ok := counts[edge.Tail]
 		if !ok {
-			return 0, false
+			return 0
 		}
 		mono, bip, err := e.structureGen(edge)
 		if err != nil {
-			return 0, false
+			return 0
 		}
 		var g any = bip
 		if mono != nil {
 			g = mono
 		}
-		est, ok := g.(sgen.EdgeCountEstimator)
-		if !ok {
-			return 0, false
+		if est, ok := g.(sgen.EdgeCountEstimator); ok {
+			return max(est.EstimatedEdges(nTail), 0)
 		}
-		if m := est.EstimatedEdges(nTail); m > 0 {
-			return m, true
-		}
-		return 0, false
+		return 0
 	}
-
-	// Count inference is a DAG (depgraph rejects cycles), so iterating
-	// to a fixpoint resolves every chain that can be resolved: each pass
-	// settles at least one more link or nothing at all. The fixpoint
-	// visits counts in sorted name order so the estimate — and any
-	// estimator state it builds — is independent of map iteration order.
-	countNames := slices.Sorted(maps.Keys(plan.Counts))
-	for changed := true; changed; {
-		changed = false
-		for _, name := range countNames {
-			src := plan.Counts[name]
-			if _, done := resolved[name]; done {
-				continue
-			}
-			switch src.Kind {
-			case depgraph.SourceExplicit:
-				resolved[name] = s.NodeType(name).Count
-				changed = true
-			case depgraph.SourceEdgeCount:
-				if n, err := e.tailCountFromEdgeCount(s.EdgeType(src.Edge)); err == nil && n > 0 {
-					resolved[name] = n
-					changed = true
-				}
-			case depgraph.SourceEdgeHead:
-				// 1→* heads are dense [0, m): the head count is the edge
-				// count of the feeding edge.
-				if m, ok := estimateEdge(s.EdgeType(src.Edge)); ok {
-					resolved[name] = m
-					changed = true
-				}
-			}
+	for _, t := range plan.Tasks {
+		if t.Kind != depgraph.TaskStructure {
+			continue
+		}
+		edge := s.EdgeType(t.Type)
+		m := edge.Count
+		if m <= 0 {
+			m = estimate(edge)
+		}
+		edges += m
+		// 1→* heads are dense [0, m): the head count is the edge count
+		// of the feeding edge.
+		if src := plan.Counts[edge.Head]; src.Kind == depgraph.SourceEdgeHead && src.Edge == edge.Name && m > 0 {
+			counts[edge.Head] = m
 		}
 	}
 	for i := range s.Nodes {
-		nodes += resolved[s.Nodes[i].Name]
-	}
-	for i := range s.Edges {
-		if m, ok := estimateEdge(&s.Edges[i]); ok {
-			edges += m
-		}
+		nodes += counts[s.Nodes[i].Name]
 	}
 	return nodes, edges, nil
 }

@@ -100,10 +100,13 @@ func TestValidateSchemaRejectsPassesOnTailHead(t *testing.T) {
 	if _, err := New(s).Generate(); err == nil {
 		t.Error("Generate accepted passes on a fused correlation")
 	}
-	// The DSL front door (-validate, admission, PUT /v1/scenarios all
-	// parse first) refuses the clause itself.
-	if _, err := dsl.Parse(strings.Replace(fusedDSL, "homophily 0.9 fused", "homophily 0.9 fused passes 2", 1)); err == nil || !strings.Contains(err.Error(), `edge "posts"`) {
-		t.Errorf("dsl.Parse with passes 2 = %v, want an error naming edge \"posts\"", err)
+	// The clause written in the DSL (what -validate, admission and
+	// PUT /v1/scenarios read) is refused the same way.
+	if s, err = dsl.Parse(strings.Replace(fusedDSL, "homophily 0.9 fused", "homophily 0.9 fused passes 2", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateSchema(s); err == nil || !strings.Contains(err.Error(), `edge "posts"`) {
+		t.Errorf("ValidateSchema with passes 2 = %v, want an error naming edge \"posts\"", err)
 	}
 
 	bipartite := strings.NewReplacer("1-* Message", "*-* Message", "Message {", "Message {\n    count = 500",
@@ -566,8 +569,11 @@ const prefixTwinDSL = `graph g {
 // twin whose tail has it keeps the bytes it had before the decoders
 // were one, and endpoint-copy reads P.a through the edge's tails.
 func TestEdgeDepPrefixWins(t *testing.T) {
-	repro := strings.ReplaceAll(prefixTwinDSL, "tail.a", "tail.z")
-	_, err := dsl.Parse(repro)
+	repro, err := dsl.Parse(strings.ReplaceAll(prefixTwinDSL, "tail.a", "tail.z"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = ValidateSchema(repro)
 	if err == nil || !strings.Contains(err.Error(), "e.b") || !strings.Contains(err.Error(), `"tail.z"`) || strings.Contains(err.Error(), "internal") {
 		t.Fatalf("tail.z with no node property P.z: %v; want a schema error naming e.b and tail.z", err)
 	}

@@ -126,10 +126,10 @@ func (p *Plan) Sinks() []bool {
 	return sinks
 }
 
-// Analyze builds the dependency graph for a validated schema, resolves
-// count sources, and returns tasks in a dependency-respecting order.
-// It fails on dependency cycles and on node types whose count cannot be
-// inferred.
+// Analyze validates the schema (the one schema.Validate call outside
+// tests), builds its dependency graph, resolves count sources, and
+// returns tasks in a dependency-respecting order. It fails on dependency
+// cycles and on node types whose count cannot be inferred.
 func Analyze(s *schema.Schema) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -214,13 +214,19 @@ func TestLexerPositions(t *testing.T) {
 }
 
 func TestSemanticValidationRuns(t *testing.T) {
-	// Parses fine syntactically, but edge refers to unknown type:
-	// schema validation must reject it.
-	parseErr(t, `
+	// Parses fine syntactically, but edge refers to unknown type: Parse
+	// checks syntax only, and schema validation must reject it.
+	s, err := Parse(`
 graph g {
   node A { count = 1 }
   edge e : A *-* Ghost { structure = rmat() }
-}`, "undeclared")
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "undeclared") {
+		t.Errorf("Validate = %v, want an error containing %q", err, "undeclared")
+	}
 }
 
 func TestQuotedAndBareParamsEquivalent(t *testing.T) {

@@ -9,21 +9,17 @@ import (
 	"datasynth/internal/table"
 )
 
-// Parse compiles DSL source into a validated schema.
+// Parse compiles DSL source into a schema. It checks syntax only: an
+// undeclared endpoint type, an unknown dependency or a missing scale
+// anchor parses fine. depgraph.Analyze runs schema.Validate, and every
+// caller reaches it before using the schema — core.ValidateSchema at
+// admission and registration, Engine.Generate before any task.
 func Parse(src string) (*schema.Schema, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	s, err := p.file()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return (&parser{toks: toks}).file()
 }
 
 // parser is a recursive-descent parser over the token stream.

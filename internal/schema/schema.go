@@ -233,7 +233,7 @@ func (s *Schema) Validate() error {
 		if n.Count < 0 {
 			return fmt.Errorf("schema: node type %q has negative count", n.Name)
 		}
-		if err := validateProps(n.Name, n.Properties, func(dep string) bool {
+		if err := validateProps(n.Name, n.Properties, []string{"id"}, func(dep string) bool {
 			return n.Property(dep) != nil
 		}); err != nil {
 			return err
@@ -313,7 +313,7 @@ func (s *Schema) Validate() error {
 				}
 			}
 		}
-		if err := validateProps(e.Name, e.Properties, func(dep string) bool {
+		if err := validateProps(e.Name, e.Properties, []string{"id", "tail", "head"}, func(dep string) bool {
 			switch src, _, name := e.SplitDep(dep); src {
 			case DepTail:
 				return tail.Property(name) != nil
@@ -354,8 +354,14 @@ func correlatedKind(e *EdgeType, n *NodeType, prop string) error {
 	return nil
 }
 
-func validateProps(owner string, props []Property, depOK func(string) bool) error {
+// validateProps checks one type's properties; each must export a column
+// (table.ShortName) that no structural column or other property takes.
+func validateProps(owner string, props []Property, structural []string, depOK func(string) bool) error {
 	names := map[string]bool{}
+	columns := map[string]string{} // exported column -> what takes it
+	for _, c := range structural {
+		columns[c] = "the structural column"
+	}
 	for i := range props {
 		p := &props[i]
 		if p.Name == "" {
@@ -365,6 +371,11 @@ func validateProps(owner string, props []Property, depOK func(string) bool) erro
 			return fmt.Errorf("schema: %s has duplicate property %q", owner, p.Name)
 		}
 		names[p.Name] = true
+		col := table.ShortName(p.Name)
+		if prev, taken := columns[col]; taken {
+			return fmt.Errorf("schema: %s.%s exports column %q, already taken by %s", owner, p.Name, col, prev)
+		}
+		columns[col] = "property " + owner + "." + p.Name
 		if p.Generator.Name == "" {
 			return fmt.Errorf("schema: %s.%s has no generator", owner, p.Name)
 		}

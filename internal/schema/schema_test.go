@@ -148,6 +148,28 @@ func TestValidationFailures(t *testing.T) {
 	s = validSchema()
 	s.Nodes[0].Properties = append(s.Nodes[0].Properties, Property{Name: "country", Generator: GeneratorSpec{Name: "x"}})
 	mustFail(t, s, "duplicate property")
+
+	// Exported columns: a property takes the column table.ShortName
+	// gives it, which neither a structural column nor another property
+	// of the type may take.
+	s = validSchema()
+	s.Nodes[1].Properties[0].Name = "id"
+	mustFail(t, s, `Message.id exports column "id", already taken by the structural column`)
+
+	s = validSchema()
+	s.Edges[0].Properties[0].Name = "tail"
+	mustFail(t, s, `knows.tail exports column "tail", already taken by the structural column`)
+
+	s = validSchema()
+	s.Edges[0].Properties = append(s.Edges[0].Properties, Property{Name: "head.creationDate", Generator: GeneratorSpec{Name: "x"}})
+	mustFail(t, s, `knows.head.creationDate exports column "creationDate", already taken by property knows.creationDate`)
+
+	// Only an edge file has tail and head columns.
+	s = validSchema()
+	s.Nodes[1].Properties[0].Name = "head"
+	if err := s.Validate(); err != nil {
+		t.Errorf("node property named head: %v", err)
+	}
 }
 
 func TestEdgeAnchorSuffices(t *testing.T) {

@@ -107,10 +107,11 @@ func parseScenarioRef(ref string) (name string, version int, err error) {
 }
 
 // resolveScenario turns (ref, params) into a validated schema plus the
-// resolved "name@v<N>" it came from. The registry invariant guarantees
-// the stored text validates; overrides re-run core.ValidateSchema
-// (which runs schema.Validate first) because they can change the
-// count-inference graph.
+// resolved "name@v<N>" it came from. dsl.Parse checks syntax only; the
+// stored text is the canonical text that passed core.ValidateSchema
+// when it was registered or reloaded, so without overrides nothing
+// checks it again. Overrides can change counts, generator parameters
+// and so the count-inference graph, so they re-run core.ValidateSchema.
 func (s *Service) resolveScenario(ref string, params map[string]string) (*schema.Schema, string, error) {
 	if s.scen == nil {
 		return nil, "", ErrScenariosDisabled
@@ -148,7 +149,10 @@ func (s *Service) SubmitScenario(ref string, params map[string]string, format ta
 		return SubmitResult{}, "", err
 	}
 	s.namedSubmits.Add(1)
-	res, err = s.submitSchema(sch, format)
+	if err := s.checkDeclaredLimits(sch); err != nil {
+		return SubmitResult{}, "", err
+	}
+	res, err = s.submitSchema(sch, CacheKey(sch, format), format)
 	return res, resolved, err
 }
 
@@ -359,7 +363,8 @@ func sweepID(format table.Format, points []sweepPoint) string {
 
 // SubmitSweep expands a parameter grid into one job per point and
 // submits every point through the normal bounded-queue path. All
-// points are resolved and validated before the first submission; a
+// points are resolved, validated, limit-checked and keyed once, by
+// expandSweep, before the first submission; a
 // full queue mid-expansion fails the request (503) — already-enqueued
 // points keep running as ordinary jobs and collapse by singleflight
 // when the client retries.
@@ -380,7 +385,7 @@ func (s *Service) SubmitSweep(req SweepRequest) (*SweepView, error) {
 		s.submits.Add(1)
 		s.namedSubmits.Add(1)
 		s.sweepPoints.Add(1)
-		if _, err := s.submitSchema(schemas[i], format); err != nil {
+		if _, err := s.submitSchema(schemas[i], points[i].key, format); err != nil {
 			return nil, fmt.Errorf("sweep point %v: %w", points[i].params, err)
 		}
 	}

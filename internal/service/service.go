@@ -373,20 +373,19 @@ func (s *Service) Submit(src string, format table.Format) (SubmitResult, error) 
 	if err := core.ValidateSchema(sch); err != nil {
 		return SubmitResult{}, err
 	}
-	return s.submitSchema(sch, format)
-}
-
-// submitSchema admits and enqueues an already validated schema — the
-// shared tail of every submission path (anonymous text, scenario ref,
-// sweep point). The cache key is derived from the schema itself, so a
-// named submit and an anonymous submit of the same resolved text
-// collapse onto one job, one cache entry, one singleflight group.
-func (s *Service) submitSchema(sch *schema.Schema, format table.Format) (SubmitResult, error) {
 	if err := s.checkDeclaredLimits(sch); err != nil {
 		return SubmitResult{}, err
 	}
-	key := CacheKey(sch, format)
+	return s.submitSchema(sch, CacheKey(sch, format), format)
+}
 
+// submitSchema enqueues a schema its caller has validated and checked
+// against the size limits, under key = CacheKey(sch, format) — the
+// shared tail of every submission path (anonymous text, scenario ref,
+// sweep point). The key is derived from the schema itself, so a named
+// submit and an anonymous submit of the same resolved text collapse
+// onto one job, one cache entry, one singleflight group.
+func (s *Service) submitSchema(sch *schema.Schema, key string, format table.Format) (SubmitResult, error) {
 	// Singleflight, round 1: an identical job already queued, running,
 	// or completed collapses this submission onto it.
 	s.mu.Lock()

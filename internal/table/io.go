@@ -82,8 +82,9 @@ func writeTable(w io.Writer, f *cellFormat, label string, et *EdgeTable, props [
 	return writeRows(w, f, append(head, '\n'), fields, n, "\n")
 }
 
-// shortName strips the "Type." prefix from a PT name for CSV headers.
-func shortName(name string) string { return name[strings.LastIndexByte(name, '.')+1:] }
+// ShortName is a property's CSV and JSONL column, the text after the
+// last dot of its name; schema.Validate refuses columns that collide.
+func ShortName(name string) string { return name[strings.LastIndexByte(name, '.')+1:] }
 
 // checkColumnCollisions rejects property short names that would
 // collide with a structural column of the emitted file or with one
@@ -97,7 +98,7 @@ func checkColumnCollisions(structural []string, props []*PropertyTable) error {
 		owner[s] = "the structural column"
 	}
 	for _, pt := range props {
-		key := shortName(pt.Name)
+		key := ShortName(pt.Name)
 		if prev, dup := owner[key]; dup {
 			return fmt.Errorf("table: exported column %q of property %s collides with %s", key, pt.Name, prev)
 		}

@@ -83,7 +83,7 @@ func stdNodeJSONL(t *testing.T, typeName string, props []*PropertyTable, n int64
 	for id := int64(0); id < n; id++ {
 		row := map[string]any{"id": id, "label": typeName}
 		for _, pt := range props {
-			row[shortName(pt.Name)] = stdJSONValue(pt, id)
+			row[ShortName(pt.Name)] = stdJSONValue(pt, id)
 		}
 		if err := enc.Encode(row); err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func stdEdgeJSONL(t *testing.T, et *EdgeTable, props []*PropertyTable) []byte {
 	for id := int64(0); id < et.Len(); id++ {
 		row := map[string]any{"id": id, "label": et.Name, "tail": et.Tail[id], "head": et.Head[id]}
 		for _, pt := range props {
-			row[shortName(pt.Name)] = stdJSONValue(pt, id)
+			row[ShortName(pt.Name)] = stdJSONValue(pt, id)
 		}
 		if err := enc.Encode(row); err != nil {
 			t.Fatal(err)

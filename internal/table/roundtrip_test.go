@@ -205,7 +205,7 @@ func TestWriteDirJSONLRoundTrip(t *testing.T) {
 			t.Fatalf("row %d id = %v", id, row["id"])
 		}
 		for _, pt := range d.NodeProps["User"] {
-			val := row[shortName(pt.Name)]
+			val := row[ShortName(pt.Name)]
 			switch pt.Kind {
 			case KindString:
 				if val != pt.String(int64(id)) {

@@ -22,7 +22,7 @@ func stdNodeCSV(t *testing.T, props []*PropertyTable, n int64) []byte {
 	w := csv.NewWriter(&buf)
 	row := []string{"id"}
 	for _, pt := range props {
-		row = append(row, shortName(pt.Name))
+		row = append(row, ShortName(pt.Name))
 	}
 	for id := int64(-1); id < n; id++ {
 		if id >= 0 {

@@ -201,7 +201,7 @@ type rowField struct {
 
 // field plans the cells of the column pt.
 func (f *cellFormat) field(pt *PropertyTable) (rowField, error) {
-	rf := rowField{name: shortName(pt.Name), pt: pt}
+	rf := rowField{name: ShortName(pt.Name), pt: pt}
 	switch {
 	case pt.Kind == KindInt:
 		rf.kind = fieldInt
