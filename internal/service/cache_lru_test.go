@@ -205,6 +205,61 @@ func TestEvictionDuringStream(t *testing.T) {
 	}
 }
 
+// TestEvictedEntryNotReadopted: a lookup that lands between an LRU
+// eviction and the removal of its directory must not re-adopt the
+// doomed entry. If it did, the index would list a key whose directory
+// is gone: a resubmit would answer a cache hit from the job memo and
+// every download of it would 404 "evicted, resubmit" for good.
+func TestEvictedEntryNotReadopted(t *testing.T) {
+	svc := newTestService(t, Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	key1 := submitAndWait(t, svc, 1).ID()
+	submitAndWait(t, svc, 2)
+
+	// Lower the bound by one byte: the coldest entry (seed 1) goes.
+	c := svc.cache
+	c.mu.Lock()
+	c.maxBytes = c.total - 1
+	victims := c.evictToFitLocked("")
+	c.mu.Unlock()
+	m, _, err := c.lookup(key1)
+	for _, dir := range victims {
+		c.dir.Remove(dir)
+	}
+	if err != nil || m != nil {
+		t.Fatalf("lookup of the evicted key: manifest %v, err %v; want a miss", m != nil, err)
+	}
+	if c.has(key1) {
+		t.Fatal("evicted key is back in the index")
+	}
+
+	res, err := svc.Submit(testSchema(1), table.FormatCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHit {
+		t.Fatal("resubmit of the evicted key answered a cache hit")
+	}
+	waitDone(t, res.Job)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + key1 + "/tables/nodes_Person.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("download after regeneration: status %d, want 200", resp.StatusCode)
+	}
+	want := directExport(t, testSchema(1), table.FormatCSV)["nodes_Person.csv"]
+	if got := sha256Hex(body); got != want {
+		t.Fatalf("regenerated table hash %s, want %s", got, want)
+	}
+}
+
 // TestCacheIndexRebuildAcrossRestart: a fresh service adopts committed
 // entries into its LRU index (count and bytes) and enforces a smaller
 // bound at startup by evicting the oldest entries.
