@@ -1,6 +1,7 @@
 package service
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -41,14 +42,15 @@ import (
 // entry — its byte size (sum of the manifest's per-file sizes) in
 // last-access order — rebuilt from the manifests on startup. When
 // maxBytes > 0, each store evicts cold entries (least recently used
-// first) until the total fits. An entry with open readers is never
-// deleted mid-stream: eviction marks it dead and the directory is
-// removed when the last reader releases it (evict-after-close). If the
-// key is regenerated and re-committed before that happens, the store
-// supersedes the pending removal so the fresh entry survives. The
-// determinism contract makes all of this invisible to clients: an
-// evicted entry regenerates to the same bytes, so a resubmit is merely
-// slower, never different.
+// first) until the total fits. Eviction drops an entry from the index
+// and removes its directory in one step under the index lock, so no
+// lookup ever finds the directory of an entry that is already out of
+// the index. A download already streaming from an evicted entry keeps
+// reading its open file, which the removal does not touch; a new
+// download of it answers 404 with a hint to resubmit. The determinism
+// contract makes all of this invisible to clients: an evicted entry
+// regenerates to the same bytes, so a resubmit is merely slower, never
+// different.
 //
 // How an entry becomes visible — stage, commit, the startup sweep and
 // its quarantine — is internal/store's protocol, not the cache's: the
@@ -110,10 +112,7 @@ type cacheEntry struct {
 	// manifest is the entry's manifest once this process has verified
 	// every file against it (or stored the entry); nil until then.
 	manifest *Manifest
-	refs     int  // open readers streaming from the entry directory
-	dead     bool // evicted from the index; directory removal may be deferred
-
-	prev, next *cacheEntry // LRU list; head = most recently used
+	elem     *list.Element // its place in diskCache.lru
 }
 
 // diskCache is the on-disk entry store.
@@ -124,9 +123,7 @@ type diskCache struct {
 	mu        sync.Mutex
 	inflight  map[string]chan struct{} // keys being verified right now
 	index     map[string]*cacheEntry   // committed entries, by key
-	dying     map[string]*cacheEntry   // evicted with open readers; dir removal deferred
-	lruHead   *cacheEntry              // most recently used
-	lruTail   *cacheEntry              // coldest
+	lru       *list.List               // of *cacheEntry; front = most recently used
 	total     int64                    // sum of index entry bytes
 	lruEvicts int64                    // entries evicted to satisfy the bound
 }
@@ -141,7 +138,7 @@ func newDiskCache(root string, maxBytes int64, fsys faultfs.FS, logf func(format
 		maxBytes: maxBytes,
 		inflight: map[string]chan struct{}{},
 		index:    map[string]*cacheEntry{},
-		dying:    map[string]*cacheEntry{},
+		lru:      list.New(),
 	}
 	if err := c.rebuildIndex(); err != nil {
 		return nil, err
@@ -190,92 +187,50 @@ func (c *diskCache) rebuildIndex() error {
 	})
 	c.mu.Lock()
 	for _, m := range seeds {
-		e := &cacheEntry{key: m.Key, bytes: m.totalBytes()}
-		c.index[e.key] = e
-		c.pushFrontLocked(e)
-		c.total += e.bytes
+		c.addLocked(m.Key, m.totalBytes())
 	}
-	victims := c.evictToFitLocked("")
+	c.evictToFitLocked("")
 	c.mu.Unlock()
-	for _, dir := range victims {
-		c.dir.Remove(dir)
-	}
 	return nil
 }
 
-// LRU list plumbing; all callers hold c.mu.
-
-func (c *diskCache) pushFrontLocked(e *cacheEntry) {
-	e.prev = nil
-	e.next = c.lruHead
-	if c.lruHead != nil {
-		c.lruHead.prev = e
-	}
-	c.lruHead = e
-	if c.lruTail == nil {
-		c.lruTail = e
-	}
-}
-
-func (c *diskCache) unlinkLocked(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.lruHead = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.lruTail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *diskCache) touchLocked(e *cacheEntry) {
-	if c.lruHead == e {
-		return
-	}
-	c.unlinkLocked(e)
-	c.pushFrontLocked(e)
+// addLocked indexes a new entry as the most recently used and charges
+// its bytes against the bound. Caller holds c.mu.
+func (c *diskCache) addLocked(key string, bytes int64) *cacheEntry {
+	e := &cacheEntry{key: key, bytes: bytes}
+	e.elem = c.lru.PushFront(e)
+	c.index[key] = e
+	c.total += bytes
+	return e
 }
 
 // dropLocked removes an entry from the index and accounting. The
-// caller decides what happens to the directory.
+// caller decides what happens to the directory. Caller holds c.mu.
 func (c *diskCache) dropLocked(e *cacheEntry) {
-	c.unlinkLocked(e)
+	c.lru.Remove(e.elem)
 	delete(c.index, e.key)
 	c.total -= e.bytes
-	e.dead = true
 }
 
 // evictToFitLocked evicts least-recently-used entries until the total
 // fits the bound, never touching exclude (the entry just stored — a
 // single entry larger than the whole bound is admitted oversize rather
-// than thrashing). Entries with open readers are parked in dying for
-// removal at last release; the returned directories are for the caller
-// to remove outside the lock.
-func (c *diskCache) evictToFitLocked(exclude string) []string {
+// than thrashing). Each victim leaves the index and loses its directory
+// before c.mu is released, so a concurrent lookup cannot re-adopt it.
+func (c *diskCache) evictToFitLocked(exclude string) {
 	if c.maxBytes <= 0 {
-		return nil
+		return
 	}
-	var victims []string
-	for c.total > c.maxBytes {
-		e := c.lruTail
-		for e != nil && e.key == exclude {
-			e = e.prev
-		}
-		if e == nil {
-			break
+	for el := c.lru.Back(); el != nil && c.total > c.maxBytes; {
+		e := el.Value.(*cacheEntry)
+		el = el.Prev()
+		if e.key == exclude {
+			continue
 		}
 		c.dropLocked(e)
 		c.lruEvicts++
-		if e.refs > 0 {
-			c.dying[e.key] = e
-		} else {
-			victims = append(victims, c.dir.Path(e.key))
-		}
+		c.dir.Remove(c.dir.Path(e.key))
 	}
-	return victims
 }
 
 // lookup returns the manifest of a valid cache entry, or nil on miss.
@@ -288,14 +243,8 @@ func (c *diskCache) evictToFitLocked(exclude string) []string {
 func (c *diskCache) lookup(key string) (*Manifest, bool, error) {
 	for {
 		c.mu.Lock()
-		if _, isDying := c.dying[key]; isDying {
-			// The directory on disk belongs to an evicted entry whose
-			// removal waits on open readers; it must not be re-adopted.
-			c.mu.Unlock()
-			return nil, false, nil
-		}
 		if e := c.index[key]; e != nil && e.manifest != nil {
-			c.touchLocked(e)
+			c.lru.MoveToFront(e.elem)
 			c.mu.Unlock()
 			return e.manifest, false, nil
 		}
@@ -309,28 +258,34 @@ func (c *diskCache) lookup(key string) (*Manifest, bool, error) {
 		}
 		ch := make(chan struct{})
 		c.inflight[key] = ch
+		epoch := c.lruEvicts
 		c.mu.Unlock()
 
 		m, evicted, err := c.verifyEntry(key)
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if err == nil && m != nil {
-			// Index the entry if the startup scan missed it (e.g. the
-			// directory appeared after this process started).
 			e := c.index[key]
-			if e == nil {
-				e = &cacheEntry{key: key, bytes: m.totalBytes()}
-				c.index[key] = e
-				c.pushFrontLocked(e)
-				c.total += e.bytes
-			} else {
-				c.touchLocked(e)
+			switch {
+			case e != nil:
+				c.lru.MoveToFront(e.elem)
+			case c.lruEvicts == epoch:
+				// Index the entry if the startup scan missed it (e.g.
+				// the directory appeared after this process started).
+				e = c.addLocked(key, m.totalBytes())
+			default:
+				// An eviction ran while the files were hashed, and it
+				// may have removed this very directory: a miss.
+				m = nil
 			}
-			e.manifest = m
+			if e != nil {
+				e.manifest = m
+			}
 		}
-		if evicted {
-			// Corrupt entry: the directory is already gone; drop any
-			// index record so accounting follows.
+		if m == nil && err == nil {
+			// Missing or corrupt entry (its directory is gone now):
+			// drop any index record so accounting follows, and so no
+			// eviction removes the directory a regeneration commits.
 			if e := c.index[key]; e != nil {
 				c.dropLocked(e)
 			}
@@ -400,8 +355,8 @@ func (c *diskCache) verify(dir string, raw []byte, m *Manifest, key string) erro
 // bytes returns, so damage between the encoder and the commit fails the
 // entry's verification instead of being blessed by it, and a retry
 // costs a manifest write, not a pass over the dataset. The key cannot
-// be stored concurrently (singleflight), but a stale or previously
-// evicted directory may linger under it; Commit replaces it. After the
+// be stored concurrently (singleflight), but a stale directory may
+// linger under it; Commit replaces it. After the
 // commit the entry is indexed most-recently-used and cold entries are
 // evicted until the cache fits its bound again.
 func (c *diskCache) store(key string, stageDir string, m *Manifest) (*Manifest, error) {
@@ -415,75 +370,26 @@ func (c *diskCache) store(key string, stageDir string, m *Manifest) (*Manifest, 
 	if err := c.dir.Commit(stageDir, key); err != nil {
 		return nil, err
 	}
-	bytes := m.totalBytes()
 	c.mu.Lock()
-	// A dying entry under this key points at the directory we just
-	// replaced; supersede its deferred removal or the last reader's
-	// release would delete the fresh entry.
-	delete(c.dying, key)
-	e := c.index[key]
-	if e != nil {
-		c.total += bytes - e.bytes
-		e.bytes = bytes
-		c.touchLocked(e)
-	} else {
-		e = &cacheEntry{key: key, bytes: bytes}
-		c.index[key] = e
-		c.pushFrontLocked(e)
-		c.total += bytes
+	if e := c.index[key]; e != nil {
+		c.dropLocked(e)
 	}
-	e.manifest = m
-	victims := c.evictToFitLocked(key)
+	c.addLocked(key, m.totalBytes()).manifest = m
+	c.evictToFitLocked(key)
 	c.mu.Unlock()
-	for _, dir := range victims {
-		c.dir.Remove(dir)
-	}
 	return m, nil
 }
 
-// open opens a committed entry file for streaming and pins the entry
-// against eviction: release (always non-nil, idempotent) drops the pin
-// and performs the deferred directory removal if the entry was evicted
-// while being read.
-func (c *diskCache) open(key, name string) (faultfs.File, func(), error) {
+// open opens a committed entry file for streaming and marks the entry
+// recently used. An eviction during the stream removes the directory
+// but not the open file, which stays readable until it is closed.
+func (c *diskCache) open(key, name string) (faultfs.File, error) {
 	c.mu.Lock()
-	e := c.index[key]
-	if e != nil {
-		e.refs++
-		c.touchLocked(e)
+	if e := c.index[key]; e != nil {
+		c.lru.MoveToFront(e.elem)
 	}
 	c.mu.Unlock()
-	f, err := c.dir.FS().Open(c.dir.Path(filepath.Join(key, name)))
-	if err != nil {
-		if e != nil {
-			c.release(e)
-		}
-		return nil, func() {}, err
-	}
-	if e == nil {
-		// Untracked directory (e.g. a dying entry still streaming to
-		// other readers); the open fd is all the protection needed.
-		return f, func() {}, nil
-	}
-	var once sync.Once
-	return f, func() { once.Do(func() { c.release(e) }) }, nil
-}
-
-// release unpins an entry; the last release of a dying entry removes
-// its directory (evict-after-close), unless a fresh store superseded
-// it in the meantime.
-func (c *diskCache) release(e *cacheEntry) {
-	c.mu.Lock()
-	e.refs--
-	var dir string
-	if e.refs == 0 && e.dead && c.dying[e.key] == e {
-		delete(c.dying, e.key)
-		dir = c.dir.Path(e.key)
-	}
-	c.mu.Unlock()
-	if dir != "" {
-		c.dir.Remove(dir)
-	}
+	return c.dir.FS().Open(c.dir.Path(filepath.Join(key, name)))
 }
 
 // has reports whether key is committed in the index, without

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"datasynth/internal/faultfs"
 	"datasynth/internal/table"
 )
 
@@ -131,11 +132,9 @@ func TestCacheBoundUnderSubmitMix(t *testing.T) {
 	}
 }
 
-// TestEvictionDuringStream: an entry pinned by an open reader survives
-// LRU eviction until the reader releases it — the directory stays
-// readable mid-stream and is removed only after the last release
-// (evict-after-close). A store of the same key before that release
-// supersedes the deferred removal.
+// TestEvictionDuringStream: LRU eviction removes an entry's directory
+// at once, even while a download streams from it — the open file stays
+// readable to the end, and a resubmit regenerates the entry.
 func TestEvictionDuringStream(t *testing.T) {
 	size := probeEntryBytes(t, 1)
 	bound := size + size/2
@@ -146,13 +145,14 @@ func TestEvictionDuringStream(t *testing.T) {
 	j1 := submitAndWait(t, svc, 1)
 	key1 := j1.ID()
 
-	// Pin entry 1 as a streaming download would.
-	f, release, err := svc.cache.open(key1, j1.Manifest().Files[0].Name)
+	// Open entry 1 as a streaming download would.
+	f, err := svc.cache.open(key1, j1.Manifest().Files[0].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 
-	// Entry 2 forces entry 1 out of the index...
+	// Entry 2 forces entry 1 out of the index and off the disk...
 	submitAndWait(t, svc, 2)
 	svc.cache.mu.Lock()
 	_, indexed := svc.cache.index[key1]
@@ -163,10 +163,10 @@ func TestEvictionDuringStream(t *testing.T) {
 	if svc.cache.lruEvictions() != 1 {
 		t.Fatalf("lru evictions = %d, want 1", svc.cache.lruEvictions())
 	}
-	// ...but its directory must survive while the reader is open.
-	if _, err := os.Stat(filepath.Join(dir, key1)); err != nil {
-		t.Fatalf("evicted entry removed mid-stream: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, key1)); !os.IsNotExist(err) {
+		t.Fatalf("evicted entry directory still on disk: %v", err)
 	}
+	// ...but the reader opened before the eviction reads it whole.
 	body, err := io.ReadAll(f)
 	if err != nil {
 		t.Fatalf("reading evicted-while-open entry: %v", err)
@@ -175,28 +175,16 @@ func TestEvictionDuringStream(t *testing.T) {
 	if got := sha256Hex(body); got != want {
 		t.Fatalf("mid-eviction stream hash %s, want %s", got, want)
 	}
-	f.Close()
-	release()
-	// Last release performs the deferred removal.
-	if _, err := os.Stat(filepath.Join(dir, key1)); !os.IsNotExist(err) {
-		t.Fatalf("evicted entry not removed after release: %v", err)
-	}
 
-	// Same dance, but the key is regenerated before the reader lets go:
-	// the fresh entry must survive the stale release.
-	j1 = submitAndWait(t, svc, 1) // evicts entry 2, regenerates entry 1
-	f2, release2, err := svc.cache.open(key1, j1.Manifest().Files[0].Name)
+	res, err := svc.Submit(testSchema(1), table.FormatCSV)
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitAndWait(t, svc, 3) // evicts entry 1 while pinned
-	submitAndWait(t, svc, 1) // regenerates entry 1: supersedes the deferred removal
-	f2.Close()
-	release2()
-	if _, err := os.Stat(filepath.Join(dir, key1)); err != nil {
-		t.Fatalf("stale release removed the regenerated entry: %v", err)
+	if res.CacheHit {
+		t.Fatal("evicted entry answered a cache hit")
 	}
-	res, err := svc.Submit(testSchema(1), table.FormatCSV)
+	waitDone(t, res.Job)
+	res, err = svc.Submit(testSchema(1), table.FormatCSV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +209,9 @@ func TestEvictedEntryNotReadopted(t *testing.T) {
 	c := svc.cache
 	c.mu.Lock()
 	c.maxBytes = c.total - 1
-	victims := c.evictToFitLocked("")
+	c.evictToFitLocked("")
 	c.mu.Unlock()
 	m, _, err := c.lookup(key1)
-	for _, dir := range victims {
-		c.dir.Remove(dir)
-	}
 	if err != nil || m != nil {
 		t.Fatalf("lookup of the evicted key: manifest %v, err %v; want a miss", m != nil, err)
 	}
@@ -257,6 +242,72 @@ func TestEvictedEntryNotReadopted(t *testing.T) {
 	want := directExport(t, testSchema(1), table.FormatCSV)["nodes_Person.csv"]
 	if got := sha256Hex(body); got != want {
 		t.Fatalf("regenerated table hash %s, want %s", got, want)
+	}
+}
+
+// gateFS holds the Open of one file until proceed is closed, after the
+// real open has succeeded, so a test can act while a reader holds it.
+type gateFS struct {
+	faultfs.FS
+	path            string
+	opened, proceed chan struct{}
+}
+
+func (g *gateFS) Open(name string) (faultfs.File, error) {
+	f, err := g.FS.Open(name)
+	if strings.HasSuffix(name, g.path) {
+		close(g.opened)
+		<-g.proceed
+	}
+	return f, err
+}
+
+// TestEvictionDuringVerifyIsAMiss: an entry evicted while a lookup
+// hashes its files (the files already open, so every hash matches)
+// must come back a miss, not be indexed again over a removed directory.
+func TestEvictionDuringVerifyIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	svc := newTestService(t, Config{CacheDir: dir})
+	submitAndWait(t, svc, 1)
+	submitAndWait(t, svc, 2)
+
+	// A fresh cache over the same directory has verified nothing yet.
+	gate := &gateFS{FS: faultfs.OS, opened: make(chan struct{}), proceed: make(chan struct{})}
+	c, err := newDiskCache(dir, 0, gate, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := c.lru.Back().Value.(*cacheEntry).key
+	raw, err := os.ReadFile(filepath.Join(dir, victim, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	gate.path = filepath.Join(victim, m.Files[len(m.Files)-1].Name)
+
+	type result struct {
+		m   *Manifest
+		err error
+	}
+	done := make(chan result)
+	go func() {
+		m, _, err := c.lookup(victim)
+		done <- result{m, err}
+	}()
+	<-gate.opened
+	c.mu.Lock()
+	c.maxBytes = c.total - 1
+	c.evictToFitLocked("")
+	c.mu.Unlock()
+	close(gate.proceed)
+	if r := <-done; r.err != nil || r.m != nil {
+		t.Fatalf("lookup across the eviction: manifest %v, err %v; want a miss", r.m != nil, r.err)
+	}
+	if c.has(victim) {
+		t.Fatal("entry evicted during its verification is back in the index")
 	}
 }
 

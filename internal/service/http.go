@@ -260,22 +260,18 @@ func (s *Service) handleTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A degraded job's files never made it into the cache; they stream
-	// straight from the job's staging directory (cache-bypass). No pin
-	// is needed — the directory lives exactly as long as the job record,
-	// and an open fd survives the eventual removal mid-stream. A cached
-	// file is opened through the cache, which pins the entry against LRU
-	// eviction for the duration of the stream: an evicted-while-streaming
-	// entry is only removed from disk after release (evict-after-close).
+	// straight from the job's staging directory (cache-bypass), which
+	// lives exactly as long as the job record. A cached file is opened
+	// through the cache. Either way the open fd survives a removal of
+	// its directory mid-stream, so neither path pins anything.
 	dir := j.BypassDir()
 	var f faultfs.File
-	release := func() {}
 	var err error
 	if dir != "" {
 		f, err = s.cache.dir.FS().Open(filepath.Join(dir, mf.Name))
 	} else {
-		f, release, err = s.cache.open(j.ID(), mf.Name)
+		f, err = s.cache.open(j.ID(), mf.Name)
 	}
-	defer release()
 	switch {
 	case err != nil && dir != "":
 		s.writeErr(w, http.StatusNotFound, fmt.Errorf("degraded dataset no longer available (%v); resubmit the schema to regenerate it", err))
