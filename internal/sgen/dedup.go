@@ -22,8 +22,8 @@ type edgeDedup struct {
 	accepted []uint64 // sorted keys of all accepted edges
 	keys     []uint64 // scratch: one round's valid candidate keys, stream order
 	idx      []int32  // scratch: parallel pair indices
-	tmpK     []uint64 // scratch: sortByKey's radix ping-pong (pairing rounds)
-	tmpI     []int32  // scratch: sortByKey's radix ping-pong (pairing rounds)
+	tmpK     []uint64 // scratch: sortKeysLSD's ping-pong (pairing rounds)
+	tmpI     []int32  // scratch: sortKeysLSD's payload ping-pong (pairing rounds)
 	leaf     []uint64 // scratch: sortKeysInPlace's leaf buffer, at most sortLeafKeys long
 	count    []int32  // scratch: radix digit counts (1<<16)
 	win      []bool   // scratch: per-pair winner flag
@@ -127,7 +127,12 @@ func (d *edgeDedup) pairRound(et *table.EdgeTable, pending []int64, ok func(a, b
 		d.keys = append(d.keys, packEdgeKey(a, b))
 		d.idx = append(d.idx, int32(p))
 	}
-	keys, idx := d.sortByKey(d.keys, d.idx)
+	n := len(d.keys)
+	if cap(d.tmpK) < n {
+		d.tmpK = make([]uint64, n)
+		d.tmpI = make([]int32, n)
+	}
+	keys, idx := d.sortKeysLSD(d.keys, d.tmpK[:n], d.idx, d.tmpI[:n])
 
 	// Scan runs of equal keys against the accepted set (two-pointer:
 	// both are sorted). The earliest stream position of a fresh key wins
@@ -262,7 +267,7 @@ func (d *edgeDedup) flagSort(keys []uint64, live uint64, leaf int) {
 	}
 	if len(keys) <= leaf {
 		scratch := d.leaf[:len(keys)]
-		if sorted := d.sortKeysLSD(keys, scratch); &sorted[0] == &scratch[0] {
+		if sorted, _ := d.sortKeysLSD(keys, scratch, nil, nil); &sorted[0] == &scratch[0] {
 			copy(keys, scratch)
 		}
 		return
@@ -307,7 +312,10 @@ func (d *edgeDedup) flagSort(keys []uint64, live uint64, leaf int) {
 
 // sortKeysLSD sorts keys by LSD radix passes between keys and scratch
 // (as long as keys) and returns whichever holds the result: the leaf
-// kernel of sortKeysInPlace.
+// kernel of sortKeysInPlace. A non-nil idx is a payload carried along
+// between idx and idxScratch, and the second result is whichever of the
+// two holds it: pairRound sorts its candidates' stream positions this
+// way. Every pass is stable, so equal keys keep their payload order.
 //
 // Only the bits on which the keys differ (orAll^andAll) are sorted, and
 // a pass's digit is gathered from up to two windows of them, so the
@@ -319,12 +327,13 @@ func (d *edgeDedup) flagSort(keys []uint64, live uint64, leaf int) {
 // Windows are taken low to high and a digit keeps their order, so the
 // passes sort by the live bits in significance order, which is the
 // order of the keys.
-func (d *edgeDedup) sortKeysLSD(keys, scratch []uint64) []uint64 {
+func (d *edgeDedup) sortKeysLSD(keys, scratch []uint64, idx, idxScratch []int32) ([]uint64, []int32) {
 	n := len(keys)
 	src, dst := keys, scratch
+	srcI, dstI := idx, idxScratch
 	live := liveBits(keys)
-	if live == 0 {
-		return src // n copies of one key
+	if n < 2 || live == 0 {
+		return src, srcI // fewer than two keys, or copies of one
 	}
 	if d.count == nil {
 		d.count = make([]int32, 1<<16)
@@ -367,72 +376,24 @@ func (d *edgeDedup) sortKeysLSD(keys, scratch []uint64) []uint64 {
 			count[i] = sum
 			sum += c
 		}
-		for _, k := range src {
-			digit := k>>shLo&maskLo | k>>shHi&maskHi
-			p := count[digit]
-			count[digit] = p + 1
-			dst[p] = k
+		if srcI == nil {
+			for _, k := range src {
+				digit := k>>shLo&maskLo | k>>shHi&maskHi
+				p := count[digit]
+				count[digit] = p + 1
+				dst[p] = k
+			}
+		} else {
+			for i, k := range src {
+				digit := k>>shLo&maskLo | k>>shHi&maskHi
+				p := count[digit]
+				count[digit] = p + 1
+				dst[p] = k
+				dstI[p] = srcI[i]
+			}
+			srcI, dstI = dstI, srcI
 		}
 		src, dst = dst, src
-	}
-	return src
-}
-
-// sortByKey stable-sorts (keys, idx) by key with an LSD radix sort,
-// ping-ponging between the input slices and the scratch buffers; it
-// returns whichever pair holds the result. Digit width adapts to the
-// round size so tiny community rounds don't pay for clearing a 64k
-// count table, and passes stop at the highest set byte of the largest
-// key.
-func (d *edgeDedup) sortByKey(keys []uint64, idx []int32) ([]uint64, []int32) {
-	n := len(keys)
-	if n < 2 {
-		return keys, idx
-	}
-	if cap(d.tmpK) < n {
-		d.tmpK = make([]uint64, n)
-		d.tmpI = make([]int32, n)
-	}
-	if d.count == nil {
-		d.count = make([]int32, 1<<16)
-	}
-	var digitBits uint = 8
-	if n >= 1<<12 {
-		digitBits = 16
-	}
-	radix := uint64(1)<<digitBits - 1
-	var maxKey uint64
-	for _, k := range keys {
-		if k > maxKey {
-			maxKey = k
-		}
-	}
-	src, dst := keys, d.tmpK[:n]
-	srcI, dstI := idx, d.tmpI[:n]
-	for shift := uint(0); ; shift += digitBits {
-		count := d.count[:radix+1]
-		clear(count)
-		for _, k := range src {
-			count[(k>>shift)&radix]++
-		}
-		var sum int32
-		for i := range count {
-			c := count[i]
-			count[i] = sum
-			sum += c
-		}
-		for i, k := range src {
-			digit := (k >> shift) & radix
-			p := count[digit]
-			count[digit] = p + 1
-			dst[p] = k
-			dstI[p] = srcI[i]
-		}
-		src, dst = dst, src
-		srcI, dstI = dstI, srcI
-		if shift+digitBits >= 64 || maxKey>>(shift+digitBits) == 0 {
-			break
-		}
 	}
 	return src, srcI
 }
