@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"datasynth/internal/table"
+	"datasynth/internal/xrand"
 )
 
 // BTER is the Block Two-Level Erdős–Rényi generator of Kolda, Pinar et
@@ -91,7 +92,7 @@ func (b *BTER) Run(n int64) (*table.EdgeTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := newSeq(b.Seed)
+	q := xrand.NewSeq(b.Seed)
 
 	// Build the node list sorted by degree ascending; record target
 	// degree per node.

@@ -122,7 +122,7 @@ func (g *BarabasiAlbert) Run(n int64) (*table.EdgeTable, error) {
 	if n <= int64(g.M) {
 		return nil, fmt.Errorf("sgen: Barabási–Albert needs n > M, got n=%d M=%d", n, g.M)
 	}
-	q := newSeq(g.Seed)
+	q := xrand.NewSeq(g.Seed)
 	m := int64(g.M)
 	et := table.NewEdgeTable("barabasi-albert", (n-m)*m)
 	// endpointList holds both endpoints of every edge; sampling a
@@ -220,7 +220,7 @@ func (g *WattsStrogatz) Run(n int64) (*table.EdgeTable, error) {
 	if n < int64(2*g.K+1) {
 		return nil, fmt.Errorf("sgen: Watts–Strogatz needs n >= 2K+1, got %d", n)
 	}
-	q := newSeq(g.Seed)
+	q := xrand.NewSeq(g.Seed)
 	et := table.NewEdgeTable("watts-strogatz", n*int64(g.K))
 	seen := make(edgeSet, n*int64(g.K))
 	for v := int64(0); v < n; v++ {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"datasynth/internal/table"
+	"datasynth/internal/xrand"
 )
 
 // Darwini (Edunov et al., arXiv:1610.00664) extends BTER: where BTER
@@ -76,7 +77,7 @@ func (d *Darwini) Run(n int64) (*table.EdgeTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := newSeq(d.Seed)
+	q := xrand.NewSeq(d.Seed)
 
 	// Phase 0: per-node degree and individual clustering target.
 	type nodeDemand struct {

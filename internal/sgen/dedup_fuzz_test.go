@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"datasynth/internal/table"
+	"datasynth/internal/xrand"
 )
 
 // The fuzz harness pits the batched dedup (radix sort-and-compact for
@@ -15,7 +16,7 @@ import (
 // into the next round. Both sides must emit identical edge sequences.
 
 // naivePairStubsFiltered is the reference for pairStubsFiltered.
-func naivePairStubsFiltered(q *seq, et *table.EdgeTable, stubs []int64, rounds int, ok func(a, b int64) bool) {
+func naivePairStubsFiltered(q *xrand.Seq, et *table.EdgeTable, stubs []int64, rounds int, ok func(a, b int64) bool) {
 	accepted := map[uint64]struct{}{}
 	pending := stubs
 	for r := 0; r < rounds && len(pending) >= 2; r++ {
@@ -47,7 +48,7 @@ func naivePairStubsFiltered(q *seq, et *table.EdgeTable, stubs []int64, rounds i
 
 // naivePairStubsDirect is the reference for pairStubsDirect (stubs are
 // local member indices).
-func naivePairStubsDirect(q *seq, et *table.EdgeTable, stubs []int64, members []int64, rounds int) {
+func naivePairStubsDirect(q *xrand.Seq, et *table.EdgeTable, stubs []int64, members []int64, rounds int) {
 	accepted := map[uint64]struct{}{}
 	pending := stubs
 	for r := 0; r < rounds && len(pending) >= 2; r++ {
@@ -115,11 +116,11 @@ func checkDedupAgainstReference(t *testing.T, seed uint64, data []byte, span uin
 		dd := new(edgeDedup)
 		fast := table.NewEdgeTable("fast", 0)
 		stubsA := append([]int64(nil), stubs...)
-		pairStubsFiltered(newSeq(seed), dd, fast, stubsA, 8, ok)
+		pairStubsFiltered(xrand.NewSeq(seed), dd, fast, stubsA, 8, ok)
 
 		naive := table.NewEdgeTable("naive", 0)
 		stubsB := append([]int64(nil), stubs...)
-		naivePairStubsFiltered(newSeq(seed), naive, stubsB, 8, ok)
+		naivePairStubsFiltered(xrand.NewSeq(seed), naive, stubsB, 8, ok)
 		assertSameEdges(t, "filtered", naive, fast)
 	}
 
@@ -133,11 +134,11 @@ func checkDedupAgainstReference(t *testing.T, seed uint64, data []byte, span uin
 		dd := new(edgeDedup)
 		fast := table.NewEdgeTable("fast", 0)
 		stubsA := append([]int64(nil), stubs...)
-		pairStubsDirect(newSeq(seed), dd, fast, stubsA, members, 8)
+		pairStubsDirect(xrand.NewSeq(seed), dd, fast, stubsA, members, 8)
 
 		naive := table.NewEdgeTable("naive", 0)
 		stubsB := append([]int64(nil), stubs...)
-		naivePairStubsDirect(newSeq(seed), naive, stubsB, members, 8)
+		naivePairStubsDirect(xrand.NewSeq(seed), naive, stubsB, members, 8)
 		assertSameEdges(t, "direct", naive, fast)
 	}
 
@@ -146,13 +147,13 @@ func checkDedupAgainstReference(t *testing.T, seed uint64, data []byte, span uin
 	{
 		dd := new(edgeDedup)
 		fast := table.NewEdgeTable("fast", 0)
-		pairStubsFiltered(newSeq(seed), dd, fast, append([]int64(nil), stubs...), 4, nil)
+		pairStubsFiltered(xrand.NewSeq(seed), dd, fast, append([]int64(nil), stubs...), 4, nil)
 		dd.reset()
-		pairStubsFiltered(newSeq(seed+1), dd, fast, append([]int64(nil), stubs...), 4, nil)
+		pairStubsFiltered(xrand.NewSeq(seed+1), dd, fast, append([]int64(nil), stubs...), 4, nil)
 
 		naive := table.NewEdgeTable("naive", 0)
-		naivePairStubsFiltered(newSeq(seed), naive, append([]int64(nil), stubs...), 4, nil)
-		naivePairStubsFiltered(newSeq(seed+1), naive, append([]int64(nil), stubs...), 4, nil)
+		naivePairStubsFiltered(xrand.NewSeq(seed), naive, append([]int64(nil), stubs...), 4, nil)
+		naivePairStubsFiltered(xrand.NewSeq(seed+1), naive, append([]int64(nil), stubs...), 4, nil)
 		assertSameEdges(t, "reset-reuse", naive, fast)
 	}
 }
@@ -174,7 +175,7 @@ func FuzzEdgeDedup(f *testing.F) {
 // TestEdgeDedupAgainstReference runs the fuzz body over deterministic
 // batches so the equivalence is exercised on every ordinary `go test`.
 func TestEdgeDedupAgainstReference(t *testing.T) {
-	q := newSeq(42)
+	q := xrand.NewSeq(42)
 	for trial := 0; trial < 50; trial++ {
 		n := int(q.Intn(400))
 		data := make([]byte, n)

@@ -116,7 +116,7 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	q := newSeq(l.Seed)
+	q := xrand.NewSeq(l.Seed)
 
 	// 1. Degree sequence from a truncated power law matching AvgDegree.
 	dmin, err := l.minDegreeFor()
@@ -282,7 +282,7 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 // they can never collide with an intra edge — the dedup starts from an
 // empty accepted set. The stub count is known before the first stub is
 // laid down, and sizes the stub buffer and the dedup's round scratch.
-func wireInter(q *seq, et *table.EdgeTable, deg, intra []int, commOf []int64) {
+func wireInter(q *xrand.Seq, et *table.EdgeTable, deg, intra []int, commOf []int64) {
 	var nInter int
 	for v := range deg {
 		nInter += deg[v] - intra[v]
@@ -345,7 +345,7 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 		if len(stubs)%2 == 1 {
 			stubs = stubs[:len(stubs)-1]
 		}
-		qc := newSeqFromStream(intraBase.DeriveN(uint64(c)))
+		qc := xrand.NewSeq(intraBase.DeriveN(uint64(c)).Seed())
 		if direct {
 			pairStubsDirect(qc, dd, sink, stubs, members, 8)
 		} else {
@@ -432,7 +432,7 @@ const directDedupMaxUniverse = 1 << 22
 // Shuffling local indices consumes the same RNG draws as shuffling the
 // global ids did, and the local→global mapping is a bijection, so the
 // emitted edge sequence is unchanged.
-func pairStubsDirect(q *seq, dd *edgeDedup, et *table.EdgeTable, stubs []int64, members []int64, rounds int) {
+func pairStubsDirect(q *xrand.Seq, dd *edgeDedup, et *table.EdgeTable, stubs []int64, members []int64, rounds int) {
 	size := int64(len(members))
 	dd.resetDirect(int(size * size))
 	pending := stubs
@@ -471,7 +471,7 @@ func pairStubsDirect(q *seq, dd *edgeDedup, et *table.EdgeTable, stubs []int64, 
 // with semantics identical to the former per-edge map: the first
 // occurrence of an edge in stream order wins, later duplicates (and
 // ok-rejected or self-loop pairs) are re-shuffled into the next round.
-func pairStubsFiltered(q *seq, dd *edgeDedup, et *table.EdgeTable, stubs []int64, rounds int, ok func(a, b int64) bool) {
+func pairStubsFiltered(q *xrand.Seq, dd *edgeDedup, et *table.EdgeTable, stubs []int64, rounds int, ok func(a, b int64) bool) {
 	pending := stubs
 	for r := 0; r < rounds && len(pending) >= 2; r++ {
 		q.ShuffleInt64(pending)

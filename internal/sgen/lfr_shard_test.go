@@ -6,6 +6,7 @@ import (
 
 	"datasynth/internal/par/partest"
 	"datasynth/internal/table"
+	"datasynth/internal/xrand"
 )
 
 // sameEdgesAtAnyProcs runs mk().Run(n) at GOMAXPROCS 1, 2, 4 and 8 and
@@ -136,7 +137,7 @@ func TestLFRInterPhaseAllocations(t *testing.T) {
 	et := table.NewEdgeTable("inter", stubs/2)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	wireInter(newSeq(1), et, deg, intra, commOf)
+	wireInter(xrand.NewSeq(1), et, deg, intra, commOf)
 	runtime.ReadMemStats(&after)
 	got := float64(after.TotalAlloc - before.TotalAlloc)
 	exact := float64(8*stubs + 33*(stubs/2))

@@ -352,7 +352,7 @@ func FuzzRMATDedup(f *testing.F) {
 // TestRMATDedupAgainstReference runs the fuzz body over deterministic
 // batches on every ordinary `go test`.
 func TestRMATDedupAgainstReference(t *testing.T) {
-	q := newSeq(17)
+	q := xrand.NewSeq(17)
 	for trial := 0; trial < 60; trial++ {
 		data := make([]byte, int(q.Intn(500)))
 		for i := range data {
@@ -413,7 +413,7 @@ func TestRMATDedupBuffers(t *testing.T) {
 		return a0 < b0+8*uintptr(cap(b)) && b0 < a0+8*uintptr(cap(a))
 	}
 	const n = 200
-	q := newSeq(5)
+	q := xrand.NewSeq(5)
 	dd := new(edgeDedup)
 	fast := table.NewEdgeTable("fast", 0)
 	naive := table.NewEdgeTable("naive", 0)
@@ -500,7 +500,7 @@ func FuzzSortKeysInPlace(f *testing.F) {
 // ordinary `go test`, and sorts one 2^20-key slab of scale-18 RMAT keys
 // at the production leaf size.
 func TestSortKeysInPlace(t *testing.T) {
-	q := newSeq(29)
+	q := xrand.NewSeq(29)
 	masks := []uint64{0, 1, 1 << 63, ^uint64(1<<33 - 1), rmatKeyMask, 0xff00ff, ^uint64(0)}
 	for trial := 0; trial < 80; trial++ {
 		// Small byte alphabets make keys that tie on most live bits.
