@@ -233,7 +233,7 @@ func (s *Schema) Validate() error {
 		if n.Count < 0 {
 			return fmt.Errorf("schema: node type %q has negative count", n.Name)
 		}
-		if err := validateProps(n.Name, n.Properties, []string{"id"}, func(dep string) bool {
+		if err := validateProps(n.Name, n.Properties, []string{"id", "label"}, func(dep string) bool {
 			return n.Property(dep) != nil
 		}); err != nil {
 			return err
@@ -313,7 +313,7 @@ func (s *Schema) Validate() error {
 				}
 			}
 		}
-		if err := validateProps(e.Name, e.Properties, []string{"id", "tail", "head"}, func(dep string) bool {
+		if err := validateProps(e.Name, e.Properties, []string{"id", "label", "tail", "head"}, func(dep string) bool {
 			switch src, _, name := e.SplitDep(dep); src {
 			case DepTail:
 				return tail.Property(name) != nil
@@ -356,6 +356,9 @@ func correlatedKind(e *EdgeType, n *NodeType, prop string) error {
 
 // validateProps checks one type's properties; each must export a column
 // (table.ShortName) that no structural column or other property takes.
+// The structural columns are those of every export format, JSONL's
+// per-row "label" included, so a schema valid for one format is valid
+// for all.
 func validateProps(owner string, props []Property, structural []string, depOK func(string) bool) error {
 	names := map[string]bool{}
 	columns := map[string]string{} // exported column -> what takes it
