@@ -223,22 +223,8 @@ func TestValidateRefusesCollidingColumns(t *testing.T) {
 		{"property id : int = uniform-int(lo=1, hi=5)", "", `P.id exports column "id", already taken by the structural column`},
 		{"", "property tail.a : int = uniform-int(lo=1, hi=5)\n    property a : int = uniform-int(lo=1, hi=5)", `e.a exports column "a", already taken by property e.tail.a`},
 		{"", "property head : int = uniform-int(lo=1, hi=5)", `e.head exports column "head", already taken by the structural column`},
-	} {
-		src := "graph g {\n  seed = 1\n  node P {\n    count = 20\n    property a : int = uniform-int(lo=1, hi=5)\n    " + c.node +
-			"\n  }\n  edge e : P *-* P {\n    structure = erdos-renyi()\n    " + c.edge + "\n  }\n}\n"
-		code, stdout, stderr := run(t, "-validate", "-schema", writeSchema(t, src))
-		if code != 1 || stdout != "" || !strings.Contains(stderr, c.want) {
-			t.Errorf("-validate: exit %d, stdout %q, stderr %q; want 1 and %q", code, stdout, stderr, c.want)
-		}
-	}
-}
-
-// TestValidateRefusesLabelColumn: JSONL gives every node and edge row a
-// "label" key, so a property exporting column "label" fails -validate
-// naming it, for every format, rather than validating and then failing
-// at JSONL export.
-func TestValidateRefusesLabelColumn(t *testing.T) {
-	for _, c := range []struct{ node, edge, want string }{
+		// JSONL gives every row a "label" key, so no format may export a
+		// property under it.
 		{"property label : int = uniform-int(lo=1, hi=5)", "", `P.label exports column "label", already taken by the structural column`},
 		{"", "property tail.label : int = uniform-int(lo=1, hi=5)", `e.tail.label exports column "label", already taken by the structural column`},
 	} {

@@ -19,9 +19,9 @@
 // guarantees byte-identical output for a fixed schema at any
 // GOMAXPROCS; see docs/service.md.
 //
-// -cachemaxbytes bounds the cache with LRU eviction (entries under an
-// open download stream are removed only after the last reader closes;
-// an evicted schema regenerates byte-identically on resubmit), and
+// -cachemaxbytes bounds the cache with LRU eviction (a download already
+// streaming from an evicted entry reads to the end; an evicted schema
+// regenerates byte-identically on resubmit), and
 // GET /v1/metrics exposes Prometheus text-format counters, gauges, and
 // per-phase latency histograms.
 //
@@ -68,7 +68,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":8080", "address to serve HTTP on")
 	cacheDir := flag.String("cache", "datasynthd-cache", "content-addressable dataset cache directory")
-	cacheMaxBytes := flag.Int64("cachemaxbytes", 0, "cache size bound in bytes; storing past it evicts least recently used entries, streamed entries only after their last reader closes (0 = unbounded)")
+	cacheMaxBytes := flag.Int64("cachemaxbytes", 0, "cache size bound in bytes; storing past it evicts least recently used entries; a download in progress still completes (0 = unbounded)")
 	queueDepth := flag.Int("queue", 64, "job queue bound; a full queue rejects submissions with 503")
 	jobWorkers := flag.Int("jobworkers", 2, "concurrent generation jobs; they share GOMAXPROCS, the daemon's only parallelism bound")
 	maxNodes := flag.Int64("maxnodes", 0, "per-job node limit (0 = unlimited)")

@@ -282,10 +282,9 @@ func (c *diskCache) lookup(key string) (*Manifest, bool, error) {
 				e.manifest = m
 			}
 		}
-		if m == nil && err == nil {
-			// Missing or corrupt entry (its directory is gone now):
-			// drop any index record so accounting follows, and so no
-			// eviction removes the directory a regeneration commits.
+		if evicted {
+			// Corrupt entry: the directory is already gone; drop any
+			// index record so accounting follows.
 			if e := c.index[key]; e != nil {
 				c.dropLocked(e)
 			}
@@ -356,9 +355,9 @@ func (c *diskCache) verify(dir string, raw []byte, m *Manifest, key string) erro
 // entry's verification instead of being blessed by it, and a retry
 // costs a manifest write, not a pass over the dataset. The key cannot
 // be stored concurrently (singleflight), but a stale directory may
-// linger under it; Commit replaces it. After the
-// commit the entry is indexed most-recently-used and cold entries are
-// evicted until the cache fits its bound again.
+// linger under it; Commit replaces it. After the commit the entry is
+// indexed most-recently-used and cold entries are evicted until the
+// cache fits its bound again.
 func (c *diskCache) store(key string, stageDir string, m *Manifest) (*Manifest, error) {
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {

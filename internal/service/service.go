@@ -52,8 +52,8 @@ type Config struct {
 	CacheDir string
 	// CacheMaxBytes bounds the total size of committed cache entries
 	// (sum of manifest file sizes). Storing past the bound evicts the
-	// least recently used entries; an entry being streamed is evicted
-	// only after its last reader closes. 0 means unbounded.
+	// least recently used entries; a download already streaming from
+	// one still completes. 0 means unbounded.
 	CacheMaxBytes int64
 	// QueueDepth bounds how many jobs may wait for a worker; a full
 	// queue rejects submissions (ErrQueueFull). 0 means 64.
