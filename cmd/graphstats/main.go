@@ -26,7 +26,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 
 	"datasynth/internal/graph"
 	"datasynth/internal/stats"
@@ -259,11 +258,7 @@ func readLabelsColumnar(path, col string, n int64) ([]int64, int, error) {
 	}
 	var pt *table.PropertyTable
 	for _, p := range ct.Props {
-		name := p.Name
-		if i := strings.LastIndexByte(name, '.'); i >= 0 {
-			name = name[i+1:]
-		}
-		if name == col {
+		if table.ShortName(p.Name) == col {
 			pt = p
 			break
 		}

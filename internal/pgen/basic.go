@@ -44,18 +44,24 @@ func NewCategorical(values []string, weights []float64) (*Categorical, error) {
 	return &Categorical{values: values, dist: d}, nil
 }
 
-// NewZipfCategorical weights the i-th value by 1/(i+1)^theta.
+// NewZipfCategorical weights the i-th value by 1/(i+1)^theta, taking
+// the weights from xrand.PowerLawInt so the Zipf formula has one home.
+// NewCategorical normalises these probabilities a second time, and that
+// leaves the CDF bits of the raw weights normalised once: the weights
+// decrease, so each probability is an exact difference of adjacent CDF
+// entries (Sterbenz), they sum to exactly 1, and re-accumulating them
+// rebuilds each entry exactly.
 func NewZipfCategorical(values []string, theta float64) (*Categorical, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("pgen: zipf categorical needs values")
 	}
-	z, err := xrand.NewZipf(len(values), theta)
+	z, err := xrand.NewPowerLawInt(1, len(values), theta)
 	if err != nil {
 		return nil, err
 	}
 	w := make([]float64, len(values))
 	for i := range w {
-		w[i] = z.Prob(i)
+		w[i] = z.Prob(i + 1)
 	}
 	return NewCategorical(values, w)
 }

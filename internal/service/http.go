@@ -78,11 +78,11 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/tables/{table}", s.handleTable)
-	mux.HandleFunc("GET /v1/scenarios", s.handleScenarioList)
-	mux.HandleFunc("PUT /v1/scenarios/{name}", s.handleScenarioPut)
-	mux.HandleFunc("GET /v1/scenarios/{name}", s.handleScenarioGet)
-	mux.HandleFunc("DELETE /v1/scenarios/{name}", s.handleScenarioDelete)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
+	mux.HandleFunc("GET /v1/scenarios", s.scenarios(s.handleScenarioList))
+	mux.HandleFunc("PUT /v1/scenarios/{name}", s.scenarios(s.handleScenarioPut))
+	mux.HandleFunc("GET /v1/scenarios/{name}", s.scenarios(s.handleScenarioGet))
+	mux.HandleFunc("DELETE /v1/scenarios/{name}", s.scenarios(s.handleScenarioDelete))
+	mux.HandleFunc("POST /v1/sweeps", s.scenarios(s.handleSweepSubmit))
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepStatus)
 	return mux
 }

@@ -11,10 +11,22 @@ import (
 	"datasynth/internal/scenario"
 )
 
-// HTTP handlers for the scenario registry and sweep surface. When the
-// daemon runs without -scenariodir every endpoint here answers 404
-// with a pointer at the flag, so a misconfigured client gets told why
-// the surface is missing instead of a bare not-found.
+// HTTP handlers for the scenario registry and sweep surface. Handler
+// routes every scenario endpoint and the sweep submit through
+// Service.scenarios: without -scenariodir they answer 404 with a
+// pointer at the flag, so a misconfigured client gets told why the
+// surface is missing instead of a bare not-found.
+
+// scenarios guards a scenario or sweep-submit route: without a
+// registry it answers 404 with ErrScenariosDisabled instead of h.
+func (s *Service) scenarios(h http.HandlerFunc) http.HandlerFunc {
+	if s.scen != nil {
+		return h
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.writeErr(w, http.StatusNotFound, ErrScenariosDisabled)
+	}
+}
 
 // scenarioPutRequest is the PUT /v1/scenarios/{name} body.
 type scenarioPutRequest struct {
@@ -54,18 +66,10 @@ func (s *Service) writeSubmitErr(w http.ResponseWriter, err error) {
 }
 
 func (s *Service) handleScenarioList(w http.ResponseWriter, r *http.Request) {
-	if s.scen == nil {
-		s.writeErr(w, http.StatusNotFound, ErrScenariosDisabled)
-		return
-	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"scenarios": s.scen.List()})
 }
 
 func (s *Service) handleScenarioPut(w http.ResponseWriter, r *http.Request) {
-	if s.scen == nil {
-		s.writeErr(w, http.StatusNotFound, ErrScenariosDisabled)
-		return
-	}
 	body, ok := s.readBody(w, r, "scenario")
 	if !ok {
 		return
@@ -101,10 +105,6 @@ func (s *Service) handleScenarioPut(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleScenarioGet(w http.ResponseWriter, r *http.Request) {
-	if s.scen == nil {
-		s.writeErr(w, http.StatusNotFound, ErrScenariosDisabled)
-		return
-	}
 	name := r.PathValue("name")
 	if verStr := r.URL.Query().Get("version"); verStr != "" {
 		version := 0
@@ -152,10 +152,6 @@ func (s *Service) handleScenarioGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleScenarioDelete(w http.ResponseWriter, r *http.Request) {
-	if s.scen == nil {
-		s.writeErr(w, http.StatusNotFound, ErrScenariosDisabled)
-		return
-	}
 	n, err := s.DeleteScenario(r.PathValue("name"))
 	if err != nil {
 		if errors.Is(err, scenario.ErrNotFound) {
@@ -169,10 +165,6 @@ func (s *Service) handleScenarioDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.scen == nil {
-		s.writeErr(w, http.StatusNotFound, ErrScenariosDisabled)
-		return
-	}
 	body, ok := s.readBody(w, r, "sweep")
 	if !ok {
 		return

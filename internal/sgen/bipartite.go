@@ -184,7 +184,7 @@ func (g *ZipfAttachment) RunBipartite(nTail, nHead int64) (*table.EdgeTable, err
 	if err != nil {
 		return nil, err
 	}
-	zipf, err := xrand.NewZipf(int(min(nHead, zipfMaxSupport)), g.ThetaIn)
+	zipf, err := xrand.NewPowerLawInt(1, int(min(nHead, zipfMaxSupport)), g.ThetaIn)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +193,7 @@ func (g *ZipfAttachment) RunBipartite(nTail, nHead int64) (*table.EdgeTable, err
 	sPerm := xrand.NewStream(g.Seed).DeriveStream("perm")
 	// headOf[rank] is the rank's head id plus one; 0 marks a rank not
 	// walked yet.
-	headOf := make([]int64, zipf.N())
+	headOf := make([]int64, min(nHead, zipfMaxSupport))
 	et := table.NewEdgeTable("zipf-attachment", g.EstimatedEdges(nTail))
 	var st zipfStats
 	for t := int64(0); t < nTail; t++ {
@@ -201,7 +201,7 @@ func (g *ZipfAttachment) RunBipartite(nTail, nHead int64) (*table.EdgeTable, err
 		mine := len(et.Head)
 	draws:
 		for j := 0; j < d; j++ {
-			rank := zipf.Sample(sHead, st.draws)
+			rank := zipf.Sample(sHead, st.draws) - 1
 			st.draws++
 			h := headOf[rank] - 1
 			if h < 0 {

@@ -92,8 +92,6 @@ func (b *BTER) Run(n int64) (*table.EdgeTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := xrand.NewSeq(b.Seed)
-
 	// Build the node list sorted by degree ascending; record target
 	// degree per node.
 	deg := make([]int, 0, n)
@@ -102,82 +100,96 @@ func (b *BTER) Run(n int64) (*table.EdgeTable, error) {
 			deg = append(deg, d)
 		}
 	}
-	nn := int64(len(deg))
-	if nn == 0 {
-		return table.NewEdgeTable("bter", 0), nil
-	}
-
-	et := table.NewEdgeTable("bter", 0)
-	seen := edgeSet{}
+	a := newAffinity("bter", xrand.NewSeq(b.Seed), nil, deg)
 
 	// Phase 1: affinity blocks. Nodes are already grouped by degree;
 	// consecutive runs of d+1 nodes with degree >= 2 form a block wired
 	// as ER with connectivity rho = cc(d)^(1/3) (Kolda et al.'s
-	// calibration: triangles in ER(rho) give cc ≈ rho^3).
-	excess := make([]float64, nn)
-	v := int64(0)
-	for v < nn {
-		d := deg[v]
-		if d < 2 {
-			excess[v] = float64(d)
-			v++
-			continue
+	// calibration: triangles in ER(rho) give cc ≈ rho^3). A degree-1
+	// node is a block of its own: no pair, so no draw, and its whole
+	// degree is left for phase 2.
+	for v := 0; v < len(deg); {
+		size, rho := 1, 0.0
+		if d := deg[v]; d >= 2 {
+			size, rho = min(d+1, len(deg)-v), min(math.Cbrt(ccFor(d)), 1)
 		}
-		blockSize := int64(d + 1)
-		if v+blockSize > nn {
-			blockSize = nn - v
-		}
-		rho := math.Cbrt(ccFor(d))
-		if rho > 1 {
-			rho = 1
-		}
-		for i := v; i < v+blockSize; i++ {
-			for j := i + 1; j < v+blockSize; j++ {
-				if q.Float64() < rho && seen.add(i, j) {
-					et.Add(i, j)
-				}
-			}
-		}
-		// Residual degree for phase 2.
-		expectedIn := float64(rho * float64(blockSize-1)) // rounded: no fused multiply-subtract below
-		for i := v; i < v+blockSize; i++ {
-			e := float64(deg[i]) - expectedIn
-			if e < 0 {
-				e = 0
-			}
-			excess[i] = e
-		}
-		v += blockSize
+		a.block(v, size, rho)
+		v += size
 	}
+	// Phase 2: Chung–Lu over the residual degrees.
+	a.chungLu()
+	return a.et, nil
+}
 
-	// Phase 2: Chung–Lu over excess degrees.
-	var totalExcess float64
-	for _, e := range excess {
-		totalExcess += e
+// affinity holds the two phases BTER and Darwini share over a layout
+// of positions: node[p] is the node at position p (nil is the
+// identity) and deg[p] its target degree. block wires a run of
+// positions as an Erdős–Rényi block and leaves each its residual
+// degree; chungLu then pairs endpoints drawn in proportion to the
+// residuals. Every draw comes from q in call order.
+type affinity struct {
+	q      *xrand.Seq
+	node   []int64
+	deg    []int
+	excess []float64 // residual degree per position
+	seen   edgeSet
+	et     *table.EdgeTable
+}
+
+func newAffinity(name string, q *xrand.Seq, node []int64, deg []int) *affinity {
+	return &affinity{q: q, node: node, deg: deg, excess: make([]float64, len(deg)),
+		seen: edgeSet{}, et: table.NewEdgeTable(name, 0)}
+}
+
+// id is the node at position p.
+func (a *affinity) id(p int) int64 {
+	if a.node == nil {
+		return int64(p)
 	}
-	if totalExcess > 1 {
-		// Build cumulative weights once; sample endpoint pairs.
-		cum := make([]float64, nn)
-		acc := 0.0
-		for i := int64(0); i < nn; i++ {
-			acc += excess[i]
-			cum[i] = acc
-		}
-		targetEdges := int64(totalExcess / 2)
-		attempts := targetEdges * 10
-		sample := func() int64 {
-			u := q.Float64() * acc
-			return int64(sort.SearchFloat64s(cum, u))
-		}
-		for e, tries := int64(0), int64(0); e < targetEdges && tries < attempts; tries++ {
-			a, c := sample(), sample()
-			if seen.add(a, c) {
-				et.Add(a, c)
-				e++
+	return a.node[p]
+}
+
+// block wires positions [lo, lo+size) as ER(rho), one draw per pair in
+// order, and sets each position's residual degree to its target less
+// the rho·(size-1) block edges it expects.
+func (a *affinity) block(lo, size int, rho float64) {
+	for i := lo; i < lo+size; i++ {
+		for j := i + 1; j < lo+size; j++ {
+			if a.q.Float64() < rho && a.seen.add(a.id(i), a.id(j)) {
+				a.et.Add(a.id(i), a.id(j))
 			}
 		}
 	}
-	return et, nil
+	expectedIn := float64(rho * float64(size-1)) // rounded: no fused multiply-subtract below
+	for i := lo; i < lo+size; i++ {
+		a.excess[i] = max(float64(a.deg[i])-expectedIn, 0)
+	}
+}
+
+// chungLu adds half the total residual degree in edges, both ends drawn
+// in proportion to the residuals, within ten tries per edge wanted.
+func (a *affinity) chungLu() {
+	cum := make([]float64, len(a.excess))
+	acc := 0.0
+	for i, e := range a.excess {
+		acc += e
+		cum[i] = acc
+	}
+	if !(acc > 1) {
+		return
+	}
+	targetEdges := int64(acc / 2)
+	attempts := targetEdges * 10
+	sample := func() int64 {
+		return a.id(sort.SearchFloat64s(cum, a.q.Float64()*acc))
+	}
+	for e, tries := int64(0), int64(0); e < targetEdges && tries < attempts; tries++ {
+		u, v := sample(), sample()
+		if a.seen.add(u, v) {
+			a.et.Add(u, v)
+			e++
+		}
+	}
 }
 
 // rescaledCounts scales DegreeCounts to sum to n.

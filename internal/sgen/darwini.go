@@ -25,8 +25,11 @@ import (
 //  2. Nodes are packed into buckets with similar budgets; each bucket
 //     is wired as an Erdős–Rényi block dense enough to meet the median
 //     budget (triangles in ER(p) blocks concentrate around p³ per
-//     wedge). Residual degree is satisfied with a Chung–Lu phase, as
-//     in BTER.
+//     wedge). Residual degree is satisfied with a Chung–Lu phase.
+//
+// Both wiring phases are BTER's own: Darwini lays its budget-sorted
+// nodes out as positions and runs them through the affinity kernel
+// BTER uses, so only the bucketing and each bucket's rho differ.
 type Darwini struct {
 	DegreeCounts []int64 // target degree histogram (index = degree)
 	// CCSpread in [0,1] widens the per-node clustering distribution:
@@ -110,10 +113,6 @@ func (d *Darwini) Run(n int64) (*table.EdgeTable, error) {
 			id++
 		}
 	}
-	nn := int64(len(demands))
-	if nn == 0 {
-		return table.NewEdgeTable("darwini", 0), nil
-	}
 
 	// Phase 1: sort by triangle budget and pack buckets of similar
 	// demand (Darwini's grouping refinement). A bucket's size comes from
@@ -124,73 +123,29 @@ func (d *Darwini) Run(n int64) (*table.EdgeTable, error) {
 		}
 		return demands[a].id < demands[b].id
 	})
-	et := table.NewEdgeTable("darwini", 0)
-	seen := edgeSet{}
-
-	excess := make([]float64, nn) // residual degree, indexed by demand position
-	pos := 0
-	for pos < len(demands) {
+	node, deg := make([]int64, len(demands)), make([]int, len(demands))
+	for p, dm := range demands {
+		node[p], deg[p] = dm.id, dm.deg
+	}
+	a := newAffinity("darwini", q, node, deg)
+	for pos := 0; pos < len(demands); {
 		// Bucket size: the first node's degree + 1, clipped to the
 		// remaining nodes. Every degree is at least 1, so a bucket holds
 		// at least 2 nodes until the last one.
-		size := demands[pos].deg + 1
-		if pos+size > len(demands) {
-			size = len(demands) - pos
-		}
-		bucket := demands[pos : pos+size]
+		size := min(demands[pos].deg+1, len(demands)-pos)
 		// Connectivity to hit the median budget: budget ≈ rho³ wedges.
-		med := bucket[len(bucket)/2]
+		med := demands[pos+size/2]
 		wedges := float64(med.deg) * float64(med.deg-1) / 2
 		rho := 0.0
 		if wedges > 0 {
-			rho = math.Cbrt(med.budget / wedges)
+			rho = min(math.Cbrt(med.budget/wedges), 1)
 		}
-		if rho > 1 {
-			rho = 1
-		}
-		for i := 0; i < size; i++ {
-			for j := i + 1; j < size; j++ {
-				if q.Float64() < rho && seen.add(bucket[i].id, bucket[j].id) {
-					et.Add(bucket[i].id, bucket[j].id)
-				}
-			}
-		}
-		expectedIn := float64(rho * float64(size-1)) // rounded: no fused multiply-subtract below
-		for i := 0; i < size; i++ {
-			e := float64(bucket[i].deg) - expectedIn
-			if e < 0 {
-				e = 0
-			}
-			excess[pos+i] = e
-		}
+		a.block(pos, size, rho)
 		pos += size
 	}
-
-	// Phase 2: Chung–Lu over residual degrees (same as BTER).
-	var totalExcess float64
-	cum := make([]float64, nn)
-	acc := 0.0
-	for i := int64(0); i < nn; i++ {
-		acc += excess[i]
-		cum[i] = acc
-	}
-	totalExcess = acc
-	if totalExcess > 1 {
-		targetEdges := int64(totalExcess / 2)
-		attempts := targetEdges * 10
-		sample := func() int64 {
-			u := q.Float64() * acc
-			return demands[sort.SearchFloat64s(cum, u)].id
-		}
-		for e, tries := int64(0), int64(0); e < targetEdges && tries < attempts; tries++ {
-			a, b := sample(), sample()
-			if seen.add(a, b) {
-				et.Add(a, b)
-				e++
-			}
-		}
-	}
-	return et, nil
+	// Phase 2: Chung–Lu over the residual degrees.
+	a.chungLu()
+	return a.et, nil
 }
 
 // NumNodesForEdges implements Generator.

@@ -343,7 +343,8 @@ func (pt *PropertyTable) Value(id int64) any {
 	}
 }
 
-// Format renders row id as its CSV representation.
+// Format renders row id as text: a date as yyyy-mm-dd, any other value
+// as fmt.Sprint prints it, a string unquoted and unescaped.
 func (pt *PropertyTable) Format(id int64) string {
 	if pt.Kind == KindDate {
 		return FormatDate(pt.Int(id))

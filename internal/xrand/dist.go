@@ -137,68 +137,12 @@ func (d *Discrete) Prob(k int) float64 {
 	return d.cum[k] - d.cum[k-1]
 }
 
-// Zipf is a Zipf(s, v, imax) sampler over {0, …, n-1} with exponent
-// theta: P(k) ∝ 1/(k+1)^theta. Sampling uses a precomputed CDF for
-// small n and is exact.
-type Zipf struct {
-	d *Discrete
-}
-
-// NewZipf builds a Zipf distribution with n categories and exponent
-// theta > 0.
-func NewZipf(n int, theta float64) (*Zipf, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("xrand: zipf needs n > 0, got %d", n)
-	}
-	if theta <= 0 || math.IsNaN(theta) {
-		return nil, fmt.Errorf("xrand: zipf needs theta > 0, got %v", theta)
-	}
-	w := make([]float64, n)
-	for k := range w {
-		w[k] = math.Pow(float64(k+1), -theta)
-	}
-	d, err := NewDiscrete(w)
-	if err != nil {
-		return nil, err
-	}
-	return &Zipf{d: d}, nil
-}
-
-// Sample draws the i-th Zipf value from stream s.
-func (z *Zipf) Sample(s Stream, i int64) int { return z.d.Sample(s, i) }
-
-// N returns the number of categories.
-func (z *Zipf) N() int { return z.d.N() }
-
-// Prob returns P(k).
-func (z *Zipf) Prob(k int) float64 { return z.d.Prob(k) }
-
-// Geometric samples from a geometric distribution with success
-// probability p: P(k) = (1-p)^k · p for k = 0, 1, 2, …
-// The paper's evaluation sizes ground-truth groups with geo(0.4).
-type Geometric struct {
-	p float64
-}
-
-// NewGeometric builds the distribution; p must be in (0, 1].
-func NewGeometric(p float64) (*Geometric, error) {
-	if !(p > 0 && p <= 1) {
-		return nil, fmt.Errorf("xrand: geometric needs p in (0,1], got %v", p)
-	}
-	return &Geometric{p: p}, nil
-}
-
-// PMF returns P(k) = (1-p)^k · p.
-func (g *Geometric) PMF(k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	return math.Pow(1-g.p, float64(k)) * g.p
-}
-
 // PowerLawInt samples integers in [min, max] from a truncated discrete
 // power law P(k) ∝ k^(-gamma). LFR uses it for both degree sequences
-// and community sizes.
+// and community sizes, cascade for tree sizes and the bipartite
+// generators for out-degrees. From min = 1 it is also the Zipf law over
+// n ranks: zipf-attachment's head popularity and the zipf categorical's
+// weights take rank k-1 from value k.
 type PowerLawInt struct {
 	min int
 	d   *Discrete
@@ -229,6 +173,9 @@ func (p *PowerLawInt) Sample(s Stream, i int64) int {
 	return p.min + p.d.Sample(s, i)
 }
 
+// Prob returns P(k) for k in [min, max].
+func (p *PowerLawInt) Prob(k int) float64 { return p.d.Prob(k - p.min) }
+
 // Mean returns the expectation of the distribution.
 func (p *PowerLawInt) Mean() float64 {
 	m := 0.0
@@ -243,8 +190,8 @@ func (p *PowerLawInt) Mean() float64 {
 //
 //	n · max(geo(p, i), 1/k) / Σ_j max(geo(p, j), 1/k)
 //
-// with geo the geometric PMF. It returns exact integer sizes summing to
-// n (largest-remainder rounding).
+// with geo(p, i) = (1-p)^i · p the geometric PMF, p in (0, 1]. It
+// returns exact integer sizes summing to n (largest-remainder rounding).
 func GroupSizes(n int64, k int, p float64) ([]int64, error) {
 	if n <= 0 || k <= 0 {
 		return nil, fmt.Errorf("xrand: group sizes need n > 0 and k > 0, got n=%d k=%d", n, k)
@@ -252,15 +199,14 @@ func GroupSizes(n int64, k int, p float64) ([]int64, error) {
 	if k > int(n) {
 		return nil, fmt.Errorf("xrand: more groups (%d) than nodes (%d)", k, n)
 	}
-	g, err := NewGeometric(p)
-	if err != nil {
-		return nil, err
+	if !(p > 0 && p <= 1) {
+		return nil, fmt.Errorf("xrand: group sizes need p in (0,1], got %v", p)
 	}
 	raw := make([]float64, k)
 	total := 0.0
 	floor := 1.0 / float64(k)
 	for i := 0; i < k; i++ {
-		raw[i] = math.Max(g.PMF(i), floor)
+		raw[i] = math.Max(math.Pow(1-p, float64(i))*p, floor)
 		total += raw[i]
 	}
 	sizes := make([]int64, k)
@@ -302,5 +248,3 @@ func GroupSizes(n int64, k int, p float64) ([]int64, error) {
 	}
 	return sizes, nil
 }
-
-var guideMul = 4

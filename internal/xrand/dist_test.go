@@ -85,61 +85,26 @@ func TestDiscreteSampleUBoundaries(t *testing.T) {
 	}
 }
 
-func TestZipfShape(t *testing.T) {
-	z, err := NewZipf(100, 1.0)
+// TestPowerLawIntZipf checks the power law from 1, the Zipf law
+// zipf-attachment and the zipf categorical draw ranks from.
+func TestPowerLawIntZipf(t *testing.T) {
+	z, err := NewPowerLawInt(1, 100, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// P(0)/P(1) must be 2 for theta = 1.
-	if r := z.Prob(0) / z.Prob(1); math.Abs(r-2) > 1e-9 {
-		t.Errorf("zipf ratio P(0)/P(1) = %v, want 2", r)
+	// P(1)/P(2) must be 2 for gamma = 1.
+	if r := z.Prob(1) / z.Prob(2); math.Abs(r-2) > 1e-9 {
+		t.Errorf("zipf ratio P(1)/P(2) = %v, want 2", r)
 	}
-	// Monotone decreasing.
-	for k := 1; k < z.N(); k++ {
+	sum := z.Prob(1)
+	for k := 2; k <= 100; k++ {
 		if z.Prob(k) > z.Prob(k-1) {
 			t.Fatalf("zipf not monotone at %d", k)
 		}
-	}
-}
-
-func TestZipfValidation(t *testing.T) {
-	if _, err := NewZipf(0, 1); err == nil {
-		t.Error("NewZipf(0,·) should fail")
-	}
-	if _, err := NewZipf(10, 0); err == nil {
-		t.Error("NewZipf(·,0) should fail")
-	}
-	if _, err := NewZipf(10, -1); err == nil {
-		t.Error("NewZipf(·,-1) should fail")
-	}
-}
-
-func TestGeometricPMFSums(t *testing.T) {
-	g, err := NewGeometric(0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for k := 0; k < 200; k++ {
-		sum += g.PMF(k)
+		sum += z.Prob(k)
 	}
 	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("geometric PMF sums to %v, want 1", sum)
-	}
-	if g.PMF(-1) != 0 {
-		t.Error("PMF(-1) should be 0")
-	}
-}
-
-func TestGeometricEdgeCases(t *testing.T) {
-	if _, err := NewGeometric(0); err == nil {
-		t.Error("p=0 should fail")
-	}
-	if _, err := NewGeometric(1.5); err == nil {
-		t.Error("p>1 should fail")
-	}
-	if _, err := NewGeometric(1); err != nil {
-		t.Errorf("p=1 should build: %v", err)
+		t.Errorf("zipf probabilities sum to %v, want 1", sum)
 	}
 }
 
@@ -171,8 +136,13 @@ func TestPowerLawIntValidation(t *testing.T) {
 	if _, err := NewPowerLawInt(10, 5, 2); err == nil {
 		t.Error("max<min should fail")
 	}
-	if _, err := NewPowerLawInt(1, 10, 0); err == nil {
-		t.Error("gamma=0 should fail")
+	if _, err := NewPowerLawInt(1, 0, 1); err == nil {
+		t.Error("an empty support should fail")
+	}
+	for _, gamma := range []float64{0, -1, math.NaN()} {
+		if _, err := NewPowerLawInt(1, 10, gamma); err == nil {
+			t.Errorf("gamma=%v should fail", gamma)
+		}
 	}
 }
 
@@ -224,6 +194,14 @@ func TestGroupSizesErrors(t *testing.T) {
 	}
 	if _, err := GroupSizes(3, 5, 0.4); err == nil {
 		t.Error("k>n should fail")
+	}
+	for _, p := range []float64{0, 1.5, math.NaN()} {
+		if _, err := GroupSizes(10, 4, p); err == nil {
+			t.Errorf("p=%v should fail", p)
+		}
+	}
+	if _, err := GroupSizes(10, 4, 1); err != nil {
+		t.Errorf("p=1 should work: %v", err)
 	}
 }
 

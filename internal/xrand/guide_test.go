@@ -107,7 +107,7 @@ func TestDiscreteGuideMatchesSearch(t *testing.T) {
 	}
 	// The support zipf-attachment samples on the bench workload, at the
 	// draws it really makes.
-	z, err := NewZipf(30000, 1)
+	z, err := NewPowerLawInt(1, 30000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func BenchmarkDiscreteSampleU(b *testing.B) {
 		us[i] = s.Float64(int64(i))
 	}
 	for _, n := range []int{2, 64, 195, 30000} {
-		z, err := NewZipf(n, 1)
+		z, err := NewPowerLawInt(1, n, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,17 +1,19 @@
 // Command unreached is the reachability ratchet: it fails when a
-// function or method declared under internal/ is linked into no entry
-// point and is not on the allowlist, and when an allowlisted one is
-// linked again or no longer declared. So the allowlist can only shrink.
+// function, method or package-level variable declared under internal/
+// is linked into no entry point and is not on the allowlist, and when
+// an allowlisted one is linked again or no longer declared. So the
+// allowlist can only shrink.
 //
 // A per-package analyzer cannot see whole-program reachability; the
 // linker already computes it. The command builds every entry point —
 // each main package under cmd/ and examples/, and the bench/ harness
 // (its own module) — with inlining off, so a function that is called
 // is a symbol of its own, and reads each binary's symbol table with
-// `go tool nm`. Closures (F.func1, F.func1.2, F.gowrap1, F.deferwrap1,
-// F-range1), method values (M-fm) and generic instantiations
-// (F[go.shape.int]) fold into the function that declares them. Package
-// init functions always run, so they are never reported.
+// `go tool nm`; the linker drops a variable nothing reads as it drops
+// a function nothing calls. Closures (F.func1, F.func1.2, F.gowrap1,
+// F.deferwrap1, F-range1), method values (M-fm) and generic
+// instantiations (F[go.shape.int]) fold into the function that declares
+// them. Package init functions always run, so they are never reported.
 //
 // Usage, from the repository root:
 //
@@ -114,9 +116,9 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("%s: no module directive", gomod)
 }
 
-// declared maps the symbol of every function and method declared in a
-// non-test file under dir to its position. Package init functions are
-// left out.
+// declared maps the symbol of every function, method and package-level
+// variable declared in a non-test file under dir to its position.
+// Package init functions and blank variables are left out.
 func declared(module, dir string) (map[string]string, error) {
 	fset := token.NewFileSet()
 	decls := map[string]string{}
@@ -130,11 +132,23 @@ func declared(module, dir string) (map[string]string, error) {
 		}
 		pkg := module + "/" + filepath.ToSlash(filepath.Dir(path))
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil && fd.Name.Name == "init" {
-				continue
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil || d.Name.Name != "init" {
+					decls[symbol(pkg, d)] = fset.Position(d.Pos()).String()
+				}
+			case *ast.GenDecl:
+				if d.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range d.Specs {
+					for _, name := range spec.(*ast.ValueSpec).Names {
+						if name.Name != "_" {
+							decls[pkg+"."+name.Name] = fset.Position(name.Pos()).String()
+						}
+					}
+				}
 			}
-			decls[symbol(pkg, fd)] = fset.Position(fd.Pos()).String()
 		}
 		return nil
 	})
@@ -170,8 +184,9 @@ func symbol(pkg string, fd *ast.FuncDecl) string {
 
 // linkedSymbols builds every entry point with inlining off into a
 // temporary directory and returns the module's text symbols the
-// binaries hold, folded into their declaring functions, and how many
-// binaries it read.
+// binaries hold, folded into their declaring functions, with their
+// data symbols (package-level variables), and how many binaries it
+// read.
 func linkedSymbols(module string) (map[string]bool, int, error) {
 	dir, err := os.MkdirTemp("", "unreached")
 	if err != nil {
@@ -200,9 +215,11 @@ func linkedSymbols(module string) (map[string]bool, int, error) {
 		n := 0
 		sc := bufio.NewScanner(bytes.NewReader(out))
 		for sc.Scan() {
-			// Each line is "address type name"; T and t are text.
+			// Each line is "address type name"; T and t are text, D,
+			// B and R (or lower case, unexported) data, bss and
+			// read-only data.
 			f := strings.Fields(sc.Text())
-			if len(f) == 3 && (f[1] == "T" || f[1] == "t") && strings.HasPrefix(f[2], module+"/") {
+			if len(f) == 3 && strings.Contains("TtDdBbRr", f[1]) && strings.HasPrefix(f[2], module+"/") {
 				linked[fold(f[2])] = true
 				n++
 			}

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -72,6 +73,36 @@ func TestDeclaredSkipsTestsAndInit(t *testing.T) {
 	}
 	if len(decls) != 1 || decls["m/a.A"] == "" {
 		t.Errorf("declared = %v, want only m/a.A", decls)
+	}
+}
+
+// TestDeclaredVariables checks that package-level variables are
+// declared symbols, named as the linker names their data, and that
+// blank ones, constants and function-local variables are not.
+func TestDeclaredVariables(t *testing.T) {
+	dir := t.TempDir()
+	src := "package v\nvar V, _ = 1, 2\nvar (\n\tw int\n\tx, y = 3, 4\n)\nconst C = 5\nfunc F() { var local int; _ = local }\n"
+	if err := os.MkdirAll(filepath.Join(dir, "v"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "v", "v.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(dir)
+	decls, err := declared("m", "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for sym := range decls {
+		got = append(got, sym)
+	}
+	sort.Strings(got)
+	if want := "m/v.F m/v.V m/v.w m/v.x m/v.y"; strings.Join(got, " ") != want {
+		t.Errorf("declared %v, want %s", got, want)
+	}
+	if pos := decls["m/v.w"]; !strings.HasSuffix(pos, "v.go:4:2") {
+		t.Errorf("m/v.w declared at %q, want v/v.go:4:2", pos)
 	}
 }
 
