@@ -136,6 +136,14 @@ func TestPowerLawIntValidation(t *testing.T) {
 	if _, err := NewPowerLawInt(10, 5, 2); err == nil {
 		t.Error("max<min should fail")
 	}
+	if _, err := NewPowerLawInt(1, 10, 0); err == nil {
+		t.Error("gamma=0 should fail")
+	}
+}
+
+// TestZipfValidation checks the Zipf law (PowerLawInt from 1) rejects an
+// empty support and a non-positive or NaN exponent.
+func TestZipfValidation(t *testing.T) {
 	if _, err := NewPowerLawInt(1, 0, 1); err == nil {
 		t.Error("an empty support should fail")
 	}
@@ -195,6 +203,11 @@ func TestGroupSizesErrors(t *testing.T) {
 	if _, err := GroupSizes(3, 5, 0.4); err == nil {
 		t.Error("k>n should fail")
 	}
+}
+
+// TestGeometricEdgeCases checks the geometric parameter GroupSizes takes:
+// p must lie in (0, 1], and p = 1 (all mass on the first group) is valid.
+func TestGeometricEdgeCases(t *testing.T) {
 	for _, p := range []float64{0, 1.5, math.NaN()} {
 		if _, err := GroupSizes(10, 4, p); err == nil {
 			t.Errorf("p=%v should fail", p)
