@@ -4,6 +4,12 @@
 // an allowlisted one is linked again or no longer declared. So the
 // allowlist can only shrink.
 //
+// It keeps a second tier the same way: a symbol that entry points link
+// but neither product binary (cmd/datasynth, cmd/datasynthd) does — one
+// only graphstats, sbmpart-eval, examples/ or bench/ reach — must be
+// listed in the allowlist's [evaluation-only] section, so that
+// evaluation-only code in a product package is a decision someone made.
+//
 // A per-package analyzer cannot see whole-program reachability; the
 // linker already computes it. The command builds every entry point —
 // each main package under cmd/ and examples/, and the bench/ harness
@@ -21,7 +27,9 @@
 //
 // The allowlist, lint/unreached.allow, holds one symbol a line as this
 // command prints it, followed by "# reason"; the reason is mandatory.
-// It is for test seams: code only tests call, on purpose. Exit status
+// Its first section is for test seams: code only tests call, on
+// purpose. The lines after a line reading [evaluation-only] are the
+// second tier: code only the evaluation entry points call. Exit status
 // is 0 when clean, 1 when there are findings, 2 on a driver error —
 // including a build that fails or binaries that link nothing of the
 // module, so a run that read nothing never passes.
@@ -39,6 +47,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -60,7 +69,7 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	linked, roots, err := linkedSymbols(module)
+	linked, product, roots, err := linkedSymbols(module)
 	if err != nil {
 		return fail(err)
 	}
@@ -68,33 +77,49 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-
-	var findings []string
-	for sym, pos := range decls {
-		if !linked[sym] {
-			if _, ok := allow[sym]; !ok {
-				findings = append(findings, fmt.Sprintf("%s: %s is linked into no entry point", pos, sym))
-			}
-		}
-	}
-	for sym, line := range allow {
-		switch {
-		case decls[sym] == "":
-			findings = append(findings, fmt.Sprintf("%s:%d: %s is allowlisted but not declared; delete the line", allowPath, line, sym))
-		case linked[sym]:
-			findings = append(findings, fmt.Sprintf("%s:%d: %s is allowlisted but linked; delete the line", allowPath, line, sym))
-		}
-	}
-	sort.Strings(findings)
-	for _, f := range findings {
+	found := findings(decls, linked, product, allow)
+	for _, f := range found {
 		fmt.Println(f)
 	}
-	fmt.Fprintf(os.Stderr, "unreached: %d roots, %d declared, %d linked, %d allowlisted, %d findings\n",
-		roots, len(decls), len(linked), len(allow), len(findings))
-	if len(findings) > 0 {
+	fmt.Fprintf(os.Stderr, "unreached: %d roots, %d declared, %d linked (%d by the product), %d allowlisted, %d findings\n",
+		roots, len(decls), len(linked), len(product), len(allow), len(found))
+	if len(found) > 0 {
 		return 1
 	}
 	return 0
+}
+
+// findings compares the declared symbols with what the entry points
+// link (linked) and what the product binaries link (product) and with
+// the allowlist, and returns one sorted line per mismatch.
+func findings(decls map[string]string, linked, product map[string]bool, allow map[string]allowed) []string {
+	var out []string
+	for sym, pos := range decls {
+		if _, listed := allow[sym]; listed {
+			continue
+		}
+		switch {
+		case !linked[sym]:
+			out = append(out, fmt.Sprintf("%s: %s is linked into no entry point", pos, sym))
+		case !product[sym]:
+			out = append(out, fmt.Sprintf("%s: %s is linked only by evaluation entry points; list it under %s or call it from the product", pos, sym, evaluationHeader))
+		}
+	}
+	for sym, a := range allow {
+		at := fmt.Sprintf("%s:%d: %s is allowlisted", allowPath, a.line, sym)
+		switch {
+		case decls[sym] == "":
+			out = append(out, at+" but not declared; delete the line")
+		case product[sym]:
+			out = append(out, at+" but the product links it; delete the line")
+		case linked[sym] && !a.evaluation:
+			out = append(out, at+" as a test seam but evaluation entry points link it; move the line under "+evaluationHeader)
+		case !linked[sym] && a.evaluation:
+			out = append(out, at+" as evaluation-only but no entry point links it; move the line above "+evaluationHeader+" or delete it")
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 func fail(err error) int {
@@ -182,15 +207,19 @@ func symbol(pkg string, fd *ast.FuncDecl) string {
 	return pkg + "." + recv + "." + fd.Name.Name
 }
 
+// productRoots are the binaries a user of the generator runs; every
+// other entry point is an evaluation tool, an example or the benchmark.
+var productRoots = []string{"datasynth", "datasynthd"}
+
 // linkedSymbols builds every entry point with inlining off into a
 // temporary directory and returns the module's text symbols the
 // binaries hold, folded into their declaring functions, with their
-// data symbols (package-level variables), and how many binaries it
-// read.
-func linkedSymbols(module string) (map[string]bool, int, error) {
+// data symbols (package-level variables); the same for the product
+// binaries alone; and how many binaries it read.
+func linkedSymbols(module string) (linked, product map[string]bool, roots int, err error) {
 	dir, err := os.MkdirTemp("", "unreached")
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	defer os.RemoveAll(dir)
 	builds := [][]string{
@@ -199,18 +228,23 @@ func linkedSymbols(module string) (map[string]bool, int, error) {
 	}
 	for _, args := range builds {
 		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
-			return nil, 0, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+			return nil, nil, 0, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, out)
 		}
 	}
 	bins, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	linked := map[string]bool{}
+	linked, product = map[string]bool{}, map[string]bool{}
+	products := 0
 	for _, b := range bins {
 		out, err := exec.Command("go", "tool", "nm", filepath.Join(dir, b.Name())).Output()
 		if err != nil {
-			return nil, 0, fmt.Errorf("go tool nm %s: %v", b.Name(), err)
+			return nil, nil, 0, fmt.Errorf("go tool nm %s: %v", b.Name(), err)
+		}
+		isProduct := slices.Contains(productRoots, b.Name())
+		if isProduct {
+			products++
 		}
 		n := 0
 		sc := bufio.NewScanner(bytes.NewReader(out))
@@ -220,18 +254,22 @@ func linkedSymbols(module string) (map[string]bool, int, error) {
 			// read-only data.
 			f := strings.Fields(sc.Text())
 			if len(f) == 3 && strings.Contains("TtDdBbRr", f[1]) && strings.HasPrefix(f[2], module+"/") {
-				linked[fold(f[2])] = true
+				sym := fold(f[2])
+				linked[sym] = true
+				if isProduct {
+					product[sym] = true
+				}
 				n++
 			}
 		}
 		if n == 0 {
-			return nil, 0, fmt.Errorf("%s links no function of %s", b.Name(), module)
+			return nil, nil, 0, fmt.Errorf("%s links no function of %s", b.Name(), module)
 		}
 	}
-	if len(bins) == 0 {
-		return nil, 0, fmt.Errorf("built no entry point")
+	if products != len(productRoots) {
+		return nil, nil, 0, fmt.Errorf("built %d of the product binaries %v", products, productRoots)
 	}
-	return linked, len(bins), nil
+	return linked, product, len(bins), nil
 }
 
 // wrapperSuffix matches one closure or wrapper suffix the compiler adds
@@ -264,17 +302,33 @@ func fold(sym string) string {
 	}
 }
 
-// readAllow reads the allowlist: symbol → line number. A line is
-// "symbol # reason"; blank lines and lines starting with # are skipped.
-func readAllow(path string) (map[string]int, error) {
+// evaluationHeader starts the allowlist's second section.
+const evaluationHeader = "[evaluation-only]"
+
+// allowed is one allowlist line: where it is, and whether it lies in
+// the evaluation-only section.
+type allowed struct {
+	line       int
+	evaluation bool
+}
+
+// readAllow reads the allowlist. A line is "symbol # reason"; blank
+// lines and lines starting with # are skipped, and the lines after
+// evaluationHeader are the evaluation-only section.
+func readAllow(path string) (map[string]allowed, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	allow := map[string]int{}
+	allow := map[string]allowed{}
+	evaluation := false
 	for i, line := range strings.Split(string(b), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if line == evaluationHeader && !evaluation {
+			evaluation = true
 			continue
 		}
 		sym, reason, _ := strings.Cut(line, "#")
@@ -285,7 +339,7 @@ func readAllow(path string) (map[string]int, error) {
 		if _, dup := allow[sym]; dup {
 			return nil, fmt.Errorf("%s:%d: %s listed twice", path, i+1, sym)
 		}
-		allow[sym] = i + 1
+		allow[sym] = allowed{i + 1, evaluation}
 	}
 	return allow, nil
 }

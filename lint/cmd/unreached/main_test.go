@@ -121,8 +121,63 @@ func TestReadAllow(t *testing.T) {
 		if (err == nil) != ok {
 			t.Errorf("%q: err = %v", src, err)
 		}
-		if ok && allow["m/p.F"] != 3 {
-			t.Errorf("%q: line of m/p.F = %d, want 3", src, allow["m/p.F"])
+		if ok && allow["m/p.F"] != (allowed{line: 3}) {
+			t.Errorf("%q: m/p.F = %+v, want line 3 in the test-seam section", src, allow["m/p.F"])
 		}
+	}
+}
+
+func TestReadAllowSections(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "allow")
+	src := "m/p.Seam # test seam\n\n[evaluation-only]\n# header\nm/p.Eval # only sbmpart-eval calls it\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	allow, err := readAllow(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (allowed{1, false}); allow["m/p.Seam"] != want {
+		t.Errorf("m/p.Seam = %+v, want %+v", allow["m/p.Seam"], want)
+	}
+	if want := (allowed{5, true}); allow["m/p.Eval"] != want {
+		t.Errorf("m/p.Eval = %+v, want %+v", allow["m/p.Eval"], want)
+	}
+}
+
+// TestFindingsTiers checks the two tiers: a symbol no entry point
+// links belongs in the test-seam section, one only evaluation entry
+// points link in the evaluation-only section, and a line in the wrong
+// section, or for a symbol the product links, is a finding.
+func TestFindingsTiers(t *testing.T) {
+	decls := map[string]string{}
+	for _, s := range []string{"Product", "Eval", "Seam", "NewEval", "NewSeam", "ListedProduct", "SeamAsEval", "EvalAsSeam"} {
+		decls["m/p."+s] = "p.go:1:1"
+	}
+	linked := map[string]bool{"m/p.Product": true, "m/p.Eval": true, "m/p.NewEval": true, "m/p.ListedProduct": true, "m/p.EvalAsSeam": true}
+	product := map[string]bool{"m/p.Product": true, "m/p.ListedProduct": true}
+	allow := map[string]allowed{
+		"m/p.Seam":          {1, false},
+		"m/p.Eval":          {2, true},
+		"m/p.ListedProduct": {3, true},
+		"m/p.SeamAsEval":    {4, true},
+		"m/p.EvalAsSeam":    {5, false},
+		"m/p.Gone":          {6, true},
+	}
+	got := strings.Join(findings(decls, linked, product, allow), "\n")
+	for _, want := range []string{
+		"p.go:1:1: m/p.NewEval is linked only by evaluation entry points",
+		"p.go:1:1: m/p.NewSeam is linked into no entry point",
+		allowPath + ":3: m/p.ListedProduct is allowlisted but the product links it",
+		allowPath + ":4: m/p.SeamAsEval is allowlisted as evaluation-only but no entry point links it",
+		allowPath + ":5: m/p.EvalAsSeam is allowlisted as a test seam but evaluation entry points link it",
+		allowPath + ":6: m/p.Gone is allowlisted but not declared",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("findings lack %q:\n%s", want, got)
+		}
+	}
+	if n := strings.Count(got, "\n") + 1; n != 6 {
+		t.Errorf("%d findings, want 6:\n%s", n, got)
 	}
 }
