@@ -9,6 +9,8 @@
 // only graphstats, sbmpart-eval, examples/ or bench/ reach — must be
 // listed in the allowlist's [evaluation-only] section, so that
 // evaluation-only code in a product package is a decision someone made.
+// internal/exp, the paper's evaluation, is evaluation by definition and
+// has no such tier.
 //
 // A per-package analyzer cannot see whole-program reachability; the
 // linker already computes it. The command builds every entry point —
@@ -101,7 +103,7 @@ func findings(decls map[string]string, linked, product map[string]bool, allow ma
 		switch {
 		case !linked[sym]:
 			out = append(out, fmt.Sprintf("%s: %s is linked into no entry point", pos, sym))
-		case !product[sym]:
+		case !product[sym] && !evaluationPackage(sym):
 			out = append(out, fmt.Sprintf("%s: %s is linked only by evaluation entry points; list it under %s or call it from the product", pos, sym, evaluationHeader))
 		}
 	}
@@ -112,6 +114,8 @@ func findings(decls map[string]string, linked, product map[string]bool, allow ma
 			out = append(out, at+" but not declared; delete the line")
 		case product[sym]:
 			out = append(out, at+" but the product links it; delete the line")
+		case a.evaluation && evaluationPackage(sym):
+			out = append(out, at+" as evaluation-only but its package is evaluation code; delete the line")
 		case linked[sym] && !a.evaluation:
 			out = append(out, at+" as a test seam but evaluation entry points link it; move the line under "+evaluationHeader)
 		case !linked[sym] && a.evaluation:
@@ -205,6 +209,19 @@ func symbol(pkg string, fd *ast.FuncDecl) string {
 		recv = "(*" + recv + ")"
 	}
 	return pkg + "." + recv + "." + fd.Name.Name
+}
+
+// evaluationPkgs are the packages under internal/ that only evaluation
+// entry points are meant to link, so the product tier skips them.
+var evaluationPkgs = []string{"internal/exp"}
+
+// evaluationPackage reports whether sym is declared in one of
+// evaluationPkgs.
+func evaluationPackage(sym string) bool {
+	slash := strings.LastIndex(sym, "/")
+	name, _, _ := strings.Cut(sym[slash+1:], ".")
+	pkg := sym[:slash+1] + name
+	return slices.ContainsFunc(evaluationPkgs, func(p string) bool { return strings.HasSuffix(pkg, "/"+p) })
 }
 
 // productRoots are the binaries a user of the generator runs; every

@@ -148,7 +148,8 @@ func TestReadAllowSections(t *testing.T) {
 // TestFindingsTiers checks the two tiers: a symbol no entry point
 // links belongs in the test-seam section, one only evaluation entry
 // points link in the evaluation-only section, and a line in the wrong
-// section, or for a symbol the product links, is a finding.
+// section, or for a symbol the product links, is a finding; internal/exp
+// is evaluation code and skips the second tier.
 func TestFindingsTiers(t *testing.T) {
 	decls := map[string]string{}
 	for _, s := range []string{"Product", "Eval", "Seam", "NewEval", "NewSeam", "ListedProduct", "SeamAsEval", "EvalAsSeam"} {
@@ -164,6 +165,11 @@ func TestFindingsTiers(t *testing.T) {
 		"m/p.EvalAsSeam":    {5, false},
 		"m/p.Gone":          {6, true},
 	}
+	// internal/exp is evaluation code: linked only by evaluation entry
+	// points, it needs no line, and a line for it is a finding.
+	decls["m/internal/exp.Run"], decls["m/internal/exp.(*Panel).Label"] = "exp.go:1:1", "exp.go:2:1"
+	linked["m/internal/exp.Run"], linked["m/internal/exp.(*Panel).Label"] = true, true
+	allow["m/internal/exp.(*Panel).Label"] = allowed{7, true}
 	got := strings.Join(findings(decls, linked, product, allow), "\n")
 	for _, want := range []string{
 		"p.go:1:1: m/p.NewEval is linked only by evaluation entry points",
@@ -172,12 +178,13 @@ func TestFindingsTiers(t *testing.T) {
 		allowPath + ":4: m/p.SeamAsEval is allowlisted as evaluation-only but no entry point links it",
 		allowPath + ":5: m/p.EvalAsSeam is allowlisted as a test seam but evaluation entry points link it",
 		allowPath + ":6: m/p.Gone is allowlisted but not declared",
+		allowPath + ":7: m/internal/exp.(*Panel).Label is allowlisted as evaluation-only but its package is evaluation code",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("findings lack %q:\n%s", want, got)
 		}
 	}
-	if n := strings.Count(got, "\n") + 1; n != 6 {
-		t.Errorf("%d findings, want 6:\n%s", n, got)
+	if n := strings.Count(got, "\n") + 1; n != 7 {
+		t.Errorf("%d findings, want 7:\n%s", n, got)
 	}
 }
