@@ -157,11 +157,12 @@
 //     once, at its later-streamed end, when the match runs no
 //     refinement — edge tables of uint32 endpoint ids (8 bytes an edge;
 //     the files still carry 8-byte ids, so a node type holds at most
-//     2^32-1 instances), 4-byte match order, groups and mapping, and
-//     structure and match scratch sized once from counts already
-//     known, the 300k-Person social job peaks at
-//     60 MB, was 216, and the daemon's bipartite recommender job
-//     (300k users, 30k products) at 34 MB, was 42.
+//     2^32-1 instances), 4-byte match order, groups and mapping,
+//     4-byte LFR node state, a match that reuses its dead rank and
+//     self-drawn order, and structure and match scratch sized once
+//     from counts already known, the 300k-Person social job peaks at
+//     55-56 MB, was 216, and the daemon's bipartite recommender job
+//     (300k users, 30k products) at 33 MB, was 42.
 //     Files stage as temp files and rename into place only after
 //     every table succeeded, so a failed export never leaves a
 //     partial directory. The exported bytes are hash-verified

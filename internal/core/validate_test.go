@@ -309,6 +309,9 @@ var badStructureSpecs = []struct{ name, card, spec, want string }{
 	{"lfr NaN mu", "*-*", `lfr(mu=NaN)`, "mixing parameter"},
 	{"lfr average degree", "*-*", `lfr(avgDegree=1)`, "average degree must exceed 1"},
 	{"lfr max degree", "*-*", `lfr(avgDegree=20, maxDegree=10)`, "max degree 10 below average"},
+	// Validate refuses it where an int has 64 bits, schema.Params where
+	// it has 32; both errors name the value.
+	{"lfr max degree past 4 bytes", "*-*", `lfr(maxDegree=3000000000)`, "3000000000"},
 	{"lfr communities", "*-*", `lfr(minCommunity=50, maxCommunity=10)`, "community bounds [50,10]"},
 	{"lfr exponents", "*-*", `lfr(tau1=1)`, "exponents"},
 	{"lfr unknown parameter", "*-*", `lfr(avgdegree=4)`, "lfr has no parameter avgdegree"},

@@ -74,9 +74,10 @@ func MeasureCapabilities(n int64, seed uint64) ([]Capability, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := g.Modularity(lfr.Communities())
+	comm := lfr.Communities()
+	q := g.Modularity(comm)
 	add("LFR", "configurable communities", "ground-truth modularity", q, q > 0.5, time.Since(t0))
-	mu := g.MixingFraction(lfr.Communities())
+	mu := g.MixingFraction(comm)
 	add("LFR", "mixing parameter control (mu=0.1)", "empirical mixing", mu, math.Abs(mu-0.1) < 0.08, 0)
 
 	// BTER: degree distribution + average clustering per degree.

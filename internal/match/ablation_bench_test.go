@@ -93,7 +93,7 @@ func BenchmarkAblationRestream(b *testing.B) {
 					b.Fatal(err)
 				}
 				part.Seed = 3
-				assign, err := assigned(part.partition(g, order, passes))
+				assign, err := assigned(part.partition(g, order, make([]uint32, g.N()), passes))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -95,7 +95,7 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 	// nodes are tails then heads, and the target's groups are tail
 	// values then head values.
 	part := &SBMPart{K: target.K, Target: target, Capacities: append(capT, capH...), tails: nTail}
-	r, times, err := part.match(et, nTail, nHead, opt)
+	r, spare, times, err := part.match(et, nTail, nHead, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -107,11 +107,13 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 
 	seedT := xrand.NewStream(opt.Seed).DeriveStream("bip-tail").Seed()
 	seedH := xrand.NewStream(opt.Seed).DeriveStream("bip-head").Seed()
-	mapT, err := BuildMapping(assignT, tailRowLabels, kt, seedT)
+	// Each side's row buckets are dead once its mapping is built, so
+	// both take the spare order in turn.
+	mapT, err := buildMapping(assignT, tailRowLabels, kt, seedT, spare)
 	if err != nil {
 		return nil, err
 	}
-	mapH, err := BuildMapping(assignH, headRowLabels, kh, seedH)
+	mapH, err := buildMapping(assignH, headRowLabels, kh, seedH, spare)
 	if err != nil {
 		return nil, err
 	}

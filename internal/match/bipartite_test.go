@@ -217,9 +217,10 @@ func TestMatchBipartiteBadOrder(t *testing.T) {
 // TestMatchBipartiteBytes holds a bipartite match to the accounting of
 // TestMatchPropertyCSRBytes: the streamed CSR over the nTail+nHead ids
 // (4 bytes per edge, 8 per offset, and the 4-byte rank that is also the
-// order's one permutation check), and beside it 16 bytes per node: the
-// order, the assignment, and each side's row buckets and mapping, with
-// as many rows as nodes, 4 bytes each.
+// order's one permutation check), and beside it 8 bytes per node: the
+// order and each side's mapping, with as many rows as nodes, 4 bytes
+// each. The rank holds the assignment, and the order each side's row
+// buckets in turn.
 func TestMatchBipartiteBytes(t *testing.T) {
 	f := zipfFixture(t, 20_000, 10_000, 12, 6)
 	n := f.nTail + f.nHead
@@ -228,7 +229,7 @@ func TestMatchBipartiteBytes(t *testing.T) {
 		b = min(b, allocated(func() { f.match(t) }))
 	}
 	csr := 4*f.et.Len() + 8*(n+1) + 4*n
-	rest := 16 * n
+	rest := 8 * n
 	t.Logf("%d bytes: %d edges, CSR bound %d, the rest %d", b, f.et.Len(), csr, rest)
 	// The slack is each big buffer's rounding to whole pages, the
 	// per-value shuffle streams and the k×k matrices.

@@ -102,7 +102,7 @@ func TestCarriedJointMatrixMatchesRecount(t *testing.T) {
 						t.Fatal(err)
 					}
 					part.Seed = 7
-					r, err := part.partition(g, mode.order, extra)
+					r, err := part.partition(g, mode.order, make([]uint32, g.N()), extra)
 					if err != nil {
 						t.Fatal(err)
 					}

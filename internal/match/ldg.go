@@ -37,12 +37,12 @@ func NewLDG(capacities []int64) (*LDG, error) {
 // RandomOrder(g.N(), 0)) and returns each node's partition. Total
 // capacity must cover g.N().
 func (l *LDG) Partition(g *graph.Graph, order []uint32) ([]uint32, error) {
-	order, _, err := streamOrder(order, g.N(), 0, l.Capacities)
+	order, rank, err := streamOrder(order, g.N(), 0, l.Capacities)
 	if err != nil {
 		return nil, err
 	}
 	k := len(l.Capacities)
-	s := newStream(g, k)
+	s := newStream(g, k, rank)
 	used := make([]int64, k)
 	err = s.run(order, func(v int64) error {
 		best := int64(-1)

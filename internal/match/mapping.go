@@ -22,6 +22,12 @@ import (
 // Within each group, rows are handed out in a pseudo-random (but
 // deterministic) order so that row ids carry no structural bias.
 func BuildMapping(assign []uint32, rowLabels []int64, k int, seed uint64) ([]uint32, error) {
+	return buildMapping(assign, rowLabels, k, seed, nil)
+}
+
+// buildMapping is BuildMapping with the row buckets laid into scratch
+// when it has room for every row; a shorter scratch is left alone.
+func buildMapping(assign []uint32, rowLabels []int64, k int, seed uint64, scratch []uint32) ([]uint32, error) {
 	if len(assign) > len(rowLabels) {
 		return nil, fmt.Errorf("match: %d nodes but only %d property rows", len(assign), len(rowLabels))
 	}
@@ -38,7 +44,11 @@ func BuildMapping(assign []uint32, rowLabels []int64, k int, seed uint64) ([]uin
 	for t := 0; t < k; t++ {
 		start[t+1] += start[t]
 	}
-	rows := make([]uint32, len(rowLabels))
+	rows := scratch
+	if len(rows) < len(rowLabels) {
+		rows = make([]uint32, len(rowLabels))
+	}
+	rows = rows[:len(rowLabels)]
 	next := make([]int, k)
 	copy(next, start)
 	for r, l := range rowLabels {
@@ -150,12 +160,12 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 	if err != nil {
 		return nil, err
 	}
-	r, times, err := part.match(et, n, 0, opt)
+	r, spare, times, err := part.match(et, n, 0, opt)
 	if err != nil {
 		return nil, err
 	}
 	mark := time.Now()
-	mapping, err := BuildMapping(r.assign, rowLabels, target.K, opt.Seed)
+	mapping, err := buildMapping(r.assign, rowLabels, target.K, opt.Seed, spare)
 	if err != nil {
 		return nil, err
 	}
@@ -173,39 +183,50 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 // for each node, only the neighbours streamed before it, so it builds
 // the CSR streamed by the order's rank, each edge once; refinement
 // reads whole neighbourhoods and builds the full one.
-func (p *SBMPart) match(et *table.EdgeTable, nTail, nHead int64, opt Options) (*sbmRun, StepTimes, error) {
-	var times StepTimes
+//
+// No collection runs inside a match, so a buffer that dies in it is
+// never reclaimed before the match ends, and match hands each dead one
+// on instead of allocating another of its size: the rank becomes the
+// partitioner's group array, and an order match drew itself (opt.Order
+// nil) is returned as spare once the partition is done, for the
+// caller's row buckets. A caller's order is never written: spare is
+// nil then.
+func (p *SBMPart) match(et *table.EdgeTable, nTail, nHead int64, opt Options) (r *sbmRun, spare []uint32, times StepTimes, err error) {
 	if opt.Passes < 0 {
-		return nil, times, fmt.Errorf("match: negative refinement passes (%d)", opt.Passes)
+		return nil, nil, times, fmt.Errorf("match: negative refinement passes (%d)", opt.Passes)
 	}
 	p.Seed = opt.Seed
 	mark := time.Now()
 	order, rank, err := streamOrder(opt.Order, nTail+nHead, opt.Seed, p.Capacities)
 	if err != nil {
-		return nil, times, err
+		return nil, nil, times, err
 	}
+	orient := rank
 	if opt.Passes > 0 {
-		rank = nil // the full CSR
+		orient = nil // the full CSR
 	}
 	times.OrderTime = lap(&mark)
 	// The CSR is this job's largest scratch, dropped by the collection
 	// the engine runs when the match task ends.
 	var g *graph.Graph
 	if p.Target.Tails > 0 {
-		g, err = graph.FromBipartiteEdges(et.Tail, et.Head, nTail, nHead, rank)
+		g, err = graph.FromBipartiteEdges(et.Tail, et.Head, nTail, nHead, orient)
 	} else {
-		g, err = graph.FromEdgesStreamed(et.Tail, et.Head, nTail, rank)
+		g, err = graph.FromEdgesStreamed(et.Tail, et.Head, nTail, orient)
 	}
 	if err != nil {
-		return nil, times, err
+		return nil, nil, times, err
 	}
 	times.CSRTime = lap(&mark)
-	r, err := p.partition(g, order, opt.Passes)
+	r, err = p.partition(g, order, rank, opt.Passes)
 	if err != nil {
-		return nil, times, err
+		return nil, nil, times, err
 	}
 	times.PartitionTime = lap(&mark)
-	return r, times, nil
+	if opt.Order == nil {
+		spare = order
+	}
+	return r, spare, times, nil
 }
 
 // observed is the empirical joint of the finished run over et, of the

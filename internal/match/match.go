@@ -70,6 +70,16 @@
 // its order once, with the rank a streamed CSR is oriented by as the
 // seen marker. Property-row labels stay []int64.
 //
+// No collection runs inside a match task, so every buffer it allocates
+// lands on top of what is live, and a buffer that dies mid-task is only
+// reclaimed after it. A match therefore reuses its dead node-indexed
+// buffers instead of allocating more of the same size: the rank, dead
+// once the order is checked and the CSR built, becomes the group array,
+// and an order the match drew itself (Options.Order nil), dead after the
+// first pass, becomes BuildMapping's row buckets, refining or not. A
+// caller's Options.Order is only read, never written; BuildMapping
+// itself allocates its buckets.
+//
 // The observed joint is read, not recounted. Once a pass has placed
 // every node, the partitioner's carried matrix holds each unordered
 // group pair's exact non-loop edge count, and one sequential pass over
@@ -157,7 +167,9 @@ func NewSBMPart(target *stats.Joint, capacities []int64) (*SBMPart, error) {
 // the stream extra times, and returns the finished run: its assign is
 // the group of every node and its cur the joint matrix of that
 // assignment. The caller has checked that order is a permutation of
-// [0, g.N()) and that the capacities cover g.N() (streamOrder).
+// [0, g.N()) and that the capacities cover g.N() (streamOrder), and
+// hands over assign, g.N() entries it no longer reads, as the group
+// array. The first pass is the last to read order.
 //
 // Placement of node v in the first pass:
 //  1. Count v's already-placed neighbours per group: cnt[j]; the node
@@ -196,10 +208,10 @@ func NewSBMPart(target *stats.Joint, capacities []int64) (*SBMPart, error) {
 // (measured in TestProbe-style sweeps: 0.29 → 0.35 L1 random vs 0.29 →
 // 0.08 degree-ordered on LFR(5k,16)). Per-pass complexity stays
 // O(Σ deg(v) + n·k).
-func (p *SBMPart) partition(g *graph.Graph, order []uint32, extra int) (*sbmRun, error) {
+func (p *SBMPart) partition(g *graph.Graph, order, assign []uint32, extra int) (*sbmRun, error) {
 	k := p.K
 	r := &sbmRun{
-		stream: newStream(g, k), part: p,
+		stream: newStream(g, k, assign), part: p,
 		targetP: make([]float64, k*k), cur: make([]float64, k*k),
 		used: make([]int64, k), deltas: make([]float64, k),
 		edges: float64(g.M()),

@@ -3,6 +3,7 @@ package match
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestSBMPartSeparatesCliques(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := assigned(part.partition(g, RandomOrder(40, 7), 0))
+	assign, err := assigned(part.partition(g, RandomOrder(40, 7), make([]uint32, g.N()), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestSBMPartRespectsCapacities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := assigned(part.partition(g, RandomOrder(20, 3), 0))
+	assign, err := assigned(part.partition(g, RandomOrder(20, 3), make([]uint32, g.N()), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestSBMPartDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assign, err := assigned(part.partition(g, RandomOrder(30, 11), 0))
+		assign, err := assigned(part.partition(g, RandomOrder(30, 11), make([]uint32, g.N()), 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func TestSBMPartObservedMatchesTargetOnLFR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := assigned(part.partition(g, RandomOrder(n, 99), 0))
+	assign, err := assigned(part.partition(g, RandomOrder(n, 99), make([]uint32, g.N()), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestSBMPartBeatsRandomAssignment(t *testing.T) {
 	target, _ := stats.EmpiricalJoint(et, widen(truth), k)
 
 	part, _ := NewSBMPart(target, sizes)
-	assign, err := assigned(part.partition(g, RandomOrder(n, 2), 0))
+	assign, err := assigned(part.partition(g, RandomOrder(n, 2), make([]uint32, g.N()), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,9 +417,11 @@ func TestBuildMappingAllocations(t *testing.T) {
 // TestMatchPropertyCSRBytes pins a match without refinement to the
 // streamed CSR: 4 bytes per kept entry, one per edge, plus 8 per offset
 // and the 4-byte rank the build is oriented by, which is also the
-// order's one permutation check. Beside it the run takes 16 bytes per
-// node: the order, the assignment and BuildMapping's row buckets and
-// mapping, 4 bytes each. The full CSR would cost 4 bytes more per edge.
+// order's one permutation check. Beside it the run takes 8 bytes per
+// node: the order and the mapping, 4 bytes each. The dead rank holds
+// the assignment and the dead order BuildMapping's row buckets, which
+// would cost 8 bytes more per node; the full CSR would cost 4 bytes
+// more per edge.
 func TestMatchPropertyCSRBytes(t *testing.T) {
 	const n, k = 20_000, 8
 	et, err := sgen.NewLFR(1).Run(n)
@@ -434,12 +437,62 @@ func TestMatchPropertyCSRBytes(t *testing.T) {
 	}
 	entries := et.Len() // no self-loops in LFR
 	csr := 4*entries + 8*(n+1) + 4*n
-	rest := int64(4*n + 4*n + 2*4*n)
+	rest := int64(4*n + 4*n)
 	t.Logf("%d bytes: %d entries, CSR bound %d, the rest %d", b, entries, csr, rest)
 	// The slack is each big buffer's rounding to whole pages, the
 	// per-value shuffle streams and the k×k matrices.
 	if want := csr + rest + 128<<10; b > want {
 		t.Errorf("MatchProperty allocated %d bytes, want ≤ %d (streamed CSR + per-node words + 128 KiB)", b, want)
+	}
+}
+
+// TestMatchKeepsCallerOrder: a match lays BuildMapping's row buckets
+// into the order it drew itself, never into a caller's Options.Order,
+// which reads the same after the call, with or without refinement, on
+// one domain or two. A caller who passes the order the match would draw
+// gets the same assignment and mapping, so the reuse moves no byte.
+func TestMatchKeepsCallerOrder(t *testing.T) {
+	mono := lfrFixture(t, 2000, 4)
+	labels := mono.rowLabels()
+	bip := zipfFixture(t, 2000, 500, 4, 3)
+	for _, passes := range []int{0, 2} {
+		drawn := DefaultOptions(5)
+		drawn.Passes = passes
+		given := drawn
+		given.Order = RandomOrder(mono.n, drawn.Seed)
+		kept := slices.Clone(given.Order)
+		a, err := MatchProperty(mono.et, mono.n, labels, mono.target, drawn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := MatchProperty(mono.et, mono.n, labels, mono.target, given)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(given.Order, kept) {
+			t.Errorf("passes %d: MatchProperty wrote the caller's order", passes)
+		}
+		if !slices.Equal(a.Assign, b.Assign) || !slices.Equal(a.Mapping, b.Mapping) {
+			t.Errorf("passes %d: MatchProperty with its own order differs from the same order given", passes)
+		}
+
+		given.Order = RandomOrder(bip.nTail+bip.nHead, drawn.Seed)
+		kept = slices.Clone(given.Order)
+		ba, err := MatchBipartite(bip.et, bip.nTail, bip.nHead, bip.tailLabels, bip.headLabels, bip.target, drawn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb, err := MatchBipartite(bip.et, bip.nTail, bip.nHead, bip.tailLabels, bip.headLabels, bip.target, given)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(given.Order, kept) {
+			t.Errorf("passes %d: MatchBipartite wrote the caller's order", passes)
+		}
+		if !slices.Equal(ba.TailMapping, bb.TailMapping) || !slices.Equal(ba.HeadMapping, bb.HeadMapping) ||
+			!slices.Equal(ba.TailAssign, bb.TailAssign) || !slices.Equal(ba.HeadAssign, bb.HeadAssign) {
+			t.Errorf("passes %d: MatchBipartite with its own order differs from the same order given", passes)
+		}
 	}
 }
 
@@ -553,7 +606,7 @@ func TestFrobeniusDeltaMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := RandomOrder(12, 9)
-	assign, err := assigned(part.partition(g, order, 0))
+	assign, err := assigned(part.partition(g, order, make([]uint32, g.N()), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,12 +648,12 @@ func TestPartitionScratchReuse(t *testing.T) {
 	}
 	p.Seed = 9
 	order := RandomOrder(200, 4)
-	first, err := assigned(p.partition(g, order, 0))
+	first, err := assigned(p.partition(g, order, make([]uint32, g.N()), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		again, err := assigned(p.partition(g, order, 0))
+		again, err := assigned(p.partition(g, order, make([]uint32, g.N()), 0))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,11 +56,11 @@ func TestMultiPassImprovesFidelity(t *testing.T) {
 	g, target, sizes, l1Of := restreamSetup(t, 5000, 16)
 	order := RandomOrder(g.N(), 2)
 
-	single, err := assigned(newPart(t, target, sizes).partition(g, order, 0))
+	single, err := assigned(newPart(t, target, sizes).partition(g, order, make([]uint32, g.N()), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := assigned(newPart(t, target, sizes).partition(g, order, 2))
+	multi, err := assigned(newPart(t, target, sizes).partition(g, order, make([]uint32, g.N()), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func newPart(t *testing.T, target *stats.Joint, sizes []int64) *SBMPart {
 
 func TestMultiPassRespectsCapacities(t *testing.T) {
 	g, target, sizes, _ := restreamSetup(t, 3000, 8)
-	assign, err := assigned(newPart(t, target, sizes).partition(g, RandomOrder(g.N(), 7), 3))
+	assign, err := assigned(newPart(t, target, sizes).partition(g, RandomOrder(g.N(), 7), make([]uint32, g.N()), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestMultiPassValidation(t *testing.T) {
 func TestMultiPassDeterministic(t *testing.T) {
 	g, target, sizes, _ := restreamSetup(t, 2000, 8)
 	order := RandomOrder(g.N(), 4)
-	a, err := assigned(newPart(t, target, sizes).partition(g, order, 2))
+	a, err := assigned(newPart(t, target, sizes).partition(g, order, make([]uint32, g.N()), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := assigned(newPart(t, target, sizes).partition(g, order, 2))
+	b, err := assigned(newPart(t, target, sizes).partition(g, order, make([]uint32, g.N()), 2))
 	if err != nil {
 		t.Fatal(err)
 	}

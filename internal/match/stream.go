@@ -72,10 +72,13 @@ type stream struct {
 	touched []int   // groups with cnt > 0, in the order v's neighbour list first reaches them
 }
 
-func newStream(g *graph.Graph, k int) *stream {
+// newStream returns a stream over g into k groups. Its group array is
+// assign, g.N() entries the caller no longer reads: the rank of the
+// run's order, dead once the order is checked and the CSR built.
+func newStream(g *graph.Graph, k int, assign []uint32) *stream {
 	s := &stream{
 		g:       g,
-		assign:  make([]uint32, g.N()),
+		assign:  assign,
 		cnt:     make([]int64, k),
 		touched: make([]int, 0, k),
 	}

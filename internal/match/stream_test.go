@@ -206,7 +206,7 @@ func partitionAt(t testing.TB, g *graph.Graph, target *stats.Joint, sizes []int6
 		t.Fatal(err)
 	}
 	part.Seed = 99
-	assign, err := assigned(part.partition(g, RandomOrder(g.N(), 5), extra))
+	assign, err := assigned(part.partition(g, RandomOrder(g.N(), 5), make([]uint32, g.N()), extra))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestMultiPassPassTimes(t *testing.T) {
 	}
 	part.Seed = 7
 	for _, extra := range []int{2, 0} {
-		if _, err := assigned(part.partition(f.g, RandomOrder(f.n, 3), extra)); err != nil {
+		if _, err := assigned(part.partition(f.g, RandomOrder(f.n, 3), make([]uint32, f.g.N()), extra)); err != nil {
 			t.Fatal(err)
 		}
 		if len(part.PassTimes) != 1+extra {

@@ -48,7 +48,7 @@ func naivePairStubsFiltered(q *xrand.Seq, et *table.EdgeTable, stubs []int64, ro
 
 // naivePairStubsDirect is the reference for pairStubsDirect (stubs are
 // local member indices).
-func naivePairStubsDirect(q *xrand.Seq, et *table.EdgeTable, stubs []int64, members []int64, rounds int) {
+func naivePairStubsDirect(q *xrand.Seq, et *table.EdgeTable, stubs []int64, members []uint32, rounds int) {
 	accepted := map[uint64]struct{}{}
 	pending := stubs
 	for r := 0; r < rounds && len(pending) >= 2; r++ {
@@ -65,7 +65,7 @@ func naivePairStubsDirect(q *xrand.Seq, et *table.EdgeTable, stubs []int64, memb
 					if a > b {
 						a, b = b, a
 					}
-					et.Add(a, b)
+					et.Add(int64(a), int64(b))
 					won = true
 				}
 			}
@@ -127,9 +127,9 @@ func checkDedupAgainstReference(t *testing.T, seed uint64, data []byte, span uin
 	// Direct (stamp-table) path: stubs become local indices into a
 	// member list, exactly as intra-community wiring uses it.
 	{
-		members := make([]int64, span)
+		members := make([]uint32, span)
 		for i := range members {
-			members[i] = int64(1000 + i*7)
+			members[i] = uint32(1000 + i*7)
 		}
 		dd := new(edgeDedup)
 		fast := table.NewEdgeTable("fast", 0)

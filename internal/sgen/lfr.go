@@ -32,7 +32,7 @@ type LFR struct {
 
 	// communities of the last Run, exposed for tests and for the
 	// experiment harness (ground-truth labels).
-	lastCommunities []int64
+	lastCommunities []uint32
 	// shard count of the last Run, for RunNote.
 	lastShards int
 }
@@ -66,8 +66,15 @@ func (l *LFR) RunNote() string {
 
 // Communities returns the ground-truth community label of every node
 // from the most recent Run. It is the basis of LFR's use in community
-// detection benchmarking (communities are "known beforehand").
-func (l *LFR) Communities() []int64 { return l.lastCommunities }
+// detection benchmarking (communities are "known beforehand"). Run
+// keeps them at 4 bytes a node; each call widens a copy.
+func (l *LFR) Communities() []int64 {
+	comm := make([]int64, len(l.lastCommunities))
+	for v, c := range l.lastCommunities {
+		comm[v] = int64(c)
+	}
+	return comm
+}
 
 // Validate implements Generator. The comparisons are written so that a
 // NaN parameter fails them.
@@ -77,6 +84,12 @@ func (l *LFR) Validate() error {
 		return fmt.Errorf("sgen: LFR average degree must exceed 1, got %v", l.AvgDegree)
 	case !(float64(l.MaxDegree) >= math.Floor(l.AvgDegree)):
 		return fmt.Errorf("sgen: LFR max degree %d below average %v", l.MaxDegree, l.AvgDegree)
+	// Degrees are held in 4 bytes, and a 32-bit int cannot read a larger
+	// maxDegree at all. A smaller but still large one passes and costs
+	// minDegreeFor float tables of up to MaxDegree entries: bounding that
+	// is a per-job byte model's task, not this check's.
+	case l.MaxDegree > math.MaxInt32:
+		return fmt.Errorf("sgen: LFR max degree %d above %d", l.MaxDegree, math.MaxInt32)
 	case l.MinCommunity < 2 || l.MaxCommunity < l.MinCommunity:
 		return fmt.Errorf("sgen: LFR community bounds [%d,%d] invalid", l.MinCommunity, l.MaxCommunity)
 	case !(l.Mu >= 0 && l.Mu <= 1):
@@ -117,8 +130,54 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 		return nil, err
 	}
 	q := xrand.NewSeq(l.Seed)
+	s, err := l.nodeState(q, n)
+	if err != nil {
+		return nil, err
+	}
+	l.lastCommunities = s.commOf
 
-	// 1. Degree sequence from a truncated power law matching AvgDegree.
+	// 5. Wire intra-community edges with a per-community configuration
+	// model, then inter-community edges with a global configuration
+	// model over the residual stubs. Duplicate rejection goes through a
+	// batched sort-and-compact dedup (see edgeDedup) instead of a
+	// per-edge hash map; the accepted edge set is identical.
+	//
+	// Communities are independent once sizes and memberships are fixed
+	// (an intra edge has both endpoints inside one community), so each
+	// community is wired as its own shard: randomness comes from a
+	// per-community stream keyed off (Seed, community id) and edges land
+	// in the table in community order: wired into per-community windows
+	// of the table and then compacted in place. Shards can therefore run
+	// on any number of goroutines with a byte-identical edge table.
+	et := table.NewEdgeTable("lfr", int64(float64(n)*l.AvgDegree/2))
+	if err := l.wireIntraShards(et, s.sizes, s.intra, s.memberBuf, s.memberOffs); err != nil {
+		return nil, err
+	}
+	wireInter(q, et, s.deg, s.intra, s.commOf)
+	return et, nil
+}
+
+// lfrNodes is the per-node state LFR's two wiring phases read. Every
+// node-indexed slice holds 4-byte words: a degree is at most MaxDegree
+// ≤ math.MaxInt32 (Validate), and node and community ids are below
+// table.MaxNodes. With the placement order, which memberBuf reuses,
+// that is 16 bytes a node.
+type lfrNodes struct {
+	deg, intra []int32  // degree and intra-community degree per node
+	commOf     []uint32 // community per node
+	sizes      []int    // community sizes
+	// Community c's members, ascending, are
+	// memberBuf[memberOffs[c]:memberOffs[c+1]].
+	memberBuf  []uint32
+	memberOffs []int64
+}
+
+// nodeState draws the degree sequence and the community sizes, and
+// places every node in a community (steps 1–4). q is the run's sequence;
+// step 4's community shuffle advances it.
+func (l *LFR) nodeState(q *xrand.Seq, n int64) (*lfrNodes, error) {
+	// 1. Degree sequence from a truncated power law matching AvgDegree,
+	// as int32: Validate bounds MaxDegree by math.MaxInt32.
 	dmin, err := l.minDegreeFor()
 	if err != nil {
 		return nil, err
@@ -127,10 +186,10 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	deg := make([]int, n)
+	deg := make([]int32, n)
 	s := xrand.NewStream(l.Seed).DeriveStream("lfr.degrees")
 	for i := int64(0); i < n; i++ {
-		deg[i] = degDist.Sample(s, i)
+		deg[i] = int32(degDist.Sample(s, i))
 	}
 
 	// 2. Community sizes from a truncated power law covering all nodes.
@@ -156,14 +215,11 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 		total += int64(sz)
 	}
 
-	// 3. Intra-degrees: node i keeps round((1-mu)·deg[i]) stubs inside
-	// its community.
-	intra := make([]int, n)
-	for i := range deg {
-		intra[i] = int(math.Round((1 - l.Mu) * float64(deg[i])))
-		if intra[i] > deg[i] {
-			intra[i] = deg[i]
-		}
+	// 3. Intra-degrees: node i keeps round((1-mu)·deg[i]) ≤ deg[i] stubs
+	// inside its community.
+	intra := make([]int32, n)
+	for i, d := range deg {
+		intra[i] = min(int32(math.Round((1-l.Mu)*float64(d))), d)
 	}
 
 	// 4. Assign nodes to communities. A node with intra-degree k needs a
@@ -172,12 +228,11 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 	// standard greedy realisation of LFR's constraint. Intra-degrees are
 	// bounded by MaxDegree, so a counting sort produces the
 	// (intra desc, id asc) order in O(n + MaxDegree) instead of
-	// O(n log n) comparisons.
-	maxIntra := 0
+	// O(n log n) comparisons. The order holds node ids and commOf
+	// community ids, both below table.MaxNodes, as uint32.
+	maxIntra := int32(0)
 	for _, d := range intra {
-		if d > maxIntra {
-			maxIntra = d
-		}
+		maxIntra = max(maxIntra, d)
 	}
 	bucket := make([]int64, maxIntra+2)
 	for _, d := range intra {
@@ -186,13 +241,13 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 	for b := 1; b < len(bucket); b++ {
 		bucket[b] += bucket[b-1]
 	}
-	order := make([]int64, n)
-	for v := int64(0); v < n; v++ { // ascending v keeps ties id-ordered
-		b := maxIntra - intra[v]
-		order[bucket[b]] = v
+	order := make([]uint32, n)
+	for v, d := range intra { // ascending v keeps ties id-ordered
+		b := maxIntra - d
+		order[bucket[b]] = uint32(v)
 		bucket[b]++
 	}
-	commOf := make([]int64, n)
+	commOf := make([]uint32, n)
 	remaining := make([]int, len(sizes))
 	copy(remaining, sizes)
 	commOrder := make([]int64, len(sizes))
@@ -205,8 +260,8 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 		placed := false
 		for try := 0; try < len(sizes); try++ {
 			c := commOrder[(next+try)%len(sizes)]
-			if remaining[c] > 0 && sizes[c]-1 >= intra[v] {
-				commOf[v] = c
+			if remaining[c] > 0 && sizes[c]-1 >= int(intra[v]) {
+				commOf[v] = uint32(c)
 				remaining[c]--
 				next = (next + try) % len(sizes)
 				placed = true
@@ -217,10 +272,10 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 			// Fall back: any community with room; cap the intra-degree.
 			for c := range remaining {
 				if remaining[c] > 0 {
-					commOf[v] = int64(c)
+					commOf[v] = uint32(c)
 					remaining[c]--
-					if intra[v] > sizes[c]-1 {
-						intra[v] = sizes[c] - 1
+					if int(intra[v]) > sizes[c]-1 {
+						intra[v] = int32(sizes[c] - 1)
 					}
 					placed = true
 					break
@@ -231,27 +286,14 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 			return nil, fmt.Errorf("sgen: LFR could not place node %d", v)
 		}
 	}
-	l.lastCommunities = commOf
-
-	// 5. Wire intra-community edges with a per-community configuration
-	// model, then inter-community edges with a global configuration
-	// model over the residual stubs. Duplicate rejection goes through a
-	// batched sort-and-compact dedup (see edgeDedup) instead of a
-	// per-edge hash map; the accepted edge set is identical.
-	//
-	// Communities are independent once sizes and memberships are fixed
-	// (an intra edge has both endpoints inside one community), so each
-	// community is wired as its own shard: randomness comes from a
-	// per-community stream keyed off (Seed, community id) and edges land
-	// in the table in community order: wired into per-community windows
-	// of the table and then compacted in place. Shards can therefore run
-	// on any number of goroutines with a byte-identical edge table.
-	et := table.NewEdgeTable("lfr", int64(float64(n)*l.AvgDegree/2))
 
 	// Community member lists as one CSR block instead of len(sizes)
 	// independently grown slices. memberOffs[c+1] counts c's members,
 	// the prefix sum makes memberOffs[c] the start of c's list, which the
-	// fill advances as c's cursor, and a shift puts the starts back.
+	// fill advances as c's cursor, and a shift puts the starts back. The
+	// placement order is dead once every node is placed, and its buffer
+	// takes the lists: no collection runs inside a task, so a fresh one
+	// would sit beside it until the task ends.
 	memberOffs := make([]int64, len(sizes)+1)
 	for _, c := range commOf {
 		memberOffs[c+1]++
@@ -259,20 +301,14 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 	for c := range sizes {
 		memberOffs[c+1] += memberOffs[c]
 	}
-	memberBuf := make([]int64, n)
+	memberBuf := order
 	for v, c := range commOf {
-		memberBuf[memberOffs[c]] = int64(v)
+		memberBuf[memberOffs[c]] = uint32(v)
 		memberOffs[c]++
 	}
 	copy(memberOffs[1:], memberOffs[:len(sizes)])
 	memberOffs[0] = 0
-
-	if err := l.wireIntraShards(et, sizes, intra, memberBuf, memberOffs); err != nil {
-		return nil, err
-	}
-
-	wireInter(q, et, deg, intra, commOf)
-	return et, nil
+	return &lfrNodes{deg: deg, intra: intra, commOf: commOf, sizes: sizes, memberBuf: memberBuf, memberOffs: memberOffs}, nil
 }
 
 // wireInter wires the inter-community edges: a global configuration
@@ -282,14 +318,14 @@ func (l *LFR) Run(n int64) (*table.EdgeTable, error) {
 // they can never collide with an intra edge — the dedup starts from an
 // empty accepted set. The stub count is known before the first stub is
 // laid down, and sizes the stub buffer and the dedup's round scratch.
-func wireInter(q *xrand.Seq, et *table.EdgeTable, deg, intra []int, commOf []int64) {
+func wireInter(q *xrand.Seq, et *table.EdgeTable, deg, intra []int32, commOf []uint32) {
 	var nInter int
 	for v := range deg {
-		nInter += deg[v] - intra[v]
+		nInter += int(deg[v] - intra[v])
 	}
 	stubs := make([]int64, 0, nInter)
 	for v := range deg {
-		for j := 0; j < deg[v]-intra[v]; j++ {
+		for j := int32(0); j < deg[v]-intra[v]; j++ {
 			stubs = append(stubs, int64(v))
 		}
 	}
@@ -310,7 +346,7 @@ func wireInter(q *xrand.Seq, et *table.EdgeTable, deg, intra []int, commOf []int
 // GOMAXPROCS) wire the shards or in which order they finish. A shard
 // that overflows its window, or panics, fails the run with ForEach's
 // lowest-index error.
-func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf, memberOffs []int64) error {
+func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes []int, intra []int32, memberBuf []uint32, memberOffs []int64) error {
 	nComm := len(sizes)
 	if nComm == 0 {
 		return nil
@@ -333,12 +369,12 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 		direct := size*size <= directDedupMaxUniverse
 		stubs = stubs[:0]
 		for li, v := range members {
-			id := v
+			id := int64(v)
 			if direct {
 				id = int64(li)
 			}
 			k := intra[v]
-			for j := 0; j < k; j++ {
+			for j := int32(0); j < k; j++ {
 				stubs = append(stubs, id)
 			}
 		}
@@ -432,7 +468,7 @@ const directDedupMaxUniverse = 1 << 22
 // Shuffling local indices consumes the same RNG draws as shuffling the
 // global ids did, and the local→global mapping is a bijection, so the
 // emitted edge sequence is unchanged.
-func pairStubsDirect(q *xrand.Seq, dd *edgeDedup, et *table.EdgeTable, stubs []int64, members []int64, rounds int) {
+func pairStubsDirect(q *xrand.Seq, dd *edgeDedup, et *table.EdgeTable, stubs []int64, members []uint32, rounds int) {
 	size := int64(len(members))
 	dd.resetDirect(int(size * size))
 	pending := stubs
@@ -452,7 +488,7 @@ func pairStubsDirect(q *xrand.Seq, dd *edgeDedup, et *table.EdgeTable, stubs []i
 					if a > b {
 						a, b = b, a
 					}
-					et.Add(a, b)
+					et.Add(int64(a), int64(b))
 					won = true
 				}
 			}

@@ -1,6 +1,7 @@
 package sgen
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -126,12 +127,12 @@ func TestLFRShardWindows(t *testing.T) {
 // Growing either by appending would overshoot the bound.
 func TestLFRInterPhaseAllocations(t *testing.T) {
 	const n = 100_000
-	deg, intra, commOf := make([]int, n), make([]int, n), make([]int64, n)
+	deg, intra, commOf := make([]int32, n), make([]int32, n), make([]uint32, n)
 	var stubs int64
 	for v := range deg {
-		deg[v] = 10 + v%41
-		intra[v] = deg[v] - 1 - v%3
-		commOf[v] = int64(v / 30)
+		deg[v] = int32(10 + v%41)
+		intra[v] = deg[v] - 1 - int32(v%3)
+		commOf[v] = uint32(v / 30)
 		stubs += int64(deg[v] - intra[v])
 	}
 	et := table.NewEdgeTable("inter", stubs/2)
@@ -147,5 +148,36 @@ func TestLFRInterPhaseAllocations(t *testing.T) {
 	}
 	if got > 1.1*exact {
 		t.Errorf("inter phase allocated %.0f bytes, want ≤ 1.1 × %.0f", got, exact)
+	}
+}
+
+// TestLFRNodeStateBytes pins LFR's per-node state outside the edge
+// table and the two wiring phases: the degree, intra-degree, placement
+// order and community words, 4 bytes each, 16 bytes a node; the member
+// lists reuse the dead order. Per community there are its size (16
+// bytes: the slice grows by appending), its remaining room, its shuffle
+// slot and its member offset, 8 bytes each.
+func TestLFRNodeStateBytes(t *testing.T) {
+	const n = 20_000
+	l := NewLFR(1)
+	var s *lfrNodes
+	got := uint64(math.MaxUint64)
+	for range 3 { // TotalAlloc is process-wide: take the quietest run
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var err error
+		s, err = l.nodeState(xrand.NewSeq(l.Seed), n)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	comms := uint64(len(s.sizes))
+	t.Logf("%d bytes for %d nodes in %d communities (%.2f bytes a node)", got, n, comms, float64(got)/n)
+	// The slack is minDegreeFor's power-law tables (22 KB at the
+	// defaults) and each big buffer's rounding to whole pages.
+	if want := 16*n + 40*comms + 64<<10; got > want {
+		t.Errorf("LFR node state allocated %d bytes, want ≤ %d (16 bytes a node + 40 a community + 64 KiB)", got, want)
 	}
 }
